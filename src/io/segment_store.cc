@@ -15,6 +15,7 @@
 #include "chaos/killpoint.h"
 #include "core/dataset_io.h"
 #include "core/parallel.h"
+#include "core/simd_dispatch.h"
 #include "io/snapshot.h"
 #include "io/wire.h"
 #include "obs/events.h"
@@ -27,13 +28,12 @@ namespace fenrir::io {
 namespace {
 
 using core::DatasetIoError;
-using wire::fnv_init;
-using wire::fnv_mix;
-using wire::fnv_mix_u64;
+using wire::IdentityHash;
 using wire::patch_u64;
 using wire::payload_checksum;
 using wire::put_i64;
 using wire::put_u32;
+using wire::put_u32_array;
 using wire::put_u64;
 using wire::put_u64_array;
 using wire::put_u8;
@@ -43,6 +43,10 @@ constexpr std::uint8_t kIdentityNone = 0;
 constexpr std::uint8_t kIdentityRowHashes = 1;
 constexpr std::uint8_t kIdentityLegacyPrefix = 2;
 constexpr std::uint32_t kFlagSealed = 1u;
+// spill() writes the encoded records through to the tail file once this
+// many bytes are buffered, so the buffer stays O(one record) however
+// wide a record is; flush() still owns the fsync and the manifest.
+constexpr std::size_t kWriteThroughBytes = std::size_t{1} << 20;
 
 struct SegMetrics {
   obs::Counter& sealed;
@@ -70,7 +74,7 @@ SegMetrics& seg_metrics() {
       obs::registry().counter("fenrir_segment_tail_flush_total",
                               "tail flushes (pwrite + fsync + manifest)"),
       obs::registry().counter("fenrir_segment_tail_bytes_total",
-                              "record bytes appended to tail segments"),
+                              "record bytes made durable in tail segments"),
       obs::registry().counter(
           "fenrir_segment_checksum_verified_total",
           "segment payload checksums actually recomputed (once per "
@@ -371,41 +375,39 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
 }
 
 std::uint64_t dataset_header_hash(const core::Dataset& dataset) {
-  std::uint64_t h = fnv_init();
-  fnv_mix_u64(h, dataset.networks.size());
-  for (core::NetId id = 0; id < dataset.networks.size(); ++id) {
-    fnv_mix_u64(h, dataset.networks.key(id));
-  }
-  fnv_mix_u64(h, dataset.weights.size());
-  for (const double w : dataset.weights) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &w, sizeof(bits));
-    fnv_mix_u64(h, bits);
-  }
-  return h;
+  IdentityHash h;
+  h.add(dataset.networks.size());
+  h.add_words(dataset.networks.size(), [&](std::size_t id) {
+    return dataset.networks.key(static_cast<core::NetId>(id));
+  });
+  h.add(dataset.weights.size());
+  h.add_words(dataset.weights.size(), [&](std::size_t i) {
+    return std::bit_cast<std::uint64_t>(dataset.weights[i]);
+  });
+  return h.finish();
 }
 
 std::uint64_t dataset_names_hash(const core::Dataset& dataset,
                                  std::uint64_t max_site) {
-  std::uint64_t h = fnv_init();
-  fnv_mix_u64(h, max_site + 1);
+  IdentityHash h;
+  h.add(max_site + 1);
   for (core::SiteId s = 0; s <= max_site; ++s) {
     const std::string& name = dataset.sites.name(s);
-    fnv_mix_u64(h, name.size());
-    fnv_mix(h, name.data(), name.size());
+    h.add(name.size());
+    h.add_bytes(name.data(), name.size());
   }
-  return h;
+  return h.finish();
 }
 
 }  // namespace
 
 std::uint64_t segment_row_hash(const core::RoutingVector& v) {
-  std::uint64_t h = fnv_init();
-  fnv_mix_u64(h, static_cast<std::uint64_t>(v.time));
-  fnv_mix_u64(h, v.valid ? 1 : 0);
-  fnv_mix_u64(h, v.assignment.size());
-  for (const core::SiteId s : v.assignment) fnv_mix_u64(h, s);
-  return h;
+  IdentityHash h;
+  h.add(static_cast<std::uint64_t>(v.time));
+  h.add(v.valid ? 1 : 0);
+  h.add(v.assignment.size());
+  h.add_u32s(v.assignment.data(), v.assignment.size());
+  return h.finish();
 }
 
 // SegmentCodec is the segment store's window into SimilarityMatrix and
@@ -637,7 +639,7 @@ std::string SegmentStore::encode_manifest_locked() const {
       put_i64(out, rep.time);
       put_u8(out, rep.valid ? 1 : 0);
       put_u64(out, rep.assignment.size());
-      for (const core::SiteId s : rep.assignment) put_u32(out, s);
+      put_u32_array(out, rep.assignment.data(), rep.assignment.size());
     }
     put_u64(out, history_.size());
     for (const std::size_t m : history_) put_u64(out, m);
@@ -766,9 +768,7 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
       rep.valid = r.get_u8() != 0;
       const std::size_t size = r.get_count(4);
       rep.assignment.resize(size);
-      for (std::size_t s = 0; s < size; ++s) {
-        rep.assignment[s] = r.get_u32();
-      }
+      r.get_u32_array(rep.assignment.data(), size);
       representatives_.push_back(std::move(rep));
     }
     const std::size_t history_count = r.get_count(8);
@@ -851,7 +851,7 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
     throw std::invalid_argument("SegmentStore: network count mismatch");
   }
   if (tail_.has_value() && tail_->width != width) {
-    if (tail_->rows > 0 || !pending_.empty()) {
+    if (tail_->rows > 0) {
       // The series widened mid-tail: records in one segment share one
       // width, so seal what we have and start a fresh tail.
       flush_locked(true);
@@ -896,6 +896,22 @@ void SegmentStore::append_record_locked(
   tail_->rows += 1;
   max_time_seen_ = std::max(max_time_seen_, time);
   processed_ += 1;
+  // The record is accounted for first: if the write-through fails, the
+  // bytes stay in pending_ and the next flush writes them at the same
+  // offset.
+  if (pending_.size() >= kWriteThroughBytes) {
+    write_pending_locked();
+    chaos::maybe_kill_at("segment_tail_write");
+  }
+}
+
+void SegmentStore::write_pending_locked() {
+  pwrite_all(tail_->fd, pending_.data(), pending_.size(),
+             static_cast<off_t>(kSegmentHeaderBytes + tail_->payload_bytes +
+                                tail_->written_ahead),
+             tail_path(tail_->id));
+  tail_->written_ahead += pending_.size();
+  pending_.clear();
 }
 
 void SegmentStore::spill(const core::RoutingVector& v,
@@ -927,11 +943,11 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
   const std::uint64_t session_base = g - local;
   const std::size_t networks = SegmentCodec::networks(matrix);
   const std::uint64_t width = SegmentCodec::packed_width(matrix);
-  for (const core::SiteId s : v.assignment) {
-    if (s > max_site_seen_) {
-      max_site_seen_ = s;
-      names_hash_stale_ = true;
-    }
+  const std::uint64_t top = core::simd::active().max_site(
+      v.assignment.data(), v.assignment.size());
+  if (top > max_site_seen_) {
+    max_site_seen_ = top;
+    names_hash_stale_ = true;
   }
   const std::size_t local_anchor = SegmentCodec::anchor_of(matrix, local);
   const std::uint64_t anchor =
@@ -985,19 +1001,15 @@ void SegmentStore::seal_active() {
 
 void SegmentStore::flush_locked(bool force_seal) {
   refresh_names_hash_locked();
-  if (tail_.has_value() && !pending_.empty()) {
-    const std::filesystem::path tp = tail_path(tail_->id);
-    pwrite_all(tail_->fd, pending_.data(), pending_.size(),
-               static_cast<off_t>(kSegmentHeaderBytes +
-                                  tail_->payload_bytes),
-               tp);
-    fsync_or_throw(tail_->fd, tp);
+  if (tail_.has_value() && tail_->durable_rows < tail_->rows) {
+    write_pending_locked();
+    fsync_or_throw(tail_->fd, tail_path(tail_->id));
     SegMetrics& m = seg_metrics();
     m.tail_flush.inc();
-    m.tail_bytes.inc(pending_.size());
-    tail_->payload_bytes += pending_.size();
+    m.tail_bytes.inc(tail_->written_ahead);
+    tail_->payload_bytes += tail_->written_ahead;
+    tail_->written_ahead = 0;
     tail_->durable_rows = tail_->rows;
-    pending_.clear();
     chaos::maybe_kill_at("segment_tail_flush");
   }
   write_manifest_locked();

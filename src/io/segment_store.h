@@ -26,7 +26,7 @@
 // bit patterns; everything 8-aligned so doubles map directly):
 //
 //   header, 128 bytes:
-//     magic "FENRSEG1" (8), u32 version (1), u32 flags (bit0 sealed),
+//     magic "FENRSEG1" (8), u32 version (2), u32 flags (bit0 sealed),
 //     u64 segment_id, u64 base_row (global row of record 0), u64 rows,
 //     u64 networks, u64 width (1|2|4), u64 tri_base (global row the Φ
 //     spans start at), u64 payload_bytes, i64 min_time, i64 max_time,
@@ -49,8 +49,11 @@
 // O(retained²/2) rather than O(processed²/2).
 //
 // Durability protocol (what the chaos killpoints exercise):
-//   spill():  encode the record into a pending buffer (the Φ row is hot)
-//   flush():  pwrite pending → fsync(tail) → [segment_tail_flush] →
+//   spill():  encode the record into a pending buffer (the Φ row is
+//             hot); once the buffer holds ≥ 1 MiB, pwrite it past the
+//             durable payload → [segment_tail_write] — written ahead,
+//             not yet durable
+//   flush():  pwrite the rest → fsync(tail) → [segment_tail_flush] →
 //             atomic manifest write (tmp + rename, inherits the
 //             byte-offset killpoints of io/snapshot.h)
 //   seal:     after a flush, read the tail back, checksum, patch the
@@ -60,17 +63,22 @@
 //   compact:  merge a cold run into cmp-<id> → fsync →
 //             [segment_compact_rename] → rename → manifest → unlink
 // The manifest is the single source of truth: a tail longer than the
-// manifest says is truncated back on open; a torn tail is dropped
+// manifest says (written-ahead records of a session that died before
+// its next flush) is truncated back on open; a torn tail is dropped
 // whole (sealed history survives — `segment_tail_salvaged` event); an
 // interrupted seal or compaction is rolled forward or its leftovers
 // collected.
 //
-// Identity: a store created by a live session records per-row FNV
-// hashes plus header/name hashes, so resume verifies only the retained
-// window (flat). A store imported from a FENRSNAP snapshot has no
-// routing vectors to hash and falls back to the snapshot's whole-prefix
-// hash (kLegacyPrefixHash), verified in O(processed) — acceptable for a
-// one-time migration.
+// Identity: a store created by a live session records per-row hashes
+// plus header/name hashes, so resume verifies only the retained window
+// (flat). All three are wire::IdentityHash — the checksum's four
+// multiply–rotate lanes fed 64-bit words by value, so hashing a 5M-id
+// row runs at memory speed on any host. Version 2 of the segment and
+// manifest formats marks that hash; a v1 manifest or segment is
+// refused with "version skew". A store imported from a FENRSNAP
+// snapshot has no routing vectors to hash and falls back to the
+// snapshot's whole-prefix hash (kLegacyPrefixHash), verified in
+// O(processed) — acceptable for a one-time migration.
 #pragma once
 
 #include <cstddef>
@@ -98,15 +106,16 @@ inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
                                                  'S', 'E', 'G', 'E'};
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
-inline constexpr std::uint32_t kSegmentVersion = 1;
-inline constexpr std::uint32_t kManifestVersion = 1;
+inline constexpr std::uint32_t kSegmentVersion = 2;
+inline constexpr std::uint32_t kManifestVersion = 2;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
 
-/// FNV-1a 64 over one observation's identity (time, validity, size,
-/// site ids) — the per-record twin of dataset_prefix_hash, verifiable
-/// per retained row instead of over the whole prefix.
+/// wire::IdentityHash over one observation's identity (time, validity,
+/// size, then the site ids two to a word) — the per-record twin of
+/// dataset_prefix_hash, verifiable per retained row instead of over the
+/// whole prefix.
 std::uint64_t segment_row_hash(const core::RoutingVector& v);
 
 struct SegmentStoreConfig {
@@ -174,7 +183,9 @@ class SegmentStore {
 
   /// Spills the newest matrix row (matrix.size()-1, global row
   /// processed()) into the pending buffer: packed bytes and Φ columns
-  /// are copied out while hot. O(row) — nothing else is re-encoded.
+  /// are copied out while hot, and a buffer past 1 MiB is written
+  /// through to the tail (not yet durable). O(row) — nothing else is
+  /// re-encoded.
   /// Rotates the tail first when the matrix's packed width changed.
   void spill(const core::RoutingVector& v,
              const core::SimilarityMatrix& matrix);
@@ -262,6 +273,8 @@ class SegmentStore {
     std::uint64_t rows = 0;           // durable + pending
     std::uint64_t durable_rows = 0;   // covered by the manifest
     std::uint64_t payload_bytes = 0;  // durable, covered by the manifest
+    std::uint64_t written_ahead = 0;  // pwritten past payload_bytes, not
+                                      // yet fsynced or in the manifest
     std::int64_t min_time = 0;
     std::int64_t max_time = 0;
     int fd = -1;
@@ -282,6 +295,7 @@ class SegmentStore {
                             std::size_t networks, std::uint64_t width,
                             std::span<const std::byte> packed,
                             std::span<const double> phi);
+  void write_pending_locked();
   void flush_locked(bool force_seal);
   void seal_tail_locked();
   void apply_retention_locked(std::vector<std::filesystem::path>& retired);
@@ -320,7 +334,8 @@ class SegmentStore {
   std::int64_t max_time_seen_ = 0;
   std::vector<SegmentInfo> sealed_;
   std::optional<TailState> tail_;
-  std::string pending_;  // encoded records not yet written to the tail
+  std::string pending_;  // encoded records not yet written to the tail;
+                         // written through at kWriteThroughBytes
 
   std::thread compactor_;
   bool compaction_running_ = false;

@@ -8,6 +8,9 @@
 // hoisted out of snapshot.cc's anonymous namespace so both formats stay
 // byte-compatible by construction instead of by copy.
 //
+// The segment store's identity hashes (IdentityHash below) run on the
+// same multiply–rotate lanes, fed 64-bit words by value.
+//
 // Everything here is header-only and allocation-free except the
 // std::string appends the put_* writers perform.
 #pragma once
@@ -22,6 +25,21 @@
 
 namespace fenrir::io::wire {
 
+// The multiply–rotate lane both hashes below are built from.
+inline constexpr std::uint64_t kLaneC1 = 0x9E3779B97F4A7C15ull;
+inline constexpr std::uint64_t kLaneC2 = 0xD6E8FEB86659FD93ull;
+inline constexpr std::uint64_t kLaneSeed[4] = {
+    kLaneC1, kLaneC2, kLaneC1 ^ 0x5555555555555555ull,
+    kLaneC2 ^ 0x3333333333333333ull};
+
+/// One lane step. A bijection in @p h for fixed @p w and in @p w for
+/// fixed @p h, so a single changed word always changes the lane.
+inline std::uint64_t lane_mix(std::uint64_t h, std::uint64_t w) {
+  h ^= w * kLaneC2;
+  h = std::rotl(h, 27);
+  return h * kLaneC1;
+}
+
 // Trailer checksum: four independent multiply–rotate lanes over 64-bit
 // words, folded to 32 bits. The target is bit rot and truncation, not
 // adversarial collisions, and resuming a long watch decodes tens of
@@ -29,31 +47,27 @@ namespace fenrir::io::wire {
 // than the rest of the decode combined, while the four lanes keep the
 // multiplier latency off the critical path and run at memory speed.
 inline std::uint32_t payload_checksum(const void* data, std::size_t size) {
-  constexpr std::uint64_t kC1 = 0x9E3779B97F4A7C15ull;
-  constexpr std::uint64_t kC2 = 0xD6E8FEB86659FD93ull;
-  const auto mix = [](std::uint64_t h, std::uint64_t w) {
-    h ^= w * kC2;
-    h = (h << 27) | (h >> 37);
-    return h * kC1;
-  };
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h[4] = {kC1, kC2, kC1 ^ 0x5555555555555555ull,
-                        kC2 ^ 0x3333333333333333ull};
+  std::uint64_t h[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
+                        kLaneSeed[3]};
   std::size_t i = 0;
   for (; i + 32 <= size; i += 32) {
     std::uint64_t w[4];
     std::memcpy(w, p + i, 32);
-    h[0] = mix(h[0], w[0]);
-    h[1] = mix(h[1], w[1]);
-    h[2] = mix(h[2], w[2]);
-    h[3] = mix(h[3], w[3]);
+    h[0] = lane_mix(h[0], w[0]);
+    h[1] = lane_mix(h[1], w[1]);
+    h[2] = lane_mix(h[2], w[2]);
+    h[3] = lane_mix(h[3], w[3]);
   }
+  // The tail holds up to 31 bytes. Bytes past the eighth wrap around
+  // the word (shift count mod 64): the value x86 builds always computed
+  // for the oversize shift, now without the undefined behaviour.
   std::uint64_t tail = 0;
   for (int k = 0; i < size; ++i, ++k) {
-    tail |= static_cast<std::uint64_t>(p[i]) << (8 * k);
+    tail |= static_cast<std::uint64_t>(p[i]) << ((8 * k) & 63);
   }
-  h[0] = mix(h[0], tail);
-  std::uint64_t out = mix(mix(mix(h[0], h[1]), h[2]), h[3]) ^
+  h[0] = lane_mix(h[0], tail);
+  std::uint64_t out = lane_mix(lane_mix(lane_mix(h[0], h[1]), h[2]), h[3]) ^
                       static_cast<std::uint64_t>(size);
   out ^= out >> 32;
   return static_cast<std::uint32_t>(out);
@@ -99,6 +113,18 @@ inline void put_u64_array(std::string& out, const void* words,
   } else {
     const auto* p = static_cast<const std::uint64_t*>(words);
     for (std::size_t i = 0; i < count; ++i) put_u64(out, p[i]);
+  }
+}
+
+/// put_u64_array's 4-byte twin (ModeBook representatives in the
+/// segment manifest: networks × modes site ids).
+inline void put_u32_array(std::string& out, const void* words,
+                          std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out.append(static_cast<const char*>(words), count * 4);
+  } else {
+    const auto* p = static_cast<const std::uint32_t*>(words);
+    for (std::size_t i = 0; i < count; ++i) put_u32(out, p[i]);
   }
 }
 
@@ -181,6 +207,7 @@ struct Reader {
   }
   void get_bytes(void* dst, std::size_t k) {
     need(k);
+    if (k == 0) return;  // an empty array's dst may be null
     std::memcpy(dst, p + off, k);
     off += k;
   }
@@ -194,9 +221,102 @@ struct Reader {
       for (std::size_t i = 0; i < count; ++i) out[i] = get_u64();
     }
   }
+  /// Bulk read of @p count little-endian 4-byte words (put_u32_array).
+  void get_u32_array(void* dst, std::size_t count) {
+    if constexpr (std::endian::native == std::endian::little) {
+      get_bytes(dst, count * 4);
+    } else {
+      auto* out = static_cast<std::uint32_t*>(dst);
+      for (std::size_t i = 0; i < count; ++i) out[i] = get_u32();
+    }
+  }
 };
 
-// --- FNV-1a 64, the identity-hash primitive ------------------------------
+// --- identity hash --------------------------------------------------------
+
+/// The segment store's identity hash: payload_checksum's four lanes over
+/// a stream of 64-bit words (word k feeds lane k mod 4), folded, mixed
+/// with the word count, and finished with a 64-bit avalanche. Callers
+/// build each word by value — site ids two to a word, bytes eight to a
+/// word, low first — so the result is the same on every host with no
+/// byte-order branch. A zero-filled last word reads like explicit
+/// zeros, so callers add a length before each variable-length run.
+/// Like the checksum it guards against mix-ups and bit rot, not
+/// adversaries.
+class IdentityHash {
+ public:
+  void add(std::uint64_t w) {
+    lanes_[words_ & 3] = lane_mix(lanes_[words_ & 3], w);
+    ++words_;
+  }
+
+  /// Adds @p count words, word(i) for i in [0, count), four lanes per
+  /// step with the lane state in registers.
+  template <class Word>
+  void add_words(std::size_t count, Word&& word) {
+    std::size_t i = 0;
+    for (; i < count && (words_ & 3) != 0; ++i) add(word(i));
+    std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    const std::size_t start = i;
+    for (; i + 4 <= count; i += 4) {
+      a = lane_mix(a, word(i));
+      b = lane_mix(b, word(i + 1));
+      c = lane_mix(c, word(i + 2));
+      d = lane_mix(d, word(i + 3));
+    }
+    lanes_[0] = a;
+    lanes_[1] = b;
+    lanes_[2] = c;
+    lanes_[3] = d;
+    words_ += i - start;
+    for (; i < count; ++i) add(word(i));
+  }
+
+  /// Adds u32 values two to a word (ids[2k] low, ids[2k+1] high); an
+  /// odd last value fills a word alone.
+  void add_u32s(const std::uint32_t* ids, std::size_t count) {
+    add_words(count / 2, [ids](std::size_t k) {
+      return static_cast<std::uint64_t>(ids[2 * k]) |
+             static_cast<std::uint64_t>(ids[2 * k + 1]) << 32;
+    });
+    if (count % 2 != 0) add(ids[count - 1]);
+  }
+
+  /// Adds bytes eight to a word, little-endian by value; a short last
+  /// word is zero-filled.
+  void add_bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; i += 8) {
+      std::uint64_t w = 0;
+      for (std::size_t k = 0; k < 8 && i + k < size; ++k) {
+        w |= static_cast<std::uint64_t>(p[i + k]) << (8 * k);
+      }
+      add(w);
+    }
+  }
+
+  /// The hash of the words added so far; the avalanche is the MurmurHash3
+  /// 64-bit finalizer.
+  std::uint64_t finish() const {
+    std::uint64_t x =
+        lane_mix(lane_mix(lane_mix(lanes_[0], lanes_[1]), lanes_[2]),
+                 lanes_[3]) ^
+        words_;
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDull;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ull;
+    x ^= x >> 33;
+    return x;
+  }
+
+ private:
+  std::uint64_t lanes_[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
+                             kLaneSeed[3]};
+  std::uint64_t words_ = 0;
+};
+
+// --- FNV-1a 64, the snapshot's prefix-hash primitive ---------------------
 
 inline std::uint64_t fnv_init() { return 1469598103934665603ULL; }
 

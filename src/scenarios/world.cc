@@ -117,8 +117,9 @@ std::optional<ShiftableCone> add_shiftable_cone(
   const bgp::AsIndex pa = first_provider(graph, origin_a);
   const bgp::AsIndex pb = first_provider(graph, origin_b);
   if (pa == pb) {
-    throw std::invalid_argument(
-        "add_shiftable_cone: origins share their first provider");
+    // The aggregator's two legs would reach the sites through the same
+    // provider: there is no preference to flip.
+    return std::nullopt;
   }
 
   // Aggregator placed near origin A's provider.

@@ -118,6 +118,8 @@ struct ShiftableCone {
 /// @p origin_b, re-homing ~@p stub_fraction of the topology's stubs onto
 /// the aggregator (they keep their existing providers; the new link is
 /// preferred). @p asn must be unused. Throws if an origin has no provider.
+/// Returns nullopt, leaving the graph untouched, when both origins have
+/// the same first provider: the aggregator would have nothing to flip.
 ///
 /// When @p verify_origins is given, the cone is checked for effectiveness
 /// first: the aggregator's catchment under those anycast origins must

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,11 +33,21 @@ using core::SiteId;
 using core::TimePoint;
 using core::UnknownPolicy;
 
+/// The pid that names scratch directories. A threadsafe-style death test
+/// re-runs its test from the top in a fresh child process; the child must
+/// write where the parent will look, so the parent hands its pid down
+/// through the environment.
+std::string scratch_owner() {
+  if (const char* pid = std::getenv("FENRIR_SEGMENT_TEST_PID")) return pid;
+  const std::string pid = std::to_string(::getpid());
+  ::setenv("FENRIR_SEGMENT_TEST_PID", pid.c_str(), 1);
+  return pid;
+}
+
 struct ScratchDir {
   explicit ScratchDir(const std::string& name)
       : path(fs::temp_directory_path() /
-             ("fenrir_segment_test_" + name + "_" +
-              std::to_string(::getpid()))) {
+             ("fenrir_segment_test_" + name + "_" + scratch_owner())) {
     fs::remove_all(path);
     fs::create_directories(path);
   }
@@ -311,6 +322,176 @@ TEST(Segment, DatasetMismatchRejected) {
   }
 }
 
+// The row hash takes every field of the observation: each site id
+// position (the unaligned first word, all four lanes of the bulk loop,
+// the remainder words, the odd-length tail), the order of the ids,
+// validity, time and length.
+TEST(Segment, IdentityHashSeesEveryField) {
+  RoutingVector base;
+  base.time = 1'700'000'000;
+  base.valid = true;
+  for (std::size_t i = 0; i < 41; ++i) {
+    base.assignment.push_back(static_cast<SiteId>(3 + (i * 7) % 11));
+  }
+  const std::uint64_t h0 = segment_row_hash(base);
+  std::vector<std::uint64_t> seen{h0};
+  for (std::size_t i = 0; i < base.assignment.size(); ++i) {
+    for (const SiteId changed : {base.assignment[i] + 1, SiteId{1} << 31}) {
+      RoutingVector v = base;
+      v.assignment[i] = changed;
+      seen.push_back(segment_row_hash(v));
+    }
+  }
+  RoutingVector swapped = base;
+  std::swap(swapped.assignment[4], swapped.assignment[5]);    // one word
+  seen.push_back(segment_row_hash(swapped));
+  swapped = base;
+  std::swap(swapped.assignment[10], swapped.assignment[12]);  // two lanes
+  seen.push_back(segment_row_hash(swapped));
+  RoutingVector v = base;
+  v.valid = false;
+  seen.push_back(segment_row_hash(v));
+  v = base;
+  v.time += 1;
+  seen.push_back(segment_row_hash(v));
+  v = base;
+  v.assignment.push_back(0);  // a zero high half must still count
+  seen.push_back(segment_row_hash(v));
+  v = base;
+  v.assignment.pop_back();
+  seen.push_back(segment_row_hash(v));
+
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "two distinct observations share a row hash";
+  EXPECT_EQ(segment_row_hash(base), h0) << "the hash is deterministic";
+}
+
+// The stored hashes are part of the on-disk format: a change to the
+// hash must bump kSegmentVersion, not slip through. The value is the
+// same on every host (words are built by value).
+TEST(Segment, IdentityHashIsPinned) {
+  RoutingVector v;
+  v.time = 1'577'836'800;  // 2020-01-01
+  v.valid = true;
+  for (SiteId s = 0; s < 11; ++s) v.assignment.push_back(s * 0x01010101u);
+  EXPECT_EQ(segment_row_hash(v), 0x56E6AB0FF9FD656Aull);
+}
+
+// The header hash covers every network key: one renamed network makes
+// resume fail the identity check before any row is read.
+TEST(Segment, IdentityHashSeesOneNetworkKey) {
+  ScratchDir dir("netkey");
+  const Dataset d = periodic_dataset(12, 80, 6, 0.03, 47);
+  SegmentStoreConfig cfg;
+  SegmentStore store(dir.path, cfg);
+  store.attach(&d);
+  SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+  grow(store, live, d, 0, d.series.size());
+  (void)store.load(&d);
+
+  Dataset renamed = d;
+  renamed.networks = core::NetworkTable{};
+  for (std::size_t n = 0; n < 80; ++n) {
+    renamed.networks.intern(n == 57 ? 1'000'057 : n);
+  }
+  try {
+    (void)store.load(&renamed);
+    FAIL() << "dataset with a renamed network accepted";
+  } catch (const DatasetIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("identity mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Overwrites the little-endian u32 at @p offset of @p path.
+void patch_u32_at(const fs::path& path, std::size_t offset,
+                  std::uint32_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(static_cast<std::streamoff>(offset));
+  for (int i = 0; i < 4; ++i) f.put(static_cast<char>(value >> (8 * i)));
+}
+
+// Version 1 stores hashed identities with FNV-1a. Their hashes mean
+// something else now, so a v1 manifest or segment is refused as version
+// skew rather than misreported as an identity or row-hash mismatch.
+TEST(Segment, VersionOneStoreRefused) {
+  ScratchDir dir("v1");
+  const Dataset d = periodic_dataset(12, 80, 6, 0.03, 59);
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 5;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    grow(store, live, d, 0, d.series.size());
+    ASSERT_FALSE(store.segments().empty());
+  }
+  const fs::path seg = dir.path / "seg-0.fenrseg";
+  ASSERT_TRUE(fs::exists(seg));
+  const auto expect_skew = [](const std::string& what,
+                              const std::string& label) {
+    EXPECT_NE(what.find("version skew"), std::string::npos)
+        << label << ": " << what;
+  };
+
+  patch_u32_at(seg, sizeof(kSegmentMagic), 1);
+  {
+    SegmentStore store(dir.path, cfg);
+    std::string error;
+    EXPECT_FALSE(store.verify(&error));
+    expect_skew(error, "verify, v1 segment");
+    try {
+      (void)store.load(&d);
+      FAIL() << "v1 segment loaded";
+    } catch (const DatasetIoError& e) {
+      expect_skew(e.what(), "load, v1 segment");
+    }
+  }
+
+  patch_u32_at(dir.path / "MANIFEST", sizeof(kManifestMagic), 1);
+  try {
+    SegmentStore store(dir.path, cfg);
+    FAIL() << "v1 manifest opened";
+  } catch (const DatasetIoError& e) {
+    expect_skew(e.what(), "open, v1 manifest");
+  }
+}
+
+// Records past the write-through threshold reach the tail file during
+// spill(), but only flush() makes them durable: the manifest and
+// fenrir_segment_tail_bytes_total move at the flush.
+TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
+  ScratchDir dir("writethrough");
+  SegmentStoreConfig cfg;
+  SegmentStore store(dir.path, cfg);
+  store.configure(UnknownPolicy::kPessimistic, {});
+  const std::size_t networks = 300'000;  // 1.2 MB packed at width 4
+  const std::vector<std::byte> packed(networks * 4, std::byte{7});
+  const std::vector<double> phi{1.0};
+  auto& tail_bytes =
+      obs::registry().counter("fenrir_segment_tail_bytes_total");
+  const double before = tail_bytes.value();
+  const fs::path tail = dir.path / "tail-0.fenrseg";
+
+  store.append_raw(true, 0, kNoAnchor, 0, networks, 4, packed, phi);
+  const std::uintmax_t record = 32 + networks * 4 + 8;
+  EXPECT_EQ(fs::file_size(tail), kSegmentHeaderBytes + record)
+      << "a record past the threshold is written through at spill";
+  EXPECT_EQ(tail_bytes.value(), before) << "written ahead is not durable";
+  EXPECT_FALSE(fs::exists(dir.path / "MANIFEST"));
+
+  store.flush();
+  EXPECT_EQ(tail_bytes.value(), before + static_cast<double>(record));
+  EXPECT_EQ(fs::file_size(tail), kSegmentHeaderBytes + record);
+  SegmentStore reopened(dir.path, cfg);
+  EXPECT_EQ(reopened.processed(), 1u);
+  std::string error;
+  EXPECT_TRUE(reopened.verify(&error)) << error;
+}
+
 // Compaction merges runs of undersized sealed segments into one and the
 // loaded matrix does not move a bit.
 TEST(Segment, CompactionPreservesMatrix) {
@@ -471,12 +652,31 @@ struct KillCase {
   const char* label;
   std::size_t seal_rows;
   std::size_t seal_every = 0;  // manual seal_active() cadence (0 = never)
+  std::size_t arm_at = 0;      // the killpoint is armed from this spill on
+  std::size_t networks = 80;
+  std::size_t sites = 6;
 };
 
-void run_kill_case(const KillCase& kc) {
+struct KillOutcome {
+  std::size_t durable = 0;             // observations the reopen kept
+  std::uintmax_t tail_bytes_dead = 0;  // tail-* bytes the kill left
+  std::uintmax_t tail_bytes_open = 0;  // tail-* bytes after the reopen
+};
+
+std::uintmax_t tail_file_bytes(const fs::path& dir) {
+  std::uintmax_t total = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("tail-", 0) == 0) {
+      total += entry.file_size();
+    }
+  }
+  return total;
+}
+
+void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ScratchDir dir(std::string("kill_") + kc.label);
-  const Dataset d = periodic_dataset(30, 80, 6, 0.03, 97);
+  const Dataset d = periodic_dataset(30, kc.networks, kc.sites, 0.03, 97);
   SimilarityMatrix continuous(UnknownPolicy::kPessimistic, d.weights, 1);
   for (const RoutingVector& v : d.series) continuous.append(v);
 
@@ -487,11 +687,13 @@ void run_kill_case(const KillCase& kc) {
 
   EXPECT_EXIT(
       {
-        ::setenv("FENRIR_CHAOS_KILL_POINT", kc.label, 1);
         SegmentStore store(dir.path, cfg);
         store.attach(&d);
         SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
         for (std::size_t t = 0; t < 20; ++t) {
+          if (t == kc.arm_at) {
+            ::setenv("FENRIR_CHAOS_KILL_POINT", kc.label, 1);
+          }
           live.append(d.series[t]);
           store.spill(d.series[t], live);
           if (kc.seal_every != 0 && (t + 1) % kc.seal_every == 0) {
@@ -507,8 +709,12 @@ void run_kill_case(const KillCase& kc) {
       ::testing::ExitedWithCode(137), "");
 
   // Reopen: recovery rolls the interrupted step forward or back.
+  const std::uintmax_t tail_bytes_dead = tail_file_bytes(dir.path);
   SegmentStore store(dir.path, cfg);
   const std::size_t durable = static_cast<std::size_t>(store.processed());
+  if (out != nullptr) {
+    *out = {durable, tail_bytes_dead, tail_file_bytes(dir.path)};
+  }
   ASSERT_LE(durable, 20u) << kc.label;
   std::string error;
   ASSERT_TRUE(store.verify(&error)) << kc.label << ": " << error;
@@ -526,15 +732,42 @@ void run_kill_case(const KillCase& kc) {
 }
 
 TEST(SegmentChaosDeathTest, KillDuringTailFlush) {
-  run_kill_case({"segment_tail_flush", 256});
+  KillOutcome out;
+  run_kill_case({"segment_tail_flush", 256}, &out);
+  EXPECT_EQ(out.durable, 0u) << "the first flush died before its manifest";
 }
 
 TEST(SegmentChaosDeathTest, KillDuringSealRename) {
-  run_kill_case({"segment_seal_rename", 5});
+  KillOutcome out;
+  run_kill_case({"segment_seal_rename", 5}, &out);
+  EXPECT_EQ(out.durable, 6u) << "the renamed segment is rolled forward";
 }
 
 TEST(SegmentChaosDeathTest, KillDuringCompactionRename) {
-  run_kill_case({"segment_compact_rename", 64, 5});
+  KillOutcome out;
+  run_kill_case({"segment_compact_rename", 64, 5}, &out);
+  EXPECT_EQ(out.durable, 20u) << "every sealed row survives";
+}
+
+// A kill right after a write-through pwrite: rows 0..8 are flushed, rows
+// 9 and 10 sit in the tail file past what the manifest covers. 270k
+// networks over 70k sites pack at width 4, so every record is > 1 MiB
+// and each spill writes through. The reopen truncates the two records
+// away and loads the nine flushed rows bit-identically.
+TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
+  const std::size_t networks = 270'000;
+  KillOutcome out;
+  run_kill_case({"segment_tail_write", 256, 0, 10, networks, 70'000}, &out);
+  const auto records = [&](std::size_t rows) {
+    std::uintmax_t bytes = kSegmentHeaderBytes;
+    for (std::size_t g = 0; g < rows; ++g) {
+      bytes += 32 + networks * 4 + 8 * (g + 1);
+    }
+    return bytes;
+  };
+  EXPECT_EQ(out.durable, 9u);
+  EXPECT_EQ(out.tail_bytes_dead, records(11));
+  EXPECT_EQ(out.tail_bytes_open, records(9));
 }
 
 // A torn tail (bytes the manifest promised are gone) is salvaged by

@@ -148,6 +148,17 @@ TEST_F(GrootScenarioTest, ThirdPartyShiftWasInjected) {
   EXPECT_GT(stack.value(during, sat), stack.value(before, sat));
 }
 
+// Some seeds place CMH and SAT under one first provider, where no
+// third-party cone exists; the scenario must still build without it.
+TEST_F(GrootScenarioTest, EverySeedBuilds) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    GrootConfig cfg = test_config();
+    cfg.seed = seed;
+    const GrootScenario s = make_groot(cfg);
+    EXPECT_EQ(s.figure1.series.size(), 8u * 12u) << "seed " << seed;
+  }
+}
+
 TEST_F(GrootScenarioTest, DeterministicRebuild) {
   const GrootScenario again = make_groot(test_config());
   ASSERT_EQ(again.figure1.series.size(), scenario_->figure1.series.size());

@@ -146,15 +146,15 @@ TEST_F(ConeTest, IneffectiveConeIsRejectedWithoutSideEffects) {
   }
   if (a == bgp::kNoAs) GTEST_SKIP() << "no single-homed sibling stubs";
 
-  // Both origins under one provider: the provider picks one customer
-  // route (lower ASN) and the aggregator hears the same site from both
-  // legs only if its two providers resolve identically. With origin ASes
-  // under the same tier-2, pa == pb and construction must throw.
+  // Both origins under one provider: the aggregator's two legs would
+  // share that provider, so there is no flip. Construction returns
+  // nullopt before adding the aggregator, with or without verification.
   rng::Rng rng(6);
   const std::vector<bgp::Origin> verify{{a, 0, 0}, {b, 1, 0}};
-  EXPECT_THROW(
-      add_shiftable_cone(w, a, b, 0.1, 64900, rng, &verify),
-      std::invalid_argument);
+  const std::size_t ases = w.topo.graph.as_count();
+  EXPECT_FALSE(add_shiftable_cone(w, a, b, 0.1, 64900, rng, &verify));
+  EXPECT_FALSE(add_shiftable_cone(w, a, b, 0.1, 64901, rng));
+  EXPECT_EQ(w.topo.graph.as_count(), ases);
   EXPECT_TRUE(w.cone_claimed.empty());
 }
 
