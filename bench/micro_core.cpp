@@ -32,7 +32,6 @@
 #include "core/modebook.h"
 #include "core/transition.h"
 #include "io/segment_store.h"
-#include "io/snapshot.h"
 #include "measure/federation.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
@@ -503,40 +502,6 @@ void BM_ModeBookLineageOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ModeBookLineageOverhead)->Arg(20'000);
 
-// The resume acceptance pair: decoding a snapshot of a long watch's
-// matrix versus growing the same matrix from scratch. Both produce the
-// identical object; the snapshot is O(bytes).
-void BM_SnapshotLoad(benchmark::State& state) {
-  const auto t = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const auto d = low_churn_dataset(t, n, 0.01);
-  core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
-  for (const core::RoutingVector& v : d.series) m.append(v);
-  io::Snapshot snap;
-  snap.processed = t;
-  snap.prefix_hash = io::dataset_prefix_hash(d, t);
-  snap.matrix = std::move(m);
-  const std::string bytes = io::encode_snapshot(snap);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(io::decode_snapshot(bytes));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_SnapshotLoad)->Args({2'000, 1'000});
-
-void BM_SnapshotRecompute(benchmark::State& state) {
-  const auto t = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const auto d = low_churn_dataset(t, n, 0.01);
-  for (auto _ : state) {
-    core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
-    for (const core::RoutingVector& v : d.series) m.append(v);
-    benchmark::DoNotOptimize(m.phi(t - 1, 0));
-  }
-}
-BENCHMARK(BM_SnapshotRecompute)->Args({2'000, 1'000});
-
 std::string bench_store_dir(const std::string& tag) {
   return (std::filesystem::temp_directory_path() /
           ("fenrir_bench_seg_" + tag + "_" + std::to_string(::getpid())))
@@ -584,9 +549,8 @@ SegmentFixture& segment_fixture_long() {
 
 // What a segment-store watch pays per tick beyond the matrix append:
 // encode the new row into the pending buffer, pwrite it at the tail's
-// end, fsync, rewrite the manifest. O(new row), never O(history) — the
-// contrast is the legacy snapshot's whole-file rewrite (BM_SnapshotLoad
-// sizes that). The store is drained and recreated outside the timing.
+// end, fsync, rewrite the manifest. O(new row), never O(history). The
+// store is drained and recreated outside the timing.
 void BM_SegmentTailAppend(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t t = 256;
@@ -686,8 +650,8 @@ double segment_save_bytes(const SegmentFixture& f) {
 //                    adoption keeps it near 1; the pre-segment rebuild
 //                    was linear in T (ratio ~8).
 //   save_bytes_ratio payload bytes of one interval's flush, 8x vs 1x
-//                    history. O(new data) keeps it near 1; the legacy
-//                    snapshot rewrote the whole store (ratio ~8+).
+//                    history. O(new data) keeps it near 1; a whole-file
+//                    rewrite of the history would be ~8+.
 // tools/bench_gate.py fails the build when either exceeds 1.5 and
 // exits 2 when the gauges are absent.
 void BM_SegmentResumeFlat(benchmark::State& state) {

@@ -1,23 +1,24 @@
 // fenrir::chaos — scheduled process kills inside file saves.
 //
-// The atomic writers (io/snapshot.h) promise that a crash mid-save never
-// tears the file being replaced: the bytes go to a temp file and the old
-// state survives until the final rename. fault_plan.h can kill a sweep;
-// this header lets a test kill the *save itself* at a chosen byte
-// offset, which is the only way to exercise that promise for real — the
-// process dies with the temp file half-written and the assertion is that
-// the previous state file still loads.
+// The segment store's atomic manifest writer (io/segment_store.h)
+// promises that a crash mid-save never tears the file being replaced:
+// the bytes go to a temp file and the old manifest survives until the
+// final rename. fault_plan.h can kill a sweep; this header lets a test
+// kill the *save itself* at a chosen byte offset, which is the only way
+// to exercise that promise for real — the process dies with the temp
+// file half-written and the assertion is that the previous manifest
+// still loads.
 //
 // The schedule comes from the environment so death tests (and the
-// fenrirctl chaos ctest) can arm it in a child process:
+// fenrirctl segment smoke ctest) can arm it in a child process:
 //
 //   FENRIR_CHAOS_KILL_SAVE=<N>   _exit(137) once a save has written >= N
 //                                bytes (0 kills before the first byte)
 //
-// The segment store's lifecycle (io/segment_store.h) has more phases
-// than "bytes written": the kill that matters may be between the tail
-// fsync and the manifest update, or between a seal's rename and the
-// manifest swap. Those sites carry *labels*:
+// The store's lifecycle has more phases than "bytes written": the kill
+// that matters may be between the tail fsync and the manifest update,
+// or between a seal's rename and the manifest swap. Those sites carry
+// *labels*:
 //
 //   FENRIR_CHAOS_KILL_POINT=<label>   _exit(137) at the first
 //                                     maybe_kill_at(label) call

@@ -40,8 +40,7 @@
 #include "core/vector.h"
 
 namespace fenrir::io {
-class SnapshotCodec;  // binary persistence (io/snapshot.h)
-class SegmentCodec;   // segment-store persistence (io/segment_store.h)
+class SegmentCodec;  // segment-store persistence (io/segment_store.h)
 }  // namespace fenrir::io
 
 namespace fenrir::core {
@@ -218,7 +217,6 @@ class PackedSeries {
   friend MatchCounts apply_prepared(MatchCounts, const PreparedDelta&,
                                     const PackedSeries&, std::size_t);
   friend class ColumnPatcher;
-  friend class fenrir::io::SnapshotCodec;
   friend class fenrir::io::SegmentCodec;
   void widen_to(std::size_t width);
   /// Copies the mapped prefix into owned storage and drops the borrow

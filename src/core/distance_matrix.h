@@ -53,8 +53,7 @@
 #include "core/vector.h"
 
 namespace fenrir::io {
-class SnapshotCodec;  // binary persistence (io/snapshot.h)
-class SegmentCodec;   // segment-store persistence (io/segment_store.h)
+class SegmentCodec;  // segment-store persistence (io/segment_store.h)
 }  // namespace fenrir::io
 
 namespace fenrir::core {
@@ -115,16 +114,13 @@ class TriangleStore {
   }
 
   /// Owned-only bulk (re)initialization: @p n zeroed rows, borrow
-  /// dropped. The snapshot decoder fills owned_data() in one bulk read.
+  /// dropped (compute_reference fills them through owned_row()).
   void assign_owned(std::size_t n) {
     mapped_.clear();
     keepalive_.reset();
     owned_.assign(n * (n + 1) / 2, 0.0);
     rows_ = n;
   }
-  double* owned_data() noexcept { return owned_.data(); }
-  const double* owned_data() const noexcept { return owned_.data(); }
-  std::size_t owned_count() const noexcept { return owned_.size(); }
 
   void clear() noexcept {
     rows_ = 0;
@@ -242,17 +238,17 @@ class SimilarityMatrix {
   std::size_t size() const noexcept { return n_; }
 
   /// Row @p row's anchor-chain base is absent: the row paid the packed
-  /// kernels (a novel routing state), was invalid or weighted, or came
-  /// from a snapshot that predates chain tracking.
+  /// kernels (a novel routing state), was invalid or weighted, or its
+  /// base fell outside a segment store's retained window on load.
   static constexpr std::size_t kNoAnchorRow =
       static_cast<std::size_t>(-1);
 
   /// The anchor chain append()/append_batch() walked ingesting @p row:
   /// the row it delta-patched from first, then that row's own base, and
-  /// so on, up to @p max_depth entries. Empty for kernel-fallback rows
-  /// and rows loaded from a snapshot (chains are observation-only
-  /// lineage, not persisted state — they feed DecisionRecords and never
-  /// steer a value).
+  /// so on, up to @p max_depth entries. Empty for kernel-fallback rows.
+  /// Chains are observation-only lineage — they feed DecisionRecords and
+  /// never steer a value; a segment store keeps each row's base, so they
+  /// survive a resume within the retained window.
   std::vector<std::size_t> anchor_chain(std::size_t row,
                                         std::size_t max_depth = 8) const;
 
@@ -318,7 +314,6 @@ class SimilarityMatrix {
                         const std::vector<std::size_t>& b) const;
 
  private:
-  friend class io::SnapshotCodec;
   friend class io::SegmentCodec;
 
   /// One anchor: a row whose exact counts(row, j) are cached for every
@@ -381,8 +376,9 @@ class SimilarityMatrix {
   std::size_t representative_limit_ = kMaxRepresentativeAnchors;
   std::uint64_t append_clock_ = 0;
   /// anchor_of_[i] = row that i delta-patched from (kNoAnchorRow for
-  /// kernel/invalid/weighted rows). May be shorter than n_ after a
-  /// snapshot load — anchor_chain() treats missing entries as absent.
+  /// kernel/invalid/weighted rows). May be shorter than n_ in a
+  /// compute_reference() matrix — anchor_chain() treats missing entries
+  /// as absent.
   std::vector<std::size_t> anchor_of_;
   /// Kernel-fallback rows left to skip before probing again after a
   /// round of probes found nothing (exponential backoff, capped).

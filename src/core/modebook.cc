@@ -206,7 +206,7 @@ void ModeBook::restore(std::vector<RoutingVector> representatives,
   representatives_ = std::move(representatives);
   packed_ = std::move(packed);
   history_ = std::move(history);
-  // The snapshot carries no per-mode sighting times: gaps restart
+  // The segment store keeps no per-mode sighting times: gaps restart
   // unknown, and the first post-restore recurrence omits its gap.
   last_seen_.assign(representatives_.size(), std::nullopt);
 }

@@ -68,7 +68,7 @@ class ModeBook {
   /// Replaces the book's state with a previously captured one (the
   /// representative per mode plus the per-observation mode history), so
   /// a watcher can resume where an earlier process stopped (fenrirctl
-  /// watch --resume). Throws std::invalid_argument when a history entry
+  /// watch --store). Throws std::invalid_argument when a history entry
   /// names a mode without a representative.
   void restore(std::vector<RoutingVector> representatives,
                std::vector<std::size_t> history);
@@ -95,7 +95,7 @@ class ModeBook {
   PackedSeries packed_;
   std::vector<std::size_t> history_;
   /// Dataset time each mode was last observed — the recurrence event's
-  /// gap. nullopt after restore() (the snapshot does not carry it): the
+  /// gap. nullopt after restore() (the store does not persist it): the
   /// first re-sighting then reports the recurrence without a gap rather
   /// than inventing one.
   std::vector<std::optional<TimePoint>> last_seen_;

@@ -39,11 +39,12 @@ struct AnalysisResult {
 /// consistent (Dataset::check_consistent is called).
 AnalysisResult analyze(const Dataset& dataset, const AnalysisConfig& config = {});
 
-/// Same pipeline over a precomputed Φ matrix (e.g. one resumed from an
-/// io/snapshot.h matrix cache and appended up to date). @p matrix must
-/// cover the dataset: one row per observation, built under
-/// config.policy — std::invalid_argument otherwise. Because every
-/// matrix path is bit-identical, the result equals analyze()'s.
+/// Same pipeline over a precomputed Φ matrix (e.g. one loaded from an
+/// `analyze --matrix-cache` segment store, io/segment_store.h, and
+/// appended up to date). @p matrix must cover the dataset: one row per
+/// observation, built under config.policy — std::invalid_argument
+/// otherwise. Because every matrix path is bit-identical, the result
+/// equals analyze()'s.
 AnalysisResult analyze(const Dataset& dataset, const AnalysisConfig& config,
                        SimilarityMatrix matrix);
 

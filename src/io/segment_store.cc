@@ -11,12 +11,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "chaos/killpoint.h"
 #include "core/dataset_io.h"
 #include "core/parallel.h"
 #include "core/simd_dispatch.h"
-#include "io/snapshot.h"
 #include "io/wire.h"
 #include "obs/events.h"
 #include "obs/log.h"
@@ -41,7 +41,6 @@ using wire::Reader;
 
 constexpr std::uint8_t kIdentityNone = 0;
 constexpr std::uint8_t kIdentityRowHashes = 1;
-constexpr std::uint8_t kIdentityLegacyPrefix = 2;
 constexpr std::uint32_t kFlagSealed = 1u;
 // spill() writes the encoded records through to the tail file once this
 // many bytes are buffered, so the buffer stays O(one record) however
@@ -282,6 +281,49 @@ void fsync_dir(const std::filesystem::path& dir) {
   }
 }
 
+/// Writes @p bytes to @p path atomically — the manifest's only writer:
+/// temp file in the same directory, fsync, rename, fsync of the
+/// directory. Calls chaos::maybe_kill_during_save() as it goes so a
+/// scheduled mid-save kill lands between chunks and leaves the old file
+/// intact.
+void atomic_write_file(const std::filesystem::path& path,
+                       std::string_view bytes) {
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const std::string tmp =
+      path.string() + ".tmp." + std::to_string(::getpid());
+  const auto fail = [&](const std::string& stage, int fd) -> DatasetIoError {
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    return DatasetIoError("cannot " + stage + " " + tmp + ": " +
+                          std::strerror(err));
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw fail("create", -1);
+  chaos::maybe_kill_during_save(0);  // a 0-byte schedule kills before data
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const std::size_t chunk = std::min<std::size_t>(4096, bytes.size() - off);
+    const ssize_t wrote = ::write(fd, bytes.data() + off, chunk);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      throw fail("write", fd);
+    }
+    off += static_cast<std::size_t>(wrote);
+    chaos::maybe_kill_during_save(off);
+  }
+  if (::fsync(fd) != 0) throw fail("fsync", fd);
+  if (::close(fd) != 0) throw fail("close", -1);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
+    throw DatasetIoError("cannot rename " + tmp + " over " + path.string() +
+                         ": " + std::strerror(err));
+  }
+  fsync_dir(dir);  // make the rename durable
+}
+
 std::string read_whole_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw DatasetIoError("cannot open " + path.string());
@@ -411,7 +453,8 @@ std::uint64_t segment_row_hash(const core::RoutingVector& v) {
 }
 
 // SegmentCodec is the segment store's window into SimilarityMatrix and
-// PackedSeries private state — the read-side twin of SnapshotCodec.
+// PackedSeries private state: it reads rows out for spilling without
+// widening either class's public API.
 class SegmentCodec {
  public:
   static std::size_t networks(const core::SimilarityMatrix& m) {
@@ -440,7 +483,12 @@ class SegmentCodec {
 
 SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
     : dir_(std::move(dir)), cfg_(std::move(cfg)) {
-  std::filesystem::create_directories(dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec || !std::filesystem::is_directory(dir_)) {
+    throw DatasetIoError("cannot open segment store " + dir_.string() +
+                         ": " + (ec ? ec.message() : "not a directory"));
+  }
   std::lock_guard<std::mutex> lock(state_mutex_);
   bool dirty = false;
   if (std::filesystem::exists(manifest_path())) {
@@ -602,7 +650,6 @@ std::string SegmentStore::encode_manifest_locked() const {
   put_u64(out, header_hash_);
   put_u64(out, names_hash_);
   put_u64(out, max_site_seen_);
-  put_u64(out, legacy_prefix_hash_);
   put_u64(out, networks_);
   put_u64(out, weights_.size());
   put_u64_array(out, weights_.data(), weights_.size());
@@ -692,6 +739,10 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   r.size = bytes.size() - 4;
 
   identity_mode_ = r.get_u8();
+  if (identity_mode_ != kIdentityNone && identity_mode_ != kIdentityRowHashes) {
+    throw store_corrupt("segment manifest: inconsistent — identity mode " +
+                        std::to_string(identity_mode_) + " is not 0 or 1");
+  }
   policy_ = r.get_u8() != 0 ? core::UnknownPolicy::kKnownOnly
                             : core::UnknownPolicy::kPessimistic;
   has_modebook_ = r.get_u8() != 0;
@@ -699,7 +750,6 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   header_hash_ = r.get_u64();
   names_hash_ = r.get_u64();
   max_site_seen_ = r.get_u64();
-  legacy_prefix_hash_ = r.get_u64();
   networks_ = static_cast<std::size_t>(r.get_u64());
   const std::size_t weight_count = r.get_count(8);
   weights_.resize(weight_count);
@@ -804,21 +854,6 @@ void SegmentStore::configure(core::UnknownPolicy policy,
   policy_ = policy;
   weights_ = std::move(weights);
   configured_ = true;
-}
-
-void SegmentStore::set_legacy_identity(std::uint64_t prefix_hash) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  identity_mode_ = kIdentityLegacyPrefix;
-  legacy_prefix_hash_ = prefix_hash;
-}
-
-void SegmentStore::set_modebook_state(
-    bool has_modebook, std::vector<core::RoutingVector> representatives,
-    std::vector<std::size_t> history) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  has_modebook_ = has_modebook;
-  representatives_ = std::move(representatives);
-  history_ = std::move(history);
 }
 
 void SegmentStore::refresh_names_hash_locked() {
@@ -1130,11 +1165,6 @@ bool SegmentStore::empty() const {
          (!tail_.has_value() || tail_->rows == 0);
 }
 
-bool SegmentStore::legacy_identity() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return identity_mode_ == kIdentityLegacyPrefix;
-}
-
 core::UnknownPolicy SegmentStore::policy() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   return policy_;
@@ -1183,14 +1213,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
           std::to_string(dataset->series.size()) +
           " present; pass the full dataset or start fresh");
     }
-    if (identity_mode_ == kIdentityLegacyPrefix) {
-      if (dataset_prefix_hash(*dataset, processed_) !=
-          legacy_prefix_hash_) {
-        throw DatasetIoError(
-            "segment store: prefix hash mismatch — this store was built "
-            "from a different dataset (or one that was edited in place)");
-      }
-    } else if (identity_mode_ == kIdentityRowHashes) {
+    if (identity_mode_ == kIdentityRowHashes) {
       bool names_ok = true;
       try {
         names_ok =
@@ -1232,8 +1255,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
                           "manifest");
     }
     // Lazy-once checksum: computed at seal, verified here per mapped
-    // segment — never recomputed on the save path the way the
-    // monolithic snapshot re-hashed its whole buffer every interval.
+    // segment — never recomputed on the save path.
     const std::uint32_t crc = payload_checksum(
         m.data + kSegmentHeaderBytes, static_cast<std::size_t>(s.payload_bytes));
     metrics.checksum_verified.inc();
@@ -1693,58 +1715,6 @@ void SegmentStore::maybe_start_compaction_locked() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     compaction_running_ = false;
   });
-}
-
-// --- import -------------------------------------------------------------
-
-void SegmentStore::import_snapshot(const Snapshot& snapshot,
-                                   const std::filesystem::path& dir,
-                                   const SegmentStoreConfig& cfg) {
-  if (!snapshot.matrix.has_value()) {
-    throw DatasetIoError(
-        "segment import: the snapshot carries no matrix — nothing to "
-        "convert");
-  }
-  if (looks_like_store(dir)) {
-    throw DatasetIoError("segment import: " + dir.string() +
-                         " already holds a segment store — refusing to "
-                         "import over it");
-  }
-  const core::SimilarityMatrix& m = *snapshot.matrix;
-  if (snapshot.processed != m.size()) {
-    throw DatasetIoError(
-        "segment import: the snapshot's processed count disagrees with "
-        "its matrix");
-  }
-  SegmentStoreConfig import_cfg = cfg;
-  import_cfg.background_compaction = false;
-  SegmentStore store(dir, import_cfg);
-  store.configure(m.policy(), m.weights());
-  store.set_legacy_identity(snapshot.prefix_hash);
-  store.set_modebook_state(snapshot.has_modebook, snapshot.representatives,
-                           snapshot.history);
-  const std::size_t networks = SegmentCodec::networks(m);
-  const std::size_t width = SegmentCodec::packed_width(m);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const std::uint64_t base = store.base_row_;  // no lock: single-threaded
-    const std::size_t local_anchor = SegmentCodec::anchor_of(m, i);
-    const std::uint64_t anchor =
-        local_anchor == core::SimilarityMatrix::kNoAnchorRow
-            ? kNoAnchor
-            : static_cast<std::uint64_t>(local_anchor);
-    store.append_raw(m.valid(i), 0, anchor, 0, networks, width,
-                     {SegmentCodec::packed_row(m, i), networks * width},
-                     {SegmentCodec::phi_row(m, i) + base,
-                      i + 1 - static_cast<std::size_t>(base)});
-    // Bound the pending buffer; flush also seals full tails, so an
-    // import rotates at cfg.seal_rows just like a live watch would.
-    if ((i + 1) % std::max<std::size_t>(1, std::min<std::size_t>(
-                                               1024, cfg.seal_rows)) ==
-        0) {
-      store.flush();
-    }
-  }
-  store.seal_active();
 }
 
 }  // namespace fenrir::io

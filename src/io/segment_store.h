@@ -1,9 +1,10 @@
 // fenrir::io — FENRSEG1: a segmented, spill-as-you-go history store.
 //
-// The FENRSNAP snapshot re-encodes and rewrites the entire Φ stack on
-// every save: O(history) bytes per interval, however little changed.
-// The segment store replaces that with an append-only directory of
-// immutable *sealed* segments plus one *active tail* segment:
+// The one way Fenrir persists a Φ history (`fenrirctl watch --store`,
+// `analyze --matrix-cache`). Rewriting the whole Φ stack on every save
+// would cost O(history) bytes per interval, however little changed;
+// the store is instead an append-only directory of immutable *sealed*
+// segments plus one *active tail* segment:
 //
 //   <dir>/MANIFEST            crash-atomic index (tmp + rename)
 //   <dir>/seg-<id>.fenrseg    sealed, self-checksummed, mmap-adopted
@@ -54,8 +55,8 @@
 //             durable payload → [segment_tail_write] — written ahead,
 //             not yet durable
 //   flush():  pwrite the rest → fsync(tail) → [segment_tail_flush] →
-//             atomic manifest write (tmp + rename, inherits the
-//             byte-offset killpoints of io/snapshot.h)
+//             atomic manifest write (tmp + fsync + rename + directory
+//             fsync; FENRIR_CHAOS_KILL_SAVE kills it at a byte offset)
 //   seal:     after a flush, read the tail back, checksum, patch the
 //             header, write the trailer, fsync, rename tail→seg →
 //             [segment_seal_rename] → manifest; retention retires whole
@@ -71,14 +72,12 @@
 //
 // Identity: a store created by a live session records per-row hashes
 // plus header/name hashes, so resume verifies only the retained window
-// (flat). All three are wire::IdentityHash — the checksum's four
+// (flat); a store driven by append_raw() alone (benches) records none.
+// All three hashes are wire::IdentityHash — the checksum's four
 // multiply–rotate lanes fed 64-bit words by value, so hashing a 5M-id
-// row runs at memory speed on any host. Version 2 of the segment and
-// manifest formats marks that hash; a v1 manifest or segment is
-// refused with "version skew". A store imported from a FENRSNAP
-// snapshot has no routing vectors to hash and falls back to the
-// snapshot's whole-prefix hash (kLegacyPrefixHash), verified in
-// O(processed) — acceptable for a one-time migration.
+// row runs at memory speed on any host. Segment files are version 2
+// and the manifest version 3; any other version of either is refused
+// with "version skew" — there is no read path for older stores.
 #pragma once
 
 #include <cstddef>
@@ -98,8 +97,6 @@
 
 namespace fenrir::io {
 
-struct Snapshot;  // io/snapshot.h
-
 inline constexpr char kSegmentMagic[8] = {'F', 'E', 'N', 'R',
                                           'S', 'E', 'G', '1'};
 inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
@@ -107,15 +104,15 @@ inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
 inline constexpr std::uint32_t kSegmentVersion = 2;
-inline constexpr std::uint32_t kManifestVersion = 2;
+inline constexpr std::uint32_t kManifestVersion = 3;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
 
 /// wire::IdentityHash over one observation's identity (time, validity,
-/// size, then the site ids two to a word) — the per-record twin of
-/// dataset_prefix_hash, verifiable per retained row instead of over the
-/// whole prefix.
+/// size, then the site ids two to a word), stored in each record so
+/// resume verifies identity per retained row instead of over the whole
+/// prefix.
 std::uint64_t segment_row_hash(const core::RoutingVector& v);
 
 struct SegmentStoreConfig {
@@ -158,27 +155,20 @@ class SegmentStore {
   /// rolling interrupted lifecycle steps forward: truncates an
   /// over-long tail, salvages a torn one, completes a crashed seal
   /// rename, and collects unreferenced seg-*/tail-*/cmp-*/*.tmp.* files.
-  /// Throws DatasetIoError on a corrupt manifest.
+  /// Throws DatasetIoError on a corrupt manifest, or when @p dir is not
+  /// (and cannot become) a directory.
   SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg);
   ~SegmentStore();
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
   /// True iff @p path is a directory holding a segment-store MANIFEST —
-  /// how `--resume` / `--matrix-cache` auto-detect the format.
+  /// how `segment ls|verify` tell a store from a stray directory.
   static bool looks_like_store(const std::filesystem::path& path);
-
-  /// Converts a decoded FENRSNAP snapshot (which must carry a matrix)
-  /// into a fresh store at @p dir: every row becomes a record, all
-  /// segments are sealed, identity falls back to the snapshot's prefix
-  /// hash. Loading the result reproduces the matrix bit-identically.
-  static void import_snapshot(const Snapshot& snapshot,
-                              const std::filesystem::path& dir,
-                              const SegmentStoreConfig& cfg);
 
   /// Live-session identity source: header/name hashes come from here,
   /// and spill() hashes rows against it. Optional — a store driven by
-  /// append_raw() (benches) or import never attaches one.
+  /// append_raw() (benches) never attaches one.
   void attach(const core::Dataset* dataset);
 
   /// Spills the newest matrix row (matrix.size()-1, global row
@@ -197,7 +187,7 @@ class SegmentStore {
   void spill_row(const core::RoutingVector& v,
                  const core::SimilarityMatrix& matrix, std::size_t row);
 
-  /// Raw spill for callers without a live matrix (benches, import):
+  /// Raw spill for callers without a live matrix (benches, tests):
   /// @p packed is networks·width host-order bytes, @p phi the Φ columns
   /// for global rows base..processed() where base is the store's
   /// current base_row — exactly processed() − base_row() + 1 values.
@@ -211,8 +201,8 @@ class SegmentStore {
   /// due seal/rotate/retention, then maybe a background compaction.
   void flush(const core::ModeBook* book = nullptr);
 
-  /// Seals the current tail regardless of size (import's last partial
-  /// segment; tests). Includes a flush.
+  /// Seals the current tail regardless of size (benches, tests).
+  /// Includes a flush.
   void seal_active();
 
   /// Runs one compaction pass synchronously (waits for a background
@@ -248,21 +238,13 @@ class SegmentStore {
   std::uint64_t tail_rows() const;
   std::uint64_t cold_bytes() const;
   bool empty() const;
-  bool legacy_identity() const;
   core::UnknownPolicy policy() const;
   const std::vector<double>& weights() const;
   std::vector<SegmentInfo> segments() const;
 
-  /// Sets policy/weights on a store that has no rows yet (import and
-  /// benches; spill() derives them from the matrix instead).
+  /// Sets policy/weights on a store that has no rows yet (a fresh
+  /// watch, benches; spill() derives them from the matrix instead).
   void configure(core::UnknownPolicy policy, std::vector<double> weights);
-  /// Switches identity to the legacy whole-prefix hash (import).
-  void set_legacy_identity(std::uint64_t prefix_hash);
-  /// Replaces the modebook state the next manifest will carry (import;
-  /// live sessions pass the book to flush() instead).
-  void set_modebook_state(bool has_modebook,
-                          std::vector<core::RoutingVector> representatives,
-                          std::vector<std::size_t> history);
 
  private:
   struct TailState {
@@ -315,10 +297,8 @@ class SegmentStore {
   core::UnknownPolicy policy_ = core::UnknownPolicy::kPessimistic;
   std::vector<double> weights_;
   bool configured_ = false;
-  // 0 = none (raw/bench stores), 1 = per-row hashes (live sessions),
-  // 2 = legacy whole-prefix hash (imports).
+  // 0 = none (raw/bench stores), 1 = per-row hashes (live sessions).
   std::uint8_t identity_mode_ = 0;
-  std::uint64_t legacy_prefix_hash_ = 0;
   std::uint64_t header_hash_ = 0;
   std::uint64_t names_hash_ = 0;
   std::uint64_t max_site_seen_ = 0;

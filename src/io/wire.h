@@ -1,15 +1,12 @@
-// fenrir::io — shared little-endian wire primitives.
+// fenrir::io — little-endian wire primitives of the FENRSEG1 segment
+// store (io/segment_store.h).
 //
-// The FENRSNAP snapshot (io/snapshot.h) and the FENRSEG1 segment store
-// (io/segment_store.h) speak the same byte dialect: integers
-// little-endian, doubles as IEEE-754 bit patterns in a u64, bulk word
-// arrays appended in one memcpy on little-endian hosts, and the same
-// 4-lane multiply–rotate payload checksum. This header is that dialect,
-// hoisted out of snapshot.cc's anonymous namespace so both formats stay
-// byte-compatible by construction instead of by copy.
-//
-// The segment store's identity hashes (IdentityHash below) run on the
-// same multiply–rotate lanes, fed 64-bit words by value.
+// The store's byte dialect: integers little-endian, doubles as IEEE-754
+// bit patterns in a u64, bulk word arrays appended in one memcpy on
+// little-endian hosts, and a 4-lane multiply–rotate payload checksum
+// over segments and the manifest. The store's identity hashes
+// (IdentityHash below) run on the same multiply–rotate lanes, fed
+// 64-bit words by value.
 //
 // Everything here is header-only and allocation-free except the
 // std::string appends the put_* writers perform.
@@ -95,17 +92,10 @@ inline void put_i64(std::string& out, std::int64_t v) {
   put_u64(out, static_cast<std::uint64_t>(v));
 }
 
-inline void put_double(std::string& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
 // Bulk little-endian append of @p count 8-byte words. The big sections
-// (Φ values, anchor counts) are tens of megabytes on a long watch; a
-// per-element put_u64 would dominate the save. On a little-endian host
-// this is one append; the byte loop is the big-endian fallback.
+// (Φ columns) are megabytes per record at paper scale; a per-element
+// put_u64 would dominate the spill. On a little-endian host this is one
+// append; the byte loop is the big-endian fallback.
 inline void put_u64_array(std::string& out, const void* words,
                           std::size_t count) {
   if constexpr (std::endian::native == std::endian::little) {
@@ -135,23 +125,16 @@ inline void patch_u64(std::string& out, std::size_t at, std::uint64_t v) {
   }
 }
 
-inline void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
 /// Bounds-checked reads over a validated payload. The length and CRC
 /// checks run first, so an overrun here means internal inconsistency
 /// (crafted or miswritten sections), not bit rot. @p what prefixes the
-/// diagnostics so a snapshot failure and a segment failure stay
-/// distinguishable ("snapshot: malformed section — ...").
+/// diagnostics so a segment failure and a manifest failure stay
+/// distinguishable ("segment manifest: malformed section — ...").
 struct Reader {
   const unsigned char* p;
   std::size_t size;
   std::size_t off = 0;
-  const char* what = "snapshot";
+  const char* what;
 
   void need(std::size_t k) const {
     if (size - off < k) {
@@ -186,12 +169,6 @@ struct Reader {
     return v;
   }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_double() {
-    const std::uint64_t bits = get_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
   /// A u64 count that is about to size a container: cap it by what the
   /// remaining payload could possibly hold for @p element_bytes-sized
   /// elements, so a crafted count cannot drive a huge allocation.
@@ -315,20 +292,5 @@ class IdentityHash {
                              kLaneSeed[3]};
   std::uint64_t words_ = 0;
 };
-
-// --- FNV-1a 64, the snapshot's prefix-hash primitive ---------------------
-
-inline std::uint64_t fnv_init() { return 1469598103934665603ULL; }
-
-inline void fnv_mix(std::uint64_t& h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 1099511628211ULL;
-  }
-}
-
-inline void fnv_mix_u64(std::uint64_t& h, std::uint64_t v) {
-  fnv_mix(h, &v, 8);
-}
 
 }  // namespace fenrir::io::wire

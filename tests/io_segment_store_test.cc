@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +16,8 @@
 #include "core/dataset_io.h"
 #include "core/distance_matrix.h"
 #include "core/modebook.h"
-#include "io/snapshot.h"
+#include "io/wire.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -57,7 +60,8 @@ struct ScratchDir {
 
 Dataset periodic_dataset(std::size_t obs, std::size_t nets,
                          std::size_t site_count, double churn,
-                         std::uint64_t seed, double invalid_frac = 0.1) {
+                         std::uint64_t seed, double invalid_frac = 0.1,
+                         bool weighted = false) {
   Dataset d;
   d.name = "segment-periodic";
   for (std::size_t n = 0; n < nets; ++n) d.networks.intern(n);
@@ -84,6 +88,10 @@ Dataset periodic_dataset(std::size_t obs, std::size_t nets,
     for (std::size_t k = 0; k < flips; ++k) {
       m.assignment[r.uniform(nets)] = random_site();
     }
+  }
+  if (weighted) {
+    d.weights.resize(nets);
+    for (auto& w : d.weights) w = 0.1 + r.uniform01() * 2.0;
   }
   return d;
 }
@@ -174,6 +182,108 @@ TEST(Segment, RoundTripBitIdenticalAcrossRotations) {
   }
 }
 
+// The Snapshot* suites hold the store to the guarantees the earlier
+// single-file history format was pinned by, under the same names.
+//
+// A history saved mid-series, reopened, loaded and grown over the
+// remaining observations is bit-identical to one that never left
+// memory — for both unknown policies and weighted networks too, which
+// the store must carry through its manifest to the loaded matrix.
+TEST(SnapshotRoundTrip, SaveLoadAppendBitIdenticalToContinuous) {
+  struct Case {
+    std::size_t site_count;  // 6 → 1-byte packing, 300 → 2-byte
+    bool weighted;
+  };
+  const Case cases[] = {{6, false}, {300, false}, {6, true}};
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 8;  // the first 15 rows span a sealed segment and a tail
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const Case& c : cases) {
+      for (const auto policy :
+           {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+        const std::string label =
+            "seed=" + std::to_string(seed) +
+            " sites=" + std::to_string(c.site_count) +
+            " weighted=" + std::to_string(c.weighted) +
+            " known_only=" +
+            std::to_string(policy == UnknownPolicy::kKnownOnly);
+        ScratchDir dir("saveload");
+        const Dataset d = periodic_dataset(30, 200, c.site_count, 0.02,
+                                           seed, 0.1, c.weighted);
+        SimilarityMatrix continuous(policy, d.weights, 1);
+        for (const RoutingVector& v : d.series) continuous.append(v);
+        {
+          SegmentStore store(dir.path, cfg);
+          store.attach(&d);
+          SimilarityMatrix partial(policy, d.weights, 1);
+          grow(store, partial, d, 0, 15);
+        }
+
+        SegmentStore store(dir.path, cfg);
+        store.attach(&d);
+        SegmentStore::Loaded in = store.load(&d);
+        ASSERT_EQ(in.processed, 15u) << label;
+        ASSERT_EQ(in.matrix.policy(), policy) << label;
+        ASSERT_EQ(store.weights(), d.weights) << label;
+        SimilarityMatrix resumed = std::move(in.matrix);
+        grow(store, resumed, d, 15, d.series.size());
+        expect_bit_identical(resumed, continuous, label);
+      }
+    }
+  }
+}
+
+// Site ids above 65535 force 4-byte packed rows; the store keeps them
+// at that width, sealed and in the tail, and the resumed matrix still
+// patches correctly.
+TEST(SnapshotRoundTrip, FourByteWidthSurvives) {
+  ScratchDir dir("width4");
+  rng::Rng r(99);
+  const std::size_t nets = 60;
+  const std::size_t site_count = 70'000;
+  Dataset d;
+  d.name = "width-four";
+  for (std::size_t n = 0; n < nets; ++n) d.networks.intern(n);
+  for (std::size_t s = 0; s < site_count; ++s) {
+    d.sites.intern("site" + std::to_string(s));
+  }
+  RoutingVector v;
+  v.valid = true;
+  v.assignment.resize(nets);
+  for (auto& s : v.assignment) {
+    s = static_cast<SiteId>(kFirstRealSite + r.uniform(site_count));
+  }
+  for (std::size_t t = 0; t < 12; ++t) {
+    v.time = static_cast<TimePoint>(t) * kDay;
+    d.series.push_back(v);
+    v.assignment[r.uniform(nets)] =
+        static_cast<SiteId>(kFirstRealSite + r.uniform(site_count));
+  }
+  SimilarityMatrix continuous(UnknownPolicy::kPessimistic, {}, 1);
+  for (const RoutingVector& obs : d.series) continuous.append(obs);
+
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 4;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix partial(UnknownPolicy::kPessimistic, {}, 1);
+    grow(store, partial, d, 0, 6);
+    ASSERT_EQ(store.segments().size(), 1u);
+    EXPECT_EQ(store.segments()[0].width, 4u);
+    EXPECT_EQ(store.tail_rows(), 2u);
+  }
+  SegmentStore store(dir.path, cfg);
+  store.attach(&d);
+  SegmentStore::Loaded in = store.load(&d);
+  ASSERT_EQ(in.processed, 6u);
+  SimilarityMatrix resumed = std::move(in.matrix);
+  grow(store, resumed, d, 6, d.series.size());
+  expect_bit_identical(resumed, continuous, "width 4");
+  expect_bit_identical(store.load(&d).matrix, continuous,
+                       "width 4 reloaded");
+}
+
 // Retention retires whole cold segments: the store's base advances, the
 // loaded matrix is exactly the retained suffix of the full history, and
 // a fresh tail stops carrying the dead Φ prefix.
@@ -219,8 +329,8 @@ TEST(Segment, RetentionKeepsSuffixBitIdentical) {
 
 // Satellite 2: checksums are computed once at seal and verified once
 // per mapped segment at load — repeated flushes of an unchanged store
-// do no checksum work at all (the snapshot re-hashed everything every
-// save).
+// do no checksum work at all (a whole-file save would re-hash everything
+// every time).
 TEST(Segment, ChecksumWorkIsLazyAndCountsOnce) {
   ScratchDir dir("lazy");
   const Dataset d = periodic_dataset(30, 80, 6, 0.03, 31);
@@ -320,6 +430,67 @@ TEST(Segment, DatasetMismatchRejected) {
               std::string::npos)
         << e.what();
   }
+}
+
+// A watch's saved state — matrix rows plus modebook — must disagree
+// usefully when the dataset underneath it changed: a shrunk dataset is
+// told both counts and what to do, a rewritten one which observation
+// differs. The untouched dataset still resumes the whole state.
+TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
+  ScratchDir dir("watch_mismatch");
+  const Dataset d = periodic_dataset(20, 100, 6, 0.02, 5);
+  core::ModeBook book;
+  SegmentStoreConfig cfg;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    for (const RoutingVector& v : d.series) {
+      book.observe(v);
+      live.append(v);
+      store.spill(v, live);
+    }
+    store.flush(&book);
+  }
+  const SegmentStore store(dir.path, cfg);
+
+  Dataset shrunk = d;
+  shrunk.series.resize(10);
+  try {
+    (void)store.load(&shrunk);
+    FAIL() << "shrunk dataset accepted";
+  } catch (const DatasetIoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ahead of the dataset"), std::string::npos) << what;
+    EXPECT_NE(what.find("20 observations recorded, 10 present"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("pass the full dataset or start fresh"),
+              std::string::npos)
+        << what;
+  }
+
+  Dataset rewritten = d;
+  rewritten.series[3].assignment[7] =
+      rewritten.series[3].assignment[7] == kUnknownSite ? kFirstRealSite
+                                                        : kUnknownSite;
+  try {
+    (void)store.load(&rewritten);
+    FAIL() << "rewritten dataset accepted";
+  } catch (const DatasetIoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row hash mismatch at observation 3 "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("not the one this store was built from"),
+              std::string::npos)
+        << what;
+  }
+
+  const SegmentStore::Loaded loaded = store.load(&d);
+  EXPECT_EQ(loaded.processed, d.series.size());
+  ASSERT_TRUE(loaded.has_modebook);
+  EXPECT_EQ(loaded.history, book.history());
 }
 
 // The row hash takes every field of the observation: each site id
@@ -460,6 +631,98 @@ TEST(Segment, VersionOneStoreRefused) {
   }
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// Every way a MANIFEST can be damaged gets its own diagnostic and a
+// segment_store_corrupt event: bad magic, truncation, trailing bytes,
+// bit rot, an older format version (v1 and v2 alike), and a checksummed
+// manifest naming an identity mode that no build writes — which would
+// otherwise skip the identity checks in load().
+TEST(Segment, ManifestCorruptionClassesAreDistinct) {
+  ScratchDir dir("manifest_corrupt");
+  const Dataset d = periodic_dataset(12, 80, 6, 0.03, 67);
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 5;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    grow(store, live, d, 0, d.series.size());
+  }
+  const fs::path manifest = dir.path / "MANIFEST";
+  const std::string good = read_file(manifest);
+  ASSERT_GT(good.size(), 64u);
+
+  const auto with_version = [&](std::uint32_t v) {
+    std::string b = good;
+    for (int i = 0; i < 4; ++i) {
+      b[sizeof(kManifestMagic) + i] = static_cast<char>(v >> (8 * i));
+    }
+    return b;
+  };
+  std::string bad_magic = good;
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xFF);
+  std::string bit_rot = good;
+  bit_rot[good.size() / 2] = static_cast<char>(bit_rot[good.size() / 2] ^ 1);
+  // The identity-mode byte follows magic, version and length; re-sign the
+  // trailer so only the consistency check can catch it.
+  std::string bad_mode = good;
+  bad_mode[sizeof(kManifestMagic) + 4 + 8] = 2;
+  const std::uint32_t crc =
+      wire::payload_checksum(bad_mode.data(), bad_mode.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bad_mode[bad_mode.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+
+  struct Case {
+    std::string bytes;
+    const char* kind;
+    const char* detail;
+  };
+  const std::vector<Case> cases = {
+      {bad_magic, "bad magic", "FENRMANI"},
+      {good.substr(0, good.size() - 7), "truncated", "recorded length"},
+      {good + "x", "trailing bytes", "recorded length"},
+      {bit_rot, "checksum mismatch", "bit rot"},
+      {with_version(1), "version skew", "file is v1"},
+      {with_version(2), "version skew", "file is v2"},
+      {bad_mode, "inconsistent", "identity mode 2"},
+  };
+  std::set<std::string> messages;
+  for (const Case& c : cases) {
+    write_file(manifest, c.bytes);
+    const std::uint64_t seq = obs::event_bus().last_seq();
+    try {
+      SegmentStore store(dir.path, cfg);
+      ADD_FAILURE() << c.kind << " (" << c.detail << "): manifest opened";
+    } catch (const DatasetIoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.kind), std::string::npos) << what;
+      EXPECT_NE(what.find(c.detail), std::string::npos) << what;
+      messages.insert(what);
+    }
+    const std::vector<obs::Event> events =
+        obs::event_bus().since(seq, "segment_store_corrupt");
+    ASSERT_EQ(events.size(), 1u) << c.kind << " (" << c.detail << ")";
+    EXPECT_NE(events[0].fields.find(c.detail), std::string::npos)
+        << events[0].fields;
+  }
+  EXPECT_EQ(messages.size(), cases.size()) << "two classes share a message";
+
+  write_file(manifest, good);
+  SegmentStore store(dir.path, cfg);
+  EXPECT_EQ(store.processed(), d.series.size());
+  std::string error;
+  EXPECT_TRUE(store.verify(&error)) << error;
+}
+
 // Records past the write-through threshold reach the tail file during
 // spill(), but only flush() makes them durable: the manifest and
 // fenrir_segment_tail_bytes_total move at the flush.
@@ -570,45 +833,6 @@ TEST(Segment, WidthChangeRotatesTail) {
   expect_bit_identical(loaded.matrix, continuous, "mixed width");
 }
 
-// Satellite 1: import converts a FENRSNAP snapshot into sealed segments
-// whose loaded matrix is byte-identical, with the legacy whole-prefix
-// identity.
-TEST(Segment, ImportSnapshotRoundTrip) {
-  ScratchDir dir("import");
-  const Dataset d = periodic_dataset(30, 100, 300, 0.03, 71);
-  SimilarityMatrix m(UnknownPolicy::kKnownOnly, d.weights, 1);
-  for (const RoutingVector& v : d.series) m.append(v);
-  Snapshot snap;
-  snap.processed = d.series.size();
-  snap.prefix_hash = dataset_prefix_hash(d, d.series.size());
-  snap.matrix = std::move(m);
-
-  const fs::path store_dir = dir.path / "store";
-  SegmentStoreConfig cfg;
-  cfg.seal_rows = 12;
-  SegmentStore::import_snapshot(snap, store_dir, cfg);
-  ASSERT_TRUE(SegmentStore::looks_like_store(store_dir));
-
-  SegmentStore store(store_dir, cfg);
-  EXPECT_TRUE(store.legacy_identity());
-  EXPECT_EQ(store.processed(), d.series.size());
-  EXPECT_EQ(store.tail_rows(), 0u);  // import seals everything
-  EXPECT_EQ(store.policy(), UnknownPolicy::kKnownOnly);
-  SegmentStore::Loaded loaded = store.load(&d);
-  expect_bit_identical(loaded.matrix, *snap.matrix, "imported");
-
-  // The legacy identity still catches a rewritten dataset.
-  Dataset rewritten = d;
-  rewritten.series[2].assignment[5] =
-      rewritten.series[2].assignment[5] == kUnknownSite ? kFirstRealSite
-                                                        : kUnknownSite;
-  EXPECT_THROW((void)store.load(&rewritten), DatasetIoError);
-
-  // Importing over an existing store is refused.
-  EXPECT_THROW(SegmentStore::import_snapshot(snap, store_dir, cfg),
-               DatasetIoError);
-}
-
 // The modebook travels through the manifest: representatives and
 // history restored exactly.
 TEST(Segment, ModeBookStateRoundTrips) {
@@ -655,12 +879,17 @@ struct KillCase {
   std::size_t arm_at = 0;      // the killpoint is armed from this spill on
   std::size_t networks = 80;
   std::size_t sites = 6;
+  // Arms FENRIR_CHAOS_KILL_SAVE=<kill_save> (a byte offset into the next
+  // atomic manifest write) instead of the labelled killpoint.
+  const char* kill_save = nullptr;
 };
 
 struct KillOutcome {
   std::size_t durable = 0;             // observations the reopen kept
   std::uintmax_t tail_bytes_dead = 0;  // tail-* bytes the kill left
   std::uintmax_t tail_bytes_open = 0;  // tail-* bytes after the reopen
+  std::size_t manifest_tmp_dead = 0;   // MANIFEST.tmp.* the kill left
+  std::size_t manifest_tmp_open = 0;   // MANIFEST.tmp.* after the reopen
 };
 
 std::uintmax_t tail_file_bytes(const fs::path& dir) {
@@ -671,6 +900,24 @@ std::uintmax_t tail_file_bytes(const fs::path& dir) {
     }
   }
   return total;
+}
+
+std::size_t manifest_temp_files(const fs::path& dir) {
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    count += entry.path().filename().string().rfind("MANIFEST.tmp.", 0) == 0;
+  }
+  return count;
+}
+
+/// Bytes of a tail segment holding global rows 0..rows-1 (tri_base 0).
+std::uintmax_t tail_bytes_for(std::size_t rows, std::size_t networks,
+                              std::size_t width) {
+  std::uintmax_t bytes = kSegmentHeaderBytes;
+  for (std::size_t g = 0; g < rows; ++g) {
+    bytes += 32 + (networks * width + 7) / 8 * 8 + 8 * (g + 1);
+  }
+  return bytes;
 }
 
 void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
@@ -691,7 +938,9 @@ void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
         store.attach(&d);
         SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
         for (std::size_t t = 0; t < 20; ++t) {
-          if (t == kc.arm_at) {
+          if (t == kc.arm_at && kc.kill_save != nullptr) {
+            ::setenv("FENRIR_CHAOS_KILL_SAVE", kc.kill_save, 1);
+          } else if (t == kc.arm_at) {
             ::setenv("FENRIR_CHAOS_KILL_POINT", kc.label, 1);
           }
           live.append(d.series[t]);
@@ -710,10 +959,12 @@ void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
 
   // Reopen: recovery rolls the interrupted step forward or back.
   const std::uintmax_t tail_bytes_dead = tail_file_bytes(dir.path);
+  const std::size_t manifest_tmp_dead = manifest_temp_files(dir.path);
   SegmentStore store(dir.path, cfg);
   const std::size_t durable = static_cast<std::size_t>(store.processed());
   if (out != nullptr) {
-    *out = {durable, tail_bytes_dead, tail_file_bytes(dir.path)};
+    *out = {durable, tail_bytes_dead, tail_file_bytes(dir.path),
+            manifest_tmp_dead, manifest_temp_files(dir.path)};
   }
   ASSERT_LE(durable, 20u) << kc.label;
   std::string error;
@@ -758,16 +1009,24 @@ TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
   const std::size_t networks = 270'000;
   KillOutcome out;
   run_kill_case({"segment_tail_write", 256, 0, 10, networks, 70'000}, &out);
-  const auto records = [&](std::size_t rows) {
-    std::uintmax_t bytes = kSegmentHeaderBytes;
-    for (std::size_t g = 0; g < rows; ++g) {
-      bytes += 32 + networks * 4 + 8 * (g + 1);
-    }
-    return bytes;
-  };
   EXPECT_EQ(out.durable, 9u);
-  EXPECT_EQ(out.tail_bytes_dead, records(11));
-  EXPECT_EQ(out.tail_bytes_open, records(9));
+  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(11, networks, 4));
+  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, networks, 4));
+}
+
+// A kill 64 bytes into an atomic manifest write, armed at row 10: rows
+// 0..8 were made durable by earlier flushes, and the flush after row 11
+// fsyncs the tail, then dies writing MANIFEST.tmp.<pid>. The old
+// MANIFEST must still hold exactly the nine flushed rows; the reopen
+// truncates the three unmanifested records and collects the temp file.
+TEST(SegmentChaosDeathTest, KillDuringManifestSave) {
+  KillOutcome out;
+  run_kill_case({"manifest_save", 256, 0, 10, 80, 6, "64"}, &out);
+  EXPECT_EQ(out.durable, 9u) << "the last completed flush covered 9 rows";
+  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(12, 80, 1));
+  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, 80, 1));
+  EXPECT_EQ(out.manifest_tmp_dead, 1u) << "the kill left its temp file";
+  EXPECT_EQ(out.manifest_tmp_open, 0u) << "the reopen collected it";
 }
 
 // A torn tail (bytes the manifest promised are gone) is salvaged by
@@ -839,8 +1098,8 @@ TEST(Segment, FlushWritesOnlyNewRows) {
   store.flush();
   const double one_row = tail_bytes.value() - before;
   // One record: 32 bytes of fixed fields + padded packed row + 31 Φ
-  // columns. It must not scale with the 30 rows of history (the old
-  // snapshot rewrote ~history²/2 doubles here).
+  // columns. It must not scale with the 30 rows of history (a
+  // whole-file save would rewrite ~history²/2 doubles here).
   const double record = 32 + 80 + 31 * 8;
   EXPECT_EQ(one_row, record);
 }

@@ -17,9 +17,9 @@ ratio the same way and cancels; a single regressing kernel stands out
 against the fleet.
 
 Only the recurrence hot path is gated (BM_Gower*, BM_SimilarityMatrix*
-including the Periodic anchored-vs-predecessor pair, BM_ModeBook*, the
-BM_Snapshot* load/recompute pair, BM_FederatedSweep — the federated
-merge fold — and the segment-store BM_Segment*/BM_Compaction path):
+including the Periodic anchored-vs-predecessor pair, BM_ModeBook*,
+BM_FederatedSweep — the federated merge fold — and the segment-store
+BM_Segment*/BM_Compaction path):
 they are the paper-relevant fast path and run long enough to be stable
 at --benchmark_min_time=0.01s. The other benches are reported in the
 table but never fail the gate.
@@ -42,12 +42,11 @@ import json
 import sys
 
 # Gated benches: the Φ kernel hot path, the ModeBook classifier, the
-# snapshot resume pair, and the federated merge fold. Everything else is
-# informational.
+# federated merge fold, and the segment store's tail, resume and
+# compaction paths. Everything else is informational.
 GATED_PREFIXES = ("bench_core_BM_Gower", "bench_core_BM_SimilarityMatrix",
-                  "bench_core_BM_ModeBook", "bench_core_BM_Snapshot",
-                  "bench_core_BM_FederatedSweep", "bench_core_BM_Segment",
-                  "bench_core_BM_Compaction")
+                  "bench_core_BM_ModeBook", "bench_core_BM_FederatedSweep",
+                  "bench_core_BM_Segment", "bench_core_BM_Compaction")
 SUFFIX = "_real_ns"
 
 # The decision-lineage overhead budget: recording every verdict into the
@@ -64,10 +63,10 @@ LINEAGE_THRESHOLD = 1.05
 
 # The segment store's flatness contract: resuming from an 8x-longer
 # history may cost at most 1.5x more per retained row (_flat_ratio —
-# mmap page adoption is flat; the pre-segment matrix rebuild was linear
-# in T), and one interval's flush may write at most 1.5x the payload
-# bytes (_save_bytes_ratio — O(new data); the legacy snapshot rewrote
-# the whole store). BM_SegmentResumeFlat measures both interleaved in
+# mmap page adoption is flat; a matrix rebuild would be linear in T),
+# and one interval's flush may write at most 1.5x the payload bytes
+# (_save_bytes_ratio — O(new data); a whole-file save would rewrite the
+# history). BM_SegmentResumeFlat measures both interleaved in
 # one benchmark, same as the lineage budget, so no calibration applies.
 SEGMENT_FLAT_PREFIX = "bench_core_BM_SegmentResumeFlat"
 SEGMENT_FLAT_SUFFIXES = ("_flat_ratio", "_save_bytes_ratio")

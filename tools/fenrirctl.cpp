@@ -50,11 +50,6 @@
 //   fenrirctl segment verify DIR          re-read every segment, check
 //                                         structure + checksums; corrupt
 //                                         stores exit 3
-//   fenrirctl segment import F.bin DIR    convert a FENRSNAP v2 snapshot
-//                                         into a sealed segment store at
-//                                         DIR (loads bit-identically;
-//                                         identity falls back to the
-//                                         snapshot's prefix hash)
 //   fenrirctl --version                   build identity (version, git
 //                                         sha, build type, sanitizers)
 //
@@ -66,38 +61,29 @@
 //   --heatmap-csv FILE    write the full phi matrix as CSV
 //   --stack FILE.csv      write the per-site stack series
 //   --ascii               print an ASCII heatmap
-//   --matrix-cache PATH   reuse PATH as the phi matrix cache: a file is
-//                         an io/snapshot.h binary snapshot (the legacy
-//                         format, rewritten whole every run); a
-//                         directory is a FENRSEG segment store
-//                         (io/segment_store.h) — mmap-loaded, appended
-//                         incrementally, O(new rows) written back.
-//                         Either way only the new rows are appended and
-//                         stale caches are recomputed with a warning;
-//                         corrupt ones are exit code 3. Output is
-//                         byte-identical either way — every matrix path
-//                         is.
+//   --matrix-cache DIR    reuse DIR, a FENRSEG segment store
+//                         (io/segment_store.h, created if absent), as the
+//                         phi matrix cache: mmap-loaded, only the new
+//                         rows appended, O(new rows) written back. Stale
+//                         caches are recomputed with a warning; corrupt
+//                         ones, or a DIR that is not a directory, are
+//                         exit code 3. Output is byte-identical either
+//                         way — every matrix path is.
 //
 // watch options:
 //   --threshold X         mode match threshold (default 0.85)
 //   --pessimistic         pessimistic unknown policy (default known-only)
 //   --adapt               representatives follow the latest member
-//   --resume PATH         restore the session from PATH (if it exists),
-//                         process only new observations, write the state
-//                         back — a long-lived watch across restarts.
-//                         A file is a v2 binary snapshot carrying the
-//                         mode book AND the phi matrix (loads in
-//                         O(bytes)); legacy v1 CSV states still load
-//                         (the matrix is rebuilt once) and upgrade to
-//                         v2 on the next save. A directory is a FENRSEG
-//                         segment store (same as --store)
-//   --store DIR           spill-as-you-go segment store: each processed
-//                         observation is appended to DIR as one record
-//                         (O(new rows) per save interval, never the
-//                         history), sealed segments are mmap-adopted on
-//                         resume (flat warm-start), cold runs compact in
-//                         the background. The long-running form of
-//                         --resume
+//   --store DIR           keep the session in DIR, a FENRSEG segment
+//                         store (created if absent): the mode book and
+//                         the phi matrix survive restarts, and a rerun
+//                         processes only new observations. Each
+//                         observation is appended as one record (O(new
+//                         rows) per save interval, never the history),
+//                         sealed segments are mmap-adopted on resume
+//                         (flat warm-start), cold runs compact in the
+//                         background. A DIR that is not a directory, or
+//                         a corrupt store, is exit code 3
 //   --seal-rows N         records per tail segment before seal + rotate
 //                         (default 256)
 //   --retain-days X       retire sealed segments whose newest observation
@@ -185,7 +171,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -205,7 +190,6 @@
 #include "core/transition.h"
 #include "io/csv.h"
 #include "io/segment_store.h"
-#include "io/snapshot.h"
 #include "io/table.h"
 #include "measure/federation.h"
 #include "measure/verfploeter.h"
@@ -268,7 +252,7 @@ Args parse_args(int argc, char** argv, int first) {
            flag == "--heatmap" || flag == "--heatmap-csv" ||
            flag == "--stack" || flag == "--limit" || flag == "--micro" ||
            flag == "--log-level" || flag == "--metrics" ||
-           flag == "--resume" || flag == "--matrix-cache" ||
+           flag == "--matrix-cache" ||
            flag == "--trace-out" || flag == "--status-port" ||
            flag == "--status-port-file" || flag == "--journal" ||
            flag == "--events-out" || flag == "--port" ||
@@ -298,7 +282,7 @@ Args parse_args(int argc, char** argv, int first) {
   return out;
 }
 
-/// Store tuning shared by watch --store, analyze --matrix-cache DIR, and
+/// Store tuning shared by watch --store, analyze --matrix-cache, and
 /// the segment subcommands. --retain-days is observation time, so a
 /// fractional value is fine and retention stays deterministic.
 io::SegmentStoreConfig segment_config(const Args& args) {
@@ -311,14 +295,6 @@ io::SegmentStoreConfig segment_config(const Args& args) {
       static_cast<double>(core::kDay));
   cfg.threads = 0;
   return cfg;
-}
-
-/// A --resume/--matrix-cache PATH that is a directory means the FENRSEG
-/// segment store format (an existing store, or a directory to start one
-/// in); a file or nonexistent path means the legacy snapshot.
-bool path_is_store(const std::string& path) {
-  return io::SegmentStore::looks_like_store(path) ||
-         std::filesystem::is_directory(path);
 }
 
 core::TimePoint parse_time_or_throw(const std::string& text) {
@@ -411,17 +387,16 @@ int cmd_analyze(const Args& args) {
   }
   cfg.detector.min_drop = std::stod(args.get("--min-drop", "0.02"));
 
-  // --matrix-cache FILE: reuse a snapshot's Φ matrix when it is a prefix
-  // of this dataset built under the same flags; append the remainder and
-  // hand it to the pipeline. Every matrix path is bit-identical, so the
-  // report is byte-for-byte the same as a cold run — the cache only
-  // moves time around. A corrupt cache is an error (exit 3), a stale
-  // one is merely ignored.
+  // --matrix-cache DIR: reuse a segment store's Φ rows when they are a
+  // prefix of this dataset built under the same flags; append the
+  // remainder and hand it to the pipeline. Every matrix path is
+  // bit-identical, so the report is byte-for-byte the same as a cold
+  // run — the cache only moves time around. A corrupt cache is an error
+  // (exit 3), a stale one is merely ignored.
   const std::string cache_path = args.get("--matrix-cache", "");
-  const bool cache_is_store = !cache_path.empty() && path_is_store(cache_path);
   std::optional<io::SegmentStore> seg_cache;
   std::optional<core::SimilarityMatrix> cached;
-  if (cache_is_store) {
+  if (!cache_path.empty()) {
     seg_cache.emplace(cache_path, segment_config(args));
     seg_cache->attach(&data);
     bool usable = !seg_cache->empty();
@@ -452,24 +427,6 @@ int cmd_analyze(const Args& args) {
               .field("appended", data.series.size() - loaded.processed)
           << "analyze: segment cache hit";
     }
-  } else if (!cache_path.empty() && std::ifstream(cache_path).good()) {
-    io::Snapshot snap = io::load_snapshot_file(cache_path, /*threads=*/0);
-    const bool usable =
-        snap.matrix.has_value() && snap.processed <= data.series.size() &&
-        snap.matrix->policy() == cfg.policy &&
-        snap.prefix_hash == io::dataset_prefix_hash(data, snap.processed);
-    if (usable) {
-      cached = std::move(*snap.matrix);
-      cached->append_batch(
-          std::span(data.series).subspan(snap.processed));
-      FENRIR_LOG(Info).field("cache", cache_path)
-              .field("cached_rows", snap.processed)
-              .field("appended", data.series.size() - snap.processed)
-          << "analyze: matrix cache hit";
-    } else {
-      FENRIR_LOG(Warn).field("cache", cache_path)
-          << "matrix cache is stale; recomputing";
-    }
   }
 
   const core::AnalysisResult result =
@@ -483,12 +440,6 @@ int cmd_analyze(const Args& args) {
       seg_cache->spill_row(data.series[t], result.matrix, t);
     }
     seg_cache->flush();
-  } else if (!cache_path.empty() && !cache_is_store) {
-    io::Snapshot snap;
-    snap.processed = data.series.size();
-    snap.prefix_hash = io::dataset_prefix_hash(data, snap.processed);
-    snap.matrix = result.matrix;
-    io::save_snapshot_file(cache_path, snap);
   }
   core::print_report(data, result, std::cout);
 
@@ -568,24 +519,19 @@ int cmd_watch(const Args& args) {
       "\"dataset\":\"" + obs::json_escape(data.name) +
           "\",\"observations\":" + std::to_string(data.series.size()));
 
-  // A stateful watch (--resume) also maintains the Φ matrix so the
-  // state file carries it — resuming then costs O(bytes) instead of
-  // the O(T²·N) rebuild. A plain watch stays matrix-free; its output
-  // and cost are untouched by any of this.
+  // A stateful watch (--store) also maintains the Φ matrix and spills
+  // each row to the segment store as it goes — resuming then mmaps the
+  // sealed history instead of paying the O(T²·N) rebuild. A plain watch
+  // stays matrix-free; its output and cost are untouched by any of this.
   std::size_t start = 0;
-  std::string state_path = args.get("--resume", "");
-  std::string store_dir = args.get("--store", "");
-  if (store_dir.empty() && !state_path.empty() && path_is_store(state_path)) {
-    store_dir = state_path;  // --resume DIR means the segment store form
-  }
-  if (!store_dir.empty()) state_path.clear();
   // base maps between global observation indices (the loop's i) and
-  // local matrix rows: a segment store's retention may have retired the
+  // local matrix rows: the store's retention may have retired the
   // oldest rows, so the loaded matrix starts at global row `base`.
   std::size_t base = 0;
   std::optional<io::SegmentStore> store;
   std::optional<core::SimilarityMatrix> matrix;
-  if (!store_dir.empty()) {
+  if (const std::string store_dir = args.get("--store", "");
+      !store_dir.empty()) {
     store.emplace(store_dir, segment_config(args));
     store->attach(&data);
     if (store->processed() == 0) {
@@ -630,9 +576,9 @@ int cmd_watch(const Args& args) {
           if (i >= base) matrix->pin_anchor(i - base);
         }
       }
-      static obs::Counter& seg_resumes = obs::registry().counter(
+      static obs::Counter& resumes = obs::registry().counter(
           "fenrir_watch_resumes_total", "watch sessions resumed from state");
-      seg_resumes.inc();
+      resumes.inc();
       obs::event_bus().emit(
           obs::Severity::kNotice, "watch_resumed",
           "\"processed\":" + std::to_string(start) +
@@ -641,57 +587,6 @@ int cmd_watch(const Args& args) {
                 << " observations already processed, " << book.mode_count()
                 << " known modes\n";
     }
-  }
-  if (!state_path.empty()) {
-    matrix.emplace(cfg.policy, data.weights, /*threads=*/0);
-  }
-  if (!state_path.empty() && std::ifstream(state_path).good()) {
-    io::Snapshot state = io::load_watch_state(data, state_path, /*threads=*/0);
-    start = state.processed;
-    try {
-      book.restore(std::move(state.representatives),
-                   std::move(state.history));
-    } catch (const std::invalid_argument& e) {
-      throw core::DatasetIoError(std::string("watch state: ") + e.what());
-    }
-    const bool matrix_usable =
-        state.matrix.has_value() && state.matrix->size() == start &&
-        state.matrix->policy() == cfg.policy;
-    if (matrix_usable) {
-      matrix = std::move(*state.matrix);
-    } else {
-      // A v1 CSV state (or one saved under another policy) carries no
-      // usable matrix: rebuild it over the consumed prefix once. The
-      // save below writes v2, so this rebuild never happens twice.
-      if (state.matrix.has_value()) {
-        FENRIR_LOG(Warn).field("state", state_path)
-            << "watch state matrix unusable under current flags; "
-               "rebuilding";
-      }
-      matrix->append_batch(std::span(data.series).first(start));
-      // Re-pin each mode representative's first occurrence: history
-      // holds the mode of every *valid* observation in order.
-      std::vector<bool> seen(book.mode_count(), false);
-      std::size_t valid_seen = 0;
-      for (std::size_t i = 0; i < start; ++i) {
-        if (!data.series[i].valid) continue;
-        if (valid_seen >= book.history().size()) break;
-        const std::size_t mode = book.history()[valid_seen++];
-        if (mode < seen.size() && !seen[mode]) {
-          seen[mode] = true;
-          matrix->pin_anchor(i);
-        }
-      }
-    }
-    static obs::Counter& resumes = obs::registry().counter(
-        "fenrir_watch_resumes_total", "watch sessions resumed from state");
-    resumes.inc();
-    obs::event_bus().emit(
-        obs::Severity::kNotice, "watch_resumed",
-        "\"processed\":" + std::to_string(start) +
-            ",\"modes\":" + std::to_string(book.mode_count()));
-    std::cout << "resumed: " << start << " observations already processed, "
-              << book.mode_count() << " known modes\n";
   }
 
   // --journal FILE: one JSONL entry per observation, flushed as it is
@@ -764,12 +659,7 @@ int cmd_watch(const Args& args) {
   // Force a final snapshot so even a short run leaves /metrics/history
   // non-empty under --serve.
   obs::metrics_history().sample(true);
-  if (store.has_value()) {
-    store->flush(&book);
-  } else if (!state_path.empty()) {
-    io::save_watch_state(data, book, data.series.size(),
-                         matrix.has_value() ? &*matrix : nullptr, state_path);
-  }
+  if (store.has_value()) store->flush(&book);
   return 0;
 }
 
@@ -1562,7 +1452,7 @@ int cmd_blackbox(const Args& args) {
   try {
     report = obs::FlightRecorder::dump(args.positional[1]);
   } catch (const obs::FlightRecorderError& e) {
-    // Same taxonomy slot as corrupt snapshots and journals: exit 3.
+    // Same taxonomy slot as corrupt stores and journals: exit 3.
     throw core::DatasetIoError(e.what());
   }
   std::cout << "blackbox " << args.positional[1] << ": ";
@@ -1604,11 +1494,6 @@ int cmd_segment(const Args& args) {
     std::cout << "segments:  " << segments.size() << " sealed ("
               << store.cold_bytes() << " cold bytes), tail "
               << store.tail_rows() << " rows\n";
-    std::cout << "identity:  "
-              << (store.legacy_identity()
-                      ? "legacy prefix hash (imported snapshot)"
-                      : "per-row hashes")
-              << "\n";
     for (const io::SegmentInfo& s : segments) {
       std::cout << "  seg-" << s.id << "  rows [" << s.base_row << ", "
                 << s.base_row + s.rows << ")  width " << s.width << "  "
@@ -1639,18 +1524,6 @@ int cmd_segment(const Args& args) {
               << store.tail_rows() << " tail rows, "
               << (store.processed() - store.base_row())
               << " observations retained\n";
-    return 0;
-  }
-
-  if (sub == "import") {
-    if (args.positional.size() != 3) return usage();
-    const io::Snapshot snap =
-        io::load_snapshot_file(args.positional[1], /*threads=*/0);
-    io::SegmentStore::import_snapshot(snap, args.positional[2], cfg);
-    const io::SegmentStore store(args.positional[2], cfg);
-    std::cout << "imported " << store.processed() << " observations into "
-              << store.segments().size() << " sealed segments at "
-              << args.positional[2] << "\n";
     return 0;
   }
 
@@ -1722,10 +1595,7 @@ void register_metric_catalog() {
         "fenrir_phi_anchor_predecessor_total", "fenrir_phi_anchor_chained_total",
         "fenrir_phi_anchor_representative_total", "fenrir_phi_anchor_packed_total",
         "fenrir_phi_anchor_probes_total", "fenrir_phi_anchor_pins_total",
-        "fenrir_phi_anchor_refreshes_total",
-        "fenrir_snapshot_save_total", "fenrir_snapshot_save_bytes_total",
-        "fenrir_snapshot_load_total", "fenrir_snapshot_load_bytes_total",
-        "fenrir_snapshot_corrupt_total", "fenrir_segment_sealed_total",
+        "fenrir_phi_anchor_refreshes_total", "fenrir_segment_sealed_total",
         "fenrir_segment_compacted_total", "fenrir_segment_retired_total",
         "fenrir_segment_mmap_bytes_total", "fenrir_segment_tail_flush_total",
         "fenrir_segment_tail_bytes_total",
@@ -1739,8 +1609,7 @@ void register_metric_catalog() {
         "fenrir_federation_coverage", "fenrir_federation_adaptive_floor",
         "fenrir_federation_members_healthy", "fenrir_federation_members_dead",
         "fenrir_phi_delta_density", "fenrir_phi_delta_speedup_ratio",
-        "fenrir_phi_anchor_est_delta", "fenrir_phi_anchor_realized_delta",
-        "fenrir_snapshot_save_seconds", "fenrir_snapshot_load_seconds"}) {
+        "fenrir_phi_anchor_est_delta", "fenrir_phi_anchor_realized_delta"}) {
     r.gauge(name);
   }
 }
