@@ -190,8 +190,63 @@ PackedSeries PackedSeries::pack(const Dataset& dataset) {
   return s;
 }
 
+namespace {
+
+/// Copies one row of @p n elements from @p src_width to @p dst_width ≥
+/// @p src_width (host order on both sides); a plain memcpy when the
+/// widths agree.
+void convert_row(const std::byte* src, std::size_t src_width, std::byte* dst,
+                 std::size_t dst_width, std::size_t n) {
+  if (src_width == dst_width) {
+    if (n > 0) std::memcpy(dst, src, n * dst_width);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    SiteId v = 0;
+    if (src_width == 1) {
+      std::uint8_t x;
+      std::memcpy(&x, src + i, sizeof x);
+      v = x;
+    } else if (src_width == 2) {
+      std::uint16_t x;
+      std::memcpy(&x, src + i * 2, sizeof x);
+      v = x;
+    } else {
+      std::memcpy(&v, src + i * 4, sizeof v);
+    }
+    std::byte* out = dst + i * dst_width;
+    if (dst_width == 2) {
+      const auto x = static_cast<std::uint16_t>(v);
+      std::memcpy(out, &x, sizeof x);
+    } else {
+      std::memcpy(out, &v, sizeof v);
+    }
+  }
+}
+
+}  // namespace
+
+std::byte* PackedSeries::push_slot() {
+  const std::size_t stride = networks_ * width_;
+  if (slab_rows_ == 0) {
+    slab_rows_ = std::max<std::size_t>(1, kSlabBytes / std::max<std::size_t>(
+                                                          stride, 1));
+  }
+  const std::size_t slot = row_.size() - mapped_;
+  const std::size_t slab = slot / slab_rows_;
+  if (slab == slabs_.size()) {
+    // Uninitialized on purpose: pages are faulted in by the rows that
+    // land on them, not by the allocation.
+    slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+        slab_rows_ * stride));
+  }
+  std::byte* dst = slabs_[slab].get() + (slot % slab_rows_) * stride;
+  row_.push_back(dst);
+  return dst;
+}
+
 void PackedSeries::append(const RoutingVector& v) {
-  if (rows_ == 0 && networks_ == 0) {
+  if (row_.empty() && networks_ == 0) {
     networks_ = v.assignment.size();
   } else if (v.assignment.size() != networks_) {
     throw std::invalid_argument("PackedSeries: vector size mismatch");
@@ -202,10 +257,9 @@ void PackedSeries::append(const RoutingVector& v) {
                            : k.max_site(v.assignment.data(),
                                         v.assignment.size());
   if (const std::size_t need = width_for(max_id); need > width_) {
-    widen_to(need);
+    relayout(need);
   }
-  data_.resize((rows_ + 1 - mapped_.size()) * networks_ * width_);
-  std::byte* dst = row_ptr(rows_);
+  std::byte* dst = push_slot();
   switch (width_) {
     case 1:
       k.pack_u8(v.assignment.data(), reinterpret_cast<std::uint8_t*>(dst),
@@ -219,79 +273,54 @@ void PackedSeries::append(const RoutingVector& v) {
       pack_row<std::uint32_t>(dst, v);
       break;
   }
-  ++rows_;
 }
 
 void PackedSeries::pop_back() noexcept {
-  if (rows_ == 0) return;
-  --rows_;
-  if (rows_ >= mapped_.size()) {
-    data_.resize((rows_ - mapped_.size()) * networks_ * width_);
-  } else {
-    mapped_.pop_back();
-    if (mapped_.empty()) keepalive_.reset();
+  if (row_.empty()) return;
+  row_.pop_back();
+  if (row_.size() < mapped_) {
+    mapped_ = row_.size();
+    if (mapped_ == 0) keepalive_.reset();
   }
 }
 
 void PackedSeries::copy_row(std::size_t dst, std::size_t src) {
-  if (dst >= rows_ || src >= rows_) {
+  if (dst >= rows() || src >= rows()) {
     throw std::out_of_range("PackedSeries::copy_row");
   }
   if (dst == src) return;
-  if (dst < mapped_.size()) materialize_mapped();
-  std::memcpy(row_ptr(dst), row_ptr(src), networks_ * width_);
+  if (dst < mapped_) relayout(width_);
+  std::memcpy(const_cast<std::byte*>(row_[dst]), row_[src],
+              networks_ * width_);
 }
 
 void PackedSeries::clear() noexcept {
-  rows_ = 0;
   networks_ = 0;
   width_ = 1;
-  data_.clear();
-  mapped_.clear();
+  mapped_ = 0;
+  row_.clear();
+  slabs_.clear();
+  slab_rows_ = 0;
   keepalive_.reset();
 }
 
-void PackedSeries::materialize_mapped() {
-  if (mapped_.empty()) return;
-  const std::size_t stride = networks_ * width_;
-  std::vector<std::byte> owned(rows_ * stride);
-  for (std::size_t r = 0; r < mapped_.size(); ++r) {
-    std::memcpy(owned.data() + r * stride, mapped_[r], stride);
+void PackedSeries::relayout(std::size_t width) {
+  // Build the new layout beside the old one — convert_row reads every
+  // row, mapped ones too, through the old table — then swap it in.
+  PackedSeries out;
+  out.networks_ = networks_;
+  out.width_ = width;
+  out.row_.reserve(row_.size());
+  for (const std::byte* src : row_) {
+    convert_row(src, width_, out.push_slot(), width, networks_);
   }
-  std::memcpy(owned.data() + mapped_.size() * stride, data_.data(),
-              data_.size());
-  data_ = std::move(owned);
-  mapped_.clear();
-  keepalive_.reset();
-}
-
-void PackedSeries::widen_to(std::size_t width) {
-  // value_at reads through row_ptr, so the rewrite below sees mapped
-  // rows too; afterwards everything is owned at the new width and the
-  // borrow can be dropped.
-  std::vector<std::byte> wide(rows_ * networks_ * width);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t n = 0; n < networks_; ++n) {
-      const SiteId v = value_at(r, n);
-      std::byte* dst = wide.data() + (r * networks_ + n) * width;
-      if (width == 2) {
-        const auto x = static_cast<std::uint16_t>(v);
-        std::memcpy(dst, &x, sizeof x);
-      } else {
-        std::memcpy(dst, &v, sizeof v);
-      }
-    }
-  }
-  data_ = std::move(wide);
-  width_ = width;
-  mapped_.clear();
-  keepalive_.reset();
+  *this = std::move(out);
 }
 
 void PackedSeries::adopt_rows(std::size_t networks, std::size_t width,
                               std::span<const std::byte* const> rows,
                               std::shared_ptr<const void> keepalive) {
-  if (rows_ != 0 || networks_ != 0) {
+  if (!row_.empty() || networks_ != 0) {
     throw std::logic_error("PackedSeries::adopt_rows: series not empty");
   }
   if (width != 1 && width != 2 && width != 4) {
@@ -299,50 +328,23 @@ void PackedSeries::adopt_rows(std::size_t networks, std::size_t width,
   }
   networks_ = networks;
   width_ = width;
-  mapped_.assign(rows.begin(), rows.end());
-  rows_ = mapped_.size();
+  row_.assign(rows.begin(), rows.end());
+  mapped_ = row_.size();
   keepalive_ = std::move(keepalive);
 }
 
 void PackedSeries::append_packed(const std::byte* src, std::size_t src_width) {
-  if (networks_ == 0 && rows_ == 0) {
+  if (networks_ == 0 && row_.empty()) {
     throw std::logic_error("PackedSeries::append_packed: networks unset");
   }
-  if (src_width > width_) widen_to(src_width);
-  data_.resize((rows_ + 1 - mapped_.size()) * networks_ * width_);
-  std::byte* dst = row_ptr(rows_);
-  if (src_width == width_) {
-    std::memcpy(dst, src, networks_ * width_);
-  } else {
-    // Widening convert: the source row stayed narrow while the series
-    // has already widened (host order on both sides).
-    for (std::size_t n = 0; n < networks_; ++n) {
-      SiteId v = 0;
-      if (src_width == 1) {
-        std::uint8_t x;
-        std::memcpy(&x, src + n, sizeof x);
-        v = x;
-      } else if (src_width == 2) {
-        std::uint16_t x;
-        std::memcpy(&x, src + n * 2, sizeof x);
-        v = x;
-      } else {
-        std::memcpy(&v, src + n * 4, sizeof v);
-      }
-      std::byte* out = dst + n * width_;
-      if (width_ == 2) {
-        const auto x = static_cast<std::uint16_t>(v);
-        std::memcpy(out, &x, sizeof x);
-      } else {
-        std::memcpy(out, &v, sizeof v);
-      }
-    }
-  }
-  ++rows_;
+  if (src_width > width_) relayout(src_width);
+  convert_row(src, src_width, push_slot(), width_, networks_);
 }
 
 MatchCounts PackedSeries::counts(std::size_t i, std::size_t j) const {
-  if (i >= rows_ || j >= rows_) throw std::out_of_range("PackedSeries::counts");
+  if (i >= rows() || j >= rows()) {
+    throw std::out_of_range("PackedSeries::counts");
+  }
   const std::byte* a = row_ptr(i);
   const std::byte* b = row_ptr(j);
   const simd::KernelTable& k = simd::active();
@@ -363,7 +365,7 @@ WeightedCounts PackedSeries::weighted_counts(std::size_t i, std::size_t j,
                                              std::span<const double> w,
                                              UnknownPolicy policy,
                                              double pessimistic_total) const {
-  if (i >= rows_ || j >= rows_) {
+  if (i >= rows() || j >= rows()) {
     throw std::out_of_range("PackedSeries::weighted_counts");
   }
   if (w.size() != networks_) {
@@ -410,7 +412,7 @@ SiteId PackedSeries::value_at(std::size_t row, std::size_t n) const {
 
 std::vector<DeltaEntry> PackedSeries::delta_between(std::size_t from,
                                                     std::size_t to) const {
-  if (from >= rows_ || to >= rows_) {
+  if (from >= rows() || to >= rows()) {
     throw std::out_of_range("PackedSeries::delta_between");
   }
   std::vector<DeltaEntry> delta;
@@ -421,7 +423,7 @@ std::vector<DeltaEntry> PackedSeries::delta_between(std::size_t from,
 bool PackedSeries::delta_between_bounded(std::size_t from, std::size_t to,
                                          std::size_t cap,
                                          std::vector<DeltaEntry>& out) const {
-  if (from >= rows_ || to >= rows_) {
+  if (from >= rows() || to >= rows()) {
     throw std::out_of_range("PackedSeries::delta_between_bounded");
   }
   out.clear();

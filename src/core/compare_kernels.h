@@ -93,13 +93,19 @@ struct PreparedDelta;
 /// larger id transparently re-packs the store one width up (ids only grow
 /// as a dataset interns new sites, so widening is rare and amortizes).
 ///
+/// Every row is reached through one row-pointer table. Owned rows live
+/// in fixed-size slabs that are never reallocated: an append writes its
+/// row once into the next slot and never copies or re-faults the rows
+/// before it, and pop_back() keeps the slot for the next append (the
+/// ModeBook's candidate row cycles through one slot).
+///
 /// A series can start with a *mapped prefix*: rows adopted as borrowed
 /// pointers (typically into mmap'd segment pages — io/segment_store.h)
-/// instead of bytes copied into the owned store. All read paths resolve
-/// through row_ptr(), so the kernels never notice; mutation of a mapped
-/// row is impossible by construction (the mutable row_ptr only serves
-/// owned rows), and a widening append first materializes the prefix into
-/// owned storage. A keepalive shared_ptr pins the mapping for as long as
+/// instead of bytes copied into slabs. The kernels read both kinds
+/// through the same table; mutation of a mapped row is impossible by
+/// construction (only owned slots are ever written), and a widening
+/// append or a copy_row() onto a mapped row first re-lays every row into
+/// owned slabs. A keepalive shared_ptr pins the mapping for as long as
 /// any pointer could be dereferenced.
 class PackedSeries {
  public:
@@ -108,22 +114,12 @@ class PackedSeries {
   /// Packs every row of @p dataset (width from the largest id present).
   static PackedSeries pack(const Dataset& dataset);
 
-  std::size_t rows() const noexcept { return rows_; }
+  std::size_t rows() const noexcept { return row_.size(); }
   std::size_t networks() const noexcept { return networks_; }
   /// Bytes per element: 1, 2, or 4.
   std::size_t width() const noexcept { return width_; }
   /// Rows borrowed from an adopted mapping (always a prefix of rows()).
-  std::size_t mapped_rows() const noexcept { return mapped_.size(); }
-
-  /// Pre-sizes the store for @p rows total rows (no-op before the first
-  /// append fixes networks(), or when already that large). Batch
-  /// ingesters call this so the packed store grows once per batch
-  /// instead of reallocating mid-append-loop.
-  void reserve(std::size_t rows) {
-    if (networks_ > 0 && rows > mapped_.size()) {
-      data_.reserve((rows - mapped_.size()) * networks_ * width_);
-    }
-  }
+  std::size_t mapped_rows() const noexcept { return mapped_; }
 
   /// Adopts @p rows as a borrowed prefix: row i reads through rows[i]
   /// (networks × width bytes, any alignment ≥ the element width) for as
@@ -145,9 +141,11 @@ class PackedSeries {
   /// must match it (std::invalid_argument otherwise).
   void append(const RoutingVector& v);
   /// Drops the last row (for speculative appends, e.g. ModeBook's
-  /// candidate row). No-op on an empty series.
+  /// candidate row); an owned row's slot stays allocated for the next
+  /// append. No-op on an empty series.
   void pop_back() noexcept;
-  /// Overwrites row @p dst with a copy of row @p src.
+  /// Overwrites row @p dst with a copy of row @p src (a mapped @p dst
+  /// first moves every row into owned slabs).
   void copy_row(std::size_t dst, std::size_t src);
   void clear() noexcept;
 
@@ -184,7 +182,7 @@ class PackedSeries {
   /// streaming the next column's row while the current one is patched
   /// overlaps those misses instead.
   void prefetch_row(std::size_t row) const {
-    if (row >= rows_) return;
+    if (row >= rows()) return;
 #if defined(__GNUC__) || defined(__clang__)
     const std::byte* b = row_ptr(row);
     const std::size_t bytes = networks_ * width_;
@@ -200,7 +198,7 @@ class PackedSeries {
   /// serialising one cache miss per entry.
   void prefetch_delta(std::size_t row_b,
                       std::span<const DeltaEntry> delta) const {
-    if (row_b >= rows_) return;
+    if (row_b >= rows()) return;
     const std::byte* b = row_ptr(row_b);
 #if defined(__GNUC__) || defined(__clang__)
     for (const DeltaEntry& d : delta) {
@@ -218,25 +216,27 @@ class PackedSeries {
                                     const PackedSeries&, std::size_t);
   friend class ColumnPatcher;
   friend class fenrir::io::SegmentCodec;
-  void widen_to(std::size_t width);
-  /// Copies the mapped prefix into owned storage and drops the borrow
-  /// (the keepalive included). Called before any operation that needs
-  /// uniform owned bytes (widening).
-  void materialize_mapped();
-  const std::byte* row_ptr(std::size_t i) const {
-    if (i < mapped_.size()) return mapped_[i];
-    return data_.data() + (i - mapped_.size()) * networks_ * width_;
-  }
-  /// Mutable access is owned-rows-only: mapped rows are immutable pages.
-  std::byte* row_ptr(std::size_t i) {
-    return data_.data() + (i - mapped_.size()) * networks_ * width_;
-  }
+  /// Bytes one owned slab aims for: narrow rows share a slab (no
+  /// per-row allocation), a row wider than this gets a slab of its own.
+  static constexpr std::size_t kSlabBytes = std::size_t{1} << 20;
+
+  /// Re-lays every row, mapped ones included, into fresh owned slabs at
+  /// element width @p width and drops the borrow — the one path that
+  /// moves existing rows (widening, or a copy_row onto a mapped row).
+  void relayout(std::size_t width);
+  /// Appends a row slot (the next owned slot, reusing one pop_back()
+  /// released) and returns it for the caller to fill.
+  std::byte* push_slot();
+  const std::byte* row_ptr(std::size_t i) const { return row_[i]; }
 
   std::size_t networks_ = 0;
-  std::size_t rows_ = 0;
   std::size_t width_ = 1;
-  std::vector<std::byte> data_;  // owned rows mapped_.size()..rows_-1
-  std::vector<const std::byte*> mapped_;  // borrowed prefix, one per row
+  std::size_t mapped_ = 0;  // rows [0, mapped_) are borrowed
+  /// Row i's bytes: the borrowed prefix, then owned row i at slot
+  /// i − mapped_ of the slabs.
+  std::vector<const std::byte*> row_;
+  std::vector<std::unique_ptr<std::byte[]>> slabs_;
+  std::size_t slab_rows_ = 0;  // rows per slab at the current stride
   std::shared_ptr<const void> keepalive_;
 };
 

@@ -229,25 +229,38 @@ void SimilarityMatrix::set_anchor_limits(std::size_t recent,
   }
 }
 
+std::uint64_t SimilarityMatrix::known(std::size_t row) {
+  if (known_[row] == kKnownUnset) {
+    known_[row] = packed_.counts(row, row).mutual_known;
+  }
+  return known_[row];
+}
+
+void SimilarityMatrix::extend_bounds_across(std::size_t i) {
+  if (i == 0 || (recent_.empty() && representatives_.empty())) return;
+  const std::size_t step = step_size(i, packed_.counts(i - 1, i));
+  for (AnchorRow& a : recent_) a.est_delta = sat_add(a.est_delta, step);
+  for (AnchorRow& a : representatives_) {
+    a.est_delta = sat_add(a.est_delta, step);
+  }
+}
+
 SimilarityMatrix::AnchorRow* SimilarityMatrix::select_anchor(
-    std::size_t i, std::vector<DeltaEntry>& delta, bool& chose_rep) {
+    std::size_t i, std::size_t step, std::vector<DeltaEntry>& delta,
+    bool& chose_rep) {
   PhiMetrics& metrics = phi_metrics();
   const std::size_t nets = packed_.networks();
 
-  // Extend every anchor's chained bound by this row's step change set
-  // (the triangle inequality holds through any intermediate row, valid
-  // or not), then pick the cheapest anchor.
-  std::vector<DeltaEntry> step;
+  // Extend every anchor's chained bound by this row's step size (the
+  // triangle inequality holds through any intermediate row, valid or
+  // not), then pick the cheapest anchor.
   const bool anchors_on = !recent_.empty() || !representatives_.empty();
   if (anchors_on && i > 0) {
-    step = packed_.delta_between(i - 1, i);
     for (AnchorRow& a : recent_) {
-      a.est_delta = a.row == i - 1 ? step.size()
-                                   : sat_add(a.est_delta, step.size());
+      a.est_delta = a.row == i - 1 ? step : sat_add(a.est_delta, step);
     }
     for (AnchorRow& a : representatives_) {
-      a.est_delta = a.row == i - 1 ? step.size()
-                                   : sat_add(a.est_delta, step.size());
+      a.est_delta = a.row == i - 1 ? step : sat_add(a.est_delta, step);
     }
   }
 
@@ -283,11 +296,7 @@ SimilarityMatrix::AnchorRow* SimilarityMatrix::select_anchor(
     }
   }
   if (chosen != nullptr && chosen_bound <= max_delta) {
-    if (chosen->row == i - 1) {
-      delta = std::move(step);
-    } else {
-      delta = packed_.delta_between(chosen->row, i);
-    }
+    delta = packed_.delta_between(chosen->row, i);
   } else if (!candidates.empty() && candidates.size() * 4 <= i &&
              probe_cooldown_ == 0) {
     // 2. Probe: one bounded scan per candidate — the recurrence
@@ -400,6 +409,7 @@ void SimilarityMatrix::append(const RoutingVector& v) {
   n_ += 1;
   values_.push_row();
   valid_.push_back(v.valid ? 1 : 0);
+  known_.push_back(kKnownUnset);
   anchor_of_.resize(n_, kNoAnchorRow);
   append_clock_ += 1;
   PhiMetrics& metrics = phi_metrics();
@@ -412,29 +422,41 @@ void SimilarityMatrix::append(const RoutingVector& v) {
     // rows need a placeholder so column indices keep lining up.
     for (AnchorRow& a : recent_) a.counts.emplace_back();
     for (AnchorRow& a : representatives_) a.counts.emplace_back();
-    if (i > 0 && !weighted && (!recent_.empty() || !representatives_.empty())) {
-      const std::size_t step = packed_.delta_between(i - 1, i).size();
-      for (AnchorRow& a : recent_) a.est_delta = sat_add(a.est_delta, step);
-      for (AnchorRow& a : representatives_) {
-        a.est_delta = sat_add(a.est_delta, step);
-      }
-    }
+    extend_bounds_across(i);
     return;
   }
 
   const std::size_t nets = packed_.networks();
   double* vrow = values_.owned_row(i);  // new rows are always owned
 
+  // The counts the step size needs are the row's own: the diagonal and
+  // the predecessor column, computed here once and kept for the fill —
+  // columns [settled, i] need no work there beyond their Φ.
+  std::vector<MatchCounts> row(i + 1);
+  std::size_t settled = i + 1;
   std::vector<DeltaEntry> delta;
   bool chose_rep = false;
-  AnchorRow* chosen =
-      weighted ? nullptr : select_anchor(i, delta, chose_rep);
+  AnchorRow* chosen = nullptr;
+  if (!weighted) {
+    const std::uint64_t k = known(i);
+    row[i] = {k, k};
+    settled = i;
+    std::size_t step = 0;
+    if (i > 0 && (!recent_.empty() || !representatives_.empty())) {
+      const MatchCounts prev = packed_.counts(i - 1, i);
+      step = step_size(i, prev);
+      if (valid_[i - 1]) {
+        row[i - 1] = prev;
+        settled = i - 1;
+      }
+    }
+    chosen = select_anchor(i, step, delta, chose_rep);
+  }
   const bool use_delta = chosen != nullptr;
   // Chain lineage before the representative refresh below reassigns
   // chosen->row to i.
   if (use_delta) anchor_of_[i] = chosen->row;
 
-  std::vector<MatchCounts> row(i + 1);
   const AnchorRow* anchor = chosen;  // stable across the parallel fill
   auto fill_column = [&](std::size_t j) {
     if (!valid_[j]) return;
@@ -443,14 +465,18 @@ void SimilarityMatrix::append(const RoutingVector& v) {
           packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
       return;
     }
+    if (j >= settled) {
+      vrow[j] = phi_from_counts(row[j], nets, policy_);
+      return;
+    }
     MatchCounts c;
-    if (use_delta && j < i) {
+    if (use_delta) {
       // Overlap the next pair's random reads with this pair's patch; the
       // patch is otherwise bound by one serialised miss per delta entry.
       if (j + 2 < i && valid_[j + 2]) packed_.prefetch_delta(j + 2, delta);
       c = apply_delta(anchor->counts[j], delta, packed_, j);
     } else {
-      c = packed_.counts(i, j);  // diagonal, or kernel-path row
+      c = packed_.counts(i, j);  // kernel-path row
     }
     row[j] = c;
     vrow[j] = phi_from_counts(c, nets, policy_);
@@ -532,11 +558,12 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
 
   // Pass 0: pack every row and grow the value/validity stores, so the
   // planning pass can probe any batch row. One reservation up front —
-  // a mid-loop reallocation would copy the whole packed store.
+  // a mid-loop reallocation would copy the whole triangle.
   reserve(n0 + k);
   for (const RoutingVector& v : batch) {
     packed_.append(v);
     valid_.push_back(v.valid ? 1 : 0);
+    known_.push_back(kKnownUnset);
     values_.push_row();
   }
   n_ = n0 + k;
@@ -566,18 +593,16 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
     metrics.appends.inc();
     append_clock_ += 1;
     if (!batch[r].valid) {
-      if (i > 0 && (!recent_.empty() || !representatives_.empty())) {
-        const std::size_t step = packed_.delta_between(i - 1, i).size();
-        for (AnchorRow& a : recent_) a.est_delta = sat_add(a.est_delta, step);
-        for (AnchorRow& a : representatives_) {
-          a.est_delta = sat_add(a.est_delta, step);
-        }
-      }
+      extend_bounds_across(i);
       continue;
+    }
+    std::size_t step = 0;
+    if (i > 0 && (!recent_.empty() || !representatives_.empty())) {
+      step = step_size(i, packed_.counts(i - 1, i));
     }
     bool chose_rep = false;
     std::vector<DeltaEntry> delta;
-    AnchorRow* chosen = select_anchor(i, delta, chose_rep);
+    AnchorRow* chosen = select_anchor(i, step, delta, chose_rep);
     if (chosen != nullptr) {
       plan[r].path = RowPlan::Path::kDelta;
       plan[r].base = chosen->row;
@@ -668,7 +693,8 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       if (!valid_[j]) continue;
       MatchCounts c;
       if (s == r) {
-        c = packed_.counts(i, i);  // diagonal, exactly as append()
+        const std::uint64_t known_i = known(i);  // the diagonal
+        c = {known_i, known_i};
       } else if (p.path == RowPlan::Path::kDelta) {
         const std::size_t b = p.base;
         const MatchCounts base = (b >= n0 && b - n0 > s)
@@ -718,6 +744,7 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t width,
   packed_.adopt_rows(networks, width, packed_rows, keepalive);
   valid_.reserve(rows.size());
   anchor_of_.reserve(rows.size());
+  known_.assign(rows.size(), kKnownUnset);
   for (const AdoptedRow& r : rows) {
     values_.adopt_row(r.phi);
     valid_.push_back(r.valid ? 1 : 0);
@@ -736,6 +763,7 @@ void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
   const std::size_t i = n_;
   packed_.append_packed(row.packed, src_width);
   valid_.push_back(row.valid ? 1 : 0);
+  known_.push_back(kKnownUnset);
   anchor_of_.push_back(row.anchor_of);
   values_.push_row();
   std::memcpy(values_.owned_row(i), row.phi, (i + 1) * sizeof(double));

@@ -24,7 +24,14 @@
 // Churn against each anchor is first *estimated* without touching the
 // vectors: |Δ(t, anchor)| ≤ Σ|Δ| of the per-step change sets along the
 // chain between them (triangle inequality over Hamming distance), a
-// running sum each anchor maintains. Only when every chained bound
+// running sum each anchor maintains. Each step's |Δ(t−1, t)| comes from
+// counts, not from a change set: two rows differ wherever either is
+// known, less where both are known and equal, so
+//   |Δ(t−1, t)| = known(t−1) + known(t) − mutual_known − matches
+// over counts(t−1, t), with known(r) the row's diagonal count — exact,
+// so every bound and path choice is what materializing the step would
+// give, and a change set is built only for the anchor append() picks.
+// Only when every chained bound
 // misses the kDeltaDensityThreshold does append() probe anchors with
 // one exact O(N) change-set scan each — still far cheaper than the
 // O(T·N) kernel row — and it falls back to the packed kernels when no
@@ -205,17 +212,18 @@ class SimilarityMatrix {
   /// back to the plain append loop (no cached counts to batch).
   void append_batch(std::span<const RoutingVector> batch);
 
-  /// Pre-sizes the packed store, value triangle, and validity bits for
+  /// Pre-sizes the value triangle and the per-row bookkeeping for
   /// @p rows total observations (no-op when already that large). Ingest
   /// paths that know how much history they are about to replay — a
   /// matrix-cache warm append, a watch-resume rebuild, an epoch fold —
   /// call this so the appends grow storage once instead of reallocating
-  /// (and copying the whole triangle) mid-stream.
+  /// (and copying the whole triangle) mid-stream. Packed rows need no
+  /// reservation: their slabs never move (compare_kernels.h).
   void reserve(std::size_t rows) {
     if (rows <= n_) return;
-    packed_.reserve(rows);
     values_.reserve_rows(rows);
     valid_.reserve(rows);
+    known_.reserve(rows);
   }
 
   /// Pins @p row (a valid, already-appended observation) as a
@@ -343,16 +351,31 @@ class SimilarityMatrix {
   AnchorRow* find_anchor(std::size_t row);
   void pin_representative(AnchorRow anchor);
 
+  /// Networks with a known site in row @p row — the diagonal's
+  /// mutual_known (= matches), computed once per row and cached.
+  std::uint64_t known(std::size_t row);
+
+  /// |Δ(i−1, i)| from @p c = counts(i−1, i): the exact step size,
+  /// without building the change set.
+  std::size_t step_size(std::size_t i, const MatchCounts& c) {
+    return static_cast<std::size_t>(known(i - 1) + known(i) -
+                                    c.mutual_known - c.matches);
+  }
+
+  /// Carries every anchor's chained bound across invalid row @p i (the
+  /// triangle inequality holds through any row, valid or not).
+  void extend_bounds_across(std::size_t i);
+
   /// Shared head of append()/append_batch() for unweighted matrices:
-  /// extends every anchor's chained bound by row @p i's step change set,
+  /// extends every anchor's chained bound by @p step = |Δ(i−1, i)|,
   /// picks the cheapest anchor (chained bound → bounded probes →
   /// nullptr = kernel fallback), and records the per-row path metrics.
   /// On success @p delta holds the realized change set against the
-  /// returned anchor and @p chose_rep says whether it is a
-  /// representative (the caller owns the refresh-to-latest step, whose
-  /// counts come from the fill).
-  AnchorRow* select_anchor(std::size_t i, std::vector<DeltaEntry>& delta,
-                           bool& chose_rep);
+  /// returned anchor — the only one built — and @p chose_rep says
+  /// whether it is a representative (the caller owns the
+  /// refresh-to-latest step, whose counts come from the fill).
+  AnchorRow* select_anchor(std::size_t i, std::size_t step,
+                           std::vector<DeltaEntry>& delta, bool& chose_rep);
 
   /// One append_batch() chunk (bounded so the transient per-row counts
   /// stay a few MB): plan anchors sequentially, fill old columns
@@ -363,6 +386,10 @@ class SimilarityMatrix {
   std::size_t n_ = 0;
   TriangleStore values_;  // lower triangle incl. diagonal
   std::vector<char> valid_;
+  /// known(r) per row; kKnownUnset until first needed (adopted and
+  /// precomputed rows, invalid rows the bounds never crossed).
+  static constexpr std::uint64_t kKnownUnset = ~std::uint64_t{0};
+  std::vector<std::uint64_t> known_;
 
   UnknownPolicy policy_ = UnknownPolicy::kPessimistic;
   std::vector<double> weights_;

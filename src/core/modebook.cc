@@ -65,7 +65,7 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
   // common miss case — cheap next to the packed counts() pass.
   std::array<obs::DecisionCandidate, obs::kLineageTopK> top{};
   std::size_t top_count = 0;
-  for (std::size_t m = 0; m < representatives_.size(); ++m) {
+  for (std::size_t m = 0; m < candidate; ++m) {
     ++scanned;
     const MatchCounts counts = packed_.counts(m, candidate);
     const double phi =
@@ -99,10 +99,7 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
     out.mode = *best;
     out.phi = best_phi;
     out.is_recurrence = !history_.empty() && history_.back() != *best;
-    if (config_.adapt_representative) {
-      representatives_[*best] = v;
-      packed_.copy_row(*best, candidate);
-    }
+    if (config_.adapt_representative) packed_.copy_row(*best, candidate);
     packed_.pop_back();
     if (out.is_recurrence) {
       recurrences_counter().inc();
@@ -132,16 +129,15 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
               ",\"runner_up_phi\":" + obs::render_double(second_phi));
     }
   } else {
-    out.mode = representatives_.size();
+    out.mode = candidate;  // the candidate row stays in packed_
     out.phi = best_phi < 0 ? 0.0 : best_phi;
     out.is_new = true;
-    representatives_.push_back(v);  // the candidate row stays in packed_
     new_modes_counter().inc();
     obs::event_bus().emit(obs::Severity::kNotice, "mode_created",
                           "\"mode\":" + std::to_string(out.mode) +
                               ",\"best_phi\":" + obs::render_double(out.phi) +
                               ",\"modes\":" +
-                              std::to_string(representatives_.size()));
+                              std::to_string(mode_count()));
   }
   // Every verdict leaves a decision record (see CONTRIBUTING): the
   // struct is flat and the store renders JSON lazily, so the recording
@@ -191,24 +187,33 @@ std::string ModeBook::status_json() const {
   return out;
 }
 
-void ModeBook::restore(std::vector<RoutingVector> representatives,
+RoutingVector ModeBook::representative(std::size_t mode) const {
+  if (mode >= mode_count()) {
+    throw std::out_of_range("ModeBook::representative");
+  }
+  RoutingVector v;
+  v.assignment.resize(packed_.networks());
+  for (std::size_t n = 0; n < v.assignment.size(); ++n) {
+    v.assignment[n] = packed_.value_at(mode, n);
+  }
+  return v;
+}
+
+void ModeBook::restore(PackedSeries representatives,
                        std::vector<std::size_t> history) {
   for (const std::size_t mode : history) {
-    if (mode >= representatives.size()) {
+    if (mode >= representatives.rows()) {
       throw std::invalid_argument(
           "ModeBook::restore: history names mode " + std::to_string(mode) +
-          " but only " + std::to_string(representatives.size()) +
+          " but only " + std::to_string(representatives.rows()) +
           " representatives were given");
     }
   }
-  PackedSeries packed;
-  for (const RoutingVector& r : representatives) packed.append(r);
-  representatives_ = std::move(representatives);
-  packed_ = std::move(packed);
+  packed_ = std::move(representatives);
   history_ = std::move(history);
   // The segment store keeps no per-mode sighting times: gaps restart
   // unknown, and the first post-restore recurrence omits its gap.
-  last_seen_.assign(representatives_.size(), std::nullopt);
+  last_seen_.assign(mode_count(), std::nullopt);
 }
 
 }  // namespace fenrir::core

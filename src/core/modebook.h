@@ -10,11 +10,14 @@
 // recurring two days later, B-Root returning toward its 2019 routing —
 // reports the original mode id and the match strength.
 //
-// The representative scan runs on the packed match-count kernels
-// (compare_kernels.h) — bit-identical to gower_similarity() — and stops
-// at the first Φ = 1.0 representative (a perfect match cannot be beaten,
-// and ties resolve to the earliest mode either way). Scan lengths are
-// exported as the fenrir_modebook_scan_length histogram.
+// Representatives are kept only as packed rows (compare_kernels.h) —
+// at paper scale a mode costs 5 MB at one byte per network rather than
+// 20 MB as a RoutingVector — and representative() unpacks one on
+// demand. The scan runs on the packed match-count kernels, bit-identical
+// to gower_similarity(), and stops at the first Φ = 1.0 representative
+// (a perfect match cannot be beaten, and ties resolve to the earliest
+// mode either way). Scan lengths are exported as the
+// fenrir_modebook_scan_length histogram.
 //
 // Each decision is also published on the detection event plane
 // (obs/events.h): mode_created when a vector founds a mode, recurrence
@@ -33,6 +36,10 @@
 #include "core/compare.h"
 #include "core/compare_kernels.h"
 #include "core/vector.h"
+
+namespace fenrir::io {
+class SegmentCodec;  // segment-store persistence (io/segment_store.h)
+}  // namespace fenrir::io
 
 namespace fenrir::core {
 
@@ -65,18 +72,19 @@ class ModeBook {
   /// the previous state unchanged with phi = 0 (and are not recorded).
   Match observe(const RoutingVector& v);
 
-  /// Replaces the book's state with a previously captured one (the
-  /// representative per mode plus the per-observation mode history), so
-  /// a watcher can resume where an earlier process stopped (fenrirctl
-  /// watch --store). Throws std::invalid_argument when a history entry
-  /// names a mode without a representative.
-  void restore(std::vector<RoutingVector> representatives,
+  /// Replaces the book's state with a previously captured one (one
+  /// packed representative row per mode, row m for mode m, plus the
+  /// per-observation mode history), so a watcher can resume where an
+  /// earlier process stopped (fenrirctl watch --store). Throws
+  /// std::invalid_argument when a history entry names a mode without a
+  /// representative.
+  void restore(PackedSeries representatives,
                std::vector<std::size_t> history);
 
-  std::size_t mode_count() const noexcept { return representatives_.size(); }
-  const RoutingVector& representative(std::size_t mode) const {
-    return representatives_.at(mode);
-  }
+  std::size_t mode_count() const noexcept { return packed_.rows(); }
+  /// Mode @p mode's representative, unpacked from its row: the
+  /// assignment only (valid, time 0). Throws std::out_of_range.
+  RoutingVector representative(std::size_t mode) const;
   /// Mode id assigned to each observed (valid) vector, in order.
   const std::vector<std::size_t>& history() const noexcept {
     return history_;
@@ -88,10 +96,11 @@ class ModeBook {
   std::string status_json() const;
 
  private:
+  friend class io::SegmentCodec;
+
   Config config_;
-  std::vector<RoutingVector> representatives_;
-  /// representatives_ packed for the kernel scan; row m mirrors
-  /// representatives_[m].
+  /// Row m is mode m's representative. observe() appends the candidate
+  /// as one more row and pops it again unless it founds a mode.
   PackedSeries packed_;
   std::vector<std::size_t> history_;
   /// Dataset time each mode was last observed — the recurrence event's

@@ -33,7 +33,6 @@ using wire::patch_u64;
 using wire::payload_checksum;
 using wire::put_i64;
 using wire::put_u32;
-using wire::put_u32_array;
 using wire::put_u64;
 using wire::put_u64_array;
 using wire::put_u8;
@@ -416,6 +415,65 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   return v;
 }
 
+/// Steps @p r over a v4 modebook section, checking what restore() and
+/// the first observe() would otherwise trip over: every representative
+/// has a packed width of 1, 2 or 4, and covers @p networks networks (or,
+/// in a store with no rows yet, as many as the first representative).
+void check_modebook(Reader& r, std::size_t networks) {
+  const std::size_t modes = r.get_count(16);
+  std::size_t expect = networks;
+  for (std::size_t m = 0; m < modes; ++m) {
+    const std::uint64_t width = r.get_u64();
+    if (width != 1 && width != 2 && width != 4) {
+      throw store_corrupt("segment manifest: inconsistent — representative " +
+                          std::to_string(m) + " has packed width " +
+                          std::to_string(width) + ", not 1, 2, or 4");
+    }
+    const std::size_t size = r.get_count(width);
+    if (m == 0 && expect == 0) expect = size;
+    if (size != expect) {
+      throw store_corrupt("segment manifest: inconsistent — representative " +
+                          std::to_string(m) + " covers " +
+                          std::to_string(size) + " networks, the store " +
+                          std::to_string(expect));
+    }
+    r.take(pad8(size * width));
+  }
+  r.take(r.get_count(8) * 8);
+}
+
+/// Rebuilds the representatives and history from a modebook section
+/// check_modebook() accepted.
+void read_modebook(const std::string& section, core::PackedSeries& reps,
+                   std::vector<std::size_t>& history) {
+  Reader r{reinterpret_cast<const unsigned char*>(section.data()),
+           section.size(), 0, "segment manifest"};
+  const std::size_t modes = r.get_count(16);
+  std::vector<std::byte> host;  // big-endian hosts: host-order row
+  for (std::size_t m = 0; m < modes; ++m) {
+    const auto width = static_cast<std::size_t>(r.get_u64());
+    const std::size_t size = r.get_count(width);
+    const auto* row =
+        reinterpret_cast<const std::byte*>(r.take(pad8(size * width)));
+    if (m == 0) reps.adopt_rows(size, width, {}, nullptr);
+    if (size == 0) {
+      reps.append(core::RoutingVector{});
+      continue;
+    }
+    if constexpr (std::endian::native == std::endian::big) {
+      // Rows are little-endian on disk; append_packed takes host order.
+      host.resize(size * width);
+      for (std::size_t b = 0; b < host.size(); b += width) {
+        std::reverse_copy(row + b, row + b + width, host.begin() + b);
+      }
+      row = host.data();
+    }
+    reps.append_packed(row, width);
+  }
+  history.resize(r.get_count(8));
+  for (std::size_t& h : history) h = static_cast<std::size_t>(r.get_u64());
+}
+
 std::uint64_t dataset_header_hash(const core::Dataset& dataset) {
   IdentityHash h;
   h.add(dataset.networks.size());
@@ -476,6 +534,25 @@ class SegmentCodec {
     return row < m.anchor_of_.size()
                ? m.anchor_of_[row]
                : core::SimilarityMatrix::kNoAnchorRow;
+  }
+  /// @p book's manifest section, encoded straight from its packed rows:
+  /// u64 mode count; per mode u64 width, u64 networks and the row's
+  /// little-endian bytes padded to 8; u64 history count, u64 per entry.
+  static std::string encode_modebook(const core::ModeBook& book) {
+    const core::PackedSeries& rows = book.packed_;
+    std::string out;
+    out.reserve(8 + rows.rows() * (16 + pad8(rows.networks_ * rows.width_)) +
+                8 * (1 + book.history().size()));
+    put_u64(out, rows.rows());
+    for (std::size_t m = 0; m < rows.rows(); ++m) {
+      put_u64(out, rows.width_);
+      put_u64(out, rows.networks_);
+      put_packed_le(out, rows.row_ptr(m), rows.networks_, rows.width_,
+                    rows.width_);
+    }
+    put_u64(out, book.history().size());
+    for (const std::size_t m : book.history()) put_u64(out, m);
+    return out;
   }
 };
 
@@ -680,17 +757,7 @@ std::string SegmentStore::encode_manifest_locked() const {
     put_i64(out, tail_->min_time);
     put_i64(out, tail_->max_time);
   }
-  if (has_modebook_) {
-    put_u64(out, representatives_.size());
-    for (const core::RoutingVector& rep : representatives_) {
-      put_i64(out, rep.time);
-      put_u8(out, rep.valid ? 1 : 0);
-      put_u64(out, rep.assignment.size());
-      put_u32_array(out, rep.assignment.data(), rep.assignment.size());
-    }
-    put_u64(out, history_.size());
-    for (const std::size_t m : history_) put_u64(out, m);
-  }
+  if (has_modebook_) out.append(modebook_);
   patch_u64(out, length_at, out.size() + 4);  // the CRC trailer follows
   put_u32(out, payload_checksum(out.data(), out.size()));
   return out;
@@ -807,25 +874,11 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
         "segment manifest: inconsistent — processed count disagrees with "
         "the segment rows");
   }
-  representatives_.clear();
-  history_.clear();
+  modebook_.clear();
   if (has_modebook_) {
-    const std::size_t mode_count = r.get_count(17);
-    representatives_.reserve(mode_count);
-    for (std::size_t m = 0; m < mode_count; ++m) {
-      core::RoutingVector rep;
-      rep.time = r.get_i64();
-      rep.valid = r.get_u8() != 0;
-      const std::size_t size = r.get_count(4);
-      rep.assignment.resize(size);
-      r.get_u32_array(rep.assignment.data(), size);
-      representatives_.push_back(std::move(rep));
-    }
-    const std::size_t history_count = r.get_count(8);
-    history_.resize(history_count);
-    for (std::size_t m = 0; m < history_count; ++m) {
-      history_[m] = static_cast<std::size_t>(r.get_u64());
-    }
+    const std::size_t at = r.off;
+    check_modebook(r, networks_);
+    modebook_.assign(bytes, at, r.off - at);
   }
 }
 
@@ -1019,12 +1072,7 @@ void SegmentStore::flush(const core::ModeBook* book) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (book != nullptr) {
     has_modebook_ = true;
-    representatives_.clear();
-    representatives_.reserve(book->mode_count());
-    for (std::size_t m = 0; m < book->mode_count(); ++m) {
-      representatives_.push_back(book->representative(m));
-    }
-    history_ = book->history();
+    modebook_ = SegmentCodec::encode_modebook(*book);
   }
   flush_locked(false);
 }
@@ -1199,8 +1247,10 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   SegMetrics& metrics = seg_metrics();
   Loaded out{core::SimilarityMatrix(policy_, weights_, cfg_.threads),
-             base_row_, processed_, has_modebook_, representatives_,
-             history_};
+             base_row_, processed_, has_modebook_, {}, {}};
+  if (has_modebook_) {
+    read_modebook(modebook_, out.representatives, out.history);
+  }
   const std::uint64_t S = base_row_;
   const std::size_t retained = static_cast<std::size_t>(processed_ - S);
   if (retained == 0) return out;

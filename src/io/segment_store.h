@@ -75,9 +75,19 @@
 // (flat); a store driven by append_raw() alone (benches) records none.
 // All three hashes are wire::IdentityHash — the checksum's four
 // multiply–rotate lanes fed 64-bit words by value, so hashing a 5M-id
-// row runs at memory speed on any host. Segment files are version 2
-// and the manifest version 3; any other version of either is refused
-// with "version skew" — there is no read path for older stores.
+// row runs at memory speed on any host.
+//
+// The manifest also carries the watch's ModeBook: one record per mode
+// holding the representative's packed width, its network count and the
+// packed row at that width (little-endian, padded to 8), then the
+// per-observation mode history. flush(&book) encodes the rows straight
+// from the book's packed storage, so a paper-scale book of five modes
+// costs 25 MB of manifest at one byte per network, not 100 MB of u32
+// site ids. The decoder rejects a representative whose width is not
+// 1, 2 or 4 or whose length disagrees with the store's network count.
+// Segment files are version 2 and the manifest version 4; any other
+// version of either is refused with "version skew" — there is no read
+// path for older stores.
 #pragma once
 
 #include <cstddef>
@@ -104,7 +114,7 @@ inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
 inline constexpr std::uint32_t kSegmentVersion = 2;
-inline constexpr std::uint32_t kManifestVersion = 3;
+inline constexpr std::uint32_t kManifestVersion = 4;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
@@ -216,7 +226,9 @@ class SegmentStore {
     std::uint64_t base_row = 0;
     std::uint64_t processed = 0;
     bool has_modebook = false;
-    std::vector<core::RoutingVector> representatives;
+    /// The book's representatives, row m for mode m, at the width they
+    /// were flushed with — what ModeBook::restore takes.
+    core::PackedSeries representatives;
     std::vector<std::size_t> history;
   };
 
@@ -305,8 +317,9 @@ class SegmentStore {
   bool names_hash_stale_ = false;
   std::size_t networks_ = 0;
   bool has_modebook_ = false;
-  std::vector<core::RoutingVector> representatives_;
-  std::vector<std::size_t> history_;
+  /// The manifest's modebook section, encoded (what every manifest
+  /// write appends verbatim until the next flush(&book) replaces it).
+  std::string modebook_;
 
   std::uint64_t base_row_ = 0;
   std::uint64_t processed_ = 0;

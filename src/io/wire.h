@@ -106,18 +106,6 @@ inline void put_u64_array(std::string& out, const void* words,
   }
 }
 
-/// put_u64_array's 4-byte twin (ModeBook representatives in the
-/// segment manifest: networks × modes site ids).
-inline void put_u32_array(std::string& out, const void* words,
-                          std::size_t count) {
-  if constexpr (std::endian::native == std::endian::little) {
-    out.append(static_cast<const char*>(words), count * 4);
-  } else {
-    const auto* p = static_cast<const std::uint32_t*>(words);
-    for (std::size_t i = 0; i < count; ++i) put_u32(out, p[i]);
-  }
-}
-
 inline void patch_u64(std::string& out, std::size_t at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out[at + static_cast<std::size_t>(i)] =
@@ -182,6 +170,14 @@ struct Reader {
     }
     return static_cast<std::size_t>(v);
   }
+  /// Steps over @p k bytes and returns where they start — zero-copy
+  /// access to a packed array.
+  const unsigned char* take(std::size_t k) {
+    need(k);
+    const unsigned char* at = p + off;
+    off += k;
+    return at;
+  }
   void get_bytes(void* dst, std::size_t k) {
     need(k);
     if (k == 0) return;  // an empty array's dst may be null
@@ -196,15 +192,6 @@ struct Reader {
     } else {
       auto* out = static_cast<std::uint64_t*>(dst);
       for (std::size_t i = 0; i < count; ++i) out[i] = get_u64();
-    }
-  }
-  /// Bulk read of @p count little-endian 4-byte words (put_u32_array).
-  void get_u32_array(void* dst, std::size_t count) {
-    if constexpr (std::endian::native == std::endian::little) {
-      get_bytes(dst, count * 4);
-    } else {
-      auto* out = static_cast<std::uint32_t*>(dst);
-      for (std::size_t i = 0; i < count; ++i) out[i] = get_u32();
     }
   }
 };

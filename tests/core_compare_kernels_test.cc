@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -80,6 +82,105 @@ TEST(PackedSeries, PopBackAndCopyRow) {
 // bit-identical to the scalar reference, across sizes that exercise the
 // blocked loop (full blocks, tails, tiny), every width, both policies,
 // and unknown fractions from none to nearly-all.
+/// The scalar oracle's counts over two routing vectors.
+MatchCounts oracle_counts(const RoutingVector& a, const RoutingVector& b) {
+  MatchCounts c;
+  for (std::size_t n = 0; n < a.assignment.size(); ++n) {
+    const SiteId x = a.assignment[n];
+    const SiteId y = b.assignment[n];
+    c.matches += x == y && x != kUnknownSite;
+    c.mutual_known += x != kUnknownSite && y != kUnknownSite;
+  }
+  return c;
+}
+
+/// Every row of @p s against the vectors it was built from: each
+/// element through value_at, and counts() on the diagonal and against
+/// the first and last rows.
+void expect_rows_match(const PackedSeries& s,
+                       const std::vector<RoutingVector>& want,
+                       const std::string& stage) {
+  ASSERT_EQ(s.rows(), want.size()) << stage;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    for (std::size_t n = 0; n < s.networks(); ++n) {
+      ASSERT_EQ(s.value_at(r, n), want[r].assignment[n])
+          << stage << " row " << r << " network " << n;
+    }
+    for (const std::size_t j : {r, std::size_t{0}, want.size() - 1}) {
+      const MatchCounts got = s.counts(r, j);
+      const MatchCounts expect = oracle_counts(want[r], want[j]);
+      EXPECT_EQ(got.matches, expect.matches) << stage << " " << r << "," << j;
+      EXPECT_EQ(got.mutual_known, expect.mutual_known)
+          << stage << " " << r << "," << j;
+    }
+  }
+}
+
+// One series through every storage path: a mapped prefix, appends that
+// cross slab boundaries, pop_back/append cycles reusing a slot, a
+// copy_row onto a mapped row (which moves every row into owned slabs),
+// and two widening appends. 100,003 networks put ten one-byte rows, five
+// two-byte rows and two four-byte rows in a slab.
+TEST(PackedSeries, RowStorageMatchesOracleThroughEveryPath) {
+  const std::size_t nets = 100'003;
+  rng::Rng r(2024);
+  std::vector<RoutingVector> want;
+  const auto draw = [&](SiteId max_site) {
+    RoutingVector v = random_vector(r, nets, max_site, 0.3);
+    want.push_back(v);
+    return v;
+  };
+
+  // The mapped prefix: three one-byte rows in a buffer the series
+  // borrows for as long as the keepalive lives.
+  auto pages = std::make_shared<std::vector<std::byte>>(3 * nets);
+  std::vector<const std::byte*> prefix;
+  for (std::size_t row = 0; row < 3; ++row) {
+    const RoutingVector v = draw(200);
+    for (std::size_t n = 0; n < nets; ++n) {
+      (*pages)[row * nets + n] = static_cast<std::byte>(v.assignment[n]);
+    }
+    prefix.push_back(pages->data() + row * nets);
+  }
+  PackedSeries s;
+  s.adopt_rows(nets, 1, prefix, pages);
+  EXPECT_EQ(s.mapped_rows(), 3u);
+  expect_rows_match(s, want, "mapped prefix");
+
+  for (int k = 0; k < 12; ++k) s.append(draw(200));
+  expect_rows_match(s, want, "appends past a slab");
+
+  for (int k = 0; k < 3; ++k) {
+    s.pop_back();
+    want.pop_back();
+    s.append(draw(200));
+  }
+  expect_rows_match(s, want, "pop_back/append cycles");
+
+  s.copy_row(1, 7);
+  want[1] = want[7];
+  EXPECT_EQ(s.mapped_rows(), 0u);
+  expect_rows_match(s, want, "copy_row onto a mapped row");
+
+  RoutingVector wide = draw(200);
+  wide.assignment[nets - 1] = 300;
+  want.back() = wide;
+  s.append(wide);
+  EXPECT_EQ(s.width(), 2u);
+  for (int k = 0; k < 6; ++k) s.append(draw(60'000));
+  expect_rows_match(s, want, "two-byte rows");
+
+  RoutingVector wider = draw(60'000);
+  wider.assignment[0] = 70'000;
+  want.back() = wider;
+  s.append(wider);
+  EXPECT_EQ(s.width(), 4u);
+  for (int k = 0; k < 3; ++k) s.append(draw(1'000'000));
+  s.pop_back();
+  want.pop_back();
+  expect_rows_match(s, want, "four-byte rows");
+}
+
 TEST(PackedKernels, BitIdenticalToScalarReference) {
   const std::size_t sizes[] = {0, 1, 7, 255, 4096, 4097, 10'000};
   const SiteId site_counts[] = {5, 300, 70'000};
@@ -372,6 +473,53 @@ TEST(SimdKernels, IngestAndSwapPatchBitIdenticalToScalarOracleAllTiers) {
             << name << " n=" << n;
       }
     }
+  }
+}
+
+// The step size the similarity matrix derives from counts: two rows
+// differ wherever either is known, less where both are known and equal,
+// so known(a) + known(b) − mutual_known − matches must be exactly the
+// change set's size — for every tier, width and unknown fraction, on
+// independent and on near-identical row pairs.
+template <typename T>
+void expect_step_identity(
+    MatchCounts (*count)(const T*, const T*, std::size_t),
+    bool (*delta)(const T*, const T*, std::size_t, std::size_t,
+                  std::vector<DeltaEntry>&),
+    rng::Rng& r, SiteId max_site, const char* tier) {
+  for (const std::size_t n : kSimdSizes) {
+    for (const double uf : {0.0, 0.5, 1.0}) {
+      const auto a = random_sites<T>(r, n, max_site, uf);
+      auto near = a;
+      for (std::size_t k = 0; n > 0 && k < n / 20 + 1; ++k) {
+        near[r.uniform(n)] =
+            r.bernoulli(uf) ? T{0}
+                            : static_cast<T>(kFirstRealSite + r.uniform(max_site));
+      }
+      for (const auto& b : {random_sites<T>(r, n, max_site, uf), near}) {
+        const MatchCounts c = count(a.data(), b.data(), n);
+        const std::uint64_t known_a = count(a.data(), a.data(), n).mutual_known;
+        const std::uint64_t known_b = count(b.data(), b.data(), n).mutual_known;
+        std::vector<DeltaEntry> changes;
+        ASSERT_TRUE(delta(a.data(), b.data(), n, simd::kNoCap, changes));
+        EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
+                  changes.size())
+            << tier << " width " << sizeof(T) << " n=" << n << " uf=" << uf;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, StepSizeIdentityAllTiers) {
+  for (const simd::Tier tier : available_tiers()) {
+    rng::Rng r(777);
+    const simd::KernelTable& t = *simd::table_for(tier);
+    const char* name = simd::tier_name(tier);
+    expect_step_identity<std::uint8_t>(t.count_u8, t.delta_u8, r, 200, name);
+    expect_step_identity<std::uint16_t>(t.count_u16, t.delta_u16, r, 60'000,
+                                        name);
+    expect_step_identity<std::uint32_t>(t.count_u32, t.delta_u32, r,
+                                        1'000'000, name);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -361,6 +362,120 @@ TEST(SimilarityMatrixAnchors, ChainedStageEngagesOnAlternation) {
   expect_bit_identical(m, ref, "alternation");
   EXPECT_GT(chained.value(), before)
       << "period-2 alternation never took the chained/probed recent path";
+}
+
+// Verfploeter-style sweeps: one slowly drifting routing state, each
+// sweep hearing from every network independently with probability
+// 1 − unknown_frac — consecutive rows differ in about half of their
+// networks at 50% unknown, far past the delta threshold, like the
+// paper-scale B-Root workload.
+Dataset verfploeter_dataset(std::size_t obs, std::size_t nets,
+                            std::uint64_t seed, double unknown_frac = 0.5,
+                            double invalid_frac = 0.1) {
+  Dataset d;
+  d.name = "verfploeter";
+  for (std::size_t n = 0; n < nets; ++n) d.networks.intern(n);
+  for (int s = 0; s < 6; ++s) d.sites.intern("s" + std::to_string(s));
+  rng::Rng r(seed);
+  std::vector<SiteId> routing(nets);
+  for (auto& s : routing) {
+    s = static_cast<SiteId>(kFirstRealSite + r.uniform(6));
+  }
+  for (std::size_t t = 0; t < obs; ++t) {
+    for (std::size_t k = 0; k < nets / 100; ++k) {
+      routing[r.uniform(nets)] =
+          static_cast<SiteId>(kFirstRealSite + r.uniform(6));
+    }
+    RoutingVector v;
+    v.time = static_cast<TimePoint>(t) * kDay;
+    v.valid = !r.bernoulli(invalid_frac);
+    v.assignment.resize(nets);
+    for (std::size_t n = 0; n < nets; ++n) {
+      v.assignment[n] = r.bernoulli(unknown_frac) ? kUnknownSite : routing[n];
+    }
+    d.series.push_back(std::move(v));
+  }
+  return d;
+}
+
+// What append()/append_batch() chose, row by row: each row's anchor
+// base (−1 for none), and how the path counters moved.
+struct PathTrace {
+  std::vector<long> base;
+  std::vector<double> counters;  // kPathCounters order
+};
+
+constexpr const char* kPathCounters[] = {
+    "fenrir_phi_rows_delta_total",
+    "fenrir_phi_rows_kernel_total",
+    "fenrir_phi_anchor_predecessor_total",
+    "fenrir_phi_anchor_chained_total",
+    "fenrir_phi_anchor_representative_total",
+    "fenrir_phi_anchor_packed_total",
+    "fenrir_phi_anchor_probes_total",
+};
+
+PathTrace trace_paths(const Dataset& d, bool batch) {
+  std::vector<double> before;
+  for (const char* name : kPathCounters) {
+    before.push_back(obs::registry().counter(name).value());
+  }
+  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
+  if (batch) {
+    m.append_batch(d.series);
+  } else {
+    for (const RoutingVector& v : d.series) m.append(v);
+  }
+  expect_bit_identical(m, SimilarityMatrix::compute_reference(d), d.name);
+  PathTrace out;
+  for (std::size_t row = 0; row < m.size(); ++row) {
+    const std::vector<std::size_t> chain = m.anchor_chain(row);
+    out.base.push_back(chain.empty() ? -1 : static_cast<long>(chain[0]));
+    // The rest of the chain is the base's own chain, truncated.
+    if (!chain.empty()) {
+      std::vector<std::size_t> rest = m.anchor_chain(chain[0], 7);
+      rest.insert(rest.begin(), chain[0]);
+      EXPECT_EQ(chain, rest) << d.name << " row " << row;
+    }
+  }
+  for (std::size_t k = 0; k < std::size(kPathCounters); ++k) {
+    out.counters.push_back(
+        obs::registry().counter(kPathCounters[k]).value() - before[k]);
+  }
+  return out;
+}
+
+// Path choices are time, never values — but deriving the anchor bounds
+// differently must not move them either. Both series pin the per-row
+// anchor bases and path counters recorded on a build that materialized
+// every step change set: a >5%-churn Verfploeter series (kernel rows,
+// failed probes and their back-off, invalid slots) and a two-mode
+// periodic one (predecessor, chained and representative patches, probes,
+// invalid slots).
+TEST(SimilarityMatrixAnchors, PathChoicesArePinned) {
+  const Dataset verf = verfploeter_dataset(160, 2000, 29);
+  const std::vector<long> verf_base(160, -1);
+  // rows_delta, rows_kernel, predecessor, chained, representative,
+  // packed, probes.
+  const std::vector<double> verf_counters{0, 145, 0, 0, 0, 145, 128};
+
+  const Dataset periodic = periodic_dataset(64, 2000, 8, 0.005, 77, 0.1);
+  const std::vector<long> periodic_base{
+      -1, 0,  1,  2,  -1, 3,  5,  6,  -1, -1, 8,  -1, 10, 12, -1, -1,
+      -1, 16, 17, 18, 19, 20, 21, 22, -1, 24, 25, -1, 26, 28, 29, 30,
+      16, 32, 33, 34, 35, 36, 37, 38, 24, 40, -1, 41, 43, 44, 45, 46,
+      -1, 32, 49, -1, 50, 52, 53, 54, 40, 56, 57, 58, -1, 59, 61, 62};
+  const std::vector<double> periodic_counters{50, 4, 39, 7, 4, 4, 32};
+
+  for (const bool batch : {false, true}) {
+    const std::string how = batch ? " append_batch" : " append";
+    const PathTrace v = trace_paths(verf, batch);
+    EXPECT_EQ(v.base, verf_base) << "verfploeter" << how;
+    EXPECT_EQ(v.counters, verf_counters) << "verfploeter" << how;
+    const PathTrace p = trace_paths(periodic, batch);
+    EXPECT_EQ(p.base, periodic_base) << "periodic" << how;
+    EXPECT_EQ(p.counters, periodic_counters) << "periodic" << how;
+  }
 }
 
 // Regression: range_between/median_between used to visit each unordered

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -21,6 +23,13 @@ RoutingVector vec(SiteId dominant, std::size_t n, std::size_t flips,
 
 constexpr SiteId A = kFirstRealSite, B = kFirstRealSite + 1;
 constexpr std::size_t N = 200;
+
+/// Representatives as restore() takes them: row m is mode m.
+PackedSeries packed(std::initializer_list<RoutingVector> reps) {
+  PackedSeries s;
+  for (const RoutingVector& r : reps) s.append(r);
+  return s;
+}
 
 TEST(ModeBook, FirstObservationFoundsModeZero) {
   ModeBook book;
@@ -151,7 +160,7 @@ TEST(ModeBook, PerfectMatchKeepsTheEarliestMode) {
   // earlier mode — the invariant that makes the Φ = 1.0 early-exit safe.
   ModeBook book;
   const auto rep = vec(A, N, 0, B);
-  book.restore({rep, rep, vec(B, N, 0, A)}, {0, 1, 2});
+  book.restore(packed({rep, rep, vec(B, N, 0, A)}), {0, 1, 2});
   const auto m = book.observe(rep);
   EXPECT_EQ(m.mode, 0u);
   EXPECT_FALSE(m.is_new);
@@ -193,8 +202,8 @@ TEST(ModeBook, RestoreRebuildsThePackedScan) {
   source.observe(vec(B, N, 0, A));
 
   ModeBook resumed;
-  resumed.restore({source.representative(0), source.representative(1)},
-                  {0, 1});
+  resumed.restore(
+      packed({source.representative(0), source.representative(1)}), {0, 1});
   const auto m = resumed.observe(vec(A, N, 2, B, 77));
   EXPECT_EQ(m.mode, 0u);
   EXPECT_FALSE(m.is_new);

@@ -640,25 +640,123 @@ void write_file(const fs::path& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
+// A watch's ModeBook survives flush → reopen → load → restore at every
+// packed width (site ids past 255 and past 65,535), frozen and adapting:
+// each restored representative is the vector that founded its mode (or
+// its latest member, adapting), and the resumed book's verdicts on the
+// rest of the series are those of a book that never stopped.
+TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
+  struct Case {
+    std::size_t site_count;
+    std::size_t width;
+  };
+  for (const Case c : {Case{6, 1}, Case{300, 2}, Case{70'000, 4}}) {
+    for (const bool adapt : {false, true}) {
+      const std::string label = "width " + std::to_string(c.width) +
+                                (adapt ? " adapting" : " frozen");
+      ScratchDir dir("modebook_width");
+      const Dataset d = periodic_dataset(30, 120, c.site_count, 0.05,
+                                         c.site_count + adapt, 0.1);
+      core::ModeBook::Config bc;
+      bc.adapt_representative = adapt;
+
+      core::ModeBook continuous(bc);
+      std::vector<core::ModeBook::Match> want;
+      for (const RoutingVector& v : d.series) {
+        want.push_back(continuous.observe(v));
+      }
+
+      const std::size_t half = d.series.size() / 2;
+      core::ModeBook first(bc);
+      std::vector<RoutingVector> reps;  // what each mode should hold
+      {
+        SegmentStore store(dir.path, SegmentStoreConfig{});
+        store.attach(&d);
+        SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+        for (std::size_t t = 0; t < half; ++t) {
+          const core::ModeBook::Match m = first.observe(d.series[t]);
+          if (m.is_new) reps.push_back(d.series[t]);
+          if (adapt && d.series[t].valid && !m.is_new) {
+            reps[m.mode] = d.series[t];
+          }
+          live.append(d.series[t]);
+          store.spill(d.series[t], live);
+        }
+        store.flush(&first);
+      }
+
+      SegmentStore store(dir.path, SegmentStoreConfig{});
+      store.attach(&d);
+      SegmentStore::Loaded loaded = store.load(&d);
+      ASSERT_TRUE(loaded.has_modebook) << label;
+      EXPECT_EQ(loaded.representatives.width(), c.width) << label;
+      core::ModeBook resumed(bc);
+      resumed.restore(std::move(loaded.representatives),
+                      std::move(loaded.history));
+      ASSERT_GE(reps.size(), 2u) << label;
+      ASSERT_EQ(resumed.mode_count(), reps.size()) << label;
+      EXPECT_EQ(resumed.history(), first.history()) << label;
+      for (std::size_t m = 0; m < reps.size(); ++m) {
+        EXPECT_EQ(resumed.representative(m).assignment, reps[m].assignment)
+            << label << " mode " << m;
+      }
+      for (std::size_t t = half; t < d.series.size(); ++t) {
+        const core::ModeBook::Match got = resumed.observe(d.series[t]);
+        EXPECT_EQ(got.mode, want[t].mode) << label << " obs " << t;
+        EXPECT_EQ(got.phi, want[t].phi) << label << " obs " << t;
+        EXPECT_EQ(got.is_new, want[t].is_new) << label << " obs " << t;
+        EXPECT_EQ(got.is_recurrence, want[t].is_recurrence)
+            << label << " obs " << t;
+      }
+      EXPECT_EQ(resumed.history(), continuous.history()) << label;
+    }
+  }
+}
+
 // Every way a MANIFEST can be damaged gets its own diagnostic and a
 // segment_store_corrupt event: bad magic, truncation, trailing bytes,
-// bit rot, an older format version (v1 and v2 alike), and a checksummed
-// manifest naming an identity mode that no build writes — which would
-// otherwise skip the identity checks in load().
+// bit rot, an older format version (v1, v2 and v3 alike), and
+// checksummed manifests that no build writes — an identity mode that
+// would otherwise skip the identity checks in load(), and ModeBook
+// representatives of an impossible width or of another length than the
+// store's rows, which restore() would otherwise accept and the first
+// observe() trip over.
 TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   ScratchDir dir("manifest_corrupt");
   const Dataset d = periodic_dataset(12, 80, 6, 0.03, 67);
   SegmentStoreConfig cfg;
   cfg.seal_rows = 5;
+  core::ModeBook book;
   {
     SegmentStore store(dir.path, cfg);
     store.attach(&d);
     SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
     grow(store, live, d, 0, d.series.size());
+    for (const RoutingVector& v : d.series) book.observe(v);
+    store.flush(&book);
   }
   const fs::path manifest = dir.path / "MANIFEST";
   const std::string good = read_file(manifest);
   ASSERT_GT(good.size(), 64u);
+  const auto resign = [](std::string& b) {
+    const std::uint32_t crc = wire::payload_checksum(b.data(), b.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      b[b.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
+    }
+  };
+  // The modebook section closes the manifest: per mode u64 width, u64
+  // networks and 80 one-byte ids, then the history — so the first
+  // representative's record sits at a fixed distance from the end.
+  const std::size_t rep0 = good.size() - 4 - 8 * book.history().size() - 8 -
+                           book.mode_count() * (16 + 80);
+  const auto with_rep0 = [&](std::size_t field, std::uint64_t v) {
+    std::string b = good;
+    for (int i = 0; i < 8; ++i) {
+      b[rep0 + field + i] = static_cast<char>(v >> (8 * i));
+    }
+    resign(b);
+    return b;
+  };
 
   const auto with_version = [&](std::uint32_t v) {
     std::string b = good;
@@ -675,11 +773,9 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   // trailer so only the consistency check can catch it.
   std::string bad_mode = good;
   bad_mode[sizeof(kManifestMagic) + 4 + 8] = 2;
-  const std::uint32_t crc =
-      wire::payload_checksum(bad_mode.data(), bad_mode.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bad_mode[bad_mode.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  resign(bad_mode);
+  ASSERT_EQ(with_rep0(0, 1), good) << "rep0 does not point at a width";
+  ASSERT_EQ(with_rep0(8, 80), good) << "rep0 + 8 does not hold the length";
 
   struct Case {
     std::string bytes;
@@ -693,7 +789,10 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       {bit_rot, "checksum mismatch", "bit rot"},
       {with_version(1), "version skew", "file is v1"},
       {with_version(2), "version skew", "file is v2"},
+      {with_version(3), "version skew", "file is v3"},
       {bad_mode, "inconsistent", "identity mode 2"},
+      {with_rep0(0, 3), "inconsistent", "packed width 3"},
+      {with_rep0(8, 79), "inconsistent", "covers 79 networks"},
   };
   std::set<std::string> messages;
   for (const Case& c : cases) {
@@ -856,10 +955,12 @@ TEST(Segment, ModeBookStateRoundTrips) {
   SegmentStore store(dir.path, cfg);
   SegmentStore::Loaded loaded = store.load(&d);
   ASSERT_TRUE(loaded.has_modebook);
-  ASSERT_EQ(loaded.representatives.size(), book.mode_count());
+  ASSERT_EQ(loaded.representatives.rows(), book.mode_count());
   EXPECT_EQ(loaded.history, book.history());
+  core::ModeBook restored;
+  restored.restore(std::move(loaded.representatives), loaded.history);
   for (std::size_t m2 = 0; m2 < book.mode_count(); ++m2) {
-    EXPECT_EQ(loaded.representatives[m2].assignment,
+    EXPECT_EQ(restored.representative(m2).assignment,
               book.representative(m2).assignment)
         << "mode " << m2;
   }
