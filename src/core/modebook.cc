@@ -41,6 +41,11 @@ constexpr double kAmbiguityMargin = 0.02;
 
 }  // namespace
 
+ModeBook::ModeBook(const Config& config, std::vector<double> weights)
+    : config_(config),
+      weights_(std::move(weights)),
+      total_weight_(in_order_sum(weights_)) {}
+
 ModeBook::Match ModeBook::observe(const RoutingVector& v) {
   Match out;
   if (!v.valid) {
@@ -67,9 +72,16 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
   std::size_t top_count = 0;
   for (std::size_t m = 0; m < candidate; ++m) {
     ++scanned;
-    const MatchCounts counts = packed_.counts(m, candidate);
-    const double phi =
-        phi_from_counts(counts, v.assignment.size(), config_.policy);
+    // The same Φ the matrix computes: weighted when the dataset is.
+    MatchCounts counts;
+    double phi;
+    if (weights_.empty()) {
+      counts = packed_.counts(m, candidate);
+      phi = phi_from_counts(counts, v.assignment.size(), config_.policy);
+    } else {
+      phi = phi_from_weighted(packed_.weighted_counts(
+          m, candidate, weights_, config_.policy, total_weight_));
+    }
     if (phi > best_phi) {
       second_phi = best_phi;
       second = best.value_or(0);
@@ -94,6 +106,11 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
     if (best_phi >= 1.0) break;
   }
   scan_length_histogram().observe(static_cast<double>(scanned));
+  // The decision record tallies networks, weighted or not: a weighted
+  // scan counts the winner once, and only when a record will be made.
+  if (!weights_.empty() && best && obs::lineage().enabled()) {
+    best_counts = packed_.counts(*best, candidate);
+  }
 
   if (best && best_phi >= config_.match_threshold) {
     out.mode = *best;

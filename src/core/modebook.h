@@ -66,7 +66,10 @@ class ModeBook {
   };
 
   ModeBook() = default;
-  explicit ModeBook(const Config& config) : config_(config) {}
+  /// @p weights are the dataset's per-network weights (empty = uniform).
+  /// A weighted book scores Φ with the weighted sum the Φ matrix uses,
+  /// so its verdicts agree with compare and analyze.
+  explicit ModeBook(const Config& config, std::vector<double> weights = {});
 
   /// Classifies @p v and updates the book. Invalid observations return
   /// the previous state unchanged with phi = 0 (and are not recorded).
@@ -99,6 +102,8 @@ class ModeBook {
   friend class io::SegmentCodec;
 
   Config config_;
+  std::vector<double> weights_;
+  double total_weight_ = 0.0;  // in_order_sum(weights_)
   /// Row m is mode m's representative. observe() appends the candidate
   /// as one more row and pops it again unless it founds a mode.
   PackedSeries packed_;

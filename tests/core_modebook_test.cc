@@ -4,6 +4,7 @@
 
 #include <initializer_list>
 
+#include "core/distance_matrix.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -207,6 +208,46 @@ TEST(ModeBook, RestoreRebuildsThePackedScan) {
   const auto m = resumed.observe(vec(A, N, 2, B, 77));
   EXPECT_EQ(m.mode, 0u);
   EXPECT_FALSE(m.is_new);
+}
+
+// A heavy network stays at LAX while three light ones visit AMS and
+// come back (weights 100,1,1,1). Weighted, the detour is Φ 100/103: one
+// mode, as compare and analyze say. The book must score every pair
+// exactly like the Φ matrix, under either unknown policy.
+TEST(ModeBook, WeightedBookScoresLikeTheMatrix) {
+  Dataset d;
+  for (std::uint64_t key = 1; key <= 4; ++key) d.networks.intern(key);
+  const SiteId lax = d.sites.intern("LAX");
+  const SiteId ams = d.sites.intern("AMS");
+  d.weights = {100.0, 1.0, 1.0, 1.0};
+  const std::vector<SiteId> home = {lax, lax, lax, lax};
+  const std::vector<SiteId> detour = {lax, ams, ams, ams};
+  for (const std::vector<SiteId>& a : {home, detour, home}) {
+    RoutingVector v;
+    v.time = static_cast<TimePoint>(d.series.size()) * kDay;
+    v.assignment = a;
+    d.series.push_back(v);
+  }
+  for (const UnknownPolicy policy :
+       {UnknownPolicy::kKnownOnly, UnknownPolicy::kPessimistic}) {
+    ModeBook::Config cfg;
+    cfg.policy = policy;
+    ModeBook book(cfg, d.weights);
+    const SimilarityMatrix matrix = SimilarityMatrix::compute(d, policy);
+    for (std::size_t i = 0; i < d.series.size(); ++i) {
+      const auto m = book.observe(d.series[i]);
+      EXPECT_EQ(m.mode, 0u) << "observation " << i;
+      if (i > 0) {
+        EXPECT_EQ(m.phi, matrix.phi(i, 0)) << "observation " << i;
+      }
+    }
+    EXPECT_EQ(book.mode_count(), 1u);
+    EXPECT_DOUBLE_EQ(matrix.phi(1, 0), 100.0 / 103.0);
+  }
+  // Uniform weights keep the unweighted verdict: the detour is a mode.
+  ModeBook uniform;
+  for (const RoutingVector& v : d.series) uniform.observe(v);
+  EXPECT_EQ(uniform.mode_count(), 2u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/dataset_io.h"
 #include "core/distance_matrix.h"
 #include "core/modebook.h"
+#include "io/table.h"
 #include "io/wire.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -963,6 +964,53 @@ TEST(Segment, ModeBookStateRoundTrips) {
     EXPECT_EQ(restored.representative(m2).assignment,
               book.representative(m2).assignment)
         << "mode " << m2;
+  }
+}
+
+// What `fenrirctl watch --store` runs, on a weighted dataset: a heavy
+// network stays at LAX while three light ones visit AMS and come back
+// (weights 100,1,1,1). Each verdict's Φ must be the persisted matrix
+// cell against the mode's founding row — 0.971 for the detour, one mode
+// in all — not the unweighted 0.25 that founded a second mode.
+TEST(SnapshotWatchState, WeightedVerdictsMatchThePersistedMatrix) {
+  ScratchDir dir("weighted_watch");
+  Dataset d;
+  d.name = "weights";
+  for (std::uint64_t key = 1; key <= 4; ++key) d.networks.intern(key);
+  const SiteId lax = d.sites.intern("LAX");
+  const SiteId ams = d.sites.intern("AMS");
+  d.weights = {100.0, 1.0, 1.0, 1.0};
+  const std::vector<SiteId> home = {lax, lax, lax, lax};
+  const std::vector<SiteId> detour = {lax, ams, ams, ams};
+  for (const std::vector<SiteId>& a : {home, detour, home}) {
+    RoutingVector v;
+    v.time = static_cast<TimePoint>(d.series.size()) * kDay;
+    v.assignment = a;
+    d.series.push_back(v);
+  }
+
+  core::ModeBook book(core::ModeBook::Config{}, d.weights);
+  std::vector<core::ModeBook::Match> verdicts;
+  {
+    SegmentStore store(dir.path, SegmentStoreConfig{});
+    store.attach(&d);
+    store.configure(UnknownPolicy::kKnownOnly, d.weights);
+    SimilarityMatrix matrix = store.load(&d).matrix;
+    for (const RoutingVector& v : d.series) {
+      matrix.append(v);
+      verdicts.push_back(book.observe(v));
+      store.spill(v, matrix);
+    }
+    store.flush(&book);
+  }
+  EXPECT_EQ(book.mode_count(), 1u);
+  EXPECT_EQ(io::fixed(verdicts[1].phi, 3), "0.971");
+  const SegmentStore store(dir.path, SegmentStoreConfig{});
+  const SegmentStore::Loaded loaded = store.load(&d);
+  ASSERT_EQ(loaded.matrix.size(), d.series.size());
+  for (std::size_t i = 1; i < d.series.size(); ++i) {
+    EXPECT_EQ(verdicts[i].mode, 0u) << "observation " << i;
+    EXPECT_EQ(verdicts[i].phi, loaded.matrix.phi(i, 0)) << "observation " << i;
   }
 }
 

@@ -404,6 +404,36 @@ TEST(Lineage, ModeBookObserveEmitsRecords) {
   store.set_capacity(512);
 }
 
+// A weighted book scores with weights but still tallies networks in its
+// decision records: the detour matched at Φ 100/103 records one match
+// and three mismatches.
+TEST(Lineage, WeightedModeBookRecordsNetworkCounts) {
+  LineageStore& store = lineage();
+  store.reset();
+  store.set_capacity(64);
+  core::ModeBook book(core::ModeBook::Config{}, {100.0, 1.0, 1.0, 1.0});
+  core::RoutingVector home;
+  home.time = 1000;
+  home.assignment.assign(4, core::kFirstRealSite);
+  core::RoutingVector detour = home;
+  detour.time = 2000;
+  detour.assignment[1] = detour.assignment[2] = detour.assignment[3] =
+      core::kFirstRealSite + 1;
+  book.observe(home);
+  book.observe(detour);
+
+  const auto records = store.since(0);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].verdict, Verdict::kRepeat);
+  EXPECT_DOUBLE_EQ(records[1].phi, 100.0 / 103.0);
+  EXPECT_EQ(records[1].networks, 4u);
+  EXPECT_EQ(records[1].matches, 1u);
+  EXPECT_EQ(records[1].mismatches, 3u);
+  EXPECT_EQ(records[1].unknown, 0u);
+  store.reset();
+  store.set_capacity(512);
+}
+
 TEST(Lineage, MetricsCountRecordsAndEvictions) {
   Counter& records_total = registry().counter("fenrir_decision_records_total");
   Counter& evictions_total =

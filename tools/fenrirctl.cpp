@@ -513,7 +513,7 @@ int cmd_watch(const Args& args) {
     cfg.policy = core::UnknownPolicy::kPessimistic;
   }
   cfg.adapt_representative = args.has("--adapt");
-  core::ModeBook book(cfg);
+  core::ModeBook book(cfg, data.weights);
   obs::event_bus().emit(
       obs::Severity::kInfo, "watch_started",
       "\"dataset\":\"" + obs::json_escape(data.name) +
