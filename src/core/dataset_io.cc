@@ -1,8 +1,9 @@
 #include "core/dataset_io.h"
 
+#include <array>
 #include <charconv>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "io/csv.h"
 #include "io/table.h"
@@ -15,17 +16,18 @@ namespace {
 constexpr const char* kMagic = "#fenrir-dataset";
 constexpr const char* kVersion = "v1";
 
-std::uint64_t parse_u64(const std::string& text) {
+std::uint64_t parse_u64(std::string_view text) {
   std::uint64_t out = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw DatasetIoError("bad network key: " + text);
+    throw DatasetIoError("bad network key: " + std::string(text));
   }
   return out;
 }
 
-double parse_double(const std::string& text) {
+double parse_double(std::string_view view) {
+  const std::string text(view);
   try {
     std::size_t used = 0;
     const double v = std::stod(text, &used);
@@ -35,6 +37,34 @@ double parse_double(const std::string& text) {
     throw DatasetIoError("bad weight: " + text);
   }
 }
+
+/// Site ids by name for one load, in front of the SiteTable. A name of
+/// up to 7 bytes ("unknown", an IATA code) packs with its length into
+/// one 8-byte key, so a lookup is a multiply and a compare rather than
+/// a string hash. Longer names, and a slot's first use, go to the table.
+class SiteCache {
+ public:
+  explicit SiteCache(SiteTable& sites) : sites_(sites) {}
+
+  SiteId intern(std::string_view name) {
+    if (name.size() > 7) return sites_.intern(name);
+    std::uint64_t key = std::uint64_t{name.size()} << 56;
+    for (std::size_t i = 0; i < name.size(); ++i) {
+      key |= std::uint64_t{static_cast<unsigned char>(name[i])} << (8 * i);
+    }
+    Slot& slot = slots_[(key * 0x9E3779B97F4A7C15ull) >> 56];
+    if (slot.key != key) slot = {key, sites_.intern(name)};
+    return slot.id;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = ~std::uint64_t{0};  // no name packs to this
+    SiteId id = 0;
+  };
+  SiteTable& sites_;
+  std::array<Slot, 256> slots_{};
+};
 
 }  // namespace
 
@@ -70,69 +100,95 @@ void save_dataset(const Dataset& dataset, std::ostream& out) {
 
 Dataset load_dataset(std::istream& in, const LoadOptions& options,
                      LoadStats* stats) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const auto rows = io::parse_csv(buffer.str());
-  if (rows.size() < 2 || rows[0].size() < 2 || rows[0][0] != kMagic) {
+  // One pass from bytes to site ids: each row is checked where it lies
+  // in the reader's buffer and its cells are interned from their views,
+  // so the file is never held whole and no cell becomes a std::string.
+  io::CsvReader csv(in);
+  const std::vector<std::string_view>& row = csv.row();
+  std::size_t line = 0;  // rows read so far; the current row's number
+  // An unterminated quote runs to the end of the input, so it can only
+  // be the last row, and it is reported where it stands in file order.
+  const auto next = [&] {
+    try {
+      if (!csv.next()) return false;
+    } catch (const io::CsvError&) {
+      throw DatasetIoError("unterminated quoted field at line " +
+                           std::to_string(line + 1));
+    }
+    ++line;
+    return true;
+  };
+
+  if (!next() || row.size() < 2 || row[0] != kMagic) {
     throw DatasetIoError("not a fenrir dataset (bad magic)");
   }
-  if (rows[0][1] != kVersion) {
-    throw DatasetIoError("unsupported dataset version " + rows[0][1]);
+  const std::string version(row[1]);
+  if (!next()) throw DatasetIoError("not a fenrir dataset (bad magic)");
+  if (version != kVersion) {
+    throw DatasetIoError("unsupported dataset version " + version);
   }
 
   LoadStats local;
   Dataset d;
-  std::size_t r = 1;
-  if (r < rows.size() && !rows[r].empty() && rows[r][0] == "name") {
-    if (rows[r].size() != 2) throw DatasetIoError("malformed name row");
-    d.name = rows[r][1];
-    ++r;
+  bool more = true;
+  if (row[0] == "name") {
+    if (row.size() != 2) throw DatasetIoError("malformed name row");
+    d.name = row[1];
+    more = next();
   }
-  if (r < rows.size() && !rows[r].empty() && rows[r][0] == "weights") {
+  if (more && row[0] == "weights") {
     try {
-      for (std::size_t i = 1; i < rows[r].size(); ++i) {
-        d.weights.push_back(parse_double(rows[r][i]));
+      for (std::size_t i = 1; i < row.size(); ++i) {
+        d.weights.push_back(parse_double(row[i]));
       }
     } catch (const DatasetIoError&) {
       if (!options.lenient) throw;
       d.weights.clear();
       local.weights_dropped = true;
     }
-    ++r;
+    more = next();
   }
-  if (r >= rows.size() || rows[r].size() < 2 || rows[r][0] != "time" ||
-      rows[r][1] != "valid") {
+  if (!more || row.size() < 2 || row[0] != "time" || row[1] != "valid") {
     throw DatasetIoError("missing header row");
   }
-  const std::size_t columns = rows[r].size();
-  // keep_column[i] is false for a repeated network key (first wins);
-  // strict mode interns duplicates and lets check_consistent reject the
-  // resulting size mismatch, preserving the historical behavior.
-  std::vector<bool> keep_column(columns, true);
+  const std::size_t columns = row.size();
+  // The columns whose cells are kept: a repeated network key is dropped
+  // leniently (first wins); strict mode interns duplicates and lets
+  // check_consistent reject the resulting size mismatch, preserving the
+  // historical behavior.
+  std::vector<std::size_t> kept;
   for (std::size_t i = 2; i < columns; ++i) {
-    const std::uint64_t key = parse_u64(rows[r][i]);
+    const std::uint64_t key = parse_u64(row[i]);
     if (options.lenient && d.networks.find(key)) {
-      keep_column[i] = false;
       ++local.duplicate_networks;
       continue;
     }
     d.networks.intern(key);
+    kept.push_back(i);
   }
   if (options.lenient && !d.weights.empty() &&
       d.weights.size() != d.networks.size()) {
     d.weights.clear();
     local.weights_dropped = true;
   }
-  ++r;
 
-  for (; r < rows.size(); ++r) {
-    const auto& row = rows[r];
+  SiteCache sites(d.sites);
+
+  for (;;) {
+    try {
+      if (!next()) break;
+    } catch (const DatasetIoError&) {
+      // The file was cut inside a quoted field: the rows before it stand.
+      if (!options.lenient) throw;
+      ++local.ragged_rows;
+      break;
+    }
     if (row.size() != columns) {
       if (options.lenient) {
         ++local.ragged_rows;
         continue;
       }
-      throw DatasetIoError("ragged row at line " + std::to_string(r + 1));
+      throw DatasetIoError("ragged row at line " + std::to_string(line));
     }
     RoutingVector v;
     const auto t = parse_time(row[0]);
@@ -141,7 +197,7 @@ Dataset load_dataset(std::istream& in, const LoadOptions& options,
         ++local.bad_times;
         continue;
       }
-      throw DatasetIoError("bad time: " + row[0]);
+      throw DatasetIoError("bad time: " + std::string(row[0]));
     }
     v.time = *t;
     if (options.lenient && !d.series.empty() && v.time < d.series.back().time) {
@@ -153,13 +209,12 @@ Dataset load_dataset(std::istream& in, const LoadOptions& options,
         ++local.bad_valid_flags;
         continue;
       }
-      throw DatasetIoError("bad valid flag: " + row[1]);
+      throw DatasetIoError("bad valid flag: " + std::string(row[1]));
     }
     v.valid = row[1] == "1";
-    v.assignment.reserve(d.networks.size());
-    for (std::size_t i = 2; i < columns; ++i) {
-      if (!keep_column[i]) continue;
-      v.assignment.push_back(d.sites.intern(row[i]));
+    v.assignment.reserve(kept.size());
+    for (const std::size_t i : kept) {
+      v.assignment.push_back(sites.intern(row[i]));
     }
     d.series.push_back(std::move(v));
   }

@@ -529,6 +529,9 @@ void SimilarityMatrix::append(const RoutingVector& v) {
 }
 
 void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
+  // One reservation for the whole batch: growing the triangle chunk by
+  // chunk would reallocate it, and copy every earlier row, per chunk.
+  reserve(n_ + batch.size());
   // Weighted matrices carry no cached counts to batch over — and the
   // one-row batch has nothing to amortize.
   if (!weights_.empty() || batch.size() == 1) {
@@ -556,10 +559,9 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   PhiMetrics& metrics = phi_metrics();
   AppendTimer timer(metrics.append_seconds);  // one sample per chunk
 
-  // Pass 0: pack every row and grow the value/validity stores, so the
-  // planning pass can probe any batch row. One reservation up front —
-  // a mid-loop reallocation would copy the whole triangle.
-  reserve(n0 + k);
+  // Pass 0: pack every row and grow the value/validity stores (already
+  // reserved by append_batch), so the planning pass can probe any batch
+  // row.
   for (const RoutingVector& v : batch) {
     packed_.append(v);
     valid_.push_back(v.valid ? 1 : 0);

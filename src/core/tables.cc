@@ -2,19 +2,19 @@
 
 namespace fenrir::core {
 
-SiteId SiteTable::intern(const std::string& name) {
+SiteId SiteTable::intern(std::string_view name) {
   if (name == "unknown") return kUnknownSite;
   if (name == "err") return kErrorSite;
   if (name == "other") return kOtherSite;
   const auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
   const SiteId id = static_cast<SiteId>(names_.size());
-  names_.push_back(name);
-  by_name_.emplace(name, id);
+  names_.emplace_back(name);
+  by_name_.emplace(names_.back(), id);
   return id;
 }
 
-std::optional<SiteId> SiteTable::find(const std::string& name) const {
+std::optional<SiteId> SiteTable::find(std::string_view name) const {
   if (name == "unknown") return kUnknownSite;
   if (name == "err") return kErrorSite;
   if (name == "other") return kOtherSite;

@@ -20,6 +20,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,9 +40,9 @@ class SiteTable {
 
   /// Interns @p name, returning an id >= kFirstRealSite. Reserved names
   /// ("unknown"/"err"/"other") return their reserved ids.
-  SiteId intern(const std::string& name);
+  SiteId intern(std::string_view name);
 
-  std::optional<SiteId> find(const std::string& name) const;
+  std::optional<SiteId> find(std::string_view name) const;
 
   const std::string& name(SiteId id) const { return names_.at(id); }
 
@@ -54,8 +55,17 @@ class SiteTable {
   SiteId first_real() const noexcept { return kFirstRealSite; }
 
  private:
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// build no string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SiteId> by_name_;
+  std::unordered_map<std::string, SiteId, NameHash, std::equal_to<>> by_name_;
 };
 
 class NetworkTable {

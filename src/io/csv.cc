@@ -1,63 +1,165 @@
 #include "io/csv.h"
 
+#include <cstring>
+#include <istream>
 #include <ostream>
 
 namespace fenrir::io {
 
-std::vector<CsvRow> parse_csv(std::string_view text, char sep) {
-  std::vector<CsvRow> rows;
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  // have we seen any content in this row?
-  std::size_t line = 1;
+CsvReader::CsvReader(std::istream& in, char sep)
+    : in_(&in), sep_(sep), buffer_(kBufferBytes), data_(buffer_.data()) {
+  mark_special();
+}
 
-  const auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-  };
-  const auto end_row = [&] {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-    field_started = false;
-  };
+CsvReader::CsvReader(std::string_view text, char sep)
+    : sep_(sep), data_(text.data()), end_(text.size()), eof_(true) {
+  mark_special();
+}
 
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+void CsvReader::mark_special() {
+  special_[static_cast<unsigned char>(sep_)] = true;
+  special_['\n'] = true;
+  special_['\r'] = true;
+}
+
+bool CsvReader::next() {
+  for (;;) {
+    switch (parse_row()) {
+      case Step::kRow:
+        return true;
+      case Step::kEnd:
+        return false;
+      case Step::kNeedMore:
+        refill();
+        break;
+    }
+  }
+}
+
+void CsvReader::refill() {
+  // Only the unfinished row is kept: it slides to the front, and the
+  // buffer grows only when that one row fills it.
+  const std::size_t keep = end_ - pos_;
+  if (pos_ != 0) std::memmove(buffer_.data(), buffer_.data() + pos_, keep);
+  pos_ = 0;
+  end_ = keep;
+  if (end_ == buffer_.size()) buffer_.resize(buffer_.size() * 2);
+  data_ = buffer_.data();
+  in_->read(buffer_.data() + end_,
+            static_cast<std::streamsize>(buffer_.size() - end_));
+  end_ += static_cast<std::size_t>(in_->gcount());
+  if (!*in_) eof_ = true;  // a short read: nothing more will come
+}
+
+CsvReader::Step CsvReader::parse_row() {
+  const char* const end = data_ + end_;
+  // Each pass reads one line from its first byte; a blank line loops.
+  for (;;) {
+    fields_.clear();
+    scratch_.clear();
+    unescaped_.clear();
+    const char* p = data_ + pos_;
+    std::size_t line = line_;
+    bool started = false;  // the line has content (a blank line has none)
+    Stop stop;
+    do {
+      const char* const start = p;
+      if (p != end && *p == '"') {
+        stop = unescape(p, line, started);
+        continue;
+      }
+      // A plain field: a view into the buffer unless a '\r' turns up.
+      while (p != end && !special_[static_cast<unsigned char>(*p)]) ++p;
+      if (p == end && !eof_) return Step::kNeedMore;
+      if (p != end && *p == '\r') {
+        p = start;
+        stop = unescape(p, line, started);
+        continue;
+      }
+      fields_.emplace_back(start, static_cast<std::size_t>(p - start));
+      if (p != start) started = true;
+      if (p == end) {
+        stop = Stop::kEof;
+      } else if (*p++ == '\n') {
+        ++line;
+        stop = Stop::kNewline;
       } else {
+        started = true;
+        stop = Stop::kSep;
+      }
+    } while (stop == Stop::kSep);
+    if (stop == Stop::kNeedMore) return Step::kNeedMore;
+    pos_ = static_cast<std::size_t>(p - data_);
+    line_ = line;
+    if (started) {
+      for (const Unescaped& u : unescaped_) {
+        fields_[u.field] = std::string_view(scratch_.data() + u.offset, u.size);
+      }
+      return Step::kRow;
+    }
+    if (stop == Stop::kEof) return Step::kEnd;
+  }
+}
+
+CsvReader::Stop CsvReader::unescape(const char*& p, std::size_t& line,
+                                    bool& started) {
+  // One byte at a time into the scratch, from the field's first byte.
+  // A quote opens only while the field is still empty, so a '\r' before
+  // it still lets it open.
+  const char* const end = data_ + end_;
+  const std::size_t offset = scratch_.size();
+  bool quoted = false;
+  Stop stop;
+  for (;;) {
+    if (p == end) {
+      if (!eof_) return Stop::kNeedMore;
+      if (quoted) throw CsvError("unterminated quoted field", line);
+      stop = Stop::kEof;
+      break;
+    }
+    const char c = *p++;
+    if (quoted) {
+      if (c != '"') {
         if (c == '\n') ++line;
-        field.push_back(c);
+        scratch_.push_back(c);
+        continue;
+      }
+      if (p == end && !eof_) return Stop::kNeedMore;  // "" or a close?
+      if (p != end && *p == '"') {
+        scratch_.push_back('"');
+        ++p;
+      } else {
+        quoted = false;
       }
       continue;
     }
-    if (c == '"' && field.empty()) {
-      in_quotes = true;
-      field_started = true;
-    } else if (c == sep) {
-      end_field();
-      field_started = true;
-    } else if (c == '\r') {
-      // swallow; LF (if any) ends the row
+    if (c == '"' && scratch_.size() == offset) {
+      quoted = true;
+      started = true;
+    } else if (c == sep_) {
+      started = true;
+      stop = Stop::kSep;
+      break;
     } else if (c == '\n') {
       ++line;
-      // A blank line yields no row; anything else ends the current row.
-      if (field_started || !field.empty() || !row.empty()) end_row();
-    } else {
-      field.push_back(c);
-      field_started = true;
+      stop = Stop::kNewline;
+      break;
+    } else if (c != '\r') {
+      scratch_.push_back(c);
+      started = true;
     }
   }
-  if (in_quotes) throw CsvError("unterminated quoted field", line);
-  if (field_started || !field.empty() || !row.empty()) end_row();
+  unescaped_.push_back({fields_.size(), offset, scratch_.size() - offset});
+  fields_.emplace_back();  // the view is made once the row is done
+  return stop;
+}
+
+std::vector<CsvRow> parse_csv(std::string_view text, char sep) {
+  CsvReader reader(text, sep);
+  std::vector<CsvRow> rows;
+  while (reader.next()) {
+    rows.emplace_back(reader.row().begin(), reader.row().end());
+  }
   return rows;
 }
 

@@ -6,6 +6,7 @@
 // configurable separator (TSV), and header handling.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <stdexcept>
@@ -30,9 +31,77 @@ class CsvError : public std::runtime_error {
 
 using CsvRow = std::vector<std::string>;
 
-/// Parses an entire CSV document. Handles quoted fields ("" escaping),
-/// CRLF and LF line endings; a trailing newline does not produce an empty
-/// final row. Throws CsvError on an unterminated quote.
+/// Streaming CSV tokenizer: one row at a time, as views.
+///
+/// The dialect is an RFC 4180 subset: a quote is special only while its
+/// field is still empty, "" inside quotes is a literal quote, quoted
+/// fields may hold separators and newlines, '\r' outside quotes is
+/// dropped (so CRLF and LF both end a row), and a line with nothing but
+/// '\r' yields no row. A last row without a newline is still a row.
+///
+/// An istream source is read through a kBufferBytes buffer that grows
+/// only to hold the longest row, so memory is bounded by the row, not
+/// the file. Plain fields are views into that buffer; a field that was
+/// quoted or held a '\r' is unescaped into a per-row scratch string.
+class CsvReader {
+ public:
+  static constexpr std::size_t kBufferBytes = std::size_t{1} << 20;
+
+  /// Reads @p in, which must outlive the reader.
+  explicit CsvReader(std::istream& in, char sep = ',');
+  /// Tokenizes @p text in place; the text must outlive the reader.
+  explicit CsvReader(std::string_view text, char sep = ',');
+  // The row's views point into this reader's own buffer.
+  CsvReader(const CsvReader&) = delete;
+  CsvReader& operator=(const CsvReader&) = delete;
+
+  /// Advances to the next row; false at the end of input. Throws
+  /// CsvError on an unterminated quote, naming the last line (the
+  /// quote runs to the end of the input).
+  bool next();
+
+  /// The current row's fields, valid until the next call to next().
+  const std::vector<std::string_view>& row() const noexcept {
+    return fields_;
+  }
+
+ private:
+  enum class Step { kRow, kEnd, kNeedMore };
+  /// How a field ended: at a separator, a newline, the end of input, or
+  /// the end of the bytes read so far (the row is parsed again after
+  /// refill()).
+  enum class Stop { kSep, kNewline, kEof, kNeedMore };
+  Step parse_row();
+  /// Reads the field at @p p the slow way: it opens with a quote or
+  /// holds a '\r'.
+  Stop unescape(const char*& p, std::size_t& line, bool& started);
+  void refill();
+  void mark_special();
+
+  std::istream* in_ = nullptr;
+  char sep_;
+  /// The bytes that end a plain field or need unescaping: the
+  /// separator, '\n' and '\r'.
+  std::array<bool, 256> special_{};
+  std::vector<char> buffer_;
+  const char* data_ = nullptr;  // buffer_.data(), or the text source
+  std::size_t pos_ = 0;         // start of the row being read
+  std::size_t end_ = 0;         // end of the bytes read so far
+  bool eof_ = false;            // no bytes beyond end_
+  std::size_t line_ = 1;        // line on which pos_ lies
+  std::vector<std::string_view> fields_;
+  std::string scratch_;
+  /// (field index, scratch offset, length) of the unescaped fields —
+  /// their views are made once the row is done, since scratch_ may
+  /// reallocate while it grows.
+  struct Unescaped {
+    std::size_t field, offset, size;
+  };
+  std::vector<Unescaped> unescaped_;
+};
+
+/// Parses an entire CSV document (a loop over CsvReader). Throws
+/// CsvError on an unterminated quote.
 std::vector<CsvRow> parse_csv(std::string_view text, char sep = ',');
 
 /// Escapes a single field for CSV output if needed.

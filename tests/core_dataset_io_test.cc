@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 
 #include "chaos/corrupt.h"
+#include "io/csv.h"
 
 namespace fenrir::core {
 namespace {
@@ -121,6 +123,56 @@ TEST(DatasetIo, EmptySeriesRoundTrips) {
   const Dataset r = round_trip(d);
   EXPECT_TRUE(r.series.empty());
   EXPECT_EQ(r.networks.size(), 1u);
+}
+
+TEST(DatasetIo, SaveOfLoadIsByteIdentical) {
+  // save_dataset output survives the streaming loader byte for byte: a
+  // quoted name, weights, reserved sites and an outage row.
+  std::ostringstream first;
+  save_dataset(sample(true), first);
+  ASSERT_NE(first.str().find("\"io-test, with a comma\""), std::string::npos);
+  std::istringstream in(first.str());
+  std::ostringstream second;
+  save_dataset(load_dataset(in), second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(DatasetIo, LargeDatasetStreamsAcrossBufferRefills) {
+  // ~3 MiB of rows: the reader refills its buffer mid-row several times
+  // and must hand the loader the same cells as an unsplit parse.
+  Dataset d;
+  d.name = "large";
+  const std::size_t nets = 20000;
+  for (std::size_t n = 0; n < nets; ++n) d.networks.intern(65536 + n);
+  const SiteId sites[] = {kUnknownSite, kErrorSite, d.sites.intern("LAX"),
+                          d.sites.intern("AMS"),
+                          d.sites.intern("a-longer-site")};
+  for (std::size_t t = 0; t < 24; ++t) {
+    RoutingVector v;
+    v.time = from_date(2024, 1, 1) + static_cast<TimePoint>(t) * kDay;
+    v.valid = t != 7;
+    v.assignment.resize(nets);
+    for (std::size_t n = 0; n < nets; ++n) {
+      v.assignment[n] = sites[(n * 7 + t * 3 + n / 11) % 5];
+    }
+    d.series.push_back(std::move(v));
+  }
+  std::ostringstream out;
+  save_dataset(d, out);
+  ASSERT_GT(out.str().size(), 2 * io::CsvReader::kBufferBytes);
+  std::istringstream in(out.str());
+  const Dataset r = load_dataset(in);
+  ASSERT_EQ(r.series.size(), d.series.size());
+  for (std::size_t t = 0; t < d.series.size(); ++t) {
+    EXPECT_EQ(r.series[t].time, d.series[t].time);
+    EXPECT_EQ(r.series[t].valid, d.series[t].valid);
+    ASSERT_EQ(r.series[t].assignment.size(), nets);
+    for (std::size_t n = 0; n < nets; ++n) {
+      ASSERT_EQ(r.sites.name(r.series[t].assignment[n]),
+                d.sites.name(d.series[t].assignment[n]))
+          << "row " << t << " network " << n;
+    }
+  }
 }
 
 // --- the malformed-dataset corpus: strict rejects with a useful
@@ -268,6 +320,38 @@ TEST(DatasetIoCorpus, LenientOnCleanInputMatchesStrict) {
   ASSERT_EQ(lenient.weights.size(), strict.weights.size());
 }
 
+TEST(DatasetIoCorpus, UnterminatedQuote) {
+  // A file cut inside a quoted field: the quote runs to the end, so the
+  // cut row is the last one. Strict mode names it; lenient mode keeps
+  // the rows before it and counts the cut row as ragged.
+  const std::string text =
+      "#fenrir-dataset,v1\nname,cut\ntime,valid,7\n"
+      "2025-01-01,1,a\n2025-01-02,1,\"alpha\n";
+  expect_strict_rejects(text, "unterminated quoted field at line 5");
+  LoadStats stats;
+  const Dataset r = load_text(text, {.lenient = true}, &stats);
+  ASSERT_EQ(r.series.size(), 1u);
+  EXPECT_EQ(r.sites.name(r.series[0].assignment[0]), "a");
+  EXPECT_EQ(stats.ragged_rows, 1u);
+  EXPECT_EQ(stats.rows_kept, 1u);
+  EXPECT_TRUE(stats.salvaged());
+  // Cut inside the header rows, nothing is left to salvage.
+  const std::string header_cut = "#fenrir-dataset,v1\nname,\"cut\n";
+  expect_strict_rejects(header_cut, "unterminated quoted field at line 2");
+  EXPECT_THROW(load_text(header_cut, {.lenient = true}), DatasetIoError);
+}
+
+TEST(DatasetIoCorpus, StrictReportsTheFirstDefectInFileOrder) {
+  // A ragged row ahead of an unterminated quote is reported first.
+  const std::string text =
+      "#fenrir-dataset,v1\nname,x\ntime,valid,7\n"
+      "2025-01-01,1,a,EXTRA\n2025-01-02,1,\"alpha\n";
+  expect_strict_rejects(text, "ragged row at line 4");
+  LoadStats stats;
+  EXPECT_TRUE(load_text(text, {.lenient = true}, &stats).series.empty());
+  EXPECT_EQ(stats.ragged_rows, 2u);
+}
+
 TEST(DatasetIoCorpus, SalvagedDatasetsStayConsistentAcrossSeeds) {
   // Whatever the corruption draws, a lenient load either throws
   // DatasetIoError (structural damage) or returns a consistent dataset.
@@ -284,6 +368,79 @@ TEST(DatasetIoCorpus, SalvagedDatasetsStayConsistentAcrossSeeds) {
         // acceptable: damage reached a structural row
       }
     }
+  }
+}
+
+// A deterministic mutation fuzzer for the dataset decoder: seeded byte
+// edits of a saved dataset (weighted, quoted name, reserved sites, an
+// outage row) plus every chaos::Corruption kind across seeds. Every
+// load, strict or lenient, must return a consistent dataset or throw
+// DatasetIoError — no other exception, no crash, no sanitizer report.
+// The edit count is bounded by a time budget so sanitizer builds run
+// fewer of the same seeded edits.
+void expect_parses_or_throws(const std::string& text, const std::string& what) {
+  for (const bool lenient : {false, true}) {
+    try {
+      LoadStats stats;
+      const Dataset r = load_text(text, {.lenient = lenient}, &stats);
+      EXPECT_NO_THROW(r.check_consistent()) << what;
+      EXPECT_EQ(stats.rows_kept, r.series.size()) << what;
+      if (!lenient) {
+        EXPECT_FALSE(stats.salvaged()) << what;
+      }
+    } catch (const DatasetIoError&) {
+      // rejected: the promised outcome for damage it cannot take
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << (lenient ? " (lenient)" : " (strict)")
+                    << " threw a non-DatasetIoError: " << e.what();
+    }
+  }
+}
+
+TEST(DatasetIoFuzz, MutatedBytesParseOrThrow) {
+  const std::string text = sample_text();
+  for (const auto kind :
+       {chaos::Corruption::kTruncate, chaos::Corruption::kBadMagic,
+        chaos::Corruption::kRaggedRows, chaos::Corruption::kFlipValidFlags,
+        chaos::Corruption::kBadTimes}) {
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      expect_parses_or_throws(
+          chaos::corrupt_text(text, kind, seed),
+          std::string(chaos::corruption_name(kind)) + " seed " +
+              std::to_string(seed));
+    }
+  }
+  // The bytes that steer the tokenizer and the checks, and the rest.
+  const std::string alphabet = ",\n\r\"01-: .#ax\xff";
+  const auto start = std::chrono::steady_clock::now();
+  const auto budget = std::chrono::seconds(5);
+  std::uint64_t state = 0x5eed;
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  std::size_t mutants = 0;
+  for (; mutants < 4000; ++mutants) {
+    if (mutants >= 500 && std::chrono::steady_clock::now() - start > budget) {
+      break;
+    }
+    std::string bad = text;
+    const std::uint64_t edits = 1 + draw(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const std::size_t at = draw(bad.size() + 1);
+      const char c = alphabet[draw(alphabet.size())];
+      switch (draw(3)) {
+        case 0:
+          if (at < bad.size()) bad[at] = c;
+          break;
+        case 1:
+          bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        default:
+          if (at < bad.size()) bad.erase(at, 1);
+      }
+    }
+    expect_parses_or_throws(bad, "mutant " + std::to_string(mutants));
   }
 }
 

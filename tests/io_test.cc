@@ -62,6 +62,109 @@ TEST(CsvParse, TsvSeparator) {
   EXPECT_EQ(rows[0], (CsvRow{"a", "b"}));
 }
 
+// --- the streaming reader: an istream through a bounded buffer. Its rows
+// must equal parse_csv's over the whole text (which never refills), for
+// any placement of the buffer boundaries. ---
+
+std::vector<CsvRow> stream_rows(const std::string& text) {
+  std::istringstream in(text);
+  CsvReader reader(in);
+  std::vector<CsvRow> rows;
+  while (reader.next()) {
+    rows.emplace_back(reader.row().begin(), reader.row().end());
+  }
+  return rows;
+}
+
+TEST(CsvReader, RowLongerThanTheBuffer) {
+  const std::string big(3 * CsvReader::kBufferBytes + 17, 'x');
+  const std::string text = "a,b\n" + big + ",tail\nc,d\n";
+  const auto rows = stream_rows(text);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1], (CsvRow{big, "tail"}));
+  EXPECT_EQ(rows[2], (CsvRow{"c", "d"}));
+}
+
+TEST(CsvReader, SplitsExactlyAtTheBufferBoundary) {
+  // The first refill ends at byte kBufferBytes. Pad the first row so
+  // that every byte of each tricky sequence, in turn, is the first byte
+  // past that boundary.
+  const std::vector<std::string> tricky = {
+      "\"line1\nline2\"",  // a quoted field with an embedded newline
+      "\"say \"\"hi\"\"\"",  // "" escapes
+      "crlf\r\n",            // CRLF ending the row
+      "\"q\"\r\n",           // a closing quote, then CRLF
+  };
+  for (const std::string& seq : tricky) {
+    for (std::size_t shift = 0; shift <= seq.size() + 1; ++shift) {
+      const std::size_t pad = CsvReader::kBufferBytes - 3 - shift;
+      const std::string end_row = seq.back() == '\n' ? "" : "\n";
+      const std::string text =
+          std::string(pad, 'p') + "\nf," + seq + end_row + "after,row\n";
+      const auto want = parse_csv(text);
+      ASSERT_EQ(want.size(), 3u) << seq;
+      EXPECT_EQ(stream_rows(text), want) << seq << " shifted " << shift;
+    }
+  }
+}
+
+TEST(CsvReader, StrayCarriageReturnMidField) {
+  const std::string text = "ab\rc,d\r\n\r\"q\",x\n";
+  const std::vector<CsvRow> want = {{"abc", "d"}, {"q", "x"}};
+  EXPECT_EQ(parse_csv(text), want);
+  EXPECT_EQ(stream_rows(text), want);
+}
+
+TEST(CsvReader, LastRowWithoutNewline) {
+  EXPECT_EQ(stream_rows("a,b\nc,d"),
+            (std::vector<CsvRow>{{"a", "b"}, {"c", "d"}}));
+  EXPECT_EQ(stream_rows("a,\"b\""), (std::vector<CsvRow>{{"a", "b"}}));
+  EXPECT_EQ(stream_rows("a,"), (std::vector<CsvRow>{{"a", ""}}));
+}
+
+TEST(CsvReader, BlankLinesYieldNoRows) {
+  const std::string text = "\n\na\n\n\r\n\r\r\nb\n\n";
+  const std::vector<CsvRow> want = {{"a"}, {"b"}};
+  EXPECT_EQ(parse_csv(text), want);
+  EXPECT_EQ(stream_rows(text), want);
+  EXPECT_TRUE(stream_rows("").empty());
+  EXPECT_TRUE(stream_rows("\r\n\n").empty());
+  // An empty quoted field is content, not a blank line.
+  EXPECT_EQ(stream_rows("\"\"\n"), (std::vector<CsvRow>{{""}}));
+}
+
+TEST(CsvReader, UnterminatedQuoteNamesTheLastLine) {
+  // The quote runs to the end of the input: both readers report the
+  // line the input ends on, after the rows before it were read.
+  const std::string text = "a,b\n\nc,\"open\nmore\n";
+  std::size_t want_line = 0;
+  try {
+    parse_csv(text);
+  } catch (const CsvError& e) {
+    want_line = e.line();
+  }
+  EXPECT_EQ(want_line, 5u);
+  std::istringstream in(text);
+  CsvReader reader(in);
+  ASSERT_TRUE(reader.next());
+  EXPECT_EQ(reader.row().size(), 2u);
+  try {
+    reader.next();
+    FAIL() << "unterminated quote accepted";
+  } catch (const CsvError& e) {
+    EXPECT_EQ(e.line(), want_line);
+  }
+}
+
+TEST(CsvReader, QuoteIsSpecialOnlyAtFieldStart) {
+  // Mid-field quotes are literal; a '\r' swallowed before a quote leaves
+  // the field empty, so that quote still opens.
+  const std::string text = "a\"b,\"x\"y\"z,\r\"c,d\"\n";
+  const std::vector<CsvRow> want = {{"a\"b", "xy\"z", "c,d"}};
+  EXPECT_EQ(parse_csv(text), want);
+  EXPECT_EQ(stream_rows(text), want);
+}
+
 TEST(CsvEscape, OnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
