@@ -47,6 +47,9 @@ int main() {
   const core::AnalysisResult result = core::analyze(d);
   std::cout << "\nmodes: " << result.modes.size() << " (paper: 2)\n";
   if (result.modes.size() >= 2) {
+    // The split: the first observation of the second mode.
+    std::cout << "split: " << core::format_date(result.modes.mode(1).start)
+              << " (paper: 2025-01-16)\n";
     const auto inter = result.modes.inter(result.matrix, 0, 1);
     std::cout << "phi(Mi, Mii) = [" << io::fixed(inter.min, 2) << ", "
               << io::fixed(inter.max, 2) << "]  (paper: [0.11, 0.48])\n";

@@ -145,11 +145,13 @@ void BM_GowerPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_GowerPacked)->Arg(100'000)->Arg(1'000'000);
 
-// The dispatch tiers head-to-head on the u8 counts kernel (the width
-// BM_GowerPacked's 8-site vectors pack to), same site distribution as
+// The dispatch tiers head-to-head on the counts kernels for the 8-site
+// vectors BM_GowerPacked packs (4 bits since they fit; the u8 legs keep
+// the one-byte kernel measured too), same site distribution as
 // BM_GowerPacked so the items/s ratio is the pure lane win. Tiers the
 // build or the host CPU lacks are skipped, not faked.
-void BM_GowerSimd(benchmark::State& state, core::simd::Tier tier) {
+void BM_GowerSimd(benchmark::State& state, core::simd::Tier tier,
+                  std::size_t bits) {
   const core::simd::KernelTable* k = core::simd::table_for(tier);
   if (k == nullptr) {
     state.SkipWithError("tier unavailable on this build/host");
@@ -158,24 +160,29 @@ void BM_GowerSimd(benchmark::State& state, core::simd::Tier tier) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto av = random_vector(n, 8, 1, 0.5);
   const auto bv = random_vector(n, 8, 2, 0.5);
-  std::vector<std::uint8_t> a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = static_cast<std::uint8_t>(av.assignment[i]);
-    b[i] = static_cast<std::uint8_t>(bv.assignment[i]);
-  }
+  std::vector<std::uint8_t> a(core::packed_row_bytes(n, bits));
+  std::vector<std::uint8_t> b(a.size());
+  const auto count = bits == 4 ? k->count_u4 : k->count_u8;
+  (bits == 4 ? k->pack_u4 : k->pack_u8)(av.assignment.data(), a.data(), n);
+  (bits == 4 ? k->pack_u4 : k->pack_u8)(bv.assignment.data(), b.data(), n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::phi_from_counts(
-        k->count_u8(a.data(), b.data(), n), n,
-        core::UnknownPolicy::kPessimistic));
+        count(a.data(), b.data(), n), n, core::UnknownPolicy::kPessimistic));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_GowerSimd, scalar, core::simd::Tier::kScalar)
+BENCHMARK_CAPTURE(BM_GowerSimd, scalar, core::simd::Tier::kScalar, 8)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx2, core::simd::Tier::kAvx2)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx2, core::simd::Tier::kAvx2, 8)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx512, core::simd::Tier::kAvx512)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx512, core::simd::Tier::kAvx512, 8)
+    ->Arg(100'000)->Arg(1'000'000);
+BENCHMARK_CAPTURE(BM_GowerSimd, scalar_u4, core::simd::Tier::kScalar, 4)
+    ->Arg(100'000)->Arg(1'000'000);
+BENCHMARK_CAPTURE(BM_GowerSimd, avx2_u4, core::simd::Tier::kAvx2, 4)
+    ->Arg(100'000)->Arg(1'000'000);
+BENCHMARK_CAPTURE(BM_GowerSimd, avx512_u4, core::simd::Tier::kAvx512, 4)
     ->Arg(100'000)->Arg(1'000'000);
 
 // The delta patch for one pair at 1% churn. Items are counted in
@@ -186,10 +193,10 @@ void BM_GowerDelta(benchmark::State& state) {
   core::Dataset d = low_churn_dataset(2, n, 0.01);
   d.series.push_back(random_vector(n, 8, 9, 0.1));  // the partner row
   const auto s = core::PackedSeries::pack(d);
-  const auto delta = s.delta_between(0, 1);
+  const auto prep = core::prepare_delta(s.delta_between(0, 1));
   const auto base = s.counts(0, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::apply_delta(base, delta, s, 2).matches);
+    benchmark::DoNotOptimize(core::apply_prepared(base, prep, s, 2).matches);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -630,13 +637,15 @@ double segment_save_bytes(const SegmentFixture& f) {
     const std::size_t n = store.weights().empty()
                               ? f.d.networks.size()
                               : store.weights().size();
-    const std::vector<std::byte> packed(n);
+    // The fixture's ids fit 4 bits, so the raw row matches the tail's
+    // width and the append never rotates it.
+    const std::vector<std::byte> packed(core::packed_row_bytes(n, 4));
     const std::vector<double> phi(
         store.processed() - store.base_row() + 1, 0.5);
     obs::Counter& written = obs::registry().counter(
         "fenrir_segment_tail_bytes_total");
     const std::uint64_t before = written.value();
-    store.append_raw(true, 0, io::kNoAnchor, 0, n, 1, packed, phi);
+    store.append_raw(true, 0, io::kNoAnchor, 0, n, 4, packed, phi);
     store.flush();
     bytes = static_cast<double>(written.value() - before);
   }

@@ -1,6 +1,7 @@
 #include "core/compare_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -16,18 +17,25 @@ double in_order_sum(std::span<const double> w) {
 
 namespace {
 
+/// @p x as the little-endian bytes a packed row stores (a no-op on
+/// little-endian hosts).
 template <typename T>
-void pack_row(std::byte* dst, const RoutingVector& v) {
-  T* out = reinterpret_cast<T*>(dst);
-  for (std::size_t i = 0; i < v.assignment.size(); ++i) {
-    out[i] = static_cast<T>(v.assignment[i]);
+T to_le(T x) {
+  if constexpr (std::endian::native == std::endian::big && sizeof(T) == 2) {
+    return __builtin_bswap16(x);
+  } else if constexpr (std::endian::native == std::endian::big &&
+                       sizeof(T) == 4) {
+    return __builtin_bswap32(x);
+  } else {
+    return x;
   }
 }
 
 // Blocked branchless match counter. The inner block accumulates into
 // 32-bit lanes the compiler widens from byte/word compares (pcmpeq +
 // psadbw-style reductions); the outer loop drains them into 64-bit sums
-// well before they could wrap.
+// well before they could wrap. Equality and the zero test do not depend
+// on byte order, so the elements are compared as stored.
 template <typename T>
 MatchCounts count_matches_impl(const T* a, const T* b, std::size_t n) {
   MatchCounts out;
@@ -53,32 +61,36 @@ MatchCounts count_matches_impl(const T* a, const T* b, std::size_t n) {
 // Weighted variant: same left-to-right accumulation as the scalar
 // reference (reordering doubles changes the bits), but branchless
 // selects instead of data-dependent branches.
-template <typename T>
-WeightedCounts weighted_impl(const T* a, const T* b, const double* w,
-                             std::size_t n, UnknownPolicy policy,
-                             double pessimistic_total) {
+template <unsigned Bits>
+WeightedCounts weighted_impl(const std::byte* a, const std::byte* b,
+                             const double* w, std::size_t n,
+                             UnknownPolicy policy, double pessimistic_total) {
   WeightedCounts out;
   if (policy == UnknownPolicy::kPessimistic) {
     for (std::size_t i = 0; i < n; ++i) {
-      const bool hit = a[i] == b[i] && a[i] != 0;
+      const SiteId x = packed_at<Bits>(a, i);
+      const bool hit = x == packed_at<Bits>(b, i) && x != 0;
       out.matched += hit ? w[i] : 0.0;
     }
     out.denom = pessimistic_total;
     return out;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const bool known = a[i] != 0 && b[i] != 0;
-    const bool hit = known && a[i] == b[i];
+    const SiteId x = packed_at<Bits>(a, i);
+    const SiteId y = packed_at<Bits>(b, i);
+    const bool known = x != 0 && y != 0;
+    const bool hit = known && x == y;
     out.denom += known ? w[i] : 0.0;
     out.matched += hit ? w[i] : 0.0;
   }
   return out;
 }
 
-std::size_t width_for(SiteId max_id) {
-  if (max_id <= 0xff) return 1;
-  if (max_id <= 0xffff) return 2;
-  return 4;
+std::size_t bits_for(SiteId max_id) {
+  if (max_id <= 0xf) return 4;
+  if (max_id <= 0xff) return 8;
+  if (max_id <= 0xffff) return 16;
+  return 32;
 }
 
 // Typed change-set scan, bounded: bails at the (cap+1)-th mismatch.
@@ -99,7 +111,8 @@ bool delta_scan_bounded(const T* a, const T* b, std::size_t n,
         return false;
       }
       out.push_back({static_cast<std::uint32_t>(i),
-                     static_cast<SiteId>(a[i]), static_cast<SiteId>(b[i])});
+                     static_cast<SiteId>(to_le(a[i])),
+                     static_cast<SiteId>(to_le(b[i]))});
     }
   }
   return true;
@@ -114,6 +127,37 @@ bool delta_scan_bounded(const T* a, const T* b, std::size_t n,
 // delta_scan exactly.
 namespace simd {
 
+MatchCounts count_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
+                            std::size_t n) {
+  // Byte t holds elements 2t (low nibble) and 2t+1 (high nibble); the
+  // high nibble of an odd row's last byte is not an element and is
+  // never read.
+  MatchCounts out;
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t full = n / 2;
+  std::size_t t = 0;
+  while (t < full) {
+    const std::size_t end = std::min(full, t + kBlock);
+    std::uint32_t m = 0, k = 0;
+    for (std::size_t j = t; j < end; ++j) {
+      const unsigned al = a[j] & 0xFu, ah = a[j] >> 4;
+      const unsigned bl = b[j] & 0xFu, bh = b[j] >> 4;
+      m += (al == bl) & (al != 0);
+      m += (ah == bh) & (ah != 0);
+      k += (al != 0) & (bl != 0);
+      k += (ah != 0) & (bh != 0);
+    }
+    out.matches += m;
+    out.mutual_known += k;
+    t = end;
+  }
+  if (n % 2 != 0) {
+    const unsigned al = a[full] & 0xFu, bl = b[full] & 0xFu;
+    out.matches += (al == bl) & (al != 0);
+    out.mutual_known += (al != 0) & (bl != 0);
+  }
+  return out;
+}
 MatchCounts count_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
                             std::size_t n) {
   return count_matches_impl(a, b, n);
@@ -125,6 +169,29 @@ MatchCounts count_u16_scalar(const std::uint16_t* a, const std::uint16_t* b,
 MatchCounts count_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
                              std::size_t n) {
   return count_matches_impl(a, b, n);
+}
+bool delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::size_t cap,
+                     std::vector<DeltaEntry>& out) {
+  // Bytes first (equal bytes are the common case), then the one or two
+  // elements of a byte that differs.
+  const auto* ra = reinterpret_cast<const std::byte*>(a);
+  const auto* rb = reinterpret_cast<const std::byte*>(b);
+  const std::size_t bytes = packed_row_bytes(n, 4);
+  for (std::size_t t = 0; t < bytes; ++t) {
+    if (a[t] == b[t]) continue;
+    for (std::size_t i = 2 * t; i < std::min(n, 2 * t + 2); ++i) {
+      const SiteId x = packed_at<4>(ra, i);
+      const SiteId y = packed_at<4>(rb, i);
+      if (x == y) continue;
+      if (out.size() == cap) {
+        out.clear();
+        return false;
+      }
+      out.push_back({static_cast<std::uint32_t>(i), x, y});
+    }
+  }
+  return true;
 }
 bool delta_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
                      std::size_t n, std::size_t cap,
@@ -146,6 +213,14 @@ SiteId max_site_scalar(const SiteId* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) max_id = std::max(max_id, src[i]);
   return max_id;
 }
+void pack_u4_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  const std::size_t full = n / 2;
+  for (std::size_t t = 0; t < full; ++t) {
+    dst[t] = static_cast<std::uint8_t>(src[2 * t] | (src[2 * t + 1] << 4));
+  }
+  // An odd row's last high nibble stays 0: kUnknownSite.
+  if (n % 2 != 0) dst[full] = static_cast<std::uint8_t>(src[n - 1]);
+}
 void pack_u8_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     dst[i] = static_cast<std::uint8_t>(src[i]);
@@ -153,8 +228,36 @@ void pack_u8_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
 }
 void pack_u16_scalar(const SiteId* src, std::uint16_t* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint16_t>(src[i]);
+    dst[i] = to_le(static_cast<std::uint16_t>(src[i]));
   }
+}
+
+std::int64_t swap_patch_u4_scalar(const std::uint8_t* row,
+                                  const std::uint32_t* idx,
+                                  const SiteId* before, const SiteId* after,
+                                  std::size_t n, std::size_t /*row_len*/) {
+  const auto* r = reinterpret_cast<const std::byte*>(row);
+  std::int64_t d_matches = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const SiteId b = packed_at<4>(r, idx[t]);
+    d_matches += (after[t] == b);
+    d_matches -= (before[t] == b);
+  }
+  return d_matches;
+}
+
+KnownPatchSums known_patch_u4_scalar(const std::uint8_t* row,
+                                     const std::uint32_t* idx,
+                                     const SiteId* value, std::size_t n,
+                                     std::size_t /*row_len*/) {
+  const auto* r = reinterpret_cast<const std::byte*>(row);
+  KnownPatchSums out;
+  for (std::size_t t = 0; t < n; ++t) {
+    const SiteId b = packed_at<4>(r, idx[t]);
+    out.equal += (value[t] == b);
+    out.known += (b != kUnknownSite);
+  }
+  return out;
 }
 
 std::int64_t swap_patch_u8_scalar(const std::uint8_t* row,
@@ -172,8 +275,34 @@ std::int64_t swap_patch_u8_scalar(const std::uint8_t* row,
 
 }  // namespace simd
 
-SwapPatchU8Fn active_swap_patch_u8() noexcept {
-  return simd::active().swap_u8;
+SwapPatchFn active_swap_patch(std::size_t bits) noexcept {
+  if (bits == 4) return simd::active().swap_u4;
+  if (bits == 8) return simd::active().swap_u8;
+  return nullptr;
+}
+
+KnownPatchFn active_known_patch_u4() noexcept {
+  return simd::active().known_u4;
+}
+
+void convert_packed_row(const std::byte* src, std::size_t src_bits,
+                        std::byte* dst, std::size_t dst_bits, std::size_t n) {
+  if (src_bits == dst_bits) {
+    if (n > 0) std::memcpy(dst, src, packed_row_bytes(n, dst_bits));
+    return;
+  }
+  // Widening: dst_bits > src_bits ≥ 4, so every destination element is
+  // whole bytes, written low byte first.
+  const std::size_t dst_bytes = dst_bits / 8;
+  with_bits(src_bits, [&](auto b) {
+    constexpr unsigned kBits = decltype(b)::value;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SiteId v = packed_at<kBits>(src, i);
+      for (std::size_t k = 0; k < dst_bytes; ++k) {
+        dst[i * dst_bytes + k] = static_cast<std::byte>((v >> (8 * k)) & 0xFFu);
+      }
+    }
+  });
 }
 
 PackedSeries PackedSeries::pack(const Dataset& dataset) {
@@ -185,49 +314,13 @@ PackedSeries PackedSeries::pack(const Dataset& dataset) {
     max_id = std::max(max_id, k.max_site(v.assignment.data(),
                                          v.assignment.size()));
   }
-  s.width_ = width_for(max_id);
+  s.bits_ = bits_for(max_id);
   for (const RoutingVector& v : dataset.series) s.append(v);
   return s;
 }
 
-namespace {
-
-/// Copies one row of @p n elements from @p src_width to @p dst_width ≥
-/// @p src_width (host order on both sides); a plain memcpy when the
-/// widths agree.
-void convert_row(const std::byte* src, std::size_t src_width, std::byte* dst,
-                 std::size_t dst_width, std::size_t n) {
-  if (src_width == dst_width) {
-    if (n > 0) std::memcpy(dst, src, n * dst_width);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    SiteId v = 0;
-    if (src_width == 1) {
-      std::uint8_t x;
-      std::memcpy(&x, src + i, sizeof x);
-      v = x;
-    } else if (src_width == 2) {
-      std::uint16_t x;
-      std::memcpy(&x, src + i * 2, sizeof x);
-      v = x;
-    } else {
-      std::memcpy(&v, src + i * 4, sizeof v);
-    }
-    std::byte* out = dst + i * dst_width;
-    if (dst_width == 2) {
-      const auto x = static_cast<std::uint16_t>(v);
-      std::memcpy(out, &x, sizeof x);
-    } else {
-      std::memcpy(out, &v, sizeof v);
-    }
-  }
-}
-
-}  // namespace
-
 std::byte* PackedSeries::push_slot() {
-  const std::size_t stride = networks_ * width_;
+  const std::size_t stride = row_bytes();
   if (slab_rows_ == 0) {
     slab_rows_ = std::max<std::size_t>(1, kSlabBytes / std::max<std::size_t>(
                                                           stride, 1));
@@ -256,21 +349,26 @@ void PackedSeries::append(const RoutingVector& v) {
       v.assignment.empty() ? 0
                            : k.max_site(v.assignment.data(),
                                         v.assignment.size());
-  if (const std::size_t need = width_for(max_id); need > width_) {
+  if (const std::size_t need = bits_for(max_id); need > bits_) {
     relayout(need);
   }
   std::byte* dst = push_slot();
-  switch (width_) {
-    case 1:
-      k.pack_u8(v.assignment.data(), reinterpret_cast<std::uint8_t*>(dst),
-                networks_);
+  const SiteId* src = v.assignment.data();
+  switch (bits_) {
+    case 4:
+      k.pack_u4(src, reinterpret_cast<std::uint8_t*>(dst), networks_);
       break;
-    case 2:
-      k.pack_u16(v.assignment.data(), reinterpret_cast<std::uint16_t*>(dst),
-                 networks_);
+    case 8:
+      k.pack_u8(src, reinterpret_cast<std::uint8_t*>(dst), networks_);
+      break;
+    case 16:
+      k.pack_u16(src, reinterpret_cast<std::uint16_t*>(dst), networks_);
       break;
     default:
-      pack_row<std::uint32_t>(dst, v);
+      for (std::size_t i = 0; i < networks_; ++i) {
+        const std::uint32_t x = to_le(src[i]);
+        std::memcpy(dst + 4 * i, &x, sizeof x);
+      }
       break;
   }
 }
@@ -289,14 +387,13 @@ void PackedSeries::copy_row(std::size_t dst, std::size_t src) {
     throw std::out_of_range("PackedSeries::copy_row");
   }
   if (dst == src) return;
-  if (dst < mapped_) relayout(width_);
-  std::memcpy(const_cast<std::byte*>(row_[dst]), row_[src],
-              networks_ * width_);
+  if (dst < mapped_) relayout(bits_);
+  std::memcpy(const_cast<std::byte*>(row_[dst]), row_[src], row_bytes());
 }
 
 void PackedSeries::clear() noexcept {
   networks_ = 0;
-  width_ = 1;
+  bits_ = 4;
   mapped_ = 0;
   row_.clear();
   slabs_.clear();
@@ -304,41 +401,41 @@ void PackedSeries::clear() noexcept {
   keepalive_.reset();
 }
 
-void PackedSeries::relayout(std::size_t width) {
-  // Build the new layout beside the old one — convert_row reads every
-  // row, mapped ones too, through the old table — then swap it in.
+void PackedSeries::relayout(std::size_t bits) {
+  // Build the new layout beside the old one — convert_packed_row reads
+  // every row, mapped ones too, through the old table — then swap it in.
   PackedSeries out;
   out.networks_ = networks_;
-  out.width_ = width;
+  out.bits_ = bits;
   out.row_.reserve(row_.size());
   for (const std::byte* src : row_) {
-    convert_row(src, width_, out.push_slot(), width, networks_);
+    convert_packed_row(src, bits_, out.push_slot(), bits, networks_);
   }
   *this = std::move(out);
 }
 
-void PackedSeries::adopt_rows(std::size_t networks, std::size_t width,
+void PackedSeries::adopt_rows(std::size_t networks, std::size_t bits,
                               std::span<const std::byte* const> rows,
                               std::shared_ptr<const void> keepalive) {
   if (!row_.empty() || networks_ != 0) {
     throw std::logic_error("PackedSeries::adopt_rows: series not empty");
   }
-  if (width != 1 && width != 2 && width != 4) {
+  if (bits != 4 && bits != 8 && bits != 16 && bits != 32) {
     throw std::invalid_argument("PackedSeries::adopt_rows: bad width");
   }
   networks_ = networks;
-  width_ = width;
+  bits_ = bits;
   row_.assign(rows.begin(), rows.end());
   mapped_ = row_.size();
   keepalive_ = std::move(keepalive);
 }
 
-void PackedSeries::append_packed(const std::byte* src, std::size_t src_width) {
+void PackedSeries::append_packed(const std::byte* src, std::size_t src_bits) {
   if (networks_ == 0 && row_.empty()) {
     throw std::logic_error("PackedSeries::append_packed: networks unset");
   }
-  if (src_width > width_) relayout(src_width);
-  convert_row(src, src_width, push_slot(), width_, networks_);
+  if (src_bits > bits_) relayout(src_bits);
+  convert_packed_row(src, src_bits, push_slot(), bits_, networks_);
 }
 
 MatchCounts PackedSeries::counts(std::size_t i, std::size_t j) const {
@@ -348,11 +445,14 @@ MatchCounts PackedSeries::counts(std::size_t i, std::size_t j) const {
   const std::byte* a = row_ptr(i);
   const std::byte* b = row_ptr(j);
   const simd::KernelTable& k = simd::active();
-  switch (width_) {
-    case 1:
+  switch (bits_) {
+    case 4:
+      return k.count_u4(reinterpret_cast<const std::uint8_t*>(a),
+                        reinterpret_cast<const std::uint8_t*>(b), networks_);
+    case 8:
       return k.count_u8(reinterpret_cast<const std::uint8_t*>(a),
                         reinterpret_cast<const std::uint8_t*>(b), networks_);
-    case 2:
+    case 16:
       return k.count_u16(reinterpret_cast<const std::uint16_t*>(a),
                          reinterpret_cast<const std::uint16_t*>(b), networks_);
     default:
@@ -371,43 +471,17 @@ WeightedCounts PackedSeries::weighted_counts(std::size_t i, std::size_t j,
   if (w.size() != networks_) {
     throw std::invalid_argument("PackedSeries: weight size mismatch");
   }
-  const std::byte* a = row_ptr(i);
-  const std::byte* b = row_ptr(j);
-  switch (width_) {
-    case 1:
-      return weighted_impl(reinterpret_cast<const std::uint8_t*>(a),
-                           reinterpret_cast<const std::uint8_t*>(b), w.data(),
-                           networks_, policy, pessimistic_total);
-    case 2:
-      return weighted_impl(reinterpret_cast<const std::uint16_t*>(a),
-                           reinterpret_cast<const std::uint16_t*>(b), w.data(),
-                           networks_, policy, pessimistic_total);
-    default:
-      return weighted_impl(reinterpret_cast<const std::uint32_t*>(a),
-                           reinterpret_cast<const std::uint32_t*>(b), w.data(),
-                           networks_, policy, pessimistic_total);
-  }
+  return with_bits(bits_, [&](auto b) {
+    return weighted_impl<decltype(b)::value>(row_ptr(i), row_ptr(j), w.data(),
+                                             networks_, policy,
+                                             pessimistic_total);
+  });
 }
 
 SiteId PackedSeries::value_at(std::size_t row, std::size_t n) const {
-  const std::byte* p = row_ptr(row) + n * width_;
-  switch (width_) {
-    case 1: {
-      std::uint8_t x;
-      std::memcpy(&x, p, sizeof x);
-      return x;
-    }
-    case 2: {
-      std::uint16_t x;
-      std::memcpy(&x, p, sizeof x);
-      return x;
-    }
-    default: {
-      SiteId x;
-      std::memcpy(&x, p, sizeof x);
-      return x;
-    }
-  }
+  return with_bits(bits_, [&](auto b) {
+    return packed_at<decltype(b)::value>(row_ptr(row), n);
+  });
 }
 
 std::vector<DeltaEntry> PackedSeries::delta_between(std::size_t from,
@@ -430,12 +504,16 @@ bool PackedSeries::delta_between_bounded(std::size_t from, std::size_t to,
   const std::byte* a = row_ptr(from);
   const std::byte* b = row_ptr(to);
   const simd::KernelTable& k = simd::active();
-  switch (width_) {
-    case 1:
+  switch (bits_) {
+    case 4:
+      return k.delta_u4(reinterpret_cast<const std::uint8_t*>(a),
+                        reinterpret_cast<const std::uint8_t*>(b), networks_,
+                        cap, out);
+    case 8:
       return k.delta_u8(reinterpret_cast<const std::uint8_t*>(a),
                         reinterpret_cast<const std::uint8_t*>(b), networks_,
                         cap, out);
-    case 2:
+    case 16:
       return k.delta_u16(reinterpret_cast<const std::uint16_t*>(a),
                          reinterpret_cast<const std::uint16_t*>(b), networks_,
                          cap, out);
@@ -444,52 +522,6 @@ bool PackedSeries::delta_between_bounded(std::size_t from, std::size_t to,
                          reinterpret_cast<const std::uint32_t*>(b), networks_,
                          cap, out);
   }
-}
-
-namespace {
-
-// The per-entry body of apply_delta with the other row's width resolved
-// once; the matrix's append loop calls this |Δ| times per cached pair,
-// so a per-entry width dispatch would dominate the patch itself.
-template <typename T>
-void apply_delta_typed(const T* row_b, std::span<const DeltaEntry> delta,
-                       std::int64_t& d_matches, std::int64_t& d_known) {
-  for (const DeltaEntry& d : delta) {
-    const SiteId b = row_b[d.index];
-    const bool b_known = b != kUnknownSite;
-    d_matches -= (d.before == b && d.before != kUnknownSite);
-    d_known -= (d.before != kUnknownSite && b_known);
-    d_matches += (d.after == b && d.after != kUnknownSite);
-    d_known += (d.after != kUnknownSite && b_known);
-  }
-}
-
-}  // namespace
-
-MatchCounts apply_delta(MatchCounts base, std::span<const DeltaEntry> delta,
-                        const PackedSeries& series, std::size_t row_b) {
-  std::int64_t d_matches = 0;
-  std::int64_t d_known = 0;
-  const std::byte* b = series.row_ptr(row_b);
-  switch (series.width_) {
-    case 1:
-      apply_delta_typed(reinterpret_cast<const std::uint8_t*>(b), delta,
-                        d_matches, d_known);
-      break;
-    case 2:
-      apply_delta_typed(reinterpret_cast<const std::uint16_t*>(b), delta,
-                        d_matches, d_known);
-      break;
-    default:
-      apply_delta_typed(reinterpret_cast<const std::uint32_t*>(b), delta,
-                        d_matches, d_known);
-      break;
-  }
-  base.matches = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(base.matches) + d_matches);
-  base.mutual_known = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(base.mutual_known) + d_known);
-  return base;
 }
 
 PreparedDelta prepare_delta(std::span<const DeltaEntry> delta) {

@@ -8,20 +8,21 @@
 // the three fast layers the SimilarityMatrix builds on:
 //
 //  * PackedSeries — rows narrowed to the smallest element width that
-//    holds every SiteId seen (uint8 for < 255 sites, uint16 below 64k,
-//    uint32 otherwise). A packed row is 4×–1× denser than the
-//    RoutingVector it came from, so the match kernels stream 4× more
-//    networks per cache line and auto-vectorize to 16–32 lanes per step.
+//    holds every SiteId seen: 4 bits for ids ≤ 15 (two to a byte), 8
+//    below 256, 16 below 64k, 32 otherwise. A packed row is 8×–1×
+//    denser than the RoutingVector it came from, so the match kernels
+//    stream up to 8× more networks per cache line.
 //  * count_matches kernels — blocked, branchless mask-accumulation loops
 //    producing MatchCounts: how many networks match (both known, equal)
 //    and how many are mutually known. Both UnknownPolicy variants of Φ
 //    are pure functions of these two integers (phi_from_counts), so any
 //    kernel that reproduces the counts reproduces Φ *bit-identically* —
 //    the determinism contract the property tests enforce.
-//  * delta_between / apply_delta — a sorted change-set between a row and
-//    its predecessor, and an O(|Δ|) patch taking counts(prev, b) to
-//    counts(cur, b). When churn is sparse this replaces an O(N) scan per
-//    pair; counts stay exact integers, so Φ stays bit-identical.
+//  * delta_between / prepare_delta + ColumnPatcher — a sorted change-set
+//    between a row and its predecessor, and an O(|Δ|) patch taking
+//    counts(prev, b) to counts(cur, b). When churn is sparse this
+//    replaces an O(N) scan per pair; counts stay exact integers, so Φ
+//    stays bit-identical.
 //
 // Weighted Φ accumulates doubles, where reordering changes the result
 // bits. The weighted kernel therefore keeps the reference's in-order
@@ -30,10 +31,13 @@
 // scalar loop on unpredictable data.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/compare.h"
@@ -86,12 +90,68 @@ struct DeltaEntry {
   SiteId after = kUnknownSite;
 };
 
+/// Bytes one packed row of @p networks elements at @p bits per element
+/// (4, 8, 16 or 32) occupies: a 4-bit row of odd length rounds up to a
+/// whole byte. Exact for any @p networks ≤ SIZE_MAX / 4.
+constexpr std::size_t packed_row_bytes(std::size_t networks,
+                                       std::size_t bits) noexcept {
+  return networks / 8 * bits + (networks % 8 * bits + 7) / 8;
+}
+
+/// Element @p i of a packed row of @p Bits-bit elements. Packed rows are
+/// little-endian at every width, in memory as on disk: element 2t of a
+/// 4-bit row is the low nibble of byte t and element 2t+1 the high one,
+/// and an odd row's last high nibble is 0 (kUnknownSite).
+template <unsigned Bits>
+inline SiteId packed_at(const std::byte* row, std::size_t i) noexcept {
+  if constexpr (Bits == 4) {
+    const auto byte = std::to_integer<unsigned>(row[i >> 1]);
+    return (byte >> ((i & 1) * 4)) & 0xFu;
+  } else if constexpr (Bits == 8) {
+    return std::to_integer<SiteId>(row[i]);
+  } else {
+    using T = std::conditional_t<Bits == 16, std::uint16_t, std::uint32_t>;
+    T x;
+    std::memcpy(&x, row + i * sizeof(T), sizeof x);
+    if constexpr (std::endian::native == std::endian::big) {
+      if constexpr (Bits == 16) {
+        x = __builtin_bswap16(x);
+      } else {
+        x = __builtin_bswap32(x);
+      }
+    }
+    return x;
+  }
+}
+
+/// Calls @p f with std::integral_constant<unsigned, B> for the element
+/// width @p bits (4, 8, 16; anything else is 32), so a loop over packed
+/// elements is compiled once per width and dispatched once per row.
+template <typename F>
+decltype(auto) with_bits(std::size_t bits, F&& f) {
+  switch (bits) {
+    case 4: return f(std::integral_constant<unsigned, 4>{});
+    case 8: return f(std::integral_constant<unsigned, 8>{});
+    case 16: return f(std::integral_constant<unsigned, 16>{});
+    default: return f(std::integral_constant<unsigned, 32>{});
+  }
+}
+
+/// The one converter between packed row layouts: copies a row of @p n
+/// elements from @p src_bits to @p dst_bits ≥ @p src_bits, both
+/// little-endian; a plain copy when the widths agree. Widening appends,
+/// relayout, the segment store's compaction and its loads all go
+/// through it.
+void convert_packed_row(const std::byte* src, std::size_t src_bits,
+                        std::byte* dst, std::size_t dst_bits, std::size_t n);
+
 struct PreparedDelta;
 
-/// A time-series of routing vectors packed to the narrowest element type
-/// that holds every SiteId appended so far. Appending a vector with a
-/// larger id transparently re-packs the store one width up (ids only grow
-/// as a dataset interns new sites, so widening is rare and amortizes).
+/// A time-series of routing vectors packed to the narrowest element width
+/// that holds every SiteId appended so far (4, 8, 16 or 32 bits).
+/// Appending a vector with a larger id transparently re-packs the store
+/// at the wider width (ids only grow as a dataset interns new sites, so
+/// widening is rare and amortizes).
 ///
 /// Every row is reached through one row-pointer table. Owned rows live
 /// in fixed-size slabs that are never reallocated: an append writes its
@@ -116,26 +176,30 @@ class PackedSeries {
 
   std::size_t rows() const noexcept { return row_.size(); }
   std::size_t networks() const noexcept { return networks_; }
-  /// Bytes per element: 1, 2, or 4.
-  std::size_t width() const noexcept { return width_; }
+  /// Bits per element: 4, 8, 16, or 32.
+  std::size_t bits() const noexcept { return bits_; }
+  /// Bytes one row occupies: packed_row_bytes(networks(), bits()).
+  std::size_t row_bytes() const noexcept {
+    return packed_row_bytes(networks_, bits_);
+  }
   /// Rows borrowed from an adopted mapping (always a prefix of rows()).
   std::size_t mapped_rows() const noexcept { return mapped_; }
 
   /// Adopts @p rows as a borrowed prefix: row i reads through rows[i]
-  /// (networks × width bytes, any alignment ≥ the element width) for as
-  /// long as @p keepalive stays alive. Only legal on an empty series;
-  /// throws std::logic_error otherwise. Appends afterwards extend the
-  /// series normally; an append that needs a wider element first copies
-  /// the prefix into owned storage (widen_to materializes every row).
-  void adopt_rows(std::size_t networks, std::size_t width,
+  /// (packed_row_bytes(networks, bits) bytes, any alignment ≥ the element
+  /// size) for as long as @p keepalive stays alive. Only legal on an
+  /// empty series; throws std::logic_error otherwise. Appends afterwards
+  /// extend the series normally; an append that needs a wider element
+  /// first copies the prefix into owned storage.
+  void adopt_rows(std::size_t networks, std::size_t bits,
                   std::span<const std::byte* const> rows,
                   std::shared_ptr<const void> keepalive);
 
-  /// Appends one already-packed row of @p src_width-byte elements
+  /// Appends one already-packed row of @p src_bits-bit elements
   /// (networks() of them), converting between element widths as needed.
   /// The copy-fallback twin of adopt_rows for tail segments and
-  /// big-endian hosts.
-  void append_packed(const std::byte* src, std::size_t src_width);
+  /// mixed-width segment runs.
+  void append_packed(const std::byte* src, std::size_t src_bits);
 
   /// Appends one packed row. The first row fixes networks(); later rows
   /// must match it (std::invalid_argument otherwise).
@@ -185,35 +249,14 @@ class PackedSeries {
     if (row >= rows()) return;
 #if defined(__GNUC__) || defined(__clang__)
     const std::byte* b = row_ptr(row);
-    const std::size_t bytes = networks_ * width_;
+    const std::size_t bytes = row_bytes();
     for (std::size_t off = 0; off < bytes; off += 64) {
       __builtin_prefetch(b + off, 0, 1);
     }
 #endif
   }
 
-  /// Hint-prefetches the lines apply_delta will read in row @p row_b.
-  /// The matrix's fill loop issues this a couple of pairs ahead so the
-  /// patch's random reads overlap in the memory system instead of
-  /// serialising one cache miss per entry.
-  void prefetch_delta(std::size_t row_b,
-                      std::span<const DeltaEntry> delta) const {
-    if (row_b >= rows()) return;
-    const std::byte* b = row_ptr(row_b);
-#if defined(__GNUC__) || defined(__clang__)
-    for (const DeltaEntry& d : delta) {
-      __builtin_prefetch(b + static_cast<std::size_t>(d.index) * width_, 0, 1);
-    }
-#else
-    (void)b;
-#endif
-  }
-
  private:
-  friend MatchCounts apply_delta(MatchCounts, std::span<const DeltaEntry>,
-                                 const PackedSeries&, std::size_t);
-  friend MatchCounts apply_prepared(MatchCounts, const PreparedDelta&,
-                                    const PackedSeries&, std::size_t);
   friend class ColumnPatcher;
   friend class fenrir::io::SegmentCodec;
   /// Bytes one owned slab aims for: narrow rows share a slab (no
@@ -221,16 +264,16 @@ class PackedSeries {
   static constexpr std::size_t kSlabBytes = std::size_t{1} << 20;
 
   /// Re-lays every row, mapped ones included, into fresh owned slabs at
-  /// element width @p width and drops the borrow — the one path that
-  /// moves existing rows (widening, or a copy_row onto a mapped row).
-  void relayout(std::size_t width);
+  /// @p bits per element and drops the borrow — the one path that moves
+  /// existing rows (widening, or a copy_row onto a mapped row).
+  void relayout(std::size_t bits);
   /// Appends a row slot (the next owned slot, reusing one pop_back()
   /// released) and returns it for the caller to fill.
   std::byte* push_slot();
   const std::byte* row_ptr(std::size_t i) const { return row_[i]; }
 
   std::size_t networks_ = 0;
-  std::size_t width_ = 1;
+  std::size_t bits_ = 4;
   std::size_t mapped_ = 0;  // rows [0, mapped_) are borrowed
   /// Row i's bytes: the borrowed prefix, then owned row i at slot
   /// i − mapped_ of the slabs.
@@ -240,17 +283,13 @@ class PackedSeries {
   std::shared_ptr<const void> keepalive_;
 };
 
-/// Patches counts(prev, b) into counts(cur, b) given the change-set
-/// delta_between(prev, cur): O(|Δ|) with one random access into row
-/// @p row_b per entry. Exact integer arithmetic — bit-identical Φ.
-MatchCounts apply_delta(MatchCounts base, std::span<const DeltaEntry> delta,
-                        const PackedSeries& series, std::size_t row_b);
-
-/// A change-set pre-classified by endpoint known-ness. Whether `before`
-/// or `after` equals kUnknownSite does not depend on the column being
-/// patched, yet apply_delta re-tests both per entry per column. The
-/// batch append classifies each planned row once and replays the
-/// prepared form across every column:
+/// A change-set pre-classified by endpoint known-ness, the form in which
+/// the matrix patches counts(prev, b) into counts(cur, b) given the
+/// change-set delta_between(prev, cur): O(|Δ|) with one random access
+/// into row b per entry, exact integer arithmetic, bit-identical Φ.
+/// Whether `before` or `after` equals kUnknownSite does not depend on
+/// the column being patched, so each appended row is classified once
+/// and the prepared form replayed across every column:
 ///  - both endpoints known: mutual_known provably cancels (-known +known)
 ///    and only match membership can move — two compares per entry;
 ///  - before unknown → after known: the pair can only gain, one compare
@@ -272,64 +311,95 @@ struct PreparedDelta {
 /// per planned batch row and amortized over every column it patches.
 PreparedDelta prepare_delta(std::span<const DeltaEntry> delta);
 
-/// Kernel signature for the swap-class patch against a u8 row: returns
-/// the net match delta Σ (after[t] == row[idx[t]]) − (before[t] ==
-/// row[idx[t]]). @p row_len is the row's element count — idx entries
-/// are sorted ascending, so a vectorized tier can split off the suffix
-/// whose gathers would read past the row and handle it scalar.
-using SwapPatchU8Fn = std::int64_t (*)(const std::uint8_t* row,
-                                       const std::uint32_t* idx,
-                                       const SiteId* before,
-                                       const SiteId* after, std::size_t n,
-                                       std::size_t row_len);
+/// Kernel signature for the swap-class patch against a 4- or 8-bit row:
+/// returns the net match delta Σ (after[t] == row[idx[t]]) −
+/// (before[t] == row[idx[t]]). @p row_len is the row's element count —
+/// idx entries are sorted ascending, so a vectorized tier can split off
+/// the suffix whose gathers would read past the row and handle it
+/// scalar.
+using SwapPatchFn = std::int64_t (*)(const std::uint8_t* row,
+                                     const std::uint32_t* idx,
+                                     const SiteId* before,
+                                     const SiteId* after, std::size_t n,
+                                     std::size_t row_len);
 
-/// The active dispatch tier's swap-patch kernel (compare_kernels.cc
-/// resolves it; the header cannot include simd_dispatch.h, which
-/// includes this header).
-SwapPatchU8Fn active_swap_patch_u8() noexcept;
+/// The active dispatch tier's swap-patch kernel for @p bits-bit rows (4
+/// or 8; nullptr otherwise). compare_kernels.cc resolves it; the header
+/// cannot include simd_dispatch.h, which includes this header.
+SwapPatchFn active_swap_patch(std::size_t bits) noexcept;
+
+/// What the gain and lose classes need from the column row: how many of
+/// the gathered elements equal the entry's value, and how many are known.
+struct KnownPatchSums {
+  std::int64_t equal = 0;  // Σ (value[t] == row[idx[t]])
+  std::int64_t known = 0;  // Σ (row[idx[t]] != kUnknownSite)
+};
+
+/// Kernel signature for the gain/lose-class patch against a 4-bit row
+/// (same @p idx and @p row_len contract as SwapPatchFn). On B-Root-like
+/// series, where half the networks are unknown in any sweep, these two
+/// classes hold nearly every change-set entry.
+using KnownPatchFn = KnownPatchSums (*)(const std::uint8_t* row,
+                                        const std::uint32_t* idx,
+                                        const SiteId* value, std::size_t n,
+                                        std::size_t row_len);
+
+/// The active dispatch tier's gain/lose-class kernel for 4-bit rows.
+KnownPatchFn active_known_patch_u4() noexcept;
 
 /// Applies prepared change-sets against one fixed column row, with the
-/// row pointer, width, and swap-kernel dispatch resolved at
-/// construction and the patch loops inlined. The batch fill patches
-/// every planned batch row against the same column before moving on, so
-/// the per-call dispatch and call overhead of apply_prepared would
-/// otherwise be paid k times per column.
+/// row pointer, width, and patch-kernel dispatch resolved at
+/// construction and the remaining patch loops inlined. The batch fill
+/// patches every planned batch row against the same column before
+/// moving on, so the per-call dispatch and call overhead of
+/// apply_prepared would otherwise be paid k times per column; a
+/// single-row append builds one per column.
 class ColumnPatcher {
  public:
   ColumnPatcher(const PackedSeries& series, std::size_t row_b)
       : row_(series.row_ptr(row_b)),
-        width_(series.width()),
+        bits_(series.bits()),
         networks_(series.networks()),
-        swap_u8_(active_swap_patch_u8()) {}
+        swap_(active_swap_patch(bits_)),
+        known_u4_(active_known_patch_u4()) {}
 
   MatchCounts apply(MatchCounts base, const PreparedDelta& p) const {
     std::int64_t d_matches = 0;
     std::int64_t d_known = 0;
-    switch (width_) {
-      case 1: {
-        // The swap class dominates (both endpoints known), and u8 is
-        // the common packed width — route it through the dispatched
-        // kernel; the gain/lose classes stay inline.
+    with_bits(bits_, [&](auto b) {
+      constexpr unsigned kBits = decltype(b)::value;
+      if constexpr (kBits <= 8) {
+        // The narrow widths are the common ones: their swap class
+        // (both endpoints known) goes through the dispatched kernel,
+        // which gathers on AVX-512.
+        d_matches += swap_(reinterpret_cast<const std::uint8_t*>(row_),
+                           p.idx_swap.data(), p.before_swap.data(),
+                           p.after_swap.data(), p.idx_swap.size(), networks_);
+      } else {
+        patch_swap<kBits>(row_, p, d_matches);
+      }
+      if constexpr (kBits == 4) {
+        // A nibble costs a shift and a mask on top of the load, so the
+        // gain/lose classes go through the dispatched kernel too.
         const auto* row = reinterpret_cast<const std::uint8_t*>(row_);
-        d_matches +=
-            swap_u8_(row, p.idx_swap.data(), p.before_swap.data(),
-                     p.after_swap.data(), p.idx_swap.size(), networks_);
-        patch_rest(row, p, d_matches, d_known);
-        break;
+        if (!p.idx_gain.empty()) {
+          const KnownPatchSums gain =
+              known_u4_(row, p.idx_gain.data(), p.after_gain.data(),
+                        p.idx_gain.size(), networks_);
+          d_matches += gain.equal;
+          d_known += gain.known;
+        }
+        if (!p.idx_lose.empty()) {
+          const KnownPatchSums lose =
+              known_u4_(row, p.idx_lose.data(), p.before_lose.data(),
+                        p.idx_lose.size(), networks_);
+          d_matches -= lose.equal;
+          d_known -= lose.known;
+        }
+      } else {
+        patch_rest<kBits>(row_, p, d_matches, d_known);
       }
-      case 2: {
-        const auto* row = reinterpret_cast<const std::uint16_t*>(row_);
-        patch_swap(row, p, d_matches);
-        patch_rest(row, p, d_matches, d_known);
-        break;
-      }
-      default: {
-        const auto* row = reinterpret_cast<const std::uint32_t*>(row_);
-        patch_swap(row, p, d_matches);
-        patch_rest(row, p, d_matches, d_known);
-        break;
-      }
-    }
+    });
     base.matches = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(base.matches) + d_matches);
     base.mutual_known = static_cast<std::uint64_t>(
@@ -338,47 +408,48 @@ class ColumnPatcher {
   }
 
  private:
-  // Same exact integer arithmetic as apply_delta, with the
-  // column-invariant kUnknownSite tests hoisted into prepare_delta: a
-  // known endpoint that equals the column's value implies the column's
-  // value is known, so only the gain/lose classes test it.
-  template <typename T>
-  static void patch_swap(const T* row_b, const PreparedDelta& p,
+  // Exact integer arithmetic, with the column-invariant kUnknownSite
+  // tests hoisted into prepare_delta: a known endpoint that equals the
+  // column's value implies the column's value is known, so only the
+  // gain/lose classes test it.
+  template <unsigned Bits>
+  static void patch_swap(const std::byte* row_b, const PreparedDelta& p,
                          std::int64_t& d_matches) {
     const std::size_t n_swap = p.idx_swap.size();
     for (std::size_t t = 0; t < n_swap; ++t) {
-      const SiteId b = row_b[p.idx_swap[t]];
+      const SiteId b = packed_at<Bits>(row_b, p.idx_swap[t]);
       d_matches += (p.after_swap[t] == b);
       d_matches -= (p.before_swap[t] == b);
     }
   }
 
-  template <typename T>
-  static void patch_rest(const T* row_b, const PreparedDelta& p,
+  template <unsigned Bits>
+  static void patch_rest(const std::byte* row_b, const PreparedDelta& p,
                          std::int64_t& d_matches, std::int64_t& d_known) {
     const std::size_t n_gain = p.idx_gain.size();
     for (std::size_t t = 0; t < n_gain; ++t) {
-      const SiteId b = row_b[p.idx_gain[t]];
+      const SiteId b = packed_at<Bits>(row_b, p.idx_gain[t]);
       d_matches += (p.after_gain[t] == b);
       d_known += (b != kUnknownSite);
     }
     const std::size_t n_lose = p.idx_lose.size();
     for (std::size_t t = 0; t < n_lose; ++t) {
-      const SiteId b = row_b[p.idx_lose[t]];
+      const SiteId b = packed_at<Bits>(row_b, p.idx_lose[t]);
       d_matches -= (p.before_lose[t] == b);
       d_known -= (b != kUnknownSite);
     }
   }
 
   const std::byte* row_;
-  std::size_t width_;
+  std::size_t bits_;
   std::size_t networks_;
-  SwapPatchU8Fn swap_u8_;
+  SwapPatchFn swap_;
+  KnownPatchFn known_u4_;
 };
 
-/// apply_delta over the prepared form — bit-identical to apply_delta on
-/// the originating change-set (same exact integer arithmetic, with the
-/// column-invariant kUnknownSite tests hoisted into prepare_delta).
+/// Patches @p base, the counts of the change-set's source row against
+/// row @p row_b, into the counts of its target row against @p row_b: one
+/// ColumnPatcher::apply.
 MatchCounts apply_prepared(MatchCounts base, const PreparedDelta& delta,
                            const PackedSeries& series, std::size_t row_b);
 

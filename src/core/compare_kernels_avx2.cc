@@ -8,7 +8,9 @@
 // they can wrap (255 iterations for u8 via psadbw, 16k for u16 via
 // pmaddwd, u32 lanes drain per block). Counts are exact integers, so Φ
 // derived from them is bit-identical to the scalar oracle by
-// construction — there is no float in sight.
+// construction — there is no float in sight. 4-bit rows stay packed:
+// each nibble's predicates come from the byte lane masked with 0x0F or
+// 0xF0, so a byte lane counts up to two elements per iteration.
 #include "core/simd_dispatch.h"
 
 #include <algorithm>
@@ -39,6 +41,57 @@ inline std::uint64_t hsum_epi32(__m256i v) {
 }
 
 }  // namespace
+
+MatchCounts count_u4_avx2(const std::uint8_t* a, const std::uint8_t* b,
+                          std::size_t n) {
+  MatchCounts out;
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i lo = _mm256_set1_epi8(0x0F);
+  const __m256i hi = _mm256_set1_epi8(static_cast<char>(0xF0));
+  // 0xFF where the nibble of @p v selected by @p half is zero.
+  const auto zero_nibble = [&](__m256i v, __m256i half) {
+    return _mm256_cmpeq_epi8(_mm256_and_si256(v, half), zero);
+  };
+  __m256i msum = zero, ksum = zero;  // u64 lanes
+  const std::size_t full = n / 2;
+  std::size_t i = 0;
+  while (i + 32 <= full) {
+    // Byte accumulators gain up to two counts per iteration (one per
+    // nibble); drain via psadbw before 128 iterations could wrap them.
+    const std::size_t iters = std::min<std::size_t>((full - i) / 32, 127);
+    __m256i accm = zero, acck = zero;
+    for (std::size_t t = 0; t < iters; ++t, i += 32) {
+      const __m256i va =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+      const __m256i vb =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+      const __m256i x = _mm256_xor_si256(va, vb);
+      const __m256i az_lo = zero_nibble(va, lo);
+      const __m256i az_hi = zero_nibble(va, hi);
+      // match: the nibbles agree and a's is known.
+      accm = _mm256_sub_epi8(accm,
+                             _mm256_andnot_si256(az_lo, zero_nibble(x, lo)));
+      accm = _mm256_sub_epi8(accm,
+                             _mm256_andnot_si256(az_hi, zero_nibble(x, hi)));
+      // known: 2 per lane, less one (0xFF) for each nibble that is
+      // zero on either side.
+      acck = _mm256_add_epi8(
+          acck, _mm256_add_epi8(_mm256_or_si256(az_lo, zero_nibble(vb, lo)),
+                                _mm256_or_si256(az_hi, zero_nibble(vb, hi))));
+      acck = _mm256_add_epi8(acck, _mm256_set1_epi8(2));
+    }
+    msum = _mm256_add_epi64(msum, _mm256_sad_epu8(accm, zero));
+    ksum = _mm256_add_epi64(ksum, _mm256_sad_epu8(acck, zero));
+  }
+  out.matches = hsum_epi64(msum);
+  out.mutual_known = hsum_epi64(ksum);
+  // The remaining bytes, and an odd row's last element, go through the
+  // scalar oracle at their byte offset.
+  const MatchCounts rest = count_u4_scalar(a + i, b + i, n - 2 * i);
+  out.matches += rest.matches;
+  out.mutual_known += rest.mutual_known;
+  return out;
+}
 
 MatchCounts count_u8_avx2(const std::uint8_t* a, const std::uint8_t* b,
                           std::size_t n) {
@@ -165,7 +218,48 @@ inline bool push_entry(std::vector<DeltaEntry>& out, std::size_t cap,
   return true;
 }
 
+/// Pushes the differing elements of byte @p t of two 4-bit rows of @p n
+/// elements, low nibble first.
+inline bool push_nibbles(std::vector<DeltaEntry>& out, std::size_t cap,
+                         const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t t, std::size_t n) {
+  const unsigned x = a[t];
+  const unsigned y = b[t];
+  if (((x ^ y) & 0xFu) != 0 &&
+      !push_entry(out, cap, 2 * t, x & 0xFu, y & 0xFu)) {
+    return false;
+  }
+  if (((x ^ y) >> 4) != 0 && 2 * t + 1 < n &&
+      !push_entry(out, cap, 2 * t + 1, x >> 4, y >> 4)) {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool delta_u4_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
+                   std::size_t cap, std::vector<DeltaEntry>& out) {
+  const std::size_t bytes = packed_row_bytes(n, 4);
+  std::size_t t = 0;
+  for (; t + 32 <= bytes; t += 32) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + t));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + t));
+    std::uint32_t neq = ~static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
+    while (neq != 0) {
+      const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
+      neq &= neq - 1;
+      if (!push_nibbles(out, cap, a, b, t + j, n)) return false;
+    }
+  }
+  for (; t < bytes; ++t) {
+    if (a[t] != b[t] && !push_nibbles(out, cap, a, b, t, n)) return false;
+  }
+  return true;
+}
 
 bool delta_u8_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
                    std::size_t cap, std::vector<DeltaEntry>& out) {
@@ -260,23 +354,51 @@ SiteId max_site_avx2(const SiteId* src, std::size_t n) {
 // here: append() widens the store before packing, so every value fits
 // the destination and saturation never fires. packus interleaves
 // 128-bit lanes, so a cross-lane permute restores element order.
-void pack_u8_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+namespace {
+
+/// Elements src[0..32) as 32 ordered bytes.
+inline __m256i narrow32_u8(const SiteId* src) {
   const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+  const __m256i b =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 8));
+  const __m256i c =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 16));
+  const __m256i d =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 24));
+  const __m256i ab = _mm256_packus_epi32(a, b);
+  const __m256i cd = _mm256_packus_epi32(c, d);
+  return _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), perm);
+}
+
+/// 32 ordered element bytes as 16 words, each holding its pair's
+/// packed byte: w | w >> 4 lifts the odd element into bits 4..7.
+inline __m256i pair_nibbles(__m256i bytes) {
+  return _mm256_and_si256(
+      _mm256_or_si256(bytes, _mm256_srli_epi16(bytes, 4)),
+      _mm256_set1_epi16(0x00FF));
+}
+
+}  // namespace
+
+void pack_u4_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    const __m256i packed =
+        _mm256_packus_epi16(pair_nibbles(narrow32_u8(src + i)),
+                            pair_nibbles(narrow32_u8(src + i + 32)));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i / 2),
+        _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0)));
+  }
+  pack_u4_scalar(src + i, dst + i / 2, n - i);
+}
+
+void pack_u8_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 8));
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 16));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 24));
-    const __m256i ab = _mm256_packus_epi32(a, b);
-    const __m256i cd = _mm256_packus_epi32(c, d);
-    const __m256i abcd = _mm256_packus_epi16(ab, cd);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_permutevar8x32_epi32(abcd, perm));
+                        narrow32_u8(src + i));
   }
   for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i]);
 }

@@ -458,6 +458,9 @@ void SimilarityMatrix::append(const RoutingVector& v) {
   if (use_delta) anchor_of_[i] = chosen->row;
 
   const AnchorRow* anchor = chosen;  // stable across the parallel fill
+  // Classified once, replayed against every column through the
+  // dispatched patch kernels (the batch fill's path, one row at a time).
+  const PreparedDelta prep = use_delta ? prepare_delta(delta) : PreparedDelta{};
   auto fill_column = [&](std::size_t j) {
     if (!valid_[j]) return;
     if (weighted) {
@@ -471,10 +474,7 @@ void SimilarityMatrix::append(const RoutingVector& v) {
     }
     MatchCounts c;
     if (use_delta) {
-      // Overlap the next pair's random reads with this pair's patch; the
-      // patch is otherwise bound by one serialised miss per delta entry.
-      if (j + 2 < i && valid_[j + 2]) packed_.prefetch_delta(j + 2, delta);
-      c = apply_delta(anchor->counts[j], delta, packed_, j);
+      c = ColumnPatcher(packed_, j).apply(anchor->counts[j], prep);
     } else {
       c = packed_.counts(i, j);  // kernel-path row
     }
@@ -583,7 +583,7 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
     std::vector<DeltaEntry> delta;
     // The change-set classified by endpoint known-ness, once per row —
     // the fills replay it against every column without re-testing the
-    // column-invariant kUnknownSite conditions apply_delta carries.
+    // column-invariant kUnknownSite conditions.
     PreparedDelta prep;
     // Pre-batch anchors can be evicted or refreshed later in the plan,
     // so their old-column counts are snapshotted here at selection time.
@@ -734,7 +734,7 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   for (AnchorRow& a : representatives_) rebuild(a);
 }
 
-void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t width,
+void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
                                   std::span<const AdoptedRow> rows,
                                   std::shared_ptr<const void> keepalive) {
   if (n_ != 0 || packed_.rows() != 0) {
@@ -743,7 +743,7 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t width,
   std::vector<const std::byte*> packed_rows;
   packed_rows.reserve(rows.size());
   for (const AdoptedRow& r : rows) packed_rows.push_back(r.packed);
-  packed_.adopt_rows(networks, width, packed_rows, keepalive);
+  packed_.adopt_rows(networks, bits, packed_rows, keepalive);
   valid_.reserve(rows.size());
   anchor_of_.reserve(rows.size());
   known_.assign(rows.size(), kKnownUnset);
@@ -761,9 +761,9 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t width,
 }
 
 void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
-                                          std::size_t src_width) {
+                                          std::size_t src_bits) {
   const std::size_t i = n_;
-  packed_.append_packed(row.packed, src_width);
+  packed_.append_packed(row.packed, src_bits);
   valid_.push_back(row.valid ? 1 : 0);
   known_.push_back(kKnownUnset);
   anchor_of_.push_back(row.anchor_of);

@@ -260,8 +260,8 @@ class SimilarityMatrix {
   std::vector<std::size_t> anchor_chain(std::size_t row,
                                         std::size_t max_depth = 8) const;
 
-  /// One observation reconstructed from persistent storage: host-order
-  /// packed assignment bytes plus the precomputed Φ row (columns
+  /// One observation reconstructed from persistent storage: a packed
+  /// assignment row (PackedSeries layout) plus the precomputed Φ row (columns
   /// 0..row inclusive). io::SegmentCodec builds these straight off
   /// mapped segment pages (adopt_rows, zero-copy) or from decoded
   /// records (append_precomputed, the copy fallback).
@@ -275,18 +275,18 @@ class SimilarityMatrix {
   /// Adopts @p rows as the matrix's entire contents without copying or
   /// recomputing Φ: packed bytes and Φ rows stay where they are (mapped
   /// segment pages), pinned by @p keepalive. Requires an empty matrix;
-  /// @p width is the shared packed element width of every row. Anchors
+  /// @p bits is the shared packed element width of every row. Anchors
   /// start empty — they are time-only state the caller re-pins.
-  void adopt_rows(std::size_t networks, std::size_t width,
+  void adopt_rows(std::size_t networks, std::size_t bits,
                   std::span<const AdoptedRow> rows,
                   std::shared_ptr<const void> keepalive);
 
   /// Copy-path twin of adopt_rows for one row: appends a row whose
-  /// packed bytes (@p src_width wide, host order) and Φ values were
-  /// already computed — a tail record, a big-endian or mixed-width
+  /// packed bytes (@p src_bits per element) and Φ values were already
+  /// computed — a tail record, a big-endian host's or a mixed-width
   /// segment — without re-running the kernels. The matrix must have its
   /// network count set (adopt_rows with an empty span does that).
-  void append_precomputed(const AdoptedRow& row, std::size_t src_width);
+  void append_precomputed(const AdoptedRow& row, std::size_t src_bits);
 
   UnknownPolicy policy() const noexcept { return policy_; }
   const std::vector<double>& weights() const noexcept { return weights_; }

@@ -11,7 +11,7 @@
 // reports the original mode id and the match strength.
 //
 // Representatives are kept only as packed rows (compare_kernels.h) —
-// at paper scale a mode costs 5 MB at one byte per network rather than
+// at paper scale a mode costs 2.5 MB at 4 bits per network rather than
 // 20 MB as a RoutingVector — and representative() unpacks one on
 // demand. The scan runs on the packed match-count kernels, bit-identical
 // to gower_similarity(), and stops at the first Φ = 1.0 representative

@@ -10,27 +10,60 @@ namespace fenrir::core::simd {
 namespace {
 
 constexpr KernelTable kScalarTable{
-    count_u8_scalar, count_u16_scalar, count_u32_scalar,
-    delta_u8_scalar, delta_u16_scalar, delta_u32_scalar,
-    max_site_scalar, pack_u8_scalar,   pack_u16_scalar,
-    swap_patch_u8_scalar};
+    .count_u4 = count_u4_scalar,
+    .count_u8 = count_u8_scalar,
+    .count_u16 = count_u16_scalar,
+    .count_u32 = count_u32_scalar,
+    .delta_u4 = delta_u4_scalar,
+    .delta_u8 = delta_u8_scalar,
+    .delta_u16 = delta_u16_scalar,
+    .delta_u32 = delta_u32_scalar,
+    .max_site = max_site_scalar,
+    .pack_u4 = pack_u4_scalar,
+    .pack_u8 = pack_u8_scalar,
+    .pack_u16 = pack_u16_scalar,
+    .swap_u4 = swap_patch_u4_scalar,
+    .swap_u8 = swap_patch_u8_scalar,
+    .known_u4 = known_patch_u4_scalar};
 
 #if defined(FENRIR_BUILD_AVX2)
 constexpr KernelTable kAvx2Table{
-    count_u8_avx2, count_u16_avx2, count_u32_avx2,
-    delta_u8_avx2, delta_u16_avx2, delta_u32_avx2,
-    max_site_avx2, pack_u8_avx2,   pack_u16_avx2,
-    // AVX2 has no profitable 16-wide byte gather; the scalar swap patch
-    // is the fastest correct choice for this tier.
-    swap_patch_u8_scalar};
+    .count_u4 = count_u4_avx2,
+    .count_u8 = count_u8_avx2,
+    .count_u16 = count_u16_avx2,
+    .count_u32 = count_u32_avx2,
+    .delta_u4 = delta_u4_avx2,
+    .delta_u8 = delta_u8_avx2,
+    .delta_u16 = delta_u16_avx2,
+    .delta_u32 = delta_u32_avx2,
+    .max_site = max_site_avx2,
+    .pack_u4 = pack_u4_avx2,
+    .pack_u8 = pack_u8_avx2,
+    .pack_u16 = pack_u16_avx2,
+    // AVX2 has no profitable 16-wide byte gather; the scalar patches
+    // are the fastest correct choice for this tier.
+    .swap_u4 = swap_patch_u4_scalar,
+    .swap_u8 = swap_patch_u8_scalar,
+    .known_u4 = known_patch_u4_scalar};
 #endif
 
 #if defined(FENRIR_BUILD_AVX512)
 constexpr KernelTable kAvx512Table{
-    count_u8_avx512, count_u16_avx512, count_u32_avx512,
-    delta_u8_avx512, delta_u16_avx512, delta_u32_avx512,
-    max_site_avx512, pack_u8_avx512,   pack_u16_avx512,
-    swap_patch_u8_avx512};
+    .count_u4 = count_u4_avx512,
+    .count_u8 = count_u8_avx512,
+    .count_u16 = count_u16_avx512,
+    .count_u32 = count_u32_avx512,
+    .delta_u4 = delta_u4_avx512,
+    .delta_u8 = delta_u8_avx512,
+    .delta_u16 = delta_u16_avx512,
+    .delta_u32 = delta_u32_avx512,
+    .max_site = max_site_avx512,
+    .pack_u4 = pack_u4_avx512,
+    .pack_u8 = pack_u8_avx512,
+    .pack_u16 = pack_u16_avx512,
+    .swap_u4 = swap_patch_u4_avx512,
+    .swap_u8 = swap_patch_u8_avx512,
+    .known_u4 = known_patch_u4_avx512};
 #endif
 
 Tier detect() noexcept {

@@ -8,10 +8,12 @@
 //
 //   kScalar  — the untouched blocked branchless loops (always present).
 //   kAvx2    — 256-bit lanes: pcmpeq + byte-mask accumulation drained
-//              through psadbw (u8), madd (u16), or lane adds (u32).
+//              through psadbw (u4, u8), madd (u16), or lane adds (u32).
 //   kAvx512  — 512-bit lanes: compares straight into mask registers,
 //              counted with scalar popcount; tails use masked loads, so
-//              there is no scalar remainder loop at all.
+//              there is no scalar remainder loop at all. 4-bit rows are
+//              never unpacked: nibble tests against 0x0F/0xF0 masks
+//              give two predicate masks per byte lane.
 //
 // A tier is *available* when the compiler could build its TU (CMake
 // probes -mavx2 / -mavx512f -mavx512bw) AND the running CPU reports the
@@ -51,12 +53,19 @@ Tier active_tier() noexcept;
 /// two rows, bailing (clear + false) past @p cap mismatches — pass
 /// kNoCap for an unbounded scan that cannot fail.
 struct KernelTable {
+  // The 4-bit kernels take the row's element count n and read
+  // packed_row_bytes(n, 4) bytes; the high nibble of an odd row's last
+  // byte is not an element and never counts.
+  MatchCounts (*count_u4)(const std::uint8_t* a, const std::uint8_t* b,
+                          std::size_t n);
   MatchCounts (*count_u8)(const std::uint8_t* a, const std::uint8_t* b,
                           std::size_t n);
   MatchCounts (*count_u16)(const std::uint16_t* a, const std::uint16_t* b,
                            std::size_t n);
   MatchCounts (*count_u32)(const std::uint32_t* a, const std::uint32_t* b,
                            std::size_t n);
+  bool (*delta_u4)(const std::uint8_t* a, const std::uint8_t* b,
+                   std::size_t n, std::size_t cap, std::vector<DeltaEntry>& out);
   bool (*delta_u8)(const std::uint8_t* a, const std::uint8_t* b,
                    std::size_t n, std::size_t cap, std::vector<DeltaEntry>& out);
   bool (*delta_u16)(const std::uint16_t* a, const std::uint16_t* b,
@@ -67,18 +76,25 @@ struct KernelTable {
                     std::vector<DeltaEntry>& out);
   // Row-ingest kernels. max_site scans a row for its largest id (the
   // width decision PackedSeries::append makes before packing);
-  // pack_u8/pack_u16 narrow a SiteId row into the packed store. Exact
-  // by construction: append widens the store first, so every value fits
-  // the destination and the narrowing never saturates.
+  // pack_u4/u8/u16 narrow a SiteId row into the packed store (pack_u4
+  // leaves an odd row's last high nibble 0). Exact by construction:
+  // append widens the store first, so every value fits the destination
+  // and the narrowing never saturates.
   SiteId (*max_site)(const SiteId* src, std::size_t n);
+  void (*pack_u4)(const SiteId* src, std::uint8_t* dst, std::size_t n);
   void (*pack_u8)(const SiteId* src, std::uint8_t* dst, std::size_t n);
   void (*pack_u16)(const SiteId* src, std::uint16_t* dst, std::size_t n);
-  // Swap-class patch against a u8 row (ColumnPatcher's hot loop):
-  // Σ (after[t] == row[idx[t]]) − (before[t] == row[idx[t]]). The AVX-512
-  // tier gathers 16 row bytes per step; idx is sorted ascending, so the
-  // suffix whose 4-byte gathers would cross the row end runs scalar. The
-  // AVX2 tier has no profitable gather and reuses the scalar kernel.
-  SwapPatchU8Fn swap_u8;
+  // Swap-class patch against a 4- or 8-bit row (ColumnPatcher's hot
+  // loop): Σ (after[t] == row[idx[t]]) − (before[t] == row[idx[t]]). The
+  // AVX-512 tier gathers 16 row elements per step (4-bit lanes shift
+  // their byte by the index's low bit); idx is sorted ascending, so the
+  // suffix whose 4-byte gathers would cross the row end runs scalar.
+  // The AVX2 tier has no profitable gather and reuses the scalar kernels.
+  SwapPatchFn swap_u4;
+  SwapPatchFn swap_u8;
+  // Gain/lose-class patch against a 4-bit row: Σ (value[t] ==
+  // row[idx[t]]) and Σ (row[idx[t]] != 0), gathered like swap_u4.
+  KnownPatchFn known_u4;
 };
 
 inline constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
@@ -95,12 +111,16 @@ const KernelTable* table_for(Tier t) noexcept;
 // compare_kernels.cc; the AVX sets live in their own TUs compiled with
 // the matching -m flags (present only when CMake found the flags, and
 // called only after the runtime CPU check passed).
+MatchCounts count_u4_scalar(const std::uint8_t*, const std::uint8_t*,
+                            std::size_t);
 MatchCounts count_u8_scalar(const std::uint8_t*, const std::uint8_t*,
                             std::size_t);
 MatchCounts count_u16_scalar(const std::uint16_t*, const std::uint16_t*,
                              std::size_t);
 MatchCounts count_u32_scalar(const std::uint32_t*, const std::uint32_t*,
                              std::size_t);
+bool delta_u4_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::size_t, std::vector<DeltaEntry>&);
 bool delta_u8_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
                      std::size_t, std::vector<DeltaEntry>&);
 bool delta_u16_scalar(const std::uint16_t*, const std::uint16_t*, std::size_t,
@@ -108,19 +128,29 @@ bool delta_u16_scalar(const std::uint16_t*, const std::uint16_t*, std::size_t,
 bool delta_u32_scalar(const std::uint32_t*, const std::uint32_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
 SiteId max_site_scalar(const SiteId*, std::size_t);
+void pack_u4_scalar(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u8_scalar(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u16_scalar(const SiteId*, std::uint16_t*, std::size_t);
+std::int64_t swap_patch_u4_scalar(const std::uint8_t*, const std::uint32_t*,
+                                  const SiteId*, const SiteId*, std::size_t,
+                                  std::size_t);
 std::int64_t swap_patch_u8_scalar(const std::uint8_t*, const std::uint32_t*,
                                   const SiteId*, const SiteId*, std::size_t,
                                   std::size_t);
+KnownPatchSums known_patch_u4_scalar(const std::uint8_t*, const std::uint32_t*,
+                                     const SiteId*, std::size_t, std::size_t);
 
 #if defined(FENRIR_BUILD_AVX2)
+MatchCounts count_u4_avx2(const std::uint8_t*, const std::uint8_t*,
+                          std::size_t);
 MatchCounts count_u8_avx2(const std::uint8_t*, const std::uint8_t*,
                           std::size_t);
 MatchCounts count_u16_avx2(const std::uint16_t*, const std::uint16_t*,
                            std::size_t);
 MatchCounts count_u32_avx2(const std::uint32_t*, const std::uint32_t*,
                            std::size_t);
+bool delta_u4_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                   std::size_t, std::vector<DeltaEntry>&);
 bool delta_u8_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
                    std::size_t, std::vector<DeltaEntry>&);
 bool delta_u16_avx2(const std::uint16_t*, const std::uint16_t*, std::size_t,
@@ -128,17 +158,22 @@ bool delta_u16_avx2(const std::uint16_t*, const std::uint16_t*, std::size_t,
 bool delta_u32_avx2(const std::uint32_t*, const std::uint32_t*, std::size_t,
                     std::size_t, std::vector<DeltaEntry>&);
 SiteId max_site_avx2(const SiteId*, std::size_t);
+void pack_u4_avx2(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u8_avx2(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u16_avx2(const SiteId*, std::uint16_t*, std::size_t);
 #endif
 
 #if defined(FENRIR_BUILD_AVX512)
+MatchCounts count_u4_avx512(const std::uint8_t*, const std::uint8_t*,
+                            std::size_t);
 MatchCounts count_u8_avx512(const std::uint8_t*, const std::uint8_t*,
                             std::size_t);
 MatchCounts count_u16_avx512(const std::uint16_t*, const std::uint16_t*,
                              std::size_t);
 MatchCounts count_u32_avx512(const std::uint32_t*, const std::uint32_t*,
                              std::size_t);
+bool delta_u4_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::size_t, std::vector<DeltaEntry>&);
 bool delta_u8_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
                      std::size_t, std::vector<DeltaEntry>&);
 bool delta_u16_avx512(const std::uint16_t*, const std::uint16_t*, std::size_t,
@@ -146,11 +181,17 @@ bool delta_u16_avx512(const std::uint16_t*, const std::uint16_t*, std::size_t,
 bool delta_u32_avx512(const std::uint32_t*, const std::uint32_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
 SiteId max_site_avx512(const SiteId*, std::size_t);
+void pack_u4_avx512(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u8_avx512(const SiteId*, std::uint8_t*, std::size_t);
 void pack_u16_avx512(const SiteId*, std::uint16_t*, std::size_t);
+std::int64_t swap_patch_u4_avx512(const std::uint8_t*, const std::uint32_t*,
+                                  const SiteId*, const SiteId*, std::size_t,
+                                  std::size_t);
 std::int64_t swap_patch_u8_avx512(const std::uint8_t*, const std::uint32_t*,
                                   const SiteId*, const SiteId*, std::size_t,
                                   std::size_t);
+KnownPatchSums known_patch_u4_avx512(const std::uint8_t*, const std::uint32_t*,
+                                     const SiteId*, std::size_t, std::size_t);
 #endif
 
 }  // namespace fenrir::core::simd

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -90,9 +92,43 @@ std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 /// Record byte size for global row @p g in a segment with @p tri_base.
 std::size_t record_bytes(std::uint64_t g, std::uint64_t tri_base,
-                         std::size_t networks, std::size_t width) {
-  return 32 + pad8(networks * width) +
+                         std::size_t networks, std::size_t bits) {
+  return 32 + pad8(core::packed_row_bytes(networks, bits)) +
          8 * static_cast<std::size_t>(g - tri_base + 1);
+}
+
+bool valid_bits(std::uint64_t bits) {
+  return bits == 4 || bits == 8 || bits == 16 || bits == 32;
+}
+
+/// The payload bytes of @p rows records from global row @p base_row on,
+/// in a segment of @p networks @p bits-bit elements whose Φ columns start
+/// at @p tri_base ≤ @p base_row — exactly what record_bytes() sums to.
+/// Record r holds 32 + pad8(row) + 8·(base_row − tri_base + 1 + r) bytes,
+/// so the sum is rows·(32 + pad8(row) + 8·first) + 4·rows·(rows − 1).
+/// Nullopt when any step overflows, or when the segment file's size
+/// (header + payload + trailer) would: such a segment cannot exist, and
+/// the decoder refuses it before a record is read.
+std::optional<std::uint64_t> derived_payload(std::uint64_t base_row,
+                                             std::uint64_t rows,
+                                             std::uint64_t tri_base,
+                                             std::uint64_t networks,
+                                             std::uint64_t bits) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::size_t>::max();
+  std::uint64_t end = 0, first = 0, per = 0, sum = 0, tri = 0;
+  if (networks > kMax / 32 || __builtin_add_overflow(base_row, rows, &end) ||
+      __builtin_add_overflow(base_row - tri_base, 1, &first) ||
+      __builtin_mul_overflow(first, 8, &per) ||
+      __builtin_add_overflow(
+          per, 32 + pad8(core::packed_row_bytes(networks, bits)), &per) ||
+      __builtin_mul_overflow(rows, per, &sum) ||
+      __builtin_mul_overflow(rows, rows == 0 ? 0 : rows - 1, &tri) ||
+      __builtin_mul_overflow(tri, 4, &tri) ||
+      __builtin_add_overflow(sum, tri, &sum) ||
+      sum > kMax - kSegmentHeaderBytes - kSegmentTrailerBytes) {
+    return std::nullopt;
+  }
+  return sum;
 }
 
 std::uint64_t load_u64le(const std::byte* p) {
@@ -110,40 +146,29 @@ std::uint64_t load_u64le(const std::byte* p) {
   }
 }
 
-/// Little-endian append of one packed assignment row, converting from
-/// @p src_width (host order) to @p dst_width on the way when they
-/// differ (compaction merges runs to their widest member).
-void put_packed_le(std::string& out, const std::byte* src,
-                   std::size_t networks, std::size_t src_width,
-                   std::size_t dst_width) {
-  if (src_width == dst_width &&
-      std::endian::native == std::endian::little) {
-    out.append(reinterpret_cast<const char*>(src), networks * src_width);
+/// Appends one packed row of @p networks @p src_bits-bit elements at
+/// @p dst_bits ≥ @p src_bits, padded to a multiple of 8. Packed rows are
+/// little-endian in memory as on disk, so equal widths are one copy;
+/// compaction widens a run to its widest member.
+void put_packed_row(std::string& out, const std::byte* src,
+                    std::size_t networks, std::size_t src_bits,
+                    std::size_t dst_bits) {
+  const std::size_t bytes = core::packed_row_bytes(networks, dst_bits);
+  if (src_bits == dst_bits) {
+    out.append(reinterpret_cast<const char*>(src), bytes);
   } else {
-    for (std::size_t n = 0; n < networks; ++n) {
-      std::uint32_t v = 0;
-      if (src_width == 1) {
-        std::uint8_t x;
-        std::memcpy(&x, src + n, 1);
-        v = x;
-      } else if (src_width == 2) {
-        std::uint16_t x;
-        std::memcpy(&x, src + n * 2, 2);
-        v = x;
-      } else {
-        std::memcpy(&v, src + n * 4, 4);
-      }
-      for (std::size_t b = 0; b < dst_width; ++b) {
-        out.push_back(static_cast<char>((v >> (8 * b)) & 0xFFu));
-      }
-    }
+    const std::size_t at = out.size();
+    out.resize(at + bytes);
+    core::convert_packed_row(src, src_bits,
+                             reinterpret_cast<std::byte*>(out.data() + at),
+                             dst_bits, networks);
   }
-  out.append(pad8(networks * dst_width) - networks * dst_width, '\0');
+  out.append(pad8(bytes) - bytes, '\0');
 }
 
 std::string encode_segment_header(std::uint32_t flags, std::uint64_t id,
                                   std::uint64_t base_row, std::uint64_t rows,
-                                  std::uint64_t networks, std::uint64_t width,
+                                  std::uint64_t networks, std::uint64_t bits,
                                   std::uint64_t tri_base,
                                   std::uint64_t payload_bytes,
                                   std::int64_t min_time,
@@ -156,7 +181,7 @@ std::string encode_segment_header(std::uint32_t flags, std::uint64_t id,
   put_u64(h, base_row);
   put_u64(h, rows);
   put_u64(h, networks);
-  put_u64(h, width);
+  put_u64(h, bits);
   put_u64(h, tri_base);
   put_u64(h, payload_bytes);
   put_i64(h, min_time);
@@ -171,7 +196,7 @@ struct SegmentHeader {
   std::uint64_t base_row = 0;
   std::uint64_t rows = 0;
   std::uint64_t networks = 0;
-  std::uint64_t width = 0;
+  std::uint64_t bits = 0;
   std::uint64_t tri_base = 0;
   std::uint64_t payload_bytes = 0;
   std::int64_t min_time = 0;
@@ -200,19 +225,26 @@ SegmentHeader decode_segment_header(const std::byte* data, std::size_t size,
   h.base_row = r.get_u64();
   h.rows = r.get_u64();
   h.networks = r.get_u64();
-  h.width = r.get_u64();
+  h.bits = r.get_u64();
   h.tri_base = r.get_u64();
   h.payload_bytes = r.get_u64();
   h.min_time = r.get_i64();
   h.max_time = r.get_i64();
-  if (h.width != 1 && h.width != 2 && h.width != 4) {
+  if (!valid_bits(h.bits)) {
     throw store_corrupt("segment " + name +
                         ": inconsistent — packed width " +
-                        std::to_string(h.width) + " is not 1, 2, or 4");
+                        std::to_string(h.bits) +
+                        " bits is not 4, 8, 16, or 32");
   }
   if (h.tri_base > h.base_row) {
     throw store_corrupt("segment " + name +
                         ": inconsistent — tri_base past base_row");
+  }
+  if (derived_payload(h.base_row, h.rows, h.tri_base, h.networks, h.bits) !=
+      h.payload_bytes) {
+    throw store_corrupt("segment " + name +
+                        ": inconsistent — the payload disagrees with the "
+                        "header's rows");
   }
   return h;
 }
@@ -382,13 +414,12 @@ Mapping map_file(const std::filesystem::path& path, std::size_t need) {
 }
 
 /// What load() keeps alive behind the matrix: the sealed mappings, the
-/// tail's read-back bytes, and any host-order conversion buffers the
-/// copy fallback produced.
+/// tail's read-back bytes, and the host-order Φ copies a big-endian host
+/// makes.
 struct LoadKeepalive {
   std::vector<Mapping> maps;
   std::string tail_bytes;
   std::vector<std::vector<double>> phi_buffers;
-  std::vector<std::vector<std::byte>> packed_buffers;
 };
 
 struct RecordView {
@@ -403,33 +434,47 @@ struct RecordView {
 
 RecordView parse_record(const std::byte* rec, std::uint64_t g,
                         std::uint64_t tri_base, std::size_t networks,
-                        std::size_t width) {
+                        std::size_t bits) {
   RecordView v;
   v.valid = (load_u64le(rec) & 1) != 0;
   v.time = static_cast<std::int64_t>(load_u64le(rec + 8));
   v.anchor_of = load_u64le(rec + 16);
   v.row_hash = load_u64le(rec + 24);
   v.packed = rec + 32;
-  v.phi_bytes = rec + 32 + pad8(networks * width);
+  v.phi_bytes = rec + 32 + pad8(core::packed_row_bytes(networks, bits));
   v.phi_count = static_cast<std::size_t>(g - tri_base + 1);
   return v;
 }
 
-/// Steps @p r over a v4 modebook section, checking what restore() and
+/// Reads a representative's network count, refusing one whose packed
+/// row could not fit in what is left of @p r.
+std::size_t get_row_networks(Reader& r, std::uint64_t bits) {
+  const std::uint64_t v = r.get_u64();
+  if (v > (r.size - r.off) * 8 / bits) {
+    throw DatasetIoError(
+        "segment manifest: malformed section — a count exceeds the recorded "
+        "payload");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+/// Steps @p r over a v5 modebook section, checking what restore() and
 /// the first observe() would otherwise trip over: every representative
-/// has a packed width of 1, 2 or 4, and covers @p networks networks (or,
-/// in a store with no rows yet, as many as the first representative).
+/// has a packed width of 4, 8, 16 or 32 bits and covers @p networks
+/// networks (or, in a store with no rows yet, as many as the first
+/// representative), and the history names only those modes.
 void check_modebook(Reader& r, std::size_t networks) {
   const std::size_t modes = r.get_count(16);
   std::size_t expect = networks;
   for (std::size_t m = 0; m < modes; ++m) {
-    const std::uint64_t width = r.get_u64();
-    if (width != 1 && width != 2 && width != 4) {
+    const std::uint64_t bits = r.get_u64();
+    if (!valid_bits(bits)) {
       throw store_corrupt("segment manifest: inconsistent — representative " +
                           std::to_string(m) + " has packed width " +
-                          std::to_string(width) + ", not 1, 2, or 4");
+                          std::to_string(bits) +
+                          " bits, not 4, 8, 16, or 32");
     }
-    const std::size_t size = r.get_count(width);
+    const std::size_t size = get_row_networks(r, bits);
     if (m == 0 && expect == 0) expect = size;
     if (size != expect) {
       throw store_corrupt("segment manifest: inconsistent — representative " +
@@ -437,9 +482,17 @@ void check_modebook(Reader& r, std::size_t networks) {
                           std::to_string(size) + " networks, the store " +
                           std::to_string(expect));
     }
-    r.take(pad8(size * width));
+    r.take(pad8(core::packed_row_bytes(size, bits)));
   }
-  r.take(r.get_count(8) * 8);
+  const std::size_t entries = r.get_count(8);
+  for (std::size_t k = 0; k < entries; ++k) {
+    if (r.get_u64() >= modes) {
+      throw store_corrupt(
+          "segment manifest: inconsistent — history entry " +
+          std::to_string(k) + " names a mode past the " +
+          std::to_string(modes) + " representatives");
+    }
+  }
 }
 
 /// Rebuilds the representatives and history from a modebook section
@@ -449,26 +502,17 @@ void read_modebook(const std::string& section, core::PackedSeries& reps,
   Reader r{reinterpret_cast<const unsigned char*>(section.data()),
            section.size(), 0, "segment manifest"};
   const std::size_t modes = r.get_count(16);
-  std::vector<std::byte> host;  // big-endian hosts: host-order row
   for (std::size_t m = 0; m < modes; ++m) {
-    const auto width = static_cast<std::size_t>(r.get_u64());
-    const std::size_t size = r.get_count(width);
-    const auto* row =
-        reinterpret_cast<const std::byte*>(r.take(pad8(size * width)));
-    if (m == 0) reps.adopt_rows(size, width, {}, nullptr);
+    const auto bits = static_cast<std::size_t>(r.get_u64());
+    const std::size_t size = get_row_networks(r, bits);
+    const auto* row = reinterpret_cast<const std::byte*>(
+        r.take(pad8(core::packed_row_bytes(size, bits))));
+    if (m == 0) reps.adopt_rows(size, bits, {}, nullptr);
     if (size == 0) {
       reps.append(core::RoutingVector{});
       continue;
     }
-    if constexpr (std::endian::native == std::endian::big) {
-      // Rows are little-endian on disk; append_packed takes host order.
-      host.resize(size * width);
-      for (std::size_t b = 0; b < host.size(); b += width) {
-        std::reverse_copy(row + b, row + b + width, host.begin() + b);
-      }
-      row = host.data();
-    }
-    reps.append_packed(row, width);
+    reps.append_packed(row, bits);
   }
   history.resize(r.get_count(8));
   for (std::size_t& h : history) h = static_cast<std::size_t>(r.get_u64());
@@ -518,8 +562,8 @@ class SegmentCodec {
   static std::size_t networks(const core::SimilarityMatrix& m) {
     return m.packed_.networks_;
   }
-  static std::size_t packed_width(const core::SimilarityMatrix& m) {
-    return m.packed_.width_;
+  static std::size_t packed_bits(const core::SimilarityMatrix& m) {
+    return m.packed_.bits_;
   }
   static const std::byte* packed_row(const core::SimilarityMatrix& m,
                                      std::size_t row) {
@@ -536,19 +580,19 @@ class SegmentCodec {
                : core::SimilarityMatrix::kNoAnchorRow;
   }
   /// @p book's manifest section, encoded straight from its packed rows:
-  /// u64 mode count; per mode u64 width, u64 networks and the row's
-  /// little-endian bytes padded to 8; u64 history count, u64 per entry.
+  /// u64 mode count; per mode u64 width in bits, u64 networks and the
+  /// packed row padded to 8; u64 history count, u64 per entry.
   static std::string encode_modebook(const core::ModeBook& book) {
     const core::PackedSeries& rows = book.packed_;
     std::string out;
-    out.reserve(8 + rows.rows() * (16 + pad8(rows.networks_ * rows.width_)) +
+    out.reserve(8 + rows.rows() * (16 + pad8(rows.row_bytes())) +
                 8 * (1 + book.history().size()));
     put_u64(out, rows.rows());
     for (std::size_t m = 0; m < rows.rows(); ++m) {
-      put_u64(out, rows.width_);
+      put_u64(out, rows.bits_);
       put_u64(out, rows.networks_);
-      put_packed_le(out, rows.row_ptr(m), rows.networks_, rows.width_,
-                    rows.width_);
+      put_packed_row(out, rows.row_ptr(m), rows.networks_, rows.bits_,
+                     rows.bits_);
     }
     put_u64(out, book.history().size());
     for (const std::size_t m : book.history()) put_u64(out, m);
@@ -642,6 +686,13 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
         const SegmentHeader h = decode_segment_header(
             reinterpret_cast<const std::byte*>(bytes2.data()), bytes2.size(),
             sp.filename().string());
+        if (h.id != tail_->id || h.base_row != tail_->base_row ||
+            h.tri_base != tail_->tri_base || h.bits != tail_->bits ||
+            h.networks != networks_) {
+          throw store_corrupt("segment " + sp.filename().string() +
+                              ": inconsistent — the header disagrees with "
+                              "the manifest's tail");
+        }
         if (bytes2.size() <
             kSegmentHeaderBytes + h.payload_bytes + kSegmentTrailerBytes) {
           throw store_corrupt("segment " + sp.filename().string() +
@@ -653,7 +704,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
         info.base_row = h.base_row;
         info.rows = h.rows;
         info.tri_base = h.tri_base;
-        info.width = h.width;
+        info.bits = h.bits;
         info.payload_bytes = h.payload_bytes;
         info.checksum = static_cast<std::uint32_t>(load_u64le(
             reinterpret_cast<const std::byte*>(bytes2.data()) +
@@ -740,7 +791,7 @@ std::string SegmentStore::encode_manifest_locked() const {
     put_u64(out, s.base_row);
     put_u64(out, s.rows);
     put_u64(out, s.tri_base);
-    put_u64(out, s.width);
+    put_u64(out, s.bits);
     put_u64(out, s.payload_bytes);
     put_u32(out, s.checksum);
     put_i64(out, s.min_time);
@@ -751,7 +802,7 @@ std::string SegmentStore::encode_manifest_locked() const {
     put_u64(out, tail_->id);
     put_u64(out, tail_->base_row);
     put_u64(out, tail_->tri_base);
-    put_u64(out, tail_->width);
+    put_u64(out, tail_->bits);
     put_u64(out, tail_->durable_rows);
     put_u64(out, tail_->payload_bytes);
     put_i64(out, tail_->min_time);
@@ -825,6 +876,25 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   processed_ = r.get_u64();
   next_segment_id_ = r.get_u64();
   max_time_seen_ = r.get_i64();
+  // Every segment's payload is derived from its rows before any record
+  // is read, so each record walk below (load, verify, compaction) stays
+  // inside bytes the manifest accounts for.
+  const auto check_payload = [&](const std::string& what,
+                                 std::uint64_t base_row, std::uint64_t rows,
+                                 std::uint64_t tri_base, std::uint64_t bits,
+                                 std::uint64_t payload) {
+    const std::optional<std::uint64_t> want =
+        derived_payload(base_row, rows, tri_base, networks_, bits);
+    if (want != payload) {
+      throw store_corrupt(
+          "segment manifest: inconsistent — " + what + "'s payload of " +
+          std::to_string(payload) + " bytes disagrees with its " +
+          std::to_string(rows) + " rows of " + std::to_string(networks_) +
+          " networks at " + std::to_string(bits) + " bits (" +
+          (want ? std::to_string(*want) + " bytes" : "an impossible size") +
+          ")");
+    }
+  };
   const std::size_t sealed_count = r.get_count(68);
   std::uint64_t expect_base = base_row_;
   sealed_.clear();
@@ -834,17 +904,19 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
     s.base_row = r.get_u64();
     s.rows = r.get_u64();
     s.tri_base = r.get_u64();
-    s.width = r.get_u64();
+    s.bits = r.get_u64();
     s.payload_bytes = r.get_u64();
     s.checksum = r.get_u32();
     s.min_time = r.get_i64();
     s.max_time = r.get_i64();
-    if (s.base_row != expect_base || s.tri_base > s.base_row ||
-        (s.width != 1 && s.width != 2 && s.width != 4)) {
+    if (s.base_row != expect_base || s.tri_base > base_row_ ||
+        !valid_bits(s.bits)) {
       throw store_corrupt(
           "segment manifest: inconsistent — sealed segments do not tile "
           "the retained window");
     }
+    check_payload("segment " + std::to_string(s.id), s.base_row, s.rows,
+                  s.tri_base, s.bits, s.payload_bytes);
     expect_base = s.base_row + s.rows;
     sealed_.push_back(s);
   }
@@ -854,18 +926,20 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
     t.id = r.get_u64();
     t.base_row = r.get_u64();
     t.tri_base = r.get_u64();
-    t.width = r.get_u64();
+    t.bits = r.get_u64();
     t.durable_rows = r.get_u64();
     t.rows = t.durable_rows;
     t.payload_bytes = r.get_u64();
     t.min_time = r.get_i64();
     t.max_time = r.get_i64();
-    if (t.base_row != expect_base || t.tri_base > t.base_row ||
-        (t.width != 1 && t.width != 2 && t.width != 4)) {
+    if (t.base_row != expect_base || t.tri_base > base_row_ ||
+        !valid_bits(t.bits)) {
       throw store_corrupt(
           "segment manifest: inconsistent — the tail does not continue "
           "the sealed window");
     }
+    check_payload("the tail", t.base_row, t.durable_rows, t.tri_base,
+                  t.bits, t.payload_bytes);
     expect_base = t.base_row + t.durable_rows;
     tail_ = t;
   }
@@ -917,28 +991,28 @@ void SegmentStore::refresh_names_hash_locked() {
 
 // --- tail lifecycle -----------------------------------------------------
 
-void SegmentStore::open_tail_locked(std::uint64_t width) {
+void SegmentStore::open_tail_locked(std::uint64_t bits) {
   TailState t;
   t.id = next_segment_id_++;
   t.base_row = processed_;
   t.tri_base = base_row_;
-  t.width = width;
+  t.bits = bits;
   const std::filesystem::path tp = tail_path(t.id);
   t.fd = open_or_throw(tp, O_RDWR | O_CREAT | O_TRUNC, 0644);
   const std::string header = encode_segment_header(
-      0, t.id, t.base_row, 0, networks_, t.width, t.tri_base, 0, 0, 0);
+      0, t.id, t.base_row, 0, networks_, t.bits, t.tri_base, 0, 0, 0);
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
   fsync_or_throw(t.fd, tp);
   tail_ = t;
 }
 
 void SegmentStore::ensure_tail_locked(std::size_t networks,
-                                      std::uint64_t width) {
+                                      std::uint64_t bits) {
   if (networks_ == 0) networks_ = networks;
   if (networks != networks_) {
     throw std::invalid_argument("SegmentStore: network count mismatch");
   }
-  if (tail_.has_value() && tail_->width != width) {
+  if (tail_.has_value() && tail_->bits != bits) {
     if (tail_->rows > 0) {
       // The series widened mid-tail: records in one segment share one
       // width, so seal what we have and start a fresh tail.
@@ -953,14 +1027,21 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
   if (tail_.has_value() && tail_->fd < 0) {
     tail_->fd = open_or_throw(tail_path(tail_->id), O_RDWR, 0);
   }
-  if (!tail_.has_value()) open_tail_locked(width);
+  if (!tail_.has_value()) open_tail_locked(bits);
 }
 
 void SegmentStore::append_record_locked(
     bool valid, std::int64_t time, std::uint64_t anchor_of,
-    std::uint64_t row_hash, std::size_t networks, std::uint64_t width,
+    std::uint64_t row_hash, std::size_t networks, std::uint64_t bits,
     std::span<const std::byte> packed, std::span<const double> phi) {
-  ensure_tail_locked(networks, width);
+  if (!valid_bits(bits) ||
+      packed.size() !=
+          core::packed_row_bytes(networks, static_cast<std::size_t>(bits))) {
+    throw std::invalid_argument(
+        "SegmentStore: packed row is not networks elements of 4, 8, 16 or "
+        "32 bits");
+  }
+  ensure_tail_locked(networks, bits);
   const std::uint64_t g = processed_;
   if (phi.size() != static_cast<std::size_t>(g - tail_->tri_base + 1)) {
     throw std::invalid_argument(
@@ -970,9 +1051,9 @@ void SegmentStore::append_record_locked(
   put_i64(pending_, time);
   put_u64(pending_, anchor_of);
   put_u64(pending_, row_hash);
-  put_packed_le(pending_, packed.data(), networks,
-                packed.size() / std::max<std::size_t>(networks, 1),
-                static_cast<std::size_t>(width));
+  put_packed_row(pending_, packed.data(), networks,
+                 static_cast<std::size_t>(bits),
+                 static_cast<std::size_t>(bits));
   put_u64_array(pending_, phi.data(), phi.size());
   if (tail_->rows == 0) {
     tail_->min_time = time;
@@ -1030,7 +1111,7 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
   }
   const std::uint64_t session_base = g - local;
   const std::size_t networks = SegmentCodec::networks(matrix);
-  const std::uint64_t width = SegmentCodec::packed_width(matrix);
+  const std::size_t bits = SegmentCodec::packed_bits(matrix);
   const std::uint64_t top = core::simd::active().max_site(
       v.assignment.data(), v.assignment.size());
   if (top > max_site_seen_) {
@@ -1042,7 +1123,7 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
       local_anchor == core::SimilarityMatrix::kNoAnchorRow
           ? kNoAnchor
           : static_cast<std::uint64_t>(local_anchor) + session_base;
-  ensure_tail_locked(networks, width);
+  ensure_tail_locked(networks, bits);
   // The tail stores Φ columns from its tri_base on; the matrix row holds
   // columns from the session base on. tri_base >= session_base always
   // (the base only advances), so the slice below is in range.
@@ -1051,20 +1132,20 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
   const std::size_t phi_count =
       static_cast<std::size_t>(g - tail_->tri_base + 1);
   append_record_locked(v.valid, v.time, anchor, segment_row_hash(v),
-                       networks, width,
+                       networks, bits,
                        {SegmentCodec::packed_row(matrix, local),
-                        networks * static_cast<std::size_t>(width)},
+                        core::packed_row_bytes(networks, bits)},
                        {phi, phi_count});
 }
 
 void SegmentStore::append_raw(bool valid, std::int64_t time,
                               std::uint64_t anchor_of,
                               std::uint64_t row_hash, std::size_t networks,
-                              std::size_t width,
+                              std::size_t bits,
                               std::span<const std::byte> packed,
                               std::span<const double> phi) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  append_record_locked(valid, time, anchor_of, row_hash, networks, width,
+  append_record_locked(valid, time, anchor_of, row_hash, networks, bits,
                        packed, phi);
 }
 
@@ -1120,7 +1201,7 @@ void SegmentStore::seal_tail_locked() {
   const std::uint32_t crc =
       payload_checksum(payload.data(), payload.size());
   const std::string header = encode_segment_header(
-      kFlagSealed, t.id, t.base_row, t.durable_rows, networks_, t.width,
+      kFlagSealed, t.id, t.base_row, t.durable_rows, networks_, t.bits,
       t.tri_base, t.payload_bytes, t.min_time, t.max_time);
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
   std::string trailer;
@@ -1143,7 +1224,7 @@ void SegmentStore::seal_tail_locked() {
   info.base_row = t.base_row;
   info.rows = t.durable_rows;
   info.tri_base = t.tri_base;
-  info.width = t.width;
+  info.bits = t.bits;
   info.payload_bytes = t.payload_bytes;
   info.checksum = crc;
   info.min_time = t.min_time;
@@ -1288,7 +1369,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   };
   std::vector<SegView> views;
   views.reserve(sealed_.size());
-  bool uniform_width = true;
+  bool uniform_bits = true;
   for (const SegmentInfo& s : sealed_) {
     const std::size_t need = kSegmentHeaderBytes +
                              static_cast<std::size_t>(s.payload_bytes) +
@@ -1298,7 +1379,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     const SegmentHeader h = decode_segment_header(m.data, m.size, name);
     if ((h.flags & kFlagSealed) == 0 || h.id != s.id ||
         h.base_row != s.base_row || h.rows != s.rows ||
-        h.tri_base != s.tri_base || h.width != s.width ||
+        h.tri_base != s.tri_base || h.bits != s.bits ||
         h.payload_bytes != s.payload_bytes || h.networks != networks_) {
       throw store_corrupt("segment " + name +
                           ": inconsistent — the header disagrees with the "
@@ -1319,7 +1400,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     metrics.mmap_bytes.inc(need);
     keep->maps.push_back(std::move(m));
     views.push_back({&s, keep->maps.back().data + kSegmentHeaderBytes});
-    if (s.width != sealed_.front().width) uniform_width = false;
+    if (s.bits != sealed_.front().bits) uniform_bits = false;
   }
   if (tail_.has_value() && tail_->durable_rows > 0) {
     const std::filesystem::path tp = tail_path(tail_->id);
@@ -1335,12 +1416,14 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     ::close(fd);
   }
 
+  // Packed rows are little-endian in memory as on disk; only the Φ
+  // doubles need a host-order copy on a big-endian host.
   const bool zero_copy =
-      std::endian::native == std::endian::little && uniform_width;
+      std::endian::native == std::endian::little && uniform_bits;
   core::SimilarityMatrix& matrix = out.matrix;
-  const std::uint64_t adopt_width =
-      !sealed_.empty() ? sealed_.front().width
-                       : (tail_.has_value() ? tail_->width : 1);
+  const std::size_t adopt_bits = static_cast<std::size_t>(
+      !sealed_.empty() ? sealed_.front().bits
+                       : (tail_.has_value() ? tail_->bits : 4));
 
   std::vector<core::SimilarityMatrix::AdoptedRow> adopted;
   if (zero_copy) adopted.reserve(retained);
@@ -1352,15 +1435,13 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   bool copy_initialized = false;
   const auto ensure_copy_matrix = [&] {
     if (copy_initialized) return;
-    matrix.adopt_rows(networks_, static_cast<std::size_t>(adopt_width), {},
-                      keep);
+    matrix.adopt_rows(networks_, adopt_bits, {}, keep);
     copy_initialized = true;
   };
   const auto take_record = [&](const std::byte* rec, std::uint64_t g,
-                               std::uint64_t tri_base, std::uint64_t width,
-                               const std::string& name, bool in_tail) {
-    const RecordView v = parse_record(rec, g, tri_base, networks_,
-                                      static_cast<std::size_t>(width));
+                               std::uint64_t tri_base, std::size_t bits,
+                               bool in_tail) {
+    const RecordView v = parse_record(rec, g, tri_base, networks_, bits);
     if (dataset != nullptr && identity_mode_ == kIdentityRowHashes &&
         v.row_hash !=
             segment_row_hash(dataset->series[static_cast<std::size_t>(g)])) {
@@ -1375,30 +1456,16 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     // The record's Φ span starts at the segment's tri_base; the matrix
     // row starts at the store's base. tri_base <= S always.
     const std::size_t skip = static_cast<std::size_t>(S - tri_base);
+    row.packed = v.packed;
     if constexpr (std::endian::native == std::endian::little) {
-      row.packed = v.packed;
       row.phi = reinterpret_cast<const double*>(v.phi_bytes) + skip;
     } else {
       auto& phis = keep->phi_buffers.emplace_back();
       phis.resize(v.phi_count - skip);
       for (std::size_t k = 0; k < phis.size(); ++k) {
-        const std::uint64_t bits =
-            load_u64le(v.phi_bytes + 8 * (skip + k));
-        std::memcpy(&phis[k], &bits, sizeof(double));
+        const std::uint64_t word = load_u64le(v.phi_bytes + 8 * (skip + k));
+        std::memcpy(&phis[k], &word, sizeof(double));
       }
-      auto& pack = keep->packed_buffers.emplace_back();
-      pack.resize(networks_ * static_cast<std::size_t>(width));
-      for (std::size_t n = 0; n < networks_; ++n) {
-        std::uint32_t val = 0;
-        for (std::size_t b = 0; b < width; ++b) {
-          val |= static_cast<std::uint32_t>(std::to_integer<unsigned>(
-                     v.packed[n * width + b]))
-                 << (8 * b);
-        }
-        std::memcpy(pack.data() + n * width, &val,
-                    static_cast<std::size_t>(width));
-      }
-      row.packed = pack.data();
       row.phi = phis.data();
     }
     if (zero_copy && !in_tail) {
@@ -1406,46 +1473,38 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     } else {
       if (!copy_initialized && adopted.size() > 0) {
         // Seal the zero-copy prefix before switching to copies.
-        matrix.adopt_rows(networks_, static_cast<std::size_t>(adopt_width),
-                          adopted, keep);
+        matrix.adopt_rows(networks_, adopt_bits, adopted, keep);
         copy_initialized = true;
       }
       ensure_copy_matrix();
-      matrix.append_precomputed(row, static_cast<std::size_t>(width));
+      matrix.append_precomputed(row, bits);
     }
-    (void)name;
   };
 
+  // decode_manifest() derived every payload from its rows, so these
+  // walks stay inside the mapped and read-back bytes.
   for (const SegView& view : views) {
     const SegmentInfo& s = *view.info;
+    const auto bits = static_cast<std::size_t>(s.bits);
     const std::byte* rec = view.records;
-    const std::string name = "seg-" + std::to_string(s.id);
     for (std::uint64_t r = 0; r < s.rows; ++r) {
       const std::uint64_t g = s.base_row + r;
-      take_record(rec, g, s.tri_base, s.width, name, false);
-      rec += record_bytes(g, s.tri_base, networks_,
-                          static_cast<std::size_t>(s.width));
-    }
-    if (static_cast<std::uint64_t>(rec - view.records) != s.payload_bytes) {
-      throw store_corrupt("segment " + name +
-                          ": inconsistent — record sizes do not sum to the "
-                          "recorded payload");
+      take_record(rec, g, s.tri_base, bits, false);
+      rec += record_bytes(g, s.tri_base, networks_, bits);
     }
   }
   if (zero_copy && !copy_initialized && !adopted.empty()) {
-    matrix.adopt_rows(networks_, static_cast<std::size_t>(adopt_width),
-                      adopted, keep);
+    matrix.adopt_rows(networks_, adopt_bits, adopted, keep);
     copy_initialized = true;
   }
   if (tail_.has_value() && tail_->durable_rows > 0) {
+    const auto bits = static_cast<std::size_t>(tail_->bits);
     const std::byte* rec =
         reinterpret_cast<const std::byte*>(keep->tail_bytes.data());
-    const std::string name = "tail-" + std::to_string(tail_->id);
     for (std::uint64_t r = 0; r < tail_->durable_rows; ++r) {
       const std::uint64_t g = tail_->base_row + r;
-      take_record(rec, g, tail_->tri_base, tail_->width, name, true);
-      rec += record_bytes(g, tail_->tri_base, networks_,
-                          static_cast<std::size_t>(tail_->width));
+      take_record(rec, g, tail_->tri_base, bits, true);
+      rec += record_bytes(g, tail_->tri_base, networks_, bits);
     }
   }
   if (matrix.size() != retained) {
@@ -1493,15 +1552,6 @@ bool SegmentStore::verify(std::string* error) const {
       seg_metrics().checksum_verified.inc();
       if (crc != s.checksum) {
         return fail("segment " + name + ": checksum mismatch");
-      }
-      std::size_t off = 0;
-      for (std::uint64_t r = 0; r < s.rows; ++r) {
-        off += record_bytes(s.base_row + r, s.tri_base, networks_,
-                            static_cast<std::size_t>(s.width));
-      }
-      if (off != h.payload_bytes) {
-        return fail("segment " + name +
-                    ": record sizes do not sum to the payload");
       }
       expect_base = s.base_row + s.rows;
     }
@@ -1567,12 +1617,12 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
                                              begin + count));
   const std::uint64_t new_id = next_segment_id_++;
 
-  std::uint64_t width = 1;
+  std::size_t bits = 4;
   std::uint64_t rows = 0;
   std::int64_t min_time = run.front().min_time;
   std::int64_t max_time = run.front().max_time;
   for (const SegmentInfo& s : run) {
-    width = std::max(width, s.width);
+    bits = std::max(bits, static_cast<std::size_t>(s.bits));
     rows += s.rows;
     min_time = std::min(min_time, s.min_time);
     max_time = std::max(max_time, s.max_time);
@@ -1612,47 +1662,25 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
   std::string payload;
   for (std::size_t k = 0; k < run.size(); ++k) {
     const SegmentInfo& s = run[k];
+    const auto src_bits = static_cast<std::size_t>(s.bits);
     const std::byte* rec =
         reinterpret_cast<const std::byte*>(sources[k].data()) +
         kSegmentHeaderBytes;
     for (std::uint64_t r = 0; r < s.rows; ++r) {
       const std::uint64_t g = s.base_row + r;
-      const RecordView v =
-          parse_record(rec, g, s.tri_base, networks_,
-                       static_cast<std::size_t>(s.width));
+      const RecordView v = parse_record(rec, g, s.tri_base, networks_,
+                                        src_bits);
       put_u64(payload, v.valid ? 1 : 0);
       put_i64(payload, v.time);
       put_u64(payload, v.anchor_of);
       put_u64(payload, v.row_hash);
-      // Source packed bytes are little-endian on disk; re-emit them at
-      // the merged width (byte-for-byte when widths already agree).
-      if (s.width == width) {
-        payload.append(reinterpret_cast<const char*>(v.packed),
-                       pad8(networks_ * static_cast<std::size_t>(width)));
-      } else {
-        for (std::size_t n = 0; n < networks_; ++n) {
-          std::uint32_t val = 0;
-          for (std::size_t b = 0; b < s.width; ++b) {
-            val |= static_cast<std::uint32_t>(std::to_integer<unsigned>(
-                       v.packed[n * s.width + b]))
-                   << (8 * b);
-          }
-          for (std::size_t b = 0; b < width; ++b) {
-            payload.push_back(
-                static_cast<char>((val >> (8 * b)) & 0xFFu));
-          }
-        }
-        payload.append(pad8(networks_ * static_cast<std::size_t>(width)) -
-                           networks_ * static_cast<std::size_t>(width),
-                       '\0');
-      }
+      put_packed_row(payload, v.packed, networks_, src_bits, bits);
       const std::size_t skip =
           static_cast<std::size_t>(plan_base - s.tri_base);
       payload.append(
           reinterpret_cast<const char*>(v.phi_bytes + 8 * skip),
           8 * (v.phi_count - skip));
-      rec += record_bytes(g, s.tri_base, networks_,
-                          static_cast<std::size_t>(s.width));
+      rec += record_bytes(g, s.tri_base, networks_, src_bits);
     }
   }
 
@@ -1662,7 +1690,7 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
   const int fd = open_or_throw(cp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   try {
     const std::string header = encode_segment_header(
-        kFlagSealed, new_id, run.front().base_row, rows, networks_, width,
+        kFlagSealed, new_id, run.front().base_row, rows, networks_, bits,
         plan_base, payload.size(), min_time, max_time);
     pwrite_all(fd, header.data(), header.size(), 0, cp);
     pwrite_all(fd, payload.data(), payload.size(),
@@ -1697,7 +1725,7 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
   merged.base_row = run.front().base_row;
   merged.rows = rows;
   merged.tri_base = plan_base;
-  merged.width = width;
+  merged.bits = bits;
   merged.payload_bytes = payload.size();
   merged.checksum = crc;
   merged.min_time = min_time;

@@ -19,30 +19,37 @@
 //
 // Resume mmaps the sealed segments and *adopts* their pages directly
 // into PackedSeries / TriangleStore storage (SimilarityMatrix::
-// adopt_rows) — warm-start cost is flat in history length. The
-// per-element copy fallback (append_precomputed) covers big-endian
-// hosts, mixed-width segment runs, and tail records.
+// adopt_rows) — warm-start cost is flat in history length. Packed rows
+// are little-endian in memory as on disk (compare_kernels.h), so the
+// copy fallback (append_precomputed) is one memcpy per row for tail
+// records and a widening convert_packed_row for mixed-width segment
+// runs; a big-endian host copies only the Φ doubles.
 //
 // Segment file layout (all integers little-endian, doubles as IEEE-754
 // bit patterns; everything 8-aligned so doubles map directly):
 //
 //   header, 128 bytes:
-//     magic "FENRSEG1" (8), u32 version (2), u32 flags (bit0 sealed),
+//     magic "FENRSEG1" (8), u32 version (3), u32 flags (bit0 sealed),
 //     u64 segment_id, u64 base_row (global row of record 0), u64 rows,
-//     u64 networks, u64 width (1|2|4), u64 tri_base (global row the Φ
-//     spans start at), u64 payload_bytes, i64 min_time, i64 max_time,
-//     40 bytes reserved
+//     u64 networks, u64 width (bits per element: 4|8|16|32), u64
+//     tri_base (global row the Φ spans start at), u64 payload_bytes,
+//     i64 min_time, i64 max_time, 40 bytes reserved
 //   per record, for global row g = base_row + r:
 //     u64 meta (bit0 valid), i64 time, u64 anchor_of (global row or
-//     ~0), u64 row_hash, networks·width packed bytes padded to a
-//     multiple of 8, (g − tri_base + 1) × f64 Φ columns for global
-//     rows tri_base..g
+//     ~0), u64 row_hash, the packed row — packed_row_bytes(networks,
+//     width) bytes, two 4-bit ids to a byte (low nibble first, an odd
+//     row's last high nibble 0) or 8/16/32-bit little-endian ids —
+//     padded to a multiple of 8, (g − tri_base + 1) × f64 Φ columns for
+//     global rows tri_base..g
 //   sealed trailer, 16 bytes:
 //     u32 payload_checksum over [128, 128 + payload_bytes), u32 0,
 //     magic "FENRSEGE" (8)
 //
 // Record offsets are pure arithmetic in (base_row, tri_base, networks,
-// width) — no per-record index is stored or needed.
+// width) — no per-record index is stored or needed. The decoder derives
+// every sealed segment's and the tail's payload from the same
+// arithmetic (overflow-checked) and refuses a manifest or header whose
+// payload_bytes disagree as "inconsistent", before any record is read.
 //
 // tri_base is the retention lever: a tail created after retention
 // advanced the store's base omits the dead Φ prefix entirely, and
@@ -78,14 +85,15 @@
 // row runs at memory speed on any host.
 //
 // The manifest also carries the watch's ModeBook: one record per mode
-// holding the representative's packed width, its network count and the
-// packed row at that width (little-endian, padded to 8), then the
+// holding the representative's packed width in bits, its network count
+// and the packed row at that width (padded to 8), then the
 // per-observation mode history. flush(&book) encodes the rows straight
 // from the book's packed storage, so a paper-scale book of five modes
-// costs 25 MB of manifest at one byte per network, not 100 MB of u32
-// site ids. The decoder rejects a representative whose width is not
-// 1, 2 or 4 or whose length disagrees with the store's network count.
-// Segment files are version 2 and the manifest version 4; any other
+// costs about 12.5 MB of manifest at half a byte per network, not
+// 100 MB of u32 site ids. The decoder rejects a representative whose
+// width is not 4, 8, 16 or 32 bits or whose length disagrees with the
+// store's network count, and a history entry past the last mode.
+// Segment files are version 3 and the manifest version 5; any other
 // version of either is refused with "version skew" — there is no read
 // path for older stores.
 #pragma once
@@ -113,8 +121,8 @@ inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
                                                  'S', 'E', 'G', 'E'};
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
-inline constexpr std::uint32_t kSegmentVersion = 2;
-inline constexpr std::uint32_t kManifestVersion = 4;
+inline constexpr std::uint32_t kSegmentVersion = 3;
+inline constexpr std::uint32_t kManifestVersion = 5;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
@@ -152,7 +160,7 @@ struct SegmentInfo {
   std::uint64_t base_row = 0;
   std::uint64_t rows = 0;
   std::uint64_t tri_base = 0;
-  std::uint64_t width = 1;
+  std::uint64_t bits = 4;  // packed width: bits per element
   std::uint64_t payload_bytes = 0;
   std::uint32_t checksum = 0;
   std::int64_t min_time = 0;
@@ -198,12 +206,14 @@ class SegmentStore {
                  const core::SimilarityMatrix& matrix, std::size_t row);
 
   /// Raw spill for callers without a live matrix (benches, tests):
-  /// @p packed is networks·width host-order bytes, @p phi the Φ columns
-  /// for global rows base..processed() where base is the store's
+  /// @p packed is one packed row of @p networks @p bits-bit elements
+  /// (4, 8, 16 or 32; core::packed_row_bytes(networks, bits) bytes in
+  /// PackedSeries layout, std::invalid_argument otherwise), @p phi the Φ
+  /// columns for global rows base..processed() where base is the store's
   /// current base_row — exactly processed() − base_row() + 1 values.
   void append_raw(bool valid, std::int64_t time, std::uint64_t anchor_of,
                   std::uint64_t row_hash, std::size_t networks,
-                  std::size_t width, std::span<const std::byte> packed,
+                  std::size_t bits, std::span<const std::byte> packed,
                   std::span<const double> phi);
 
   /// Makes everything spilled so far durable: tail pwrite + fsync, then
@@ -263,7 +273,7 @@ class SegmentStore {
     std::uint64_t id = 0;
     std::uint64_t base_row = 0;
     std::uint64_t tri_base = 0;
-    std::uint64_t width = 1;
+    std::uint64_t bits = 4;
     std::uint64_t rows = 0;           // durable + pending
     std::uint64_t durable_rows = 0;   // covered by the manifest
     std::uint64_t payload_bytes = 0;  // durable, covered by the manifest
@@ -282,11 +292,11 @@ class SegmentStore {
   void write_manifest_locked();
   std::string encode_manifest_locked() const;
   void decode_manifest(const std::string& bytes);
-  void open_tail_locked(std::uint64_t width);
-  void ensure_tail_locked(std::size_t networks, std::uint64_t width);
+  void open_tail_locked(std::uint64_t bits);
+  void ensure_tail_locked(std::size_t networks, std::uint64_t bits);
   void append_record_locked(bool valid, std::int64_t time,
                             std::uint64_t anchor_of, std::uint64_t row_hash,
-                            std::size_t networks, std::uint64_t width,
+                            std::size_t networks, std::uint64_t bits,
                             std::span<const std::byte> packed,
                             std::span<const double> phi);
   void write_pending_locked();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -28,6 +29,10 @@ RoutingVector random_vector(rng::Rng& r, std::size_t n, SiteId max_site,
 }
 
 TEST(PackedSeries, WidthFollowsTheLargestId) {
+  RoutingVector nibble;
+  nibble.assignment = {3, 4, 15};
+  RoutingVector sixteen;
+  sixteen.assignment = {3, 16, 5};
   RoutingVector small;
   small.assignment = {3, 4, 200};
   RoutingVector medium;
@@ -36,18 +41,51 @@ TEST(PackedSeries, WidthFollowsTheLargestId) {
   large.assignment = {3, 4, 70'000};
 
   PackedSeries s;
+  s.append(nibble);
+  EXPECT_EQ(s.bits(), 4u);  // 15 is the largest id two to a byte
+  EXPECT_EQ(s.row_bytes(), 2u);
+  s.append(sixteen);
+  EXPECT_EQ(s.bits(), 8u);
   s.append(small);
-  EXPECT_EQ(s.width(), 1u);
+  EXPECT_EQ(s.bits(), 8u);
   s.append(medium);
-  EXPECT_EQ(s.width(), 2u);
+  EXPECT_EQ(s.bits(), 16u);
   s.append(large);
-  EXPECT_EQ(s.width(), 4u);
-  EXPECT_EQ(s.rows(), 3u);
+  EXPECT_EQ(s.bits(), 32u);
+  EXPECT_EQ(s.rows(), 5u);
 
   // Widening preserved the earlier rows' values.
-  EXPECT_EQ(s.value_at(0, 2), 200u);
-  EXPECT_EQ(s.value_at(1, 2), 300u);
-  EXPECT_EQ(s.value_at(2, 2), 70'000u);
+  EXPECT_EQ(s.value_at(0, 2), 15u);
+  EXPECT_EQ(s.value_at(1, 1), 16u);
+  EXPECT_EQ(s.value_at(2, 2), 200u);
+  EXPECT_EQ(s.value_at(3, 2), 300u);
+  EXPECT_EQ(s.value_at(4, 2), 70'000u);
+
+  // A mapped 4-bit prefix widens to 8 bits through the same path: three
+  // ids two to a byte, low nibble first, the odd row's last high nibble
+  // 0 — and a 16 appended after it moves every row into owned slabs.
+  auto pages = std::make_shared<std::vector<std::byte>>(std::vector<std::byte>{
+      std::byte{0xF1}, std::byte{0x07}, std::byte{0x20}, std::byte{0x0E}});
+  const std::vector<const std::byte*> prefix = {pages->data(),
+                                                pages->data() + 2};
+  PackedSeries m;
+  m.adopt_rows(3, 4, prefix, pages);
+  EXPECT_EQ(m.mapped_rows(), 2u);
+  const std::vector<std::vector<SiteId>> want = {
+      {1, 15, 7}, {0, 2, 14}, {16, 0, 9}};
+  RoutingVector wide;
+  wide.assignment = want[2];
+  m.append(wide);
+  EXPECT_EQ(m.bits(), 8u);
+  EXPECT_EQ(m.mapped_rows(), 0u);
+  pages.reset();  // the widened rows no longer borrow the pages
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    for (std::size_t n = 0; n < 3; ++n) {
+      EXPECT_EQ(m.value_at(r, n), want[r][n]) << r << "," << n;
+    }
+  }
+  EXPECT_EQ(m.counts(0, 1).mutual_known, 2u);
+  EXPECT_EQ(m.counts(0, 0).matches, 3u);
 }
 
 TEST(PackedSeries, SizeMismatchThrows) {
@@ -119,8 +157,9 @@ void expect_rows_match(const PackedSeries& s,
 // One series through every storage path: a mapped prefix, appends that
 // cross slab boundaries, pop_back/append cycles reusing a slot, a
 // copy_row onto a mapped row (which moves every row into owned slabs),
-// and two widening appends. 100,003 networks put ten one-byte rows, five
-// two-byte rows and two four-byte rows in a slab.
+// and three widening appends. 100,003 networks put twenty 4-bit rows
+// (50,002 bytes, the odd last byte half padding), ten 8-bit rows, five
+// 16-bit rows and two 32-bit rows in a slab.
 TEST(PackedSeries, RowStorageMatchesOracleThroughEveryPath) {
   const std::size_t nets = 100'003;
   rng::Rng r(2024);
@@ -131,29 +170,32 @@ TEST(PackedSeries, RowStorageMatchesOracleThroughEveryPath) {
     return v;
   };
 
-  // The mapped prefix: three one-byte rows in a buffer the series
-  // borrows for as long as the keepalive lives.
-  auto pages = std::make_shared<std::vector<std::byte>>(3 * nets);
+  // The mapped prefix: three 4-bit rows in a buffer the series borrows
+  // for as long as the keepalive lives. draw(13) yields ids up to
+  // kFirstRealSite + 12 = 15, the largest a nibble holds.
+  const std::size_t row_bytes = packed_row_bytes(nets, 4);
+  auto pages = std::make_shared<std::vector<std::byte>>(3 * row_bytes);
   std::vector<const std::byte*> prefix;
   for (std::size_t row = 0; row < 3; ++row) {
-    const RoutingVector v = draw(200);
+    const RoutingVector v = draw(13);
+    std::byte* out = pages->data() + row * row_bytes;
     for (std::size_t n = 0; n < nets; ++n) {
-      (*pages)[row * nets + n] = static_cast<std::byte>(v.assignment[n]);
+      out[n / 2] |= static_cast<std::byte>(v.assignment[n] << (4 * (n % 2)));
     }
-    prefix.push_back(pages->data() + row * nets);
+    prefix.push_back(out);
   }
   PackedSeries s;
-  s.adopt_rows(nets, 1, prefix, pages);
+  s.adopt_rows(nets, 4, prefix, pages);
   EXPECT_EQ(s.mapped_rows(), 3u);
   expect_rows_match(s, want, "mapped prefix");
 
-  for (int k = 0; k < 12; ++k) s.append(draw(200));
+  for (int k = 0; k < 22; ++k) s.append(draw(13));
   expect_rows_match(s, want, "appends past a slab");
 
   for (int k = 0; k < 3; ++k) {
     s.pop_back();
     want.pop_back();
-    s.append(draw(200));
+    s.append(draw(13));
   }
   expect_rows_match(s, want, "pop_back/append cycles");
 
@@ -162,28 +204,36 @@ TEST(PackedSeries, RowStorageMatchesOracleThroughEveryPath) {
   EXPECT_EQ(s.mapped_rows(), 0u);
   expect_rows_match(s, want, "copy_row onto a mapped row");
 
+  RoutingVector byte_row = draw(13);
+  byte_row.assignment[nets / 2] = 200;
+  want.back() = byte_row;
+  s.append(byte_row);
+  EXPECT_EQ(s.bits(), 8u);
+  for (int k = 0; k < 12; ++k) s.append(draw(200));
+  expect_rows_match(s, want, "8-bit rows");
+
   RoutingVector wide = draw(200);
   wide.assignment[nets - 1] = 300;
   want.back() = wide;
   s.append(wide);
-  EXPECT_EQ(s.width(), 2u);
+  EXPECT_EQ(s.bits(), 16u);
   for (int k = 0; k < 6; ++k) s.append(draw(60'000));
-  expect_rows_match(s, want, "two-byte rows");
+  expect_rows_match(s, want, "16-bit rows");
 
   RoutingVector wider = draw(60'000);
   wider.assignment[0] = 70'000;
   want.back() = wider;
   s.append(wider);
-  EXPECT_EQ(s.width(), 4u);
+  EXPECT_EQ(s.bits(), 32u);
   for (int k = 0; k < 3; ++k) s.append(draw(1'000'000));
   s.pop_back();
   want.pop_back();
-  expect_rows_match(s, want, "four-byte rows");
+  expect_rows_match(s, want, "32-bit rows");
 }
 
 TEST(PackedKernels, BitIdenticalToScalarReference) {
   const std::size_t sizes[] = {0, 1, 7, 255, 4096, 4097, 10'000};
-  const SiteId site_counts[] = {5, 300, 70'000};
+  const SiteId site_counts[] = {5, 200, 300, 70'000};
   const double unknown_fracs[] = {0.0, 0.3, 0.9};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     rng::Rng r(seed);
@@ -209,11 +259,12 @@ TEST(PackedKernels, BitIdenticalToScalarReference) {
 }
 
 TEST(PackedKernels, WeightedBitIdenticalToScalarReference) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     rng::Rng r(seed * 17);
     const std::size_t n = 1 + r.uniform(5000);
-    const auto a = random_vector(r, n, 40, 0.4);
-    const auto b = random_vector(r, n, 40, 0.4);
+    const SiteId sites = seed % 2 == 0 ? 12 : 40;  // 4- and 8-bit rows
+    const auto a = random_vector(r, n, sites, 0.4);
+    const auto b = random_vector(r, n, sites, 0.4);
     std::vector<double> w(n);
     for (auto& x : w) x = 0.01 + r.uniform01() * 3.0;
     Dataset d;
@@ -248,27 +299,30 @@ TEST(DeltaKernels, ChangeSetIsSortedAndExact) {
   EXPECT_EQ(delta[1].after, 7u);
 }
 
-// apply_delta must take counts(prev, partner) to exactly
+// The prepared patch must take counts(prev, partner) to exactly
 // counts(cur, partner) — the identity the delta Φ path relies on.
 TEST(DeltaKernels, PatchedCountsEqualDirectCounts) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     rng::Rng r(seed * 101);
     const std::size_t n = 500 + r.uniform(2000);
-    const auto prev = random_vector(r, n, 12, 0.3);
+    const SiteId sites = seed % 2 == 0 ? 12 : 200;  // 4- and 8-bit rows
+    const auto prev = random_vector(r, n, sites, 0.3);
     RoutingVector cur = prev;
     const std::size_t flips = r.uniform(n / 10);
     for (std::size_t k = 0; k < flips; ++k) {
       // Includes flips to/from unknown, the trickiest accounting.
       cur.assignment[r.uniform(n)] =
-          r.bernoulli(0.2) ? kUnknownSite
-                           : static_cast<SiteId>(kFirstRealSite + r.uniform(12));
+          r.bernoulli(0.2)
+              ? kUnknownSite
+              : static_cast<SiteId>(kFirstRealSite + r.uniform(sites));
     }
-    const auto partner = random_vector(r, n, 12, 0.3);
+    const auto partner = random_vector(r, n, sites, 0.3);
     Dataset d;
     d.series = {prev, cur, partner};
     const PackedSeries s = PackedSeries::pack(d);
     const auto delta = s.delta_between(0, 1);
-    const MatchCounts patched = apply_delta(s.counts(0, 2), delta, s, 2);
+    const MatchCounts patched =
+        apply_prepared(s.counts(0, 2), prepare_delta(delta), s, 2);
     const MatchCounts direct = s.counts(1, 2);
     EXPECT_EQ(patched.matches, direct.matches) << "seed=" << seed;
     EXPECT_EQ(patched.mutual_known, direct.mutual_known) << "seed=" << seed;
@@ -476,6 +530,204 @@ TEST(SimdKernels, IngestAndSwapPatchBitIdenticalToScalarOracleAllTiers) {
   }
 }
 
+// ---------------------------------------------------------------------
+// The 4-bit kernels. Rows hold ids 0..15 two to a byte; an odd row's
+// last high nibble is padding. Every tier must reproduce the scalar
+// oracle — and the oracle an element-by-element count over the ids —
+// at every tail length mod 128 elements (every AVX-512 byte tail, odd
+// and even), across the AVX2 drain boundary (127 iterations × 32 bytes
+// = 8128 elements), and at unknown fractions 0, 0.5 and 1.
+
+std::vector<std::size_t> u4_sizes() {
+  std::vector<std::size_t> sizes(std::begin(kSimdSizes), std::end(kSimdSizes));
+  for (std::size_t n = 2048; n < 2048 + 128; ++n) sizes.push_back(n);
+  for (const std::size_t n : {8127, 8128, 8129, 8191, 8192, 8193, 20'011}) {
+    sizes.push_back(n);
+  }
+  return sizes;
+}
+
+/// @p n ids in 0..15, each unknown with probability @p uf.
+std::vector<SiteId> random_u4_ids(rng::Rng& r, std::size_t n, double uf) {
+  std::vector<SiteId> ids(n);
+  for (SiteId& x : ids) {
+    x = r.bernoulli(uf) ? kUnknownSite : static_cast<SiteId>(1 + r.uniform(15));
+  }
+  return ids;
+}
+
+std::vector<std::uint8_t> pack_u4_oracle(const std::vector<SiteId>& ids) {
+  std::vector<std::uint8_t> out(packed_row_bytes(ids.size(), 4));
+  simd::table_for(simd::Tier::kScalar)->pack_u4(ids.data(), out.data(),
+                                               ids.size());
+  return out;
+}
+
+TEST(SimdKernels, FourBitPackAndCountsBitIdenticalToScalarOracleAllTiers) {
+  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
+  for (const simd::Tier tier : available_tiers()) {
+    rng::Rng r(404);
+    const simd::KernelTable& t = *simd::table_for(tier);
+    const char* name = simd::tier_name(tier);
+    for (const std::size_t n : u4_sizes()) {
+      for (const double uf : {0.0, 0.5, 1.0}) {
+        const auto ia = random_u4_ids(r, n, uf);
+        const auto ib = random_u4_ids(r, n, uf);
+        const auto a = pack_u4_oracle(ia);
+        const auto b = pack_u4_oracle(ib);
+        // The tier's pack writes exactly the oracle's bytes — the odd
+        // row's padding nibble 0 included — and nothing past the row.
+        std::vector<std::uint8_t> got(a.size() + 8, 0xAB);
+        t.pack_u4(ia.data(), got.data(), n);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), got.begin()))
+            << name << " n=" << n;
+        for (std::size_t k = a.size(); k < got.size(); ++k) {
+          ASSERT_EQ(got[k], 0xAB) << name << " n=" << n << " wrote past";
+        }
+        if (n % 2 != 0) ASSERT_EQ(a.back() >> 4, 0) << "padding nibble";
+
+        MatchCounts want;
+        for (std::size_t i = 0; i < n; ++i) {
+          want.matches += ia[i] == ib[i] && ia[i] != kUnknownSite;
+          want.mutual_known += ia[i] != kUnknownSite && ib[i] != kUnknownSite;
+        }
+        const MatchCounts got_ab = t.count_u4(a.data(), b.data(), n);
+        const MatchCounts oracle_ab = oracle.count_u4(a.data(), b.data(), n);
+        EXPECT_EQ(oracle_ab.matches, want.matches) << "oracle n=" << n;
+        EXPECT_EQ(oracle_ab.mutual_known, want.mutual_known)
+            << "oracle n=" << n;
+        EXPECT_EQ(got_ab.matches, want.matches)
+            << name << " n=" << n << " uf=" << uf;
+        EXPECT_EQ(got_ab.mutual_known, want.mutual_known)
+            << name << " n=" << n << " uf=" << uf;
+        const MatchCounts self = t.count_u4(a.data(), a.data(), n);
+        EXPECT_EQ(self.matches, self.mutual_known) << name << " n=" << n;
+
+        // A nonzero padding nibble is not an element: it never counts.
+        if (n % 2 != 0) {
+          auto pa = a;
+          auto pb = b;
+          pa.back() |= 0x50;
+          pb.back() |= 0x50;
+          const MatchCounts padded = t.count_u4(pa.data(), pb.data(), n);
+          EXPECT_EQ(padded.matches, want.matches) << name << " n=" << n;
+          EXPECT_EQ(padded.mutual_known, want.mutual_known)
+              << name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, FourBitDeltaScansBitIdenticalToScalarOracleAllTiers) {
+  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
+  for (const simd::Tier tier : available_tiers()) {
+    rng::Rng r(505);
+    const simd::KernelTable& t = *simd::table_for(tier);
+    const char* name = simd::tier_name(tier);
+    for (const std::size_t n : u4_sizes()) {
+      for (const double uf : {0.0, 0.5, 1.0}) {
+        const auto ia = random_u4_ids(r, n, uf);
+        auto ib = ia;
+        const std::size_t flips = n == 0 ? 0 : r.uniform(n / 8 + 2);
+        for (std::size_t k = 0; k < flips; ++k) {
+          ib[r.uniform(n)] = static_cast<SiteId>(r.uniform(16));
+        }
+        if (n > 0) ib[n - 1] = ia[n - 1] == 15 ? 14 : 15;  // the last element
+        const auto a = pack_u4_oracle(ia);
+        const auto b = pack_u4_oracle(ib);
+        std::vector<DeltaEntry> want;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (ia[i] != ib[i]) {
+            want.push_back({static_cast<std::uint32_t>(i), ia[i], ib[i]});
+          }
+        }
+        std::vector<DeltaEntry> full;
+        ASSERT_TRUE(oracle.delta_u4(a.data(), b.data(), n, simd::kNoCap, full));
+        ASSERT_EQ(full.size(), want.size()) << "oracle n=" << n;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(full[k].index, want[k].index) << "oracle n=" << n;
+          EXPECT_EQ(full[k].before, want[k].before) << "oracle n=" << n;
+          EXPECT_EQ(full[k].after, want[k].after) << "oracle n=" << n;
+        }
+        const std::size_t caps[] = {0, 1, 2, want.size(),
+                                    want.empty() ? 0 : want.size() - 1,
+                                    simd::kNoCap};
+        for (const std::size_t cap : caps) {
+          std::vector<DeltaEntry> got, ref;
+          const bool got_ok = t.delta_u4(a.data(), b.data(), n, cap, got);
+          const bool ref_ok = oracle.delta_u4(a.data(), b.data(), n, cap, ref);
+          ASSERT_EQ(got_ok, ref_ok) << name << " n=" << n << " cap=" << cap;
+          ASSERT_EQ(got.size(), ref.size()) << name << " n=" << n;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].index, ref[k].index) << name << " n=" << n;
+            EXPECT_EQ(got[k].before, ref[k].before) << name << " n=" << n;
+            EXPECT_EQ(got[k].after, ref[k].after) << name << " n=" << n;
+          }
+        }
+        if (n % 2 != 0) {
+          // Differing padding nibbles are no change.
+          auto pb = b;
+          pb.back() ^= 0xA0;
+          std::vector<DeltaEntry> got;
+          ASSERT_TRUE(t.delta_u4(a.data(), pb.data(), n, simd::kNoCap, got));
+          EXPECT_EQ(got.size(), want.size()) << name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, FourBitPatchKernelsBitIdenticalToScalarOracleAllTiers) {
+  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
+  for (const simd::Tier tier : available_tiers()) {
+    rng::Rng r(606);
+    const simd::KernelTable& t = *simd::table_for(tier);
+    const char* name = simd::tier_name(tier);
+    for (const std::size_t n : u4_sizes()) {
+      if (n == 0) continue;
+      for (const double uf : {0.0, 0.5, 1.0}) {
+        const auto ids = random_u4_ids(r, n, uf);
+        const auto row = pack_u4_oracle(ids);
+        // Ascending indices, the row's last eight elements always
+        // included, so every gather whose 4 bytes would cross the row
+        // end lands in the peeled suffix. Before/after values past 15
+        // can never match a nibble. swap_u4 and known_u4 (the gain/lose
+        // classes' sums) both run over the same entries.
+        std::vector<std::uint32_t> idx;
+        std::vector<SiteId> before, after;
+        std::int64_t want = 0;
+        KnownPatchSums want_known;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          if (!r.bernoulli(0.25) && i + 8 < n) continue;
+          idx.push_back(i);
+          before.push_back(r.bernoulli(0.4) ? ids[i] : r.uniform(21));
+          after.push_back(r.bernoulli(0.4) ? ids[i] : r.uniform(21));
+          want += (after.back() == ids[i]) - (before.back() == ids[i]);
+          want_known.equal += after.back() == ids[i];
+          want_known.known += ids[i] != kUnknownSite;
+        }
+        EXPECT_EQ(oracle.swap_u4(row.data(), idx.data(), before.data(),
+                                 after.data(), idx.size(), n),
+                  want)
+            << "oracle n=" << n;
+        EXPECT_EQ(t.swap_u4(row.data(), idx.data(), before.data(),
+                            after.data(), idx.size(), n),
+                  want)
+            << name << " n=" << n << " uf=" << uf;
+        for (const KnownPatchSums got :
+             {oracle.known_u4(row.data(), idx.data(), after.data(),
+                              idx.size(), n),
+              t.known_u4(row.data(), idx.data(), after.data(), idx.size(),
+                         n)}) {
+          EXPECT_EQ(got.equal, want_known.equal) << name << " n=" << n;
+          EXPECT_EQ(got.known, want_known.known) << name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 // The step size the similarity matrix derives from counts: two rows
 // differ wherever either is known, less where both are known and equal,
 // so known(a) + known(b) − mutual_known − matches must be exactly the
@@ -520,6 +772,29 @@ TEST(SimdKernels, StepSizeIdentityAllTiers) {
                                         name);
     expect_step_identity<std::uint32_t>(t.count_u32, t.delta_u32, r,
                                         1'000'000, name);
+    for (const std::size_t n : u4_sizes()) {
+      for (const double uf : {0.0, 0.5, 1.0}) {
+        const auto ia = random_u4_ids(r, n, uf);
+        auto near = ia;
+        for (std::size_t k = 0; n > 0 && k < n / 20 + 1; ++k) {
+          near[r.uniform(n)] = static_cast<SiteId>(r.uniform(16));
+        }
+        const auto a = pack_u4_oracle(ia);
+        for (const auto& ib : {random_u4_ids(r, n, uf), near}) {
+          const auto b = pack_u4_oracle(ib);
+          const MatchCounts c = t.count_u4(a.data(), b.data(), n);
+          const std::uint64_t known_a =
+              t.count_u4(a.data(), a.data(), n).mutual_known;
+          const std::uint64_t known_b =
+              t.count_u4(b.data(), b.data(), n).mutual_known;
+          std::vector<DeltaEntry> changes;
+          ASSERT_TRUE(t.delta_u4(a.data(), b.data(), n, simd::kNoCap, changes));
+          EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
+                    changes.size())
+              << name << " 4 bits n=" << n << " uf=" << uf;
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/corrupt.h"
 #include "core/dataset_io.h"
 #include "core/distance_matrix.h"
 #include "core/modebook.h"
@@ -143,7 +145,10 @@ void grow(SegmentStore& store, SimilarityMatrix& matrix, const Dataset& d,
 // one that never left memory, and further appends stay on the exact
 // same trajectory (anchors re-derive; values are path-independent).
 TEST(Segment, RoundTripBitIdenticalAcrossRotations) {
-  for (const std::size_t site_count : {6, 300}) {
+  // 6, 200 and 300 sites pack to 4, 8 and 16 bits (ids start at
+  // kFirstRealSite = 3).
+  for (const auto [site_count, bits] :
+       {std::pair<std::size_t, std::uint64_t>{6, 4}, {200, 8}, {300, 16}}) {
     ScratchDir dir("roundtrip" + std::to_string(site_count));
     const Dataset d = periodic_dataset(40, 120, site_count, 0.03, 11);
     SimilarityMatrix continuous(UnknownPolicy::kPessimistic, d.weights, 1);
@@ -158,6 +163,9 @@ TEST(Segment, RoundTripBitIdenticalAcrossRotations) {
       grow(store, live, d, 0, 25);
       EXPECT_EQ(store.processed(), 25u);
       EXPECT_GE(store.segments().size(), 3u);
+      for (const SegmentInfo& s : store.segments()) {
+        EXPECT_EQ(s.bits, bits) << "sites=" << site_count;
+      }
     }
     ASSERT_TRUE(SegmentStore::looks_like_store(dir.path));
 
@@ -234,7 +242,7 @@ TEST(SnapshotRoundTrip, SaveLoadAppendBitIdenticalToContinuous) {
   }
 }
 
-// Site ids above 65535 force 4-byte packed rows; the store keeps them
+// Site ids above 65535 force 32-bit packed rows; the store keeps them
 // at that width, sealed and in the tail, and the resumed matrix still
 // patches correctly.
 TEST(SnapshotRoundTrip, FourByteWidthSurvives) {
@@ -271,7 +279,7 @@ TEST(SnapshotRoundTrip, FourByteWidthSurvives) {
     SimilarityMatrix partial(UnknownPolicy::kPessimistic, {}, 1);
     grow(store, partial, d, 0, 6);
     ASSERT_EQ(store.segments().size(), 1u);
-    EXPECT_EQ(store.segments()[0].width, 4u);
+    EXPECT_EQ(store.segments()[0].bits, 32u);
     EXPECT_EQ(store.tail_rows(), 2u);
   }
   SegmentStore store(dir.path, cfg);
@@ -642,19 +650,21 @@ void write_file(const fs::path& path, const std::string& bytes) {
 }
 
 // A watch's ModeBook survives flush → reopen → load → restore at every
-// packed width (site ids past 255 and past 65,535), frozen and adapting:
+// packed width (site ids up to 15, past 15, past 255 and past 65,535),
+// frozen and adapting:
 // each restored representative is the vector that founded its mode (or
 // its latest member, adapting), and the resumed book's verdicts on the
 // rest of the series are those of a book that never stopped.
 TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
   struct Case {
     std::size_t site_count;
-    std::size_t width;
+    std::size_t bits;
   };
-  for (const Case c : {Case{6, 1}, Case{300, 2}, Case{70'000, 4}}) {
+  for (const Case c :
+       {Case{6, 4}, Case{200, 8}, Case{300, 16}, Case{70'000, 32}}) {
     for (const bool adapt : {false, true}) {
-      const std::string label = "width " + std::to_string(c.width) +
-                                (adapt ? " adapting" : " frozen");
+      const std::string label = "width " + std::to_string(c.bits) +
+                                " bits" + (adapt ? " adapting" : " frozen");
       ScratchDir dir("modebook_width");
       const Dataset d = periodic_dataset(30, 120, c.site_count, 0.05,
                                          c.site_count + adapt, 0.1);
@@ -690,7 +700,7 @@ TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
       store.attach(&d);
       SegmentStore::Loaded loaded = store.load(&d);
       ASSERT_TRUE(loaded.has_modebook) << label;
-      EXPECT_EQ(loaded.representatives.width(), c.width) << label;
+      EXPECT_EQ(loaded.representatives.bits(), c.bits) << label;
       core::ModeBook resumed(bc);
       resumed.restore(std::move(loaded.representatives),
                       std::move(loaded.history));
@@ -716,12 +726,13 @@ TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
 
 // Every way a MANIFEST can be damaged gets its own diagnostic and a
 // segment_store_corrupt event: bad magic, truncation, trailing bytes,
-// bit rot, an older format version (v1, v2 and v3 alike), and
-// checksummed manifests that no build writes — an identity mode that
-// would otherwise skip the identity checks in load(), and ModeBook
+// bit rot, an older format version (v1 to v4 alike), and checksummed
+// manifests that no build writes — an identity mode that would
+// otherwise skip the identity checks in load(), ModeBook
 // representatives of an impossible width or of another length than the
 // store's rows, which restore() would otherwise accept and the first
-// observe() trip over.
+// observe() trip over, and segment payloads that disagree with their
+// row counts, which load() would otherwise walk past.
 TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   ScratchDir dir("manifest_corrupt");
   const Dataset d = periodic_dataset(12, 80, 6, 0.03, 67);
@@ -745,19 +756,66 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       b[b.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
     }
   };
+  std::uint64_t tail_rows = 0;
+  std::uint64_t sealed_rows = 0;
+  {
+    const SegmentStore store(dir.path, cfg);
+    tail_rows = store.tail_rows();
+    ASSERT_FALSE(store.segments().empty());
+    ASSERT_EQ(store.segments()[0].bits, 4u);
+    sealed_rows = store.segments()[0].rows;
+  }
+  ASSERT_GT(tail_rows, 0u);
   // The modebook section closes the manifest: per mode u64 width, u64
-  // networks and 80 one-byte ids, then the history — so the first
-  // representative's record sits at a fixed distance from the end.
+  // networks and 80 4-bit ids (40 bytes), then the history — so the
+  // first representative's record sits at a fixed distance from the end.
   const std::size_t rep0 = good.size() - 4 - 8 * book.history().size() - 8 -
-                           book.mode_count() * (16 + 80);
-  const auto with_rep0 = [&](std::size_t field, std::uint64_t v) {
-    std::string b = good;
+                           book.mode_count() * (16 + 40);
+  const auto read_u64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
-      b[rep0 + field + i] = static_cast<char>(v >> (8 * i));
+      v |= std::uint64_t{static_cast<unsigned char>(good[at + i])} << (8 * i);
     }
-    resign(b);
-    return b;
+    return v;
   };
+  const auto with_u64s =
+      [&](std::initializer_list<std::pair<std::size_t, std::uint64_t>> at) {
+        std::string b = good;
+        for (const auto& [off, v] : at) {
+          for (int i = 0; i < 8; ++i) {
+            b[off + i] = static_cast<char>(v >> (8 * i));
+          }
+        }
+        resign(b);
+        return b;
+      };
+  const auto with_rep0 = [&](std::size_t field, std::uint64_t v) {
+    return with_u64s({{rep0 + field, v}});
+  };
+  // The header's processed count follows magic, version, length, the
+  // four flag bytes, three hashes, networks, the (empty) weights and
+  // base_row; the sealed list follows processed, the next segment id,
+  // the newest time and its count, 68 bytes per segment with the
+  // payload 40 bytes in. The tail's fields end where the modebook's
+  // mode count starts: u64 durable_rows, u64 payload_bytes, i64
+  // min_time, i64 max_time.
+  ASSERT_TRUE(d.weights.empty());
+  const std::size_t processed_at = 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8;
+  const std::size_t seg0_payload_at = processed_at + 32 + 40;
+  const std::size_t tail_rows_at = rep0 - 8 - 32;
+  ASSERT_EQ(read_u64(processed_at), d.series.size());
+  ASSERT_EQ(read_u64(seg0_payload_at - 24), sealed_rows);
+  ASSERT_EQ(read_u64(tail_rows_at), tail_rows);
+  // One row more than the tail file holds, processed raised to match:
+  // load() would walk a record past the end of the tail's bytes.
+  const std::string tail_overrun =
+      with_u64s({{tail_rows_at, tail_rows + 1},
+                 {processed_at, d.series.size() + 1}});
+  // A sealed segment's payload eight bytes short of its rows' records.
+  const std::string seg_short =
+      with_u64s({{seg0_payload_at, read_u64(seg0_payload_at) - 8}});
+  ASSERT_EQ(with_rep0(0, 4), good) << "rep0 does not point at a width";
+  ASSERT_EQ(with_rep0(8, 80), good) << "rep0 + 8 does not hold the length";
 
   const auto with_version = [&](std::uint32_t v) {
     std::string b = good;
@@ -775,8 +833,6 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   std::string bad_mode = good;
   bad_mode[sizeof(kManifestMagic) + 4 + 8] = 2;
   resign(bad_mode);
-  ASSERT_EQ(with_rep0(0, 1), good) << "rep0 does not point at a width";
-  ASSERT_EQ(with_rep0(8, 80), good) << "rep0 + 8 does not hold the length";
 
   struct Case {
     std::string bytes;
@@ -791,9 +847,12 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       {with_version(1), "version skew", "file is v1"},
       {with_version(2), "version skew", "file is v2"},
       {with_version(3), "version skew", "file is v3"},
+      {with_version(4), "version skew", "file is v4"},
       {bad_mode, "inconsistent", "identity mode 2"},
       {with_rep0(0, 3), "inconsistent", "packed width 3"},
       {with_rep0(8, 79), "inconsistent", "covers 79 networks"},
+      {tail_overrun, "inconsistent", "the tail's payload"},
+      {seg_short, "inconsistent", "segment 0's payload"},
   };
   std::set<std::string> messages;
   for (const Case& c : cases) {
@@ -831,7 +890,7 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
   SegmentStoreConfig cfg;
   SegmentStore store(dir.path, cfg);
   store.configure(UnknownPolicy::kPessimistic, {});
-  const std::size_t networks = 300'000;  // 1.2 MB packed at width 4
+  const std::size_t networks = 300'000;  // 1.2 MB packed at 32 bits
   const std::vector<std::byte> packed(networks * 4, std::byte{7});
   const std::vector<double> phi{1.0};
   auto& tail_bytes =
@@ -839,7 +898,7 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
   const double before = tail_bytes.value();
   const fs::path tail = dir.path / "tail-0.fenrseg";
 
-  store.append_raw(true, 0, kNoAnchor, 0, networks, 4, packed, phi);
+  store.append_raw(true, 0, kNoAnchor, 0, networks, 32, packed, phi);
   const std::uintmax_t record = 32 + networks * 4 + 8;
   EXPECT_EQ(fs::file_size(tail), kSegmentHeaderBytes + record)
       << "a record past the threshold is written through at spill";
@@ -857,9 +916,20 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
 
 // Compaction merges runs of undersized sealed segments into one and the
 // loaded matrix does not move a bit.
+// The second pass pulls id 53 in from row 18 on, so a 4-bit run and an
+// 8-bit run merge into one segment at the wider width.
 TEST(Segment, CompactionPreservesMatrix) {
-  ScratchDir dir("compact");
-  const Dataset d = periodic_dataset(36, 80, 6, 0.03, 53);
+ for (const bool mixed : {false, true}) {
+  ScratchDir dir(mixed ? "compact_mixed" : "compact");
+  Dataset d = periodic_dataset(36, 80, 6, 0.03, 53);
+  if (mixed) {
+    for (std::size_t s = 6; s <= 50; ++s) {
+      d.sites.intern("site" + std::to_string(s));
+    }
+    for (std::size_t t = 18; t < d.series.size(); ++t) {
+      d.series[t].assignment[t] = kFirstRealSite + 50;
+    }
+  }
   SegmentStoreConfig cfg;
   cfg.seal_rows = 64;  // nothing seals by size...
   cfg.compact_min_run = 3;
@@ -878,9 +948,12 @@ TEST(Segment, CompactionPreservesMatrix) {
   ASSERT_GE(before, 3u);
   SegmentStore::Loaded want = store.load(&d);
 
+  EXPECT_EQ(store.segments().front().bits, 4u);
+  EXPECT_EQ(store.segments().back().bits, mixed ? 8u : 4u);
   const std::size_t merged = store.compact_now();
   EXPECT_GE(merged, 3u);
   EXPECT_LT(store.segments().size(), before);
+  EXPECT_EQ(store.segments().front().bits, mixed ? 8u : 4u);
   std::string error;
   EXPECT_TRUE(store.verify(&error)) << error;
   SegmentStore::Loaded got = store.load(&d);
@@ -890,10 +963,15 @@ TEST(Segment, CompactionPreservesMatrix) {
   SegmentStore reopened(dir.path, cfg);
   SegmentStore::Loaded again = reopened.load(&d);
   expect_bit_identical(again.matrix, want.matrix, "compacted+reopened");
+  SimilarityMatrix continuous(UnknownPolicy::kPessimistic, d.weights, 1);
+  for (const RoutingVector& v : d.series) continuous.append(v);
+  expect_bit_identical(again.matrix, continuous, "compacted vs continuous");
+ }
 }
 
-// Mid-stream width growth (site ids crossing 255) seals the tail early
-// and rotates; the mixed-width store still loads bit-identically.
+// Mid-stream width growth (site ids crossing 255, so 4 bits → 16) seals
+// the tail early and rotates; the mixed-width store still loads
+// bit-identically.
 TEST(Segment, WidthChangeRotatesTail) {
   ScratchDir dir("width");
   rng::Rng r(61);
@@ -912,7 +990,7 @@ TEST(Segment, WidthChangeRotatesTail) {
   }
   for (std::size_t t = 0; t < 16; ++t) {
     v.time = static_cast<TimePoint>(t) * kDay;
-    // Rows 8+ pull in wide site ids, widening PackedSeries to 2 bytes.
+    // Rows 8+ pull in wide site ids, widening PackedSeries to 16 bits.
     const std::size_t range = t < 8 ? 6 : 290;
     v.assignment[r.uniform(nets)] =
         static_cast<SiteId>(kFirstRealSite + r.uniform(range));
@@ -964,6 +1042,72 @@ TEST(Segment, ModeBookStateRoundTrips) {
     EXPECT_EQ(restored.representative(m2).assignment,
               book.representative(m2).assignment)
         << "mode " << m2;
+  }
+}
+
+// A watch whose 16th site id first appears mid-stream: the matrix and
+// the book widen from 4 to 8 bits, the store rotates its tail, and a
+// resume lands either before the widening (the mapped 4-bit prefix
+// widens after the resume) or after it (4- and 8-bit segments load
+// together). Every verdict equals a matrix-free ModeBook's, and the
+// store reloads bit-identically to a matrix that never stopped.
+TEST(SnapshotWatchState, SixteenthSiteMidStreamWidensAcrossResume) {
+  for (const std::size_t resume_at : {std::size_t{11}, std::size_t{23}}) {
+    const std::string label = "resume at " + std::to_string(resume_at);
+    ScratchDir dir("sixteenth_site");
+    Dataset d = periodic_dataset(34, 90, 13, 0.04, 71);  // ids ≤ 15
+    d.sites.intern("site13");
+    for (std::size_t t = 17; t < d.series.size(); ++t) {
+      d.series[t].assignment[t % 90] = 16;
+    }
+    core::ModeBook reference;
+    SimilarityMatrix continuous(UnknownPolicy::kKnownOnly, d.weights, 1);
+    std::vector<core::ModeBook::Match> want;
+    for (const RoutingVector& v : d.series) {
+      want.push_back(reference.observe(v));
+      continuous.append(v);
+    }
+
+    SegmentStoreConfig cfg;
+    cfg.seal_rows = 6;
+    const auto watch = [&](std::size_t from, std::size_t to) {
+      SegmentStore store(dir.path, cfg);
+      store.attach(&d);
+      core::ModeBook book;
+      SimilarityMatrix matrix(UnknownPolicy::kKnownOnly, d.weights, 1);
+      if (from > 0) {
+        SegmentStore::Loaded loaded = store.load(&d);
+        ASSERT_EQ(loaded.processed, from) << label;
+        matrix = std::move(loaded.matrix);
+        book.restore(std::move(loaded.representatives),
+                     std::move(loaded.history));
+      }
+      for (std::size_t t = from; t < to; ++t) {
+        matrix.append(d.series[t]);
+        const core::ModeBook::Match got = book.observe(d.series[t]);
+        store.spill(d.series[t], matrix);
+        if ((t + 1) % 4 == 0) store.flush();
+        EXPECT_EQ(got.mode, want[t].mode) << label << " obs " << t;
+        EXPECT_EQ(got.phi, want[t].phi) << label << " obs " << t;
+        EXPECT_EQ(got.is_new, want[t].is_new) << label << " obs " << t;
+        EXPECT_EQ(got.is_recurrence, want[t].is_recurrence)
+            << label << " obs " << t;
+      }
+      store.flush(&book);
+    };
+    watch(0, resume_at);
+    watch(resume_at, d.series.size());
+
+    SegmentStore store(dir.path, cfg);
+    std::set<std::uint64_t> widths;
+    for (const SegmentInfo& s : store.segments()) widths.insert(s.bits);
+    EXPECT_EQ(widths, (std::set<std::uint64_t>{4, 8})) << label;
+    std::string error;
+    EXPECT_TRUE(store.verify(&error)) << label << ": " << error;
+    SegmentStore::Loaded loaded = store.load(&d);
+    expect_bit_identical(loaded.matrix, continuous, label);
+    EXPECT_EQ(loaded.representatives.bits(), 8u) << label;
+    EXPECT_EQ(loaded.history, reference.history()) << label;
   }
 }
 
@@ -1061,10 +1205,11 @@ std::size_t manifest_temp_files(const fs::path& dir) {
 
 /// Bytes of a tail segment holding global rows 0..rows-1 (tri_base 0).
 std::uintmax_t tail_bytes_for(std::size_t rows, std::size_t networks,
-                              std::size_t width) {
+                              std::size_t bits) {
   std::uintmax_t bytes = kSegmentHeaderBytes;
   for (std::size_t g = 0; g < rows; ++g) {
-    bytes += 32 + (networks * width + 7) / 8 * 8 + 8 * (g + 1);
+    bytes += 32 + (core::packed_row_bytes(networks, bits) + 7) / 8 * 8 +
+             8 * (g + 1);
   }
   return bytes;
 }
@@ -1151,7 +1296,7 @@ TEST(SegmentChaosDeathTest, KillDuringCompactionRename) {
 
 // A kill right after a write-through pwrite: rows 0..8 are flushed, rows
 // 9 and 10 sit in the tail file past what the manifest covers. 270k
-// networks over 70k sites pack at width 4, so every record is > 1 MiB
+// networks over 70k sites pack at 32 bits, so every record is > 1 MiB
 // and each spill writes through. The reopen truncates the two records
 // away and loads the nine flushed rows bit-identically.
 TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
@@ -1159,8 +1304,8 @@ TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
   KillOutcome out;
   run_kill_case({"segment_tail_write", 256, 0, 10, networks, 70'000}, &out);
   EXPECT_EQ(out.durable, 9u);
-  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(11, networks, 4));
-  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, networks, 4));
+  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(11, networks, 32));
+  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, networks, 32));
 }
 
 // A kill 64 bytes into an atomic manifest write, armed at row 10: rows
@@ -1172,8 +1317,8 @@ TEST(SegmentChaosDeathTest, KillDuringManifestSave) {
   KillOutcome out;
   run_kill_case({"manifest_save", 256, 0, 10, 80, 6, "64"}, &out);
   EXPECT_EQ(out.durable, 9u) << "the last completed flush covered 9 rows";
-  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(12, 80, 1));
-  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, 80, 1));
+  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(12, 80, 4));
+  EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, 80, 4));
   EXPECT_EQ(out.manifest_tmp_dead, 1u) << "the kill left its temp file";
   EXPECT_EQ(out.manifest_tmp_open, 0u) << "the reopen collected it";
 }
@@ -1246,11 +1391,277 @@ TEST(Segment, FlushWritesOnlyNewRows) {
   store.spill(d.series[30], live);
   store.flush();
   const double one_row = tail_bytes.value() - before;
-  // One record: 32 bytes of fixed fields + padded packed row + 31 Φ
-  // columns. It must not scale with the 30 rows of history (a
-  // whole-file save would rewrite ~history²/2 doubles here).
-  const double record = 32 + 80 + 31 * 8;
+  // One record: 32 bytes of fixed fields + the packed row (80 4-bit
+  // ids, 40 bytes) + 31 Φ columns. It must not scale with the 30 rows
+  // of history (a whole-file save would rewrite ~history²/2 doubles
+  // here).
+  const double record = 32 + 40 + 31 * 8;
   EXPECT_EQ(one_row, record);
+}
+
+
+// ---------------------------------------------------------------------
+// SegmentFuzz: the FENRSEG decoder's "parse or throw" promise, checked
+// the way DatasetIoFuzz checks the dataset decoder. Small 4-bit and
+// 8-bit stores (37 networks, so every 4-bit row ends in a padding
+// nibble; sealed segments, a tail and a ModeBook) are mutated — the
+// MANIFEST with its modebook section, a sealed segment and the tail —
+// by truncation, a damaged magic, random byte edits, or by setting the
+// u64 fields the decoder steers by (counts, widths, payload lengths)
+// to boundary values or nudging them. On half the mutations the
+// manifest CRC, or the segment's checksum in its trailer and in the
+// manifest, is re-signed so the structural checks behind the checksums
+// are reached. Every
+// open, load (with and without the dataset) and verify must either
+// produce a consistent store or throw DatasetIoError, and verify must
+// answer false with an error rather than throw.
+
+struct FuzzBase {
+  Dataset d;
+  std::vector<std::pair<std::string, std::string>> files;  // name, bytes
+  std::string manifest;
+  std::string sealed;  // seg-0.fenrseg
+  std::string tail;    // the tail's file name
+};
+
+FuzzBase make_fuzz_base(std::size_t site_count, std::uint64_t bits) {
+  FuzzBase b;
+  b.d = periodic_dataset(14, 37, site_count, 0.05, 90 + site_count);
+  ScratchDir dir("fuzz_base");
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 5;
+  cfg.background_compaction = false;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&b.d);
+    core::ModeBook book;
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, b.d.weights, 1);
+    for (const RoutingVector& v : b.d.series) book.observe(v);
+    grow(store, live, b.d, 0, b.d.series.size(), 3);
+    store.flush(&book);
+    EXPECT_EQ(store.segments().front().bits, bits);
+    EXPECT_GT(store.tail_rows(), 0u);
+  }
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    std::ifstream in(entry.path(), std::ios::binary);
+    b.files.emplace_back(name, std::string{std::istreambuf_iterator<char>(in),
+                                           {}});
+    if (name.rfind("tail-", 0) == 0) b.tail = name;
+  }
+  b.manifest = "MANIFEST";
+  b.sealed = "seg-0.fenrseg";
+  return b;
+}
+
+std::string& file_of(std::vector<std::pair<std::string, std::string>>& files,
+                     const std::string& name) {
+  for (auto& [n, bytes] : files) {
+    if (n == name) return bytes;
+  }
+  throw std::logic_error("fuzz base lacks " + name);
+}
+
+void put_le(std::string& b, std::size_t at, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes && at + i < b.size(); ++i) {
+    b[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+std::uint64_t get_le64(const std::string& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8 && at + i < b.size(); ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+/// Offsets of the u64 fields a decoder steers by, in a known-good
+/// @p bytes of file @p name: for the MANIFEST (empty weights) the
+/// header counts, every sealed entry, the tail and the modebook's widths,
+/// lengths and history; for a segment its header and first record.
+std::vector<std::size_t> u64_fields(const std::string& name,
+                                    const std::string& bytes) {
+  std::vector<std::size_t> at;
+  if (name != "MANIFEST") {
+    for (std::size_t f = 16; f <= 80; f += 8) at.push_back(f);
+    for (std::size_t f = 128; f < 160; f += 8) at.push_back(f);
+    return at;
+  }
+  for (std::size_t f = 24; f <= 96; f += 8) at.push_back(f);
+  const std::uint64_t sealed = get_le64(bytes, 96);
+  for (std::uint64_t k = 0; k < sealed; ++k) {
+    const std::size_t e = 104 + 68 * k;
+    for (const std::size_t f : {0, 8, 16, 24, 32, 40, 52, 60}) {
+      at.push_back(e + f);
+    }
+  }
+  std::size_t p = 104 + 68 * sealed;
+  if (bytes[p] != 0) {
+    for (std::size_t j = 0; j < 8; ++j) at.push_back(p + 1 + 8 * j);
+    p += 64;
+  }
+  p += 1;
+  const std::uint64_t modes = get_le64(bytes, p);
+  at.push_back(p);
+  p += 8;
+  for (std::uint64_t m = 0; m < modes; ++m) {
+    at.push_back(p);
+    at.push_back(p + 8);
+    const std::size_t row = core::packed_row_bytes(
+        get_le64(bytes, p + 8), get_le64(bytes, p));
+    p += 16 + (row + 7) / 8 * 8;
+  }
+  at.push_back(p);  // the history count, then its entries
+  for (std::uint64_t k = 0; k < get_le64(bytes, p); ++k) {
+    at.push_back(p + 8 + 8 * k);
+  }
+  return at;
+}
+
+void resign_manifest(std::string& m) {
+  if (m.size() < 4) return;
+  put_le(m, m.size() - 4, wire::payload_checksum(m.data(), m.size() - 4), 4);
+}
+
+/// Re-signs seg-0's payload checksum in its trailer and in the manifest's
+/// first sealed entry (the header's payload length decides the range).
+void resign_segment(std::string& seg, std::string& manifest) {
+  const std::uint64_t payload = get_le64(seg, 8 + 4 + 4 + 8 * 6);
+  if (seg.size() < kSegmentHeaderBytes ||
+      payload > seg.size() - kSegmentHeaderBytes) {
+    return;
+  }
+  const std::uint32_t crc = wire::payload_checksum(
+      seg.data() + kSegmentHeaderBytes, static_cast<std::size_t>(payload));
+  put_le(seg, kSegmentHeaderBytes + payload, crc, 4);
+  // Magic, version, length, four flag bytes, three hashes, networks,
+  // the (empty) weights, base_row, processed, next id, newest time and
+  // the sealed count, then the entry: its checksum is 48 bytes in.
+  put_le(manifest, 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8 * 5 + 48, crc, 4);
+  resign_manifest(manifest);
+}
+
+/// Opens, loads and verifies the store in @p dir; any exception other
+/// than DatasetIoError, an inconsistent load or a silent verify failure
+/// is a test failure.
+void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
+                                  const std::string& label) {
+  SegmentStoreConfig cfg;
+  cfg.background_compaction = false;
+  try {
+    SegmentStore store(dir, cfg);
+    for (const Dataset* identity : {static_cast<const Dataset*>(nullptr), &d}) {
+      try {
+        SegmentStore::Loaded l = store.load(identity);
+        ASSERT_EQ(l.matrix.size(), l.processed - l.base_row) << label;
+        if (l.has_modebook) {
+          core::ModeBook book;
+          book.restore(std::move(l.representatives), std::move(l.history));
+        }
+      } catch (const DatasetIoError&) {
+      }
+    }
+    std::string error;
+    if (!store.verify(&error)) {
+      EXPECT_FALSE(error.empty()) << label << ": verify failed silently";
+    }
+  } catch (const DatasetIoError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " threw a non-DatasetIoError: " << e.what();
+  }
+}
+
+TEST(SegmentFuzz, MutatedStoresOpenConsistentlyOrThrow) {
+  const FuzzBase bases[] = {make_fuzz_base(6, 4), make_fuzz_base(200, 8)};
+  ScratchDir dir("fuzz");
+  std::uint64_t state = 0xf3e5;
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  // Values that steer the decoder: widths, small counts, boundaries;
+  // or the field's own value nudged.
+  const std::uint64_t interesting[] = {0, 1, 2, 3, 4, 5, 7, 8, 16, 32, 37,
+                                       38, 64, 128, 255, 256,
+                                       ~std::uint64_t{0},
+                                       std::uint64_t{1} << 63};
+  const std::int64_t nudges[] = {-64, -8, -1, 1, 8, 64};
+  std::vector<std::vector<std::size_t>> fields[2];
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (const auto& [name, bytes] : bases[b].files) {
+      fields[b].push_back(u64_fields(name, bytes));
+    }
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto budget = std::chrono::seconds(5);
+  std::size_t mutants = 0;
+  for (; mutants < 8000; ++mutants) {
+    if (mutants >= 300 && std::chrono::steady_clock::now() - start > budget) {
+      break;
+    }
+    const FuzzBase& base = bases[mutants % 2];
+    auto files = base.files;
+    const std::uint64_t target = draw(3);
+    const std::string name =
+        target == 0 ? base.manifest : (target == 1 ? base.sealed : base.tail);
+    std::string& bytes = file_of(files, name);
+    std::size_t file_index = 0;
+    while (files[file_index].first != name) ++file_index;
+    const std::vector<std::size_t>& steer = fields[mutants % 2][file_index];
+    const std::uint64_t how = draw(8);
+    const std::uint64_t edits = 1 + draw(3);
+    if (how == 0) {
+      bytes = chaos::corrupt_text(bytes, chaos::Corruption::kTruncate,
+                                  mutants);
+    } else if (how == 1) {
+      bytes = chaos::corrupt_text(bytes, chaos::Corruption::kBadMagic,
+                                  mutants);
+    } else if (how < 5) {
+      // Steering fields set to an interesting value or nudged: the
+      // edits that keep a file's length and reach the structural checks.
+      for (std::uint64_t e = 0; e < edits; ++e) {
+        const std::size_t f = steer[draw(steer.size())];
+        const std::uint64_t v =
+            draw(2) == 0 ? interesting[draw(std::size(interesting))]
+                         : get_le64(bytes, f) +
+                               static_cast<std::uint64_t>(
+                                   nudges[draw(std::size(nudges))]);
+        put_le(bytes, f, v, 8);
+      }
+    } else {
+      for (std::uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+        const std::size_t at = draw(bytes.size());
+        switch (draw(3)) {
+          case 0:
+            bytes[at] = static_cast<char>(draw(256));
+            break;
+          case 1:
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                         static_cast<char>(draw(256)));
+            break;
+          default:
+            bytes.erase(at, 1);
+        }
+      }
+    }
+    if (draw(2) == 0) {
+      if (target == 1) {
+        resign_segment(bytes, file_of(files, base.manifest));
+      } else {
+        resign_manifest(file_of(files, base.manifest));
+      }
+    }
+    fs::remove_all(dir.path);
+    fs::create_directories(dir.path);
+    for (const auto& [n, b] : files) write_file(dir.path / n, b);
+    expect_consistent_or_refused(
+        dir.path, base.d,
+        "mutant " + std::to_string(mutants) + " of " + name + " (" +
+            std::to_string(base.files.size()) + " files)");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(mutants, 300u);
 }
 
 }  // namespace

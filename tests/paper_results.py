@@ -3,9 +3,11 @@
 
 Runs the Table 4, Figure 2, 3, 5 and 6 binaries at their default seeds
 and checks the values EXPERIMENTS.md documents, on the lines the
-binaries print. Deterministic runs are checked exactly; the Google Φ
-means and the B-Root mode count, which depend on simulated noise, are
-checked within a band.
+binaries print. Deterministic runs are checked exactly (Figure 2's
+split date and cross-mode Φ among them); the Google Φ means and the
+B-Root mode count, which depend on simulated noise, are checked within
+a band. Figures 3 and 6 run on 4-bit packed rows and Figure 5 (88
+front-end clusters) on 8-bit rows, so the checks pin both widths.
 
     python3 tests/paper_results.py TABLE4 FIG2 FIG3 FIG5 FIG6
 
@@ -77,6 +79,9 @@ def main(argv):
           ("0.86", "1.00", "0.70"))
 
     exact("fig2", fig2, r"^modes: (\d+)", ("2",))
+    exact("fig2", fig2, r"^split: (\d{4}-\d{2}-\d{2})", ("2025-01-16",))
+    exact("fig2", fig2, r"^phi\(Mi, Mii\) = \[([\d.]+), ([\d.]+)\]",
+          ("0.21", "0.22"))
 
     exact("fig6", fig6, r"^modes: (\d+)", ("3",))
     exact("fig6", fig6, r"^phi\(Mi, Mii\)\s+= \[([\d.]+), ([\d.]+)\]",

@@ -1496,7 +1496,7 @@ int cmd_segment(const Args& args) {
               << store.tail_rows() << " rows\n";
     for (const io::SegmentInfo& s : segments) {
       std::cout << "  seg-" << s.id << "  rows [" << s.base_row << ", "
-                << s.base_row + s.rows << ")  width " << s.width << "  "
+                << s.base_row + s.rows << ")  width " << s.bits << " bits  "
                 << io::kSegmentHeaderBytes + s.payload_bytes +
                        io::kSegmentTrailerBytes
                 << " bytes  " << core::format_time(s.min_time) << " .. "
