@@ -645,7 +645,7 @@ double segment_save_bytes(const SegmentFixture& f) {
     obs::Counter& written = obs::registry().counter(
         "fenrir_segment_tail_bytes_total");
     const std::uint64_t before = written.value();
-    store.append_raw(true, 0, io::kNoAnchor, 0, n, 4, packed, phi);
+    store.append_raw(true, 0, io::kNoAnchor, n, 4, packed, phi);
     store.flush();
     bytes = static_cast<double>(written.value() - before);
   }

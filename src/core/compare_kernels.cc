@@ -86,13 +86,6 @@ WeightedCounts weighted_impl(const std::byte* a, const std::byte* b,
   return out;
 }
 
-std::size_t bits_for(SiteId max_id) {
-  if (max_id <= 0xf) return 4;
-  if (max_id <= 0xff) return 8;
-  if (max_id <= 0xffff) return 16;
-  return 32;
-}
-
 // Typed change-set scan, bounded: bails at the (cap+1)-th mismatch.
 // Mismatches are rare on the workloads that reach this path (that is why
 // the delta layer exists), so the hot loop is a well-predicted equality
@@ -208,28 +201,36 @@ bool delta_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
                       std::vector<DeltaEntry>& out) {
   return delta_scan_bounded(a, b, n, cap, out);
 }
-SiteId max_site_scalar(const SiteId* src, std::size_t n) {
-  SiteId max_id = 0;
-  for (std::size_t i = 0; i < n; ++i) max_id = std::max(max_id, src[i]);
-  return max_id;
-}
-void pack_u4_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+SiteId pack_u4_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  SiteId top = 0;
   const std::size_t full = n / 2;
   for (std::size_t t = 0; t < full; ++t) {
-    dst[t] = static_cast<std::uint8_t>(src[2 * t] | (src[2 * t + 1] << 4));
+    const SiteId lo = src[2 * t], hi = src[2 * t + 1];
+    top = std::max(top, std::max(lo, hi));
+    dst[t] = static_cast<std::uint8_t>(lo | (hi << 4));
   }
   // An odd row's last high nibble stays 0: kUnknownSite.
-  if (n % 2 != 0) dst[full] = static_cast<std::uint8_t>(src[n - 1]);
+  if (n % 2 != 0) {
+    top = std::max(top, src[n - 1]);
+    dst[full] = static_cast<std::uint8_t>(src[n - 1]);
+  }
+  return top;
 }
-void pack_u8_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+SiteId pack_u8_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  SiteId top = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    top = std::max(top, src[i]);
     dst[i] = static_cast<std::uint8_t>(src[i]);
   }
+  return top;
 }
-void pack_u16_scalar(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+SiteId pack_u16_scalar(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+  SiteId top = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    top = std::max(top, src[i]);
     dst[i] = to_le(static_cast<std::uint16_t>(src[i]));
   }
+  return top;
 }
 
 std::int64_t swap_patch_u4_scalar(const std::uint8_t* row,
@@ -285,6 +286,28 @@ KnownPatchFn active_known_patch_u4() noexcept {
   return simd::active().known_u4;
 }
 
+SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
+                std::byte* dst) {
+  const simd::KernelTable& k = simd::active();
+  switch (bits) {
+    case 4:
+      return k.pack_u4(src, reinterpret_cast<std::uint8_t*>(dst), n);
+    case 8:
+      return k.pack_u8(src, reinterpret_cast<std::uint8_t*>(dst), n);
+    case 16:
+      return k.pack_u16(src, reinterpret_cast<std::uint16_t*>(dst), n);
+    default: {
+      SiteId top = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        top = std::max(top, src[i]);
+        const std::uint32_t x = to_le(src[i]);
+        std::memcpy(dst + 4 * i, &x, sizeof x);
+      }
+      return top;
+    }
+  }
+}
+
 void convert_packed_row(const std::byte* src, std::size_t src_bits,
                         std::byte* dst, std::size_t dst_bits, std::size_t n) {
   if (src_bits == dst_bits) {
@@ -307,14 +330,6 @@ void convert_packed_row(const std::byte* src, std::size_t src_bits,
 
 PackedSeries PackedSeries::pack(const Dataset& dataset) {
   PackedSeries s;
-  const simd::KernelTable& k = simd::active();
-  SiteId max_id = 0;
-  for (const RoutingVector& v : dataset.series) {
-    if (v.assignment.empty()) continue;
-    max_id = std::max(max_id, k.max_site(v.assignment.data(),
-                                         v.assignment.size()));
-  }
-  s.bits_ = bits_for(max_id);
   for (const RoutingVector& v : dataset.series) s.append(v);
   return s;
 }
@@ -344,33 +359,17 @@ void PackedSeries::append(const RoutingVector& v) {
   } else if (v.assignment.size() != networks_) {
     throw std::invalid_argument("PackedSeries: vector size mismatch");
   }
-  const simd::KernelTable& k = simd::active();
-  const SiteId max_id =
-      v.assignment.empty() ? 0
-                           : k.max_site(v.assignment.data(),
-                                        v.assignment.size());
-  if (const std::size_t need = bits_for(max_id); need > bits_) {
-    relayout(need);
-  }
-  std::byte* dst = push_slot();
+  // One pass at the current width. A row with an id too wide for it
+  // leaves unspecified bytes in its slot: the slot is dropped, the store
+  // widens, and the row is packed again at the width it needs.
   const SiteId* src = v.assignment.data();
-  switch (bits_) {
-    case 4:
-      k.pack_u4(src, reinterpret_cast<std::uint8_t*>(dst), networks_);
-      break;
-    case 8:
-      k.pack_u8(src, reinterpret_cast<std::uint8_t*>(dst), networks_);
-      break;
-    case 16:
-      k.pack_u16(src, reinterpret_cast<std::uint16_t*>(dst), networks_);
-      break;
-    default:
-      for (std::size_t i = 0; i < networks_; ++i) {
-        const std::uint32_t x = to_le(src[i]);
-        std::memcpy(dst + 4 * i, &x, sizeof x);
-      }
-      break;
+  const SiteId top = pack_row(src, networks_, bits_, push_slot());
+  if (const std::size_t need = packed_bits_for(top); need > bits_) {
+    row_.pop_back();
+    relayout(need);
+    pack_row(src, networks_, bits_, push_slot());
   }
+  max_id_ = std::max(max_id_, top);
 }
 
 void PackedSeries::pop_back() noexcept {
@@ -394,6 +393,7 @@ void PackedSeries::copy_row(std::size_t dst, std::size_t src) {
 void PackedSeries::clear() noexcept {
   networks_ = 0;
   bits_ = 4;
+  max_id_ = 0;
   mapped_ = 0;
   row_.clear();
   slabs_.clear();
@@ -407,6 +407,7 @@ void PackedSeries::relayout(std::size_t bits) {
   PackedSeries out;
   out.networks_ = networks_;
   out.bits_ = bits;
+  out.max_id_ = max_id_;
   out.row_.reserve(row_.size());
   for (const std::byte* src : row_) {
     convert_packed_row(src, bits_, out.push_slot(), bits, networks_);

@@ -137,6 +137,24 @@ decltype(auto) with_bits(std::size_t bits, F&& f) {
   }
 }
 
+/// The narrowest packed width, in bits, that holds @p max_id: 4 for ids
+/// ≤ 15, 8 below 256, 16 below 64k, 32 otherwise.
+constexpr std::size_t packed_bits_for(SiteId max_id) noexcept {
+  if (max_id <= 0xf) return 4;
+  if (max_id <= 0xff) return 8;
+  if (max_id <= 0xffff) return 16;
+  return 32;
+}
+
+/// Packs the @p n site ids at @p src into @p dst at @p bits per element
+/// (4, 8, 16 or 32) through the active dispatch tier, reading each id
+/// once, and returns the largest id read. The packed_row_bytes(n, bits)
+/// bytes at @p dst are the packed row when that id fits @p bits
+/// (packed_bits_for(id) ≤ bits) and unspecified otherwise; nothing past
+/// them is written.
+SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
+                std::byte* dst);
+
 /// The one converter between packed row layouts: copies a row of @p n
 /// elements from @p src_bits to @p dst_bits ≥ @p src_bits, both
 /// little-endian; a plain copy when the widths agree. Widening appends,
@@ -149,9 +167,11 @@ struct PreparedDelta;
 
 /// A time-series of routing vectors packed to the narrowest element width
 /// that holds every SiteId appended so far (4, 8, 16 or 32 bits).
-/// Appending a vector with a larger id transparently re-packs the store
-/// at the wider width (ids only grow as a dataset interns new sites, so
-/// widening is rare and amortizes).
+/// An append reads its vector once: it packs at the current width, and
+/// the pack reports the largest id it read. Only when that id needs a
+/// wider element does the store re-pack at the wider width and pack the
+/// row again (ids only grow as a dataset interns new sites, so that
+/// happens at most three times per series and amortizes).
 ///
 /// Every row is reached through one row-pointer table. Owned rows live
 /// in fixed-size slabs that are never reallocated: an append writes its
@@ -274,6 +294,10 @@ class PackedSeries {
 
   std::size_t networks_ = 0;
   std::size_t bits_ = 4;
+  /// The largest id append() has packed since the series was created or
+  /// cleared; adopted and pre-packed rows do not raise it. The segment
+  /// store reads it instead of scanning the vector again.
+  SiteId max_id_ = 0;
   std::size_t mapped_ = 0;  // rows [0, mapped_) are borrowed
   /// Row i's bytes: the borrowed prefix, then owned row i at slot
   /// i − mapped_ of the slabs.

@@ -334,30 +334,25 @@ bool delta_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
   return true;
 }
 
-SiteId max_site_avx2(const SiteId* src, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_max_epu32(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-  }
-  const __m128i h = _mm_max_epu32(_mm256_castsi256_si128(acc),
-                                  _mm256_extracti128_si256(acc, 1));
-  const __m128i h2 = _mm_max_epu32(h, _mm_srli_si128(h, 8));
-  const __m128i h3 = _mm_max_epu32(h2, _mm_srli_si128(h2, 4));
-  SiteId max_id = static_cast<SiteId>(_mm_cvtsi128_si32(h3));
-  for (; i < n; ++i) max_id = std::max(max_id, src[i]);
-  return max_id;
-}
-
 // The narrowing packs use saturating pack instructions, which are exact
-// here: append() widens the store before packing, so every value fits
-// the destination and saturation never fires. packus interleaves
-// 128-bit lanes, so a cross-lane permute restores element order.
+// whenever the row fits the width; a row that does not comes back with
+// its largest id, and PackedSeries::append packs it again wider. Every
+// load also folds into a running unsigned max, so the width decision
+// costs no second pass. packus interleaves 128-bit lanes, so a
+// cross-lane permute restores element order.
 namespace {
 
-/// Elements src[0..32) as 32 ordered bytes.
-inline __m256i narrow32_u8(const SiteId* src) {
+/// The largest of @p v's eight u32 lanes.
+inline SiteId hmax_epu32(__m256i v) {
+  const __m128i h = _mm_max_epu32(_mm256_castsi256_si128(v),
+                                  _mm256_extracti128_si256(v, 1));
+  const __m128i h2 = _mm_max_epu32(h, _mm_srli_si128(h, 8));
+  const __m128i h3 = _mm_max_epu32(h2, _mm_srli_si128(h2, 4));
+  return static_cast<SiteId>(_mm_cvtsi128_si32(h3));
+}
+
+/// Elements src[0..32) as 32 ordered bytes, folded into @p top.
+inline __m256i narrow32_u8(const SiteId* src, __m256i& top) {
   const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
   const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
   const __m256i b =
@@ -366,6 +361,8 @@ inline __m256i narrow32_u8(const SiteId* src) {
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 16));
   const __m256i d =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 24));
+  top = _mm256_max_epu32(top, _mm256_max_epu32(_mm256_max_epu32(a, b),
+                                               _mm256_max_epu32(c, d)));
   const __m256i ab = _mm256_packus_epi32(a, b);
   const __m256i cd = _mm256_packus_epi32(c, d);
   return _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), perm);
@@ -381,41 +378,47 @@ inline __m256i pair_nibbles(__m256i bytes) {
 
 }  // namespace
 
-void pack_u4_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+SiteId pack_u4_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  __m256i top = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     const __m256i packed =
-        _mm256_packus_epi16(pair_nibbles(narrow32_u8(src + i)),
-                            pair_nibbles(narrow32_u8(src + i + 32)));
+        _mm256_packus_epi16(pair_nibbles(narrow32_u8(src + i, top)),
+                            pair_nibbles(narrow32_u8(src + i + 32, top)));
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(dst + i / 2),
         _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0)));
   }
-  pack_u4_scalar(src + i, dst + i / 2, n - i);
+  return std::max(hmax_epu32(top),
+                  pack_u4_scalar(src + i, dst + i / 2, n - i));
 }
 
-void pack_u8_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+SiteId pack_u8_avx2(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  __m256i top = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        narrow32_u8(src + i));
+                        narrow32_u8(src + i, top));
   }
-  for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i]);
+  return std::max(hmax_epu32(top), pack_u8_scalar(src + i, dst + i, n - i));
 }
 
-void pack_u16_avx2(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+SiteId pack_u16_avx2(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+  __m256i top = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m256i a =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
     const __m256i b =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 8));
+    top = _mm256_max_epu32(top, _mm256_max_epu32(a, b));
     const __m256i ab = _mm256_packus_epi32(a, b);
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(dst + i),
         _mm256_permute4x64_epi64(ab, _MM_SHUFFLE(3, 1, 2, 0)));
   }
-  for (; i < n; ++i) dst[i] = static_cast<std::uint16_t>(src[i]);
+  return std::max(hmax_epu32(top),
+                  pack_u16_scalar(src + i, dst + i, n - i));
 }
 
 }  // namespace fenrir::core::simd

@@ -317,28 +317,20 @@ bool delta_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
   return true;
 }
 
-SiteId max_site_avx512(const SiteId* src, std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm512_max_epu32(acc, _mm512_loadu_si512(src + i));
-  }
-  if (const std::size_t rem = n - i; rem != 0) {
-    const __mmask16 m = static_cast<__mmask16>((1u << rem) - 1u);
-    // maskz lanes are zero, the identity of unsigned max.
-    acc = _mm512_max_epu32(acc, _mm512_maskz_loadu_epi32(m, src + i));
-  }
-  return static_cast<SiteId>(_mm512_reduce_max_epu32(acc));
-}
-
-// Two SiteIds as one u64 lane, e[2t] | e[2t+1] << 32: x | x >> 28 moves
-// e[2t+1] into bits 4..7 (e[2t] ≤ 15 shifts out entirely) and vpmovqb
-// keeps the low byte. A masked-off lane loads as 0, so an odd row's last
-// high nibble comes out 0.
-void pack_u4_avx512(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+// Every pack folds its loads into a running unsigned max — masked-off
+// tail lanes load as 0, the identity of unsigned max — so the width
+// decision costs no second pass over the row.
+//
+// pack_u4: two SiteIds as one u64 lane, e[2t] | e[2t+1] << 32: x | x >>
+// 28 moves e[2t+1] into bits 4..7 (e[2t] ≤ 15 shifts out entirely) and
+// vpmovqb keeps the low byte. A masked-off lane loads as 0, so an odd
+// row's last high nibble comes out 0.
+SiteId pack_u4_avx512(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  __m512i top = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m512i v = _mm512_loadu_si512(src + i);
+    top = _mm512_max_epu32(top, v);
     _mm_storel_epi64(
         reinterpret_cast<__m128i*>(dst + i / 2),
         _mm512_cvtepi64_epi8(_mm512_or_si512(v, _mm512_srli_epi64(v, 28))));
@@ -346,38 +338,50 @@ void pack_u4_avx512(const SiteId* src, std::uint8_t* dst, std::size_t n) {
   if (const std::size_t rem = n - i; rem != 0) {
     const __mmask16 m = static_cast<__mmask16>((1u << rem) - 1u);
     const __m512i v = _mm512_maskz_loadu_epi32(m, src + i);
+    top = _mm512_max_epu32(top, v);
     const __mmask8 out = static_cast<__mmask8>((1u << ((rem + 1) / 2)) - 1u);
     _mm512_mask_cvtepi64_storeu_epi8(
         dst + i / 2, out, _mm512_or_si512(v, _mm512_srli_epi64(v, 28)));
   }
+  return static_cast<SiteId>(_mm512_reduce_max_epu32(top));
 }
 
-// vpmovdb/vpmovdw truncate, so these are exact for any input; the
-// masked narrowing stores cover the tail with no scalar remainder.
-void pack_u8_avx512(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+// vpmovdb/vpmovdw truncate; the masked narrowing stores cover the tail
+// with no scalar remainder.
+SiteId pack_u8_avx512(const SiteId* src, std::uint8_t* dst, std::size_t n) {
+  __m512i top = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
+    const __m512i v = _mm512_loadu_si512(src + i);
+    top = _mm512_max_epu32(top, v);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm512_cvtepi32_epi8(_mm512_loadu_si512(src + i)));
+                     _mm512_cvtepi32_epi8(v));
   }
   if (const std::size_t rem = n - i; rem != 0) {
     const __mmask16 m = static_cast<__mmask16>((1u << rem) - 1u);
-    _mm512_mask_cvtepi32_storeu_epi8(dst + i, m,
-                                     _mm512_maskz_loadu_epi32(m, src + i));
+    const __m512i v = _mm512_maskz_loadu_epi32(m, src + i);
+    top = _mm512_max_epu32(top, v);
+    _mm512_mask_cvtepi32_storeu_epi8(dst + i, m, v);
   }
+  return static_cast<SiteId>(_mm512_reduce_max_epu32(top));
 }
 
-void pack_u16_avx512(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+SiteId pack_u16_avx512(const SiteId* src, std::uint16_t* dst, std::size_t n) {
+  __m512i top = _mm512_setzero_si512();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
+    const __m512i v = _mm512_loadu_si512(src + i);
+    top = _mm512_max_epu32(top, v);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm512_cvtepi32_epi16(_mm512_loadu_si512(src + i)));
+                        _mm512_cvtepi32_epi16(v));
   }
   if (const std::size_t rem = n - i; rem != 0) {
     const __mmask16 m = static_cast<__mmask16>((1u << rem) - 1u);
-    _mm512_mask_cvtepi32_storeu_epi16(dst + i, m,
-                                      _mm512_maskz_loadu_epi32(m, src + i));
+    const __m512i v = _mm512_maskz_loadu_epi32(m, src + i);
+    top = _mm512_max_epu32(top, v);
+    _mm512_mask_cvtepi32_storeu_epi16(dst + i, m, v);
   }
+  return static_cast<SiteId>(_mm512_reduce_max_epu32(top));
 }
 
 namespace {

@@ -18,7 +18,6 @@ constexpr KernelTable kScalarTable{
     .delta_u8 = delta_u8_scalar,
     .delta_u16 = delta_u16_scalar,
     .delta_u32 = delta_u32_scalar,
-    .max_site = max_site_scalar,
     .pack_u4 = pack_u4_scalar,
     .pack_u8 = pack_u8_scalar,
     .pack_u16 = pack_u16_scalar,
@@ -36,7 +35,6 @@ constexpr KernelTable kAvx2Table{
     .delta_u8 = delta_u8_avx2,
     .delta_u16 = delta_u16_avx2,
     .delta_u32 = delta_u32_avx2,
-    .max_site = max_site_avx2,
     .pack_u4 = pack_u4_avx2,
     .pack_u8 = pack_u8_avx2,
     .pack_u16 = pack_u16_avx2,
@@ -57,7 +55,6 @@ constexpr KernelTable kAvx512Table{
     .delta_u8 = delta_u8_avx512,
     .delta_u16 = delta_u16_avx512,
     .delta_u32 = delta_u32_avx512,
-    .max_site = max_site_avx512,
     .pack_u4 = pack_u4_avx512,
     .pack_u8 = pack_u8_avx512,
     .pack_u16 = pack_u16_avx512,

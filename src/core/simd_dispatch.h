@@ -74,16 +74,15 @@ struct KernelTable {
   bool (*delta_u32)(const std::uint32_t* a, const std::uint32_t* b,
                     std::size_t n, std::size_t cap,
                     std::vector<DeltaEntry>& out);
-  // Row-ingest kernels. max_site scans a row for its largest id (the
-  // width decision PackedSeries::append makes before packing);
-  // pack_u4/u8/u16 narrow a SiteId row into the packed store (pack_u4
-  // leaves an odd row's last high nibble 0). Exact by construction:
-  // append widens the store first, so every value fits the destination
-  // and the narrowing never saturates.
-  SiteId (*max_site)(const SiteId* src, std::size_t n);
-  void (*pack_u4)(const SiteId* src, std::uint8_t* dst, std::size_t n);
-  void (*pack_u8)(const SiteId* src, std::uint8_t* dst, std::size_t n);
-  void (*pack_u16)(const SiteId* src, std::uint16_t* dst, std::size_t n);
+  // Row-ingest kernels: pack_u4/u8/u16 narrow a SiteId row into the
+  // packed store in one pass and return the largest id they read. The
+  // bytes are the packed row when that id fits the width (≤ 15, 255,
+  // 65,535; pack_u4 then leaves an odd row's last high nibble 0) and
+  // unspecified otherwise — PackedSeries::append widens the store and
+  // packs again. No tier writes past the row's packed_row_bytes.
+  SiteId (*pack_u4)(const SiteId* src, std::uint8_t* dst, std::size_t n);
+  SiteId (*pack_u8)(const SiteId* src, std::uint8_t* dst, std::size_t n);
+  SiteId (*pack_u16)(const SiteId* src, std::uint16_t* dst, std::size_t n);
   // Swap-class patch against a 4- or 8-bit row (ColumnPatcher's hot
   // loop): Σ (after[t] == row[idx[t]]) − (before[t] == row[idx[t]]). The
   // AVX-512 tier gathers 16 row elements per step (4-bit lanes shift
@@ -127,10 +126,9 @@ bool delta_u16_scalar(const std::uint16_t*, const std::uint16_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
 bool delta_u32_scalar(const std::uint32_t*, const std::uint32_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
-SiteId max_site_scalar(const SiteId*, std::size_t);
-void pack_u4_scalar(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u8_scalar(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u16_scalar(const SiteId*, std::uint16_t*, std::size_t);
+SiteId pack_u4_scalar(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u8_scalar(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u16_scalar(const SiteId*, std::uint16_t*, std::size_t);
 std::int64_t swap_patch_u4_scalar(const std::uint8_t*, const std::uint32_t*,
                                   const SiteId*, const SiteId*, std::size_t,
                                   std::size_t);
@@ -157,10 +155,9 @@ bool delta_u16_avx2(const std::uint16_t*, const std::uint16_t*, std::size_t,
                     std::size_t, std::vector<DeltaEntry>&);
 bool delta_u32_avx2(const std::uint32_t*, const std::uint32_t*, std::size_t,
                     std::size_t, std::vector<DeltaEntry>&);
-SiteId max_site_avx2(const SiteId*, std::size_t);
-void pack_u4_avx2(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u8_avx2(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u16_avx2(const SiteId*, std::uint16_t*, std::size_t);
+SiteId pack_u4_avx2(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u8_avx2(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u16_avx2(const SiteId*, std::uint16_t*, std::size_t);
 #endif
 
 #if defined(FENRIR_BUILD_AVX512)
@@ -180,10 +177,9 @@ bool delta_u16_avx512(const std::uint16_t*, const std::uint16_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
 bool delta_u32_avx512(const std::uint32_t*, const std::uint32_t*, std::size_t,
                       std::size_t, std::vector<DeltaEntry>&);
-SiteId max_site_avx512(const SiteId*, std::size_t);
-void pack_u4_avx512(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u8_avx512(const SiteId*, std::uint8_t*, std::size_t);
-void pack_u16_avx512(const SiteId*, std::uint16_t*, std::size_t);
+SiteId pack_u4_avx512(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u8_avx512(const SiteId*, std::uint8_t*, std::size_t);
+SiteId pack_u16_avx512(const SiteId*, std::uint16_t*, std::size_t);
 std::int64_t swap_patch_u4_avx512(const std::uint8_t*, const std::uint32_t*,
                                   const SiteId*, const SiteId*, std::size_t,
                                   std::size_t);

@@ -18,7 +18,6 @@
 #include "chaos/killpoint.h"
 #include "core/dataset_io.h"
 #include "core/parallel.h"
-#include "core/simd_dispatch.h"
 #include "io/wire.h"
 #include "obs/events.h"
 #include "obs/log.h"
@@ -41,7 +40,7 @@ using wire::put_u8;
 using wire::Reader;
 
 constexpr std::uint8_t kIdentityNone = 0;
-constexpr std::uint8_t kIdentityRowHashes = 1;
+constexpr std::uint8_t kIdentityRows = 1;
 constexpr std::uint32_t kFlagSealed = 1u;
 // spill() writes the encoded records through to the tail file once this
 // many bytes are buffered, so the buffer stays O(one record) however
@@ -90,10 +89,13 @@ DatasetIoError store_corrupt(const std::string& what) {
 
 std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
+/// Bytes of a record's fixed fields: meta, time, anchor_of.
+constexpr std::size_t kRecordHeaderBytes = 24;
+
 /// Record byte size for global row @p g in a segment with @p tri_base.
 std::size_t record_bytes(std::uint64_t g, std::uint64_t tri_base,
                          std::size_t networks, std::size_t bits) {
-  return 32 + pad8(core::packed_row_bytes(networks, bits)) +
+  return kRecordHeaderBytes + pad8(core::packed_row_bytes(networks, bits)) +
          8 * static_cast<std::size_t>(g - tri_base + 1);
 }
 
@@ -104,8 +106,8 @@ bool valid_bits(std::uint64_t bits) {
 /// The payload bytes of @p rows records from global row @p base_row on,
 /// in a segment of @p networks @p bits-bit elements whose Φ columns start
 /// at @p tri_base ≤ @p base_row — exactly what record_bytes() sums to.
-/// Record r holds 32 + pad8(row) + 8·(base_row − tri_base + 1 + r) bytes,
-/// so the sum is rows·(32 + pad8(row) + 8·first) + 4·rows·(rows − 1).
+/// Record r holds 24 + pad8(row) + 8·(base_row − tri_base + 1 + r) bytes,
+/// so the sum is rows·(24 + pad8(row) + 8·first) + 4·rows·(rows − 1).
 /// Nullopt when any step overflows, or when the segment file's size
 /// (header + payload + trailer) would: such a segment cannot exist, and
 /// the decoder refuses it before a record is read.
@@ -119,8 +121,10 @@ std::optional<std::uint64_t> derived_payload(std::uint64_t base_row,
   if (networks > kMax / 32 || __builtin_add_overflow(base_row, rows, &end) ||
       __builtin_add_overflow(base_row - tri_base, 1, &first) ||
       __builtin_mul_overflow(first, 8, &per) ||
-      __builtin_add_overflow(
-          per, 32 + pad8(core::packed_row_bytes(networks, bits)), &per) ||
+      __builtin_add_overflow(per,
+                             kRecordHeaderBytes +
+                                 pad8(core::packed_row_bytes(networks, bits)),
+                             &per) ||
       __builtin_mul_overflow(rows, per, &sum) ||
       __builtin_mul_overflow(rows, rows == 0 ? 0 : rows - 1, &tri) ||
       __builtin_mul_overflow(tri, 4, &tri) ||
@@ -426,7 +430,6 @@ struct RecordView {
   bool valid = false;
   std::int64_t time = 0;
   std::uint64_t anchor_of = kNoAnchor;
-  std::uint64_t row_hash = 0;
   const std::byte* packed = nullptr;
   const std::byte* phi_bytes = nullptr;
   std::size_t phi_count = 0;
@@ -439,9 +442,8 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   v.valid = (load_u64le(rec) & 1) != 0;
   v.time = static_cast<std::int64_t>(load_u64le(rec + 8));
   v.anchor_of = load_u64le(rec + 16);
-  v.row_hash = load_u64le(rec + 24);
-  v.packed = rec + 32;
-  v.phi_bytes = rec + 32 + pad8(core::packed_row_bytes(networks, bits));
+  v.packed = rec + kRecordHeaderBytes;
+  v.phi_bytes = v.packed + pad8(core::packed_row_bytes(networks, bits));
   v.phi_count = static_cast<std::size_t>(g - tri_base + 1);
   return v;
 }
@@ -545,15 +547,6 @@ std::uint64_t dataset_names_hash(const core::Dataset& dataset,
 
 }  // namespace
 
-std::uint64_t segment_row_hash(const core::RoutingVector& v) {
-  IdentityHash h;
-  h.add(static_cast<std::uint64_t>(v.time));
-  h.add(v.valid ? 1 : 0);
-  h.add(v.assignment.size());
-  h.add_u32s(v.assignment.data(), v.assignment.size());
-  return h.finish();
-}
-
 // SegmentCodec is the segment store's window into SimilarityMatrix and
 // PackedSeries private state: it reads rows out for spilling without
 // widening either class's public API.
@@ -568,6 +561,11 @@ class SegmentCodec {
   static const std::byte* packed_row(const core::SimilarityMatrix& m,
                                      std::size_t row) {
     return m.packed_.row_ptr(row);
+  }
+  /// The largest site id the matrix's rows were packed from — what the
+  /// names hash must cover, without a pass over the vector.
+  static core::SiteId max_packed_id(const core::SimilarityMatrix& m) {
+    return m.packed_.max_id_;
   }
   static const double* phi_row(const core::SimilarityMatrix& m,
                                std::size_t row) {
@@ -857,7 +855,7 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   r.size = bytes.size() - 4;
 
   identity_mode_ = r.get_u8();
-  if (identity_mode_ != kIdentityNone && identity_mode_ != kIdentityRowHashes) {
+  if (identity_mode_ != kIdentityNone && identity_mode_ != kIdentityRows) {
     throw store_corrupt("segment manifest: inconsistent — identity mode " +
                         std::to_string(identity_mode_) + " is not 0 or 1");
   }
@@ -966,7 +964,7 @@ void SegmentStore::attach(const core::Dataset* dataset) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   dataset_ = dataset;
   if (dataset != nullptr && identity_mode_ == kIdentityNone) {
-    identity_mode_ = kIdentityRowHashes;
+    identity_mode_ = kIdentityRows;
     header_hash_ = dataset_header_hash(*dataset);
     names_hash_stale_ = true;
   }
@@ -1032,7 +1030,7 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
 
 void SegmentStore::append_record_locked(
     bool valid, std::int64_t time, std::uint64_t anchor_of,
-    std::uint64_t row_hash, std::size_t networks, std::uint64_t bits,
+    std::size_t networks, std::uint64_t bits,
     std::span<const std::byte> packed, std::span<const double> phi) {
   if (!valid_bits(bits) ||
       packed.size() !=
@@ -1050,7 +1048,6 @@ void SegmentStore::append_record_locked(
   put_u64(pending_, valid ? 1 : 0);
   put_i64(pending_, time);
   put_u64(pending_, anchor_of);
-  put_u64(pending_, row_hash);
   put_packed_row(pending_, packed.data(), networks,
                  static_cast<std::size_t>(bits),
                  static_cast<std::size_t>(bits));
@@ -1112,8 +1109,7 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
   const std::uint64_t session_base = g - local;
   const std::size_t networks = SegmentCodec::networks(matrix);
   const std::size_t bits = SegmentCodec::packed_bits(matrix);
-  const std::uint64_t top = core::simd::active().max_site(
-      v.assignment.data(), v.assignment.size());
+  const std::uint64_t top = SegmentCodec::max_packed_id(matrix);
   if (top > max_site_seen_) {
     max_site_seen_ = top;
     names_hash_stale_ = true;
@@ -1131,22 +1127,19 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
                       (tail_->tri_base - session_base);
   const std::size_t phi_count =
       static_cast<std::size_t>(g - tail_->tri_base + 1);
-  append_record_locked(v.valid, v.time, anchor, segment_row_hash(v),
-                       networks, bits,
+  append_record_locked(v.valid, v.time, anchor, networks, bits,
                        {SegmentCodec::packed_row(matrix, local),
                         core::packed_row_bytes(networks, bits)},
                        {phi, phi_count});
 }
 
 void SegmentStore::append_raw(bool valid, std::int64_t time,
-                              std::uint64_t anchor_of,
-                              std::uint64_t row_hash, std::size_t networks,
+                              std::uint64_t anchor_of, std::size_t networks,
                               std::size_t bits,
                               std::span<const std::byte> packed,
                               std::span<const double> phi) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  append_record_locked(valid, time, anchor_of, row_hash, networks, bits,
-                       packed, phi);
+  append_record_locked(valid, time, anchor_of, networks, bits, packed, phi);
 }
 
 void SegmentStore::flush(const core::ModeBook* book) {
@@ -1344,7 +1337,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
           std::to_string(dataset->series.size()) +
           " present; pass the full dataset or start fresh");
     }
-    if (identity_mode_ == kIdentityRowHashes) {
+    if (identity_mode_ == kIdentityRows) {
       bool names_ok = true;
       try {
         names_ok =
@@ -1438,17 +1431,43 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     matrix.adopt_rows(networks_, adopt_bits, {}, keep);
     copy_initialized = true;
   };
+  // Identity, exactly: a retained record must hold the dataset row it
+  // stands for — its validity, its time, and that row packed at the
+  // record's width into one reused scratch row, byte for byte. A row
+  // whose ids do not fit the record's width cannot be in it. Sealed
+  // records are checksummed as well; tail records have only this check.
+  std::vector<std::byte> scratch;
+  const auto row_differs = [&](const RecordView& rec,
+                               const core::RoutingVector& want,
+                               std::size_t bits) -> const char* {
+    if (rec.valid != want.valid) return "validity differs";
+    if (rec.time != want.time) return "time differs";
+    if (want.assignment.size() != networks_) return "network count differs";
+    const std::size_t bytes = core::packed_row_bytes(networks_, bits);
+    if (scratch.size() < bytes) scratch.resize(bytes);
+    const core::SiteId top =
+        core::pack_row(want.assignment.data(), networks_, bits,
+                       scratch.data());
+    if (core::packed_bits_for(top) > bits ||
+        (bytes != 0 && std::memcmp(scratch.data(), rec.packed, bytes) != 0)) {
+      return "site ids differ";
+    }
+    return nullptr;
+  };
+  const bool check_rows =
+      dataset != nullptr && identity_mode_ == kIdentityRows;
   const auto take_record = [&](const std::byte* rec, std::uint64_t g,
                                std::uint64_t tri_base, std::size_t bits,
                                bool in_tail) {
     const RecordView v = parse_record(rec, g, tri_base, networks_, bits);
-    if (dataset != nullptr && identity_mode_ == kIdentityRowHashes &&
-        v.row_hash !=
-            segment_row_hash(dataset->series[static_cast<std::size_t>(g)])) {
-      throw DatasetIoError(
-          "segment store: row hash mismatch at observation " +
-          std::to_string(g) +
-          " — the dataset is not the one this store was built from");
+    if (check_rows) {
+      if (const char* field = row_differs(
+              v, dataset->series[static_cast<std::size_t>(g)], bits)) {
+        throw DatasetIoError(
+            "segment store: row mismatch at observation " +
+            std::to_string(g) + " (its " + field +
+            ") — the dataset is not the one this store was built from");
+      }
     }
     core::SimilarityMatrix::AdoptedRow row;
     row.valid = v.valid;
@@ -1673,7 +1692,6 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
       put_u64(payload, v.valid ? 1 : 0);
       put_i64(payload, v.time);
       put_u64(payload, v.anchor_of);
-      put_u64(payload, v.row_hash);
       put_packed_row(payload, v.packed, networks_, src_bits, bits);
       const std::size_t skip =
           static_cast<std::size_t>(plan_base - s.tri_base);

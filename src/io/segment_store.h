@@ -11,11 +11,12 @@
 //   <dir>/tail-<id>.fenrseg   active tail, appended in place
 //
 // Each observation is spilled as one self-contained record — validity,
-// time, anchor lineage, identity hash, the packed assignment row, and
-// the row's Φ values — so a save interval writes O(new rows) bytes and
-// one manifest, never the history. When the tail reaches
-// `seal_rows` records it is sealed (checksum computed once, trailer
-// written, renamed seg-<id>) and a fresh tail starts.
+// time, anchor lineage, the packed assignment row, and the row's Φ
+// values — so a save interval writes O(new rows) bytes and one
+// manifest, never the history. A spill copies the row the matrix has
+// already packed; it never reads the observation's site ids. When the
+// tail reaches `seal_rows` records it is sealed (checksum computed
+// once, trailer written, renamed seg-<id>) and a fresh tail starts.
 //
 // Resume mmaps the sealed segments and *adopts* their pages directly
 // into PackedSeries / TriangleStore storage (SimilarityMatrix::
@@ -29,18 +30,18 @@
 // bit patterns; everything 8-aligned so doubles map directly):
 //
 //   header, 128 bytes:
-//     magic "FENRSEG1" (8), u32 version (3), u32 flags (bit0 sealed),
+//     magic "FENRSEG1" (8), u32 version (4), u32 flags (bit0 sealed),
 //     u64 segment_id, u64 base_row (global row of record 0), u64 rows,
 //     u64 networks, u64 width (bits per element: 4|8|16|32), u64
 //     tri_base (global row the Φ spans start at), u64 payload_bytes,
 //     i64 min_time, i64 max_time, 40 bytes reserved
 //   per record, for global row g = base_row + r:
 //     u64 meta (bit0 valid), i64 time, u64 anchor_of (global row or
-//     ~0), u64 row_hash, the packed row — packed_row_bytes(networks,
-//     width) bytes, two 4-bit ids to a byte (low nibble first, an odd
-//     row's last high nibble 0) or 8/16/32-bit little-endian ids —
-//     padded to a multiple of 8, (g − tri_base + 1) × f64 Φ columns for
-//     global rows tri_base..g
+//     ~0), the packed row — packed_row_bytes(networks, width) bytes,
+//     two 4-bit ids to a byte (low nibble first, an odd row's last high
+//     nibble 0) or 8/16/32-bit little-endian ids — padded to a multiple
+//     of 8, (g − tri_base + 1) × f64 Φ columns for global rows
+//     tri_base..g
 //   sealed trailer, 16 bytes:
 //     u32 payload_checksum over [128, 128 + payload_bytes), u32 0,
 //     magic "FENRSEGE" (8)
@@ -77,12 +78,16 @@
 // interrupted seal or compaction is rolled forward or its leftovers
 // collected.
 //
-// Identity: a store created by a live session records per-row hashes
-// plus header/name hashes, so resume verifies only the retained window
-// (flat); a store driven by append_raw() alone (benches) records none.
-// All three hashes are wire::IdentityHash — the checksum's four
-// multiply–rotate lanes fed 64-bit words by value, so hashing a 5M-id
-// row runs at memory speed on any host.
+// Identity: a store created by a live session records a header hash
+// (network keys and weights) and a names hash (the site names its rows
+// use); a store driven by append_raw() alone (benches) records neither.
+// Both hashes are wire::IdentityHash — the checksum's four
+// multiply–rotate lanes fed 64-bit words by value, so they are the same
+// on every host. Rows carry no hash: resume checks each retained record
+// exactly against the dataset — validity, time, and the dataset's row
+// packed at the record's width, compared byte for byte — so it verifies
+// only the retained window (flat) and catches a damaged packed row in
+// the unsealed tail, which has no checksum.
 //
 // The manifest also carries the watch's ModeBook: one record per mode
 // holding the representative's packed width in bits, its network count
@@ -93,7 +98,7 @@
 // 100 MB of u32 site ids. The decoder rejects a representative whose
 // width is not 4, 8, 16 or 32 bits or whose length disagrees with the
 // store's network count, and a history entry past the last mode.
-// Segment files are version 3 and the manifest version 5; any other
+// Segment files are version 4 and the manifest version 6; any other
 // version of either is refused with "version skew" — there is no read
 // path for older stores.
 #pragma once
@@ -121,17 +126,11 @@ inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
                                                  'S', 'E', 'G', 'E'};
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
-inline constexpr std::uint32_t kSegmentVersion = 3;
-inline constexpr std::uint32_t kManifestVersion = 5;
+inline constexpr std::uint32_t kSegmentVersion = 4;
+inline constexpr std::uint32_t kManifestVersion = 6;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
-
-/// wire::IdentityHash over one observation's identity (time, validity,
-/// size, then the site ids two to a word), stored in each record so
-/// resume verifies identity per retained row instead of over the whole
-/// prefix.
-std::uint64_t segment_row_hash(const core::RoutingVector& v);
 
 struct SegmentStoreConfig {
   /// Tail records before seal + rotate.
@@ -185,15 +184,17 @@ class SegmentStore {
   static bool looks_like_store(const std::filesystem::path& path);
 
   /// Live-session identity source: header/name hashes come from here,
-  /// and spill() hashes rows against it. Optional — a store driven by
-  /// append_raw() (benches) never attaches one.
+  /// and load() checks retained rows against the dataset it is given.
+  /// Optional — a store driven by append_raw() (benches) never attaches
+  /// one.
   void attach(const core::Dataset* dataset);
 
   /// Spills the newest matrix row (matrix.size()-1, global row
   /// processed()) into the pending buffer: packed bytes and Φ columns
   /// are copied out while hot, and a buffer past 1 MiB is written
-  /// through to the tail (not yet durable). O(row) — nothing else is
-  /// re-encoded.
+  /// through to the tail (not yet durable). O(packed row) — of @p v only
+  /// time and validity are read; the largest site id comes from the
+  /// matrix's packed rows.
   /// Rotates the tail first when the matrix's packed width changed.
   void spill(const core::RoutingVector& v,
              const core::SimilarityMatrix& matrix);
@@ -212,8 +213,8 @@ class SegmentStore {
   /// columns for global rows base..processed() where base is the store's
   /// current base_row — exactly processed() − base_row() + 1 values.
   void append_raw(bool valid, std::int64_t time, std::uint64_t anchor_of,
-                  std::uint64_t row_hash, std::size_t networks,
-                  std::size_t bits, std::span<const std::byte> packed,
+                  std::size_t networks, std::size_t bits,
+                  std::span<const std::byte> packed,
                   std::span<const double> phi);
 
   /// Makes everything spilled so far durable: tail pwrite + fsync, then
@@ -245,9 +246,11 @@ class SegmentStore {
   /// Maps the sealed segments, verifies each segment's checksum once
   /// (fenrir_segment_checksum_verified_total counts the work), verifies
   /// identity against @p dataset when given (null skips — `segment ls`
-  /// and round-trip tests), and builds the matrix by page adoption
-  /// (little-endian, uniform sealed width) or per-record copy.
-  /// Throws DatasetIoError on corruption or identity mismatch.
+  /// and round-trip tests): the header and names hashes, then every
+  /// retained record against its dataset row, exactly. Builds the
+  /// matrix by page adoption (little-endian, uniform sealed width) or
+  /// per-record copy. Throws DatasetIoError on corruption or identity
+  /// mismatch.
   Loaded load(const core::Dataset* dataset) const;
 
   /// Re-reads every sealed segment and the tail from disk and checks
@@ -295,8 +298,8 @@ class SegmentStore {
   void open_tail_locked(std::uint64_t bits);
   void ensure_tail_locked(std::size_t networks, std::uint64_t bits);
   void append_record_locked(bool valid, std::int64_t time,
-                            std::uint64_t anchor_of, std::uint64_t row_hash,
-                            std::size_t networks, std::uint64_t bits,
+                            std::uint64_t anchor_of, std::size_t networks,
+                            std::uint64_t bits,
                             std::span<const std::byte> packed,
                             std::span<const double> phi);
   void write_pending_locked();
@@ -319,7 +322,8 @@ class SegmentStore {
   core::UnknownPolicy policy_ = core::UnknownPolicy::kPessimistic;
   std::vector<double> weights_;
   bool configured_ = false;
-  // 0 = none (raw/bench stores), 1 = per-row hashes (live sessions).
+  // 0 = none (raw/bench stores), 1 = header/names hashes plus exact
+  // row checks at load (live sessions).
   std::uint8_t identity_mode_ = 0;
   std::uint64_t header_hash_ = 0;
   std::uint64_t names_hash_ = 0;

@@ -201,10 +201,11 @@ struct Reader {
 /// The segment store's identity hash: payload_checksum's four lanes over
 /// a stream of 64-bit words (word k feeds lane k mod 4), folded, mixed
 /// with the word count, and finished with a 64-bit avalanche. Callers
-/// build each word by value — site ids two to a word, bytes eight to a
-/// word, low first — so the result is the same on every host with no
-/// byte-order branch. A zero-filled last word reads like explicit
-/// zeros, so callers add a length before each variable-length run.
+/// build each word by value — network keys and weight bit patterns one
+/// to a word, name bytes eight to a word, low first — so the result is
+/// the same on every host with no byte-order branch. A zero-filled last
+/// word reads like explicit zeros, so callers add a length before each
+/// variable-length run.
 /// Like the checksum it guards against mix-ups and bit rot, not
 /// adversaries.
 class IdentityHash {
@@ -234,16 +235,6 @@ class IdentityHash {
     lanes_[3] = d;
     words_ += i - start;
     for (; i < count; ++i) add(word(i));
-  }
-
-  /// Adds u32 values two to a word (ids[2k] low, ids[2k+1] high); an
-  /// odd last value fills a word alone.
-  void add_u32s(const std::uint32_t* ids, std::size_t count) {
-    add_words(count / 2, [ids](std::size_t k) {
-      return static_cast<std::uint64_t>(ids[2 * k]) |
-             static_cast<std::uint64_t>(ids[2 * k + 1]) << 32;
-    });
-    if (count % 2 != 0) add(ids[count - 1]);
   }
 
   /// Adds bytes eight to a word, little-endian by value; a short last

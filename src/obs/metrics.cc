@@ -163,7 +163,8 @@ void Histogram::reset() noexcept {
 
 Registry::Entry& Registry::find_or_create(std::string_view name,
                                           const Labels& labels, Kind kind,
-                                          std::string_view help) {
+                                          std::string_view help,
+                                          std::vector<double> upper_bounds) {
   const std::string key = std::string(name) + render_labels(labels);
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
@@ -184,14 +185,25 @@ Registry::Entry& Registry::find_or_create(std::string_view name,
     throw std::logic_error("Registry: family '" + std::string(name) +
                            "' already registered as a different kind");
   }
-  if (family == family_kind_.end()) {
-    family_kind_.emplace(std::string(name), kind);
-  }
   Entry entry;
   entry.kind = kind;
   entry.family = std::string(name);
   entry.labels = labels;
   entry.help = std::string(help);
+  // The instrument is made with its entry, under the lock, so neither a
+  // racing first registration of the same name nor an exporter ever
+  // sees an entry without one; a histogram's bad bounds throw before
+  // anything is registered.
+  switch (kind) {
+    case Kind::kCounter: entry.counter = std::make_unique<Counter>(); break;
+    case Kind::kGauge: entry.gauge = std::make_unique<Gauge>(); break;
+    case Kind::kHistogram:
+      entry.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
+      break;
+  }
+  if (family == family_kind_.end()) {
+    family_kind_.emplace(std::string(name), kind);
+  }
   return entries_.emplace(key, std::move(entry)).first->second;
 }
 
@@ -205,26 +217,20 @@ Gauge& Registry::gauge(std::string_view name, std::string_view help) {
 
 Counter& Registry::counter(std::string_view name, const Labels& labels,
                            std::string_view help) {
-  Entry& e = find_or_create(name, labels, Kind::kCounter, help);
-  if (!e.counter) e.counter = std::make_unique<Counter>();
-  return *e.counter;
+  return *find_or_create(name, labels, Kind::kCounter, help, {}).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, const Labels& labels,
                        std::string_view help) {
-  Entry& e = find_or_create(name, labels, Kind::kGauge, help);
-  if (!e.gauge) e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
+  return *find_or_create(name, labels, Kind::kGauge, help, {}).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> upper_bounds,
                                std::string_view help) {
-  Entry& e = find_or_create(name, Labels{}, Kind::kHistogram, help);
-  if (!e.histogram) {
-    e.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
-  }
-  return *e.histogram;
+  return *find_or_create(name, Labels{}, Kind::kHistogram, help,
+                         std::move(upper_bounds))
+              .histogram;
 }
 
 void Registry::write_prometheus(std::ostream& out) const {

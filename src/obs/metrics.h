@@ -181,8 +181,11 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// The entry for @p name and @p labels, with its instrument; a new one
+  /// is made whole under mu_ (@p upper_bounds only for a histogram).
   Entry& find_or_create(std::string_view name, const Labels& labels,
-                        Kind kind, std::string_view help);
+                        Kind kind, std::string_view help,
+                        std::vector<double> upper_bounds);
 
   mutable std::mutex mu_;
   // Keyed by family plus the rendered label block, so labeled series of

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <exception>
 #include <sstream>
+#include <string>
 
 #include "bgp/service.h"
 #include "bgp/topology_gen.h"
@@ -219,6 +222,148 @@ TEST(Mrt, CollectorBatchArchiveRoundTrip) {
   // Two batches, two distinct timestamps.
   EXPECT_EQ(records.front().timestamp, t0);
   EXPECT_EQ(records.back().timestamp, t0 + core::kHour);
+}
+
+// ---------------------------------------------------------------------
+// MrtFuzz: the MRT and BGP UPDATE decoders' "parse or throw" promise,
+// checked the way DatasetIoFuzz checks the dataset decoder. The input is
+// an MrtWriter archive holding a collector's BGP4MP batch (announcements
+// and a drain's churn) and a TABLE_DUMP_V2 RIB dump (PEER_INDEX_TABLE +
+// RIB_IPV4_UNICAST). Seeded mutants — byte edits biased toward the
+// values the decoders steer by (lengths, counts, flags, prefix lengths),
+// insertions, deletions and truncations — are read frame by frame:
+// read_frames, every frame decoder and, for each decoded BGP4MP record,
+// UpdateMessage::decode must return a value or throw BgpError.
+
+std::vector<std::uint8_t> fuzz_archive() {
+  TopologyParams p;
+  p.tier1_count = 3;
+  p.tier2_count = 8;
+  p.stub_count = 80;
+  p.seed = 63;
+  Topology topo = generate_topology(p);
+  const netbase::Prefix prefix = *netbase::Prefix::parse("199.9.14.0/24");
+  AnycastService svc(prefix);
+  svc.add_site(0, topo.stubs[0]);
+  svc.add_site(1, topo.stubs[40]);
+  const std::vector<AsIndex> peers{topo.stubs[5], topo.stubs[60],
+                                   topo.tier2[1]};
+  RouteCollector collector(&topo.graph, peers, prefix);
+  std::ostringstream archive;
+  MrtWriter writer(archive);
+  const core::TimePoint t0 = core::from_date(2023, 3, 1);
+  writer.write_batch(
+      t0, topo.graph,
+      collector.poll(compute_routes(topo.graph, svc.active_origins())));
+  svc.set_drained(0, true);
+  writer.write_batch(
+      t0 + core::kHour, topo.graph,
+      collector.poll(compute_routes(topo.graph, svc.active_origins())));
+  writer.write_rib_dump(t0 + 2 * core::kHour, topo.graph, collector, prefix);
+  const std::string s = archive.str();
+  return {s.begin(), s.end()};
+}
+
+/// Calls @p decode; a BgpError is the promised refusal, anything else
+/// thrown is a test failure. Returns whether @p decode returned.
+template <typename F>
+bool parses_or_throws(F&& decode, const std::string& what) {
+  try {
+    decode();
+    return true;
+  } catch (const BgpError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " threw a non-BgpError: " << e.what();
+  }
+  return false;
+}
+
+TEST(MrtFuzz, MutatedBytesParseOrThrow) {
+  const std::vector<std::uint8_t> archive = fuzz_archive();
+  // The unmutated archive decodes completely: both frame families and
+  // every wrapped UPDATE, so the mutants start from bytes every decoder
+  // accepts.
+  {
+    const std::vector<MrtFrame> frames = MrtReader::read_frames(archive);
+    std::size_t bgp4mp = 0;
+    for (const MrtFrame& f : frames) {
+      if (f.type == kMrtTypeBgp4mp) {
+        ++bgp4mp;
+        (void)UpdateMessage::decode(bgp4mp_from_frame(f).message);
+      }
+    }
+    ASSERT_GE(bgp4mp, 3u);
+    ASSERT_EQ(peer_index_from_frame(frames[frames.size() - 2]).peers.size(),
+              3u);
+    ASSERT_FALSE(rib_from_frame(frames.back()).entries.empty());
+  }
+  // Values the decoders branch on: zero and small lengths, AFI 1/2, the
+  // peer-type and extended-length flag bits, attribute type codes,
+  // prefix lengths around 32, and the marker byte.
+  const std::uint8_t interesting[] = {0x00, 0x01, 0x02, 0x03, 0x04, 0x0c,
+                                      0x10, 0x18, 0x20, 0x21, 0x40, 0x50,
+                                      0x7f, 0x80, 0xfe, 0xff};
+  std::uint64_t state = 0x3e7f;
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  const auto budget = std::chrono::seconds(5);
+  std::size_t mutants = 0;
+  std::size_t frames_decoded = 0;
+  for (; mutants < 20'000; ++mutants) {
+    if (mutants >= 500 && std::chrono::steady_clock::now() - start > budget) {
+      break;
+    }
+    std::vector<std::uint8_t> bytes = archive;
+    if (draw(16) == 0) {
+      bytes.resize(draw(bytes.size()));
+    } else {
+      const std::uint64_t edits = 1 + draw(4);
+      for (std::uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+        const std::size_t at = draw(bytes.size());
+        const std::uint8_t v =
+            draw(2) == 0 ? interesting[draw(std::size(interesting))]
+                         : static_cast<std::uint8_t>(draw(256));
+        switch (draw(6)) {
+          case 0:
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), v);
+            break;
+          case 1:
+            bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
+            break;
+          default:
+            bytes[at] = v;
+        }
+      }
+    }
+    const std::string label = "mutant " + std::to_string(mutants);
+    std::vector<MrtFrame> frames;
+    if (!parses_or_throws([&] { frames = MrtReader::read_frames(bytes); },
+                          label + " read_frames")) {
+      continue;
+    }
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      const MrtFrame& f = frames[k];
+      const std::string where = label + " frame " + std::to_string(k);
+      MrtRecord record;
+      if (parses_or_throws([&] { record = bgp4mp_from_frame(f); },
+                           where + " bgp4mp_from_frame")) {
+        ++frames_decoded;
+        parses_or_throws([&] { (void)UpdateMessage::decode(record.message); },
+                         where + " UpdateMessage::decode");
+      }
+      frames_decoded += parses_or_throws(
+          [&] { (void)peer_index_from_frame(f); },
+          where + " peer_index_from_frame");
+      frames_decoded += parses_or_throws([&] { (void)rib_from_frame(f); },
+                                         where + " rib_from_frame");
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GE(mutants, 500u);
+  EXPECT_GT(frames_decoded, mutants) << "mutants rarely reached a decoder";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/compare.h"
@@ -86,6 +87,46 @@ TEST(PackedSeries, WidthFollowsTheLargestId) {
   }
   EXPECT_EQ(m.counts(0, 1).mutual_known, 2u);
   EXPECT_EQ(m.counts(0, 0).matches, 3u);
+
+  // Each row is read once: the pack at the current width reports the
+  // largest id, and only a row that does not fit is packed again wider.
+  // A row whose only wide id is its last element (an odd row's last
+  // nibble at 4 bits) widens 4 → 8 and 8 → 16 through that second pack,
+  // on an owned series and on one with a mapped 4-bit prefix alike.
+  const std::size_t n = 129;
+  std::vector<SiteId> narrow(n);
+  for (std::size_t i = 0; i < n; ++i) narrow[i] = static_cast<SiteId>(i % 16);
+  for (const bool mapped : {false, true}) {
+    auto bytes = std::make_shared<std::vector<std::byte>>(
+        packed_row_bytes(n, 4));
+    RoutingVector row;
+    row.assignment = narrow;
+    PackedSeries p;
+    if (mapped) {
+      pack_row(narrow.data(), n, 4, bytes->data());
+      const std::vector<const std::byte*> rows = {bytes->data()};
+      p.adopt_rows(n, 4, rows, bytes);
+    } else {
+      p.append(row);
+    }
+    std::vector<std::vector<SiteId>> want = {narrow};
+    for (const auto& [last, bits] : {std::pair<SiteId, std::size_t>{16, 8},
+                                    {15, 8},
+                                    {300, 16}}) {
+      row.assignment.back() = last;
+      p.append(row);
+      want.push_back(row.assignment);
+      EXPECT_EQ(p.bits(), bits) << "mapped=" << mapped << " last=" << last;
+    }
+    EXPECT_EQ(p.mapped_rows(), 0u) << "mapped=" << mapped;
+    ASSERT_EQ(p.rows(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(p.value_at(r, i), want[r][i])
+            << "mapped=" << mapped << " row " << r << " element " << i;
+      }
+    }
+  }
 }
 
 TEST(PackedSeries, SizeMismatchThrows) {
@@ -469,37 +510,80 @@ TEST(SimdKernels, DeltaScansBitIdenticalToScalarOracleAllTiers) {
   }
 }
 
-// The row-ingest kernels (max_site, pack_u8/u16) and the swap-class
-// patch kernel must match the scalar oracle exactly for every tier —
-// they feed PackedSeries::append and ColumnPatcher, so a divergence
-// would silently corrupt the packed store or the batched Φ fill.
+/// The inputs a one-pass pack kernel must report the maximum of: @p
+/// fits (every id fits the width), ids up to 1,000,000 anywhere, and
+/// @p fits with one id of @p wide placed first, in the middle and last.
+std::vector<std::vector<SiteId>> pack_inputs(rng::Rng& r,
+                                             const std::vector<SiteId>& fits,
+                                             SiteId wide) {
+  const std::size_t n = fits.size();
+  std::vector<std::vector<SiteId>> inputs{
+      fits, random_sites<SiteId>(r, n, 1'000'000, 0.1)};
+  if (n == 0) return inputs;
+  for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+    inputs.push_back(fits);
+    inputs.back()[at] = wide;
+  }
+  return inputs;
+}
+
+/// What every tier's pack kernel must reproduce: the row's largest id.
+SiteId max_id_oracle(const std::vector<SiteId>& ids) {
+  return ids.empty() ? 0 : *std::max_element(ids.begin(), ids.end());
+}
+
+// Tail lengths straddle every lane boundary in play and cover every
+// length mod 128 — the AVX-512 masked tails and the AVX2 scalar
+// remainders, odd and even.
+std::vector<std::size_t> pack_sizes() {
+  std::vector<std::size_t> sizes(std::begin(kSimdSizes), std::end(kSimdSizes));
+  for (std::size_t n = 2048; n < 2048 + 128; ++n) sizes.push_back(n);
+  return sizes;
+}
+
+// The row-ingest kernels (pack_u8/u16) and the swap-class patch kernel
+// must match the scalar oracle exactly for every tier — they feed
+// PackedSeries::append and ColumnPatcher, so a divergence would silently
+// corrupt the packed store or the batched Φ fill. A pack returns the
+// largest id it read, wherever the widest id sits and whether or not it
+// fits; its bytes are compared only when that id fits the width, and it
+// never writes past the row.
 TEST(SimdKernels, IngestAndSwapPatchBitIdenticalToScalarOracleAllTiers) {
   const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
   for (const simd::Tier tier : available_tiers()) {
     rng::Rng r(4321);
     const simd::KernelTable& t = *simd::table_for(tier);
     const char* name = simd::tier_name(tier);
-    for (const std::size_t n : kSimdSizes) {
-      {
-        const auto src = random_sites<SiteId>(r, n, 1'000'000, 0.1);
-        EXPECT_EQ(t.max_site(src.data(), n), oracle.max_site(src.data(), n))
+    for (const std::size_t n : pack_sizes()) {
+      for (const auto& src :
+           pack_inputs(r, random_sites<SiteId>(r, n, 200, 0.1), 256)) {
+        const SiteId top = max_id_oracle(src);
+        std::vector<std::uint8_t> got(n + 8, 0xAB), want(n + 8, 0xAB);
+        EXPECT_EQ(t.pack_u8(src.data(), got.data(), n), top)
             << name << " n=" << n;
+        EXPECT_EQ(oracle.pack_u8(src.data(), want.data(), n), top)
+            << "oracle n=" << n;
+        if (top <= 0xFF) {
+          EXPECT_EQ(got, want) << name << " n=" << n;
+        }
+        for (std::size_t k = n; k < got.size(); ++k) {
+          ASSERT_EQ(got[k], 0xAB) << name << " n=" << n << " wrote past";
+        }
       }
-      {
-        // Pack kernels run only after append widened the store, so every
-        // value fits the destination width by contract.
-        const auto src = random_sites<SiteId>(r, n, 200, 0.1);
-        std::vector<std::uint8_t> got(n, 0xAB), want(n, 0xAB);
-        t.pack_u8(src.data(), got.data(), n);
-        oracle.pack_u8(src.data(), want.data(), n);
-        EXPECT_EQ(got, want) << name << " n=" << n;
-      }
-      {
-        const auto src = random_sites<SiteId>(r, n, 60'000, 0.1);
-        std::vector<std::uint16_t> got(n, 0xABCD), want(n, 0xABCD);
-        t.pack_u16(src.data(), got.data(), n);
-        oracle.pack_u16(src.data(), want.data(), n);
-        EXPECT_EQ(got, want) << name << " n=" << n;
+      for (const auto& src :
+           pack_inputs(r, random_sites<SiteId>(r, n, 60'000, 0.1), 65'536)) {
+        const SiteId top = max_id_oracle(src);
+        std::vector<std::uint16_t> got(n + 4, 0xABCD), want(n + 4, 0xABCD);
+        EXPECT_EQ(t.pack_u16(src.data(), got.data(), n), top)
+            << name << " n=" << n;
+        EXPECT_EQ(oracle.pack_u16(src.data(), want.data(), n), top)
+            << "oracle n=" << n;
+        if (top <= 0xFFFF) {
+          EXPECT_EQ(got, want) << name << " n=" << n;
+        }
+        for (std::size_t k = n; k < got.size(); ++k) {
+          ASSERT_EQ(got[k], 0xABCD) << name << " n=" << n << " wrote past";
+        }
       }
       if (n > 0) {
         // Swap patch: ascending indices with the row's last elements
@@ -539,8 +623,7 @@ TEST(SimdKernels, IngestAndSwapPatchBitIdenticalToScalarOracleAllTiers) {
 // = 8128 elements), and at unknown fractions 0, 0.5 and 1.
 
 std::vector<std::size_t> u4_sizes() {
-  std::vector<std::size_t> sizes(std::begin(kSimdSizes), std::end(kSimdSizes));
-  for (std::size_t n = 2048; n < 2048 + 128; ++n) sizes.push_back(n);
+  std::vector<std::size_t> sizes = pack_sizes();
   for (const std::size_t n : {8127, 8128, 8129, 8191, 8192, 8193, 20'011}) {
     sizes.push_back(n);
   }
@@ -575,14 +658,27 @@ TEST(SimdKernels, FourBitPackAndCountsBitIdenticalToScalarOracleAllTiers) {
         const auto ib = random_u4_ids(r, n, uf);
         const auto a = pack_u4_oracle(ia);
         const auto b = pack_u4_oracle(ib);
-        // The tier's pack writes exactly the oracle's bytes — the odd
-        // row's padding nibble 0 included — and nothing past the row.
-        std::vector<std::uint8_t> got(a.size() + 8, 0xAB);
-        t.pack_u4(ia.data(), got.data(), n);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), got.begin()))
-            << name << " n=" << n;
-        for (std::size_t k = a.size(); k < got.size(); ++k) {
-          ASSERT_EQ(got[k], 0xAB) << name << " n=" << n << " wrote past";
+        // The tier's pack returns the row's largest id and writes
+        // exactly the oracle's bytes — the odd row's padding nibble 0
+        // included — and nothing past the row. A row with an id past 15
+        // (first, middle, or last: an odd row's last nibble) reports it
+        // and still writes nothing past the row; its bytes are
+        // unspecified.
+        for (const auto& ids : pack_inputs(r, ia, 16)) {
+          const SiteId top = max_id_oracle(ids);
+          std::vector<std::uint8_t> got(a.size() + 8, 0xAB);
+          std::vector<std::uint8_t> want(a.size());
+          ASSERT_EQ(t.pack_u4(ids.data(), got.data(), n), top)
+              << name << " n=" << n;
+          ASSERT_EQ(oracle.pack_u4(ids.data(), want.data(), n), top)
+              << "oracle n=" << n;
+          if (top <= 0xF) {
+            ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+                << name << " n=" << n;
+          }
+          for (std::size_t k = a.size(); k < got.size(); ++k) {
+            ASSERT_EQ(got[k], 0xAB) << name << " n=" << n << " wrote past";
+          }
         }
         if (n % 2 != 0) ASSERT_EQ(a.back() >> 4, 0) << "padding nibble";
 

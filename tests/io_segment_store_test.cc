@@ -140,6 +140,56 @@ void grow(SegmentStore& store, SimilarityMatrix& matrix, const Dataset& d,
   store.flush();
 }
 
+/// Bytes of a record's fixed fields — meta, time, anchor_of — before its
+/// packed row.
+constexpr std::size_t kRecordFieldBytes = 24;
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+void put_le(std::string& b, std::size_t at, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes && at + i < b.size(); ++i) {
+    b[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+std::uint64_t get_le64(const std::string& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8 && at + i < b.size(); ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+void resign_manifest(std::string& m) {
+  if (m.size() < 4) return;
+  put_le(m, m.size() - 4, wire::payload_checksum(m.data(), m.size() - 4), 4);
+}
+
+/// Re-signs seg-0's payload checksum in its trailer and in the manifest's
+/// first sealed entry (the header's payload length decides the range).
+void resign_segment(std::string& seg, std::string& manifest) {
+  const std::uint64_t payload = get_le64(seg, 8 + 4 + 4 + 8 * 6);
+  if (seg.size() < kSegmentHeaderBytes ||
+      payload > seg.size() - kSegmentHeaderBytes) {
+    return;
+  }
+  const std::uint32_t crc = wire::payload_checksum(
+      seg.data() + kSegmentHeaderBytes, static_cast<std::size_t>(payload));
+  put_le(seg, kSegmentHeaderBytes + payload, crc, 4);
+  // Magic, version, length, four flag bytes, three hashes, networks,
+  // the (empty) weights, base_row, processed, next id, newest time and
+  // the sealed count, then the entry: its checksum is 48 bytes in.
+  put_le(manifest, 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8 * 5 + 48, crc, 4);
+  resign_manifest(manifest);
+}
+
 // The central property: spill-as-you-go across several tail rotations,
 // close, reopen, mmap-load — the restored matrix is bit-identical to
 // one that never left memory, and further appends stay on the exact
@@ -405,8 +455,26 @@ TEST(Segment, CorruptSealedSegmentRejected) {
   }
 }
 
-// Identity: resuming against a rewritten dataset fails with the per-row
-// hash (flat verification), and a shrunk dataset is caught up front.
+/// Loads @p store against @p d and expects the exact row check to refuse
+/// it, naming observation @p g.
+void expect_row_mismatch(const SegmentStore& store, const Dataset& d,
+                         std::uint64_t g, const std::string& label) {
+  try {
+    (void)store.load(&d);
+    ADD_FAILURE() << label << ": accepted";
+  } catch (const DatasetIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("row mismatch at observation " +
+                                         std::to_string(g) + " "),
+              std::string::npos)
+        << label << ": " << e.what();
+  }
+}
+
+// Identity: resuming against a rewritten dataset fails the exact row
+// check (flat verification), and a shrunk dataset is caught up front.
+// So does a damaged packed row the dataset never held: one byte of
+// record 0's packed row XORed with 0x11, in the unsealed tail (which has
+// no checksum) and in a sealed segment whose checksum is re-signed.
 TEST(Segment, DatasetMismatchRejected) {
   ScratchDir dir("identity");
   Dataset d = periodic_dataset(20, 80, 6, 0.03, 43);
@@ -420,14 +488,7 @@ TEST(Segment, DatasetMismatchRejected) {
   rewritten.series[3].assignment[7] =
       rewritten.series[3].assignment[7] == kUnknownSite ? kFirstRealSite
                                                         : kUnknownSite;
-  try {
-    (void)store.load(&rewritten);
-    FAIL() << "rewritten dataset accepted";
-  } catch (const DatasetIoError& e) {
-    EXPECT_NE(std::string(e.what()).find("row hash mismatch"),
-              std::string::npos)
-        << e.what();
-  }
+  expect_row_mismatch(store, rewritten, 3, "rewritten dataset");
 
   Dataset shrunk = d;
   shrunk.series.resize(10);
@@ -438,6 +499,38 @@ TEST(Segment, DatasetMismatchRejected) {
     EXPECT_NE(std::string(e.what()).find("ahead of the dataset"),
               std::string::npos)
         << e.what();
+  }
+
+  for (const bool sealed : {false, true}) {
+    ScratchDir flip(sealed ? "identity_sealed_flip" : "identity_tail_flip");
+    const Dataset small = periodic_dataset(12, 80, 6, 0.03, 44);
+    // The default seal_rows keeps all 12 rows in the tail.
+    SegmentStoreConfig small_cfg;
+    if (sealed) small_cfg.seal_rows = 5;
+    {
+      SegmentStore s(flip.path, small_cfg);
+      s.attach(&small);
+      SimilarityMatrix m(UnknownPolicy::kPessimistic, small.weights, 1);
+      grow(s, m, small, 0, small.series.size());
+      ASSERT_EQ(s.segments().empty(), !sealed);
+    }
+    const fs::path victim =
+        flip.path / (sealed ? "seg-0.fenrseg" : "tail-0.fenrseg");
+    std::string bytes = read_file(victim);
+    bytes[kSegmentHeaderBytes + kRecordFieldBytes + 5] ^= 0x11;
+    if (sealed) {
+      std::string manifest = read_file(flip.path / "MANIFEST");
+      resign_segment(bytes, manifest);
+      write_file(flip.path / "MANIFEST", manifest);
+    }
+    write_file(victim, bytes);
+    const SegmentStore s(flip.path, small_cfg);
+    std::string error;
+    EXPECT_TRUE(s.verify(&error)) << "the flip is structurally sound";
+    EXPECT_EQ(s.load(nullptr).matrix.size(), small.series.size())
+        << "without a dataset there is nothing to compare against";
+    expect_row_mismatch(s, small, 0,
+                        sealed ? "re-signed sealed flip" : "tail flip");
   }
 }
 
@@ -488,8 +581,7 @@ TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
     FAIL() << "rewritten dataset accepted";
   } catch (const DatasetIoError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("row hash mismatch at observation 3 "),
-              std::string::npos)
+    EXPECT_NE(what.find("row mismatch at observation 3 "), std::string::npos)
         << what;
     EXPECT_NE(what.find("not the one this store was built from"),
               std::string::npos)
@@ -502,60 +594,114 @@ TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
   EXPECT_EQ(loaded.history, book.history());
 }
 
-// The row hash takes every field of the observation: each site id
-// position (the unaligned first word, all four lanes of the bulk loop,
-// the remainder words, the odd-length tail), the order of the ids,
-// validity, time and length.
-TEST(Segment, IdentityHashSeesEveryField) {
+// Resume checks every field of each retained observation against the
+// dataset: each site id position (the first, the middle ones, and the
+// odd row's last nibble) raised by one or set past the record's 4-bit
+// width, two swapped ids, validity, time, one element more and one less.
+// Every mutation of a sealed record and of a tail record makes load
+// throw an error naming that observation; the untouched dataset loads.
+TEST(Segment, ResumeSeesEveryRowField) {
+  ScratchDir dir("every_field");
+  Dataset d;
+  d.name = "every-field";
+  const std::size_t nets = 41;
+  for (std::size_t n = 0; n < nets; ++n) d.networks.intern(n);
+  for (std::size_t s = 0; s < 12; ++s) {
+    d.sites.intern("site" + std::to_string(s));
+  }
   RoutingVector base;
-  base.time = 1'700'000'000;
   base.valid = true;
-  for (std::size_t i = 0; i < 41; ++i) {
+  for (std::size_t i = 0; i < nets; ++i) {
     base.assignment.push_back(static_cast<SiteId>(3 + (i * 7) % 11));
   }
-  const std::uint64_t h0 = segment_row_hash(base);
-  std::vector<std::uint64_t> seen{h0};
-  for (std::size_t i = 0; i < base.assignment.size(); ++i) {
-    for (const SiteId changed : {base.assignment[i] + 1, SiteId{1} << 31}) {
-      RoutingVector v = base;
-      v.assignment[i] = changed;
-      seen.push_back(segment_row_hash(v));
+  for (std::size_t t = 0; t < 3; ++t) {
+    base.time = 1'700'000'000 + static_cast<TimePoint>(t) * kDay;
+    d.series.push_back(base);
+  }
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 2;  // observations 0 and 1 seal, 2 stays in the tail
+  cfg.background_compaction = false;
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    grow(store, live, d, 0, d.series.size(), 2);
+    ASSERT_EQ(store.segments().size(), 1u);
+    ASSERT_EQ(store.tail_rows(), 1u);
+    ASSERT_EQ(store.segments()[0].bits, 4u);
+  }
+  const SegmentStore store(dir.path, cfg);
+  EXPECT_EQ(store.load(&d).matrix.size(), 3u);
+
+  for (const std::size_t g : {std::size_t{1}, std::size_t{2}}) {
+    const RoutingVector& row = d.series[g];
+    std::vector<std::pair<std::string, RoutingVector>> mutants;
+    for (std::size_t i = 0; i < nets; ++i) {
+      for (const SiteId changed : {row.assignment[i] + 1, SiteId{1} << 31}) {
+        RoutingVector v = row;
+        v.assignment[i] = changed;
+        mutants.emplace_back("site " + std::to_string(i) + " = " +
+                                 std::to_string(changed),
+                             v);
+      }
+    }
+    RoutingVector v = row;
+    std::swap(v.assignment[4], v.assignment[5]);
+    mutants.emplace_back("ids 4 and 5 swapped", v);
+    v = row;
+    std::swap(v.assignment[10], v.assignment[12]);
+    mutants.emplace_back("ids 10 and 12 swapped", v);
+    v = row;
+    v.valid = false;
+    mutants.emplace_back("validity", v);
+    v = row;
+    v.time += 1;
+    mutants.emplace_back("time", v);
+    v = row;
+    v.assignment.push_back(0);  // a trailing unknown must still count
+    mutants.emplace_back("one element more", v);
+    v = row;
+    v.assignment.pop_back();
+    mutants.emplace_back("one element less", v);
+    for (const auto& [what, mutant] : mutants) {
+      Dataset changed = d;
+      changed.series[g] = mutant;
+      expect_row_mismatch(store, changed, g,
+                          "observation " + std::to_string(g) + ", " + what);
     }
   }
-  RoutingVector swapped = base;
-  std::swap(swapped.assignment[4], swapped.assignment[5]);    // one word
-  seen.push_back(segment_row_hash(swapped));
-  swapped = base;
-  std::swap(swapped.assignment[10], swapped.assignment[12]);  // two lanes
-  seen.push_back(segment_row_hash(swapped));
-  RoutingVector v = base;
-  v.valid = false;
-  seen.push_back(segment_row_hash(v));
-  v = base;
-  v.time += 1;
-  seen.push_back(segment_row_hash(v));
-  v = base;
-  v.assignment.push_back(0);  // a zero high half must still count
-  seen.push_back(segment_row_hash(v));
-  v = base;
-  v.assignment.pop_back();
-  seen.push_back(segment_row_hash(v));
-
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
-      << "two distinct observations share a row hash";
-  EXPECT_EQ(segment_row_hash(base), h0) << "the hash is deterministic";
 }
 
-// The stored hashes are part of the on-disk format: a change to the
-// hash must bump kSegmentVersion, not slip through. The value is the
+// The stored hashes are part of the on-disk format: a change to either
+// must bump kManifestVersion, not slip through. Rows carry no hash; the
+// manifest keeps the dataset's header hash (network keys and weights)
+// and its names hash (the site names the rows use). The values are the
 // same on every host (words are built by value).
 TEST(Segment, IdentityHashIsPinned) {
+  ScratchDir dir("pinned");
+  Dataset d;
+  d.name = "pinned";
+  for (std::uint64_t n = 0; n < 11; ++n) d.networks.intern(n * 0x01010101u);
+  for (std::size_t n = 0; n < 11; ++n) d.weights.push_back(0.25 * (n + 1));
+  for (const char* name : {"lax", "iad", "ams", "nrt"}) d.sites.intern(name);
   RoutingVector v;
   v.time = 1'577'836'800;  // 2020-01-01
   v.valid = true;
-  for (SiteId s = 0; s < 11; ++s) v.assignment.push_back(s * 0x01010101u);
-  EXPECT_EQ(segment_row_hash(v), 0x56E6AB0FF9FD656Aull);
+  for (SiteId s = 0; s < 11; ++s) v.assignment.push_back(s % 7);
+  d.series.push_back(v);
+  {
+    SegmentStore store(dir.path, SegmentStoreConfig{});
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    grow(store, live, d, 0, 1);
+  }
+  // Magic, version and length, then four flag bytes: the header hash,
+  // the names hash and the largest site id the rows use.
+  const std::string manifest = read_file(dir.path / "MANIFEST");
+  const std::size_t hashes_at = 8 + 4 + 8 + 4;
+  EXPECT_EQ(get_le64(manifest, hashes_at + 16), 6u);
+  EXPECT_EQ(get_le64(manifest, hashes_at), 0x2905DE6077DB0666ull);
+  EXPECT_EQ(get_le64(manifest, hashes_at + 8), 0xA2D2EE4961320690ull);
 }
 
 // The header hash covers every network key: one renamed network makes
@@ -638,15 +784,6 @@ TEST(Segment, VersionOneStoreRefused) {
   } catch (const DatasetIoError& e) {
     expect_skew(e.what(), "open, v1 manifest");
   }
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-void write_file(const fs::path& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 // A watch's ModeBook survives flush → reopen → load → restore at every
@@ -848,6 +985,7 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       {with_version(2), "version skew", "file is v2"},
       {with_version(3), "version skew", "file is v3"},
       {with_version(4), "version skew", "file is v4"},
+      {with_version(5), "version skew", "file is v5"},
       {bad_mode, "inconsistent", "identity mode 2"},
       {with_rep0(0, 3), "inconsistent", "packed width 3"},
       {with_rep0(8, 79), "inconsistent", "covers 79 networks"},
@@ -876,10 +1014,44 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   EXPECT_EQ(messages.size(), cases.size()) << "two classes share a message";
 
   write_file(manifest, good);
+  {
+    SegmentStore store(dir.path, cfg);
+    EXPECT_EQ(store.processed(), d.series.size());
+    std::string error;
+    EXPECT_TRUE(store.verify(&error)) << error;
+  }
+
+  // Segment files of the previous layout (v3: 32-byte record headers
+  // holding a row hash) are version skew as well: a sealed one when
+  // load() maps it, the tail when the open reads its header.
+  std::string tail_name;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("tail-", 0) == 0) tail_name = name;
+  }
+  ASSERT_FALSE(tail_name.empty());
+  for (const std::string name : {std::string("seg-0.fenrseg"), tail_name}) {
+    const fs::path file = dir.path / name;
+    const std::string file_good = read_file(file);
+    std::string v3 = file_good;
+    put_le(v3, sizeof(kSegmentMagic), 3, 4);
+    write_file(file, v3);
+    const std::uint64_t seq = obs::event_bus().last_seq();
+    try {
+      const SegmentStore store(dir.path, cfg);
+      (void)store.load(&d);
+      ADD_FAILURE() << name << ": v3 segment accepted";
+    } catch (const DatasetIoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version skew"), std::string::npos) << what;
+      EXPECT_NE(what.find("file is v3"), std::string::npos) << what;
+    }
+    EXPECT_EQ(obs::event_bus().since(seq, "segment_store_corrupt").size(), 1u)
+        << name;
+    write_file(file, file_good);
+  }
   SegmentStore store(dir.path, cfg);
-  EXPECT_EQ(store.processed(), d.series.size());
-  std::string error;
-  EXPECT_TRUE(store.verify(&error)) << error;
+  EXPECT_EQ(store.load(&d).matrix.size(), d.series.size());
 }
 
 // Records past the write-through threshold reach the tail file during
@@ -898,8 +1070,8 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
   const double before = tail_bytes.value();
   const fs::path tail = dir.path / "tail-0.fenrseg";
 
-  store.append_raw(true, 0, kNoAnchor, 0, networks, 32, packed, phi);
-  const std::uintmax_t record = 32 + networks * 4 + 8;
+  store.append_raw(true, 0, kNoAnchor, networks, 32, packed, phi);
+  const std::uintmax_t record = kRecordFieldBytes + networks * 4 + 8;
   EXPECT_EQ(fs::file_size(tail), kSegmentHeaderBytes + record)
       << "a record past the threshold is written through at spill";
   EXPECT_EQ(tail_bytes.value(), before) << "written ahead is not durable";
@@ -1208,7 +1380,8 @@ std::uintmax_t tail_bytes_for(std::size_t rows, std::size_t networks,
                               std::size_t bits) {
   std::uintmax_t bytes = kSegmentHeaderBytes;
   for (std::size_t g = 0; g < rows; ++g) {
-    bytes += 32 + (core::packed_row_bytes(networks, bits) + 7) / 8 * 8 +
+    bytes += kRecordFieldBytes +
+             (core::packed_row_bytes(networks, bits) + 7) / 8 * 8 +
              8 * (g + 1);
   }
   return bytes;
@@ -1391,11 +1564,11 @@ TEST(Segment, FlushWritesOnlyNewRows) {
   store.spill(d.series[30], live);
   store.flush();
   const double one_row = tail_bytes.value() - before;
-  // One record: 32 bytes of fixed fields + the packed row (80 4-bit
+  // One record: 24 bytes of fixed fields + the packed row (80 4-bit
   // ids, 40 bytes) + 31 Φ columns. It must not scale with the 30 rows
   // of history (a whole-file save would rewrite ~history²/2 doubles
   // here).
-  const double record = 32 + 40 + 31 * 8;
+  const double record = kRecordFieldBytes + 40 + 31 * 8;
   EXPECT_EQ(one_row, record);
 }
 
@@ -1411,10 +1584,13 @@ TEST(Segment, FlushWritesOnlyNewRows) {
 // to boundary values or nudging them. On half the mutations the
 // manifest CRC, or the segment's checksum in its trailer and in the
 // manifest, is re-signed so the structural checks behind the checksums
-// are reached. Every
-// open, load (with and without the dataset) and verify must either
-// produce a consistent store or throw DatasetIoError, and verify must
-// answer false with an error rather than throw.
+// are reached. Every open, load (with and without the dataset) and
+// verify must either produce a consistent store or throw DatasetIoError,
+// and verify must answer false with an error rather than throw. A load
+// against the dataset that succeeds must be exact: every retained
+// record holds its dataset row's validity, time and site ids, and every
+// adopted matrix row its validity — damage the sealed checksums cannot
+// see (the tail has none, and half the mutants re-sign) must be refused.
 
 struct FuzzBase {
   Dataset d;
@@ -1462,20 +1638,6 @@ std::string& file_of(std::vector<std::pair<std::string, std::string>>& files,
   throw std::logic_error("fuzz base lacks " + name);
 }
 
-void put_le(std::string& b, std::size_t at, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes && at + i < b.size(); ++i) {
-    b[at + i] = static_cast<char>(v >> (8 * i));
-  }
-}
-
-std::uint64_t get_le64(const std::string& b, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8 && at + i < b.size(); ++i) {
-    v |= std::uint64_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
-  }
-  return v;
-}
-
 /// Offsets of the u64 fields a decoder steers by, in a known-good
 /// @p bytes of file @p name: for the MANIFEST (empty weights) the
 /// header counts, every sealed entry, the tail and the modebook's widths,
@@ -1485,7 +1647,10 @@ std::vector<std::size_t> u64_fields(const std::string& name,
   std::vector<std::size_t> at;
   if (name != "MANIFEST") {
     for (std::size_t f = 16; f <= 80; f += 8) at.push_back(f);
-    for (std::size_t f = 128; f < 160; f += 8) at.push_back(f);
+    for (std::size_t f = kSegmentHeaderBytes;
+         f < kSegmentHeaderBytes + kRecordFieldBytes; f += 8) {
+      at.push_back(f);
+    }
     return at;
   }
   for (std::size_t f = 24; f <= 96; f += 8) at.push_back(f);
@@ -1519,32 +1684,68 @@ std::vector<std::size_t> u64_fields(const std::string& name,
   return at;
 }
 
-void resign_manifest(std::string& m) {
-  if (m.size() < 4) return;
-  put_le(m, m.size() - 4, wire::payload_checksum(m.data(), m.size() - 4), 4);
-}
-
-/// Re-signs seg-0's payload checksum in its trailer and in the manifest's
-/// first sealed entry (the header's payload length decides the range).
-void resign_segment(std::string& seg, std::string& manifest) {
-  const std::uint64_t payload = get_le64(seg, 8 + 4 + 4 + 8 * 6);
-  if (seg.size() < kSegmentHeaderBytes ||
-      payload > seg.size() - kSegmentHeaderBytes) {
-    return;
+/// The exactness oracle for a store in @p dir that loaded as @p l
+/// against @p d: every adopted matrix row has its dataset row's
+/// validity, and every record of the retained window — the sealed
+/// segments and the tail where the store's MANIFEST (empty weights)
+/// places them — holds its dataset row's validity, time and site ids.
+void expect_exact_rows(const fs::path& dir, const Dataset& d,
+                       const SegmentStore::Loaded& l,
+                       const std::string& label) {
+  for (std::size_t i = 0; i < l.matrix.size(); ++i) {
+    ASSERT_EQ(l.matrix.valid(i), d.series[l.base_row + i].valid)
+        << label << ": adopted row " << i;
   }
-  const std::uint32_t crc = wire::payload_checksum(
-      seg.data() + kSegmentHeaderBytes, static_cast<std::size_t>(payload));
-  put_le(seg, kSegmentHeaderBytes + payload, crc, 4);
-  // Magic, version, length, four flag bytes, three hashes, networks,
-  // the (empty) weights, base_row, processed, next id, newest time and
-  // the sealed count, then the entry: its checksum is 48 bytes in.
-  put_le(manifest, 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8 * 5 + 48, crc, 4);
-  resign_manifest(manifest);
+  const std::string m = read_file(dir / "MANIFEST");
+  const auto networks = static_cast<std::size_t>(get_le64(m, 48));
+  struct Run {
+    std::string file;
+    std::uint64_t base_row, rows, tri_base, bits;
+  };
+  std::vector<Run> runs;
+  const std::uint64_t sealed = get_le64(m, 96);
+  for (std::uint64_t k = 0; k < sealed; ++k) {
+    const std::size_t e = 104 + 68 * k;
+    runs.push_back({"seg-" + std::to_string(get_le64(m, e)) + ".fenrseg",
+                    get_le64(m, e + 8), get_le64(m, e + 16),
+                    get_le64(m, e + 24), get_le64(m, e + 32)});
+  }
+  if (const std::size_t t = 104 + 68 * sealed; m[t] != 0) {
+    runs.push_back({"tail-" + std::to_string(get_le64(m, t + 1)) + ".fenrseg",
+                    get_le64(m, t + 9), get_le64(m, t + 33),
+                    get_le64(m, t + 17), get_le64(m, t + 25)});
+  }
+  for (const Run& run : runs) {
+    const std::string bytes = read_file(dir / run.file);
+    const std::size_t row = core::packed_row_bytes(networks, run.bits);
+    std::size_t at = kSegmentHeaderBytes;
+    for (std::uint64_t g = run.base_row; g < run.base_row + run.rows; ++g) {
+      const std::string where = label + ": observation " + std::to_string(g);
+      ASSERT_LE(at + kRecordFieldBytes + row, bytes.size()) << where;
+      const RoutingVector& want = d.series[g];
+      ASSERT_EQ(want.assignment.size(), networks) << where;
+      EXPECT_EQ(get_le64(bytes, at) & 1, want.valid ? 1u : 0u) << where;
+      EXPECT_EQ(static_cast<TimePoint>(get_le64(bytes, at + 8)), want.time)
+          << where;
+      const auto* rec =
+          reinterpret_cast<const std::byte*>(bytes.data()) + at +
+          kRecordFieldBytes;
+      core::with_bits(run.bits, [&](auto b) {
+        for (std::size_t i = 0; i < networks; ++i) {
+          ASSERT_EQ(core::packed_at<decltype(b)::value>(rec, i),
+                    want.assignment[i])
+              << where << ", network " << i;
+        }
+      });
+      at += kRecordFieldBytes + (row + 7) / 8 * 8 +
+            8 * static_cast<std::size_t>(g - run.tri_base + 1);
+    }
+  }
 }
 
 /// Opens, loads and verifies the store in @p dir; any exception other
-/// than DatasetIoError, an inconsistent load or a silent verify failure
-/// is a test failure.
+/// than DatasetIoError, an inconsistent or inexact load or a silent
+/// verify failure is a test failure.
 void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
                                   const std::string& label) {
   SegmentStoreConfig cfg;
@@ -1555,6 +1756,10 @@ void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
       try {
         SegmentStore::Loaded l = store.load(identity);
         ASSERT_EQ(l.matrix.size(), l.processed - l.base_row) << label;
+        if (identity != nullptr) {
+          expect_exact_rows(dir, d, l, label);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
         if (l.has_modebook) {
           core::ModeBook book;
           book.restore(std::move(l.representatives), std::move(l.history));

@@ -4,6 +4,7 @@
 
 #include <regex>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,6 +181,37 @@ TEST(Metrics, RegistryIdentityAndKindMismatch) {
   EXPECT_EQ(&a, &b);
   EXPECT_THROW(r.gauge("x_total"), std::logic_error);
   EXPECT_EQ(r.size(), 1u);
+
+  // Identity holds for first registrations racing on several threads
+  // (two parallel_for instantiations register their job counter that
+  // way): every thread gets the one instrument the registry keeps.
+  constexpr int kThreads = 8;
+  constexpr int kNames = 300;
+  std::vector<std::vector<const void*>> seen(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&r, &seen, t] {
+      for (int k = 0; k < kNames; ++k) {
+        const std::string n = std::to_string(k);
+        seen[t].push_back(&r.counter("race_" + n + "_total"));
+        seen[t].push_back(&r.gauge("race_" + n));
+        seen[t].push_back(&r.histogram("race_" + n + "_seconds", {1.0}));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int k = 0; k < kNames; ++k) {
+    const std::string n = std::to_string(k);
+    const void* want[] = {&r.counter("race_" + n + "_total"),
+                          &r.gauge("race_" + n),
+                          &r.histogram("race_" + n + "_seconds", {1.0})};
+    for (int t = 0; t < kThreads; ++t) {
+      for (int m = 0; m < 3; ++m) {
+        ASSERT_EQ(seen[t][3 * k + m], want[m])
+            << "thread " << t << " name " << k;
+      }
+    }
+  }
 }
 
 TEST(Metrics, PrometheusExposition) {
