@@ -76,8 +76,9 @@ SegMetrics& seg_metrics() {
                               "record bytes made durable in tail segments"),
       obs::registry().counter(
           "fenrir_segment_checksum_verified_total",
-          "segment payload checksums actually recomputed (once per "
-          "mapped or compacted segment, never per save)")};
+          "segment records whose checksum was verified (load, verify, "
+          "compaction and a crashed seal's roll-forward check each record "
+          "they read once; saves check none)")};
   return m;
 }
 
@@ -109,8 +110,8 @@ bool valid_bits(std::uint64_t bits) {
 /// Record r holds 24 + pad8(row) + 8·(base_row − tri_base + 1 + r) bytes,
 /// so the sum is rows·(24 + pad8(row) + 8·first) + 4·rows·(rows − 1).
 /// Nullopt when any step overflows, or when the segment file's size
-/// (header + payload + trailer) would: such a segment cannot exist, and
-/// the decoder refuses it before a record is read.
+/// (header + payload) would: such a segment cannot exist, and the
+/// decoder refuses it before a record is read.
 std::optional<std::uint64_t> derived_payload(std::uint64_t base_row,
                                              std::uint64_t rows,
                                              std::uint64_t tri_base,
@@ -129,7 +130,7 @@ std::optional<std::uint64_t> derived_payload(std::uint64_t base_row,
       __builtin_mul_overflow(rows, rows == 0 ? 0 : rows - 1, &tri) ||
       __builtin_mul_overflow(tri, 4, &tri) ||
       __builtin_add_overflow(sum, tri, &sum) ||
-      sum > kMax - kSegmentHeaderBytes - kSegmentTrailerBytes) {
+      sum > kMax - kSegmentHeaderBytes) {
     return std::nullopt;
   }
   return sum;
@@ -170,87 +171,53 @@ void put_packed_row(std::string& out, const std::byte* src,
   out.append(pad8(bytes) - bytes, '\0');
 }
 
-std::string encode_segment_header(std::uint32_t flags, std::uint64_t id,
-                                  std::uint64_t base_row, std::uint64_t rows,
-                                  std::uint64_t networks, std::uint64_t bits,
-                                  std::uint64_t tri_base,
-                                  std::uint64_t payload_bytes,
-                                  std::int64_t min_time,
-                                  std::int64_t max_time) {
+/// A segment file's 128-byte header for @p s. A tail's (@p sealed
+/// false) records only what is fixed when the tail opens — rows,
+/// payload_bytes and the times stay 0 — and the seal rewrites it whole.
+std::string encode_segment_header(const SegmentInfo& s, bool sealed,
+                                  std::uint64_t networks) {
   std::string h;
   h.append(kSegmentMagic, sizeof(kSegmentMagic));
   put_u32(h, kSegmentVersion);
-  put_u32(h, flags);
-  put_u64(h, id);
-  put_u64(h, base_row);
-  put_u64(h, rows);
+  put_u32(h, sealed ? kFlagSealed : 0);
+  put_u64(h, s.id);
+  put_u64(h, s.base_row);
+  put_u64(h, sealed ? s.rows : 0);
   put_u64(h, networks);
-  put_u64(h, bits);
-  put_u64(h, tri_base);
-  put_u64(h, payload_bytes);
-  put_i64(h, min_time);
-  put_i64(h, max_time);
+  put_u64(h, s.bits);
+  put_u64(h, s.tri_base);
+  put_u64(h, sealed ? s.payload_bytes : 0);
+  put_i64(h, sealed ? s.min_time : 0);
+  put_i64(h, sealed ? s.max_time : 0);
   h.resize(kSegmentHeaderBytes, '\0');
   return h;
 }
 
-struct SegmentHeader {
-  std::uint32_t flags = 0;
-  std::uint64_t id = 0;
-  std::uint64_t base_row = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t networks = 0;
-  std::uint64_t bits = 0;
-  std::uint64_t tri_base = 0;
-  std::uint64_t payload_bytes = 0;
-  std::int64_t min_time = 0;
-  std::int64_t max_time = 0;
-};
+/// A record's checksum, what bits 32..63 of its meta word hold:
+/// wire::payload_checksum over every other byte of the record — meta's
+/// low half, and everything from time on — the two hashes XORed.
+std::uint32_t record_checksum(const std::byte* rec, std::size_t size) {
+  return payload_checksum(rec, 4) ^ payload_checksum(rec + 8, size - 8);
+}
 
-SegmentHeader decode_segment_header(const std::byte* data, std::size_t size,
-                                    const std::string& name) {
-  if (size < kSegmentHeaderBytes ||
-      std::memcmp(data, kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    throw store_corrupt("segment " + name +
-                        ": bad magic — not a fenrir segment file (expected "
-                        "it to start with FENRSEG1)");
-  }
-  Reader r{reinterpret_cast<const unsigned char*>(data), kSegmentHeaderBytes,
-           sizeof(kSegmentMagic), "segment"};
-  SegmentHeader h;
-  const std::uint32_t version = r.get_u32();
-  if (version != kSegmentVersion) {
-    throw store_corrupt("segment " + name + ": version skew — file is v" +
-                        std::to_string(version) + ", this build reads v" +
-                        std::to_string(kSegmentVersion));
-  }
-  h.flags = r.get_u32();
-  h.id = r.get_u64();
-  h.base_row = r.get_u64();
-  h.rows = r.get_u64();
-  h.networks = r.get_u64();
-  h.bits = r.get_u64();
-  h.tri_base = r.get_u64();
-  h.payload_bytes = r.get_u64();
-  h.min_time = r.get_i64();
-  h.max_time = r.get_i64();
-  if (!valid_bits(h.bits)) {
-    throw store_corrupt("segment " + name +
-                        ": inconsistent — packed width " +
-                        std::to_string(h.bits) +
-                        " bits is not 4, 8, 16, or 32");
-  }
-  if (h.tri_base > h.base_row) {
-    throw store_corrupt("segment " + name +
-                        ": inconsistent — tri_base past base_row");
-  }
-  if (derived_payload(h.base_row, h.rows, h.tri_base, h.networks, h.bits) !=
-      h.payload_bytes) {
-    throw store_corrupt("segment " + name +
-                        ": inconsistent — the payload disagrees with the "
-                        "header's rows");
-  }
-  return h;
+/// Appends one record to @p out — meta, time, anchor_of, the packed row
+/// of @p networks @p src_bits-bit elements at @p dst_bits, then the Φ
+/// columns @p put_phi appends — and signs it. The spill and compaction
+/// both encode through here.
+template <class PutPhi>
+void put_record(std::string& out, bool valid, std::int64_t time,
+                std::uint64_t anchor_of, const std::byte* packed,
+                std::size_t networks, std::size_t src_bits,
+                std::size_t dst_bits, PutPhi&& put_phi) {
+  const std::size_t at = out.size();
+  put_u64(out, valid ? 1 : 0);
+  put_i64(out, time);
+  put_u64(out, anchor_of);
+  put_packed_row(out, packed, networks, src_bits, dst_bits);
+  put_phi(out);
+  const std::uint32_t crc = record_checksum(
+      reinterpret_cast<const std::byte*>(out.data() + at), out.size() - at);
+  patch_u64(out, at, (valid ? 1 : 0) | std::uint64_t{crc} << 32);
 }
 
 // --- POSIX helpers (EINTR-safe, DatasetIoError on failure) --------------
@@ -370,7 +337,7 @@ std::string read_whole_file(const std::filesystem::path& path) {
   return std::move(buffer).str();
 }
 
-/// One read-only mapping of a sealed segment, alive as long as any
+/// One read-only mapping of a whole segment file, alive as long as any
 /// matrix adopted pages from it.
 struct Mapping {
   const std::byte* data = nullptr;
@@ -389,7 +356,8 @@ struct Mapping {
   }
 };
 
-Mapping map_file(const std::filesystem::path& path, std::size_t need) {
+/// Maps all of @p path; an empty file maps to an empty Mapping.
+Mapping map_file(const std::filesystem::path& path) {
   const int fd = open_or_throw(path, O_RDONLY, 0);
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
@@ -398,31 +366,28 @@ Mapping map_file(const std::filesystem::path& path, std::size_t need) {
     throw DatasetIoError("cannot stat " + path.string() + ": " +
                          std::strerror(err));
   }
-  if (static_cast<std::size_t>(st.st_size) < need) {
+  Mapping m;
+  if (st.st_size == 0) {
     ::close(fd);
-    throw store_corrupt("segment " + path.filename().string() +
-                        ": truncated — the file ends before its recorded "
-                        "payload");
+    return m;
   }
-  void* addr = ::mmap(nullptr, need, PROT_READ, MAP_PRIVATE, fd, 0);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   const int err = errno;
   ::close(fd);
   if (addr == MAP_FAILED) {
     throw DatasetIoError("cannot mmap " + path.string() + ": " +
                          std::strerror(err));
   }
-  Mapping m;
   m.data = static_cast<const std::byte*>(addr);
-  m.size = need;
+  m.size = size;
   return m;
 }
 
-/// What load() keeps alive behind the matrix: the sealed mappings, the
-/// tail's read-back bytes, and the host-order Φ copies a big-endian host
-/// makes.
+/// What load() keeps alive behind the matrix: the sealed mappings and
+/// the host-order Φ copies a big-endian host makes.
 struct LoadKeepalive {
   std::vector<Mapping> maps;
-  std::string tail_bytes;
   std::vector<std::vector<double>> phi_buffers;
 };
 
@@ -447,6 +412,71 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   v.phi_count = static_cast<std::size_t>(g - tri_base + 1);
   return v;
 }
+
+/// The one check of a segment file, whoever reads it — load(), verify(),
+/// compaction, the roll-forward of a crashed seal. Maps @p path and
+/// holds it to @p want, what the manifest records of it: magic and
+/// version, every header byte (a sealed file's or a tail's, see
+/// encode_segment_header), a size of exactly 128 + payload_bytes for a
+/// sealed file and at least that for a tail (records written ahead of
+/// the manifest may follow). Then walks the records, refusing the first
+/// whose checksum disagrees and handing each verified one to
+/// @p take(record, global row). decode_manifest() derived
+/// want.payload_bytes from its rows, so the walk stays inside the map.
+template <class Take>
+Mapping check_segment(const std::filesystem::path& path,
+                      const SegmentInfo& want, bool sealed,
+                      std::size_t networks, Take&& take) {
+  Mapping m = map_file(path);
+  const std::string name = "segment " + path.filename().string() + ": ";
+  if (m.size < kSegmentHeaderBytes ||
+      std::memcmp(m.data, kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
+    throw store_corrupt(name +
+                        "bad magic — not a fenrir segment file (expected it "
+                        "to start with FENRSEG1)");
+  }
+  const auto version = static_cast<std::uint32_t>(
+      load_u64le(m.data + sizeof(kSegmentMagic)));
+  if (version != kSegmentVersion) {
+    throw store_corrupt(name + "version skew — file is v" +
+                        std::to_string(version) + ", this build reads v" +
+                        std::to_string(kSegmentVersion));
+  }
+  if (std::memcmp(m.data, encode_segment_header(want, sealed, networks).data(),
+                  kSegmentHeaderBytes) != 0) {
+    throw store_corrupt(name +
+                        "inconsistent — the header disagrees with the "
+                        "manifest");
+  }
+  const std::size_t need =
+      kSegmentHeaderBytes + static_cast<std::size_t>(want.payload_bytes);
+  if (m.size < need) {
+    throw store_corrupt(name +
+                        "truncated — the file ends before its recorded "
+                        "payload");
+  }
+  if (sealed && m.size > need) {
+    throw store_corrupt(name + "trailing bytes after the recorded payload");
+  }
+  const auto bits = static_cast<std::size_t>(want.bits);
+  const std::byte* rec = m.data + kSegmentHeaderBytes;
+  for (std::uint64_t g = want.base_row; g < want.base_row + want.rows; ++g) {
+    const std::size_t size = record_bytes(g, want.tri_base, networks, bits);
+    if (record_checksum(rec, size) != load_u64le(rec) >> 32) {
+      throw store_corrupt(name + "checksum mismatch at observation " +
+                          std::to_string(g) +
+                          " — the record is corrupt (bit rot or a partial "
+                          "copy)");
+    }
+    take(rec, g);
+    rec += size;
+  }
+  seg_metrics().checksum_verified.inc(want.rows);
+  return m;
+}
+
+/// check_segment()'s @p take for a reader that only checks.
+void skip_record(const std::byte*, std::uint64_t) {}
 
 /// Reads a representative's network count, refusing one whose packed
 /// row could not fit in what is left of @p r.
@@ -634,85 +664,55 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
         tail_.reset();
         dirty = true;
       };
+      // A seal interrupted after its header write (the file is still
+      // tail-<id>) or after its rename (seg-<id>): the manifest still
+      // lists the tail. Adopt the file once it checks out as that tail,
+      // sealed — its rows the manifest's durable rows.
+      const auto adopt_sealed = [&](const std::filesystem::path& p) {
+        check_segment(p, tail_->durable(), true, networks_, skip_record);
+        if (p != sp) {
+          if (::rename(p.c_str(), sp.c_str()) != 0) {
+            throw DatasetIoError("cannot rename " + p.string() + ": " +
+                                 std::strerror(errno));
+          }
+          fsync_dir(dir_);
+        }
+        sealed_.push_back(tail_->durable());
+        tail_.reset();
+        dirty = true;
+      };
       if (std::filesystem::exists(tp)) {
-        std::string head(kSegmentHeaderBytes, '\0');
         const int fd = open_or_throw(tp, O_RDWR, 0);
         struct stat st{};
         ::fstat(fd, &st);
         const std::size_t need =
             kSegmentHeaderBytes + tail_->payload_bytes;
-        if (static_cast<std::size_t>(st.st_size) < need) {
+        const bool torn = static_cast<std::size_t>(st.st_size) < need;
+        std::byte head[16]{};  // magic, version, flags
+        if (!torn) pread_all(fd, head, sizeof(head), 0, tp);
+        if (torn) {
           ::close(fd);
           salvage();  // the protocol was violated below us — drop the tail
+        } else if ((load_u64le(head + 8) >> 32 & kFlagSealed) != 0) {
+          ::close(fd);
+          adopt_sealed(tp);
         } else {
-          pread_all(fd, head.data(), head.size(), 0, tp);
-          const SegmentHeader h = decode_segment_header(
-              reinterpret_cast<const std::byte*>(head.data()), head.size(),
-              tp.filename().string());
-          if ((h.flags & kFlagSealed) != 0) {
-            // Crashed between the seal's header patch and its rename:
-            // finish the rename and adopt the sealed segment below.
-            ::close(fd);
-            if (::rename(tp.c_str(), sp.c_str()) != 0) {
-              throw DatasetIoError("cannot rename " + tp.string() +
-                                   ": " + std::strerror(errno));
+          // Drop any appended-but-unmanifested suffix.
+          if (static_cast<std::size_t>(st.st_size) > need) {
+            if (::ftruncate(fd, static_cast<off_t>(need)) != 0) {
+              const int err = errno;
+              ::close(fd);
+              throw DatasetIoError("cannot truncate " + tp.string() + ": " +
+                                   std::strerror(err));
             }
-            fsync_dir(dir_);
-          } else {
-            // Drop any appended-but-unmanifested suffix.
-            if (static_cast<std::size_t>(st.st_size) > need) {
-              if (::ftruncate(fd, static_cast<off_t>(need)) != 0) {
-                const int err = errno;
-                ::close(fd);
-                throw DatasetIoError("cannot truncate " + tp.string() +
-                                     ": " + std::strerror(err));
-              }
-            }
-            tail_->rows = tail_->durable_rows;
-            tail_->fd = fd;
           }
+          tail_->rows = tail_->durable_rows;
+          tail_->fd = fd;
         }
-      } else if (!std::filesystem::exists(sp)) {
+      } else if (std::filesystem::exists(sp)) {
+        adopt_sealed(sp);
+      } else {
         salvage();  // the tail vanished entirely
-      }
-      // A seal that crashed after its rename (with or without the
-      // roll-forward above): the sealed file exists under seg-<id> but
-      // the manifest still lists it as the tail.
-      if (tail_.has_value() && tail_->fd < 0 &&
-          std::filesystem::exists(sp)) {
-        const std::string bytes2 = read_whole_file(sp);
-        const SegmentHeader h = decode_segment_header(
-            reinterpret_cast<const std::byte*>(bytes2.data()), bytes2.size(),
-            sp.filename().string());
-        if (h.id != tail_->id || h.base_row != tail_->base_row ||
-            h.tri_base != tail_->tri_base || h.bits != tail_->bits ||
-            h.networks != networks_) {
-          throw store_corrupt("segment " + sp.filename().string() +
-                              ": inconsistent — the header disagrees with "
-                              "the manifest's tail");
-        }
-        if (bytes2.size() <
-            kSegmentHeaderBytes + h.payload_bytes + kSegmentTrailerBytes) {
-          throw store_corrupt("segment " + sp.filename().string() +
-                              ": truncated — the file ends before its "
-                              "recorded payload");
-        }
-        SegmentInfo info;
-        info.id = h.id;
-        info.base_row = h.base_row;
-        info.rows = h.rows;
-        info.tri_base = h.tri_base;
-        info.bits = h.bits;
-        info.payload_bytes = h.payload_bytes;
-        info.checksum = static_cast<std::uint32_t>(load_u64le(
-            reinterpret_cast<const std::byte*>(bytes2.data()) +
-            kSegmentHeaderBytes + h.payload_bytes));
-        info.min_time = h.min_time;
-        info.max_time = h.max_time;
-        sealed_.push_back(info);
-        processed_ = std::max(processed_, info.base_row + info.rows);
-        tail_.reset();
-        dirty = true;
       }
     }
   }
@@ -791,7 +791,6 @@ std::string SegmentStore::encode_manifest_locked() const {
     put_u64(out, s.tri_base);
     put_u64(out, s.bits);
     put_u64(out, s.payload_bytes);
-    put_u32(out, s.checksum);
     put_i64(out, s.min_time);
     put_i64(out, s.max_time);
   }
@@ -893,7 +892,7 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
           ")");
     }
   };
-  const std::size_t sealed_count = r.get_count(68);
+  const std::size_t sealed_count = r.get_count(64);
   std::uint64_t expect_base = base_row_;
   sealed_.clear();
   for (std::size_t k = 0; k < sealed_count; ++k) {
@@ -904,7 +903,6 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
     s.tri_base = r.get_u64();
     s.bits = r.get_u64();
     s.payload_bytes = r.get_u64();
-    s.checksum = r.get_u32();
     s.min_time = r.get_i64();
     s.max_time = r.get_i64();
     if (s.base_row != expect_base || s.tri_base > base_row_ ||
@@ -997,8 +995,8 @@ void SegmentStore::open_tail_locked(std::uint64_t bits) {
   t.bits = bits;
   const std::filesystem::path tp = tail_path(t.id);
   t.fd = open_or_throw(tp, O_RDWR | O_CREAT | O_TRUNC, 0644);
-  const std::string header = encode_segment_header(
-      0, t.id, t.base_row, 0, networks_, t.bits, t.tri_base, 0, 0, 0);
+  const std::string header = encode_segment_header(t.durable(), false,
+                                                   networks_);
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
   fsync_or_throw(t.fd, tp);
   tail_ = t;
@@ -1045,13 +1043,11 @@ void SegmentStore::append_record_locked(
     throw std::invalid_argument(
         "SegmentStore: phi span does not cover the retained window");
   }
-  put_u64(pending_, valid ? 1 : 0);
-  put_i64(pending_, time);
-  put_u64(pending_, anchor_of);
-  put_packed_row(pending_, packed.data(), networks,
-                 static_cast<std::size_t>(bits),
-                 static_cast<std::size_t>(bits));
-  put_u64_array(pending_, phi.data(), phi.size());
+  put_record(pending_, valid, time, anchor_of, packed.data(), networks,
+             static_cast<std::size_t>(bits), static_cast<std::size_t>(bits),
+             [&](std::string& out) {
+               put_u64_array(out, phi.data(), phi.size());
+             });
   if (tail_->rows == 0) {
     tail_->min_time = time;
     tail_->max_time = time;
@@ -1187,22 +1183,13 @@ void SegmentStore::flush_locked(bool force_seal) {
 
 void SegmentStore::seal_tail_locked() {
   TailState& t = *tail_;
+  const SegmentInfo info = t.durable();
   const std::filesystem::path tp = tail_path(t.id);
-  std::string payload(t.payload_bytes, '\0');
-  pread_all(t.fd, payload.data(), payload.size(),
-            static_cast<off_t>(kSegmentHeaderBytes), tp);
-  const std::uint32_t crc =
-      payload_checksum(payload.data(), payload.size());
-  const std::string header = encode_segment_header(
-      kFlagSealed, t.id, t.base_row, t.durable_rows, networks_, t.bits,
-      t.tri_base, t.payload_bytes, t.min_time, t.max_time);
+  // Every record already carries its checksum: the seal is one header
+  // write, so it reads nothing back, and a kill before the rename leaves
+  // a complete sealed file the next open rolls forward.
+  const std::string header = encode_segment_header(info, true, networks_);
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
-  std::string trailer;
-  put_u32(trailer, crc);
-  put_u32(trailer, 0);
-  trailer.append(kSegmentTrailerMagic, sizeof(kSegmentTrailerMagic));
-  pwrite_all(t.fd, trailer.data(), trailer.size(),
-             static_cast<off_t>(kSegmentHeaderBytes + t.payload_bytes), tp);
   fsync_or_throw(t.fd, tp);
   ::close(t.fd);
   const std::filesystem::path sp = segment_path(t.id);
@@ -1212,16 +1199,6 @@ void SegmentStore::seal_tail_locked() {
   }
   fsync_dir(dir_);
   chaos::maybe_kill_at("segment_seal_rename");
-  SegmentInfo info;
-  info.id = t.id;
-  info.base_row = t.base_row;
-  info.rows = t.durable_rows;
-  info.tri_base = t.tri_base;
-  info.bits = t.bits;
-  info.payload_bytes = t.payload_bytes;
-  info.checksum = crc;
-  info.min_time = t.min_time;
-  info.max_time = t.max_time;
   sealed_.push_back(info);
   tail_.reset();
   seg_metrics().sealed.inc();
@@ -1276,7 +1253,7 @@ std::uint64_t SegmentStore::cold_bytes() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   std::uint64_t total = 0;
   for (const SegmentInfo& s : sealed_) {
-    total += kSegmentHeaderBytes + s.payload_bytes + kSegmentTrailerBytes;
+    total += kSegmentHeaderBytes + s.payload_bytes;
   }
   return total;
 }
@@ -1305,7 +1282,7 @@ std::vector<SegmentInfo> SegmentStore::segments() const {
 void SegmentStore::publish_status_locked() const {
   std::uint64_t cold = 0;
   for (const SegmentInfo& s : sealed_) {
-    cold += kSegmentHeaderBytes + s.payload_bytes + kSegmentTrailerBytes;
+    cold += kSegmentHeaderBytes + s.payload_bytes;
   }
   std::ostringstream os;
   os << "{\"segments\":" << sealed_.size()
@@ -1319,7 +1296,6 @@ void SegmentStore::publish_status_locked() const {
 
 SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  SegMetrics& metrics = seg_metrics();
   Loaded out{core::SimilarityMatrix(policy_, weights_, cfg_.threads),
              base_row_, processed_, has_modebook_, {}, {}};
   if (has_modebook_) {
@@ -1327,9 +1303,8 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   }
   const std::uint64_t S = base_row_;
   const std::size_t retained = static_cast<std::size_t>(processed_ - S);
-  if (retained == 0) return out;
 
-  if (dataset != nullptr) {
+  if (dataset != nullptr && retained > 0) {
     if (processed_ > dataset->series.size()) {
       throw DatasetIoError(
           "segment store: state is ahead of the dataset — " +
@@ -1356,59 +1331,10 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   }
 
   auto keep = std::make_shared<LoadKeepalive>();
-  struct SegView {
-    const SegmentInfo* info;
-    const std::byte* records;  // first record, inside the mapping
-  };
-  std::vector<SegView> views;
-  views.reserve(sealed_.size());
-  bool uniform_bits = true;
-  for (const SegmentInfo& s : sealed_) {
-    const std::size_t need = kSegmentHeaderBytes +
-                             static_cast<std::size_t>(s.payload_bytes) +
-                             kSegmentTrailerBytes;
-    Mapping m = map_file(segment_path(s.id), need);
-    const std::string name = segment_path(s.id).filename().string();
-    const SegmentHeader h = decode_segment_header(m.data, m.size, name);
-    if ((h.flags & kFlagSealed) == 0 || h.id != s.id ||
-        h.base_row != s.base_row || h.rows != s.rows ||
-        h.tri_base != s.tri_base || h.bits != s.bits ||
-        h.payload_bytes != s.payload_bytes || h.networks != networks_) {
-      throw store_corrupt("segment " + name +
-                          ": inconsistent — the header disagrees with the "
-                          "manifest");
-    }
-    // Lazy-once checksum: computed at seal, verified here per mapped
-    // segment — never recomputed on the save path.
-    const std::uint32_t crc = payload_checksum(
-        m.data + kSegmentHeaderBytes, static_cast<std::size_t>(s.payload_bytes));
-    metrics.checksum_verified.inc();
-    const std::uint32_t stored = static_cast<std::uint32_t>(
-        load_u64le(m.data + kSegmentHeaderBytes + s.payload_bytes));
-    if (crc != s.checksum || stored != s.checksum) {
-      throw store_corrupt("segment " + name +
-                          ": checksum mismatch — the file is corrupt (bit "
-                          "rot or a partial copy)");
-    }
-    metrics.mmap_bytes.inc(need);
-    keep->maps.push_back(std::move(m));
-    views.push_back({&s, keep->maps.back().data + kSegmentHeaderBytes});
-    if (s.bits != sealed_.front().bits) uniform_bits = false;
-  }
-  if (tail_.has_value() && tail_->durable_rows > 0) {
-    const std::filesystem::path tp = tail_path(tail_->id);
-    keep->tail_bytes.resize(static_cast<std::size_t>(tail_->payload_bytes));
-    const int fd = open_or_throw(tp, O_RDONLY, 0);
-    try {
-      pread_all(fd, keep->tail_bytes.data(), keep->tail_bytes.size(),
-                static_cast<off_t>(kSegmentHeaderBytes), tp);
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
-    ::close(fd);
-  }
-
+  const bool uniform_bits =
+      std::all_of(sealed_.begin(), sealed_.end(), [&](const SegmentInfo& s) {
+        return s.bits == sealed_.front().bits;
+      });
   // Packed rows are little-endian in memory as on disk; only the Φ
   // doubles need a host-order copy on a big-endian host.
   const bool zero_copy =
@@ -1434,8 +1360,9 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   // Identity, exactly: a retained record must hold the dataset row it
   // stands for — its validity, its time, and that row packed at the
   // record's width into one reused scratch row, byte for byte. A row
-  // whose ids do not fit the record's width cannot be in it. Sealed
-  // records are checksummed as well; tail records have only this check.
+  // whose ids do not fit the record's width cannot be in it. The record
+  // has passed its checksum by now, so this refuses only intact records
+  // of another dataset.
   std::vector<std::byte> scratch;
   const auto row_differs = [&](const RecordView& rec,
                                const core::RoutingVector& want,
@@ -1457,9 +1384,9 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   const bool check_rows =
       dataset != nullptr && identity_mode_ == kIdentityRows;
   const auto take_record = [&](const std::byte* rec, std::uint64_t g,
-                               std::uint64_t tri_base, std::size_t bits,
-                               bool in_tail) {
-    const RecordView v = parse_record(rec, g, tri_base, networks_, bits);
+                               const SegmentInfo& seg, bool in_tail) {
+    const auto bits = static_cast<std::size_t>(seg.bits);
+    const RecordView v = parse_record(rec, g, seg.tri_base, networks_, bits);
     if (check_rows) {
       if (const char* field = row_differs(
               v, dataset->series[static_cast<std::size_t>(g)], bits)) {
@@ -1474,7 +1401,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     row.anchor_of = rebase_anchor(v.anchor_of);
     // The record's Φ span starts at the segment's tri_base; the matrix
     // row starts at the store's base. tri_base <= S always.
-    const std::size_t skip = static_cast<std::size_t>(S - tri_base);
+    const std::size_t skip = static_cast<std::size_t>(S - seg.tri_base);
     row.packed = v.packed;
     if constexpr (std::endian::native == std::endian::little) {
       row.phi = reinterpret_cast<const double*>(v.phi_bytes) + skip;
@@ -1500,31 +1427,26 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     }
   };
 
-  // decode_manifest() derived every payload from its rows, so these
-  // walks stay inside the mapped and read-back bytes.
-  for (const SegView& view : views) {
-    const SegmentInfo& s = *view.info;
-    const auto bits = static_cast<std::size_t>(s.bits);
-    const std::byte* rec = view.records;
-    for (std::uint64_t r = 0; r < s.rows; ++r) {
-      const std::uint64_t g = s.base_row + r;
-      take_record(rec, g, s.tri_base, bits, false);
-      rec += record_bytes(g, s.tri_base, networks_, bits);
-    }
+  for (const SegmentInfo& s : sealed_) {
+    Mapping m = check_segment(
+        segment_path(s.id), s, true, networks_,
+        [&](const std::byte* rec, std::uint64_t g) {
+          take_record(rec, g, s, false);
+        });
+    seg_metrics().mmap_bytes.inc(m.size);
+    keep->maps.push_back(std::move(m));
   }
   if (zero_copy && !copy_initialized && !adopted.empty()) {
     matrix.adopt_rows(networks_, adopt_bits, adopted, keep);
     copy_initialized = true;
   }
-  if (tail_.has_value() && tail_->durable_rows > 0) {
-    const auto bits = static_cast<std::size_t>(tail_->bits);
-    const std::byte* rec =
-        reinterpret_cast<const std::byte*>(keep->tail_bytes.data());
-    for (std::uint64_t r = 0; r < tail_->durable_rows; ++r) {
-      const std::uint64_t g = tail_->base_row + r;
-      take_record(rec, g, tail_->tri_base, bits, true);
-      rec += record_bytes(g, tail_->tri_base, networks_, bits);
-    }
+  if (tail_.has_value()) {
+    // Tail records are copied, so the tail's mapping ends here.
+    const SegmentInfo t = tail_->durable();
+    check_segment(tail_path(t.id), t, false, networks_,
+                  [&](const std::byte* rec, std::uint64_t g) {
+                    take_record(rec, g, t, true);
+                  });
   }
   if (matrix.size() != retained) {
     throw store_corrupt(
@@ -1544,52 +1466,17 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
 
 bool SegmentStore::verify(std::string* error) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
   try {
-    std::uint64_t expect_base = base_row_;
     for (const SegmentInfo& s : sealed_) {
-      const std::filesystem::path sp = segment_path(s.id);
-      const std::string bytes = read_whole_file(sp);
-      const std::string name = sp.filename().string();
-      const SegmentHeader h = decode_segment_header(
-          reinterpret_cast<const std::byte*>(bytes.data()), bytes.size(),
-          name);
-      if (bytes.size() != kSegmentHeaderBytes + h.payload_bytes +
-                              kSegmentTrailerBytes ||
-          (h.flags & kFlagSealed) == 0 || h.id != s.id ||
-          h.base_row != s.base_row || h.rows != s.rows ||
-          h.base_row != expect_base || h.payload_bytes != s.payload_bytes) {
-        return fail("segment " + name +
-                    ": header disagrees with the manifest");
-      }
-      const std::uint32_t crc = payload_checksum(
-          bytes.data() + kSegmentHeaderBytes,
-          static_cast<std::size_t>(h.payload_bytes));
-      seg_metrics().checksum_verified.inc();
-      if (crc != s.checksum) {
-        return fail("segment " + name + ": checksum mismatch");
-      }
-      expect_base = s.base_row + s.rows;
+      check_segment(segment_path(s.id), s, true, networks_, skip_record);
     }
     if (tail_.has_value()) {
-      const std::filesystem::path tp = tail_path(tail_->id);
-      if (!std::filesystem::exists(tp)) {
-        return fail("tail-" + std::to_string(tail_->id) + ": missing");
-      }
-      if (std::filesystem::file_size(tp) <
-          kSegmentHeaderBytes + tail_->payload_bytes) {
-        return fail("tail-" + std::to_string(tail_->id) + ": truncated");
-      }
-      if (tail_->base_row != expect_base) {
-        return fail("tail-" + std::to_string(tail_->id) +
-                    ": does not continue the sealed window");
-      }
+      check_segment(tail_path(tail_->id), tail_->durable(), false, networks_,
+                    skip_record);
     }
   } catch (const std::exception& e) {
-    return fail(e.what());
+    if (error != nullptr) *error = e.what();
+    return false;
   }
   if (error != nullptr) error->clear();
   return true;
@@ -1634,91 +1521,60 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
                                      sealed_.begin() +
                                          static_cast<std::ptrdiff_t>(
                                              begin + count));
-  const std::uint64_t new_id = next_segment_id_++;
-
-  std::size_t bits = 4;
-  std::uint64_t rows = 0;
-  std::int64_t min_time = run.front().min_time;
-  std::int64_t max_time = run.front().max_time;
+  SegmentInfo merged;
+  merged.id = next_segment_id_++;
+  merged.base_row = run.front().base_row;
+  merged.tri_base = plan_base;
+  merged.min_time = run.front().min_time;
+  merged.max_time = run.front().max_time;
   for (const SegmentInfo& s : run) {
-    bits = std::max(bits, static_cast<std::size_t>(s.bits));
-    rows += s.rows;
-    min_time = std::min(min_time, s.min_time);
-    max_time = std::max(max_time, s.max_time);
+    merged.bits = std::max(merged.bits, s.bits);
+    merged.rows += s.rows;
+    merged.min_time = std::min(merged.min_time, s.min_time);
+    merged.max_time = std::max(merged.max_time, s.max_time);
   }
+  const auto bits = static_cast<std::size_t>(merged.bits);
 
-  // Read + checksum the sources on the shared pool (the sweep is pure
-  // reads; parallel_for serializes safely against any main-thread use).
-  std::vector<std::string> sources(run.size());
-  std::vector<std::string> bad(run.size());
+  // Check each source on the shared pool, one per job (the sweep only
+  // reads; parallel_for serializes safely against any main-thread use
+  // and rethrows the first corrupt source's error), re-encoding its
+  // records as they pass at the merged width with tri_base advanced to
+  // the store's current base — this is where retention's dead Φ prefix
+  // actually leaves the disk.
+  std::vector<std::string> parts(run.size());
   core::parallel_for(
       run.size(),
       [&](std::size_t k) {
-        const std::filesystem::path sp = segment_path(run[k].id);
-        sources[k] = read_whole_file(sp);
-        if (sources[k].size() < kSegmentHeaderBytes +
-                                    run[k].payload_bytes +
-                                    kSegmentTrailerBytes ||
-            payload_checksum(sources[k].data() + kSegmentHeaderBytes,
-                             static_cast<std::size_t>(
-                                 run[k].payload_bytes)) != run[k].checksum) {
-          bad[k] = sp.filename().string();
-        }
-        seg_metrics().checksum_verified.inc();
+        const SegmentInfo& s = run[k];
+        const auto src_bits = static_cast<std::size_t>(s.bits);
+        const auto skip = static_cast<std::size_t>(plan_base - s.tri_base);
+        check_segment(
+            segment_path(s.id), s, true, networks_,
+            [&](const std::byte* rec, std::uint64_t g) {
+              const RecordView v =
+                  parse_record(rec, g, s.tri_base, networks_, src_bits);
+              put_record(parts[k], v.valid, v.time, v.anchor_of, v.packed,
+                         networks_, src_bits, bits, [&](std::string& out) {
+                           out.append(reinterpret_cast<const char*>(
+                                          v.phi_bytes + 8 * skip),
+                                      8 * (v.phi_count - skip));
+                         });
+            });
       },
       cfg_.threads, 1);
-  for (const std::string& b : bad) {
-    if (!b.empty()) {
-      throw store_corrupt("segment " + b +
-                          ": checksum mismatch — refusing to compact a "
-                          "corrupt segment");
-    }
-  }
+  for (const std::string& part : parts) merged.payload_bytes += part.size();
 
-  // Re-encode every record at the merged width with tri_base advanced
-  // to the store's current base — this is where retention's dead Φ
-  // prefix actually leaves the disk.
-  std::string payload;
-  for (std::size_t k = 0; k < run.size(); ++k) {
-    const SegmentInfo& s = run[k];
-    const auto src_bits = static_cast<std::size_t>(s.bits);
-    const std::byte* rec =
-        reinterpret_cast<const std::byte*>(sources[k].data()) +
-        kSegmentHeaderBytes;
-    for (std::uint64_t r = 0; r < s.rows; ++r) {
-      const std::uint64_t g = s.base_row + r;
-      const RecordView v = parse_record(rec, g, s.tri_base, networks_,
-                                        src_bits);
-      put_u64(payload, v.valid ? 1 : 0);
-      put_i64(payload, v.time);
-      put_u64(payload, v.anchor_of);
-      put_packed_row(payload, v.packed, networks_, src_bits, bits);
-      const std::size_t skip =
-          static_cast<std::size_t>(plan_base - s.tri_base);
-      payload.append(
-          reinterpret_cast<const char*>(v.phi_bytes + 8 * skip),
-          8 * (v.phi_count - skip));
-      rec += record_bytes(g, s.tri_base, networks_, src_bits);
-    }
-  }
-
-  const std::uint32_t crc = payload_checksum(payload.data(), payload.size());
   const std::filesystem::path cp =
-      dir_ / ("cmp-" + std::to_string(new_id) + ".fenrseg");
+      dir_ / ("cmp-" + std::to_string(merged.id) + ".fenrseg");
   const int fd = open_or_throw(cp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   try {
-    const std::string header = encode_segment_header(
-        kFlagSealed, new_id, run.front().base_row, rows, networks_, bits,
-        plan_base, payload.size(), min_time, max_time);
+    const std::string header = encode_segment_header(merged, true, networks_);
     pwrite_all(fd, header.data(), header.size(), 0, cp);
-    pwrite_all(fd, payload.data(), payload.size(),
-               static_cast<off_t>(kSegmentHeaderBytes), cp);
-    std::string trailer;
-    put_u32(trailer, crc);
-    put_u32(trailer, 0);
-    trailer.append(kSegmentTrailerMagic, sizeof(kSegmentTrailerMagic));
-    pwrite_all(fd, trailer.data(), trailer.size(),
-               static_cast<off_t>(kSegmentHeaderBytes + payload.size()), cp);
+    std::size_t at = kSegmentHeaderBytes;
+    for (const std::string& part : parts) {
+      pwrite_all(fd, part.data(), part.size(), static_cast<off_t>(at), cp);
+      at += part.size();
+    }
     fsync_or_throw(fd, cp);
   } catch (...) {
     ::close(fd);
@@ -1726,7 +1582,7 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
     throw;
   }
   ::close(fd);
-  const std::filesystem::path sp = segment_path(new_id);
+  const std::filesystem::path sp = segment_path(merged.id);
   if (::rename(cp.c_str(), sp.c_str()) != 0) {
     const int err = errno;
     ::unlink(cp.c_str());
@@ -1738,16 +1594,6 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
 
   // Commit: swap the run for the merged segment, manifest first, then
   // unlink the sources.
-  SegmentInfo merged;
-  merged.id = new_id;
-  merged.base_row = run.front().base_row;
-  merged.rows = rows;
-  merged.tri_base = plan_base;
-  merged.bits = bits;
-  merged.payload_bytes = payload.size();
-  merged.checksum = crc;
-  merged.min_time = min_time;
-  merged.max_time = max_time;
   sealed_.erase(sealed_.begin() + static_cast<std::ptrdiff_t>(begin),
                 sealed_.begin() + static_cast<std::ptrdiff_t>(begin + count));
   sealed_.insert(sealed_.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -1760,8 +1606,8 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
   seg_metrics().compacted.inc(count);
   obs::event_bus().emit(obs::Severity::kInfo, "compaction_done",
                         "\"merged\":" + std::to_string(count) +
-                            ",\"id\":" + std::to_string(new_id) +
-                            ",\"rows\":" + std::to_string(rows));
+                            ",\"id\":" + std::to_string(merged.id) +
+                            ",\"rows\":" + std::to_string(merged.rows));
   publish_status_locked();
   return count;
 }

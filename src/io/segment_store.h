@@ -7,7 +7,7 @@
 // segments plus one *active tail* segment:
 //
 //   <dir>/MANIFEST            crash-atomic index (tmp + rename)
-//   <dir>/seg-<id>.fenrseg    sealed, self-checksummed, mmap-adopted
+//   <dir>/seg-<id>.fenrseg    sealed, mmap-adopted
 //   <dir>/tail-<id>.fenrseg   active tail, appended in place
 //
 // Each observation is spilled as one self-contained record — validity,
@@ -15,8 +15,8 @@
 // values — so a save interval writes O(new rows) bytes and one
 // manifest, never the history. A spill copies the row the matrix has
 // already packed; it never reads the observation's site ids. When the
-// tail reaches `seal_rows` records it is sealed (checksum computed
-// once, trailer written, renamed seg-<id>) and a fresh tail starts.
+// tail reaches `seal_rows` records it is sealed (its header rewritten
+// with the final counts, renamed seg-<id>) and a fresh tail starts.
 //
 // Resume mmaps the sealed segments and *adopts* their pages directly
 // into PackedSeries / TriangleStore storage (SimilarityMatrix::
@@ -36,26 +36,37 @@
 //     tri_base (global row the Φ spans start at), u64 payload_bytes,
 //     i64 min_time, i64 max_time, 40 bytes reserved
 //   per record, for global row g = base_row + r:
-//     u64 meta (bit0 valid), i64 time, u64 anchor_of (global row or
-//     ~0), the packed row — packed_row_bytes(networks, width) bytes,
-//     two 4-bit ids to a byte (low nibble first, an odd row's last high
-//     nibble 0) or 8/16/32-bit little-endian ids — padded to a multiple
-//     of 8, (g − tri_base + 1) × f64 Φ columns for global rows
-//     tri_base..g
-//   sealed trailer, 16 bytes:
-//     u32 payload_checksum over [128, 128 + payload_bytes), u32 0,
-//     magic "FENRSEGE" (8)
+//     u64 meta (bit0 valid, bits 32..63 the record's checksum), i64
+//     time, u64 anchor_of (global row or ~0), the packed row —
+//     packed_row_bytes(networks, width) bytes, two 4-bit ids to a byte
+//     (low nibble first, an odd row's last high nibble 0) or 8/16/32-bit
+//     little-endian ids — padded to a multiple of 8, (g − tri_base + 1)
+//     × f64 Φ columns for global rows tri_base..g
+//
+// The checksum is wire::payload_checksum over every other byte of the
+// record, padding included: meta's low half, then everything from time
+// on (the two hashes XORed). Sealed or tail, every record checks
+// itself; there is no per-segment checksum and no trailer, so a sealed
+// file is exactly 128 + payload_bytes long. A tail's header holds only
+// what is fixed when it opens (rows, payload_bytes and the times stay
+// 0); the seal rewrites it with the final counts.
 //
 // Record offsets are pure arithmetic in (base_row, tri_base, networks,
-// width) — no per-record index is stored or needed. The decoder derives
-// every sealed segment's and the tail's payload from the same
-// arithmetic (overflow-checked) and refuses a manifest or header whose
+// width) — no per-record index is stored or needed. The manifest
+// decoder derives every sealed segment's and the tail's payload from
+// the same arithmetic (overflow-checked) and refuses an entry whose
 // payload_bytes disagree as "inconsistent", before any record is read.
+// One check (check_segment in segment_store.cc) then holds a segment
+// file to its manifest entry — magic, version, every header byte, the
+// size (exact for a sealed file) — and each record to its checksum as
+// it walks them; load(), verify(), compaction and the roll-forward of a
+// crashed seal all go through it.
 //
 // tri_base is the retention lever: a tail created after retention
 // advanced the store's base omits the dead Φ prefix entirely, and
-// compaction rewrites cold segments the same way, so disk stays
-// O(retained²/2) rather than O(processed²/2).
+// compaction rewrites the cold segments it merges the same way. Only
+// runs of undersized segments are merged, so a full-size segment keeps
+// the Φ prefix it was sealed with until retention retires it.
 //
 // Durability protocol (what the chaos killpoints exercise):
 //   spill():  encode the record into a pending buffer (the Φ row is
@@ -65,18 +76,19 @@
 //   flush():  pwrite the rest → fsync(tail) → [segment_tail_flush] →
 //             atomic manifest write (tmp + fsync + rename + directory
 //             fsync; FENRIR_CHAOS_KILL_SAVE kills it at a byte offset)
-//   seal:     after a flush, read the tail back, checksum, patch the
-//             header, write the trailer, fsync, rename tail→seg →
-//             [segment_seal_rename] → manifest; retention retires whole
-//             front segments, manifest first, unlink after
+//   seal:     after a flush, rewrite the tail's header with its final
+//             counts, fsync, rename tail→seg → [segment_seal_rename] →
+//             manifest; retention retires whole front segments,
+//             manifest first, unlink after
 //   compact:  merge a cold run into cmp-<id> → fsync →
 //             [segment_compact_rename] → rename → manifest → unlink
 // The manifest is the single source of truth: a tail longer than the
 // manifest says (written-ahead records of a session that died before
 // its next flush) is truncated back on open; a torn tail is dropped
-// whole (sealed history survives — `segment_tail_salvaged` event); an
-// interrupted seal or compaction is rolled forward or its leftovers
-// collected.
+// whole (sealed history survives — `segment_tail_salvaged` event); a
+// seal interrupted after its header write or its rename is rolled
+// forward once the file checks out as that tail sealed; an interrupted
+// compaction's leftovers are collected.
 //
 // Identity: a store created by a live session records a header hash
 // (network keys and weights) and a names hash (the site names its rows
@@ -86,8 +98,9 @@
 // on every host. Rows carry no hash: resume checks each retained record
 // exactly against the dataset — validity, time, and the dataset's row
 // packed at the record's width, compared byte for byte — so it verifies
-// only the retained window (flat) and catches a damaged packed row in
-// the unsealed tail, which has no checksum.
+// only the retained window (flat). The record checksums run first: a
+// damaged record is "checksum mismatch", a record that is intact but
+// holds another dataset's row is "row mismatch".
 //
 // The manifest also carries the watch's ModeBook: one record per mode
 // holding the representative's packed width in bits, its network count
@@ -98,7 +111,7 @@
 // 100 MB of u32 site ids. The decoder rejects a representative whose
 // width is not 4, 8, 16 or 32 bits or whose length disagrees with the
 // store's network count, and a history entry past the last mode.
-// Segment files are version 4 and the manifest version 6; any other
+// Segment files are version 5 and the manifest version 7; any other
 // version of either is refused with "version skew" — there is no read
 // path for older stores.
 #pragma once
@@ -122,14 +135,11 @@ namespace fenrir::io {
 
 inline constexpr char kSegmentMagic[8] = {'F', 'E', 'N', 'R',
                                           'S', 'E', 'G', '1'};
-inline constexpr char kSegmentTrailerMagic[8] = {'F', 'E', 'N', 'R',
-                                                 'S', 'E', 'G', 'E'};
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
-inline constexpr std::uint32_t kSegmentVersion = 4;
-inline constexpr std::uint32_t kManifestVersion = 6;
+inline constexpr std::uint32_t kSegmentVersion = 5;
+inline constexpr std::uint32_t kManifestVersion = 7;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
-inline constexpr std::size_t kSegmentTrailerBytes = 16;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
 
 struct SegmentStoreConfig {
@@ -161,7 +171,6 @@ struct SegmentInfo {
   std::uint64_t tri_base = 0;
   std::uint64_t bits = 4;  // packed width: bits per element
   std::uint64_t payload_bytes = 0;
-  std::uint32_t checksum = 0;
   std::int64_t min_time = 0;
   std::int64_t max_time = 0;
 };
@@ -243,19 +252,20 @@ class SegmentStore {
     std::vector<std::size_t> history;
   };
 
-  /// Maps the sealed segments, verifies each segment's checksum once
-  /// (fenrir_segment_checksum_verified_total counts the work), verifies
-  /// identity against @p dataset when given (null skips — `segment ls`
-  /// and round-trip tests): the header and names hashes, then every
-  /// retained record against its dataset row, exactly. Builds the
-  /// matrix by page adoption (little-endian, uniform sealed width) or
-  /// per-record copy. Throws DatasetIoError on corruption or identity
-  /// mismatch.
+  /// Maps every segment file, checks it against the manifest and each
+  /// record against its checksum (fenrir_segment_checksum_verified_total
+  /// counts the records), verifies identity against @p dataset when
+  /// given (null skips — `segment ls` and round-trip tests): the header
+  /// and names hashes, then every retained record against its dataset
+  /// row, exactly. Builds the matrix by page adoption (little-endian,
+  /// uniform sealed width) or per-record copy. Throws DatasetIoError on
+  /// corruption or identity mismatch.
   Loaded load(const core::Dataset* dataset) const;
 
-  /// Re-reads every sealed segment and the tail from disk and checks
-  /// structure + checksums. Returns false and fills @p error on the
-  /// first problem.
+  /// Runs load(nullptr)'s checks without building a matrix: every
+  /// segment file against the manifest, every record against its
+  /// checksum. Returns false and fills @p error on the first problem —
+  /// exactly when load(nullptr) would throw.
   bool verify(std::string* error) const;
 
   std::uint64_t processed() const;
@@ -285,6 +295,12 @@ class SegmentStore {
     std::int64_t min_time = 0;
     std::int64_t max_time = 0;
     int fd = -1;
+
+    /// What the manifest records of the tail: its durable rows.
+    SegmentInfo durable() const {
+      return {id,           base_row,      durable_rows, tri_base,
+              bits,         payload_bytes, min_time,     max_time};
+    }
   };
 
   std::filesystem::path manifest_path() const;

@@ -4,7 +4,7 @@
 // The store's byte dialect: integers little-endian, doubles as IEEE-754
 // bit patterns in a u64, bulk word arrays appended in one memcpy on
 // little-endian hosts, and a 4-lane multiply–rotate payload checksum
-// over segments and the manifest. The store's identity hashes
+// over segment records and the manifest. The store's identity hashes
 // (IdentityHash below) run on the same multiply–rotate lanes, fed
 // 64-bit words by value.
 //
@@ -37,12 +37,13 @@ inline std::uint64_t lane_mix(std::uint64_t h, std::uint64_t w) {
   return h * kLaneC1;
 }
 
-// Trailer checksum: four independent multiply–rotate lanes over 64-bit
-// words, folded to 32 bits. The target is bit rot and truncation, not
-// adversarial collisions, and resuming a long watch decodes tens of
-// megabytes — a table-driven CRC at a few hundred MB/s would cost more
-// than the rest of the decode combined, while the four lanes keep the
-// multiplier latency off the critical path and run at memory speed.
+// The checksum of each segment record and of the manifest: four
+// independent multiply–rotate lanes over 64-bit words, folded to 32
+// bits. The target is bit rot and truncation, not adversarial
+// collisions, and resuming a long watch decodes tens of megabytes — a
+// table-driven CRC at a few hundred MB/s would cost more than the rest
+// of the decode combined, while the four lanes keep the multiplier
+// latency off the critical path and run at memory speed.
 inline std::uint32_t payload_checksum(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
@@ -56,14 +57,20 @@ inline std::uint32_t payload_checksum(const void* data, std::size_t size) {
     h[2] = lane_mix(h[2], w[2]);
     h[3] = lane_mix(h[3], w[3]);
   }
-  // The tail holds up to 31 bytes. Bytes past the eighth wrap around
-  // the word (shift count mod 64): the value x86 builds always computed
-  // for the oversize shift, now without the undefined behaviour.
+  // Up to 31 bytes remain: each whole word goes to the next lane, then
+  // the last 0..7 bytes as one zero-filled word — every byte reaches a
+  // lane_mix on its own, so no change to one of them can hide.
+  std::size_t lane = 0;
+  for (; i + 8 <= size; i += 8, ++lane) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h[lane] = lane_mix(h[lane], w);
+  }
   std::uint64_t tail = 0;
   for (int k = 0; i < size; ++i, ++k) {
-    tail |= static_cast<std::uint64_t>(p[i]) << ((8 * k) & 63);
+    tail |= static_cast<std::uint64_t>(p[i]) << (8 * k);
   }
-  h[0] = lane_mix(h[0], tail);
+  h[lane] = lane_mix(h[lane], tail);
   std::uint64_t out = lane_mix(lane_mix(lane_mix(h[0], h[1]), h[2]), h[3]) ^
                       static_cast<std::uint64_t>(size);
   out ^= out >> 32;

@@ -4,11 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -172,22 +174,34 @@ void resign_manifest(std::string& m) {
   put_le(m, m.size() - 4, wire::payload_checksum(m.data(), m.size() - 4), 4);
 }
 
-/// Re-signs seg-0's payload checksum in its trailer and in the manifest's
-/// first sealed entry (the header's payload length decides the range).
-void resign_segment(std::string& seg, std::string& manifest) {
-  const std::uint64_t payload = get_le64(seg, 8 + 4 + 4 + 8 * 6);
-  if (seg.size() < kSegmentHeaderBytes ||
-      payload > seg.size() - kSegmentHeaderBytes) {
+/// Re-signs every whole record of the segment file @p seg, sealed or
+/// tail, with the checksum its bytes now call for — payload_checksum of
+/// meta's low half XOR payload_checksum of everything from time on, in
+/// meta's high half — so an edited record reaches the checks behind its
+/// checksum. The header's base_row, networks, width and tri_base place
+/// the records; a header whose width is not a packed width, or whose
+/// counts are far outside the small fuzz stores, is left as it is.
+void resign_segment(std::string& seg) {
+  if (seg.size() < kSegmentHeaderBytes) return;
+  const std::uint64_t base_row = get_le64(seg, 24);
+  const std::uint64_t networks = get_le64(seg, 40);
+  const std::uint64_t bits = get_le64(seg, 48);
+  const std::uint64_t tri_base = get_le64(seg, 56);
+  if (networks > 4096 || (bits != 4 && bits != 8 && bits != 16 &&
+                          bits != 32) ||
+      tri_base > base_row || base_row > 4096) {
     return;
   }
-  const std::uint32_t crc = wire::payload_checksum(
-      seg.data() + kSegmentHeaderBytes, static_cast<std::size_t>(payload));
-  put_le(seg, kSegmentHeaderBytes + payload, crc, 4);
-  // Magic, version, length, four flag bytes, three hashes, networks,
-  // the (empty) weights, base_row, processed, next id, newest time and
-  // the sealed count, then the entry: its checksum is 48 bytes in.
-  put_le(manifest, 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8 * 5 + 48, crc, 4);
-  resign_manifest(manifest);
+  const std::size_t row = (core::packed_row_bytes(networks, bits) + 7) / 8 * 8;
+  for (std::size_t at = kSegmentHeaderBytes, g = base_row;; ++g) {
+    const std::size_t size = kRecordFieldBytes + row + 8 * (g - tri_base + 1);
+    if (size > seg.size() - at) return;
+    put_le(seg, at + 4,
+           wire::payload_checksum(seg.data() + at, 4) ^
+               wire::payload_checksum(seg.data() + at + 8, size - 8),
+           4);
+    at += size;
+  }
 }
 
 // The central property: spill-as-you-go across several tail rotations,
@@ -386,10 +400,10 @@ TEST(Segment, RetentionKeepsSuffixBitIdentical) {
                           static_cast<std::size_t>(base2), "retained-time");
 }
 
-// Satellite 2: checksums are computed once at seal and verified once
-// per mapped segment at load — repeated flushes of an unchanged store
-// do no checksum work at all (a whole-file save would re-hash everything
-// every time).
+// A record's checksum is computed once, when it is spilled, and checked
+// once per read of the record — load checks each retained record once,
+// and repeated flushes of an unchanged store do no checksum work at all
+// (a whole-file save would re-hash everything every time).
 TEST(Segment, ChecksumWorkIsLazyAndCountsOnce) {
   ScratchDir dir("lazy");
   const Dataset d = periodic_dataset(30, 80, 6, 0.03, 31);
@@ -411,8 +425,8 @@ TEST(Segment, ChecksumWorkIsLazyAndCountsOnce) {
   EXPECT_EQ(verified.value(), before)
       << "flushing an idle store must not re-hash history";
   (void)store.load(&d);
-  EXPECT_EQ(verified.value(), before + static_cast<double>(sealed))
-      << "load verifies each mapped segment exactly once";
+  EXPECT_EQ(verified.value(), before + static_cast<double>(d.series.size()))
+      << "load verifies each retained record exactly once";
 }
 
 // A flipped payload byte in a sealed segment must be rejected loudly by
@@ -455,6 +469,57 @@ TEST(Segment, CorruptSealedSegmentRejected) {
   }
 }
 
+// A damaged record in the unsealed tail is refused by its own checksum:
+// one bit flipped in record 1's Φ(1,0) (mantissa bit 40, a change of
+// 2^-13 to a Φ in [0.5, 1)), or in its anchor_of, of a 12-row,
+// 80-network store held in tail-0. load() with and without the dataset
+// and verify() refuse it as a checksum mismatch naming the segment and
+// the observation — before records carried checksums, both flips
+// loaded and verified.
+TEST(Segment, TailRecordDamageRefused) {
+  const Dataset d = periodic_dataset(12, 80, 6, 0.03, 44);
+  // Record 0: 24 bytes of fields, 80 4-bit ids (40 bytes), one Φ column.
+  const std::size_t record1 =
+      kSegmentHeaderBytes + kRecordFieldBytes + 40 + 8;
+  const std::pair<const char*, std::size_t> flips[] = {
+      {"phi(1,0)", record1 + kRecordFieldBytes + 40 + 5},
+      {"anchor_of", record1 + 16}};
+  for (const auto& [what, at] : flips) {
+    ScratchDir dir("tail_damage");
+    {
+      SegmentStore store(dir.path, SegmentStoreConfig{});
+      store.attach(&d);
+      SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+      grow(store, live, d, 0, d.series.size());
+      ASSERT_TRUE(store.segments().empty()) << what;
+      ASSERT_EQ(store.tail_rows(), d.series.size()) << what;
+    }
+    const fs::path tail = dir.path / "tail-0.fenrseg";
+    std::string bytes = read_file(tail);
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    write_file(tail, bytes);
+
+    const SegmentStore store(dir.path, SegmentStoreConfig{});
+    const auto expect_named = [&](const std::string& error) {
+      EXPECT_NE(error.find("segment tail-0.fenrseg: checksum mismatch at "
+                           "observation 1 "),
+                std::string::npos)
+          << what << ": " << error;
+    };
+    std::string error;
+    EXPECT_FALSE(store.verify(&error)) << what;
+    expect_named(error);
+    for (const Dataset* identity : {static_cast<const Dataset*>(nullptr), &d}) {
+      try {
+        (void)store.load(identity);
+        ADD_FAILURE() << what << ": damaged tail record loaded";
+      } catch (const DatasetIoError& e) {
+        expect_named(e.what());
+      }
+    }
+  }
+}
+
 /// Loads @p store against @p d and expects the exact row check to refuse
 /// it, naming observation @p g.
 void expect_row_mismatch(const SegmentStore& store, const Dataset& d,
@@ -473,8 +538,8 @@ void expect_row_mismatch(const SegmentStore& store, const Dataset& d,
 // Identity: resuming against a rewritten dataset fails the exact row
 // check (flat verification), and a shrunk dataset is caught up front.
 // So does a damaged packed row the dataset never held: one byte of
-// record 0's packed row XORed with 0x11, in the unsealed tail (which has
-// no checksum) and in a sealed segment whose checksum is re-signed.
+// record 0's packed row XORed with 0x11, in the unsealed tail and in a
+// sealed segment, the record re-signed so its checksum passes.
 TEST(Segment, DatasetMismatchRejected) {
   ScratchDir dir("identity");
   Dataset d = periodic_dataset(20, 80, 6, 0.03, 43);
@@ -518,11 +583,7 @@ TEST(Segment, DatasetMismatchRejected) {
         flip.path / (sealed ? "seg-0.fenrseg" : "tail-0.fenrseg");
     std::string bytes = read_file(victim);
     bytes[kSegmentHeaderBytes + kRecordFieldBytes + 5] ^= 0x11;
-    if (sealed) {
-      std::string manifest = read_file(flip.path / "MANIFEST");
-      resign_segment(bytes, manifest);
-      write_file(flip.path / "MANIFEST", manifest);
-    }
+    resign_segment(bytes);
     write_file(victim, bytes);
     const SegmentStore s(flip.path, small_cfg);
     std::string error;
@@ -863,7 +924,7 @@ TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
 
 // Every way a MANIFEST can be damaged gets its own diagnostic and a
 // segment_store_corrupt event: bad magic, truncation, trailing bytes,
-// bit rot, an older format version (v1 to v4 alike), and checksummed
+// bit rot, an older format version (v1 to v6 alike), and checksummed
 // manifests that no build writes — an identity mode that would
 // otherwise skip the identity checks in load(), ModeBook
 // representatives of an impossible width or of another length than the
@@ -932,7 +993,7 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   // The header's processed count follows magic, version, length, the
   // four flag bytes, three hashes, networks, the (empty) weights and
   // base_row; the sealed list follows processed, the next segment id,
-  // the newest time and its count, 68 bytes per segment with the
+  // the newest time and its count, 64 bytes per segment with the
   // payload 40 bytes in. The tail's fields end where the modebook's
   // mode count starts: u64 durable_rows, u64 payload_bytes, i64
   // min_time, i64 max_time.
@@ -986,6 +1047,7 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       {with_version(3), "version skew", "file is v3"},
       {with_version(4), "version skew", "file is v4"},
       {with_version(5), "version skew", "file is v5"},
+      {with_version(6), "version skew", "file is v6"},
       {bad_mode, "inconsistent", "identity mode 2"},
       {with_rep0(0, 3), "inconsistent", "packed width 3"},
       {with_rep0(8, 79), "inconsistent", "covers 79 networks"},
@@ -1543,6 +1605,47 @@ TEST(Segment, TornTailSalvageKeepsSealedHistory) {
   expect_bit_identical(resumed, continuous, "salvaged + regrown");
 }
 
+// A kill between a seal's header write and its rename leaves tail-<id>
+// with a sealed header — the sealed flag, the rows, the payload length
+// and the times — over an intact payload: the seal writes nothing else.
+// Every later open must roll it forward into seg-<id> and load every
+// row bit-identically.
+TEST(Segment, SealedHeaderWithoutTrailerReopens) {
+  ScratchDir dir("sealed_header");
+  const Dataset d = periodic_dataset(5, 80, 6, 0.03, 107);
+  SegmentStoreConfig cfg;  // seal_rows 256: all five rows stay in tail-0
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    grow(store, live, d, 0, d.series.size());
+    ASSERT_EQ(store.tail_rows(), 5u);
+  }
+  const fs::path tail = dir.path / "tail-0.fenrseg";
+  std::string bytes = read_file(tail);
+  put_le(bytes, 12, 1, 4);  // flags: sealed
+  put_le(bytes, 32, 5, 8);  // rows
+  put_le(bytes, 64, bytes.size() - kSegmentHeaderBytes, 8);  // payload
+  put_le(bytes, 72, static_cast<std::uint64_t>(d.series.front().time), 8);
+  put_le(bytes, 80, static_cast<std::uint64_t>(d.series.back().time), 8);
+  write_file(tail, bytes);
+
+  SimilarityMatrix want(UnknownPolicy::kPessimistic, d.weights, 1);
+  for (const RoutingVector& v : d.series) want.append(v);
+  for (const char* open : {"first reopen", "second reopen"}) {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    EXPECT_EQ(store.processed(), 5u) << open;
+    ASSERT_EQ(store.segments().size(), 1u) << open;
+    EXPECT_EQ(store.segments()[0].rows, 5u) << open;
+    EXPECT_EQ(store.tail_rows(), 0u) << open;
+    EXPECT_FALSE(fs::exists(tail)) << open;
+    std::string error;
+    EXPECT_TRUE(store.verify(&error)) << open << ": " << error;
+    expect_bit_identical(store.load(&d).matrix, want, open);
+  }
+}
+
 // Per-interval write cost is O(new rows): flushing k fresh observations
 // appends ~k records to the tail; the sealed history is never rewritten
 // (byte growth of the directory is bounded by the new records plus one
@@ -1582,15 +1685,18 @@ TEST(Segment, FlushWritesOnlyNewRows) {
 // by truncation, a damaged magic, random byte edits, or by setting the
 // u64 fields the decoder steers by (counts, widths, payload lengths)
 // to boundary values or nudging them. On half the mutations the
-// manifest CRC, or the segment's checksum in its trailer and in the
-// manifest, is re-signed so the structural checks behind the checksums
-// are reached. Every open, load (with and without the dataset) and
-// verify must either produce a consistent store or throw DatasetIoError,
-// and verify must answer false with an error rather than throw. A load
-// against the dataset that succeeds must be exact: every retained
-// record holds its dataset row's validity, time and site ids, and every
-// adopted matrix row its validity — damage the sealed checksums cannot
-// see (the tail has none, and half the mutants re-sign) must be refused.
+// manifest CRC, or every record checksum of the mutated segment file,
+// is re-signed so the structural checks behind the checksums are
+// reached. Every open, load (with and without the dataset) and verify
+// must either produce a consistent store or throw DatasetIoError, and
+// verify must answer false with an error rather than throw — exactly
+// when load(nullptr) throws. A load against the dataset that succeeds
+// must be exact: every retained record holds its dataset row's
+// validity, time and site ids, and every adopted matrix row its
+// validity — re-signed damage the checksums cannot see must be
+// refused. A mutant nobody re-signed that loads at all must load the
+// unmutated store's history: every retained Φ cell, validity and
+// anchor chain bit-identical.
 
 struct FuzzBase {
   Dataset d;
@@ -1598,6 +1704,7 @@ struct FuzzBase {
   std::string manifest;
   std::string sealed;  // seg-0.fenrseg
   std::string tail;    // the tail's file name
+  std::unique_ptr<SegmentStore::Loaded> want;  // the unmutated store
 };
 
 FuzzBase make_fuzz_base(std::size_t site_count, std::uint64_t bits) {
@@ -1625,6 +1732,8 @@ FuzzBase make_fuzz_base(std::size_t site_count, std::uint64_t bits) {
                                            {}});
     if (name.rfind("tail-", 0) == 0) b.tail = name;
   }
+  b.want = std::make_unique<SegmentStore::Loaded>(
+      SegmentStore(dir.path, cfg).load(nullptr));
   b.manifest = "MANIFEST";
   b.sealed = "seg-0.fenrseg";
   return b;
@@ -1656,12 +1765,10 @@ std::vector<std::size_t> u64_fields(const std::string& name,
   for (std::size_t f = 24; f <= 96; f += 8) at.push_back(f);
   const std::uint64_t sealed = get_le64(bytes, 96);
   for (std::uint64_t k = 0; k < sealed; ++k) {
-    const std::size_t e = 104 + 68 * k;
-    for (const std::size_t f : {0, 8, 16, 24, 32, 40, 52, 60}) {
-      at.push_back(e + f);
-    }
+    const std::size_t e = 104 + 64 * k;
+    for (std::size_t f = 0; f < 64; f += 8) at.push_back(e + f);
   }
-  std::size_t p = 104 + 68 * sealed;
+  std::size_t p = 104 + 64 * sealed;
   if (bytes[p] != 0) {
     for (std::size_t j = 0; j < 8; ++j) at.push_back(p + 1 + 8 * j);
     p += 64;
@@ -1705,12 +1812,12 @@ void expect_exact_rows(const fs::path& dir, const Dataset& d,
   std::vector<Run> runs;
   const std::uint64_t sealed = get_le64(m, 96);
   for (std::uint64_t k = 0; k < sealed; ++k) {
-    const std::size_t e = 104 + 68 * k;
+    const std::size_t e = 104 + 64 * k;
     runs.push_back({"seg-" + std::to_string(get_le64(m, e)) + ".fenrseg",
                     get_le64(m, e + 8), get_le64(m, e + 16),
                     get_le64(m, e + 24), get_le64(m, e + 32)});
   }
-  if (const std::size_t t = 104 + 68 * sealed; m[t] != 0) {
+  if (const std::size_t t = 104 + 64 * sealed; m[t] != 0) {
     runs.push_back({"tail-" + std::to_string(get_le64(m, t + 1)) + ".fenrseg",
                     get_le64(m, t + 9), get_le64(m, t + 33),
                     get_le64(m, t + 17), get_le64(m, t + 25)});
@@ -1743,15 +1850,39 @@ void expect_exact_rows(const fs::path& dir, const Dataset& d,
   }
 }
 
+/// The oracle for a mutant nobody re-signed: whatever loads is a prefix
+/// of @p want, the unmutated store's history (a torn tail is dropped
+/// whole), bit for bit — every Φ cell, validity and anchor chain.
+void expect_unmutated(const SegmentStore::Loaded& got,
+                      const SegmentStore::Loaded& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.base_row, want.base_row) << label;
+  ASSERT_LE(got.matrix.size(), want.matrix.size()) << label;
+  for (std::size_t i = 0; i < got.matrix.size(); ++i) {
+    ASSERT_EQ(got.matrix.valid(i), want.matrix.valid(i)) << label;
+    ASSERT_EQ(got.matrix.anchor_chain(i), want.matrix.anchor_chain(i))
+        << label << ": row " << i;
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.matrix.phi(i, j)),
+                std::bit_cast<std::uint64_t>(want.matrix.phi(i, j)))
+          << label << ": phi(" << i << "," << j << ")";
+    }
+  }
+}
+
 /// Opens, loads and verifies the store in @p dir; any exception other
-/// than DatasetIoError, an inconsistent or inexact load or a silent
-/// verify failure is a test failure.
+/// than DatasetIoError, an inconsistent or inexact load, a verify that
+/// disagrees with load(nullptr) or fails silently, and — when @p want is
+/// given (no checksum was re-signed) — a load that is not @p want's
+/// history is a test failure.
 void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
+                                  const SegmentStore::Loaded* want,
                                   const std::string& label) {
   SegmentStoreConfig cfg;
   cfg.background_compaction = false;
   try {
     SegmentStore store(dir, cfg);
+    bool refused = false;  // load(nullptr) threw
     for (const Dataset* identity : {static_cast<const Dataset*>(nullptr), &d}) {
       try {
         SegmentStore::Loaded l = store.load(identity);
@@ -1760,15 +1891,23 @@ void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
           expect_exact_rows(dir, d, l, label);
           if (::testing::Test::HasFatalFailure()) return;
         }
+        if (want != nullptr) {
+          expect_unmutated(l, *want, label);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
         if (l.has_modebook) {
           core::ModeBook book;
           book.restore(std::move(l.representatives), std::move(l.history));
         }
       } catch (const DatasetIoError&) {
+        refused = refused || identity == nullptr;
       }
     }
     std::string error;
-    if (!store.verify(&error)) {
+    const bool verified = store.verify(&error);
+    EXPECT_EQ(verified, !refused)
+        << label << ": verify() and load(nullptr) disagree (" << error << ")";
+    if (!verified) {
       EXPECT_FALSE(error.empty()) << label << ": verify failed silently";
     }
   } catch (const DatasetIoError&) {
@@ -1850,20 +1989,17 @@ TEST(SegmentFuzz, MutatedStoresOpenConsistentlyOrThrow) {
         }
       }
     }
-    if (draw(2) == 0) {
-      if (target == 1) {
-        resign_segment(bytes, file_of(files, base.manifest));
-      } else {
-        resign_manifest(file_of(files, base.manifest));
-      }
-    }
+    const bool resigned = draw(2) == 0;
+    if (resigned && target == 0) resign_manifest(bytes);
+    if (resigned && target != 0) resign_segment(bytes);
     fs::remove_all(dir.path);
     fs::create_directories(dir.path);
     for (const auto& [n, b] : files) write_file(dir.path / n, b);
     expect_consistent_or_refused(
-        dir.path, base.d,
+        dir.path, base.d, resigned ? nullptr : base.want.get(),
         "mutant " + std::to_string(mutants) + " of " + name + " (" +
-            std::to_string(base.files.size()) + " files)");
+            std::to_string(base.files.size()) + " files)" +
+            (resigned ? ", re-signed" : ""));
     if (HasFatalFailure()) return;
   }
   EXPECT_GE(mutants, 300u);

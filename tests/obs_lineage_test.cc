@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -363,6 +366,48 @@ TEST(Lineage, TsStrippedLogLinesAreDeterministic) {
   }
 }
 
+// A kill mid-append can cut the log's last line anywhere, even inside
+// an array. A resumed watch reopens the log: a line cut inside its
+// anchors or top array is torn and skipped, never read past, and the id
+// sequence continues after the last whole record. A top entry's mode is
+// an integer; one that is negative or written as a double ends the list.
+TEST(Lineage, OpenLogSkipsATornRecord) {
+  FileCleaner f(temp_path("torn.jsonl"));
+  DecisionRecord r = sample_record();
+  r.has_anchor_info = true;
+  r.anchor_chain[0] = 6;
+  r.anchor_chain[1] = 2;
+  r.anchor_count = 2;
+  std::string log;
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    r.id = id;
+    log += record_json(r) + "\n";
+  }
+  r.id = 3;
+  const std::string whole = record_json(r);
+  const std::string torn = whole.substr(0, whole.find("\"anchors\":[6") + 12);
+  ASSERT_EQ(torn.back(), '6');
+  EXPECT_FALSE(parse_record_json(torn).has_value());
+  EXPECT_FALSE(
+      parse_record_json(whole.substr(0, whole.find("\"top\":[") + 15))
+          .has_value());
+  { std::ofstream(f.path, std::ios::binary) << log << torn; }
+
+  LineageStore store(LineageStore::Config{8});
+  ASSERT_TRUE(store.open_log(f.path, /*truncate=*/false));
+  EXPECT_EQ(store.record(sample_record()), 3u)
+      << "ids continue after the last whole record";
+  store.close_log();
+
+  for (const char* mode : {"-1", "1e30", "2.5"}) {
+    std::string line = whole;
+    line.replace(line.find("{\"mode\":3") + 8, 1, mode);
+    const auto parsed = parse_record_json(line);
+    ASSERT_TRUE(parsed.has_value()) << mode;
+    EXPECT_EQ(parsed->top_count, 0u) << mode;
+  }
+}
+
 TEST(Lineage, ModeBookObserveEmitsRecords) {
   LineageStore& store = lineage();
   store.reset();
@@ -487,6 +532,108 @@ TEST(Lineage, DecisionMetricFamiliesMatchExpositionGrammar) {
                 std::regex_match(line, type_re))
         << "line violates exposition grammar: " << line;
   }
+}
+
+// ---------------------------------------------------------------------
+// LineageFuzz: the lineage JSONL readers' "parse or skip" promise,
+// checked the way DatasetIoFuzz checks the dataset decoder. A log of
+// records with top lists, anchor chains and federation provenance is
+// cut at every byte of its last line, then mutated by seeded edits
+// drawn from the bytes that steer the parsers. read_journal must return
+// lines or throw JournalError; parse_record_json must return a record
+// inside its bounds or nothing, and never read past the line (the
+// sanitizer builds catch that); open_log must continue the id sequence
+// after the largest id any line of the file parses to.
+
+std::string fuzz_log() {
+  std::string log;
+  DecisionRecord r = sample_record();
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    r.id = id;
+    r.unix_time = 1700000000.25 + static_cast<double>(id);
+    r.verdict = static_cast<Verdict>(id % 3);
+    r.has_anchor_info = id % 2 == 0;
+    r.anchor_count = static_cast<std::uint32_t>(id % 3);
+    for (std::uint32_t k = 0; k < r.anchor_count; ++k) {
+      r.anchor_chain[k] = 10 * id + k;
+    }
+    r.federated = id % 3 == 0;
+    r.member = id == 3 ? kLineageNoMember : 1;
+    r.staleness = id;
+    log += record_json(r) + "\n";
+  }
+  return log;
+}
+
+void expect_parses_or_skips(const std::string& path, const std::string& text,
+                            const std::string& label) {
+  { std::ofstream(path, std::ios::binary | std::ios::trunc) << text; }
+  try {
+    for (const std::string& line : read_journal(path)) {
+      (void)parse_record_json(line);
+    }
+  } catch (const JournalError&) {
+  }
+  std::uint64_t max_id = 0;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const auto r = parse_record_json(line);
+    if (!r) continue;
+    ASSERT_GT(r->id, 0u) << label;
+    ASSERT_LE(r->top_count, kLineageTopK) << label;
+    ASSERT_LE(r->anchor_count, kLineageChainDepth) << label;
+    max_id = std::max(max_id, r->id);
+  }
+  LineageStore store(LineageStore::Config{4});
+  ASSERT_TRUE(store.open_log(path, /*truncate=*/false)) << label;
+  EXPECT_EQ(store.record(sample_record()), max_id + 1) << label;
+}
+
+TEST(LineageFuzz, MutatedLogsParseOrSkip) {
+  FileCleaner f(temp_path("fuzz.jsonl"));
+  const std::string text = fuzz_log();
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  for (std::size_t cut = last; cut < text.size(); ++cut) {
+    expect_parses_or_skips(f.path, text.substr(0, cut),
+                           "cut at " + std::to_string(cut));
+    if (HasFatalFailure()) return;
+  }
+  // The bytes that steer the scanners and the number parsers, and the
+  // rest.
+  const std::string alphabet = "{}[],:\"\n-+.eE0123456789 xm";
+  const auto start = std::chrono::steady_clock::now();
+  const auto budget = std::chrono::seconds(5);
+  std::uint64_t state = 0x11ea;
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  std::size_t mutants = 0;
+  for (; mutants < 4000; ++mutants) {
+    if (mutants >= 500 && std::chrono::steady_clock::now() - start > budget) {
+      break;
+    }
+    std::string bad = text;
+    const std::uint64_t edits = 1 + draw(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const std::size_t at = draw(bad.size() + 1);
+      const char c = alphabet[draw(alphabet.size())];
+      switch (draw(3)) {
+        case 0:
+          if (at < bad.size()) bad[at] = c;
+          break;
+        case 1:
+          bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        default:
+          if (at < bad.size()) bad.erase(at, 1);
+      }
+    }
+    expect_parses_or_skips(f.path, bad, "mutant " + std::to_string(mutants));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(mutants, 500u);
 }
 
 }  // namespace
