@@ -282,11 +282,8 @@ BENCHMARK(BM_SimilarityMatrixAppend)->Args({64, 10'000})->Args({256, 10'000});
 
 // The paper's recurrence itself: two routing modes alternating in
 // blocks of 8 observations. Within a block consecutive sweeps differ by
-// 0.1% of networks; a mode returns within ~1% of its previous block
-// (intra-mode churn), while the other mode is a near-total rewrite. The
-// predecessor-only delta path pays a packed-kernel row at every block
-// boundary; anchored chains patch the return from the old mode's
-// representative row.
+// 0.1% of networks and patch from their predecessor; the other mode is a
+// near-total rewrite, so every block boundary pays a packed-kernel row.
 core::Dataset periodic_dataset(std::size_t obs, std::size_t nets,
                                std::size_t period = 8) {
   core::Dataset d;
@@ -321,45 +318,6 @@ void BM_SimilarityMatrixPeriodic(benchmark::State& state) {
                           static_cast<std::int64_t>(t * (t + 1) / 2 * n));
 }
 BENCHMARK(BM_SimilarityMatrixPeriodic)->Args({512, 10'000});
-
-// The same series limited to the single-predecessor anchor of earlier
-// builds: every return to a mode falls off the delta path. The ratio to
-// BM_SimilarityMatrixPeriodic is the win of anchored chains.
-void BM_SimilarityMatrixPeriodicPredecessor(benchmark::State& state) {
-  const auto t = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const auto d = periodic_dataset(t, n);
-  for (auto _ : state) {
-    core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
-    m.set_anchor_limits(1, 0);
-    for (const core::RoutingVector& v : d.series) m.append(v);
-    benchmark::DoNotOptimize(m.phi(t - 1, 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t * (t + 1) / 2 * n));
-}
-BENCHMARK(BM_SimilarityMatrixPeriodicPredecessor)->Args({512, 10'000});
-
-// Short-period alternation (A A B B A A ...) with representatives
-// disabled: every return to a mode must be caught by the chained Σ|Δ|
-// bound over the recent-anchor window — the stage the block-of-8
-// periodic bench never exercises (representatives win there). Keeps
-// fenrir_phi_anchor_chained_total nonzero in BENCH_core.json, which the
-// bench gate's selftest asserts.
-void BM_SimilarityMatrixAlternating(benchmark::State& state) {
-  const auto t = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const auto d = periodic_dataset(t, n, /*period=*/2);
-  for (auto _ : state) {
-    core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
-    m.set_anchor_limits(core::SimilarityMatrix::kRecentAnchors, 0);
-    for (const core::RoutingVector& v : d.series) m.append(v);
-    benchmark::DoNotOptimize(m.phi(t - 1, 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t * (t + 1) / 2 * n));
-}
-BENCHMARK(BM_SimilarityMatrixAlternating)->Args({256, 10'000});
 
 // The batched ingest shape: k observations folded onto a standing T-row
 // matrix in one append_batch() (what --matrix-cache warm appends, watch

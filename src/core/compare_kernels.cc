@@ -86,38 +86,25 @@ WeightedCounts weighted_impl(const std::byte* a, const std::byte* b,
   return out;
 }
 
-// Typed change-set scan, bounded: bails at the (cap+1)-th mismatch.
-// Mismatches are rare on the workloads that reach this path (that is why
-// the delta layer exists), so the hot loop is a well-predicted equality
-// test per element. The unbounded scan is this with cap = kNoCap — the
-// bail branch never fires. Anchor probes call
-// this against rows that are usually either near-identical (the probe
-// wins) or near-total rewrites (bail after ~cap mismatches), so the
-// abort is what keeps a failed probe cheap.
+// Typed change-set scan. Mismatches are rare on the workloads that reach
+// this path (that is why the delta layer exists), so the hot loop is a
+// well-predicted equality test per element.
 template <typename T>
-bool delta_scan_bounded(const T* a, const T* b, std::size_t n,
-                        std::size_t cap, std::vector<DeltaEntry>& out) {
+void delta_scan(const T* a, const T* b, std::size_t n,
+                std::vector<DeltaEntry>& out) {
   for (std::size_t i = 0; i < n; ++i) {
     if (a[i] != b[i]) {
-      if (out.size() == cap) {
-        out.clear();
-        return false;
-      }
       out.push_back({static_cast<std::uint32_t>(i),
                      static_cast<SiteId>(to_le(a[i])),
                      static_cast<SiteId>(to_le(b[i]))});
     }
   }
-  return true;
 }
 
 }  // namespace
 
 // Scalar tier of the dispatch table (simd_dispatch.h): thin typed
-// wrappers over the oracle templates above. The unbounded delta scan is
-// expressed as the bounded one with simd::kNoCap — out.size() can never
-// reach SIZE_MAX, so the bail branch is dead and the loop body matches
-// delta_scan exactly.
+// wrappers over the oracle templates above.
 namespace simd {
 
 MatchCounts count_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
@@ -163,9 +150,8 @@ MatchCounts count_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
                              std::size_t n) {
   return count_matches_impl(a, b, n);
 }
-bool delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::size_t cap,
-                     std::vector<DeltaEntry>& out) {
+void delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::vector<DeltaEntry>& out) {
   // Bytes first (equal bytes are the common case), then the one or two
   // elements of a byte that differs.
   const auto* ra = reinterpret_cast<const std::byte*>(a);
@@ -176,30 +162,21 @@ bool delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
     for (std::size_t i = 2 * t; i < std::min(n, 2 * t + 2); ++i) {
       const SiteId x = packed_at<4>(ra, i);
       const SiteId y = packed_at<4>(rb, i);
-      if (x == y) continue;
-      if (out.size() == cap) {
-        out.clear();
-        return false;
-      }
-      out.push_back({static_cast<std::uint32_t>(i), x, y});
+      if (x != y) out.push_back({static_cast<std::uint32_t>(i), x, y});
     }
   }
-  return true;
 }
-bool delta_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::size_t cap,
-                     std::vector<DeltaEntry>& out) {
-  return delta_scan_bounded(a, b, n, cap, out);
+void delta_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::vector<DeltaEntry>& out) {
+  delta_scan(a, b, n, out);
 }
-bool delta_u16_scalar(const std::uint16_t* a, const std::uint16_t* b,
-                      std::size_t n, std::size_t cap,
-                      std::vector<DeltaEntry>& out) {
-  return delta_scan_bounded(a, b, n, cap, out);
+void delta_u16_scalar(const std::uint16_t* a, const std::uint16_t* b,
+                      std::size_t n, std::vector<DeltaEntry>& out) {
+  delta_scan(a, b, n, out);
 }
-bool delta_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
-                      std::size_t n, std::size_t cap,
-                      std::vector<DeltaEntry>& out) {
-  return delta_scan_bounded(a, b, n, cap, out);
+void delta_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
+                      std::size_t n, std::vector<DeltaEntry>& out) {
+  delta_scan(a, b, n, out);
 }
 SiteId pack_u4_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
   SiteId top = 0;
@@ -491,38 +468,27 @@ std::vector<DeltaEntry> PackedSeries::delta_between(std::size_t from,
     throw std::out_of_range("PackedSeries::delta_between");
   }
   std::vector<DeltaEntry> delta;
-  delta_between_bounded(from, to, simd::kNoCap, delta);
-  return delta;
-}
-
-bool PackedSeries::delta_between_bounded(std::size_t from, std::size_t to,
-                                         std::size_t cap,
-                                         std::vector<DeltaEntry>& out) const {
-  if (from >= rows() || to >= rows()) {
-    throw std::out_of_range("PackedSeries::delta_between_bounded");
-  }
-  out.clear();
   const std::byte* a = row_ptr(from);
   const std::byte* b = row_ptr(to);
   const simd::KernelTable& k = simd::active();
   switch (bits_) {
     case 4:
-      return k.delta_u4(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), networks_,
-                        cap, out);
+      k.delta_u4(reinterpret_cast<const std::uint8_t*>(a),
+                 reinterpret_cast<const std::uint8_t*>(b), networks_, delta);
+      break;
     case 8:
-      return k.delta_u8(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), networks_,
-                        cap, out);
+      k.delta_u8(reinterpret_cast<const std::uint8_t*>(a),
+                 reinterpret_cast<const std::uint8_t*>(b), networks_, delta);
+      break;
     case 16:
-      return k.delta_u16(reinterpret_cast<const std::uint16_t*>(a),
-                         reinterpret_cast<const std::uint16_t*>(b), networks_,
-                         cap, out);
+      k.delta_u16(reinterpret_cast<const std::uint16_t*>(a),
+                  reinterpret_cast<const std::uint16_t*>(b), networks_, delta);
+      break;
     default:
-      return k.delta_u32(reinterpret_cast<const std::uint32_t*>(a),
-                         reinterpret_cast<const std::uint32_t*>(b), networks_,
-                         cap, out);
+      k.delta_u32(reinterpret_cast<const std::uint32_t*>(a),
+                  reinterpret_cast<const std::uint32_t*>(b), networks_, delta);
   }
+  return delta;
 }
 
 PreparedDelta prepare_delta(std::span<const DeltaEntry> delta) {

@@ -251,15 +251,6 @@ class PackedSeries {
   /// Sorted change-set taking row @p from to row @p to (same series).
   std::vector<DeltaEntry> delta_between(std::size_t from, std::size_t to) const;
 
-  /// Bounded change-set scan: fills @p out with delta_between(from, to),
-  /// aborting as soon as it would exceed @p cap entries. Returns true when
-  /// the full change-set fit; false when |Δ| > cap (@p out is cleared).
-  /// An aborted scan stops at the (cap+1)-th mismatch, so probing a
-  /// dissimilar row costs O(cap/density) lanes instead of O(N) plus a
-  /// change-set allocation that would only be thrown away.
-  bool delta_between_bounded(std::size_t from, std::size_t to, std::size_t cap,
-                             std::vector<DeltaEntry>& out) const;
-
   /// Hint-prefetches every line of row @p row. The batch fill walks
   /// columns sequentially but reads each column's row in random
   /// (delta-index) order, which the hardware prefetcher cannot learn —

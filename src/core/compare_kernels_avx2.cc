@@ -204,42 +204,29 @@ MatchCounts count_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
 
 namespace {
 
-/// Shared push-with-cap body: mirrors the scalar bounded scan exactly —
-/// the (cap+1)-th mismatch clears @p out and aborts.
 template <typename T>
-inline bool push_entry(std::vector<DeltaEntry>& out, std::size_t cap,
-                       std::size_t index, T before, T after) {
-  if (out.size() == cap) {
-    out.clear();
-    return false;
-  }
+inline void push_entry(std::vector<DeltaEntry>& out, std::size_t index,
+                       T before, T after) {
   out.push_back({static_cast<std::uint32_t>(index),
                  static_cast<SiteId>(before), static_cast<SiteId>(after)});
-  return true;
 }
 
 /// Pushes the differing elements of byte @p t of two 4-bit rows of @p n
 /// elements, low nibble first.
-inline bool push_nibbles(std::vector<DeltaEntry>& out, std::size_t cap,
-                         const std::uint8_t* a, const std::uint8_t* b,
-                         std::size_t t, std::size_t n) {
+inline void push_nibbles(std::vector<DeltaEntry>& out, const std::uint8_t* a,
+                         const std::uint8_t* b, std::size_t t, std::size_t n) {
   const unsigned x = a[t];
   const unsigned y = b[t];
-  if (((x ^ y) & 0xFu) != 0 &&
-      !push_entry(out, cap, 2 * t, x & 0xFu, y & 0xFu)) {
-    return false;
+  if (((x ^ y) & 0xFu) != 0) push_entry(out, 2 * t, x & 0xFu, y & 0xFu);
+  if (((x ^ y) >> 4) != 0 && 2 * t + 1 < n) {
+    push_entry(out, 2 * t + 1, x >> 4, y >> 4);
   }
-  if (((x ^ y) >> 4) != 0 && 2 * t + 1 < n &&
-      !push_entry(out, cap, 2 * t + 1, x >> 4, y >> 4)) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
 
-bool delta_u4_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
-                   std::size_t cap, std::vector<DeltaEntry>& out) {
+void delta_u4_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
+                   std::vector<DeltaEntry>& out) {
   const std::size_t bytes = packed_row_bytes(n, 4);
   std::size_t t = 0;
   for (; t + 32 <= bytes; t += 32) {
@@ -252,17 +239,16 @@ bool delta_u4_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_nibbles(out, cap, a, b, t + j, n)) return false;
+      push_nibbles(out, a, b, t + j, n);
     }
   }
   for (; t < bytes; ++t) {
-    if (a[t] != b[t] && !push_nibbles(out, cap, a, b, t, n)) return false;
+    if (a[t] != b[t]) push_nibbles(out, a, b, t, n);
   }
-  return true;
 }
 
-bool delta_u8_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
-                   std::size_t cap, std::vector<DeltaEntry>& out) {
+void delta_u8_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
+                   std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m256i va =
@@ -274,18 +260,16 @@ bool delta_u8_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   for (; i < n; ++i) {
-    if (a[i] != b[i] && !push_entry(out, cap, i, a[i], b[i])) return false;
+    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
   }
-  return true;
 }
 
-bool delta_u16_avx2(const std::uint16_t* a, const std::uint16_t* b,
-                    std::size_t n, std::size_t cap,
-                    std::vector<DeltaEntry>& out) {
+void delta_u16_avx2(const std::uint16_t* a, const std::uint16_t* b,
+                    std::size_t n, std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m256i va =
@@ -300,18 +284,16 @@ bool delta_u16_avx2(const std::uint16_t* a, const std::uint16_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq)) >> 1;
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   for (; i < n; ++i) {
-    if (a[i] != b[i] && !push_entry(out, cap, i, a[i], b[i])) return false;
+    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
   }
-  return true;
 }
 
-bool delta_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
-                    std::size_t n, std::size_t cap,
-                    std::vector<DeltaEntry>& out) {
+void delta_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
+                    std::size_t n, std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i va =
@@ -325,13 +307,12 @@ bool delta_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   for (; i < n; ++i) {
-    if (a[i] != b[i] && !push_entry(out, cap, i, a[i], b[i])) return false;
+    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
   }
-  return true;
 }
 
 // The narrowing packs use saturating pack instructions, which are exact

@@ -166,24 +166,18 @@ MatchCounts count_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
 namespace {
 
 template <typename T>
-inline bool push_entry(std::vector<DeltaEntry>& out, std::size_t cap,
-                       std::size_t index, T before, T after) {
-  if (out.size() == cap) {
-    out.clear();
-    return false;
-  }
+inline void push_entry(std::vector<DeltaEntry>& out, std::size_t index,
+                       T before, T after) {
   out.push_back({static_cast<std::uint32_t>(index),
                  static_cast<SiteId>(before), static_cast<SiteId>(after)});
-  return true;
 }
 
 /// Pushes the differing elements of the bytes set in @p lo_ne | @p hi_ne
 /// (a block starting at byte @p i), low nibble before high, so the
 /// change-set stays sorted.
-inline bool push_nibbles(std::vector<DeltaEntry>& out, std::size_t cap,
-                         const std::uint8_t* a, const std::uint8_t* b,
-                         std::size_t i, std::uint64_t lo_ne,
-                         std::uint64_t hi_ne) {
+inline void push_nibbles(std::vector<DeltaEntry>& out, const std::uint8_t* a,
+                         const std::uint8_t* b, std::size_t i,
+                         std::uint64_t lo_ne, std::uint64_t hi_ne) {
   std::uint64_t any = lo_ne | hi_ne;
   while (any != 0) {
     const unsigned j = static_cast<unsigned>(__builtin_ctzll(any));
@@ -191,23 +185,15 @@ inline bool push_nibbles(std::vector<DeltaEntry>& out, std::size_t cap,
     const unsigned x = a[i + j];
     const unsigned y = b[i + j];
     const std::size_t e = 2 * (i + j);
-    if (((lo_ne >> j) & 1) != 0 &&
-        !push_entry(out, cap, e, x & 0xFu, y & 0xFu)) {
-      return false;
-    }
-    if (((hi_ne >> j) & 1) != 0 &&
-        !push_entry(out, cap, e + 1, x >> 4, y >> 4)) {
-      return false;
-    }
+    if (((lo_ne >> j) & 1) != 0) push_entry(out, e, x & 0xFu, y & 0xFu);
+    if (((hi_ne >> j) & 1) != 0) push_entry(out, e + 1, x >> 4, y >> 4);
   }
-  return true;
 }
 
 }  // namespace
 
-bool delta_u4_avx512(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::size_t cap,
-                     std::vector<DeltaEntry>& out) {
+void delta_u4_avx512(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::vector<DeltaEntry>& out) {
   const __m512i lo = _mm512_set1_epi8(0x0F);
   const __m512i hi = _mm512_set1_epi8(static_cast<char>(0xF0));
   const std::size_t full = n / 2;
@@ -217,10 +203,7 @@ bool delta_u4_avx512(const std::uint8_t* a, const std::uint8_t* b,
                                        _mm512_loadu_si512(b + i));
     const std::uint64_t lo_ne = _mm512_test_epi8_mask(x, lo);
     const std::uint64_t hi_ne = _mm512_test_epi8_mask(x, hi);
-    if ((lo_ne | hi_ne) != 0 &&
-        !push_nibbles(out, cap, a, b, i, lo_ne, hi_ne)) {
-      return false;
-    }
+    if ((lo_ne | hi_ne) != 0) push_nibbles(out, a, b, i, lo_ne, hi_ne);
   }
   std::uint64_t hi_valid = 0;
   if (const std::uint64_t m = u4_tail_mask(n, i, hi_valid); m != 0) {
@@ -228,14 +211,12 @@ bool delta_u4_avx512(const std::uint8_t* a, const std::uint8_t* b,
                                        _mm512_maskz_loadu_epi8(m, b + i));
     const std::uint64_t lo_ne = _mm512_test_epi8_mask(x, lo);
     const std::uint64_t hi_ne = _mm512_test_epi8_mask(x, hi) & hi_valid;
-    if (!push_nibbles(out, cap, a, b, i, lo_ne, hi_ne)) return false;
+    push_nibbles(out, a, b, i, lo_ne, hi_ne);
   }
-  return true;
 }
 
-bool delta_u8_avx512(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::size_t cap,
-                     std::vector<DeltaEntry>& out) {
+void delta_u8_avx512(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     const __m512i va = _mm512_loadu_si512(a + i);
@@ -244,7 +225,7 @@ bool delta_u8_avx512(const std::uint8_t* a, const std::uint8_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctzll(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   if (const std::size_t rem = n - i; rem != 0) {
@@ -255,15 +236,13 @@ bool delta_u8_avx512(const std::uint8_t* a, const std::uint8_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctzll(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
-  return true;
 }
 
-bool delta_u16_avx512(const std::uint16_t* a, const std::uint16_t* b,
-                      std::size_t n, std::size_t cap,
-                      std::vector<DeltaEntry>& out) {
+void delta_u16_avx512(const std::uint16_t* a, const std::uint16_t* b,
+                      std::size_t n, std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m512i va = _mm512_loadu_si512(a + i);
@@ -272,7 +251,7 @@ bool delta_u16_avx512(const std::uint16_t* a, const std::uint16_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   if (const std::size_t rem = n - i; rem != 0) {
@@ -283,15 +262,13 @@ bool delta_u16_avx512(const std::uint16_t* a, const std::uint16_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
-  return true;
 }
 
-bool delta_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
-                      std::size_t n, std::size_t cap,
-                      std::vector<DeltaEntry>& out) {
+void delta_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
+                      std::size_t n, std::vector<DeltaEntry>& out) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m512i va = _mm512_loadu_si512(a + i);
@@ -300,7 +277,7 @@ bool delta_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
   if (const std::size_t rem = n - i; rem != 0) {
@@ -311,10 +288,9 @@ bool delta_u32_avx512(const std::uint32_t* a, const std::uint32_t* b,
     while (neq != 0) {
       const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
       neq &= neq - 1;
-      if (!push_entry(out, cap, i + j, a[i + j], b[i + j])) return false;
+      push_entry(out, i + j, a[i + j], b[i + j]);
     }
   }
-  return true;
 }
 
 // Every pack folds its loads into a running unsigned max — masked-off

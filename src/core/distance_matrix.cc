@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <limits>
 
 #include "core/parallel.h"
 #include "obs/events.h"
@@ -19,16 +18,6 @@ struct PhiMetrics {
   obs::Counter& rows_kernel;
   obs::Gauge& delta_density;
   obs::Gauge& delta_speedup;
-  // Which anchor won the row (see the header's path taxonomy).
-  obs::Counter& anchor_predecessor;
-  obs::Counter& anchor_chained;
-  obs::Counter& anchor_representative;
-  obs::Counter& anchor_packed;
-  obs::Counter& anchor_probes;
-  obs::Counter& anchor_pins;
-  obs::Counter& anchor_refreshes;
-  obs::Gauge& anchor_est_delta;
-  obs::Gauge& anchor_realized_delta;
   obs::Histogram& append_seconds;
 };
 
@@ -38,7 +27,7 @@ PhiMetrics& phi_metrics() {
                               "rows appended to similarity matrices"),
       obs::registry().counter(
           "fenrir_phi_rows_delta_total",
-          "matrix rows computed by patching an anchor's cached counts"),
+          "matrix rows computed by patching the predecessor's cached counts"),
       obs::registry().counter("fenrir_phi_rows_kernel_total",
                               "matrix rows computed by the packed kernels"),
       obs::registry().gauge(
@@ -48,38 +37,6 @@ PhiMetrics& phi_metrics() {
           "fenrir_phi_delta_speedup_ratio",
           "estimated per-pair work ratio N/(|delta|+1) of the last "
           "delta-path row (scalar scan cost over patch cost)"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_predecessor_total",
-          "rows patched from the immediate predecessor anchor"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_chained_total",
-          "rows patched from a recent anchor reached via the chained "
-          "bound or a probe"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_representative_total",
-          "rows patched from a representative (mode) anchor — the "
-          "recurrence fast path"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_packed_total",
-          "rows where no anchor was cheap and the packed kernels ran"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_probes_total",
-          "exact change-set scans spent probing anchor candidates"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_pins_total",
-          "rows pinned as representative anchors (auto + pin_anchor)"),
-      obs::registry().counter(
-          "fenrir_phi_anchor_refreshes_total",
-          "representative anchors re-anchored to the row they just "
-          "explained (mode drift tracking)"),
-      obs::registry().gauge(
-          "fenrir_phi_anchor_est_delta",
-          "chained upper bound on |delta| for the chosen anchor at the "
-          "last delta-path row"),
-      obs::registry().gauge(
-          "fenrir_phi_anchor_realized_delta",
-          "realized |delta| against the chosen anchor at the last "
-          "delta-path row"),
       obs::registry().histogram(
           "fenrir_phi_append_seconds", obs::Histogram::duration_bounds(),
           "wall time of one SimilarityMatrix::append row")};
@@ -100,12 +57,6 @@ struct AppendTimer {
                           .count());
   }
 };
-
-constexpr std::size_t kEstSaturated = std::numeric_limits<std::size_t>::max();
-
-std::size_t sat_add(std::size_t a, std::size_t b) {
-  return a > kEstSaturated - b ? kEstSaturated : a + b;
-}
 
 }  // namespace
 
@@ -158,75 +109,8 @@ SimilarityMatrix SimilarityMatrix::compute_reference(const Dataset& dataset,
   return m;
 }
 
-SimilarityMatrix::AnchorRow* SimilarityMatrix::find_anchor(std::size_t row) {
-  for (AnchorRow& a : recent_) {
-    if (a.row == row) return &a;
-  }
-  for (AnchorRow& a : representatives_) {
-    if (a.row == row) return &a;
-  }
-  return nullptr;
-}
-
-void SimilarityMatrix::pin_representative(AnchorRow anchor) {
-  for (const AnchorRow& a : representatives_) {
-    if (a.row == anchor.row) return;
-  }
-  if (representative_limit_ == 0) return;
-  phi_metrics().anchor_pins.inc();
-  if (representatives_.size() >= representative_limit_) {
-    auto oldest = std::min_element(
-        representatives_.begin(), representatives_.end(),
-        [](const AnchorRow& a, const AnchorRow& b) {
-          return a.last_used < b.last_used;
-        });
-    *oldest = std::move(anchor);
-    return;
-  }
-  representatives_.push_back(std::move(anchor));
-}
-
-void SimilarityMatrix::pin_anchor(std::size_t row) {
+void SimilarityMatrix::pin_anchor(std::size_t row) const {
   if (row >= n_) throw std::out_of_range("SimilarityMatrix::pin_anchor");
-  if (!weights_.empty() || !valid_[row] || representative_limit_ == 0) return;
-  if (packed_.rows() != n_) {
-    throw std::logic_error(
-        "SimilarityMatrix::pin_anchor: compute_reference matrices carry no "
-        "packed rows to anchor");
-  }
-  for (const AnchorRow& a : representatives_) {
-    if (a.row == row) return;
-  }
-  AnchorRow anchor;
-  anchor.row = row;
-  anchor.last_used = append_clock_;
-  if (const AnchorRow* existing = find_anchor(row)) {
-    anchor.counts = existing->counts;
-    anchor.est_delta = existing->est_delta;
-  } else {
-    // The row left the anchor set; rebuild its counts at kernel cost.
-    anchor.counts.resize(n_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (valid_[j]) anchor.counts[j] = packed_.counts(row, j);
-    }
-    anchor.est_delta = kEstSaturated;  // unknown distance to the latest row
-  }
-  pin_representative(std::move(anchor));
-}
-
-void SimilarityMatrix::set_anchor_limits(std::size_t recent,
-                                        std::size_t representatives) {
-  recent_limit_ = recent;
-  representative_limit_ = representatives;
-  while (recent_.size() > recent_limit_) recent_.pop_front();
-  while (representatives_.size() > representative_limit_) {
-    auto oldest = std::min_element(
-        representatives_.begin(), representatives_.end(),
-        [](const AnchorRow& a, const AnchorRow& b) {
-          return a.last_used < b.last_used;
-        });
-    representatives_.erase(oldest);
-  }
 }
 
 std::uint64_t SimilarityMatrix::known(std::size_t row) {
@@ -236,148 +120,39 @@ std::uint64_t SimilarityMatrix::known(std::size_t row) {
   return known_[row];
 }
 
-void SimilarityMatrix::extend_bounds_across(std::size_t i) {
-  if (i == 0 || (recent_.empty() && representatives_.empty())) return;
-  const std::size_t step = step_size(i, packed_.counts(i - 1, i));
-  for (AnchorRow& a : recent_) a.est_delta = sat_add(a.est_delta, step);
-  for (AnchorRow& a : representatives_) {
-    a.est_delta = sat_add(a.est_delta, step);
-  }
-}
-
-SimilarityMatrix::AnchorRow* SimilarityMatrix::select_anchor(
-    std::size_t i, std::size_t step, std::vector<DeltaEntry>& delta,
-    bool& chose_rep) {
+bool SimilarityMatrix::plan_row(std::size_t base, std::size_t i,
+                                const MatchCounts& c,
+                                std::vector<DeltaEntry>& delta) {
   PhiMetrics& metrics = phi_metrics();
   const std::size_t nets = packed_.networks();
-
-  // Extend every anchor's chained bound by this row's step size (the
-  // triangle inequality holds through any intermediate row, valid or
-  // not), then pick the cheapest anchor.
-  const bool anchors_on = !recent_.empty() || !representatives_.empty();
-  if (anchors_on && i > 0) {
-    for (AnchorRow& a : recent_) {
-      a.est_delta = a.row == i - 1 ? step : sat_add(a.est_delta, step);
-    }
-    for (AnchorRow& a : representatives_) {
-      a.est_delta = a.row == i - 1 ? step : sat_add(a.est_delta, step);
-    }
-  }
-
-  // Candidates, recent first (newest to oldest), then representatives
-  // not already listed.
-  std::vector<AnchorRow*> candidates;
-  if (anchors_on) {
-    candidates.reserve(recent_.size() + representatives_.size());
-    for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-      candidates.push_back(&*it);
-    }
-    for (AnchorRow& a : representatives_) {
-      if (!std::any_of(recent_.begin(), recent_.end(),
-                       [&](const AnchorRow& r) { return r.row == a.row; })) {
-        candidates.push_back(&a);
-      }
-    }
-  }
-
-  const auto max_delta = static_cast<std::size_t>(
-      kDeltaDensityThreshold * static_cast<double>(nets));
-  AnchorRow* chosen = nullptr;
-  delta.clear();
-  std::size_t chosen_bound = kEstSaturated;
-  bool probed = false;
-
-  // 1. Chained bounds: if some anchor's running Σ|Δ| already clears the
-  // threshold, the exact change set can only be smaller.
-  for (AnchorRow* a : candidates) {
-    if (a->est_delta < chosen_bound) {
-      chosen_bound = a->est_delta;
-      chosen = a;
-    }
-  }
-  if (chosen != nullptr && chosen_bound <= max_delta) {
-    delta = packed_.delta_between(chosen->row, i);
-  } else if (!candidates.empty() && candidates.size() * 4 <= i &&
-             probe_cooldown_ == 0) {
-    // 2. Probe: one bounded scan per candidate — the recurrence
-    // rediscovery. The cap shrinks to the best change-set found so far,
-    // so a candidate from the wrong mode bails after ~cap mismatches
-    // instead of paying a full O(N) scan; the winner is still the
-    // smallest change-set ≤ the density threshold, exactly as an
-    // unbounded sweep would pick. Worth it only once the row is long
-    // enough that the scans are small next to the O(T·N) kernel
-    // fallback.
-    chosen = nullptr;
-    std::size_t best_size = kEstSaturated;
-    std::vector<DeltaEntry> probe;
-    for (AnchorRow* a : candidates) {
-      metrics.anchor_probes.inc();
-      const std::size_t cap =
-          best_size == kEstSaturated ? max_delta : best_size - 1;
-      if (packed_.delta_between_bounded(a->row, i, cap, probe)) {
-        a->est_delta = probe.size();  // the bound re-anchors to exact
-        best_size = probe.size();
-        chosen = a;
-        delta.swap(probe);
-        if (best_size == 0) break;  // a duplicate row cannot be beaten
-      }
-      // On a bailed probe the anchor keeps its chained bound: the scan
-      // only learned |Δ| > cap, which is a lower bound and must not
-      // replace an upper one.
-    }
-    probed = true;
-    if (chosen == nullptr) {
-      delta.clear();
-      probe_failures_ += 1;
-      probe_cooldown_ = std::min<std::size_t>(
-          std::size_t{1} << std::min<std::size_t>(probe_failures_, 6), 64);
-    } else {
-      chosen_bound = best_size;
-      probe_failures_ = 0;
-    }
-  } else {
-    chosen = nullptr;
-  }
-
-  const bool use_delta = chosen != nullptr;
-  chose_rep =
-      use_delta && std::any_of(representatives_.begin(),
-                               representatives_.end(),
-                               [&](const AnchorRow& a) { return &a == chosen; });
-  if (use_delta) {
-    chosen->est_delta = delta.size();
-    chosen->last_used = append_clock_;
-    probe_failures_ = 0;
-    metrics.rows_delta.inc();
+  bool patch = false;
+  if (base != kNoAnchorRow) {
+    // Exact |Δ(base, i)| from counts the row needs for its base column
+    // anyway: no change set is built unless the row patches.
+    const auto churn = static_cast<std::size_t>(
+        known(base) + known(i) - c.mutual_known - c.matches);
     metrics.delta_density.set(
         nets == 0 ? 1.0
-                  : static_cast<double>(delta.size()) /
-                        static_cast<double>(nets));
+                  : static_cast<double>(churn) / static_cast<double>(nets));
+    patch = churn <= static_cast<std::size_t>(kDeltaDensityThreshold *
+                                              static_cast<double>(nets));
+  }
+  if (patch) {
+    delta = packed_.delta_between(base, i);
+    metrics.rows_delta.inc();
     metrics.delta_speedup.set(static_cast<double>(nets) /
                               static_cast<double>(delta.size() + 1));
-    metrics.anchor_est_delta.set(static_cast<double>(chosen_bound));
-    metrics.anchor_realized_delta.set(static_cast<double>(delta.size()));
-    if (chosen->row == i - 1) {
-      metrics.anchor_predecessor.inc();
-    } else if (chose_rep) {
-      metrics.anchor_representative.inc();
-    } else {
-      metrics.anchor_chained.inc();
-    }
   } else {
     metrics.rows_kernel.inc();
-    metrics.anchor_packed.inc();
-    if (probe_cooldown_ > 0 && !probed) probe_cooldown_ -= 1;
-    // No anchor explained this row: O(T·N) kernel fallback. One is a new
-    // routing state; a storm means the anchor set stopped covering the
-    // workload. Debug severity — the bus's per-type dedup condenses a
-    // storm to its first burst plus a suppressed count.
+    // The predecessor did not explain this row (or there was none): an
+    // O(T·N) kernel row. One is a new routing state; a storm means the
+    // series churns past the threshold. Debug severity — the bus's
+    // per-type dedup condenses a storm to its first burst plus a
+    // suppressed count.
     obs::event_bus().emit(obs::Severity::kDebug, "anchor_fallback",
-                          "\"row\":" + std::to_string(i) +
-                              ",\"candidates\":" +
-                              std::to_string(candidates.size()));
+                          "\"row\":" + std::to_string(i));
   }
-  return chosen;
+  return patch;
 }
 
 std::vector<std::size_t> SimilarityMatrix::anchor_chain(
@@ -411,53 +186,35 @@ void SimilarityMatrix::append(const RoutingVector& v) {
   valid_.push_back(v.valid ? 1 : 0);
   known_.push_back(kKnownUnset);
   anchor_of_.resize(n_, kNoAnchorRow);
-  append_clock_ += 1;
   PhiMetrics& metrics = phi_metrics();
   metrics.appends.inc();
   AppendTimer timer(metrics.append_seconds);
-  const bool weighted = !weights_.empty();
   if (!v.valid) {
-    // The slot keeps its timeline position. Anchors stay alive — their
-    // chained bounds extend through the slot below — but their counts
-    // rows need a placeholder so column indices keep lining up.
-    for (AnchorRow& a : recent_) a.counts.emplace_back();
-    for (AnchorRow& a : representatives_) a.counts.emplace_back();
-    extend_bounds_across(i);
+    // The slot keeps its timeline position; the cache gets a placeholder
+    // so column indices keep lining up.
+    if (prev_ != kNoAnchorRow) prev_counts_.emplace_back();
     return;
   }
 
+  const bool weighted = !weights_.empty();
   const std::size_t nets = packed_.networks();
   double* vrow = values_.owned_row(i);  // new rows are always owned
 
-  // The counts the step size needs are the row's own: the diagonal and
-  // the predecessor column, computed here once and kept for the fill —
-  // columns [settled, i] need no work there beyond their Φ.
+  // The diagonal and the predecessor column are computed here, once —
+  // the path rule reads them — and kept for the fill.
   std::vector<MatchCounts> row(i + 1);
-  std::size_t settled = i + 1;
+  const std::size_t base = weighted ? kNoAnchorRow : prev_;
   std::vector<DeltaEntry> delta;
-  bool chose_rep = false;
-  AnchorRow* chosen = nullptr;
+  bool use_delta = false;
   if (!weighted) {
     const std::uint64_t k = known(i);
     row[i] = {k, k};
-    settled = i;
-    std::size_t step = 0;
-    if (i > 0 && (!recent_.empty() || !representatives_.empty())) {
-      const MatchCounts prev = packed_.counts(i - 1, i);
-      step = step_size(i, prev);
-      if (valid_[i - 1]) {
-        row[i - 1] = prev;
-        settled = i - 1;
-      }
-    }
-    chosen = select_anchor(i, step, delta, chose_rep);
+    MatchCounts c;
+    if (base != kNoAnchorRow) row[base] = c = packed_.counts(base, i);
+    use_delta = plan_row(base, i, c, delta);
   }
-  const bool use_delta = chosen != nullptr;
-  // Chain lineage before the representative refresh below reassigns
-  // chosen->row to i.
-  if (use_delta) anchor_of_[i] = chosen->row;
+  if (use_delta) anchor_of_[i] = base;
 
-  const AnchorRow* anchor = chosen;  // stable across the parallel fill
   // Classified once, replayed against every column through the
   // dispatched patch kernels (the batch fill's path, one row at a time).
   const PreparedDelta prep = use_delta ? prepare_delta(delta) : PreparedDelta{};
@@ -468,18 +225,12 @@ void SimilarityMatrix::append(const RoutingVector& v) {
           packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
       return;
     }
-    if (j >= settled) {
-      vrow[j] = phi_from_counts(row[j], nets, policy_);
-      return;
+    if (j != i && j != base) {
+      row[j] = use_delta
+                   ? ColumnPatcher(packed_, j).apply(prev_counts_[j], prep)
+                   : packed_.counts(i, j);
     }
-    MatchCounts c;
-    if (use_delta) {
-      c = ColumnPatcher(packed_, j).apply(anchor->counts[j], prep);
-    } else {
-      c = packed_.counts(i, j);  // kernel-path row
-    }
-    row[j] = c;
-    vrow[j] = phi_from_counts(c, nets, policy_);
+    vrow[j] = phi_from_counts(row[j], nets, policy_);
   };
 
   // The grain makes small rows skip pool dispatch entirely (a delta row
@@ -491,41 +242,9 @@ void SimilarityMatrix::append(const RoutingVector& v) {
                    1, 65536 / std::max<std::size_t>(per_pair, 1)));
 
   if (weighted) return;
-
-  // Every anchor learns its counts against the new row "for free":
-  // counts(a, i) = counts(i, a), which the row just computed.
-  for (AnchorRow& a : recent_) a.counts.push_back(row[a.row]);
-  for (AnchorRow& a : representatives_) a.counts.push_back(row[a.row]);
-
-  // A representative that explained this row re-anchors to it: the
-  // anchor tracks the mode's *latest* state, so the next return pays
-  // only the away-gap churn. Left at its original row, every
-  // representative would drift toward the density threshold as the mode
-  // churns and recurrence would decay back to kernel rows.
-  if (chose_rep && !delta.empty()) {
-    chosen->row = i;
-    chosen->counts = row;  // exact counts(i, ·), just computed
-    chosen->est_delta = 0;
-    metrics.anchor_refreshes.inc();
-  }
-
-  // A kernel-fallback row is a routing state no anchor explained — the
-  // online analogue of ModeBook registering a new mode — so it becomes
-  // a representative anchor before the recency window rolls it out.
-  AnchorRow fresh;
-  fresh.row = i;
-  fresh.est_delta = 0;
-  fresh.last_used = append_clock_;
-  if (!use_delta && representative_limit_ > 0) {
-    AnchorRow rep = fresh;
-    rep.counts = row;
-    pin_representative(std::move(rep));
-  }
-  if (recent_limit_ > 0) {
-    fresh.counts = std::move(row);
-    recent_.push_back(std::move(fresh));
-    while (recent_.size() > recent_limit_) recent_.pop_front();
-  }
+  // Whatever the path, the row's exact counts are the next row's cache.
+  prev_ = i;
+  prev_counts_ = std::move(row);
 }
 
 void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
@@ -560,7 +279,7 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   AppendTimer timer(metrics.append_seconds);  // one sample per chunk
 
   // Pass 0: pack every row and grow the value/validity stores (already
-  // reserved by append_batch), so the planning pass can probe any batch
+  // reserved by append_batch), so the planning pass can read any batch
   // row.
   for (const RoutingVector& v : batch) {
     packed_.append(v);
@@ -571,76 +290,37 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   n_ = n0 + k;
   anchor_of_.resize(n_, kNoAnchorRow);
 
-  // Pass A: sequential anchor planning — the exact selection sequence an
-  // append() loop would run (selection never reads anchor counts, only
-  // the chained bounds and packed rows, so the fills can be deferred).
-  // Counts-carrying bookkeeping is deferred to pass C; an anchor
-  // created or refreshed during the batch is recognizable there by its
-  // in-batch row id.
+  // Pass A: sequential planning — the path an append() loop would take
+  // for each row, against the same predecessor. Only the first valid
+  // row can patch from a pre-batch row (the cached prev_counts_, which
+  // stays put until pass C); every later one patches from an earlier
+  // batch row.
   struct RowPlan {
     enum class Path { kInvalid, kKernel, kDelta } path = Path::kInvalid;
-    std::size_t base = 0;  // global row id of the chosen anchor
+    std::size_t base = 0;  // global row id of the predecessor
     std::vector<DeltaEntry> delta;
     // The change-set classified by endpoint known-ness, once per row —
     // the fills replay it against every column without re-testing the
     // column-invariant kUnknownSite conditions.
     PreparedDelta prep;
-    // Pre-batch anchors can be evicted or refreshed later in the plan,
-    // so their old-column counts are snapshotted here at selection time.
-    std::vector<MatchCounts> base_counts;
   };
   std::vector<RowPlan> plan(k);
+  std::size_t prev = prev_;
   for (std::size_t r = 0; r < k; ++r) {
     const std::size_t i = n0 + r;
     metrics.appends.inc();
-    append_clock_ += 1;
-    if (!batch[r].valid) {
-      extend_bounds_across(i);
-      continue;
-    }
-    std::size_t step = 0;
-    if (i > 0 && (!recent_.empty() || !representatives_.empty())) {
-      step = step_size(i, packed_.counts(i - 1, i));
-    }
-    bool chose_rep = false;
-    std::vector<DeltaEntry> delta;
-    AnchorRow* chosen = select_anchor(i, step, delta, chose_rep);
-    if (chosen != nullptr) {
+    if (!batch[r].valid) continue;
+    const MatchCounts c =
+        prev == kNoAnchorRow ? MatchCounts{} : packed_.counts(prev, i);
+    if (plan_row(prev, i, c, plan[r].delta)) {
       plan[r].path = RowPlan::Path::kDelta;
-      plan[r].base = chosen->row;
-      anchor_of_[i] = chosen->row;
-      if (chosen->row < n0) {
-        plan[r].base_counts.assign(chosen->counts.begin(),
-                                   chosen->counts.begin() +
-                                       static_cast<std::ptrdiff_t>(n0));
-      }
-      plan[r].delta = std::move(delta);
+      plan[r].base = prev;
       plan[r].prep = prepare_delta(plan[r].delta);
-      if (chose_rep && !plan[r].delta.empty()) {
-        // Representative refresh, counts deferred: the new row id is
-        // what pass C rebuilds the counts from.
-        chosen->row = i;
-        chosen->est_delta = 0;
-        metrics.anchor_refreshes.inc();
-      }
+      anchor_of_[i] = prev;
     } else {
       plan[r].path = RowPlan::Path::kKernel;
-      if (representative_limit_ > 0) {
-        AnchorRow rep;
-        rep.row = i;
-        rep.est_delta = 0;
-        rep.last_used = append_clock_;
-        pin_representative(std::move(rep));
-      }
     }
-    if (recent_limit_ > 0) {
-      AnchorRow fresh;
-      fresh.row = i;
-      fresh.est_delta = 0;
-      fresh.last_used = append_clock_;
-      recent_.push_back(std::move(fresh));
-      while (recent_.size() > recent_limit_) recent_.pop_front();
-    }
+    prev = i;
   }
 
   const std::size_t nets = packed_.networks();
@@ -656,8 +336,8 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
   // Pass B1: columns against the pre-batch rows, column-outer — row j's
   // packed bytes are loaded once and stay cache-hot across every batch
   // row's patch, instead of being re-fetched k times as the append()
-  // loop would. In-batch bases (predecessor chains) resolve within the
-  // same column: base row r' < r was patched earlier in the inner loop.
+  // loop would. In-batch bases resolve within the same column: base row
+  // r' < r was patched earlier in the inner loop.
   auto fill_old = [&](std::size_t j) {
     if (!valid_[j]) return;
     packed_.prefetch_row(j + 1 < n0 ? j + 1 : j);
@@ -669,7 +349,7 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
       MatchCounts c;
       if (p.path == RowPlan::Path::kDelta) {
         const MatchCounts base =
-            p.base < n0 ? p.base_counts[j] : row_counts[p.base - n0][j];
+            p.base < n0 ? prev_counts_[j] : row_counts[p.base - n0][j];
         c = patcher.apply(base, p.prep);
       } else {
         c = packed_.counts(i, j);
@@ -682,8 +362,8 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
                std::max<std::size_t>(1, 65536 / per_col));
 
   // Pass B2: the k×k corner, row-major. Every base a delta row needs is
-  // a pair among earlier batch rows (or a pre-batch anchor against an
-  // earlier batch column), already in row_counts by symmetry:
+  // a pair among earlier batch rows (or the pre-batch predecessor
+  // against an earlier batch column), already in row_counts by symmetry:
   // counts(a, b) for a > b lives at row_counts[a - n0][b].
   for (std::size_t r = 0; r < k; ++r) {
     const RowPlan& p = plan[r];
@@ -711,27 +391,13 @@ void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
     }
   }
 
-  // Pass C: anchor counts catch up with the batch. An anchor whose row
-  // id is in-batch was created or refreshed there — its counts are that
-  // row's computed counts, extended by the later rows; a pre-batch
-  // anchor extends its existing counts by one entry per batch row
-  // (counts(a, i_r) = counts(i_r, a), just computed — invalid rows get
-  // the usual never-read placeholder).
-  const auto rebuild = [&](AnchorRow& a) {
-    std::size_t from = 0;
-    if (a.row >= n0) {
-      const std::size_t r0 = a.row - n0;
-      a.counts = row_counts[r0];
-      from = r0 + 1;
-    }
-    a.counts.reserve(n0 + k);
-    for (std::size_t r = from; r < k; ++r) {
-      a.counts.push_back(batch[r].valid ? row_counts[r][a.row]
-                                        : MatchCounts{});
-    }
-  };
-  for (AnchorRow& a : recent_) rebuild(a);
-  for (AnchorRow& a : representatives_) rebuild(a);
+  // Pass C: the last valid batch row's counts become the cache, padded
+  // with placeholders for the invalid rows after it.
+  if (prev != prev_) {
+    prev_ = prev;
+    prev_counts_ = std::move(row_counts[prev - n0]);
+  }
+  if (prev_ != kNoAnchorRow) prev_counts_.resize(n_);
 }
 
 void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
@@ -757,7 +423,6 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
   // triangle pins the mapping too.
   values_.set_keepalive(std::move(keepalive));
   n_ = rows.size();
-  append_clock_ = n_;
 }
 
 void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
@@ -770,20 +435,10 @@ void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
   values_.push_row();
   std::memcpy(values_.owned_row(i), row.phi, (i + 1) * sizeof(double));
   n_ += 1;
-  append_clock_ += 1;
-  // Load paths run before any anchors exist; if a caller mixes this
-  // with live appends anyway, keep the anchor invariants exact: every
-  // anchor's counts column for the new row, at kernel cost.
-  for (AnchorRow& a : recent_) {
-    a.counts.push_back(row.valid && valid_[a.row] ? packed_.counts(a.row, i)
-                                                  : MatchCounts{});
-    a.est_delta = kEstSaturated;
-  }
-  for (AnchorRow& a : representatives_) {
-    a.counts.push_back(row.valid && valid_[a.row] ? packed_.counts(a.row, i)
-                                                  : MatchCounts{});
-    a.est_delta = kEstSaturated;
-  }
+  // No counts for this row: drop the cache rather than pay a kernel row
+  // to extend it, so the next valid append pays the kernels instead.
+  prev_ = kNoAnchorRow;
+  prev_counts_.clear();
 }
 
 std::size_t SimilarityMatrix::valid_count() const {

@@ -11,44 +11,29 @@
 // row, choosing per row between
 //   * the packed kernels (compare_kernels.h) — O(N) per pair but SIMD-
 //     dense,
-//   * delta patching from an *anchor* — O(|Δ|) per pair from a cached
-//     row of match counts. Anchors are the last kRecentAnchors valid
-//     rows plus up to kMaxRepresentativeAnchors "representative" rows
-//     (rows that once paid the packed kernels — novel routing states —
-//     or rows pinned by a caller, e.g. a ModeBook representative's
-//     first occurrence). The paper's thesis is that routing *recurs*:
-//     when a series flips back to a mode it held before, the cheap
-//     anchor is not the immediate predecessor but the old mode's row,
-//     and patching from it keeps the flip at O(|Δ|) instead of O(N)
-//     per pair.
-// Churn against each anchor is first *estimated* without touching the
-// vectors: |Δ(t, anchor)| ≤ Σ|Δ| of the per-step change sets along the
-// chain between them (triangle inequality over Hamming distance), a
-// running sum each anchor maintains. Each step's |Δ(t−1, t)| comes from
-// counts, not from a change set: two rows differ wherever either is
-// known, less where both are known and equal, so
-//   |Δ(t−1, t)| = known(t−1) + known(t) − mutual_known − matches
-// over counts(t−1, t), with known(r) the row's diagonal count — exact,
-// so every bound and path choice is what materializing the step would
-// give, and a change set is built only for the anchor append() picks.
-// Only when every chained bound
-// misses the kDeltaDensityThreshold does append() probe anchors with
-// one exact O(N) change-set scan each — still far cheaper than the
-// O(T·N) kernel row — and it falls back to the packed kernels when no
-// probe clears the threshold either. Delta patching applies to
-// unweighted Φ only (weighted Φ would have to reorder double additions
-// to go fast, which breaks bit-identity).
+//   * delta patching from the *predecessor* — the newest valid row whose
+//     match counts against every column are cached — at O(|Δ|) per pair.
+// The choice needs no extra scan: the row needs counts(prev, i) for its
+// own prev column anyway, and two rows differ wherever either is known,
+// less where both are known and equal, so
+//   |Δ(prev, i)| = known(prev) + known(i) − mutual_known − matches
+// with known(r) the row's diagonal count. The row patches when that is
+// at most kDeltaDensityThreshold·N and pays the kernels otherwise;
+// either way its own counts become the cache for the next row. A matrix
+// adopted from storage starts with no cache, so its first valid row
+// after a load pays the kernels. Delta patching applies to unweighted Φ
+// only (weighted Φ would have to reorder double additions to go fast,
+// which breaks bit-identity).
 //
-// compute() is an append() loop, so batch analysis, `fenrirctl watch`,
-// and ModeBook share one code path; every path is bit-identical to the
-// scalar reference (compute_reference), which the property tests
-// enforce. Path choice and realized savings are exported as
-// fenrir_phi_* / fenrir_phi_anchor_* metrics (observation only — never
-// a result input).
+// compute() is one append_batch(), which plans its rows by the same
+// rule as append(), so batch analysis and `fenrirctl watch` take the
+// same path per row; every path is bit-identical to the scalar
+// reference (compute_reference), which the property tests enforce.
+// Path choice is exported as fenrir_phi_* metrics (observation only —
+// never a result input).
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -150,21 +135,12 @@ class TriangleStore {
 
 class SimilarityMatrix {
  public:
-  /// Churn fraction |Δ|/N at or below which append() patches an
-  /// anchor's cached counts instead of re-scanning packed rows. Delta
-  /// patching touches ~|Δ| random elements per pair versus N sequential
-  /// SIMD lanes, so the break-even sits well below the SIMD width.
+  /// Churn fraction |Δ|/N at or below which append() patches the
+  /// predecessor's cached counts instead of re-scanning packed rows.
+  /// Delta patching touches ~|Δ| random elements per pair versus N
+  /// sequential SIMD lanes, so the break-even sits well below the SIMD
+  /// width.
   static constexpr double kDeltaDensityThreshold = 0.05;
-
-  /// How many recent valid rows keep a cached counts row (the newest is
-  /// the classic predecessor anchor; the older ones catch short-period
-  /// mode alternation without a probe).
-  static constexpr std::size_t kRecentAnchors = 4;
-
-  /// Cap on representative anchors (novel-state rows auto-pinned on a
-  /// kernel fallback, plus pin_anchor() rows). Least-recently-chosen is
-  /// evicted beyond the cap.
-  static constexpr std::size_t kMaxRepresentativeAnchors = 32;
 
   /// Computes Φ for all pairs of @p dataset.series (weights from the
   /// dataset; uniform if empty) by appending one row at a time. Each
@@ -192,7 +168,7 @@ class SimilarityMatrix {
 
   /// Appends one observation, computing only the new row: O(T·N) on the
   /// packed kernels, O(T·|Δ|) when the vector is a sparse change set
-  /// against some anchor. A matrix grown by append() is bit-identical
+  /// against its predecessor. A matrix grown by append() is bit-identical
   /// to compute() over the same series — this is what keeps
   /// `fenrirctl watch` at O(T·Δ) per tick instead of O(T²·N).
   void append(const RoutingVector& v);
@@ -201,7 +177,7 @@ class SimilarityMatrix {
   /// matrix as an append() loop over the same vectors (bit-identical —
   /// every route to a row's counts is exact integer arithmetic, so path
   /// choice affects time only), but restructures the work for locality:
-  /// anchor selection runs first for the whole batch, then the columns
+  /// path planning runs first for the whole batch, then the columns
   /// against the existing rows fill column-outer — each old packed row
   /// is loaded once and patched against every batch row while it is
   /// cache-hot, instead of being re-fetched once per appended row — and
@@ -226,34 +202,22 @@ class SimilarityMatrix {
     known_.reserve(rows);
   }
 
-  /// Pins @p row (a valid, already-appended observation) as a
-  /// representative anchor, so later rows that recur to its routing
-  /// state patch from it. `fenrirctl watch` pins each ModeBook
-  /// representative's first occurrence; rows that fell back to the
-  /// packed kernels (novel states) are pinned automatically. Cheap when
-  /// the row is still an anchor (the usual case: the row just
-  /// appended); otherwise its counts row is recomputed at O(T·N).
-  /// No-op on weighted matrices and rows already pinned.
-  void pin_anchor(std::size_t row);
-
-  /// Caps the anchor set: @p recent recent rows, @p representatives
-  /// pinned rows (0,0 disables delta patching entirely; 1,0 is the
-  /// predecessor-only delta path of earlier builds — the baseline
-  /// BM_SimilarityMatrixPeriodicPredecessor times). Affects time only,
-  /// never values. Existing anchors beyond the new caps are dropped.
-  void set_anchor_limits(std::size_t recent, std::size_t representatives);
+  /// A no-op that only checks @p row < size() (std::out_of_range
+  /// otherwise). Rows patch from their predecessor alone, so there is
+  /// nothing to pin; the call stays for callers that predate that rule.
+  void pin_anchor(std::size_t row) const;
 
   std::size_t size() const noexcept { return n_; }
 
   /// Row @p row's anchor-chain base is absent: the row paid the packed
-  /// kernels (a novel routing state), was invalid or weighted, or its
-  /// base fell outside a segment store's retained window on load.
+  /// kernels, was invalid or weighted, or its base fell outside a
+  /// segment store's retained window on load.
   static constexpr std::size_t kNoAnchorRow =
       static_cast<std::size_t>(-1);
 
   /// The anchor chain append()/append_batch() walked ingesting @p row:
-  /// the row it delta-patched from first, then that row's own base, and
-  /// so on, up to @p max_depth entries. Empty for kernel-fallback rows.
+  /// the predecessor it delta-patched from first, then that row's own
+  /// base, and so on, up to @p max_depth entries. Empty for kernel rows.
   /// Chains are observation-only lineage — they feed DecisionRecords and
   /// never steer a value; a segment store keeps each row's base, so they
   /// survive a resume within the retained window.
@@ -275,8 +239,8 @@ class SimilarityMatrix {
   /// Adopts @p rows as the matrix's entire contents without copying or
   /// recomputing Φ: packed bytes and Φ rows stay where they are (mapped
   /// segment pages), pinned by @p keepalive. Requires an empty matrix;
-  /// @p bits is the shared packed element width of every row. Anchors
-  /// start empty — they are time-only state the caller re-pins.
+  /// @p bits is the shared packed element width of every row. No counts
+  /// are cached, so the next valid append pays the kernels.
   void adopt_rows(std::size_t networks, std::size_t bits,
                   std::span<const AdoptedRow> rows,
                   std::shared_ptr<const void> keepalive);
@@ -285,7 +249,8 @@ class SimilarityMatrix {
   /// packed bytes (@p src_bits per element) and Φ values were already
   /// computed — a tail record, a big-endian host's or a mixed-width
   /// segment — without re-running the kernels. The matrix must have its
-  /// network count set (adopt_rows with an empty span does that).
+  /// network count set (adopt_rows with an empty span does that). Drops
+  /// the cached counts, so the next valid append pays the kernels.
   void append_precomputed(const AdoptedRow& row, std::size_t src_bits);
 
   UnknownPolicy policy() const noexcept { return policy_; }
@@ -324,70 +289,36 @@ class SimilarityMatrix {
  private:
   friend class io::SegmentCodec;
 
-  /// One anchor: a row whose exact counts(row, j) are cached for every
-  /// column j, plus the chained upper bound on |Δ(row, latest)|.
-  struct AnchorRow {
-    std::size_t row = 0;
-    /// counts(row, j) for j = 0..n_-1, extended by one entry per
-    /// append (counts(row, i) = counts(i, row), which the new row just
-    /// computed). Entries at invalid columns are zero placeholders and
-    /// never read.
-    std::vector<MatchCounts> counts;
-    /// Running Σ|Δ| of per-step change sets since the bound was last
-    /// exact — an upper bound on |Δ(row, latest)| by the triangle
-    /// inequality. Refreshed to the exact size on every probe/patch.
-    std::size_t est_delta = 0;
-    /// append counter at the last time this anchor was chosen (LRU
-    /// eviction of representatives).
-    std::uint64_t last_used = 0;
-  };
-
   /// Canonical (row >= col) index pairs of all distinct valid unordered
   /// pairs drawn from a × b (sorted, deduplicated).
   std::vector<std::pair<std::size_t, std::size_t>> pair_keys(
       const std::vector<std::size_t>& a,
       const std::vector<std::size_t>& b) const;
 
-  AnchorRow* find_anchor(std::size_t row);
-  void pin_representative(AnchorRow anchor);
-
   /// Networks with a known site in row @p row — the diagonal's
   /// mutual_known (= matches), computed once per row and cached.
   std::uint64_t known(std::size_t row);
 
-  /// |Δ(i−1, i)| from @p c = counts(i−1, i): the exact step size,
-  /// without building the change set.
-  std::size_t step_size(std::size_t i, const MatchCounts& c) {
-    return static_cast<std::size_t>(known(i - 1) + known(i) -
-                                    c.mutual_known - c.matches);
-  }
-
-  /// Carries every anchor's chained bound across invalid row @p i (the
-  /// triangle inequality holds through any row, valid or not).
-  void extend_bounds_across(std::size_t i);
-
-  /// Shared head of append()/append_batch() for unweighted matrices:
-  /// extends every anchor's chained bound by @p step = |Δ(i−1, i)|,
-  /// picks the cheapest anchor (chained bound → bounded probes →
-  /// nullptr = kernel fallback), and records the per-row path metrics.
-  /// On success @p delta holds the realized change set against the
-  /// returned anchor — the only one built — and @p chose_rep says
-  /// whether it is a representative (the caller owns the
-  /// refresh-to-latest step, whose counts come from the fill).
-  AnchorRow* select_anchor(std::size_t i, std::size_t step,
-                           std::vector<DeltaEntry>& delta, bool& chose_rep);
+  /// The path rule for valid row @p i of an unweighted matrix: with no
+  /// cached predecessor (@p base == kNoAnchorRow, @p c unread) the row
+  /// pays the kernels; otherwise @p c = counts(base, i) gives
+  /// |Δ(base, i)|, and at or below the density threshold the row patches
+  /// from @p base with @p delta, the change set, filled in. Returns
+  /// whether it patches and records the row's path metrics.
+  bool plan_row(std::size_t base, std::size_t i, const MatchCounts& c,
+                std::vector<DeltaEntry>& delta);
 
   /// One append_batch() chunk (bounded so the transient per-row counts
-  /// stay a few MB): plan anchors sequentially, fill old columns
-  /// column-outer, fill the corner row-major, then rebuild/extend the
-  /// anchor counts from the computed rows.
+  /// stay a few MB): plan every row against its predecessor, fill old
+  /// columns column-outer, fill the corner row-major, then keep the last
+  /// valid row's counts as the cache.
   void append_chunk(std::span<const RoutingVector> batch);
 
   std::size_t n_ = 0;
   TriangleStore values_;  // lower triangle incl. diagonal
   std::vector<char> valid_;
-  /// known(r) per row; kKnownUnset until first needed (adopted and
-  /// precomputed rows, invalid rows the bounds never crossed).
+  /// known(r) per row; kKnownUnset until first needed (adopted,
+  /// precomputed and invalid rows).
   static constexpr std::uint64_t kKnownUnset = ~std::uint64_t{0};
   std::vector<std::uint64_t> known_;
 
@@ -397,20 +328,17 @@ class SimilarityMatrix {
   unsigned threads_ = 1;
   PackedSeries packed_;  // one row per appended observation
 
-  std::deque<AnchorRow> recent_;        // newest at the back
-  std::vector<AnchorRow> representatives_;
-  std::size_t recent_limit_ = kRecentAnchors;
-  std::size_t representative_limit_ = kMaxRepresentativeAnchors;
-  std::uint64_t append_clock_ = 0;
+  /// The newest valid row whose counts are cached (kNoAnchorRow: none —
+  /// a fresh, adopted, loaded or weighted matrix), and those counts:
+  /// prev_counts_[j] = counts(prev_, j) for every column j < n_, with
+  /// zero placeholders at invalid columns that are never read.
+  std::size_t prev_ = kNoAnchorRow;
+  std::vector<MatchCounts> prev_counts_;
   /// anchor_of_[i] = row that i delta-patched from (kNoAnchorRow for
   /// kernel/invalid/weighted rows). May be shorter than n_ in a
   /// compute_reference() matrix — anchor_chain() treats missing entries
   /// as absent.
   std::vector<std::size_t> anchor_of_;
-  /// Kernel-fallback rows left to skip before probing again after a
-  /// round of probes found nothing (exponential backoff, capped).
-  std::size_t probe_cooldown_ = 0;
-  std::size_t probe_failures_ = 0;
 };
 
 }  // namespace fenrir::core

@@ -1,6 +1,6 @@
 // fenrir::core::simd — runtime CPU-feature dispatch for the Φ kernels.
 //
-// The packed MatchCounts kernels and the bounded change-set scans are
+// The packed MatchCounts kernels and the change-set scans are
 // the two loops every Φ in the system funnels through. compare_kernels.cc
 // keeps the scalar implementations — the oracle every other tier must
 // reproduce bit-for-bit — and this header names the faster tiers built
@@ -49,9 +49,8 @@ Tier detected_tier() noexcept;
 Tier active_tier() noexcept;
 
 /// One tier's kernel entry points. count_* produce the integer core of
-/// unweighted Φ; delta_* fill @p out with the sorted change-set between
-/// two rows, bailing (clear + false) past @p cap mismatches — pass
-/// kNoCap for an unbounded scan that cannot fail.
+/// unweighted Φ; delta_* append the sorted change-set between two rows
+/// to @p out.
 struct KernelTable {
   // The 4-bit kernels take the row's element count n and read
   // packed_row_bytes(n, 4) bytes; the high nibble of an odd row's last
@@ -64,16 +63,14 @@ struct KernelTable {
                            std::size_t n);
   MatchCounts (*count_u32)(const std::uint32_t* a, const std::uint32_t* b,
                            std::size_t n);
-  bool (*delta_u4)(const std::uint8_t* a, const std::uint8_t* b,
-                   std::size_t n, std::size_t cap, std::vector<DeltaEntry>& out);
-  bool (*delta_u8)(const std::uint8_t* a, const std::uint8_t* b,
-                   std::size_t n, std::size_t cap, std::vector<DeltaEntry>& out);
-  bool (*delta_u16)(const std::uint16_t* a, const std::uint16_t* b,
-                    std::size_t n, std::size_t cap,
-                    std::vector<DeltaEntry>& out);
-  bool (*delta_u32)(const std::uint32_t* a, const std::uint32_t* b,
-                    std::size_t n, std::size_t cap,
-                    std::vector<DeltaEntry>& out);
+  void (*delta_u4)(const std::uint8_t* a, const std::uint8_t* b,
+                   std::size_t n, std::vector<DeltaEntry>& out);
+  void (*delta_u8)(const std::uint8_t* a, const std::uint8_t* b,
+                   std::size_t n, std::vector<DeltaEntry>& out);
+  void (*delta_u16)(const std::uint16_t* a, const std::uint16_t* b,
+                    std::size_t n, std::vector<DeltaEntry>& out);
+  void (*delta_u32)(const std::uint32_t* a, const std::uint32_t* b,
+                    std::size_t n, std::vector<DeltaEntry>& out);
   // Row-ingest kernels: pack_u4/u8/u16 narrow a SiteId row into the
   // packed store in one pass and return the largest id they read. The
   // bytes are the packed row when that id fits the width (≤ 15, 255,
@@ -96,8 +93,6 @@ struct KernelTable {
   KnownPatchFn known_u4;
 };
 
-inline constexpr std::size_t kNoCap = static_cast<std::size_t>(-1);
-
 /// The table for active_tier() — what PackedSeries dispatches through.
 const KernelTable& active();
 
@@ -118,14 +113,14 @@ MatchCounts count_u16_scalar(const std::uint16_t*, const std::uint16_t*,
                              std::size_t);
 MatchCounts count_u32_scalar(const std::uint32_t*, const std::uint32_t*,
                              std::size_t);
-bool delta_u4_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                     std::size_t, std::vector<DeltaEntry>&);
-bool delta_u8_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                     std::size_t, std::vector<DeltaEntry>&);
-bool delta_u16_scalar(const std::uint16_t*, const std::uint16_t*, std::size_t,
-                      std::size_t, std::vector<DeltaEntry>&);
-bool delta_u32_scalar(const std::uint32_t*, const std::uint32_t*, std::size_t,
-                      std::size_t, std::vector<DeltaEntry>&);
+void delta_u4_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::vector<DeltaEntry>&);
+void delta_u8_scalar(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::vector<DeltaEntry>&);
+void delta_u16_scalar(const std::uint16_t*, const std::uint16_t*, std::size_t,
+                      std::vector<DeltaEntry>&);
+void delta_u32_scalar(const std::uint32_t*, const std::uint32_t*, std::size_t,
+                      std::vector<DeltaEntry>&);
 SiteId pack_u4_scalar(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u8_scalar(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u16_scalar(const SiteId*, std::uint16_t*, std::size_t);
@@ -147,14 +142,14 @@ MatchCounts count_u16_avx2(const std::uint16_t*, const std::uint16_t*,
                            std::size_t);
 MatchCounts count_u32_avx2(const std::uint32_t*, const std::uint32_t*,
                            std::size_t);
-bool delta_u4_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                   std::size_t, std::vector<DeltaEntry>&);
-bool delta_u8_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                   std::size_t, std::vector<DeltaEntry>&);
-bool delta_u16_avx2(const std::uint16_t*, const std::uint16_t*, std::size_t,
-                    std::size_t, std::vector<DeltaEntry>&);
-bool delta_u32_avx2(const std::uint32_t*, const std::uint32_t*, std::size_t,
-                    std::size_t, std::vector<DeltaEntry>&);
+void delta_u4_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                   std::vector<DeltaEntry>&);
+void delta_u8_avx2(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                   std::vector<DeltaEntry>&);
+void delta_u16_avx2(const std::uint16_t*, const std::uint16_t*, std::size_t,
+                    std::vector<DeltaEntry>&);
+void delta_u32_avx2(const std::uint32_t*, const std::uint32_t*, std::size_t,
+                    std::vector<DeltaEntry>&);
 SiteId pack_u4_avx2(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u8_avx2(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u16_avx2(const SiteId*, std::uint16_t*, std::size_t);
@@ -169,14 +164,14 @@ MatchCounts count_u16_avx512(const std::uint16_t*, const std::uint16_t*,
                              std::size_t);
 MatchCounts count_u32_avx512(const std::uint32_t*, const std::uint32_t*,
                              std::size_t);
-bool delta_u4_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                     std::size_t, std::vector<DeltaEntry>&);
-bool delta_u8_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
-                     std::size_t, std::vector<DeltaEntry>&);
-bool delta_u16_avx512(const std::uint16_t*, const std::uint16_t*, std::size_t,
-                      std::size_t, std::vector<DeltaEntry>&);
-bool delta_u32_avx512(const std::uint32_t*, const std::uint32_t*, std::size_t,
-                      std::size_t, std::vector<DeltaEntry>&);
+void delta_u4_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::vector<DeltaEntry>&);
+void delta_u8_avx512(const std::uint8_t*, const std::uint8_t*, std::size_t,
+                     std::vector<DeltaEntry>&);
+void delta_u16_avx512(const std::uint16_t*, const std::uint16_t*, std::size_t,
+                      std::vector<DeltaEntry>&);
+void delta_u32_avx512(const std::uint32_t*, const std::uint32_t*, std::size_t,
+                      std::vector<DeltaEntry>&);
 SiteId pack_u4_avx512(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u8_avx512(const SiteId*, std::uint8_t*, std::size_t);
 SiteId pack_u16_avx512(const SiteId*, std::uint16_t*, std::size_t);

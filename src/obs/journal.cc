@@ -1,5 +1,8 @@
 #include "obs/journal.h"
 
+#include <algorithm>
+#include <filesystem>
+
 #include "obs/health.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -29,12 +32,49 @@ bool looks_complete(std::string_view line) {
   return line.size() >= 2 && line.front() == '{' && line.back() == '}';
 }
 
+/// A kill mid-append leaves an unterminated last line, and appending
+/// straight after it would glue the next line onto it — losing both.
+/// Cuts @p path back to just past its last '\n' (to empty when there is
+/// none), so the torn line reads as "not written", which is what
+/// read_journal already makes of it, and the next line starts clean. A
+/// file that ends in '\n', or cannot be read, is left alone.
+void drop_torn_tail(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return;
+  std::streamoff end = in.tellg();
+  if (end <= 0) return;
+  char last = '\0';
+  in.seekg(end - 1);
+  if (!in.get(last) || last == '\n') return;
+  // Walk back a block at a time to the last '\n'.
+  std::streamoff keep = 0;
+  char block[4096];
+  while (end > 0 && keep == 0) {
+    const std::streamoff begin = std::max<std::streamoff>(
+        0, end - static_cast<std::streamoff>(sizeof block));
+    in.seekg(begin);
+    if (!in.read(block, end - begin)) return;
+    for (std::streamoff k = end - begin; k > 0 && keep == 0; --k) {
+      if (block[k - 1] == '\n') keep = begin + k;
+    }
+    end = begin;
+  }
+  in.close();
+  std::error_code ec;
+  std::filesystem::resize_file(path, static_cast<std::uintmax_t>(keep), ec);
+  if (ec) {
+    FENRIR_LOG(Warn).field("path", path)
+        << "journal: cannot cut a torn last line: " << ec.message();
+  }
+}
+
 }  // namespace
 
 Journal::~Journal() { close(); }
 
 bool Journal::open(const std::string& path, bool truncate) {
   close();
+  if (!truncate) drop_torn_tail(path);
   out_.open(path, truncate ? std::ios::out | std::ios::trunc
                            : std::ios::out | std::ios::app);
   if (!out_) {

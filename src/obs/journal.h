@@ -10,7 +10,8 @@
 //   * every fully written line is valid on its own;
 //   * a process killed mid-append leaves at most one torn final line,
 //     which the reader silently drops (the sweep it described never
-//     finished reporting, so dropping it is the truth);
+//     finished reporting, so dropping it is the truth) and a resumed
+//     writer cuts before its first append;
 //   * a malformed line in the *interior* means real corruption (disk,
 //     truncation, editing) and throws JournalError — silently skipping
 //     would fabricate a gap the campaign never had.
@@ -49,9 +50,12 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Opens @p path for appending (@p truncate drops prior content —
-  /// fresh campaigns truncate, resumed ones append). Returns false when
-  /// the file cannot be opened; the journal is then inert and append()
-  /// is a no-op, so callers need not guard every write.
+  /// fresh campaigns truncate, resumed ones append). Appending first
+  /// cuts a torn last line, one a kill left without its '\n', so the
+  /// next append starts a line of its own instead of being glued onto
+  /// it. Returns false when the file cannot be opened; the journal is
+  /// then inert and append() is a no-op, so callers need not guard every
+  /// write.
   bool open(const std::string& path, bool truncate = false);
 
   /// Appends one JSON object as a line and flushes, so a kill after

@@ -374,7 +374,7 @@ TEST(DeltaKernels, PatchedCountsEqualDirectCounts) {
 // SIMD dispatch property suite: every tier this build/host can run must
 // reproduce the scalar oracle's integer counts and change-sets exactly,
 // across widths × tail lengths (non-multiples of every lane count) ×
-// unknown fractions × bound caps. Counts equality implies bit-identical
+// unknown fractions. Counts equality implies bit-identical
 // Φ for both UnknownPolicy variants (phi_from_counts is a pure function
 // of the two integers), asserted explicitly below anyway.
 
@@ -449,17 +449,16 @@ TEST(SimdKernels, CountsBitIdenticalToScalarOracleAllTiers) {
 }
 
 template <typename T>
-void expect_delta_identical(
-    bool (*kernel)(const T*, const T*, std::size_t, std::size_t,
-                   std::vector<DeltaEntry>&),
-    bool (*ref)(const T*, const T*, std::size_t, std::size_t,
-                std::vector<DeltaEntry>&),
-    const std::vector<T>& a, const std::vector<T>& b, std::size_t cap,
-    const char* tier) {
+using DeltaFn = void (*)(const T*, const T*, std::size_t,
+                         std::vector<DeltaEntry>&);
+
+template <typename T>
+void expect_delta_identical(DeltaFn<T> kernel, DeltaFn<T> ref,
+                            const std::vector<T>& a, const std::vector<T>& b,
+                            const char* tier) {
   std::vector<DeltaEntry> got, want;
-  const bool got_ok = kernel(a.data(), b.data(), a.size(), cap, got);
-  const bool want_ok = ref(a.data(), b.data(), a.size(), cap, want);
-  ASSERT_EQ(got_ok, want_ok) << tier << " n=" << a.size() << " cap=" << cap;
+  kernel(a.data(), b.data(), a.size(), got);
+  ref(a.data(), b.data(), a.size(), want);
   ASSERT_EQ(got.size(), want.size()) << tier << " n=" << a.size();
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].index, want[i].index) << tier;
@@ -469,12 +468,8 @@ void expect_delta_identical(
 }
 
 template <typename T>
-void run_delta_suite(
-    bool (*kernel)(const T*, const T*, std::size_t, std::size_t,
-                   std::vector<DeltaEntry>&),
-    bool (*ref)(const T*, const T*, std::size_t, std::size_t,
-                std::vector<DeltaEntry>&),
-    rng::Rng& r, SiteId max_site, const char* tier) {
+void run_delta_suite(DeltaFn<T> kernel, DeltaFn<T> ref, rng::Rng& r,
+                     SiteId max_site, const char* tier) {
   for (const std::size_t n : kSimdSizes) {
     auto a = random_sites<T>(r, n, max_site, 0.2);
     auto b = a;
@@ -485,14 +480,7 @@ void run_delta_suite(
               ? T{0}
               : static_cast<T>(kFirstRealSite + r.uniform(max_site));
     }
-    std::vector<DeltaEntry> full;
-    ref(a.data(), b.data(), n, simd::kNoCap, full);
-    const std::size_t caps[] = {0, 1, 2, full.size(),
-                                full.empty() ? 0 : full.size() - 1,
-                                simd::kNoCap};
-    for (const std::size_t cap : caps) {
-      expect_delta_identical(kernel, ref, a, b, cap, tier);
-    }
+    expect_delta_identical(kernel, ref, a, b, tier);
   }
 }
 
@@ -739,35 +727,28 @@ TEST(SimdKernels, FourBitDeltaScansBitIdenticalToScalarOracleAllTiers) {
           }
         }
         std::vector<DeltaEntry> full;
-        ASSERT_TRUE(oracle.delta_u4(a.data(), b.data(), n, simd::kNoCap, full));
+        oracle.delta_u4(a.data(), b.data(), n, full);
         ASSERT_EQ(full.size(), want.size()) << "oracle n=" << n;
         for (std::size_t k = 0; k < want.size(); ++k) {
           EXPECT_EQ(full[k].index, want[k].index) << "oracle n=" << n;
           EXPECT_EQ(full[k].before, want[k].before) << "oracle n=" << n;
           EXPECT_EQ(full[k].after, want[k].after) << "oracle n=" << n;
         }
-        const std::size_t caps[] = {0, 1, 2, want.size(),
-                                    want.empty() ? 0 : want.size() - 1,
-                                    simd::kNoCap};
-        for (const std::size_t cap : caps) {
-          std::vector<DeltaEntry> got, ref;
-          const bool got_ok = t.delta_u4(a.data(), b.data(), n, cap, got);
-          const bool ref_ok = oracle.delta_u4(a.data(), b.data(), n, cap, ref);
-          ASSERT_EQ(got_ok, ref_ok) << name << " n=" << n << " cap=" << cap;
-          ASSERT_EQ(got.size(), ref.size()) << name << " n=" << n;
-          for (std::size_t k = 0; k < got.size(); ++k) {
-            EXPECT_EQ(got[k].index, ref[k].index) << name << " n=" << n;
-            EXPECT_EQ(got[k].before, ref[k].before) << name << " n=" << n;
-            EXPECT_EQ(got[k].after, ref[k].after) << name << " n=" << n;
-          }
+        std::vector<DeltaEntry> got;
+        t.delta_u4(a.data(), b.data(), n, got);
+        ASSERT_EQ(got.size(), want.size()) << name << " n=" << n;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          EXPECT_EQ(got[k].index, want[k].index) << name << " n=" << n;
+          EXPECT_EQ(got[k].before, want[k].before) << name << " n=" << n;
+          EXPECT_EQ(got[k].after, want[k].after) << name << " n=" << n;
         }
         if (n % 2 != 0) {
           // Differing padding nibbles are no change.
           auto pb = b;
           pb.back() ^= 0xA0;
-          std::vector<DeltaEntry> got;
-          ASSERT_TRUE(t.delta_u4(a.data(), pb.data(), n, simd::kNoCap, got));
-          EXPECT_EQ(got.size(), want.size()) << name << " n=" << n;
+          std::vector<DeltaEntry> padded;
+          t.delta_u4(a.data(), pb.data(), n, padded);
+          EXPECT_EQ(padded.size(), want.size()) << name << " n=" << n;
         }
       }
     }
@@ -831,9 +812,7 @@ TEST(SimdKernels, FourBitPatchKernelsBitIdenticalToScalarOracleAllTiers) {
 // independent and on near-identical row pairs.
 template <typename T>
 void expect_step_identity(
-    MatchCounts (*count)(const T*, const T*, std::size_t),
-    bool (*delta)(const T*, const T*, std::size_t, std::size_t,
-                  std::vector<DeltaEntry>&),
+    MatchCounts (*count)(const T*, const T*, std::size_t), DeltaFn<T> delta,
     rng::Rng& r, SiteId max_site, const char* tier) {
   for (const std::size_t n : kSimdSizes) {
     for (const double uf : {0.0, 0.5, 1.0}) {
@@ -849,7 +828,7 @@ void expect_step_identity(
         const std::uint64_t known_a = count(a.data(), a.data(), n).mutual_known;
         const std::uint64_t known_b = count(b.data(), b.data(), n).mutual_known;
         std::vector<DeltaEntry> changes;
-        ASSERT_TRUE(delta(a.data(), b.data(), n, simd::kNoCap, changes));
+        delta(a.data(), b.data(), n, changes);
         EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
                   changes.size())
             << tier << " width " << sizeof(T) << " n=" << n << " uf=" << uf;
@@ -884,7 +863,7 @@ TEST(SimdKernels, StepSizeIdentityAllTiers) {
           const std::uint64_t known_b =
               t.count_u4(b.data(), b.data(), n).mutual_known;
           std::vector<DeltaEntry> changes;
-          ASSERT_TRUE(t.delta_u4(a.data(), b.data(), n, simd::kNoCap, changes));
+          t.delta_u4(a.data(), b.data(), n, changes);
           EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
                     changes.size())
               << name << " 4 bits n=" << n << " uf=" << uf;

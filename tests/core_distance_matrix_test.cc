@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "io/segment_store.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
 
@@ -54,7 +59,7 @@ Dataset churn_dataset(std::size_t obs, std::size_t nets, double churn,
 // recurring structure. Each mode keeps its own slowly-churning vector
 // (only the active mode churns), so a return to a mode lands within a
 // few change-sets of that mode's previous occurrence while staying far
-// from the immediate predecessor. This is the shape anchors exist for.
+// from the immediate predecessor: every mode flip pays a kernel row.
 Dataset periodic_dataset(std::size_t obs, std::size_t nets,
                          std::size_t period, double churn,
                          std::uint64_t seed, double invalid_frac = 0.0,
@@ -188,9 +193,9 @@ TEST(SimilarityMatrixFast, DeltaPathEngagesOnLowChurn) {
   EXPECT_GE(kernel_rows.value() - kernel_before, 12u);
 }
 
-// Mode alternation exercises every anchor path — predecessor, recent,
-// probed representative, kernel fallback — and all of them must stay
-// bit-identical to the scalar reference.
+// Mode alternation mixes both paths — predecessor patches within a block,
+// kernel rows at each flip — and both must stay bit-identical to the
+// scalar reference.
 TEST(SimilarityMatrixAnchors, PeriodicBitIdenticalToReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const auto policy :
@@ -208,50 +213,29 @@ TEST(SimilarityMatrixAnchors, PeriodicBitIdenticalToReference) {
   }
 }
 
-// On a long two-mode alternation the first row of each novel block pays
-// the kernels once and becomes a representative anchor; later returns
-// to the mode probe it and patch. The metrics prove which paths ran.
-TEST(SimilarityMatrixAnchors, RepresentativesEngageOnRecurrence) {
-  auto& representative =
-      obs::registry().counter("fenrir_phi_anchor_representative_total");
-  auto& chained = obs::registry().counter("fenrir_phi_anchor_chained_total");
-  auto& probes = obs::registry().counter("fenrir_phi_anchor_probes_total");
-  auto& pins = obs::registry().counter("fenrir_phi_anchor_pins_total");
-  const auto rep_before = representative.value();
-  const auto chained_before = chained.value();
-  const auto probes_before = probes.value();
-  const auto pins_before = pins.value();
-
-  // 0.5% intra-mode churn over 2000 networks, period 8: recurrences are
-  // ~8 change-sets from the mode's previous block — well under the 5%
-  // delta threshold, but far beyond the predecessor's reach.
-  const Dataset d = periodic_dataset(48, 2000, 8, 0.005, 77);
-  const auto ref = SimilarityMatrix::compute_reference(d);
-  const auto fast = SimilarityMatrix::compute(d, UnknownPolicy::kPessimistic, 1);
-  expect_bit_identical(fast, ref, "recurrence");
-
-  EXPECT_GT(pins.value(), pins_before);      // novel blocks were pinned
-  EXPECT_GT(probes.value(), probes_before);  // stale bounds were probed
-  EXPECT_GT(representative.value() + chained.value(),
-            rep_before + chained_before)
-      << "no recurrence ever patched from a non-predecessor anchor";
-}
-
+// pin_anchor is a range-checked no-op: pinning any row, valid or not,
+// changes neither a value nor a path.
 TEST(SimilarityMatrixAnchors, PinAnchorValidatesAndStaysIdentical) {
   const Dataset d = churn_dataset(20, 300, 0.02, 5, 0.1);
-  std::size_t valid_row = 0;  // pin_anchor no-ops on invalid rows
-  while (!d.series[valid_row].valid) ++valid_row;
-  auto ref = SimilarityMatrix::compute_reference(d);
-  EXPECT_THROW(ref.pin_anchor(valid_row), std::logic_error);
+  const auto ref = SimilarityMatrix::compute_reference(d);
+  EXPECT_NO_THROW(ref.pin_anchor(0));
+  EXPECT_THROW(ref.pin_anchor(d.series.size()), std::out_of_range);
+
+  SimilarityMatrix plain(UnknownPolicy::kPessimistic, d.weights, 1);
+  for (const RoutingVector& v : d.series) plain.append(v);
 
   SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
   EXPECT_THROW(m.pin_anchor(0), std::out_of_range);
-  for (std::size_t t = 0; t < 10; ++t) m.append(d.series[t]);
-  m.pin_anchor(valid_row);  // left the recent set: O(T·N) rebuild
-  m.pin_anchor(valid_row);  // already pinned: no-op
+  for (std::size_t t = 0; t < d.series.size(); ++t) {
+    m.append(d.series[t]);
+    m.pin_anchor(t);
+    m.pin_anchor(t / 2);
+  }
   EXPECT_THROW(m.pin_anchor(99), std::out_of_range);
-  for (std::size_t t = 10; t < d.series.size(); ++t) m.append(d.series[t]);
   expect_bit_identical(m, ref, "pinned");
+  for (std::size_t row = 0; row < m.size(); ++row) {
+    EXPECT_EQ(m.anchor_chain(row), plain.anchor_chain(row)) << "row " << row;
+  }
 
   // Weighted matrices run kernels only; pinning is a documented no-op.
   SimilarityMatrix w(UnknownPolicy::kPessimistic, {1.0, 2.0, 3.0}, 1);
@@ -262,34 +246,10 @@ TEST(SimilarityMatrixAnchors, PinAnchorValidatesAndStaysIdentical) {
   EXPECT_NO_THROW(w.pin_anchor(0));
 }
 
-// set_anchor_limits trades speed, never values: predecessor-only (the
-// old builds' delta path) and fully disabled both match the reference.
-TEST(SimilarityMatrixAnchors, AnchorLimitsAffectTimeOnly) {
-  const Dataset d = periodic_dataset(24, 300, 6, 0.01, 11, 0.1);
-  const auto ref = SimilarityMatrix::compute_reference(d);
-  for (const auto limits :
-       {std::pair<std::size_t, std::size_t>{1, 0}, {0, 0}, {2, 1}}) {
-    SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
-    m.set_anchor_limits(limits.first, limits.second);
-    for (const RoutingVector& v : d.series) m.append(v);
-    expect_bit_identical(m, ref,
-                         "limits " + std::to_string(limits.first) + "," +
-                             std::to_string(limits.second));
-  }
-  // Shrinking the sets mid-series drops existing anchors but keeps the
-  // values exact.
-  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
-  for (std::size_t t = 0; t < 12; ++t) m.append(d.series[t]);
-  m.set_anchor_limits(1, 0);
-  for (std::size_t t = 12; t < d.series.size(); ++t) m.append(d.series[t]);
-  expect_bit_identical(m, ref, "limits shrunk mid-series");
-}
-
 // append_batch must produce exactly the matrix an append() loop does —
 // across churn shapes, outage slots, policies, warm starts, and batch
-// sizes that cross the internal chunk boundary. Anchor bookkeeping
-// after the batch must also be equivalent: appends *after* a batch stay
-// identical too.
+// sizes that cross the internal chunk boundary. The cache a batch leaves
+// must also be equivalent: appends *after* a batch stay identical too.
 TEST(SimilarityMatrixBatch, BatchBitIdenticalToAppendLoop) {
   struct Case {
     Dataset d;
@@ -320,7 +280,7 @@ TEST(SimilarityMatrixBatch, WarmBatchAndPostBatchAppendsStayIdentical) {
 
   // Warm start: 20 rows one at a time, a 16-row batch, then the tail
   // appended row-at-a-time again — the post-batch appends only agree if
-  // the batch left the anchor set in the equivalent state.
+  // the batch left the cached predecessor counts in the equivalent state.
   SimilarityMatrix mixed(UnknownPolicy::kPessimistic, d.weights, 1);
   for (std::size_t t = 0; t < 20; ++t) mixed.append(d.series[t]);
   mixed.append_batch(
@@ -344,24 +304,6 @@ TEST(SimilarityMatrixBatch, WeightedBatchFallsBackBitIdentical) {
   SimilarityMatrix batch(UnknownPolicy::kKnownOnly, d.weights, 1);
   batch.append_batch(d.series);
   expect_bit_identical(batch, loop, "weighted batch");
-}
-
-// Satellite regression: the chained/probed recent-anchor stage used to
-// be dead in every bench (fenrir_phi_anchor_chained_total == 0). A
-// period-2 alternation with representatives disabled forces it: the
-// predecessor is always the *other* mode (chained bounds saturate), so
-// the probe stage must rediscover the same-mode recent anchor at i-2.
-TEST(SimilarityMatrixAnchors, ChainedStageEngagesOnAlternation) {
-  auto& chained = obs::registry().counter("fenrir_phi_anchor_chained_total");
-  const auto before = chained.value();
-  const Dataset d = periodic_dataset(64, 2000, 2, 0.005, 41);
-  const auto ref = SimilarityMatrix::compute_reference(d);
-  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
-  m.set_anchor_limits(SimilarityMatrix::kRecentAnchors, 0);
-  for (const RoutingVector& v : d.series) m.append(v);
-  expect_bit_identical(m, ref, "alternation");
-  EXPECT_GT(chained.value(), before)
-      << "period-2 alternation never took the chained/probed recent path";
 }
 
 // Verfploeter-style sweeps: one slowly drifting routing state, each
@@ -398,8 +340,49 @@ Dataset verfploeter_dataset(std::size_t obs, std::size_t nets,
   return d;
 }
 
-// What append()/append_batch() chose, row by row: each row's anchor
-// base (−1 for none), and how the path counters moved.
+// The predecessor rule restated element-wise from the raw vectors, with
+// no counts: a valid row patches exactly when the newest valid row
+// before it still has its counts cached — not across a load at row
+// @p load_at, and not for the first valid row — and the two vectors
+// differ in at most kDeltaDensityThreshold of the networks. Returns each
+// row's expected base, −1 for kernel and invalid rows.
+std::vector<long> oracle_bases(
+    const Dataset& d, std::size_t load_at = static_cast<std::size_t>(-1)) {
+  std::vector<long> bases(d.series.size(), -1);
+  long prev = -1;
+  for (std::size_t i = 0; i < d.series.size(); ++i) {
+    if (i == load_at) prev = -1;
+    const RoutingVector& v = d.series[i];
+    if (!v.valid) continue;
+    if (prev >= 0) {
+      const std::vector<SiteId>& before = d.series[prev].assignment;
+      std::size_t churn = 0;
+      for (std::size_t n = 0; n < before.size(); ++n) {
+        churn += before[n] != v.assignment[n];
+      }
+      if (static_cast<double>(churn) <=
+          SimilarityMatrix::kDeltaDensityThreshold *
+              static_cast<double>(before.size())) {
+        bases[i] = prev;
+      }
+    }
+    prev = static_cast<long>(i);
+  }
+  return bases;
+}
+
+// Each row's anchor-chain base, −1 for none.
+std::vector<long> bases_of(const SimilarityMatrix& m) {
+  std::vector<long> bases;
+  for (std::size_t row = 0; row < m.size(); ++row) {
+    const std::vector<std::size_t> chain = m.anchor_chain(row);
+    bases.push_back(chain.empty() ? -1 : static_cast<long>(chain[0]));
+  }
+  return bases;
+}
+
+// What append()/append_batch() chose, row by row: each row's base, and
+// how the path counters moved.
 struct PathTrace {
   std::vector<long> base;
   std::vector<double> counters;  // kPathCounters order
@@ -408,11 +391,6 @@ struct PathTrace {
 constexpr const char* kPathCounters[] = {
     "fenrir_phi_rows_delta_total",
     "fenrir_phi_rows_kernel_total",
-    "fenrir_phi_anchor_predecessor_total",
-    "fenrir_phi_anchor_chained_total",
-    "fenrir_phi_anchor_representative_total",
-    "fenrir_phi_anchor_packed_total",
-    "fenrir_phi_anchor_probes_total",
 };
 
 PathTrace trace_paths(const Dataset& d, bool batch) {
@@ -428,10 +406,10 @@ PathTrace trace_paths(const Dataset& d, bool batch) {
   }
   expect_bit_identical(m, SimilarityMatrix::compute_reference(d), d.name);
   PathTrace out;
+  out.base = bases_of(m);
   for (std::size_t row = 0; row < m.size(); ++row) {
-    const std::vector<std::size_t> chain = m.anchor_chain(row);
-    out.base.push_back(chain.empty() ? -1 : static_cast<long>(chain[0]));
     // The rest of the chain is the base's own chain, truncated.
+    const std::vector<std::size_t> chain = m.anchor_chain(row);
     if (!chain.empty()) {
       std::vector<std::size_t> rest = m.anchor_chain(chain[0], 7);
       rest.insert(rest.begin(), chain[0]);
@@ -445,28 +423,27 @@ PathTrace trace_paths(const Dataset& d, bool batch) {
   return out;
 }
 
-// Path choices are time, never values — but deriving the anchor bounds
-// differently must not move them either. Both series pin the per-row
-// anchor bases and path counters recorded on a build that materialized
-// every step change set: a >5%-churn Verfploeter series (kernel rows,
-// failed probes and their back-off, invalid slots) and a two-mode
-// periodic one (predecessor, chained and representative patches, probes,
-// invalid slots).
+// The per-row bases and path counters, pinned from oracle_bases() for a
+// >5%-churn Verfploeter series (kernel rows throughout, invalid slots)
+// and a two-mode periodic one (predecessor patches within each block,
+// bridging invalid slots, and a kernel row at each flip). A path change
+// shows here before it shows in a benchmark.
 TEST(SimilarityMatrixAnchors, PathChoicesArePinned) {
   const Dataset verf = verfploeter_dataset(160, 2000, 29);
   const std::vector<long> verf_base(160, -1);
-  // rows_delta, rows_kernel, predecessor, chained, representative,
-  // packed, probes.
-  const std::vector<double> verf_counters{0, 145, 0, 0, 0, 145, 128};
+  // rows_delta, rows_kernel.
+  const std::vector<double> verf_counters{0, 145};
 
   const Dataset periodic = periodic_dataset(64, 2000, 8, 0.005, 77, 0.1);
   const std::vector<long> periodic_base{
       -1, 0,  1,  2,  -1, 3,  5,  6,  -1, -1, 8,  -1, 10, 12, -1, -1,
       -1, 16, 17, 18, 19, 20, 21, 22, -1, 24, 25, -1, 26, 28, 29, 30,
-      16, 32, 33, 34, 35, 36, 37, 38, 24, 40, -1, 41, 43, 44, 45, 46,
-      -1, 32, 49, -1, 50, 52, 53, 54, 40, 56, 57, 58, -1, 59, 61, 62};
-  const std::vector<double> periodic_counters{50, 4, 39, 7, 4, 4, 32};
+      -1, 32, 33, 34, 35, 36, 37, 38, -1, 40, -1, 41, 43, 44, 45, 46,
+      -1, -1, 49, -1, 50, 52, 53, 54, -1, 56, 57, 58, -1, 59, 61, 62};
+  const std::vector<double> periodic_counters{46, 8};
 
+  EXPECT_EQ(oracle_bases(verf), verf_base);
+  EXPECT_EQ(oracle_bases(periodic), periodic_base);
   for (const bool batch : {false, true}) {
     const std::string how = batch ? " append_batch" : " append";
     const PathTrace v = trace_paths(verf, batch);
@@ -476,6 +453,129 @@ TEST(SimilarityMatrixAnchors, PathChoicesArePinned) {
     EXPECT_EQ(p.base, periodic_base) << "periodic" << how;
     EXPECT_EQ(p.counters, periodic_counters) << "periodic" << how;
   }
+}
+
+// A precomputed row carries no counts, so it drops the cache: the next
+// valid row pays the kernels however little it churns, and the rows
+// after it patch again. The precomputed row keeps its recorded base.
+TEST(SimilarityMatrixAnchors, AppendPrecomputedDropsTheCache) {
+  const Dataset d = churn_dataset(8, 300, 0.01, 4);
+  const auto ref = SimilarityMatrix::compute_reference(d);
+  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
+  for (std::size_t t = 0; t < 4; ++t) m.append(d.series[t]);
+  const std::vector<SiteId>& sites = d.series[4].assignment;
+  const std::vector<std::uint8_t> packed(sites.begin(), sites.end());
+  std::vector<double> phi;
+  for (std::size_t j = 0; j <= 4; ++j) phi.push_back(ref.phi(4, j));
+  m.append_precomputed({reinterpret_cast<const std::byte*>(packed.data()),
+                        phi.data(), true, 3},
+                       8);
+  for (std::size_t t = 5; t < d.series.size(); ++t) m.append(d.series[t]);
+  expect_bit_identical(m, ref, "precomputed row 4");
+  EXPECT_EQ(bases_of(m), oracle_bases(d, 5));
+  EXPECT_EQ(bases_of(m), (std::vector<long>{-1, 0, 1, 2, 3, -1, 5, 6}));
+}
+
+// Grows @p m over series[from, to) in a random mix of single appends and
+// batches of 2..100 rows; returns how many batches crossed the 64-row
+// chunk.
+std::size_t grow_mixed(SimilarityMatrix& m, const Dataset& d,
+                       std::size_t from, std::size_t to, rng::Rng& r) {
+  std::size_t crossed = 0;
+  for (std::size_t t = from; t < to;) {
+    const std::size_t k =
+        std::min<std::size_t>(to - t, r.bernoulli(0.4) ? 1 : 2 + r.uniform(99));
+    if (k == 1) {
+      m.append(d.series[t]);
+    } else {
+      m.append_batch(std::span(d.series).subspan(t, k));
+    }
+    crossed += k > 64;
+    t += k;
+  }
+  return crossed;
+}
+
+// The predecessor rule against oracle_bases() and Φ against the scalar
+// reference, through every way a row enters a matrix: churn, periodic
+// and Verfploeter-style series with outage slots (the 2%-unknown one
+// straddles the threshold), both policies, serial and pooled fills,
+// mixed append/append_batch calls, and a segment-store flush and load
+// at a random row — sealed segments come back by page adoption, the
+// tail by append_precomputed, and neither brings counts back, so the
+// first valid row after the load pays the kernels.
+TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("fenrir_predecessor_oracle_" + std::to_string(::getpid()));
+  rng::Rng r(2026);
+  const Dataset series[] = {
+      churn_dataset(150, 400, 0.02, 3, 0.15),
+      periodic_dataset(150, 400, 6, 0.01, 5, 0.1),
+      verfploeter_dataset(150, 400, 7),
+      verfploeter_dataset(150, 400, 8, 0.02),
+  };
+  std::size_t crossed = 0, delta_rows = 0, kernel_rows = 0;
+  for (const Dataset& d : series) {
+    for (const auto policy :
+         {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+      const auto ref = SimilarityMatrix::compute_reference(d, policy);
+      for (const unsigned threads : {1u, 0u}) {
+        const std::size_t load_at = 1 + r.uniform(d.series.size() - 1);
+        const std::string label =
+            d.name + " policy=" + std::to_string(static_cast<int>(policy)) +
+            " threads=" + std::to_string(threads) +
+            " load_at=" + std::to_string(load_at);
+        std::filesystem::remove_all(dir);
+        io::SegmentStoreConfig cfg;
+        cfg.seal_rows = 16;
+        cfg.threads = threads;
+        cfg.background_compaction = false;
+        {
+          SimilarityMatrix m(policy, d.weights, threads);
+          crossed += grow_mixed(m, d, 0, load_at, r);
+          io::SegmentStore store(dir, cfg);
+          store.attach(&d);
+          for (std::size_t t = 0; t < load_at; ++t) {
+            store.spill_row(d.series[t], m, t);
+          }
+          store.flush();
+        }
+        io::SegmentStore store(dir, cfg);
+        store.attach(&d);
+        SimilarityMatrix m = store.load(&d).matrix;
+        ASSERT_EQ(m.size(), load_at) << label;
+        crossed += grow_mixed(m, d, load_at, d.series.size(), r);
+        expect_bit_identical(m, ref, label);
+
+        const std::vector<long> want = oracle_bases(d, load_at);
+        const std::vector<long> got = bases_of(m);
+        EXPECT_EQ(got, want) << label;
+        long newest_valid = -1;
+        bool after_load = false;
+        for (std::size_t row = 0; row < d.series.size(); ++row) {
+          after_load = after_load || row == load_at;
+          if (!d.series[row].valid) continue;
+          if (got[row] >= 0) {
+            EXPECT_EQ(got[row], newest_valid) << label << " row " << row;
+            ++delta_rows;
+          } else {
+            ++kernel_rows;
+          }
+          if (after_load) {
+            EXPECT_EQ(got[row], -1) << label << " first valid row " << row
+                                    << " after the load";
+            after_load = false;
+          }
+          newest_valid = static_cast<long>(row);
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(crossed, 0u) << "no batch crossed the 64-row chunk";
+  EXPECT_GT(delta_rows, 0u);
+  EXPECT_GT(kernel_rows, 0u);
 }
 
 // Regression: range_between/median_between used to visit each unordered

@@ -408,6 +408,40 @@ TEST(Lineage, OpenLogSkipsATornRecord) {
   }
 }
 
+// The resume half of the torn-tail rule: a kill cut the log's last
+// record short, and the resumed session's first record must read back
+// as a record of its own — not glued onto the torn line — with the id
+// after the last whole one.
+TEST(Lineage, ResumedLogAfterATornRecordReadsBackIntact) {
+  FileCleaner f(temp_path("torn_resume.jsonl"));
+  DecisionRecord r = sample_record();
+  r.id = 1;
+  const std::string whole = record_json(r);
+  r.id = 2;
+  const std::string torn = record_json(r);
+  {
+    std::ofstream(f.path, std::ios::binary)
+        << whole << "\n" << torn.substr(0, torn.size() - 5);
+  }
+  LineageStore store(LineageStore::Config{8});
+  ASSERT_TRUE(store.open_log(f.path, /*truncate=*/false));
+  DecisionRecord next = sample_record();
+  next.verdict = Verdict::kNewMode;
+  next.mode = 9;
+  EXPECT_EQ(store.record(next), 2u);
+  store.close_log();
+
+  const std::vector<std::string> lines = read_journal(f.path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], whole);
+  const auto resumed = parse_record_json(lines[1]);
+  ASSERT_TRUE(resumed.has_value()) << lines[1];
+  EXPECT_EQ(record_json(*resumed), lines[1]) << "one record per line";
+  EXPECT_EQ(resumed->id, 2u);
+  EXPECT_EQ(resumed->mode, 9u);
+  EXPECT_EQ(resumed->verdict, Verdict::kNewMode);
+}
+
 TEST(Lineage, ModeBookObserveEmitsRecords) {
   LineageStore& store = lineage();
   store.reset();

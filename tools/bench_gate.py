@@ -17,9 +17,9 @@ ratio the same way and cancels; a single regressing kernel stands out
 against the fleet.
 
 Only the recurrence hot path is gated (BM_Gower*, BM_SimilarityMatrix*
-including the Periodic anchored-vs-predecessor pair, BM_ModeBook*,
-BM_FederatedSweep — the federated merge fold — and the segment-store
-BM_Segment*/BM_Compaction path):
+— the packed-kernel and predecessor-delta rows, batched and not —
+BM_ModeBook*, BM_FederatedSweep — the federated merge fold — and the
+segment-store BM_Segment*/BM_Compaction path):
 they are the paper-relevant fast path and run long enough to be stable
 at --benchmark_min_time=0.01s. The other benches are reported in the
 table but never fail the gate.

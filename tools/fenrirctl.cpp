@@ -563,20 +563,6 @@ int cmd_watch(const Args& args) {
       }
     }
     if (start > 0) {
-      // Re-pin each mode representative's first occurrence that is
-      // still inside the retained window (anchors shape time, never
-      // values, so modes first seen before `base` simply stay unpinned).
-      std::vector<bool> seen(book.mode_count(), false);
-      std::size_t valid_seen = 0;
-      for (std::size_t i = 0; i < start; ++i) {
-        if (!data.series[i].valid) continue;
-        if (valid_seen >= book.history().size()) break;
-        const std::size_t mode = book.history()[valid_seen++];
-        if (mode < seen.size() && !seen[mode]) {
-          seen[mode] = true;
-          if (i >= base) matrix->pin_anchor(i - base);
-        }
-      }
       static obs::Counter& resumes = obs::registry().counter(
           "fenrir_watch_resumes_total", "watch sessions resumed from state");
       resumes.inc();
@@ -611,11 +597,6 @@ int cmd_watch(const Args& args) {
     }
     const auto match = book.observe(v);
     obs::lineage().clear_context();  // outage rows never consume it
-    // A new mode's first occurrence becomes a representative anchor:
-    // when the series recurs to it, the matrix patches from this row
-    // instead of paying the packed kernels (the appended row is still
-    // a recent anchor, so pinning it here is O(1)-ish).
-    if (matrix.has_value() && match.is_new) matrix->pin_anchor(i - base);
     // Spill-as-you-go: the row's record leaves the hot path now; the
     // periodic flush is the save interval (O(rows since last flush)).
     if (store.has_value()) {
@@ -1589,10 +1570,7 @@ void register_metric_catalog() {
         "fenrir_modebook_new_modes_total", "fenrir_modebook_recurrences_total",
         "fenrir_trace_events_dropped_total", "fenrir_phi_appends_total",
         "fenrir_phi_rows_delta_total", "fenrir_phi_rows_kernel_total",
-        "fenrir_phi_anchor_predecessor_total", "fenrir_phi_anchor_chained_total",
-        "fenrir_phi_anchor_representative_total", "fenrir_phi_anchor_packed_total",
-        "fenrir_phi_anchor_probes_total", "fenrir_phi_anchor_pins_total",
-        "fenrir_phi_anchor_refreshes_total", "fenrir_segment_sealed_total",
+        "fenrir_segment_sealed_total",
         "fenrir_segment_compacted_total", "fenrir_segment_retired_total",
         "fenrir_segment_mmap_bytes_total", "fenrir_segment_tail_flush_total",
         "fenrir_segment_tail_bytes_total",
@@ -1605,8 +1583,7 @@ void register_metric_catalog() {
         "fenrir_campaign_coverage", "fenrir_campaign_confidence",
         "fenrir_federation_coverage", "fenrir_federation_adaptive_floor",
         "fenrir_federation_members_healthy", "fenrir_federation_members_dead",
-        "fenrir_phi_delta_density", "fenrir_phi_delta_speedup_ratio",
-        "fenrir_phi_anchor_est_delta", "fenrir_phi_anchor_realized_delta"}) {
+        "fenrir_phi_delta_density", "fenrir_phi_delta_speedup_ratio"}) {
     r.gauge(name);
   }
 }
