@@ -369,6 +369,41 @@ void BM_SimilarityMatrixBatchAppendLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityMatrixBatchAppendLoop)->Args({512, 10'000, 64})->MinTime(2.0);
 
+// One settle of kSettleRows kernel rows that span several kernel tiles
+// (262,144 networks pack to 128 KiB at 4 bits: 8 tiles), onto a standing
+// matrix of T − 64 rows: the paper-scale watch's fill at a flush, and
+// what a tile regression slows first. Eight random vectors with ~50%
+// unknown cycle, so every row pays the kernels. Items are the
+// scalar-equivalent comparisons of the settled rows.
+void BM_SimilarityMatrixTiledSettle(benchmark::State& state) {
+  const auto t = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const std::size_t k = core::SimilarityMatrix::kSettleRows;
+  std::vector<core::RoutingVector> rows;
+  for (std::size_t i = 0; i < 8; ++i) {
+    rows.push_back(random_vector(n, 10, 60 + i, 0.5));
+  }
+  std::vector<core::RoutingVector> series;
+  for (std::size_t i = 0; i < t; ++i) {
+    series.push_back(rows[i % rows.size()]);
+    series.back().time = static_cast<core::TimePoint>(i) * core::kDay;
+  }
+  const std::span<const core::RoutingVector> all(series);
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
+    m.append_batch(all.first(t - k));
+    m.reserve(t);
+    state.ResumeTiming();
+    m.append_batch(all.subspan(t - k));
+    benchmark::DoNotOptimize(m.phi(t - 1, 0));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(k * (t - k + (k + 1) / 2 + 1) * n));
+}
+BENCHMARK(BM_SimilarityMatrixTiledSettle)->Args({128, 262'144});
+
 void BM_SimilarityMatrixPeriodicScalar(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));

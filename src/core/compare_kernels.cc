@@ -416,26 +416,28 @@ void PackedSeries::append_packed(const std::byte* src, std::size_t src_bits) {
   convert_packed_row(src, src_bits, push_slot(), bits_, networks_);
 }
 
-MatchCounts PackedSeries::counts(std::size_t i, std::size_t j) const {
-  if (i >= rows() || j >= rows()) {
+MatchCounts PackedSeries::counts(std::size_t i, std::size_t j, std::size_t lo,
+                                 std::size_t n) const {
+  if (i >= rows() || j >= rows() || lo > networks_ || n > networks_ - lo ||
+      (bits_ == 4 && lo % 2 != 0)) {
     throw std::out_of_range("PackedSeries::counts");
   }
-  const std::byte* a = row_ptr(i);
-  const std::byte* b = row_ptr(j);
+  const std::byte* a = row_ptr(i) + lo * bits_ / 8;
+  const std::byte* b = row_ptr(j) + lo * bits_ / 8;
   const simd::KernelTable& k = simd::active();
   switch (bits_) {
     case 4:
       return k.count_u4(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), networks_);
+                        reinterpret_cast<const std::uint8_t*>(b), n);
     case 8:
       return k.count_u8(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), networks_);
+                        reinterpret_cast<const std::uint8_t*>(b), n);
     case 16:
       return k.count_u16(reinterpret_cast<const std::uint16_t*>(a),
-                         reinterpret_cast<const std::uint16_t*>(b), networks_);
+                         reinterpret_cast<const std::uint16_t*>(b), n);
     default:
       return k.count_u32(reinterpret_cast<const std::uint32_t*>(a),
-                         reinterpret_cast<const std::uint32_t*>(b), networks_);
+                         reinterpret_cast<const std::uint32_t*>(b), n);
   }
 }
 

@@ -234,7 +234,14 @@ class PackedSeries {
   void clear() noexcept;
 
   /// MatchCounts between rows i and j: the blocked branchless kernel.
-  MatchCounts counts(std::size_t i, std::size_t j) const;
+  MatchCounts counts(std::size_t i, std::size_t j) const {
+    return counts(i, j, 0, networks_);
+  }
+  /// counts(i, j) over the @p n elements from @p lo on — one network
+  /// chunk of a tiled fill. @p lo must start a byte (even at 4 bits) and
+  /// the range must lie inside the row (std::out_of_range otherwise).
+  MatchCounts counts(std::size_t i, std::size_t j, std::size_t lo,
+                     std::size_t n) const;
 
   /// Weighted counts between rows i and j, mirroring the reference's
   /// accumulation order. For kPessimistic the denominator does not

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "core/parallel.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace fenrir::core {
 
@@ -39,13 +41,15 @@ PhiMetrics& phi_metrics() {
           "delta-path row (scalar scan cost over patch cost)"),
       obs::registry().histogram(
           "fenrir_phi_append_seconds", obs::Histogram::duration_bounds(),
-          "wall time of one SimilarityMatrix::append row")};
+          "wall time of one SimilarityMatrix row append (pack + plan) or "
+          "settle (the batched Phi fill): one sample per appended row plus "
+          "one per settle")};
   return m;
 }
 
-/// Times the whole append — every exit path — into the latency
-/// histogram the /metrics/history p99 series is built from. Two clock
-/// reads per row, noise next to the row's own O(i) work.
+/// Times a whole row append or settle — every exit path — into the
+/// latency histogram the /metrics/history p99 series is built from. Two
+/// clock reads per call, noise next to the call's own O(N) work.
 struct AppendTimer {
   obs::Histogram& histogram;
   std::chrono::steady_clock::time_point start =
@@ -93,6 +97,7 @@ SimilarityMatrix SimilarityMatrix::compute_reference(const Dataset& dataset,
   for (std::size_t i = 0; i < n; ++i) {
     m.valid_[i] = dataset.series[i].valid ? 1 : 0;
   }
+  m.settle_.settled.store(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!m.valid_[i]) continue;
     double* vrow = m.values_.owned_row(i);
@@ -113,7 +118,7 @@ void SimilarityMatrix::pin_anchor(std::size_t row) const {
   if (row >= n_) throw std::out_of_range("SimilarityMatrix::pin_anchor");
 }
 
-std::uint64_t SimilarityMatrix::known(std::size_t row) {
+std::uint64_t SimilarityMatrix::known(std::size_t row) const {
   if (known_[row] == kKnownUnset) {
     known_[row] = packed_.counts(row, row).mutual_known;
   }
@@ -170,15 +175,18 @@ std::vector<std::size_t> SimilarityMatrix::anchor_chain(
   return out;
 }
 
-void SimilarityMatrix::append(const RoutingVector& v) {
+void SimilarityMatrix::ingest(const RoutingVector& v) {
   if (packed_.rows() != n_) {
     throw std::logic_error(
         "SimilarityMatrix::append: matrix was not built incrementally "
         "(compute_reference matrices are read-only)");
   }
-  if (!weights_.empty() && v.assignment.size() != weights_.size()) {
+  const bool weighted = !weights_.empty();
+  if (weighted && v.assignment.size() != weights_.size()) {
     throw std::invalid_argument("SimilarityMatrix: weight size mismatch");
   }
+  PhiMetrics& metrics = phi_metrics();
+  AppendTimer timer(metrics.append_seconds);
   const std::size_t i = n_;
   packed_.append(v);  // also rejects size mismatches against earlier rows
   n_ += 1;
@@ -186,218 +194,216 @@ void SimilarityMatrix::append(const RoutingVector& v) {
   valid_.push_back(v.valid ? 1 : 0);
   known_.push_back(kKnownUnset);
   anchor_of_.resize(n_, kNoAnchorRow);
-  PhiMetrics& metrics = phi_metrics();
   metrics.appends.inc();
-  AppendTimer timer(metrics.append_seconds);
-  if (!v.valid) {
-    // The slot keeps its timeline position; the cache gets a placeholder
-    // so column indices keep lining up.
-    if (prev_ != kNoAnchorRow) prev_counts_.emplace_back();
+  RowPlan& plan = pending_.emplace_back();
+  // An invalid slot keeps its timeline position and fills nothing.
+  if (!v.valid) return;
+  if (weighted) {
+    plan.path = RowPlan::Path::kWeighted;
     return;
   }
-
-  const bool weighted = !weights_.empty();
-  const std::size_t nets = packed_.networks();
-  double* vrow = values_.owned_row(i);  // new rows are always owned
-
-  // The diagonal and the predecessor column are computed here, once —
-  // the path rule reads them — and kept for the fill.
-  std::vector<MatchCounts> row(i + 1);
-  const std::size_t base = weighted ? kNoAnchorRow : prev_;
+  // The path an append() has always taken, against the same
+  // predecessor, whether or not that row has settled: planning reads
+  // packed rows only.
+  const MatchCounts c =
+      prev_ == kNoAnchorRow ? MatchCounts{} : packed_.counts(prev_, i);
   std::vector<DeltaEntry> delta;
-  bool use_delta = false;
-  if (!weighted) {
-    const std::uint64_t k = known(i);
-    row[i] = {k, k};
-    MatchCounts c;
-    if (base != kNoAnchorRow) row[base] = c = packed_.counts(base, i);
-    use_delta = plan_row(base, i, c, delta);
+  if (plan_row(prev_, i, c, delta)) {
+    plan.path = RowPlan::Path::kDelta;
+    plan.base = prev_;
+    plan.delta_size = delta.size();
+    plan.prep = prepare_delta(delta);
+    anchor_of_[i] = prev_;
+  } else {
+    plan.path = RowPlan::Path::kKernel;
   }
-  if (use_delta) anchor_of_[i] = base;
-
-  // Classified once, replayed against every column through the
-  // dispatched patch kernels (the batch fill's path, one row at a time).
-  const PreparedDelta prep = use_delta ? prepare_delta(delta) : PreparedDelta{};
-  auto fill_column = [&](std::size_t j) {
-    if (!valid_[j]) return;
-    if (weighted) {
-      vrow[j] = phi_from_weighted(
-          packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
-      return;
-    }
-    if (j != i && j != base) {
-      row[j] = use_delta
-                   ? ColumnPatcher(packed_, j).apply(prev_counts_[j], prep)
-                   : packed_.counts(i, j);
-    }
-    vrow[j] = phi_from_counts(row[j], nets, policy_);
-  };
-
-  // The grain makes small rows skip pool dispatch entirely (a delta row
-  // over a short matrix is microseconds of work — a pool wakeup costs
-  // more than it saves); the cutoff affects time only, never values.
-  const std::size_t per_pair = use_delta ? delta.size() + 1 : nets;
-  parallel_for(i + 1, fill_column, threads_,
-               std::max<std::size_t>(
-                   1, 65536 / std::max<std::size_t>(per_pair, 1)));
-
-  if (weighted) return;
-  // Whatever the path, the row's exact counts are the next row's cache.
   prev_ = i;
-  prev_counts_ = std::move(row);
+}
+
+void SimilarityMatrix::append(const RoutingVector& v) {
+  ingest(v);
+  if (pending_.size() >= kSettleRows) settle();
 }
 
 void SimilarityMatrix::append_batch(std::span<const RoutingVector> batch) {
-  // One reservation for the whole batch: growing the triangle chunk by
-  // chunk would reallocate it, and copy every earlier row, per chunk.
+  obs::Span span("phi_matrix");
+  // One reservation for the whole batch: growing the triangle row by row
+  // would reallocate it, and copy every earlier row, over and over.
   reserve(n_ + batch.size());
-  // Weighted matrices carry no cached counts to batch over — and the
-  // one-row batch has nothing to amortize.
-  if (!weights_.empty() || batch.size() == 1) {
-    for (const RoutingVector& v : batch) append(v);
-    return;
+  for (const RoutingVector& v : batch) {
+    ingest(v);
+    if (pending_.size() >= kSettleRows) fill_pending();
   }
-  // Chunking bounds the transient per-row counts at ~kChunk·T entries
-  // while keeping enough rows in flight for the column-outer fill to
-  // reuse each old row from cache.
-  constexpr std::size_t kChunk = 64;
-  for (std::size_t off = 0; off < batch.size(); off += kChunk) {
-    append_chunk(batch.subspan(off, std::min(kChunk, batch.size() - off)));
-  }
+  fill_pending();
 }
 
-void SimilarityMatrix::append_chunk(std::span<const RoutingVector> batch) {
-  if (packed_.rows() != n_) {
-    throw std::logic_error(
-        "SimilarityMatrix::append: matrix was not built incrementally "
-        "(compute_reference matrices are read-only)");
-  }
-  const std::size_t n0 = n_;
-  const std::size_t k = batch.size();
+void SimilarityMatrix::settle() const {
+  if (settle_.settled.load() == n_) return;
+  const std::lock_guard<std::mutex> lock(settle_.mutex);
+  if (settle_.settled.load() == n_) return;
+  obs::Span span("phi_matrix");
+  fill_pending();
+}
+
+void SimilarityMatrix::fill_pending() const {
+  using Path = RowPlan::Path;
+  const std::size_t k = pending_.size();
   if (k == 0) return;
-  PhiMetrics& metrics = phi_metrics();
-  AppendTimer timer(metrics.append_seconds);  // one sample per chunk
-
-  // Pass 0: pack every row and grow the value/validity stores (already
-  // reserved by append_batch), so the planning pass can read any batch
-  // row.
-  for (const RoutingVector& v : batch) {
-    packed_.append(v);
-    valid_.push_back(v.valid ? 1 : 0);
-    known_.push_back(kKnownUnset);
-    values_.push_row();
-  }
-  n_ = n0 + k;
-  anchor_of_.resize(n_, kNoAnchorRow);
-
-  // Pass A: sequential planning — the path an append() loop would take
-  // for each row, against the same predecessor. Only the first valid
-  // row can patch from a pre-batch row (the cached prev_counts_, which
-  // stays put until pass C); every later one patches from an earlier
-  // batch row.
-  struct RowPlan {
-    enum class Path { kInvalid, kKernel, kDelta } path = Path::kInvalid;
-    std::size_t base = 0;  // global row id of the predecessor
-    std::vector<DeltaEntry> delta;
-    // The change-set classified by endpoint known-ness, once per row —
-    // the fills replay it against every column without re-testing the
-    // column-invariant kUnknownSite conditions.
-    PreparedDelta prep;
-  };
-  std::vector<RowPlan> plan(k);
-  std::size_t prev = prev_;
-  for (std::size_t r = 0; r < k; ++r) {
-    const std::size_t i = n0 + r;
-    metrics.appends.inc();
-    if (!batch[r].valid) continue;
-    const MatchCounts c =
-        prev == kNoAnchorRow ? MatchCounts{} : packed_.counts(prev, i);
-    if (plan_row(prev, i, c, plan[r].delta)) {
-      plan[r].path = RowPlan::Path::kDelta;
-      plan[r].base = prev;
-      plan[r].prep = prepare_delta(plan[r].delta);
-      anchor_of_[i] = prev;
-    } else {
-      plan[r].path = RowPlan::Path::kKernel;
-    }
-    prev = i;
-  }
-
+  const std::size_t n0 = n_ - k;
+  AppendTimer timer(phi_metrics().append_seconds);  // one sample per settle
   const std::size_t nets = packed_.networks();
+  // Weighted rows keep the reference's in-order accumulation, per pair.
+  const auto weighted_phi = [&](std::size_t i, std::size_t j) {
+    return phi_from_weighted(
+        packed_.weighted_counts(i, j, weights_, policy_, total_weight_));
+  };
   std::vector<std::vector<MatchCounts>> row_counts(k);
-  std::size_t per_col = 1;
+  std::vector<std::size_t> kernel_rows;
+  std::size_t per_col = 1;  // one old column's delta and weighted work
+  bool any_by_column = false;
   for (std::size_t r = 0; r < k; ++r) {
-    if (plan[r].path == RowPlan::Path::kInvalid) continue;
-    row_counts[r].resize(n0 + r + 1);
-    per_col +=
-        plan[r].path == RowPlan::Path::kDelta ? plan[r].delta.size() + 1 : nets;
+    const RowPlan& p = pending_[r];
+    if (p.path == Path::kKernel || p.path == Path::kDelta) {
+      row_counts[r].resize(n0 + r + 1);
+    }
+    if (p.path == Path::kKernel) kernel_rows.push_back(r);
+    if (p.path == Path::kDelta || p.path == Path::kWeighted) {
+      any_by_column = true;
+      per_col += p.path == Path::kDelta ? p.delta_size + 1 : nets;
+    }
   }
+  // Kernel rows first: a delta row may patch from one of them.
+  if (!kernel_rows.empty()) fill_kernel_tiles(kernel_rows, row_counts);
 
-  // Pass B1: columns against the pre-batch rows, column-outer — row j's
-  // packed bytes are loaded once and stay cache-hot across every batch
-  // row's patch, instead of being re-fetched k times as the append()
-  // loop would. In-batch bases resolve within the same column: base row
-  // r' < r was patched earlier in the inner loop.
-  auto fill_old = [&](std::size_t j) {
+  // Delta and weighted rows against the settled rows, column-outer: row
+  // j's packed bytes are loaded once and patched against every pending
+  // row. A pending base resolves within the same column — row r' < r was
+  // filled earlier in the inner loop, or by the tiles.
+  const auto fill_old = [&](std::size_t j) {
     if (!valid_[j]) return;
     packed_.prefetch_row(j + 1 < n0 ? j + 1 : j);
     const ColumnPatcher patcher(packed_, j);
     for (std::size_t r = 0; r < k; ++r) {
-      const RowPlan& p = plan[r];
-      if (p.path == RowPlan::Path::kInvalid) continue;
+      const RowPlan& p = pending_[r];
       const std::size_t i = n0 + r;
-      MatchCounts c;
-      if (p.path == RowPlan::Path::kDelta) {
+      if (p.path == Path::kWeighted) {
+        values_.owned_row(i)[j] = weighted_phi(i, j);
+      } else if (p.path == Path::kDelta) {
         const MatchCounts base =
             p.base < n0 ? prev_counts_[j] : row_counts[p.base - n0][j];
-        c = patcher.apply(base, p.prep);
-      } else {
-        c = packed_.counts(i, j);
+        const MatchCounts c = patcher.apply(base, p.prep);
+        row_counts[r][j] = c;
+        values_.owned_row(i)[j] = phi_from_counts(c, nets, policy_);
       }
-      row_counts[r][j] = c;
-      values_.owned_row(i)[j] = phi_from_counts(c, nets, policy_);
     }
   };
-  parallel_for(n0, fill_old, threads_,
-               std::max<std::size_t>(1, 65536 / per_col));
+  // The grain makes small settles skip pool dispatch entirely (a few
+  // delta rows over a short matrix are microseconds of work); the cutoff
+  // affects time only, never values.
+  if (any_by_column) {
+    parallel_for(n0, fill_old, threads_,
+                 std::max<std::size_t>(1, 65536 / per_col));
+  }
 
-  // Pass B2: the k×k corner, row-major. Every base a delta row needs is
-  // a pair among earlier batch rows (or the pre-batch predecessor
-  // against an earlier batch column), already in row_counts by symmetry:
-  // counts(a, b) for a > b lives at row_counts[a - n0][b].
+  // The delta and weighted rows' k×k corner, row-major. Every base a
+  // delta row needs is a pair among earlier pending rows (or the cached
+  // predecessor against an earlier pending column), already in
+  // row_counts by symmetry: counts(a, b) for a > b lives at
+  // row_counts[a - n0][b].
   for (std::size_t r = 0; r < k; ++r) {
-    const RowPlan& p = plan[r];
-    if (p.path == RowPlan::Path::kInvalid) continue;
+    const RowPlan& p = pending_[r];
+    if (p.path != Path::kDelta && p.path != Path::kWeighted) continue;
     const std::size_t i = n0 + r;
     double* vrow = values_.owned_row(i);
     for (std::size_t s = 0; s <= r; ++s) {
       const std::size_t j = n0 + s;
       if (!valid_[j]) continue;
+      if (p.path == Path::kWeighted) {
+        vrow[j] = weighted_phi(i, j);
+        continue;
+      }
       MatchCounts c;
       if (s == r) {
         const std::uint64_t known_i = known(i);  // the diagonal
         c = {known_i, known_i};
-      } else if (p.path == RowPlan::Path::kDelta) {
+      } else {
         const std::size_t b = p.base;
         const MatchCounts base = (b >= n0 && b - n0 > s)
                                      ? row_counts[b - n0][j]
                                      : row_counts[s][b];
         c = apply_prepared(base, p.prep, packed_, j);
-      } else {
-        c = packed_.counts(i, j);
       }
       row_counts[r][j] = c;
       vrow[j] = phi_from_counts(c, nets, policy_);
     }
   }
 
-  // Pass C: the last valid batch row's counts become the cache, padded
-  // with placeholders for the invalid rows after it.
-  if (prev != prev_) {
-    prev_ = prev;
-    prev_counts_ = std::move(row_counts[prev - n0]);
+  // The newest valid pending row's counts become the cache, padded with
+  // placeholders for the invalid rows after it.
+  for (std::size_t r = k; r-- > 0;) {
+    if (!row_counts[r].empty()) {
+      prev_counts_ = std::move(row_counts[r]);
+      break;
+    }
   }
   if (prev_ != kNoAnchorRow) prev_counts_.resize(n_);
+  pending_.clear();
+  settle_.settled.store(n_);
+}
+
+void SimilarityMatrix::fill_kernel_tiles(
+    std::span<const std::size_t> rows,
+    std::vector<std::vector<MatchCounts>>& row_counts) const {
+  const std::size_t n0 = n_ - pending_.size();
+  const std::size_t nets = packed_.networks();
+  const std::size_t chunk = kTileBytes * 8 / packed_.bits();  // even
+  // A row of no networks still gets its Φ columns from one empty chunk.
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (nets + chunk - 1) / chunk);
+  // Columns [0, cols) meet at least one kernel row (the diagonals come
+  // from known()). Rows ascend, so the rows after column j are a suffix.
+  const std::size_t cols = n0 + rows.back();
+  // Worker w owns columns w, w+W, ...: each count has one writer, so the
+  // chunks' partial sums need no reduction. The grain keeps a small
+  // settle off the pool; it affects time only, never values.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 65536 / (rows.size() * nets + 1));
+  const unsigned wanted =
+      threads_ != 0 ? threads_ : std::thread::hardware_concurrency();
+  const auto workers = static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(wanted, cols / grain)));
+
+  const auto run = [&](std::size_t w) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t lo = c * chunk;
+      const std::size_t len = std::min(chunk, nets - lo);
+      // Column-outer: each of the worker's columns streams its chunk past
+      // the kernel rows' chunks, which stay in L2 across the columns.
+      std::size_t first = 0;
+      for (std::size_t j = w; j < cols; j += workers) {
+        while (n0 + rows[first] <= j) ++first;
+        if (!valid_[j]) continue;
+        for (std::size_t x = first; x < rows.size(); ++x) {
+          const std::size_t i = n0 + rows[x];
+          const MatchCounts m = packed_.counts(i, j, lo, len);
+          MatchCounts& acc = row_counts[rows[x]][j];
+          acc.matches += m.matches;
+          acc.mutual_known += m.mutual_known;
+          if (c + 1 == chunks) {
+            values_.owned_row(i)[j] = phi_from_counts(acc, nets, policy_);
+          }
+        }
+      }
+    }
+  };
+  parallel_for(workers, run, workers);
+
+  for (const std::size_t r : rows) {
+    const std::size_t i = n0 + r;
+    const std::uint64_t known_i = known(i);  // the diagonal
+    row_counts[r][i] = {known_i, known_i};
+    values_.owned_row(i)[i] = phi_from_counts(row_counts[r][i], nets, policy_);
+  }
 }
 
 void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
@@ -423,10 +429,12 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
   // triangle pins the mapping too.
   values_.set_keepalive(std::move(keepalive));
   n_ = rows.size();
+  settle_.settled.store(n_);
 }
 
 void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
                                           std::size_t src_bits) {
+  settle();  // the rows before it fill against the cache they planned on
   const std::size_t i = n_;
   packed_.append_packed(row.packed, src_bits);
   valid_.push_back(row.valid ? 1 : 0);
@@ -435,6 +443,7 @@ void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
   values_.push_row();
   std::memcpy(values_.owned_row(i), row.phi, (i + 1) * sizeof(double));
   n_ += 1;
+  settle_.settled.store(n_);
   // No counts for this row: drop the cache rather than pay a kernel row
   // to extend it, so the next valid append pays the kernels instead.
   prev_ = kNoAnchorRow;
@@ -466,6 +475,7 @@ std::vector<std::pair<std::size_t, std::size_t>> SimilarityMatrix::pair_keys(
 
 SimilarityMatrix::Range SimilarityMatrix::range_between(
     const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) const {
+  settle();
   Range out;
   for (const auto& [i, j] : pair_keys(a, b)) {
     const double p = values_.get(i, j);
@@ -503,6 +513,7 @@ double SimilarityMatrix::median_between(
     const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) const {
   const auto keys = pair_keys(a, b);
   if (keys.empty()) return 0.0;
+  settle();
   std::vector<double> values;
   values.reserve(keys.size());
   for (const auto& [i, j] : keys) values.push_back(values_.get(i, j));

@@ -7,11 +7,11 @@
 // blank and are excluded from clustering, matching the paper's blank
 // 2023-07..12 band in Figure 3.
 //
-// Construction is incremental: append() computes exactly the one new
-// row, choosing per row between
+// Construction is incremental. append() packs the new row and *plans*
+// it at once, choosing between
 //   * the packed kernels (compare_kernels.h) — O(N) per pair but SIMD-
 //     dense,
-//   * delta patching from the *predecessor* — the newest valid row whose
+//   * delta patching from the *predecessor* — the newest valid row, whose
 //     match counts against every column are cached — at O(|Δ|) per pair.
 // The choice needs no extra scan: the row needs counts(prev, i) for its
 // own prev column anyway, and two rows differ wherever either is known,
@@ -25,16 +25,30 @@
 // only (weighted Φ would have to reorder double additions to go fast,
 // which breaks bit-identity).
 //
-// compute() is one append_batch(), which plans its rows by the same
-// rule as append(), so batch analysis and `fenrirctl watch` take the
-// same path per row; every path is bit-identical to the scalar
-// reference (compute_reference), which the property tests enforce.
-// Path choice is exported as fenrir_phi_* metrics (observation only —
-// never a result input).
+// The row's Φ columns stay *pending* until a settle fills every pending
+// row together: at the kSettleRows-th pending row, at the first Φ read
+// that reaches a pending row, or when a segment store flushes the rows
+// it spilled. A settle patches delta rows as above and keeps weighted
+// rows on their in-order per-pair kernel. Kernel rows count all their
+// pairs — old columns and the batch corner alike — a kTileBytes network
+// chunk at a time: each pool worker owns every W-th column and streams
+// its columns' chunks past the kernel rows' chunks, which stay in its
+// L2, summing exact integer counts chunk by chunk. A row that fits one
+// chunk is the plain column-parallel fill.
+// Planning is eager, so anchor_chain() and the path counters never wait
+// for a settle.
+//
+// compute() is one append_batch() — the same pack, plan and settle — so
+// batch analysis and `fenrirctl watch` take the same path per row; every
+// path is bit-identical to the scalar reference (compute_reference),
+// which the property tests enforce. Path choice is exported as
+// fenrir_phi_* metrics (observation only — never a result input).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -142,11 +156,21 @@ class SimilarityMatrix {
   /// width.
   static constexpr double kDeltaDensityThreshold = 0.05;
 
+  /// Pending rows that trigger a settle: append() fills its rows in
+  /// batches of this many, which bounds a settle's transient counts at
+  /// kSettleRows · T MatchCounts.
+  static constexpr std::size_t kSettleRows = 64;
+
+  /// Packed bytes of one row's network chunk in a kernel tile. The
+  /// chunks of a settle's kernel rows (≤ kSettleRows × 16 KiB = 1 MiB)
+  /// stay in a 2 MB L2 while each column's chunk streams past them once.
+  static constexpr std::size_t kTileBytes = std::size_t{16} << 10;
+
   /// Computes Φ for all pairs of @p dataset.series (weights from the
-  /// dataset; uniform if empty) by appending one row at a time. Each
-  /// row parallelizes over its columns with @p threads workers (0 =
-  /// hardware concurrency, 1 = serial); the result is bit-identical for
-  /// any thread count and to compute_reference().
+  /// dataset; uniform if empty) through append_batch(). The fill
+  /// parallelizes with @p threads workers (0 = hardware concurrency, 1 =
+  /// serial); the result is bit-identical for any thread count and to
+  /// compute_reference().
   static SimilarityMatrix compute(
       const Dataset& dataset,
       UnknownPolicy policy = UnknownPolicy::kPessimistic,
@@ -166,26 +190,22 @@ class SimilarityMatrix {
                             std::vector<double> weights = {},
                             unsigned threads = 1);
 
-  /// Appends one observation, computing only the new row: O(T·N) on the
-  /// packed kernels, O(T·|Δ|) when the vector is a sparse change set
-  /// against its predecessor. A matrix grown by append() is bit-identical
-  /// to compute() over the same series — this is what keeps
-  /// `fenrirctl watch` at O(T·Δ) per tick instead of O(T²·N).
+  /// Appends one observation: packs it and plans its path (kernel or
+  /// delta, anchor_of, the path counters) at O(N), and leaves its Φ
+  /// columns pending. The kSettleRows-th pending row settles them all;
+  /// so does the first Φ read that reaches a pending row, and a segment
+  /// store's flush. A matrix grown by append() is bit-identical to
+  /// compute() over the same series, whenever it settles.
   void append(const RoutingVector& v);
 
-  /// Appends @p batch observations at once. Produces exactly the same
-  /// matrix as an append() loop over the same vectors (bit-identical —
-  /// every route to a row's counts is exact integer arithmetic, so path
-  /// choice affects time only), but restructures the work for locality:
-  /// path planning runs first for the whole batch, then the columns
-  /// against the existing rows fill column-outer — each old packed row
-  /// is loaded once and patched against every batch row while it is
-  /// cache-hot, instead of being re-fetched once per appended row — and
-  /// the batch×batch corner fills row-major off the already-computed
-  /// counts. Ingest paths that buffer observations (`fenrirctl analyze
-  /// --matrix-cache` warm appends, watch resume rebuilds, Campaign epoch
-  /// folds) and compute() route through this. Weighted matrices fall
-  /// back to the plain append loop (no cached counts to batch).
+  /// Appends @p batch observations at once: packs and plans each row as
+  /// append() does, settling every kSettleRows rows, then settles the
+  /// rest — so it leaves nothing pending and produces exactly the matrix
+  /// an append() loop does (bit-identical: every route to a row's counts
+  /// is exact integer arithmetic, so path choice affects time only).
+  /// Ingest paths that buffer observations (`fenrirctl analyze
+  /// --matrix-cache` warm appends, Campaign epoch folds) and compute()
+  /// route through this.
   void append_batch(std::span<const RoutingVector> batch);
 
   /// Pre-sizes the value triangle and the per-row bookkeeping for
@@ -262,6 +282,7 @@ class SimilarityMatrix {
   double phi(std::size_t i, std::size_t j) const {
     if (i >= n_ || j >= n_) throw std::out_of_range("SimilarityMatrix index");
     if (i < j) std::swap(i, j);
+    if (i >= settle_.settled.load()) settle();
     return values_.get(i, j);
   }
   double dist(std::size_t i, std::size_t j) const { return 1.0 - phi(i, j); }
@@ -297,7 +318,7 @@ class SimilarityMatrix {
 
   /// Networks with a known site in row @p row — the diagonal's
   /// mutual_known (= matches), computed once per row and cached.
-  std::uint64_t known(std::size_t row);
+  std::uint64_t known(std::size_t row) const;
 
   /// The path rule for valid row @p i of an unweighted matrix: with no
   /// cached predecessor (@p base == kNoAnchorRow, @p c unread) the row
@@ -308,19 +329,62 @@ class SimilarityMatrix {
   bool plan_row(std::size_t base, std::size_t i, const MatchCounts& c,
                 std::vector<DeltaEntry>& delta);
 
-  /// One append_batch() chunk (bounded so the transient per-row counts
-  /// stay a few MB): plan every row against its predecessor, fill old
-  /// columns column-outer, fill the corner row-major, then keep the last
-  /// valid row's counts as the cache.
-  void append_chunk(std::span<const RoutingVector> batch);
+  /// Packs @p v and plans it as a pending row (one fenrir_phi_append_seconds
+  /// sample).
+  void ingest(const RoutingVector& v);
+
+  /// Fills every pending row under one phi_matrix span; a no-op when none
+  /// is pending. Safe from concurrent const readers: the first settles
+  /// while the others wait on the lock.
+  void settle() const;
+
+  /// The settle itself (caller holds the lock or owns the matrix): the
+  /// kernel rows through the tiles, then the delta and weighted rows'
+  /// old columns column-outer and their corner row-major, then the
+  /// newest valid row's counts become the cache.
+  void fill_pending() const;
+
+  /// Every pair of the pending kernel rows @p rows (ascending indices
+  /// into pending_), old columns and corner alike, through network-chunk
+  /// tiles on the pool: counts land in @p row_counts, Φ in the rows.
+  void fill_kernel_tiles(std::span<const std::size_t> rows,
+                         std::vector<std::vector<MatchCounts>>& row_counts)
+      const;
+
+  /// How a pending row fills: its path, the predecessor a delta row
+  /// patches from, and the change set classified once for every column.
+  struct RowPlan {
+    enum class Path { kInvalid, kKernel, kDelta, kWeighted };
+    Path path = Path::kInvalid;
+    std::size_t base = 0;        // global row id of the predecessor
+    std::size_t delta_size = 0;  // |Δ(base, row)|
+    PreparedDelta prep;
+  };
+
+  /// Rows [0, settled) hold their Φ; rows [settled, size()) are pending.
+  /// The lock lets a const reader settle while others read; moving a
+  /// matrix carries the count over and gives the new one its own lock.
+  struct SettleGuard {
+    std::atomic<std::size_t> settled{0};
+    std::mutex mutex;
+    SettleGuard() = default;
+    SettleGuard(SettleGuard&& o) noexcept : settled(o.settled.load()) {}
+    SettleGuard& operator=(SettleGuard&& o) noexcept {
+      settled.store(o.settled.load());
+      return *this;
+    }
+  };
 
   std::size_t n_ = 0;
-  TriangleStore values_;  // lower triangle incl. diagonal
+  // A settle fills values_, known_ and the cache behind a const read,
+  // under settle_'s lock; everything else changes only in non-const
+  // members.
+  mutable TriangleStore values_;  // lower triangle incl. diagonal
   std::vector<char> valid_;
   /// known(r) per row; kKnownUnset until first needed (adopted,
   /// precomputed and invalid rows).
   static constexpr std::uint64_t kKnownUnset = ~std::uint64_t{0};
-  std::vector<std::uint64_t> known_;
+  mutable std::vector<std::uint64_t> known_;
 
   UnknownPolicy policy_ = UnknownPolicy::kPessimistic;
   std::vector<double> weights_;
@@ -328,12 +392,16 @@ class SimilarityMatrix {
   unsigned threads_ = 1;
   PackedSeries packed_;  // one row per appended observation
 
-  /// The newest valid row whose counts are cached (kNoAnchorRow: none —
-  /// a fresh, adopted, loaded or weighted matrix), and those counts:
-  /// prev_counts_[j] = counts(prev_, j) for every column j < n_, with
-  /// zero placeholders at invalid columns that are never read.
+  /// The newest valid row of an unweighted matrix whose counts are
+  /// cached, or will be once the pending rows settle (kNoAnchorRow: none
+  /// — a fresh, adopted, loaded or weighted matrix). prev_counts_ holds
+  /// the cached row's counts against every settled column, with zero
+  /// placeholders at invalid columns that are never read.
   std::size_t prev_ = kNoAnchorRow;
-  std::vector<MatchCounts> prev_counts_;
+  mutable std::vector<MatchCounts> prev_counts_;
+  /// The plans of rows [settled, size()), in order.
+  mutable std::vector<RowPlan> pending_;
+  mutable SettleGuard settle_;
   /// anchor_of_[i] = row that i delta-patched from (kNoAnchorRow for
   /// kernel/invalid/weighted rows). May be shorter than n_ in a
   /// compute_reference() matrix — anchor_chain() treats missing entries

@@ -90,10 +90,9 @@ AnalysisResult analyze(const Dataset& dataset, const AnalysisConfig& config) {
   obs::Span span("analyze");
   log_analyze_start(dataset);
   dataset.check_consistent();
-  SimilarityMatrix matrix = [&] {
-    obs::Span stage("phi_matrix");
-    return SimilarityMatrix::compute(dataset, config.policy);
-  }();
+  // compute() opens the phi_matrix stage span itself (every Φ fill runs
+  // under exactly one), so the stage is not wrapped again here.
+  SimilarityMatrix matrix = SimilarityMatrix::compute(dataset, config.policy);
   return analyze_from_matrix(dataset, config, std::move(matrix));
 }
 

@@ -597,9 +597,15 @@ class SegmentCodec {
   static core::SiteId max_packed_id(const core::SimilarityMatrix& m) {
     return m.packed_.max_id_;
   }
+  /// Row @p row's Φ columns, settling the matrix's pending rows first.
   static const double* phi_row(const core::SimilarityMatrix& m,
                                std::size_t row) {
+    m.settle();
     return m.values_.row(row);
+  }
+  /// Whether row @p row still waits for its Φ columns.
+  static bool pending(const core::SimilarityMatrix& m, std::size_t row) {
+    return row >= m.settle_.settled.load();
   }
   static std::size_t anchor_of(const core::SimilarityMatrix& m,
                                std::size_t row) {
@@ -1096,37 +1102,63 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
   if (row >= matrix.size()) {
     throw std::logic_error("SegmentStore::spill_row: row out of range");
   }
-  const std::size_t local = row;
-  const std::uint64_t g = processed_;
-  if (g < local) {
+  const std::uint64_t g = processed_ + queued_.size();
+  if (g < row) {
     throw std::logic_error(
         "SegmentStore::spill: matrix is longer than the store's history");
   }
-  const std::uint64_t session_base = g - local;
+  const std::uint64_t session_base = g - row;
+  const std::size_t local_anchor = SegmentCodec::anchor_of(matrix, row);
+  const QueuedRow q{&matrix, row, session_base, v.valid, v.time,
+                    local_anchor == core::SimilarityMatrix::kNoAnchorRow
+                        ? kNoAnchor
+                        : static_cast<std::uint64_t>(local_anchor) +
+                              session_base};
+  if (queued_.empty() && !SegmentCodec::pending(matrix, row)) {
+    encode_locked(q);
+  } else {
+    queued_.push_back(q);
+  }
+}
+
+void SegmentStore::encode_locked(const QueuedRow& q) {
+  const core::SimilarityMatrix& matrix = *q.matrix;
   const std::size_t networks = SegmentCodec::networks(matrix);
   const std::size_t bits = SegmentCodec::packed_bits(matrix);
+  // A rotation here writes a manifest for the rows before this one, so
+  // the row's sites are counted only after it.
+  ensure_tail_locked(networks, bits);
   const std::uint64_t top = SegmentCodec::max_packed_id(matrix);
   if (top > max_site_seen_) {
     max_site_seen_ = top;
     names_hash_stale_ = true;
   }
-  const std::size_t local_anchor = SegmentCodec::anchor_of(matrix, local);
-  const std::uint64_t anchor =
-      local_anchor == core::SimilarityMatrix::kNoAnchorRow
-          ? kNoAnchor
-          : static_cast<std::uint64_t>(local_anchor) + session_base;
-  ensure_tail_locked(networks, bits);
   // The tail stores Φ columns from its tri_base on; the matrix row holds
   // columns from the session base on. tri_base >= session_base always
   // (the base only advances), so the slice below is in range.
-  const double* phi = SegmentCodec::phi_row(matrix, local) +
-                      (tail_->tri_base - session_base);
+  const double* phi = SegmentCodec::phi_row(matrix, q.row) +
+                      (tail_->tri_base - q.session_base);
   const std::size_t phi_count =
-      static_cast<std::size_t>(g - tail_->tri_base + 1);
-  append_record_locked(v.valid, v.time, anchor, networks, bits,
-                       {SegmentCodec::packed_row(matrix, local),
+      static_cast<std::size_t>(processed_ - tail_->tri_base + 1);
+  append_record_locked(q.valid, q.time, q.anchor, networks, bits,
+                       {SegmentCodec::packed_row(matrix, q.row),
                         core::packed_row_bytes(networks, bits)},
                        {phi, phi_count});
+}
+
+void SegmentStore::drain_locked() {
+  const std::uint64_t start = processed_;
+  try {
+    for (const QueuedRow& q : queued_) encode_locked(q);
+  } catch (...) {
+    // Every row counted in processed_ has its record encoded; the rest
+    // stay queued for the next flush.
+    queued_.erase(queued_.begin(),
+                  queued_.begin() +
+                      static_cast<std::ptrdiff_t>(processed_ - start));
+    throw;
+  }
+  queued_.clear();
 }
 
 void SegmentStore::append_raw(bool valid, std::int64_t time,
@@ -1135,11 +1167,17 @@ void SegmentStore::append_raw(bool valid, std::int64_t time,
                               std::span<const std::byte> packed,
                               std::span<const double> phi) {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  drain_locked();
   append_record_locked(valid, time, anchor_of, networks, bits, packed, phi);
 }
 
 void SegmentStore::flush(const core::ModeBook* book) {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  // The book covers every row spilled so far. A width change inside the
+  // queue rotates the tail, and the manifests of that rotation make only
+  // earlier rows durable: they keep the previous flush's book, and this
+  // one is stored once the queue is encoded.
+  drain_locked();
   if (book != nullptr) {
     has_modebook_ = true;
     modebook_ = SegmentCodec::encode_modebook(*book);
@@ -1149,6 +1187,7 @@ void SegmentStore::flush(const core::ModeBook* book) {
 
 void SegmentStore::seal_active() {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  drain_locked();
   flush_locked(true);
 }
 
@@ -1236,7 +1275,7 @@ void SegmentStore::apply_retention_locked(
 
 std::uint64_t SegmentStore::processed() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  return processed_;
+  return processed_ + queued_.size();
 }
 
 std::uint64_t SegmentStore::base_row() const {
@@ -1260,7 +1299,7 @@ std::uint64_t SegmentStore::cold_bytes() const {
 
 bool SegmentStore::empty() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  return processed_ == base_row_ && sealed_.empty() &&
+  return processed_ == base_row_ && sealed_.empty() && queued_.empty() &&
          (!tail_.has_value() || tail_->rows == 0);
 }
 

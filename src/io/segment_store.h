@@ -14,7 +14,10 @@
 // time, anchor lineage, the packed assignment row, and the row's Φ
 // values — so a save interval writes O(new rows) bytes and one
 // manifest, never the history. A spill copies the row the matrix has
-// already packed; it never reads the observation's site ids. When the
+// already packed; it never reads the observation's site ids. A row
+// whose Φ columns are still pending (core::SimilarityMatrix settles
+// them in batches) is queued with a pointer to its matrix, and the next
+// flush settles the matrix and encodes the queue in order. When the
 // tail reaches `seal_rows` records it is sealed (its header rewritten
 // with the final counts, renamed seg-<id>) and a fresh tail starts.
 //
@@ -69,13 +72,17 @@
 // the Φ prefix it was sealed with until retention retires it.
 //
 // Durability protocol (what the chaos killpoints exercise):
-//   spill():  encode the record into a pending buffer (the Φ row is
-//             hot); once the buffer holds ≥ 1 MiB, pwrite it past the
+//   spill():  queue the row (its Φ is pending), or, with nothing queued
+//             and the row settled, encode it at once
+//   flush():  settle the queued rows' matrix and encode each queued
+//             record into a pending buffer (a width change first seals
+//             the tail, as below, under the previous flush's book);
+//             once the buffer holds ≥ 1 MiB, pwrite it past the
 //             durable payload → [segment_tail_write] — written ahead,
-//             not yet durable
-//   flush():  pwrite the rest → fsync(tail) → [segment_tail_flush] →
-//             atomic manifest write (tmp + fsync + rename + directory
-//             fsync; FENRIR_CHAOS_KILL_SAVE kills it at a byte offset)
+//             not yet durable; pwrite the rest → fsync(tail) →
+//             [segment_tail_flush] → atomic manifest write with this
+//             flush's book (tmp + fsync + rename + directory fsync;
+//             FENRIR_CHAOS_KILL_SAVE kills it at a byte offset)
 //   seal:     after a flush, rewrite the tail's header with its final
 //             counts, fsync, rename tail→seg → [segment_seal_rename] →
 //             manifest; retention retires whole front segments,
@@ -199,12 +206,16 @@ class SegmentStore {
   void attach(const core::Dataset* dataset);
 
   /// Spills the newest matrix row (matrix.size()-1, global row
-  /// processed()) into the pending buffer: packed bytes and Φ columns
-  /// are copied out while hot, and a buffer past 1 MiB is written
-  /// through to the tail (not yet durable). O(packed row) — of @p v only
-  /// time and validity are read; the largest site id comes from the
-  /// matrix's packed rows.
-  /// Rotates the tail first when the matrix's packed width changed.
+  /// processed()). A row whose Φ columns are pending — or any row while
+  /// earlier ones wait — is queued: the store keeps @p matrix's address
+  /// until the next flush(), the way attach() keeps the dataset, so the
+  /// matrix must stay alive and in place until then. Otherwise the
+  /// record is encoded into the pending buffer at once, and a buffer
+  /// past 1 MiB is written through to the tail (not yet durable). Of
+  /// @p v only time and validity are read; the packed row and the
+  /// largest site id come from the matrix when the record is encoded, at
+  /// the width the matrix has then (rotating the tail first when that
+  /// width changed).
   void spill(const core::RoutingVector& v,
              const core::SimilarityMatrix& matrix);
 
@@ -226,9 +237,14 @@ class SegmentStore {
                   std::span<const std::byte> packed,
                   std::span<const double> phi);
 
-  /// Makes everything spilled so far durable: tail pwrite + fsync, then
-  /// the manifest (with @p book's modebook state when given), then any
-  /// due seal/rotate/retention, then maybe a background compaction.
+  /// Makes everything spilled so far durable: settles and encodes the
+  /// queued rows in order (rotating the tail where the packed width
+  /// changed), tail pwrite + fsync, then the manifest (with @p book's
+  /// modebook state when given), then any due seal/rotate/retention,
+  /// then maybe a background compaction. @p book is stored only once
+  /// the queue is encoded: a manifest that a rotation writes on the way
+  /// makes only earlier rows durable, and keeps the previous flush's
+  /// book, never one ahead of its rows.
   void flush(const core::ModeBook* book = nullptr);
 
   /// Seals the current tail regardless of size (benches, tests).
@@ -268,6 +284,7 @@ class SegmentStore {
   /// exactly when load(nullptr) would throw.
   bool verify(std::string* error) const;
 
+  /// Observations spilled so far, queued ones included.
   std::uint64_t processed() const;
   std::uint64_t base_row() const;
   std::uint64_t tail_rows() const;
@@ -313,6 +330,23 @@ class SegmentStore {
   void decode_manifest(const std::string& bytes);
   void open_tail_locked(std::uint64_t bits);
   void ensure_tail_locked(std::size_t networks, std::uint64_t bits);
+  /// A spilled row waiting for its Φ: what its record needs besides
+  /// the Φ columns and the packed bytes, which are read from *matrix at
+  /// encode.
+  struct QueuedRow {
+    const core::SimilarityMatrix* matrix = nullptr;
+    std::size_t row = 0;              // local row in *matrix
+    std::uint64_t session_base = 0;   // global row of matrix row 0
+    bool valid = false;
+    std::int64_t time = 0;
+    std::uint64_t anchor = kNoAnchor;  // global row or kNoAnchor
+  };
+
+  /// Encodes @p q's record into the pending buffer at the matrix's
+  /// current packed width.
+  void encode_locked(const QueuedRow& q);
+  /// Encodes every queued row, in order, and empties the queue.
+  void drain_locked();
   void append_record_locked(bool valid, std::int64_t time,
                             std::uint64_t anchor_of, std::size_t networks,
                             std::uint64_t bits,
@@ -352,11 +386,12 @@ class SegmentStore {
   std::string modebook_;
 
   std::uint64_t base_row_ = 0;
-  std::uint64_t processed_ = 0;
+  std::uint64_t processed_ = 0;  // encoded rows; queued_ follow them
   std::uint64_t next_segment_id_ = 0;
   std::int64_t max_time_seen_ = 0;
   std::vector<SegmentInfo> sealed_;
   std::optional<TailState> tail_;
+  std::vector<QueuedRow> queued_;  // spilled, not yet encoded
   std::string pending_;  // encoded records not yet written to the tail;
                          // written through at kWriteThroughBytes
 

@@ -5,12 +5,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/simd_dispatch.h"
 #include "io/segment_store.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
@@ -576,6 +580,181 @@ TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
   EXPECT_GT(crossed, 0u) << "no batch crossed the 64-row chunk";
   EXPECT_GT(delta_rows, 0u);
   EXPECT_GT(kernel_rows, 0u);
+}
+
+// --- the deferred, tiled fill -------------------------------------------
+
+// A series whose rows span three kernel tiles: two routing modes
+// alternating every six rows, each churning 1% of its networks per row
+// (delta rows inside a block, a kernel row at every flip), 10% outage
+// slots, ~15% unknown, and site ids drawn from @p sites so the rows pack
+// at 4 (6 sites), 8 (40), 16 (400) or 32 bits (70,000). @p width_bits
+// sizes N: two whole tiles plus an odd remainder, so the last tile ends
+// mid-vector and, at 4 bits, on a lone low nibble.
+Dataset tiled_dataset(std::size_t obs, std::size_t width_bits,
+                      std::size_t sites, std::uint64_t seed,
+                      bool weighted = false) {
+  const std::size_t tile = SimilarityMatrix::kTileBytes * 8 / width_bits;
+  const std::size_t nets = 2 * tile + 1001;
+  Dataset d;
+  d.name = "tiled-" + std::to_string(width_bits);
+  for (std::size_t n = 0; n < nets; ++n) d.networks.intern(n);
+  rng::Rng r(seed);
+  const auto random_site = [&]() -> SiteId {
+    return r.bernoulli(0.15)
+               ? kUnknownSite
+               : static_cast<SiteId>(kFirstRealSite + r.uniform(sites));
+  };
+  RoutingVector modes[2];
+  for (auto& m : modes) {
+    m.assignment.resize(nets);
+    for (auto& s : m.assignment) s = random_site();
+  }
+  for (std::size_t t = 0; t < obs; ++t) {
+    RoutingVector& m = modes[(t / 6) % 2];
+    m.time = static_cast<TimePoint>(t) * kDay;
+    m.valid = !r.bernoulli(0.1);
+    d.series.push_back(m);
+    for (std::size_t k = 0; k < nets / 100; ++k) {
+      m.assignment[r.uniform(nets)] = random_site();
+    }
+  }
+  if (weighted) {
+    d.weights.resize(nets);
+    for (auto& w : d.weights) w = 0.1 + r.uniform01() * 2.0;
+  }
+  return d;
+}
+
+// The three builds against the scalar reference, serial and pooled: an
+// append() loop whose first kSettleRows rows settle together at the
+// 64th and whose later rows settle at Φ reads made at random points, a
+// warm append_batch(), and compute().
+void expect_builds_match_reference(const Dataset& d, rng::Rng& r) {
+  for (const auto policy :
+       {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+    const auto ref = SimilarityMatrix::compute_reference(d, policy);
+    for (const unsigned threads : {1u, 0u}) {
+      const std::string label =
+          d.name + (d.weights.empty() ? "" : " weighted") +
+          " policy=" + std::to_string(static_cast<int>(policy)) +
+          " threads=" + std::to_string(threads);
+      SimilarityMatrix loop(policy, d.weights, threads);
+      for (std::size_t t = 0; t < d.series.size(); ++t) {
+        loop.append(d.series[t]);
+        if (t >= SimilarityMatrix::kSettleRows && r.bernoulli(0.25)) {
+          const std::size_t j = r.uniform(t + 1);
+          ASSERT_EQ(loop.phi(t, j), ref.phi(t, j))
+              << label << " read at " << t << "," << j;
+        }
+      }
+      expect_bit_identical(loop, ref, label + " append loop");
+
+      SimilarityMatrix batch(policy, d.weights, threads);
+      const std::span<const RoutingVector> all(d.series);
+      batch.append_batch(all.first(5));
+      batch.append_batch(all.subspan(5));
+      expect_bit_identical(batch, ref, label + " append_batch");
+
+      expect_bit_identical(SimilarityMatrix::compute(d, policy, threads), ref,
+                           label + " compute");
+    }
+  }
+}
+
+// What one tier must reproduce: ranged counts that add up at any byte
+// split, including splits inside a 64-byte vector, and the three builds
+// over rows of three tiles at every packed width, weighted rows beside
+// them. Every interior tile edge (16 KiB) also falls inside the AVX2
+// count kernels' 4,064-byte accumulation block.
+void check_tiled_fill_on_active_tier() {
+  rng::Rng r(2027);
+  const std::size_t widths[][2] = {{4, 6}, {8, 40}, {16, 400}, {32, 70'000}};
+  for (const auto& [bits, sites] : widths) {
+    const Dataset d = tiled_dataset(72, bits, sites, 31 + bits);
+    const std::size_t nets = d.networks.size();
+    ASSERT_EQ(nets % 2, 1u);
+    ASSERT_GT(packed_row_bytes(nets, bits), 2 * SimilarityMatrix::kTileBytes);
+
+    const PackedSeries packed = PackedSeries::pack(d);
+    ASSERT_EQ(packed.bits(), bits) << d.name;
+    for (std::size_t trial = 0; trial < 16; ++trial) {
+      const std::size_t i = r.uniform(d.series.size());
+      const std::size_t j = r.uniform(d.series.size());
+      const std::size_t lo = 2 * r.uniform(nets / 2 + 1);
+      const MatchCounts whole = packed.counts(i, j);
+      const MatchCounts head = packed.counts(i, j, 0, lo);
+      const MatchCounts rest = packed.counts(i, j, lo, nets - lo);
+      ASSERT_EQ(head.matches + rest.matches, whole.matches) << lo;
+      ASSERT_EQ(head.mutual_known + rest.mutual_known, whole.mutual_known)
+          << lo;
+    }
+
+    // Kernel, delta and invalid rows all occur.
+    const SimilarityMatrix m = SimilarityMatrix::compute(d);
+    std::size_t kernel = 0, delta = 0, invalid = 0;
+    for (std::size_t row = 0; row < m.size(); ++row) {
+      if (!m.valid(row)) {
+        ++invalid;
+      } else if (m.anchor_chain(row).empty()) {
+        ++kernel;
+      } else {
+        ++delta;
+      }
+    }
+    EXPECT_GT(kernel, 1u) << d.name;
+    EXPECT_GT(delta, 1u) << d.name;
+    EXPECT_GT(invalid, 0u) << d.name;
+
+    expect_builds_match_reference(d, r);
+  }
+  // Weighted rows settle on their in-order per-pair kernel, never tiled.
+  Dataset weighted = churn_dataset(72, 3001, 0.02, 37, 0.1, 0.15, true);
+  expect_builds_match_reference(weighted, r);
+}
+
+// The deferred, tiled fill against the scalar reference on every tier
+// this build and host offer. The dispatch tier is fixed per process, so
+// each tier runs in a child process started with FENRIR_SIMD set to it.
+TEST(SimilarityMatrixTiles, DeferredFillBitIdenticalOnEveryTier) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (simd::table_for(tier) == nullptr) continue;
+    EXPECT_EXIT(
+        {
+          ::setenv("FENRIR_SIMD", simd::tier_name(tier), 1);
+          EXPECT_EQ(simd::active_tier(), tier);
+          check_tiled_fill_on_active_tier();
+          ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << simd::tier_name(tier);
+  }
+}
+
+// Const readers may race to a pending row: the first settles under the
+// lock while the others wait, and every read sees the settled value.
+TEST(SimilarityMatrixTiles, ConcurrentReadersSettleOnce) {
+  const Dataset d = churn_dataset(40, 2000, 0.3, 41, 0.1);
+  const auto ref = SimilarityMatrix::compute_reference(d);
+  for (const unsigned threads : {1u, 0u}) {
+    SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, threads);
+    for (const RoutingVector& v : d.series) m.append(v);  // all pending
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        for (std::size_t i = m.size(); i-- > 0;) {
+          for (std::size_t j = t; j <= i; j += 4) {
+            if (m.phi(i, j) != ref.phi(i, j)) ++mismatches;
+          }
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    EXPECT_EQ(mismatches.load(), 0u) << "threads=" << threads;
+  }
 }
 
 // Regression: range_between/median_between used to visit each unordered

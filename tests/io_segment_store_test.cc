@@ -1148,6 +1148,55 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
   EXPECT_TRUE(reopened.verify(&error)) << error;
 }
 
+// Rows spilled while their Φ is pending wait in the store's queue, and a
+// flush encodes them at the matrix's current width. The series packs at
+// 4 bits until row 17 pulls in id 45, so the flush after row 19 encodes
+// rows 15..19 at 8 bits, rotating the 4-bit tail of rows 10..14 first.
+// One store's matrix settles each row before its spill (encoded at once,
+// so it rotates at row 17), the other's never reads Φ (queued until each
+// flush); both hold a 4-bit and an 8-bit run and load bit-identically to
+// the scalar reference.
+TEST(Segment, PendingRowsQueueAcrossAWidening) {
+  ScratchDir eager_dir("queue_eager");
+  ScratchDir queued_dir("queue_queued");
+  Dataset d = periodic_dataset(30, 300, 6, 0.03, 109);
+  for (std::size_t s = 6; s <= 42; ++s) {
+    d.sites.intern("site" + std::to_string(s));
+  }
+  for (std::size_t t = 17; t < d.series.size(); ++t) {
+    d.series[t].assignment[t] = kFirstRealSite + 42;
+  }
+  SegmentStoreConfig cfg;
+  cfg.seal_rows = 8;
+  cfg.background_compaction = false;
+  for (const bool eager : {true, false}) {
+    SegmentStore store(eager ? eager_dir.path : queued_dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    for (std::size_t t = 0; t < d.series.size(); ++t) {
+      live.append(d.series[t]);
+      if (eager) (void)live.phi(t, 0);
+      store.spill(d.series[t], live);
+      EXPECT_EQ(store.processed(), t + 1);
+      if ((t + 1) % 5 == 0) store.flush();
+    }
+    store.flush();
+  }
+  const SimilarityMatrix ref = SimilarityMatrix::compute_reference(d);
+  for (const bool eager : {true, false}) {
+    const SegmentStore store(eager ? eager_dir.path : queued_dir.path, cfg);
+    EXPECT_EQ(store.processed(), d.series.size());
+    std::set<std::uint64_t> widths;
+    for (const SegmentInfo& s : store.segments()) widths.insert(s.bits);
+    EXPECT_EQ(widths, (std::set<std::uint64_t>{4, 8}));
+    std::string error;
+    EXPECT_TRUE(store.verify(&error)) << error;
+    expect_bit_identical(store.load(&d).matrix, ref,
+                         eager ? "eager across a widening"
+                               : "queued across a widening");
+  }
+}
+
 // Compaction merges runs of undersized sealed segments into one and the
 // loaded matrix does not move a bit.
 // The second pass pulls id 53 in from row 18 on, so a 4-bit run and an
@@ -1529,18 +1578,63 @@ TEST(SegmentChaosDeathTest, KillDuringCompactionRename) {
   EXPECT_EQ(out.durable, 20u) << "every sealed row survives";
 }
 
-// A kill right after a write-through pwrite: rows 0..8 are flushed, rows
-// 9 and 10 sit in the tail file past what the manifest covers. 270k
-// networks over 70k sites pack at 32 bits, so every record is > 1 MiB
-// and each spill writes through. The reopen truncates the two records
-// away and loads the nine flushed rows bit-identically.
+// A kill right after a write-through pwrite: rows 0..8 are flushed, and
+// rows 9..11 wait in the queue (their Φ is pending) until the flush
+// after row 11 encodes them in order. 270k networks over 70k sites pack
+// at 32 bits, so every record is > 1 MiB and is written through as it
+// is encoded: the killpoint, armed from row 10 on, fires on row 9's
+// write-through, leaving one record in the tail file past what the
+// manifest covers. The reopen truncates it away and loads the nine
+// flushed rows bit-identically.
 TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
   const std::size_t networks = 270'000;
   KillOutcome out;
   run_kill_case({"segment_tail_write", 256, 0, 10, networks, 70'000}, &out);
   EXPECT_EQ(out.durable, 9u);
-  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(11, networks, 32));
+  EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(10, networks, 32));
   EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, networks, 32));
+}
+
+// A kill after rows are spilled but before the flush that would write
+// them: the queue holds their matrix, not their bytes, so not one byte
+// of them reaches the tail file, and the reopen finds exactly the
+// previous flush's rows. 270k networks over 70k sites pack at 32 bits —
+// > 1 MiB records that a spill writing through at once would have left
+// in the tail.
+TEST(SegmentChaosDeathTest, KillBetweenSpillAndFlush) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ScratchDir dir("kill_between");
+  const std::size_t networks = 270'000;
+  const Dataset d = periodic_dataset(10, networks, 70'000, 0.03, 113);
+  SegmentStoreConfig cfg;
+  cfg.background_compaction = false;
+  EXPECT_EXIT(
+      {
+        SegmentStore store(dir.path, cfg);
+        store.attach(&d);
+        SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+        grow(store, live, d, 0, 4);  // flushed after row 3
+        for (std::size_t t = 4; t < 7; ++t) {
+          live.append(d.series[t]);
+          store.spill(d.series[t], live);
+        }
+        ::_exit(137);
+      },
+      ::testing::ExitedWithCode(137), "");
+  EXPECT_EQ(tail_file_bytes(dir.path), tail_bytes_for(4, networks, 32));
+  SegmentStore store(dir.path, cfg);
+  EXPECT_EQ(store.processed(), 4u);
+  EXPECT_EQ(tail_file_bytes(dir.path), tail_bytes_for(4, networks, 32));
+  std::string error;
+  ASSERT_TRUE(store.verify(&error)) << error;
+  SimilarityMatrix resumed = store.load(&d).matrix;
+  SimilarityMatrix prefix(UnknownPolicy::kPessimistic, d.weights, 1);
+  for (std::size_t t = 0; t < 4; ++t) prefix.append(d.series[t]);
+  expect_bit_identical(resumed, prefix, "durable prefix");
+  grow(store, resumed, d, 4, d.series.size());
+  store.flush();
+  expect_bit_identical(resumed, SimilarityMatrix::compute_reference(d),
+                       "regrown");
 }
 
 // A kill 64 bytes into an atomic manifest write, armed at row 10: rows

@@ -597,11 +597,13 @@ int cmd_watch(const Args& args) {
     }
     const auto match = book.observe(v);
     obs::lineage().clear_context();  // outage rows never consume it
-    // Spill-as-you-go: the row's record leaves the hot path now; the
-    // periodic flush is the save interval (O(rows since last flush)).
+    // Spill-as-you-go: the row is queued now and its record written at
+    // the periodic flush, the save interval (O(rows since last flush)).
+    // Every flush carries the book, so a kill between flushes resumes
+    // with the modes of the rows it made durable.
     if (store.has_value()) {
       store->spill(v, *matrix);
-      if ((i + 1 - start) % 64 == 0) store->flush();
+      if ((i + 1 - start) % 64 == 0) store->flush(&book);
     }
     std::cout << core::format_time(v.time) << "  mode " << match.mode
               << "  phi " << io::fixed(match.phi, 3);
