@@ -213,11 +213,10 @@ void BM_SimilarityMatrix(benchmark::State& state) {
 BENCHMARK(BM_SimilarityMatrix)->Args({64, 5'000})->Args({128, 5'000})
     ->Args({256, 2'000});
 
-// The serial/parallel crossover of the per-row column fill. At 500
-// networks each row's work sits below parallel_for's grain cutoff, so
-// every thread count times the same serial loop (dispatch overhead no
-// longer shows); at 4000 networks rows are wide enough to feed the pool
-// and the thread counts separate.
+// The Φ fill across thread counts: the 192 rows settle 64 at a time,
+// one parallel_for job per settle. At 500 networks a settle is a few
+// hundred microseconds of work, so the per-call start of the helper
+// threads shows; at 4000 networks the thread counts separate.
 void BM_SimilarityMatrixThreads(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const auto d =

@@ -297,9 +297,9 @@ void SimilarityMatrix::fill_pending() const {
       }
     }
   };
-  // The grain makes small settles skip pool dispatch entirely (a few
-  // delta rows over a short matrix are microseconds of work); the cutoff
-  // affects time only, never values.
+  // The grain keeps small settles on the calling thread, starting no
+  // helper (a few delta rows over a short matrix are microseconds of
+  // work); the cutoff affects time only, never values.
   if (any_by_column) {
     parallel_for(n0, fill_old, threads_,
                  std::max<std::size_t>(1, 65536 / per_col));
@@ -365,7 +365,7 @@ void SimilarityMatrix::fill_kernel_tiles(
   const std::size_t cols = n0 + rows.back();
   // Worker w owns columns w, w+W, ...: each count has one writer, so the
   // chunks' partial sums need no reduction. The grain keeps a small
-  // settle off the pool; it affects time only, never values.
+  // settle on the calling thread; it affects time only, never values.
   const std::size_t grain =
       std::max<std::size_t>(1, 65536 / (rows.size() * nets + 1));
   const unsigned wanted =

@@ -31,10 +31,10 @@
 // it spilled. A settle patches delta rows as above and keeps weighted
 // rows on their in-order per-pair kernel. Kernel rows count all their
 // pairs — old columns and the batch corner alike — a kTileBytes network
-// chunk at a time: each pool worker owns every W-th column and streams
-// its columns' chunks past the kernel rows' chunks, which stay in its
-// L2, summing exact integer counts chunk by chunk. A row that fits one
-// chunk is the plain column-parallel fill.
+// chunk at a time: each parallel_for worker owns every W-th column and
+// streams its columns' chunks past the kernel rows' chunks, which stay in
+// its L2, summing exact integer counts chunk by chunk. A row that fits
+// one chunk is the plain column-parallel fill.
 // Planning is eager, so anchor_chain() and the path counters never wait
 // for a settle.
 //
@@ -346,7 +346,8 @@ class SimilarityMatrix {
 
   /// Every pair of the pending kernel rows @p rows (ascending indices
   /// into pending_), old columns and corner alike, through network-chunk
-  /// tiles on the pool: counts land in @p row_counts, Φ in the rows.
+  /// tiles, one parallel_for job: counts land in @p row_counts, Φ in the
+  /// rows.
   void fill_kernel_tiles(std::span<const std::size_t> rows,
                          std::vector<std::vector<MatchCounts>>& row_counts)
       const;

@@ -1,9 +1,5 @@
 #include "core/parallel.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "obs/trace_export.h"
@@ -15,112 +11,14 @@ bool& in_parallel_region() noexcept {
   return flag;
 }
 
-struct WorkerPool::State {
-  std::mutex run_mu;  // serializes run() callers: one job at a time
-
-  std::mutex mu;  // guards everything below
-  std::condition_variable wake;  // workers: a new job or stop
-  std::condition_variable done;  // caller: all workers left the job
-  Job* job = nullptr;
-  std::uint64_t generation = 0;
-  unsigned in_flight = 0;  // workers currently referencing `job`
-  bool stop = false;
-  bool started = false;
-  std::vector<std::thread> workers;
-
-  std::atomic<unsigned> next_stride{0};
-};
-
-WorkerPool& WorkerPool::instance() {
-  static WorkerPool pool;
-  return pool;
-}
-
-WorkerPool::WorkerPool() : state_(new State) {}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lk(state_->mu);
-    state_->stop = true;
-  }
-  state_->wake.notify_all();
-  for (std::thread& t : state_->workers) t.join();
-  delete state_;
-}
-
-void WorkerPool::claim_strides(Job& job) {
-  for (;;) {
-    const unsigned w =
-        state_->next_stride.fetch_add(1, std::memory_order_relaxed);
-    if (w >= job.strides) return;
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      job.run_stride(job.fn, w, job.strides, job.count);
-    } catch (...) {
-      job.errors[w] = std::current_exception();
-    }
-    job.busy[w] = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  }
-}
-
-void WorkerPool::worker_main(unsigned index) {
+void enter_helper(unsigned index) noexcept {
   in_parallel_region() = true;  // nested parallel_for in fn runs inline
-  obs::set_trace_thread_name("fenrir-worker-" + std::to_string(index));
-  std::uint64_t seen = 0;
-  for (;;) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(state_->mu);
-      state_->wake.wait(
-          lk, [&] { return state_->stop || state_->generation != seen; });
-      if (state_->stop) return;
-      seen = state_->generation;
-      if (state_->job != nullptr) {
-        job = state_->job;
-        ++state_->in_flight;
-      }
-    }
-    if (job != nullptr) {
-      {
-        // Spans opened inside fn nest under the dispatching call site
-        // rather than rooting at the top of the profile tree.
-        obs::internal::SpanParentScope scope(job->span_parent);
-        claim_strides(*job);
-      }
-      std::lock_guard<std::mutex> lk(state_->mu);
-      if (--state_->in_flight == 0) state_->done.notify_all();
-    }
+  if (!obs::tracing_enabled()) return;
+  try {
+    obs::set_trace_thread_name("fenrir-worker-" + std::to_string(index));
+  } catch (...) {
+    // An unnamed timeline row beats a terminated helper.
   }
-}
-
-void WorkerPool::run(Job& job) {
-  std::lock_guard<std::mutex> run_lock(state_->run_mu);
-  {
-    std::lock_guard<std::mutex> lk(state_->mu);
-    if (!state_->started) {
-      state_->started = true;
-      const unsigned hw = std::thread::hardware_concurrency();
-      const unsigned helpers = hw > 1 ? hw - 1 : 0;
-      state_->workers.reserve(helpers);
-      for (unsigned i = 0; i < helpers; ++i) {
-        state_->workers.emplace_back([this, i] { worker_main(i); });
-      }
-    }
-    state_->job = &job;
-    state_->next_stride.store(0, std::memory_order_relaxed);
-    ++state_->generation;
-  }
-  state_->wake.notify_all();
-
-  in_parallel_region() = true;
-  claim_strides(job);
-  in_parallel_region() = false;
-
-  std::unique_lock<std::mutex> lk(state_->mu);
-  state_->job = nullptr;  // workers waking from now on skip this job
-  state_->done.wait(lk, [&] { return state_->in_flight == 0; });
 }
 
 }  // namespace fenrir::core::detail

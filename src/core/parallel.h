@@ -7,37 +7,37 @@
 // bit-identical to the serial loop regardless of thread count or
 // scheduling.
 //
-// Execution runs on a lazily started persistent worker pool (one pool
-// per process, hardware_concurrency - 1 helper threads). Spawning a
-// std::thread costs tens of microseconds; the incremental Φ path issues
-// one parallel_for per appended row, where spawn-per-call overhead used
-// to dominate small jobs. The pool replaces start/join with a
-// condition-variable wakeup while keeping the observable contract of the
-// original spawn-per-call implementation:
+// Each call starts its own helper threads and joins them before it
+// returns: nothing outlives a call and nothing is shared between calls,
+// so concurrent callers run side by side. A call with n ≥ 2 strides
+// starts min(n, hardware threads) − 1 helpers; the caller and the
+// helpers claim strides from one atomic counter. Starting and joining a
+// helper costs tens of microseconds (DESIGN.md §8), which the Φ matrix
+// pays once per settle of up to 64 rows, not once per row. A call keeps
+// this contract:
 //
-//  * the same stride schedule — logical worker w handles i = w, w+n,
-//    w+2n, ...; strides are multiplexed over the available pool threads
-//    (plus the calling thread) when n exceeds them;
-//  * the same determinism — fn writes to disjoint state per index, so
-//    results do not depend on which physical thread runs which stride;
-//  * the same exception semantics — the lowest-numbered throwing stride
-//    is rethrown after all strides finish; a throwing stride skips its
-//    remaining indices, other strides run to completion;
-//  * the same metrics — fenrir_parallel_jobs_total and the max/mean
-//    stride busy-time imbalance ratio of the last job.
+//  * the stride schedule — logical stride w handles i = w, w+n, w+2n,
+//    ...; when n exceeds the threads, a thread that finishes a stride
+//    claims the next;
+//  * determinism — fn writes to disjoint state per index, so results do
+//    not depend on which thread runs which stride;
+//  * exceptions — the lowest-numbered throwing stride is rethrown after
+//    all strides finish; a throwing stride skips its remaining indices,
+//    other strides run to completion;
+//  * metrics — fenrir_parallel_jobs_total and the max/mean stride
+//    busy-time imbalance ratio of the last job.
 //
-// Nested or concurrent parallel_for calls are safe: a call from inside a
-// parallel_for body runs serially inline (the pool is occupied by its
-// ancestor), and independent threads' calls are serialized one job at a
-// time.
+// A parallel_for call from inside a parallel_for body runs serially
+// inline. A helper that cannot be started is not an error: its strides
+// go to the threads that did start.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <exception>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -48,50 +48,13 @@ namespace fenrir::core {
 namespace detail {
 
 /// True while this thread is executing inside a parallel_for (as caller
-/// or pool worker); nested calls then run serially inline instead of
-/// waiting on the pool they already occupy.
+/// or helper); nested calls then run serially inline.
 bool& in_parallel_region() noexcept;
 
-/// The process-wide persistent worker pool. Threads start on the first
-/// multi-threaded parallel_for and live until process exit.
-class WorkerPool {
- public:
-  /// A type-erased stride job: run_stride(fn, w, strides, count) executes
-  /// logical worker w's loop i = w, w+strides, ... — the callable stays a
-  /// direct (devirtualized) call on the per-index hot path.
-  struct Job {
-    void (*run_stride)(void* fn, unsigned w, unsigned strides,
-                       std::size_t count) = nullptr;
-    void* fn = nullptr;
-    unsigned strides = 0;
-    std::size_t count = 0;
-    std::exception_ptr* errors = nullptr;  // one slot per stride
-    double* busy = nullptr;                // seconds spent per stride
-    /// Dispatching thread's span cursor; workers adopt it so spans
-    /// opened inside fn nest under the parallel_for call site.
-    obs::internal::SpanNode* span_parent = nullptr;
-  };
-
-  static WorkerPool& instance();
-
-  /// Runs every stride of @p job, the calling thread claiming strides
-  /// alongside the pool workers. Blocks until all strides finished and
-  /// no worker still references @p job. One job at a time; concurrent
-  /// callers queue.
-  void run(Job& job);
-
-  ~WorkerPool();
-
- private:
-  WorkerPool();
-  struct State;
-  void worker_main(unsigned index);
-  void claim_strides(Job& job);
-
-  // Implementation state lives in parallel.cc (pimpl-free: members are
-  // declared there via the State struct to keep this header light).
-  State* state_ = nullptr;
-};
+/// Marks a freshly started helper as inside a parallel region and, only
+/// while tracing is on, names it fenrir-worker-<index> in the timeline
+/// (every named thread keeps a trace buffer for the life of the process).
+void enter_helper(unsigned index) noexcept;
 
 }  // namespace detail
 
@@ -110,18 +73,18 @@ class WorkerPool {
 /// only, never a scheduling input.
 ///
 /// @p grain is the minimum number of indices a stride must amortize a
-/// pool wakeup over: the worker count is capped at count / grain, and a
-/// job that cannot feed even two workers runs serially inline, skipping
-/// pool dispatch entirely. Callers set grain ≈ (dispatch cost) / (cost
-/// per index); the default of 1 preserves the historical behavior of
-/// parallelizing any count ≥ 2. Affects time only, never values — the
-/// stride schedule is deterministic for every (count, threads, grain).
+/// helper thread's start over: the worker count is capped at
+/// count / grain, and a job that cannot feed even two workers runs
+/// serially inline, starting no thread. Callers set grain ≈ (start cost)
+/// / (cost per index); the default of 1 parallelizes any count ≥ 2.
+/// Affects time only, never values — the stride schedule is
+/// deterministic for every (count, threads, grain).
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn, unsigned threads = 0,
                   std::size_t grain = 1) {
   if (count == 0) return;
-  unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  unsigned n = threads != 0 ? threads : hardware;
   if (n > count) n = static_cast<unsigned>(count);
   if (grain > 1 && count / grain < static_cast<std::size_t>(n)) {
     n = static_cast<unsigned>(count / grain);
@@ -138,19 +101,47 @@ void parallel_for(std::size_t count, Fn&& fn, unsigned threads = 0,
       "max/mean stride busy time of the last parallel_for");
   std::vector<std::exception_ptr> errors(n);
   std::vector<double> busy(n, 0.0);
-  detail::WorkerPool::Job job;
-  job.run_stride = [](void* f, unsigned w, unsigned strides,
-                      std::size_t total) {
-    auto& body = *static_cast<std::remove_reference_t<Fn>*>(f);
-    for (std::size_t i = w; i < total; i += strides) body(i);
+  std::atomic<unsigned> next{0};
+  // Nothing escapes a stride, so no helper outlives this call unjoined.
+  const auto claim_strides = [&]() noexcept {
+    for (;;) {
+      const unsigned w = next.fetch_add(1, std::memory_order_relaxed);
+      if (w >= n) return;
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        for (std::size_t i = w; i < count; i += n) fn(i);
+      } catch (...) {
+        errors[w] = std::current_exception();
+      }
+      busy[w] = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    }
   };
-  job.fn = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
-  job.strides = n;
-  job.count = count;
-  job.errors = errors.data();
-  job.busy = busy.data();
-  job.span_parent = obs::internal::current_span_node();
-  detail::WorkerPool::instance().run(job);
+
+  // Spans opened inside fn on a helper nest under this call site rather
+  // than rooting at the top of the profile tree.
+  obs::internal::SpanNode* const span_parent =
+      obs::internal::current_span_node();
+  const unsigned helpers = std::min(n, hardware) - 1;
+  std::vector<std::thread> started;
+  started.reserve(helpers);
+  for (unsigned h = 0; h < helpers; ++h) {
+    try {
+      started.emplace_back([&claim_strides, span_parent, h] {
+        detail::enter_helper(h);
+        const obs::internal::SpanParentScope scope(span_parent);
+        claim_strides();
+      });
+    } catch (...) {
+      break;  // the threads that did start claim its strides
+    }
+  }
+  detail::in_parallel_region() = true;
+  claim_strides();
+  detail::in_parallel_region() = false;
+  for (std::thread& t : started) t.join();
+
   jobs.inc();
   double max_busy = 0.0, sum_busy = 0.0;
   for (const double b : busy) {

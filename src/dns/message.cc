@@ -61,7 +61,7 @@ std::optional<std::string> ResourceRecord::txt() const {
   while (i < rdata.size()) {
     const std::size_t len = rdata[i++];
     if (i + len > rdata.size()) return std::nullopt;  // malformed
-    out.append(reinterpret_cast<const char*>(&rdata[i]), len);
+    out.append(reinterpret_cast<const char*>(rdata.data() + i), len);
     i += len;
   }
   return out;

@@ -1574,9 +1574,9 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
   }
   const auto bits = static_cast<std::size_t>(merged.bits);
 
-  // Check each source on the shared pool, one per job (the sweep only
-  // reads; parallel_for serializes safely against any main-thread use
-  // and rethrows the first corrupt source's error), re-encoding its
+  // Check the sources in one parallel_for, one source per stride (the
+  // sweep only reads and each stride writes its own part; parallel_for
+  // rethrows the first corrupt source's error), re-encoding its
   // records as they pass at the merged width with tri_base advanced to
   // the store's current base — this is where retention's dead Φ prefix
   // actually leaves the disk.

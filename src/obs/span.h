@@ -23,11 +23,11 @@
 // observe, never steer: analysis results are bit-identical with
 // profiling on or off.
 //
-// Threading: each thread has its own current-span cursor. The core
-// worker pool propagates the dispatching thread's cursor through the
-// job ticket (internal::SpanParentScope), so spans opened inside
-// parallel_for bodies nest under the call site that dispatched them
-// rather than rooting at the top of the tree. Stat updates are atomic;
+// Threading: each thread has its own current-span cursor.
+// core::parallel_for hands the dispatching thread's cursor to every
+// helper thread it starts (internal::SpanParentScope), so spans opened
+// inside parallel_for bodies nest under the call site that dispatched
+// them rather than rooting at the top of the tree. Stat updates are atomic;
 // node creation takes a short global lock the first time a path is
 // seen.
 //
@@ -58,8 +58,8 @@ SpanNode* current_span_node() noexcept;
 
 /// RAII: makes @p parent this thread's span parent for the scope's
 /// lifetime, so spans opened here nest under the dispatching call site.
-/// A null parent leaves the cursor untouched. Used by the core worker
-/// pool; not part of the public surface.
+/// A null parent leaves the cursor untouched. Used by parallel_for's
+/// helper threads; not part of the public surface.
 class SpanParentScope {
  public:
   explicit SpanParentScope(SpanNode* parent) noexcept;

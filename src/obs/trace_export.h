@@ -3,9 +3,9 @@
 // The profile tree (span.h) aggregates: it answers "how much time did
 // phi_matrix take in total". A timeline answers the other half — "what
 // ran *when*, on which thread, overlapping what" — which is how you see
-// a worker pool sitting idle behind one slow stride or a sweep stalled
-// on retries. When tracing is on, every obs::Span additionally records
-// begin/end *events* (thread id, microsecond timestamps) into a
+// parallel_for helpers sitting idle behind one slow stride or a sweep
+// stalled on retries. When tracing is on, every obs::Span additionally
+// records begin/end *events* (thread id, microsecond timestamps) into a
 // per-thread buffer; write_trace_json() flushes them as Chrome's trace
 // event format:
 //
@@ -14,8 +14,10 @@
 //                   {"name":"thread_name","ph":"M",...}]}
 //
 // Load the file in chrome://tracing or https://ui.perfetto.dev. Threads
-// carry names (set_trace_thread_name): the core worker pool labels its
-// threads fenrir-worker-N, so pool occupancy is readable at a glance.
+// carry names (set_trace_thread_name): while tracing is on,
+// core::parallel_for labels each helper it starts fenrir-worker-N, so
+// how busy a job's threads were is readable at a glance. Every thread
+// that records or is named keeps its buffer for the life of the process.
 //
 // Cost model mirrors span.h: with tracing off a span checks one relaxed
 // atomic and records nothing. With tracing on an event append takes the

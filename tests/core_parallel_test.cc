@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "core/distance_matrix.h"
 #include "rng/rng.h"
@@ -34,9 +38,9 @@ TEST(ParallelFor, EmptyAndTinyRanges) {
 TEST(ParallelFor, GrainCutoffRunsSmallJobsSerialInline) {
   auto& jobs = obs::registry().counter("fenrir_parallel_jobs_total");
 
-  // Below the grain the job must not touch the pool: the jobs counter
-  // (incremented only on pool dispatch) stays put, and every index still
-  // runs exactly once.
+  // Below the grain the job must start no helper: the jobs counter
+  // (incremented only for calls of two or more strides) stays put, and
+  // every index still runs exactly once.
   const auto before_small = jobs.value();
   std::vector<std::atomic<int>> hits(100);
   parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
@@ -83,8 +87,8 @@ TEST(ParallelFor, RethrowsFirstWorkerException) {
 }
 
 TEST(ParallelFor, PoolSurvivesManyConsecutiveJobs) {
-  // The persistent pool must be reusable back-to-back without leaking
-  // state between jobs (stride tickets, error slots, generations).
+  // Back-to-back calls each start and join their own helpers; nothing
+  // leaks from one job into the next (stride counter, error slots).
   for (int round = 0; round < 200; ++round) {
     std::atomic<std::size_t> sum{0};
     parallel_for(64, [&](std::size_t i) { sum.fetch_add(i + 1); },
@@ -94,8 +98,8 @@ TEST(ParallelFor, PoolSurvivesManyConsecutiveJobs) {
 }
 
 TEST(ParallelFor, NestedCallRunsSerialInline) {
-  // A parallel_for inside a parallel_for body must not deadlock on the
-  // shared pool; the inner call degrades to the serial loop.
+  // A parallel_for inside a parallel_for body starts no helpers of its
+  // own; the inner call degrades to the serial loop.
   std::vector<std::atomic<int>> hits(32 * 16);
   parallel_for(32, [&](std::size_t outer) {
     parallel_for(16, [&](std::size_t inner) {
@@ -106,8 +110,9 @@ TEST(ParallelFor, NestedCallRunsSerialInline) {
 }
 
 TEST(ParallelFor, ConcurrentCallersFromIndependentThreads) {
-  // Two threads issuing jobs at once: the pool serializes them; both
-  // complete with every index visited exactly once.
+  // Two threads issuing jobs at once: each call starts its own helpers,
+  // so the jobs run side by side; both complete with every index visited
+  // exactly once.
   std::vector<std::atomic<int>> a(2000), b(2000);
   std::thread t1([&] {
     for (int round = 0; round < 20; ++round) {
@@ -125,14 +130,56 @@ TEST(ParallelFor, ConcurrentCallersFromIndependentThreads) {
   for (const auto& h : b) EXPECT_EQ(h.load(), 20);
 }
 
+TEST(ParallelFor, ConcurrentCallersOverlap) {
+  // Nothing is shared between calls, so one caller's job never waits for
+  // another's: stride 0 of each two-stride job waits until the other
+  // job's stride 0 has started. A process-wide job lock would hold one
+  // job back until the other finished, and that wait would time out.
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<bool> saw_other[2] = {false, false};
+  const auto job = [&](int self) {
+    parallel_for(
+        2,
+        [&, self](std::size_t i) {
+          if (i != 0) return;
+          started[self].store(true);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!started[1 - self].load()) {
+            if (std::chrono::steady_clock::now() > deadline) return;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+          saw_other[self].store(true);
+        },
+        /*threads=*/2);
+  };
+  std::thread t1(job, 0);
+  std::thread t2(job, 1);
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(saw_other[0].load()) << "job 0 never overlapped job 1";
+  EXPECT_TRUE(saw_other[1].load()) << "job 1 never overlapped job 0";
+}
+
 TEST(ParallelFor, MoreStridesThanHardwareThreads) {
-  // Requesting more logical workers than the pool has threads multiplexes
-  // strides; every index still runs exactly once and exceptions still
-  // surface from the lowest-numbered throwing stride.
+  // Requesting more logical workers than there are hardware threads
+  // multiplexes strides over at most hardware_concurrency() threads (the
+  // caller and its helpers); every index still runs exactly once and
+  // exceptions still surface from the lowest-numbered throwing stride.
   std::vector<std::atomic<int>> hits(500);
-  parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-               64);
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
+  parallel_for(
+      hits.size(),
+      [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        const std::lock_guard<std::mutex> lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+      },
+      64);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_LE(ran_on.size(),
+            std::max(1u, std::thread::hardware_concurrency()));
 
   try {
     parallel_for(
@@ -163,11 +210,11 @@ TEST(ParallelFor, DisjointWritesAreComplete) {
 }
 
 TEST(ParallelFor, WorkerSpansNestUnderTheDispatchSite) {
-  // The dispatching thread's span cursor rides through the job ticket
-  // (Job::span_parent + SpanParentScope), so spans opened inside
-  // parallel_for bodies — whether the body ran on the caller or on a
-  // pool worker — aggregate under the call-site span instead of rooting
-  // their own trees.
+  // The dispatching thread's span cursor is handed to every helper the
+  // call starts (SpanParentScope), so spans opened inside parallel_for
+  // bodies — whether the body ran on the caller or on a helper —
+  // aggregate under the call-site span instead of rooting their own
+  // trees.
   obs::set_profiling(true);
   obs::reset_profile();
   {
@@ -228,19 +275,19 @@ TEST(ParallelMatrix, BitIdenticalToSerialForAnyThreadCount) {
 }
 
 TEST(ParallelMatrix, PoolEngagesOnLargeRowsAndStaysBitIdentical) {
-  // Large enough that the per-row column loop actually dispatches to the
-  // worker pool (row work above the serial cutoff) — the pool-based
-  // schedule must reproduce the serial bits exactly.
+  // Large enough that the settle's fills actually start helper threads
+  // (work above the serial cutoff) — the multi-threaded schedule must
+  // reproduce the serial bits exactly.
   const Dataset d = random_dataset(220, 600, 80);
   const auto serial =
       SimilarityMatrix::compute(d, UnknownPolicy::kKnownOnly, 1);
   for (const unsigned threads : {0u, 2u, 5u}) {
-    const auto pooled =
+    const auto parallel =
         SimilarityMatrix::compute(d, UnknownPolicy::kKnownOnly, threads);
-    ASSERT_EQ(pooled.size(), serial.size());
+    ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
-        ASSERT_EQ(pooled.phi(i, j), serial.phi(i, j))
+        ASSERT_EQ(parallel.phi(i, j), serial.phi(i, j))
             << i << "," << j << " threads=" << threads;
       }
     }

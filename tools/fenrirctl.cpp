@@ -597,14 +597,9 @@ int cmd_watch(const Args& args) {
     }
     const auto match = book.observe(v);
     obs::lineage().clear_context();  // outage rows never consume it
-    // Spill-as-you-go: the row is queued now and its record written at
-    // the periodic flush, the save interval (O(rows since last flush)).
-    // Every flush carries the book, so a kill between flushes resumes
-    // with the modes of the rows it made durable.
-    if (store.has_value()) {
-      store->spill(v, *matrix);
-      if ((i + 1 - start) % 64 == 0) store->flush(&book);
-    }
+    // Spill-as-you-go: the row is queued now and its record written by
+    // the next periodic flush, at the end of every 64th sweep.
+    if (store.has_value()) store->spill(v, *matrix);
     std::cout << core::format_time(v.time) << "  mode " << match.mode
               << "  phi " << io::fixed(match.phi, 3);
     if (!v.valid) {
@@ -630,6 +625,12 @@ int cmd_watch(const Args& args) {
     // One windowed-metrics snapshot per observation, rate-limited
     // inside — the watch loop is /metrics/history's sampling cadence.
     obs::metrics_history().sample(false);
+    // The save interval (O(rows since last flush)) comes last, after the
+    // sweep's verdict and journal line: a kill inside the flush leaves
+    // the sweep reported, and the resume starts after its durable rows.
+    // Every flush carries the book, so a kill between flushes resumes
+    // with the modes of the rows it made durable.
+    if (store.has_value() && (i + 1 - start) % 64 == 0) store->flush(&book);
   }
   std::cout << book.mode_count() << " modes over " << book.history().size()
             << " observations\n";
