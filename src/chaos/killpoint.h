@@ -22,6 +22,11 @@
 //
 //   FENRIR_CHAOS_KILL_POINT=<label>   _exit(137) at the first
 //                                     maybe_kill_at(label) call
+//   FENRIR_CHAOS_KILL_POINT=<label>@N _exit(137) at the Nth call
+//
+// A label passed once per loop iteration (fenrirctl watch's per-sweep
+// "watch_sweep") then kills after a chosen iteration: between two
+// periodic flushes, say, where no lifecycle label lies.
 //
 // Both variables are re-read on every call (never cached) — gtest death
 // tests set them between forks and expect the child to see them.
@@ -43,10 +48,12 @@ std::optional<std::size_t> kill_save_threshold();
 /// the signal.
 void maybe_kill_during_save(std::size_t bytes_written);
 
-/// _exit(137)s iff FENRIR_CHAOS_KILL_POINT names exactly @p label.
-/// Lifecycle code drops one of these at every durability boundary
-/// (tail append, seal rename, manifest swap, compaction commit) so a
-/// death test can kill the process between any two of them.
+/// _exit(137)s iff FENRIR_CHAOS_KILL_POINT names exactly @p label, at
+/// its Nth call with that label under the "<label>@N" form. Lifecycle
+/// code drops one of these at every durability boundary (tail append,
+/// seal rename, manifest swap, compaction commit) so a death test can
+/// kill the process between any two of them. An unparsable count arms
+/// nothing.
 void maybe_kill_at(std::string_view label);
 
 }  // namespace fenrir::chaos

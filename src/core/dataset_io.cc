@@ -1,8 +1,12 @@
 #include "core/dataset_io.h"
 
 #include <array>
+#include <bit>
 #include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <span>
 #include <string_view>
 
 #include "io/csv.h"
@@ -47,11 +51,36 @@ class SiteCache {
   explicit SiteCache(SiteTable& sites) : sites_(sites) {}
 
   SiteId intern(std::string_view name) {
-    if (name.size() > 7) return sites_.intern(name);
-    std::uint64_t key = std::uint64_t{name.size()} << 56;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-      key |= std::uint64_t{static_cast<unsigned char>(name[i])} << (8 * i);
-    }
+    const std::size_t n = name.size();
+    if (n > 7) return sites_.intern(name);
+    // Both packings are computed, from loads that stay inside the name
+    // or read kZeros, and masks on the length pick one: a branch there
+    // would mispredict, as cells alternate between 3 bytes ("LAX") and
+    // 7 ("unknown").
+    static constexpr unsigned char kZeros[4] = {};
+    const std::uint64_t wide = 0 - std::uint64_t{n >= 4};
+    const std::uint64_t some = 0 - std::uint64_t{n != 0};
+    const auto zeros = reinterpret_cast<std::uintptr_t>(kZeros);
+    const auto bytes = reinterpret_cast<std::uintptr_t>(name.data());
+    // 4-7 bytes: two 4-byte loads that overlap inside the name; shifted
+    // into place, the shared bytes coincide, so the key holds the
+    // name's bytes in order (on a little-endian host).
+    static_assert(std::endian::native == std::endian::little);
+    const auto* w =
+        reinterpret_cast<const unsigned char*>(zeros ^ ((zeros ^ bytes) & wide));
+    const std::size_t shift = (n - 4) & wide;
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, w, 4);
+    std::memcpy(&hi, w + shift, 4);
+    const std::uint64_t four = lo | std::uint64_t{hi} << (8 * shift);
+    // 1-3 bytes: the first, middle and last byte are all of them.
+    const auto* t =
+        reinterpret_cast<const unsigned char*>(zeros ^ ((zeros ^ bytes) & some));
+    const std::size_t last = (n - 1) & some;
+    const std::uint64_t three =
+        t[0] | std::uint64_t{t[n / 2]} << 8 | std::uint64_t{t[last]} << 16;
+    const std::uint64_t key =
+        std::uint64_t{n} << 56 | (four & wide) | (three & ~wide);
     Slot& slot = slots_[(key * 0x9E3779B97F4A7C15ull) >> 56];
     if (slot.key != key) slot = {key, sites_.intern(name)};
     return slot.id;
@@ -104,7 +133,7 @@ Dataset load_dataset(std::istream& in, const LoadOptions& options,
   // in the reader's buffer and its cells are interned from their views,
   // so the file is never held whole and no cell becomes a std::string.
   io::CsvReader csv(in);
-  const std::vector<std::string_view>& row = csv.row();
+  std::span<const std::string_view> row;
   std::size_t line = 0;  // rows read so far; the current row's number
   // An unterminated quote runs to the end of the input, so it can only
   // be the last row, and it is reported where it stands in file order.
@@ -115,6 +144,7 @@ Dataset load_dataset(std::istream& in, const LoadOptions& options,
       throw DatasetIoError("unterminated quoted field at line " +
                            std::to_string(line + 1));
     }
+    row = csv.row();
     ++line;
     return true;
   };
@@ -212,9 +242,9 @@ Dataset load_dataset(std::istream& in, const LoadOptions& options,
       throw DatasetIoError("bad valid flag: " + std::string(row[1]));
     }
     v.valid = row[1] == "1";
-    v.assignment.reserve(kept.size());
-    for (const std::size_t i : kept) {
-      v.assignment.push_back(sites.intern(row[i]));
+    v.assignment.resize(kept.size());
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      v.assignment[k] = sites.intern(row[kept[k]]);
     }
     d.series.push_back(std::move(v));
   }

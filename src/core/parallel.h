@@ -53,7 +53,8 @@ bool& in_parallel_region() noexcept;
 
 /// Marks a freshly started helper as inside a parallel region and, only
 /// while tracing is on, names it fenrir-worker-<index> in the timeline
-/// (every named thread keeps a trace buffer for the life of the process).
+/// (it takes over the trace buffer an exited helper of that index
+/// parked, so successive calls share one row per index).
 void enter_helper(unsigned index) noexcept;
 
 }  // namespace detail

@@ -1,10 +1,102 @@
 #include "io/csv.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace fenrir::io {
+
+namespace {
+
+/// Hands out one row's special bytes (the separator, '\n', '\r' and
+/// '"') in order. Where a whole 64-byte block fits before the end, its
+/// bytes are compared 16 at a time into one 64-bit mask, and each pop()
+/// takes the mask's lowest bit: the next field's end is found from the
+/// mask alone, not from where the last field ended. Fewer than 64 bytes
+/// before the end take the byte loop.
+class SpecialScan {
+ public:
+  static constexpr std::ptrdiff_t kBlock = 64;
+
+  SpecialScan(const char* from, const char* end, char sep,
+              const std::array<bool, 256>& special) noexcept
+      : end_(end), block_(from), next_(from), special_(special) {
+#if defined(__SSE2__)
+    sep_ = _mm_set1_epi8(sep);
+#else
+    (void)sep;
+#endif
+  }
+
+  /// The first special byte past the last one popped (or skipped to),
+  /// or the end.
+  const char* pop() noexcept {
+#if defined(__SSE2__)
+    while (mask_ == 0) {
+      if (end_ - next_ < kBlock) return pop_byte();
+      block_ = next_;
+      next_ += kBlock;
+      mask_ = lanes(block_) | lanes(block_ + 16) << 16 |
+              lanes(block_ + 32) << 32 | lanes(block_ + 48) << 48;
+    }
+    const char* const q = block_ + std::countr_zero(mask_);
+    mask_ &= mask_ - 1;
+    return q;
+#else
+    return pop_byte();
+#endif
+  }
+
+  /// Drops the special bytes before @p p, which lies past the last one
+  /// popped: the next pop() starts there.
+  void skip_to(const char* p) noexcept {
+    if (p < next_) {
+      mask_ &= ~std::uint64_t{0} << (p - block_);  // p is inside the block
+    } else {
+      mask_ = 0;
+      next_ = p;
+    }
+  }
+
+ private:
+  const char* pop_byte() noexcept {
+    const char* q = next_;
+    while (q != end_ && !special_[static_cast<unsigned char>(*q)]) ++q;
+    next_ = q == end_ ? q : q + 1;
+    return q;
+  }
+
+#if defined(__SSE2__)
+  /// Bit k set when p[k] is special, for the 16 bytes at @p p.
+  std::uint64_t lanes(const char* p) const noexcept {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    const __m128i hit = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(v, sep_),
+                     _mm_cmpeq_epi8(v, _mm_set1_epi8('\n'))),
+        _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8('\r')),
+                     _mm_cmpeq_epi8(v, _mm_set1_epi8('"'))));
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(hit));
+  }
+#endif
+
+  const char* const end_;
+  const char* block_;  // the block mask_ covers, bit k for block_[k]
+  const char* next_;   // where the next block load (or byte loop) starts
+  std::uint64_t mask_ = 0;  // the block's special bytes not yet popped
+  const std::array<bool, 256>& special_;
+#if defined(__SSE2__)
+  __m128i sep_;
+#endif
+};
+
+}  // namespace
 
 CsvReader::CsvReader(std::istream& in, char sep)
     : in_(&in), sep_(sep), buffer_(kBufferBytes), data_(buffer_.data()) {
@@ -20,6 +112,7 @@ void CsvReader::mark_special() {
   special_[static_cast<unsigned char>(sep_)] = true;
   special_['\n'] = true;
   special_['\r'] = true;
+  special_['"'] = true;
 }
 
 bool CsvReader::next() {
@@ -53,30 +146,43 @@ void CsvReader::refill() {
 
 CsvReader::Step CsvReader::parse_row() {
   const char* const end = data_ + end_;
+  SpecialScan scan(data_ + pos_, end, sep_, special_);
   // Each pass reads one line from its first byte; a blank line loops.
   for (;;) {
-    fields_.clear();
     scratch_.clear();
     unescaped_.clear();
     const char* p = data_ + pos_;
     std::size_t line = line_;
     bool started = false;  // the line has content (a blank line has none)
+    std::string_view* field = fields_.data();  // the next field's slot
+    std::string_view* room = field + fields_.size();
     Stop stop;
     do {
+      if (field == room) {
+        const std::size_t used = fields_.size();
+        fields_.resize(std::max<std::size_t>(16, 2 * used));
+        field = fields_.data() + used;
+        room = fields_.data() + fields_.size();
+      }
       const char* const start = p;
-      if (p != end && *p == '"') {
-        stop = unescape(p, line, started);
+      // A plain field: a view into the buffer unless it opens with a
+      // quote or a '\r' turns up. A later quote is a literal byte.
+      const char* q = scan.pop();
+      while (q != end && *q == '"' && q != start) q = scan.pop();
+      if (q == end && !eof_) return Step::kNeedMore;
+      if (q != end && (*q == '"' || *q == '\r')) {
+        const SlowField slow = unescape(
+            start, line, static_cast<std::size_t>(field - fields_.data()));
+        *field++ = {};  // the view is made once the row is done
+        p = slow.next;
+        scan.skip_to(p);
+        stop = slow.stop;
+        line += slow.newlines;
+        started = started || slow.content;
         continue;
       }
-      // A plain field: a view into the buffer unless a '\r' turns up.
-      while (p != end && !special_[static_cast<unsigned char>(*p)]) ++p;
-      if (p == end && !eof_) return Step::kNeedMore;
-      if (p != end && *p == '\r') {
-        p = start;
-        stop = unescape(p, line, started);
-        continue;
-      }
-      fields_.emplace_back(start, static_cast<std::size_t>(p - start));
+      *field++ = std::string_view(start, static_cast<std::size_t>(q - start));
+      p = q;
       if (p != start) started = true;
       if (p == end) {
         stop = Stop::kEof;
@@ -92,39 +198,47 @@ CsvReader::Step CsvReader::parse_row() {
     pos_ = static_cast<std::size_t>(p - data_);
     line_ = line;
     if (started) {
+      row_size_ = static_cast<std::size_t>(field - fields_.data());
       for (const Unescaped& u : unescaped_) {
         fields_[u.field] = std::string_view(scratch_.data() + u.offset, u.size);
       }
       return Step::kRow;
     }
-    if (stop == Stop::kEof) return Step::kEnd;
+    if (stop == Stop::kEof) {
+      row_size_ = 0;
+      return Step::kEnd;
+    }
   }
 }
 
-CsvReader::Stop CsvReader::unescape(const char*& p, std::size_t& line,
-                                    bool& started) {
+CsvReader::SlowField CsvReader::unescape(const char* p, std::size_t line,
+                                         std::size_t index) {
   // One byte at a time into the scratch, from the field's first byte.
   // A quote opens only while the field is still empty, so a '\r' before
   // it still lets it open.
   const char* const end = data_ + end_;
   const std::size_t offset = scratch_.size();
+  std::size_t newlines = 0;
+  bool content = false;
   bool quoted = false;
   Stop stop;
   for (;;) {
     if (p == end) {
-      if (!eof_) return Stop::kNeedMore;
-      if (quoted) throw CsvError("unterminated quoted field", line);
+      if (!eof_) return {p, Stop::kNeedMore, newlines, content};
+      if (quoted) throw CsvError("unterminated quoted field", line + newlines);
       stop = Stop::kEof;
       break;
     }
     const char c = *p++;
     if (quoted) {
       if (c != '"') {
-        if (c == '\n') ++line;
+        if (c == '\n') ++newlines;
         scratch_.push_back(c);
         continue;
       }
-      if (p == end && !eof_) return Stop::kNeedMore;  // "" or a close?
+      if (p == end && !eof_) {  // "" or a close?
+        return {p, Stop::kNeedMore, newlines, content};
+      }
       if (p != end && *p == '"') {
         scratch_.push_back('"');
         ++p;
@@ -135,23 +249,22 @@ CsvReader::Stop CsvReader::unescape(const char*& p, std::size_t& line,
     }
     if (c == '"' && scratch_.size() == offset) {
       quoted = true;
-      started = true;
+      content = true;
     } else if (c == sep_) {
-      started = true;
+      content = true;
       stop = Stop::kSep;
       break;
     } else if (c == '\n') {
-      ++line;
+      ++newlines;
       stop = Stop::kNewline;
       break;
     } else if (c != '\r') {
       scratch_.push_back(c);
-      started = true;
+      content = true;
     }
   }
-  unescaped_.push_back({fields_.size(), offset, scratch_.size() - offset});
-  fields_.emplace_back();  // the view is made once the row is done
-  return stop;
+  unescaped_.push_back({index, offset, scratch_.size() - offset});
+  return {p, stop, newlines, content};
 }
 
 std::vector<CsvRow> parse_csv(std::string_view text, char sep) {

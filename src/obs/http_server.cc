@@ -228,6 +228,30 @@ void send_all(int fd, const std::string& data, const std::atomic<bool>& stop) {
 
 }  // namespace
 
+RequestLine parse_request_line(std::string_view request) {
+  // "METHOD SP target SP HTTP/x.y" from the first line.
+  const std::string_view line = request.substr(0, request.find("\r\n"));
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 =
+      sp1 == std::string_view::npos ? std::string_view::npos
+                                    : line.find(' ', sp1 + 1);
+  RequestLine out;
+  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
+      line.substr(sp2 + 1).rfind("HTTP/", 0) != 0) {
+    out.error_status = 400;
+    return out;
+  }
+  if (line.substr(0, sp1) != "GET") {
+    out.error_status = 405;
+    return out;
+  }
+  const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::size_t qmark = target.find('?');
+  out.path = target.substr(0, qmark);
+  if (qmark != std::string_view::npos) out.query = target.substr(qmark + 1);
+  return out;
+}
+
 bool render_endpoint(const std::string& path, const std::string& query,
                      std::string& body, std::string& content_type,
                      int& http_status, const std::atomic<bool>* cancel) {
@@ -419,40 +443,22 @@ void HttpServer::handle_connection(int client_fd) {
   served_.fetch_add(1, std::memory_order_relaxed);
   requests_counter().inc();
 
-  // Parse "METHOD SP target SP HTTP/x.y" from the first line.
-  const std::size_t eol = request.find("\r\n");
-  const std::string_view line =
-      std::string_view(request).substr(0, eol == std::string::npos
-                                              ? request.size()
-                                              : eol);
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string_view::npos ? std::string_view::npos
-                                    : line.find(' ', sp1 + 1);
-  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
-      line.substr(sp2 + 1).rfind("HTTP/", 0) != 0) {
+  const RequestLine line = parse_request_line(request);
+  if (line.error_status == 400) {
     send_all(client_fd,
              make_response(400, "text/plain", "bad request line\n"), stop_);
     return;
   }
-  const std::string_view method = line.substr(0, sp1);
-  std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  if (method != "GET") {
+  if (line.error_status == 405) {
     send_all(client_fd,
              make_response(405, "text/plain", "only GET is supported\n"),
              stop_);
     return;
   }
-  std::string_view query;
-  const std::size_t qmark = target.find('?');
-  if (qmark != std::string_view::npos) {
-    query = target.substr(qmark + 1);
-    target = target.substr(0, qmark);
-  }
 
   std::string body, content_type;
   int http_status = 0;
-  if (!render_endpoint(std::string(target), std::string(query), body,
+  if (!render_endpoint(std::string(line.path), std::string(line.query), body,
                        content_type, http_status, &stop_)) {
     send_all(client_fd,
              make_response(404, "text/plain",

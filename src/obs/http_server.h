@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace fenrir::obs {
@@ -93,6 +94,21 @@ class HttpServer {
   std::atomic<std::uint64_t> served_{0};
   int listen_fd_ = -1;
 };
+
+/// A request's first line, split: a GET's target as path and query, or
+/// the error status the server answers instead.
+struct RequestLine {
+  /// 0 when the line parsed as a GET; 400 when it is not "METHOD SP
+  /// target SP HTTP/..."; 405 for any method but GET.
+  int error_status = 0;
+  std::string_view path;   // the target up to its first '?'
+  std::string_view query;  // after that '?', without it (may be empty)
+};
+
+/// Splits the first line of @p request (up to its first "\r\n", or all
+/// of it) as the server does before routing; the views point into
+/// @p request. Pure, so the fuzzers can drive it without sockets.
+RequestLine parse_request_line(std::string_view request);
 
 /// Builds the response for @p path exactly as the server would. Returns
 /// false for an unknown path (the caller's 404); for known paths sets

@@ -1,7 +1,10 @@
 #include "obs/journal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
+#include <optional>
+#include <string_view>
 
 #include "obs/health.h"
 #include "obs/log.h"
@@ -66,6 +69,18 @@ void drop_torn_tail(const std::string& path) {
     FENRIR_LOG(Warn).field("path", path)
         << "journal: cannot cut a torn last line: " << ec.message();
   }
+}
+
+/// The integer after the first "time": key of @p line, if any.
+std::optional<std::int64_t> time_field(std::string_view line) {
+  constexpr std::string_view kKey = "\"time\":";
+  const std::size_t at = line.find(kKey);
+  if (at == std::string_view::npos) return std::nullopt;
+  const char* first = line.data() + at + kKey.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(first, line.data() + line.size(), value);
+  if (ec != std::errc{}) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -144,6 +159,40 @@ std::vector<std::string> read_journal(const std::string& path) {
     }
   }
   return lines;
+}
+
+std::size_t cut_journal(const std::string& path, std::int64_t from,
+                        std::size_t keep) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return 0;
+  std::uintmax_t offset = 0;  // where the current line starts
+  std::optional<std::uintmax_t> cut;
+  std::size_t lines_cut = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!cut) {
+      const auto time = time_field(line);
+      if (time && *time >= from) {
+        if (keep == 0) {
+          cut = offset;
+        } else {
+          --keep;
+        }
+      }
+    }
+    if (cut) ++lines_cut;
+    offset += line.size() + (in.eof() ? 0 : 1);
+  }
+  in.close();
+  if (!cut) return 0;
+  std::error_code ec;
+  std::filesystem::resize_file(path, *cut, ec);
+  if (ec) {
+    FENRIR_LOG(Warn).field("path", path)
+        << "journal: cannot cut back to the durable prefix: " << ec.message();
+    return 0;
+  }
+  return lines_cut;
 }
 
 }  // namespace fenrir::obs

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -88,5 +89,16 @@ class Journal {
 /// JournalError on an interior line that is not a complete JSON object,
 /// and on an unreadable file.
 std::vector<std::string> read_journal(const std::string& path);
+
+/// Cuts the JSONL file at @p path back to a resumed writer's durable
+/// prefix: it ends before the first line whose "time" field is at or
+/// after @p from, passing over the first @p keep such lines (durable
+/// entries that share that time). A kill between a writer's periodic
+/// flushes leaves lines past the prefix its resume rewrites; cutting
+/// them keeps each entry once. Lines without a "time" field never start
+/// the cut. Returns the number of lines cut; a missing or unreadable
+/// file is left alone.
+std::size_t cut_journal(const std::string& path, std::int64_t from,
+                        std::size_t keep = 0);
 
 }  // namespace fenrir::obs

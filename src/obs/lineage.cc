@@ -381,25 +381,49 @@ std::uint64_t LineageStore::record(DecisionRecord record) {
   return record.id;
 }
 
+namespace {
+
+/// The largest record id in the log at @p path (0 for none). Unparseable
+/// lines (a torn tail, interleaved non-lineage lines) are skipped.
+std::uint64_t last_logged_id(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::uint64_t max_id = 0;
+  while (std::getline(in, line)) {
+    if (const auto r = parse_record_json(line)) {
+      max_id = std::max(max_id, r->id);
+    }
+  }
+  return max_id;
+}
+
+}  // namespace
+
 bool LineageStore::open_log(const std::string& path, bool truncate) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!truncate) {
     // Appending to an existing log (a resumed run): continue the id
     // sequence after the last record already on disk, so the completed
     // file reads back as one gap-free decision sequence — the resume
-    // half of the chaos prefix property. Unparseable lines (a torn
-    // tail, interleaved non-lineage lines) are skipped, not fatal.
-    std::ifstream in(path);
-    std::string line;
-    std::uint64_t max_id = 0;
-    while (std::getline(in, line)) {
-      if (const auto r = parse_record_json(line)) {
-        max_id = std::max(max_id, r->id);
-      }
-    }
+    // half of the chaos prefix property.
+    const std::uint64_t max_id = last_logged_id(path);
     if (max_id >= next_id_) next_id_ = max_id + 1;
   }
   return log_.open(path, truncate);
+}
+
+void LineageStore::cut_log(std::int64_t from, std::size_t keep) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!log_.is_open()) return;
+  const std::string path = log_.path();
+  log_.close();
+  cut_journal(path, from, keep);
+  // Ids continue after the last record kept, unless this process has
+  // already recorded past it.
+  std::uint64_t next = last_logged_id(path) + 1;
+  for (const DecisionRecord& r : ring_) next = std::max(next, r.id + 1);
+  next_id_ = next;
+  log_.open(path);
 }
 
 void LineageStore::close_log() {

@@ -191,6 +191,11 @@ class LineageStore {
   /// flushed per line, torn-tail tolerant on read-back). @p truncate
   /// drops prior content — fresh runs truncate, resumed ones append.
   bool open_log(const std::string& path, bool truncate = false);
+  /// Cuts the open log back to a resumed run's durable prefix (see
+  /// obs::cut_journal: records from observation time @p from on, past
+  /// the first @p keep) and continues the id sequence after the last
+  /// record kept. No-op without an open log.
+  void cut_log(std::int64_t from, std::size_t keep);
   void close_log();
   bool log_open() const;
 

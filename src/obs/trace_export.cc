@@ -46,6 +46,38 @@ std::vector<std::shared_ptr<ThreadBuffer>>& buffers() {
   return *list;
 }
 
+/// The buffers of exited threads, waiting for a thread of the same name
+/// to take them over (guarded by buffers_mutex(), leaked like buffers()).
+std::vector<std::shared_ptr<ThreadBuffer>>& parked() {
+  static auto* list = new std::vector<std::shared_ptr<ThreadBuffer>>();
+  return *list;
+}
+
+/// A thread's hold on its buffer. The buffer is made on first use and
+/// parked when the thread exits, so parallel_for's per-call helpers
+/// reuse one timeline row per name instead of adding three per call.
+struct LocalBuffer {
+  std::shared_ptr<ThreadBuffer> buffer;
+
+  LocalBuffer() = default;
+  LocalBuffer(const LocalBuffer&) = delete;
+  LocalBuffer& operator=(const LocalBuffer&) = delete;
+  ~LocalBuffer() {
+    if (!buffer) return;
+    try {
+      const std::lock_guard<std::mutex> lock(buffers_mutex());
+      parked().push_back(std::move(buffer));
+    } catch (...) {
+      // Unparked, the buffer keeps its row and only is not reused.
+    }
+  }
+};
+
+LocalBuffer& local_slot() {
+  thread_local LocalBuffer slot;
+  return slot;
+}
+
 /// Events are stamped relative to one process-wide steady epoch so all
 /// threads share a timeline. Initialized on first use.
 std::chrono::steady_clock::time_point trace_epoch() {
@@ -61,14 +93,15 @@ std::uint64_t now_us() {
 }
 
 ThreadBuffer& local_buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
+  LocalBuffer& slot = local_slot();
+  if (!slot.buffer) {
     auto b = std::make_shared<ThreadBuffer>();
     const std::lock_guard<std::mutex> lock(buffers_mutex());
     b->tid = static_cast<std::uint32_t>(buffers().size());
     buffers().push_back(b);
-    return b;
-  }();
-  return *buffer;
+    slot.buffer = std::move(b);
+  }
+  return *slot.buffer;
 }
 
 Counter& dropped_counter() {
@@ -111,6 +144,20 @@ void trace_begin(const char* name) noexcept { append(name, true); }
 void trace_end(const char* name) noexcept { append(name, false); }
 
 void set_trace_thread_name(std::string name) {
+  LocalBuffer& slot = local_slot();
+  if (!slot.buffer) {
+    // A thread with no buffer yet takes over a parked one of its name.
+    // Only exited threads park, so no two live threads share a row.
+    const std::lock_guard<std::mutex> lock(buffers_mutex());
+    std::vector<std::shared_ptr<ThreadBuffer>>& list = parked();
+    for (auto it = list.begin(); it != list.end(); ++it) {
+      if ((*it)->name == name) {
+        slot.buffer = std::move(*it);
+        list.erase(it);
+        return;
+      }
+    }
+  }
   ThreadBuffer& b = local_buffer();
   const std::lock_guard<std::mutex> lock(b.mu);
   b.name = std::move(name);

@@ -17,7 +17,11 @@
 // carry names (set_trace_thread_name): while tracing is on,
 // core::parallel_for labels each helper it starts fenrir-worker-N, so
 // how busy a job's threads were is readable at a glance. Every thread
-// that records or is named keeps its buffer for the life of the process.
+// that records or is named keeps its buffer for the life of the
+// process; when the thread exits, its buffer is parked, and the next
+// thread given the same name takes it over (events and tid included).
+// The helpers parallel_for starts per call thus fill one row per
+// worker index, and kMaxEventsPerThread bounds each row.
 //
 // Cost model mirrors span.h: with tracing off a span checks one relaxed
 // atomic and records nothing. With tracing on an event append takes the
@@ -44,6 +48,9 @@ void trace_end(const char* name) noexcept;
 
 /// Labels this thread in exported timelines (Chrome thread_name
 /// metadata). Callable before tracing is enabled; the last call wins.
+/// A thread that has neither traced nor been named before adopts the
+/// parked buffer of an exited thread of the same name, if there is one,
+/// and appends to its row.
 void set_trace_thread_name(std::string name);
 
 /// Flushes every thread's buffered events as one Chrome-trace JSON

@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/distance_matrix.h"
+#include "obs/trace_export.h"
 #include "rng/rng.h"
 
 namespace fenrir::core {
@@ -233,6 +239,60 @@ TEST(ParallelFor, WorkerSpansNestUnderTheDispatchSite) {
   EXPECT_EQ(entries[1].name, "stride_work");
   EXPECT_EQ(entries[1].depth, 1);  // child of dispatch_site, not a root
   EXPECT_EQ(entries[1].count, 64u);
+}
+
+TEST(ParallelFor, TracedHelpersReuseOneTimelineRowPerIndex) {
+  // Each call starts fresh helpers; helper w names itself
+  // fenrir-worker-<w> and takes over the trace buffer the previous
+  // call's helper w parked at exit. So 200 traced calls leave at most
+  // one row per helper index, and every call's spans are there, in call
+  // order on each row.
+  constexpr std::size_t kCalls = 200;
+  constexpr std::size_t kIndices = 8;
+  std::vector<std::string> names;  // span names outlive the trace
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    names.push_back("call_" + std::to_string(c));
+  }
+  obs::set_tracing(true);
+  obs::reset_trace();
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    parallel_for(kIndices,
+                 [&](std::size_t) { obs::Span span(names[c].c_str()); });
+  }
+  std::ostringstream json;
+  obs::write_trace_json(json);
+  obs::set_tracing(false);
+  obs::reset_trace();
+  const std::string text = json.str();
+
+  std::set<unsigned long> worker_tids;
+  const std::regex row(
+      "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":(\\d+),"
+      "\"args\":\\{\"name\":\"fenrir-worker-");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), row);
+       it != std::sregex_iterator(); ++it) {
+    worker_tids.insert(std::stoul((*it)[1].str()));
+  }
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_LE(worker_tids.size(), hardware - 1);
+
+  std::vector<std::size_t> begins(kCalls, 0);
+  std::map<unsigned long, std::size_t> last_call;  // per tid
+  const std::regex begin(
+      "\"name\":\"call_(\\d+)\",\"ph\":\"B\",\"pid\":1,\"tid\":(\\d+)");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), begin);
+       it != std::sregex_iterator(); ++it) {
+    const std::size_t call = std::stoul((*it)[1].str());
+    const unsigned long tid = std::stoul((*it)[2].str());
+    ASSERT_LT(call, kCalls);
+    ++begins[call];
+    std::size_t& last = last_call.try_emplace(tid, call).first->second;
+    EXPECT_LE(last, call) << "tid " << tid << " out of call order";
+    last = call;
+  }
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    EXPECT_EQ(begins[c], kIndices) << "call " << c;
+  }
 }
 
 Dataset random_dataset(std::size_t obs, std::size_t nets,

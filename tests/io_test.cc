@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 
 #include "io/csv.h"
@@ -163,6 +167,155 @@ TEST(CsvReader, QuoteIsSpecialOnlyAtFieldStart) {
   const std::vector<CsvRow> want = {{"a\"b", "xy\"z", "c,d"}};
   EXPECT_EQ(parse_csv(text), want);
   EXPECT_EQ(stream_rows(text), want);
+}
+
+// --- the tokenizer against a frozen byte-at-a-time reference. The
+// CsvReader tests above compare stream_rows with parse_csv, which run
+// the same tokenizer; this one compares both sources with an
+// independent copy of the dialect, read one byte at a time. ---
+
+/// Rows of @p text, or the line an unterminated quote ends on.
+struct Parsed {
+  std::vector<CsvRow> rows;
+  std::size_t error_line = 0;  // 0: no error
+
+  bool operator==(const Parsed&) const = default;
+};
+
+Parsed reference_parse(std::string_view text, char sep) {
+  Parsed out;
+  CsvRow row;
+  std::string field;
+  bool quoted = false;
+  bool started = false;  // the line has content
+  std::size_t line = 1;
+  const auto end_row = [&] {
+    row.push_back(field);
+    field.clear();
+    if (started) out.rows.push_back(row);
+    row.clear();
+    started = false;
+  };
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        if (c == '\n') ++line;
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"' && field.empty()) {
+      quoted = started = true;
+    } else if (c == sep) {
+      row.push_back(field);
+      field.clear();
+      started = true;
+    } else if (c == '\n') {
+      ++line;
+      end_row();
+    } else if (c != '\r') {
+      field += c;
+      started = true;
+    }
+  }
+  if (quoted) {
+    out.error_line = line;
+  } else {
+    end_row();  // a last row without a newline is still a row
+  }
+  return out;
+}
+
+Parsed reader_parse(CsvReader& reader) {
+  Parsed out;
+  try {
+    while (reader.next()) {
+      out.rows.emplace_back(reader.row().begin(), reader.row().end());
+    }
+  } catch (const CsvError& e) {
+    out.error_line = e.line();
+  }
+  return out;
+}
+
+/// Both sources of the reader against the reference; an in-place text
+/// is copied into a heap block of exactly its size first, so a load
+/// past its last byte is an out-of-bounds read under ASan.
+void expect_matches_reference(const std::string& text, char sep,
+                              const std::string& label) {
+  const Parsed want = reference_parse(text, sep);
+  std::istringstream in(text);
+  CsvReader streamed(in, sep);
+  EXPECT_EQ(reader_parse(streamed), want) << label << " (istream)";
+  const std::unique_ptr<char[]> exact(new char[text.size()]);
+  std::copy(text.begin(), text.end(), exact.get());
+  CsvReader in_place(std::string_view(exact.get(), text.size()), sep);
+  EXPECT_EQ(reader_parse(in_place), want) << label << " (in place)";
+}
+
+TEST(CsvReaderFuzz, MatchesAByteAtATimeReference) {
+  std::uint64_t state = 0xc5f;
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  /// Random tokens over the bytes that steer the tokenizer; plain runs
+  /// long enough that fields span whole 16- and 64-byte blocks.
+  const auto random_text = [&draw](char sep, std::size_t tokens) {
+    const std::string other = sep == ',' ? "\t" : ",";
+    const std::vector<std::string> alphabet = {
+        std::string(1, sep), "\n", "\r", "\"", "a", "xyz", other,
+        std::string(1 + draw(70), 'p')};
+    std::string text;
+    for (std::size_t t = 0; t < tokens; ++t) {
+      // Plain bytes and separators dominate, as in a dataset.
+      const std::uint64_t pick = draw(16);
+      text += pick < 8 ? alphabet[pick] : pick < 12 ? alphabet[0]
+                                                    : alphabet[4 + pick % 4];
+    }
+    return text;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  const auto budget = std::chrono::seconds(5);
+  const auto spent = [&] {
+    return std::chrono::steady_clock::now() - start > budget;
+  };
+
+  // Short and long random texts, both separators.
+  std::size_t texts = 0;
+  for (; texts < 3000 && (texts < 300 || !spent()); ++texts) {
+    const char sep = texts % 2 == 0 ? ',' : '\t';
+    expect_matches_reference(random_text(sep, draw(400)), sep,
+                             "text " + std::to_string(texts));
+  }
+
+  // Texts whose last field ends on the last byte: a plain run of every
+  // length up to two blocks ends the input, so the scan's final loads
+  // come right up to the end of the heap block.
+  for (std::size_t tail = 0; tail < 140; ++tail) {
+    std::string text = random_text(',', 40);
+    text += ',';
+    text += std::string(tail, 'q');
+    expect_matches_reference(text, ',', "tail " + std::to_string(tail));
+  }
+
+  // Rows across the first refill at every offset mod 16 (and 64): the
+  // pad row moves where the second row's blocks fall against the
+  // buffer's end; the random rows after it put every kind of byte there.
+  for (std::size_t shift = 0; shift < 64 && (shift < 16 || !spent());
+       ++shift) {
+    const std::size_t pad = CsvReader::kBufferBytes - 40 - shift;
+    const std::string text =
+        std::string(pad, 'p') + "\n" + random_text(',', 120);
+    const Parsed want = reference_parse(text, ',');
+    std::istringstream in(text);
+    CsvReader streamed(in);
+    EXPECT_EQ(reader_parse(streamed), want) << "refill shift " << shift;
+  }
 }
 
 TEST(CsvEscape, OnlyWhenNeeded) {

@@ -1,7 +1,8 @@
 // Tests for the fenrir::obs status server: endpoint content, the HTTP
 // error taxonomy (400/404/405), ephemeral-port fallback when the
-// requested port is taken, concurrent clients, and clean shutdown even
-// with a silent client attached. A real socket client is used against a
+// requested port is taken, concurrent clients, clean shutdown even
+// with a silent client attached, and mutation fuzzers over the request
+// line and query string decoders. A real socket client is used against a
 // real server on 127.0.0.1 — the server is simple enough that testing a
 // mock instead would test nothing.
 #include "obs/http_server.h"
@@ -13,11 +14,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "chaos/corrupt.h"
+#include "obs/events.h"
 #include "obs/lineage.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -385,6 +394,184 @@ TEST(QueryParamsParser, FirstKeyWinsAndGettersAreStrict) {
   EXPECT_FALSE(parse_u64("12345678901234567890").has_value());
   ASSERT_TRUE(parse_u64("42").has_value());
   EXPECT_EQ(*parse_u64("42"), 42u);
+}
+
+// --- mutation fuzzers over the server's two decoders of client bytes,
+// the request line and the query string. Whatever the bytes, each must
+// parse or reject cleanly, never crash or read outside its input (the
+// asan+ubsan legs run these). Seeded, with a time budget. ---
+
+/// Seeded byte edits: one to four replacements, insertions or erasures
+/// of bytes drawn from @p alphabet.
+std::string edit_bytes(std::string text, std::uint64_t& state,
+                       std::string_view alphabet) {
+  const auto draw = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  const std::uint64_t edits = 1 + draw(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t at = draw(text.size() + 1);
+    const char c = alphabet[draw(alphabet.size())];
+    switch (draw(3)) {
+      case 0:
+        if (at < text.size()) text[at] = c;
+        break;
+      case 1:
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      default:
+        if (at < text.size()) text.erase(at, 1);
+    }
+  }
+  return text;
+}
+
+/// chaos::corrupt_text's five damage kinds over @p seeds, then byte
+/// edits until @p budget, each mutant passed to @p check.
+template <typename Check>
+void fuzz(const std::vector<std::string>& seeds, std::uint64_t state,
+          std::chrono::seconds budget, Check check) {
+  // The bytes that steer the decoders, high bytes, and plain ones.
+  const std::string alphabet = " ?&=%/\r\n\x80\xc3\xff" "GETHP1.a09_";
+  for (const auto kind :
+       {chaos::Corruption::kTruncate, chaos::Corruption::kBadMagic,
+        chaos::Corruption::kRaggedRows, chaos::Corruption::kFlipValidFlags,
+        chaos::Corruption::kBadTimes}) {
+    for (const std::string& seed : seeds) {
+      for (std::uint64_t k = 1; k <= 8; ++k) {
+        check(chaos::corrupt_text(seed, kind, k));
+      }
+    }
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t mutants = 0; mutants < 20000; ++mutants) {
+    if (mutants >= 1000 && std::chrono::steady_clock::now() - start > budget) {
+      break;
+    }
+    std::string text = seeds[mutants % seeds.size()];
+    // Every fourth mutant builds on the previous one's damage.
+    for (std::size_t round = 0; round <= mutants % 4; ++round) {
+      text = edit_bytes(std::move(text), state, alphabet);
+    }
+    check(text);
+  }
+}
+
+TEST(HttpRequestFuzz, MutatedRequestLinesParseOrAreRejected) {
+  LogSilencer quiet;
+  const std::vector<std::string> seeds = {
+      "GET /events?since=3&type=mode_created&severity=warn&max=5&wait_ms=50 "
+      "HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+      "GET /lineage?after=2&mode=1&verdict=recurrence&max=3 HTTP/1.1\r\n\r\n",
+      "GET /explain/7 HTTP/1.0\r\n\r\n",
+      "GET /healthz HTTP/1.1\r\n\r\n",
+      "GET /metrics/history?x=1 HTTP/1.1\r\n\r\n",
+      "POST /status HTTP/1.1\r\n\r\n",
+  };
+  const std::atomic<bool> cancel{true};  // a long poll answers at once
+  std::size_t parsed = 0;
+  fuzz(seeds, 0x4177, std::chrono::seconds(3), [&](const std::string& raw) {
+    const RequestLine line = parse_request_line(raw);
+    if (line.error_status != 0) {
+      EXPECT_TRUE(line.error_status == 400 || line.error_status == 405)
+          << line.error_status;
+      return;
+    }
+    ++parsed;
+    // The views lie inside the first line, and the path holds no '?'.
+    const std::string_view first = std::string_view(raw).substr(0, raw.find("\r\n"));
+    for (const std::string_view part : {line.path, line.query}) {
+      if (part.empty()) continue;
+      EXPECT_GE(part.data(), first.data());
+      EXPECT_LE(part.data() + part.size(), first.data() + first.size());
+    }
+    EXPECT_EQ(line.path.find('?'), std::string_view::npos);
+    // Routing: a known path answers 200, 400, 404 (/explain of a mode
+    // never seen) or 503; an unknown one is the caller's 404.
+    std::string body, type;
+    int status = 0;
+    if (render_endpoint(std::string(line.path), std::string(line.query), body,
+                        type, status, &cancel)) {
+      EXPECT_TRUE(status == 200 || status == 400 || status == 404 ||
+                  status == 503)
+          << status;
+      EXPECT_FALSE(type.empty()) << line.path;
+    }
+  });
+  EXPECT_GT(parsed, 0u);
+}
+
+TEST(QueryParamsFuzz, MutatedQueriesParseOrAreRejected) {
+  const std::vector<std::string> seeds = {
+      "since=3&type=mode_created&severity=warn&max=5&wait_ms=250",
+      "after=2&mode=1&verdict=recurrence&max=3",
+      "a=1&b=2&a=9&junk&c=&=&&since=18446744073709551615",
+  };
+  const std::vector<std::string> keys = {"since", "type", "severity", "max",
+                                         "wait_ms", "after", "mode",
+                                         "verdict", "a", "b", "c", ""};
+  const std::array<std::string_view, 3> verdicts = {"new_mode", "repeat",
+                                                    "recurrence"};
+  fuzz(seeds, 0x9a3, std::chrono::seconds(3), [&](const std::string& query) {
+    const QueryParams params(query);
+    for (const std::string& key : keys) {
+      // The oracle: the value of the first '&'-separated pair whose
+      // text before its first '=' is the key.
+      std::optional<std::string> want;
+      for (std::size_t pos = 0; pos <= query.size() && !want;) {
+        const std::size_t amp = std::min(query.find('&', pos), query.size());
+        const std::string pair = query.substr(pos, amp - pos);
+        const std::size_t eq = pair.find('=');
+        if (eq != std::string::npos && pair.compare(0, eq, key) == 0 &&
+            eq == key.size()) {
+          want = pair.substr(eq + 1);
+        }
+        pos = amp + 1;
+      }
+      ASSERT_EQ(params.raw(key), want) << query << " key " << key;
+      const bool digits =
+          want && !want->empty() && want->size() <= 19 &&
+          want->find_first_not_of("0123456789") == std::string::npos;
+      const std::string rejected = "{\"error\":\"" + key + " must be ";
+
+      std::uint64_t value = 7;
+      std::string error;
+      EXPECT_EQ(params.get_u64(key, value, error), !want || digits) << query;
+      if (!want) {
+        EXPECT_EQ(value, 7u);
+      } else if (digits) {
+        EXPECT_EQ(value, std::stoull(*want));
+      } else {
+        EXPECT_EQ(error.rfind(rejected, 0), 0u) << error;
+      }
+
+      error.clear();
+      const bool positive = digits && std::stoull(*want) != 0;
+      EXPECT_EQ(params.get_positive_u64(key, value, error), !want || positive);
+      if (want && !positive) {
+        EXPECT_EQ(error.rfind(rejected, 0), 0u);
+      }
+
+      error.clear();
+      Severity severity = Severity::kInfo;
+      const bool severity_ok = params.get_severity(key, severity, error);
+      EXPECT_EQ(severity_ok, !want || parse_severity(*want).has_value());
+      if (!severity_ok) {
+        EXPECT_EQ(error.rfind(rejected, 0), 0u);
+      }
+
+      error.clear();
+      std::string verdict;
+      if (params.get_one_of(key, verdicts, verdict, error)) {
+        if (want) {
+          EXPECT_EQ(verdict, *want);
+        }
+      } else {
+        EXPECT_EQ(error.rfind(rejected, 0), 0u);
+      }
+    }
+  });
 }
 
 TEST(HttpServer, ServesLineageAndExplainOverSockets) {

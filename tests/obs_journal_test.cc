@@ -1,8 +1,9 @@
 // Tests for the fenrir::obs sweep journal: append/flush round trips,
 // truncate-vs-append open modes, the torn-tail drop rule (a kill
 // mid-append must read back as "not written", and a resumed writer must
-// not glue its first line onto the torn one), the hard line drawn at
-// interior corruption, and a mutation fuzzer over all of it.
+// not glue its first line onto the torn one), the cut back to a resumed
+// writer's durable prefix, the hard line drawn at interior corruption,
+// and a mutation fuzzer over all of it.
 #include "obs/journal.h"
 
 #include <gtest/gtest.h>
@@ -137,6 +138,29 @@ TEST(Journal, AppendAfterTornTailStartsANewLine) {
             (std::vector<std::string>{first, second}));
   // A whole journal is left as it is.
   EXPECT_EQ(append_after(whole), (std::vector<std::string>{first, second}));
+}
+
+TEST(Journal, CutBackToTheDurablePrefix) {
+  // A resumed writer cuts the lines from the first unprocessed time on;
+  // keep passes over durable lines that share that time, and a line
+  // without a "time" field never starts the cut.
+  FileCleaner f(temp_path("cut.jsonl"));
+  const std::string text =
+      "{\"time\":1}\n{\"note\":\"no time\"}\n{\"time\":2,\"k\":\"a\"}\n"
+      "{\"time\":2,\"k\":\"b\"}\n{\"time\":4";
+  {
+    std::ofstream out(f.path, std::ios::binary);
+    out << text;
+  }
+  EXPECT_EQ(cut_journal(f.path, 5), 0u);  // nothing that late: untouched
+  EXPECT_EQ(read_journal(f.path).size(), 4u);
+  EXPECT_EQ(cut_journal(f.path, 2, 1), 2u);  // the second 2 on, torn tail too
+  const std::vector<std::string> kept = read_journal(f.path);
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept.back(), "{\"time\":2,\"k\":\"a\"}");
+  EXPECT_EQ(cut_journal(f.path, 1), 3u);
+  EXPECT_TRUE(read_journal(f.path).empty());
+  EXPECT_EQ(cut_journal(temp_path("missing.jsonl"), 0), 0u);
 }
 
 TEST(Journal, InteriorCorruptionThrows) {

@@ -1,5 +1,6 @@
 // Tests for Chrome-trace export: spans emit begin/end events only when
 // tracing is on, thread names survive thread exit as metadata events,
+// an exited thread's row is taken over by the next thread of its name,
 // reset drops events but keeps names, and the JSON file writer reports
 // unwritable paths instead of lying.
 #include "obs/trace_export.h"
@@ -8,9 +9,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/span.h"
 
@@ -88,6 +91,62 @@ TEST(Trace, WorkerThreadEventsSurviveThreadExit) {
   EXPECT_NE(json.find("\"name\":\"thread_name\",\"ph\":\"M\""),
             std::string::npos);
   EXPECT_NE(json.find("test-worker-thread"), std::string::npos);
+}
+
+/// The tids of the thread_name rows called @p name.
+std::vector<std::string> rows_named(const std::string& json,
+                                    const std::string& name) {
+  std::vector<std::string> tids;
+  const std::string tail = ",\"args\":{\"name\":\"" + name + "\"}}";
+  const std::string head = "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+  for (std::size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const std::size_t tid = at + head.size();
+    const std::size_t comma = json.find(',', tid);
+    if (json.compare(comma, tail.size(), tail) == 0) {
+      tids.push_back(json.substr(tid, comma - tid));
+    }
+  }
+  return tids;
+}
+
+TEST(Trace, ExitedThreadsRowIsTakenOverByItsName) {
+  TraceGuard guard;
+  set_tracing(true);
+  // Two threads of one name, one after the other: the second takes over
+  // the row the first parked at exit, and its events follow the first's.
+  for (const char* span : {"first_life", "second_life"}) {
+    std::thread t([span] {
+      set_trace_thread_name("reused-row");
+      trace_begin(span);
+      trace_end(span);
+    });
+    t.join();
+  }
+  std::string json = trace_json();
+  const std::vector<std::string> reused = rows_named(json, "reused-row");
+  ASSERT_EQ(reused.size(), 1u);
+  const std::string on_row = "\"pid\":1,\"tid\":" + reused[0] + ",";
+  const std::size_t first = json.find("\"name\":\"first_life\",\"ph\":\"B\"");
+  const std::size_t second = json.find("\"name\":\"second_life\",\"ph\":\"B\"");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_LT(first, second);
+  EXPECT_EQ(json.compare(json.find("\"pid\"", first), on_row.size(), on_row), 0);
+  EXPECT_EQ(json.compare(json.find("\"pid\"", second), on_row.size(), on_row), 0);
+
+  // Live threads never share a row: of two threads named alike while
+  // both run, one takes the parked row and the other gets a new one.
+  std::latch named(2);
+  const auto twin = [&named] {
+    set_trace_thread_name("reused-row");
+    named.arrive_and_wait();
+  };
+  std::thread a(twin), b(twin);
+  a.join();
+  b.join();
+  json = trace_json();
+  EXPECT_EQ(rows_named(json, "reused-row").size(), 2u);
 }
 
 TEST(Trace, ResetDropsEventsButKeepsThreadNames) {

@@ -182,6 +182,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/killpoint.h"
 #include "core/cleaning.h"
 #include "core/dataset_io.h"
 #include "core/heatmap.h"
@@ -578,11 +579,27 @@ int cmd_watch(const Args& args) {
 
   // --journal FILE: one JSONL entry per observation, flushed as it is
   // written (obs/journal.h). A fresh watch truncates; a resumed one
-  // appends, continuing the existing record.
-  obs::Journal journal;
-  if (const auto path = args.get("--journal", ""); !path.empty()) {
-    journal.open(path, /*truncate=*/start == 0);
+  // appends, continuing the existing record. A stateful watch killed
+  // between periodic flushes (or before the first) leaves journal and
+  // lineage lines for sweeps past the store's durable rows, which this
+  // session processes again: both logs are first cut back to the lines
+  // before the first unprocessed sweep's time (keeping durable sweeps
+  // that share it).
+  const std::string journal_path = args.get("--journal", "");
+  if (store.has_value() && start < data.series.size()) {
+    const core::TimePoint from = data.series[start].time;
+    std::size_t durable_at_from = 0, durable_verdicts_at_from = 0;
+    for (std::size_t i = start; i-- > 0 && data.series[i].time == from;) {
+      ++durable_at_from;
+      durable_verdicts_at_from += data.series[i].valid;  // outages record none
+    }
+    if (!journal_path.empty()) {
+      obs::cut_journal(journal_path, from, durable_at_from);
+    }
+    obs::lineage().cut_log(from, durable_verdicts_at_from);
   }
+  obs::Journal journal;
+  if (!journal_path.empty()) journal.open(journal_path, /*truncate=*/start == 0);
 
   for (std::size_t i = start; i < data.series.size(); ++i) {
     const core::RoutingVector& v = data.series[i];
@@ -631,6 +648,7 @@ int cmd_watch(const Args& args) {
     // Every flush carries the book, so a kill between flushes resumes
     // with the modes of the rows it made durable.
     if (store.has_value() && (i + 1 - start) % 64 == 0) store->flush(&book);
+    chaos::maybe_kill_at("watch_sweep");  // "@N" dies after this run's Nth
   }
   std::cout << book.mode_count() << " modes over " << book.history().size()
             << " observations\n";
