@@ -145,44 +145,68 @@ void BM_GowerPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_GowerPacked)->Arg(100'000)->Arg(1'000'000);
 
-// The dispatch tiers head-to-head on the counts kernels for the 8-site
+// The dispatch tiers head-to-head on the count kernels for the 8-site
 // vectors BM_GowerPacked packs (4 bits since they fit; the u8 legs keep
 // the one-byte kernel measured too), same site distribution as
-// BM_GowerPacked so the items/s ratio is the pure lane win. Tiers the
-// build or the host CPU lacks are skipped, not faked.
+// BM_GowerPacked so the items/s ratio is the pure lane win. Each
+// iteration tallies the pair and derives Φ with the rows' known counts,
+// which production caches with the rows. The _2col legs time the tile
+// kernel: one row against two columns in one pass, items counting both
+// pairs. Tiers the build or the host CPU lacks are skipped, not faked.
 void BM_GowerSimd(benchmark::State& state, core::simd::Tier tier,
-                  std::size_t bits) {
+                  std::size_t bits, std::size_t columns) {
   const core::simd::KernelTable* k = core::simd::table_for(tier);
   if (k == nullptr) {
     state.SkipWithError("tier unavailable on this build/host");
     return;
   }
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto av = random_vector(n, 8, 1, 0.5);
-  const auto bv = random_vector(n, 8, 2, 0.5);
-  std::vector<std::uint8_t> a(core::packed_row_bytes(n, bits));
-  std::vector<std::uint8_t> b(a.size());
-  const auto count = bits == 4 ? k->count_u4 : k->count_u8;
-  (bits == 4 ? k->pack_u4 : k->pack_u8)(av.assignment.data(), a.data(), n);
-  (bits == 4 ? k->pack_u4 : k->pack_u8)(bv.assignment.data(), b.data(), n);
+  std::vector<std::vector<std::uint8_t>> rows;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const auto v = random_vector(n, 8, seed, 0.5);
+    rows.emplace_back(core::packed_row_bytes(n, bits));
+    (bits == 4 ? k->pack_u4 : k->pack_u8)(v.assignment.data(),
+                                          rows.back().data(), n);
+  }
+  const auto one = bits == 4 ? k->count_u4 : k->count_u8;
+  const auto two = bits == 4 ? k->count2_u4 : k->count2_u8;
+  const std::uint8_t* a = rows[0].data();
+  std::uint64_t known[3];
+  for (std::size_t r = 0; r < 3; ++r) {
+    known[r] = one(rows[r].data(), {rows[r].data()}, n)[0].either;
+  }
+  const auto phi = [&](const core::PairTally& t, std::size_t col) {
+    return core::phi_from_counts(core::match_counts(t, known[0], known[col]),
+                                 n, core::UnknownPolicy::kPessimistic);
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::phi_from_counts(
-        count(a.data(), b.data(), n), n, core::UnknownPolicy::kPessimistic));
+    if (columns == 1) {
+      benchmark::DoNotOptimize(phi(one(a, {rows[1].data()}, n)[0], 1));
+    } else {
+      const auto t = two(a, {rows[1].data(), rows[2].data()}, n);
+      benchmark::DoNotOptimize(phi(t[0], 1));
+      benchmark::DoNotOptimize(phi(t[1], 2));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+                          static_cast<std::int64_t>(n * columns));
 }
-BENCHMARK_CAPTURE(BM_GowerSimd, scalar, core::simd::Tier::kScalar, 8)
+BENCHMARK_CAPTURE(BM_GowerSimd, scalar, core::simd::Tier::kScalar, 8, 1)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx2, core::simd::Tier::kAvx2, 8)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx2, core::simd::Tier::kAvx2, 8, 1)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx512, core::simd::Tier::kAvx512, 8)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx512, core::simd::Tier::kAvx512, 8, 1)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, scalar_u4, core::simd::Tier::kScalar, 4)
+BENCHMARK_CAPTURE(BM_GowerSimd, scalar_u4, core::simd::Tier::kScalar, 4, 1)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx2_u4, core::simd::Tier::kAvx2, 4)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx2_u4, core::simd::Tier::kAvx2, 4, 1)
     ->Arg(100'000)->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_GowerSimd, avx512_u4, core::simd::Tier::kAvx512, 4)
+BENCHMARK_CAPTURE(BM_GowerSimd, avx512_u4, core::simd::Tier::kAvx512, 4, 1)
+    ->Arg(100'000)->Arg(1'000'000);
+BENCHMARK_CAPTURE(BM_GowerSimd, avx2_u4_2col, core::simd::Tier::kAvx2, 4, 2)
+    ->Arg(100'000)->Arg(1'000'000);
+BENCHMARK_CAPTURE(BM_GowerSimd, avx512_u4_2col, core::simd::Tier::kAvx512, 4,
+                  2)
     ->Arg(100'000)->Arg(1'000'000);
 
 // The delta patch for one pair at 1% churn. Items are counted in

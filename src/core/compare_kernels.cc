@@ -1,6 +1,7 @@
 #include "core/compare_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -29,33 +30,6 @@ T to_le(T x) {
   } else {
     return x;
   }
-}
-
-// Blocked branchless match counter. The inner block accumulates into
-// 32-bit lanes the compiler widens from byte/word compares (pcmpeq +
-// psadbw-style reductions); the outer loop drains them into 64-bit sums
-// well before they could wrap. Equality and the zero test do not depend
-// on byte order, so the elements are compared as stored.
-template <typename T>
-MatchCounts count_matches_impl(const T* a, const T* b, std::size_t n) {
-  MatchCounts out;
-  constexpr std::size_t kBlock = 4096;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t end = std::min(n, i + kBlock);
-    std::uint32_t m = 0, k = 0;
-    for (std::size_t j = i; j < end; ++j) {
-      const unsigned eq = a[j] == b[j];
-      const unsigned an = a[j] != 0;  // kUnknownSite == 0 survives packing
-      const unsigned bn = b[j] != 0;
-      m += eq & an;
-      k += an & bn;
-    }
-    out.matches += m;
-    out.mutual_known += k;
-    i = end;
-  }
-  return out;
 }
 
 // Weighted variant: same left-to-right accumulation as the scalar
@@ -107,49 +81,80 @@ void delta_scan(const T* a, const T* b, std::size_t n,
 // wrappers over the oracle templates above.
 namespace simd {
 
-MatchCounts count_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                            std::size_t n) {
+template <std::size_t K>
+std::array<PairTally, K> count_u4_scalar(const std::uint8_t* a,
+                                         std::array<const std::uint8_t*, K> b,
+                                         std::size_t n) {
   // Byte t holds elements 2t (low nibble) and 2t+1 (high nibble); the
   // high nibble of an odd row's last byte is not an element and is
-  // never read.
-  MatchCounts out;
+  // never read. The inner block accumulates in 32-bit lanes the
+  // compiler can vectorize; the outer loop drains them into 64-bit sums
+  // well before they could wrap.
+  std::array<PairTally, K> out{};
   constexpr std::size_t kBlock = 4096;
   const std::size_t full = n / 2;
-  std::size_t t = 0;
-  while (t < full) {
+  for (std::size_t t = 0; t < full;) {
     const std::size_t end = std::min(full, t + kBlock);
-    std::uint32_t m = 0, k = 0;
+    std::array<std::uint32_t, K> d{}, e{};
     for (std::size_t j = t; j < end; ++j) {
-      const unsigned al = a[j] & 0xFu, ah = a[j] >> 4;
-      const unsigned bl = b[j] & 0xFu, bh = b[j] >> 4;
-      m += (al == bl) & (al != 0);
-      m += (ah == bh) & (ah != 0);
-      k += (al != 0) & (bl != 0);
-      k += (ah != 0) & (bh != 0);
+      for (std::size_t k = 0; k < K; ++k) {
+        const unsigned x = a[j] ^ b[k][j];
+        const unsigned o = a[j] | b[k][j];
+        d[k] += ((x & 0xFu) != 0) + ((x >> 4) != 0);
+        e[k] += ((o & 0xFu) != 0) + ((o >> 4) != 0);
+      }
     }
-    out.matches += m;
-    out.mutual_known += k;
+    for (std::size_t k = 0; k < K; ++k) out[k] += {d[k], e[k]};
     t = end;
   }
   if (n % 2 != 0) {
-    const unsigned al = a[full] & 0xFu, bl = b[full] & 0xFu;
-    out.matches += (al == bl) & (al != 0);
-    out.mutual_known += (al != 0) & (bl != 0);
+    for (std::size_t k = 0; k < K; ++k) {
+      out[k] += {((a[full] ^ b[k][full]) & 0xFu) != 0,
+                 ((a[full] | b[k][full]) & 0xFu) != 0};
+    }
   }
   return out;
 }
-MatchCounts count_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                            std::size_t n) {
-  return count_matches_impl(a, b, n);
+
+template <typename T, std::size_t K>
+std::array<PairTally, K> count_scalar(const T* a, std::array<const T*, K> b,
+                                      std::size_t n) {
+  // Blocked and branchless like the 4-bit loop. The tests do not depend
+  // on byte order, so the elements are compared as stored.
+  std::array<PairTally, K> out{};
+  constexpr std::size_t kBlock = 4096;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t end = std::min(n, i + kBlock);
+    std::array<std::uint32_t, K> d{}, e{};
+    for (std::size_t j = i; j < end; ++j) {
+      for (std::size_t k = 0; k < K; ++k) {
+        d[k] += a[j] != b[k][j];
+        e[k] += (a[j] | b[k][j]) != 0;  // kUnknownSite == 0 survives packing
+      }
+    }
+    for (std::size_t k = 0; k < K; ++k) out[k] += {d[k], e[k]};
+    i = end;
+  }
+  return out;
 }
-MatchCounts count_u16_scalar(const std::uint16_t* a, const std::uint16_t* b,
-                             std::size_t n) {
-  return count_matches_impl(a, b, n);
-}
-MatchCounts count_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
-                             std::size_t n) {
-  return count_matches_impl(a, b, n);
-}
+
+template std::array<PairTally, 1> count_u4_scalar<1>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_u4_scalar<2>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_scalar<std::uint8_t, 1>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_scalar<std::uint8_t, 2>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_scalar<std::uint16_t, 1>(
+    const std::uint16_t*, std::array<const std::uint16_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_scalar<std::uint16_t, 2>(
+    const std::uint16_t*, std::array<const std::uint16_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_scalar<std::uint32_t, 1>(
+    const std::uint32_t*, std::array<const std::uint32_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_scalar<std::uint32_t, 2>(
+    const std::uint32_t*, std::array<const std::uint32_t*, 2>, std::size_t);
+
 void delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
                      std::size_t n, std::vector<DeltaEntry>& out) {
   // Bytes first (equal bytes are the common case), then the one or two
@@ -327,6 +332,7 @@ std::byte* PackedSeries::push_slot() {
   }
   std::byte* dst = slabs_[slab].get() + (slot % slab_rows_) * stride;
   row_.push_back(dst);
+  known_.push_back(kKnownUnset);
   return dst;
 }
 
@@ -342,7 +348,7 @@ void PackedSeries::append(const RoutingVector& v) {
   const SiteId* src = v.assignment.data();
   const SiteId top = pack_row(src, networks_, bits_, push_slot());
   if (const std::size_t need = packed_bits_for(top); need > bits_) {
-    row_.pop_back();
+    pop_back();
     relayout(need);
     pack_row(src, networks_, bits_, push_slot());
   }
@@ -352,6 +358,7 @@ void PackedSeries::append(const RoutingVector& v) {
 void PackedSeries::pop_back() noexcept {
   if (row_.empty()) return;
   row_.pop_back();
+  known_.pop_back();
   if (row_.size() < mapped_) {
     mapped_ = row_.size();
     if (mapped_ == 0) keepalive_.reset();
@@ -365,6 +372,7 @@ void PackedSeries::copy_row(std::size_t dst, std::size_t src) {
   if (dst == src) return;
   if (dst < mapped_) relayout(bits_);
   std::memcpy(const_cast<std::byte*>(row_[dst]), row_[src], row_bytes());
+  known_[dst] = known_[src];
 }
 
 void PackedSeries::clear() noexcept {
@@ -373,6 +381,7 @@ void PackedSeries::clear() noexcept {
   max_id_ = 0;
   mapped_ = 0;
   row_.clear();
+  known_.clear();
   slabs_.clear();
   slab_rows_ = 0;
   keepalive_.reset();
@@ -389,6 +398,7 @@ void PackedSeries::relayout(std::size_t bits) {
   for (const std::byte* src : row_) {
     convert_packed_row(src, bits_, out.push_slot(), bits, networks_);
   }
+  out.known_ = std::move(known_);  // a relayout keeps every element's value
   *this = std::move(out);
 }
 
@@ -404,6 +414,7 @@ void PackedSeries::adopt_rows(std::size_t networks, std::size_t bits,
   networks_ = networks;
   bits_ = bits;
   row_.assign(rows.begin(), rows.end());
+  known_.assign(row_.size(), kKnownUnset);
   mapped_ = row_.size();
   keepalive_ = std::move(keepalive);
 }
@@ -416,29 +427,65 @@ void PackedSeries::append_packed(const std::byte* src, std::size_t src_bits) {
   convert_packed_row(src, src_bits, push_slot(), bits_, networks_);
 }
 
-MatchCounts PackedSeries::counts(std::size_t i, std::size_t j, std::size_t lo,
-                                 std::size_t n) const {
-  if (i >= rows() || j >= rows() || lo > networks_ || n > networks_ - lo ||
-      (bits_ == 4 && lo % 2 != 0)) {
-    throw std::out_of_range("PackedSeries::counts");
-  }
-  const std::byte* a = row_ptr(i) + lo * bits_ / 8;
-  const std::byte* b = row_ptr(j) + lo * bits_ / 8;
+template <std::size_t K>
+std::array<PairTally, K> PackedSeries::tally_cols(
+    std::size_t i, std::array<std::size_t, K> cols, std::size_t lo,
+    std::size_t n) const {
+  bool bad = i >= rows() || lo > networks_ || n > networks_ - lo ||
+             (bits_ == 4 && lo % 2 != 0);
+  for (const std::size_t j : cols) bad = bad || j >= rows();
+  if (bad) throw std::out_of_range("PackedSeries::tally");
+  const std::size_t offset = lo * bits_ / 8;
   const simd::KernelTable& k = simd::active();
+  // Row i's and the columns' bytes from element lo on, as T elements.
+  const auto run = [&]<typename T>(simd::CountFn<T, 1> one,
+                                   simd::CountFn<T, 2> two) {
+    const auto at = [&](std::size_t r) {
+      return reinterpret_cast<const T*>(row_ptr(r) + offset);
+    };
+    std::array<const T*, K> b;
+    for (std::size_t c = 0; c < K; ++c) b[c] = at(cols[c]);
+    if constexpr (K == 1) {
+      return one(at(i), b, n);
+    } else {
+      return two(at(i), b, n);
+    }
+  };
   switch (bits_) {
-    case 4:
-      return k.count_u4(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), n);
-    case 8:
-      return k.count_u8(reinterpret_cast<const std::uint8_t*>(a),
-                        reinterpret_cast<const std::uint8_t*>(b), n);
-    case 16:
-      return k.count_u16(reinterpret_cast<const std::uint16_t*>(a),
-                         reinterpret_cast<const std::uint16_t*>(b), n);
-    default:
-      return k.count_u32(reinterpret_cast<const std::uint32_t*>(a),
-                         reinterpret_cast<const std::uint32_t*>(b), n);
+    case 4: return run(k.count_u4, k.count2_u4);
+    case 8: return run(k.count_u8, k.count2_u8);
+    case 16: return run(k.count_u16, k.count2_u16);
+    default: return run(k.count_u32, k.count2_u32);
   }
+}
+
+std::uint64_t PackedSeries::known(std::size_t r) const {
+  if (r >= rows()) throw std::out_of_range("PackedSeries::known");
+  if (known_[r] == kKnownUnset) {
+    known_[r] = tally_cols<1>(r, {r}, 0, networks_)[0].either;
+  }
+  return known_[r];
+}
+
+PairTally PackedSeries::tally(std::size_t i, std::size_t j) const {
+  if (i < rows() && known_[i] == kKnownUnset) {
+    // Row i's first tally: one pass against {j, i} caches its count.
+    const auto [t, self] = tally_cols<2>(i, {j, i}, 0, networks_);
+    known_[i] = self.either;
+    return t;
+  }
+  return tally_cols<1>(i, {j}, 0, networks_)[0];
+}
+
+PairTally PackedSeries::tally(std::size_t i, std::size_t j, std::size_t lo,
+                              std::size_t n) const {
+  return tally_cols<1>(i, {j}, lo, n)[0];
+}
+
+std::array<PairTally, 2> PackedSeries::tally2(std::size_t i, std::size_t j0,
+                                              std::size_t j1, std::size_t lo,
+                                              std::size_t n) const {
+  return tally_cols<2>(i, {j0, j1}, lo, n);
 }
 
 WeightedCounts PackedSeries::weighted_counts(std::size_t i, std::size_t j,

@@ -12,12 +12,15 @@
 //    below 256, 16 below 64k, 32 otherwise. A packed row is 8×–1×
 //    denser than the RoutingVector it came from, so the match kernels
 //    stream up to 8× more networks per cache line.
-//  * count_matches kernels — blocked, branchless mask-accumulation loops
-//    producing MatchCounts: how many networks match (both known, equal)
-//    and how many are mutually known. Both UnknownPolicy variants of Φ
-//    are pure functions of these two integers (phi_from_counts), so any
-//    kernel that reproduces the counts reproduces Φ *bit-identically* —
-//    the determinism contract the property tests enforce.
+//  * count kernels — blocked, branchless mask-accumulation loops
+//    producing a PairTally: how many networks differ and how many are
+//    known on either side. With each row's known count cached beside
+//    it, a tally gives the pair's MatchCounts exactly — how many
+//    networks match (both known, equal) and how many are mutually known
+//    (match_counts). Both UnknownPolicy variants of Φ are pure functions
+//    of those two integers (phi_from_counts), so any kernel that
+//    reproduces the tally reproduces Φ *bit-identically* — the
+//    determinism contract the property tests enforce.
 //  * delta_between / prepare_delta + ColumnPatcher — a sorted change-set
 //    between a row and its predecessor, and an O(|Δ|) patch taking
 //    counts(prev, b) to counts(cur, b). When churn is sparse this
@@ -31,6 +34,7 @@
 // scalar loop on unpredictable data.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +58,31 @@ struct MatchCounts {
   std::uint64_t matches = 0;       // both known and equal
   std::uint64_t mutual_known = 0;  // both sides != kUnknownSite
 };
+
+/// What one pass over rows a and b counts. An element is unknown when
+/// it is 0 (kUnknownSite), so with known(r) = either(r, r):
+///   matches      = either − differ
+///   mutual_known = known(a) + known(b) − either
+/// and differ is the size of the change set between the rows. A 4-bit
+/// pass tests a^b and a|b against 0x0F and 0xF0: four nibble tests per
+/// byte where matches and mutual_known directly take six.
+struct PairTally {
+  std::uint64_t differ = 0;  // a ≠ b
+  std::uint64_t either = 0;  // a ≠ 0 or b ≠ 0
+
+  PairTally& operator+=(const PairTally& o) {
+    differ += o.differ;
+    either += o.either;
+    return *this;
+  }
+};
+
+/// A pair's MatchCounts from its tally and the two rows' known counts:
+/// exact integer arithmetic, so Φ from them is the reference's.
+inline MatchCounts match_counts(const PairTally& t, std::uint64_t known_a,
+                                std::uint64_t known_b) {
+  return {t.either - t.differ, known_a + known_b - t.either};
+}
 
 /// The double core of weighted Φ (matched / denom, 0 if denom <= 0).
 struct WeightedCounts {
@@ -187,6 +216,10 @@ struct PreparedDelta;
 /// append or a copy_row() onto a mapped row first re-lays every row into
 /// owned slabs. A keepalive shared_ptr pins the mapping for as long as
 /// any pointer could be dereferenced.
+///
+/// Each row carries its known count (known()), so a pair's MatchCounts
+/// cost one tally pass: the count is taken in the same pass as the
+/// row's first tally, or by one self-tally for a row that never led one.
 class PackedSeries {
  public:
   PackedSeries() = default;
@@ -233,15 +266,35 @@ class PackedSeries {
   void copy_row(std::size_t dst, std::size_t src);
   void clear() noexcept;
 
-  /// MatchCounts between rows i and j: the blocked branchless kernel.
+  /// Networks with a known site in row @p r — either(r, r) — counted by
+  /// the first call that needs it and cached with the row (appended,
+  /// adopted and pre-packed rows start uncounted). A call that counts
+  /// writes the cache, so threads sharing a series fill every count
+  /// they will read before they start.
+  std::uint64_t known(std::size_t r) const;
+
+  /// The tally of rows i and j over the whole row. While row i's known
+  /// count is uncounted, the same pass counts row i against itself too
+  /// and caches it.
+  PairTally tally(std::size_t i, std::size_t j) const;
+  /// MatchCounts between rows i and j, from tally(i, j) and the two
+  /// rows' known counts.
   MatchCounts counts(std::size_t i, std::size_t j) const {
-    return counts(i, j, 0, networks_);
+    const PairTally t = tally(i, j);
+    return match_counts(t, known(i), known(j));
   }
-  /// counts(i, j) over the @p n elements from @p lo on — one network
-  /// chunk of a tiled fill. @p lo must start a byte (even at 4 bits) and
-  /// the range must lie inside the row (std::out_of_range otherwise).
-  MatchCounts counts(std::size_t i, std::size_t j, std::size_t lo,
-                     std::size_t n) const;
+
+  /// The tally of rows i and j over the @p n elements from @p lo on —
+  /// one network chunk of a tiled fill. @p lo must start a byte (even at
+  /// 4 bits) and the range must lie inside the row (std::out_of_range
+  /// otherwise). Never touches the known-count cache.
+  PairTally tally(std::size_t i, std::size_t j, std::size_t lo,
+                  std::size_t n) const;
+  /// tally(i, j0, lo, n) and tally(i, j1, lo, n) in one pass over row
+  /// i's bytes.
+  std::array<PairTally, 2> tally2(std::size_t i, std::size_t j0,
+                                  std::size_t j1, std::size_t lo,
+                                  std::size_t n) const;
 
   /// Weighted counts between rows i and j, mirroring the reference's
   /// accumulation order. For kPessimistic the denominator does not
@@ -289,6 +342,12 @@ class PackedSeries {
   /// released) and returns it for the caller to fill.
   std::byte* push_slot();
   const std::byte* row_ptr(std::size_t i) const { return row_[i]; }
+  /// Row i's tallies against rows @p cols over [lo, lo + n), bounds
+  /// checked, through the active tier's one- or two-column kernel.
+  template <std::size_t K>
+  std::array<PairTally, K> tally_cols(std::size_t i,
+                                      std::array<std::size_t, K> cols,
+                                      std::size_t lo, std::size_t n) const;
 
   std::size_t networks_ = 0;
   std::size_t bits_ = 4;
@@ -300,6 +359,10 @@ class PackedSeries {
   /// Row i's bytes: the borrowed prefix, then owned row i at slot
   /// i − mapped_ of the slabs.
   std::vector<const std::byte*> row_;
+  /// known(i) per row, kKnownUnset until counted; one entry per row_
+  /// entry, kept exact by every path that adds, drops or rewrites a row.
+  static constexpr std::uint64_t kKnownUnset = ~std::uint64_t{0};
+  mutable std::vector<std::uint64_t> known_;
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::size_t slab_rows_ = 0;  // rows per slab at the current stride
   std::shared_ptr<const void> keepalive_;

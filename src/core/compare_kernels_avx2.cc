@@ -2,18 +2,21 @@
 // -mavx2 in its own TU so the rest of fenrir_core stays baseline-ISA;
 // dispatch only lands here after __builtin_cpu_supports("avx2").
 //
-// The match kernels follow the classic byte-mask accumulation shape:
+// The count kernels follow the classic byte-mask accumulation shape:
 // pcmpeq produces 0xFF/0x00 lanes, subtracting the mask adds 0/1 per
 // lane, and the per-lane accumulators are drained into wide sums before
 // they can wrap (255 iterations for u8 via psadbw, 16k for u16 via
-// pmaddwd, u32 lanes drain per block). Counts are exact integers, so Φ
-// derived from them is bit-identical to the scalar oracle by
-// construction — there is no float in sight. 4-bit rows stay packed:
-// each nibble's predicates come from the byte lane masked with 0x0F or
-// 0xF0, so a byte lane counts up to two elements per iteration.
+// pmaddwd, u32 lanes drain per block). A pass tallies a against b (and
+// a second column, when it has one) with two compares per vector: a ==
+// b and (a | b) == 0. Counts are exact integers, so Φ derived from them
+// is bit-identical to the scalar oracle by construction — there is no
+// float in sight. 4-bit rows stay packed: each nibble's predicate comes
+// from a^b or a|b masked with 0x0F or 0xF0, so a byte lane counts up to
+// two elements per iteration.
 #include "core/simd_dispatch.h"
 
 #include <algorithm>
+#include <array>
 
 #if defined(FENRIR_BUILD_AVX2) && defined(__AVX2__)
 
@@ -31,6 +34,13 @@ inline std::uint64_t hsum_epi64(__m256i v) {
          static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
 }
 
+/// @p v, held in a register, so its block is loaded once rather than
+/// folded into each instruction that reads it (see the AVX-512 tier).
+inline __m256i in_register(__m256i v) {
+  asm("" : "+x"(v));
+  return v;
+}
+
 inline std::uint64_t hsum_epi32(__m256i v) {
   // Zero-extend the eight u32 lanes into u64 pairs before summing; the
   // lane values are block-bounded well below 2^32, so no wrap.
@@ -42,165 +52,154 @@ inline std::uint64_t hsum_epi32(__m256i v) {
 
 }  // namespace
 
-MatchCounts count_u4_avx2(const std::uint8_t* a, const std::uint8_t* b,
-                          std::size_t n) {
-  MatchCounts out;
+template <std::size_t K>
+std::array<PairTally, K> count_u4_avx2(const std::uint8_t* a,
+                                       std::array<const std::uint8_t*, K> b,
+                                       std::size_t n) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i lo = _mm256_set1_epi8(0x0F);
   const __m256i hi = _mm256_set1_epi8(static_cast<char>(0xF0));
-  // 0xFF where the nibble of @p v selected by @p half is zero.
-  const auto zero_nibble = [&](__m256i v, __m256i half) {
-    return _mm256_cmpeq_epi8(_mm256_and_si256(v, half), zero);
+  const __m256i two = _mm256_set1_epi8(2);
+  // Nonzero nibbles of @p v: 2 per lane, less one (0xFF) for each
+  // nibble that is zero.
+  const auto nonzero_nibbles = [&](__m256i v) {
+    return _mm256_add_epi8(
+        _mm256_add_epi8(_mm256_cmpeq_epi8(_mm256_and_si256(v, lo), zero),
+                        _mm256_cmpeq_epi8(_mm256_and_si256(v, hi), zero)),
+        two);
   };
-  __m256i msum = zero, ksum = zero;  // u64 lanes
+  __m256i dsum[K], esum[K];  // u64 lanes
+  for (std::size_t k = 0; k < K; ++k) dsum[k] = esum[k] = zero;
   const std::size_t full = n / 2;
   std::size_t i = 0;
   while (i + 32 <= full) {
     // Byte accumulators gain up to two counts per iteration (one per
     // nibble); drain via psadbw before 128 iterations could wrap them.
     const std::size_t iters = std::min<std::size_t>((full - i) / 32, 127);
-    __m256i accm = zero, acck = zero;
+    __m256i accd[K], acce[K];
+    for (std::size_t k = 0; k < K; ++k) accd[k] = acce[k] = zero;
     for (std::size_t t = 0; t < iters; ++t, i += 32) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-      const __m256i x = _mm256_xor_si256(va, vb);
-      const __m256i az_lo = zero_nibble(va, lo);
-      const __m256i az_hi = zero_nibble(va, hi);
-      // match: the nibbles agree and a's is known.
-      accm = _mm256_sub_epi8(accm,
-                             _mm256_andnot_si256(az_lo, zero_nibble(x, lo)));
-      accm = _mm256_sub_epi8(accm,
-                             _mm256_andnot_si256(az_hi, zero_nibble(x, hi)));
-      // known: 2 per lane, less one (0xFF) for each nibble that is
-      // zero on either side.
-      acck = _mm256_add_epi8(
-          acck, _mm256_add_epi8(_mm256_or_si256(az_lo, zero_nibble(vb, lo)),
-                                _mm256_or_si256(az_hi, zero_nibble(vb, hi))));
-      acck = _mm256_add_epi8(acck, _mm256_set1_epi8(2));
+      const __m256i va = in_register(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
+#pragma GCC unroll 2
+      for (std::size_t k = 0; k < K; ++k) {
+        const __m256i vb = in_register(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b[k] + i)));
+        accd[k] = _mm256_add_epi8(
+            accd[k], nonzero_nibbles(_mm256_xor_si256(va, vb)));
+        acce[k] =
+            _mm256_add_epi8(acce[k], nonzero_nibbles(_mm256_or_si256(va, vb)));
+      }
     }
-    msum = _mm256_add_epi64(msum, _mm256_sad_epu8(accm, zero));
-    ksum = _mm256_add_epi64(ksum, _mm256_sad_epu8(acck, zero));
+    for (std::size_t k = 0; k < K; ++k) {
+      dsum[k] = _mm256_add_epi64(dsum[k], _mm256_sad_epu8(accd[k], zero));
+      esum[k] = _mm256_add_epi64(esum[k], _mm256_sad_epu8(acce[k], zero));
+    }
   }
-  out.matches = hsum_epi64(msum);
-  out.mutual_known = hsum_epi64(ksum);
   // The remaining bytes, and an odd row's last element, go through the
   // scalar oracle at their byte offset.
-  const MatchCounts rest = count_u4_scalar(a + i, b + i, n - 2 * i);
-  out.matches += rest.matches;
-  out.mutual_known += rest.mutual_known;
-  return out;
-}
-
-MatchCounts count_u8_avx2(const std::uint8_t* a, const std::uint8_t* b,
-                          std::size_t n) {
-  MatchCounts out;
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi8(-1);
-  __m256i msum = zero, ksum = zero;  // u64 lanes
-  std::size_t i = 0;
-  while (i + 32 <= n) {
-    // Byte accumulators hold at most one count per iteration; drain via
-    // psadbw before 256 iterations could wrap them.
-    const std::size_t iters = std::min<std::size_t>((n - i) / 32, 255);
-    __m256i accm = zero, acck = zero;
-    for (std::size_t t = 0; t < iters; ++t, i += 32) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-      const __m256i eq = _mm256_cmpeq_epi8(va, vb);
-      const __m256i az = _mm256_cmpeq_epi8(va, zero);  // a == unknown
-      const __m256i bz = _mm256_cmpeq_epi8(vb, zero);
-      // match: equal and a known (b known follows from equality).
-      const __m256i match = _mm256_andnot_si256(az, eq);
-      const __m256i known =
-          _mm256_andnot_si256(az, _mm256_andnot_si256(bz, ones));
-      accm = _mm256_sub_epi8(accm, match);
-      acck = _mm256_sub_epi8(acck, known);
-    }
-    msum = _mm256_add_epi64(msum, _mm256_sad_epu8(accm, zero));
-    ksum = _mm256_add_epi64(ksum, _mm256_sad_epu8(acck, zero));
-  }
-  out.matches = hsum_epi64(msum);
-  out.mutual_known = hsum_epi64(ksum);
-  for (; i < n; ++i) {
-    out.matches += (a[i] == b[i]) & (a[i] != 0);
-    out.mutual_known += (a[i] != 0) & (b[i] != 0);
+  for (std::size_t k = 0; k < K; ++k) b[k] += i;
+  std::array<PairTally, K> out = count_u4_scalar<K>(a + i, b, n - 2 * i);
+  for (std::size_t k = 0; k < K; ++k) {
+    out[k] += {hsum_epi64(dsum[k]), hsum_epi64(esum[k])};
   }
   return out;
 }
 
-MatchCounts count_u16_avx2(const std::uint16_t* a, const std::uint16_t* b,
-                           std::size_t n) {
-  MatchCounts out;
+namespace {
+
+// Per-width lane operations of the 8/16/32-bit count kernels. Equal and
+// both-zero lanes are counted (a compare gives 0xFF.., subtracting it
+// adds 1); differ and either are the lanes counted less those. Each
+// accumulator lane gains at most one per iteration and is drained
+// before kMaxIters iterations could wrap it: psadbw for bytes, pmaddwd
+// for words (signed operands, so well below 2^15), lane sums for dwords.
+template <typename T>
+struct Lanes;
+
+template <>
+struct Lanes<std::uint8_t> {
+  static constexpr std::size_t kMaxIters = 255;
+  static __m256i eq(__m256i a, __m256i b) { return _mm256_cmpeq_epi8(a, b); }
+  static __m256i sub(__m256i a, __m256i b) { return _mm256_sub_epi8(a, b); }
+  static std::uint64_t drain(__m256i v) {
+    return hsum_epi64(_mm256_sad_epu8(v, _mm256_setzero_si256()));
+  }
+};
+
+template <>
+struct Lanes<std::uint16_t> {
+  static constexpr std::size_t kMaxIters = 16'000;
+  static __m256i eq(__m256i a, __m256i b) { return _mm256_cmpeq_epi16(a, b); }
+  static __m256i sub(__m256i a, __m256i b) { return _mm256_sub_epi16(a, b); }
+  static std::uint64_t drain(__m256i v) {
+    return hsum_epi32(_mm256_madd_epi16(v, _mm256_set1_epi16(1)));
+  }
+};
+
+template <>
+struct Lanes<std::uint32_t> {
+  static constexpr std::size_t kMaxIters = std::size_t{1} << 24;
+  static __m256i eq(__m256i a, __m256i b) { return _mm256_cmpeq_epi32(a, b); }
+  static __m256i sub(__m256i a, __m256i b) { return _mm256_sub_epi32(a, b); }
+  static std::uint64_t drain(__m256i v) { return hsum_epi32(v); }
+};
+
+}  // namespace
+
+template <typename T, std::size_t K>
+std::array<PairTally, K> count_avx2(const T* a, std::array<const T*, K> b,
+                                    std::size_t n) {
+  using L = Lanes<T>;
+  constexpr std::size_t kLanes = 32 / sizeof(T);
   const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  const __m256i allset = _mm256_set1_epi16(-1);
+  std::array<PairTally, K> out{};
   std::size_t i = 0;
-  while (i + 16 <= n) {
-    // Word accumulators: one count per iteration, pmaddwd-drained well
-    // before 2^15 iterations (the madd operands are signed).
-    const std::size_t iters = std::min<std::size_t>((n - i) / 16, 16'000);
-    __m256i accm = zero, acck = zero;
-    for (std::size_t t = 0; t < iters; ++t, i += 16) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-      const __m256i eq = _mm256_cmpeq_epi16(va, vb);
-      const __m256i az = _mm256_cmpeq_epi16(va, zero);
-      const __m256i bz = _mm256_cmpeq_epi16(vb, zero);
-      const __m256i match = _mm256_andnot_si256(az, eq);
-      const __m256i known =
-          _mm256_andnot_si256(az, _mm256_andnot_si256(bz, allset));
-      accm = _mm256_sub_epi16(accm, match);
-      acck = _mm256_sub_epi16(acck, known);
+  while (i + kLanes <= n) {
+    const std::size_t iters = std::min(L::kMaxIters, (n - i) / kLanes);
+    __m256i acc_eq[K], acc_zero[K];
+    for (std::size_t k = 0; k < K; ++k) acc_eq[k] = acc_zero[k] = zero;
+    for (std::size_t t = 0; t < iters; ++t, i += kLanes) {
+      const __m256i va = in_register(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
+#pragma GCC unroll 2
+      for (std::size_t k = 0; k < K; ++k) {
+        const __m256i vb = in_register(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b[k] + i)));
+        acc_eq[k] = L::sub(acc_eq[k], L::eq(va, vb));
+        acc_zero[k] =
+            L::sub(acc_zero[k], L::eq(_mm256_or_si256(va, vb), zero));
+      }
     }
-    out.matches += hsum_epi32(_mm256_madd_epi16(accm, ones16));
-    out.mutual_known += hsum_epi32(_mm256_madd_epi16(acck, ones16));
+    const std::uint64_t lanes = iters * kLanes;
+    for (std::size_t k = 0; k < K; ++k) {
+      out[k] += {lanes - L::drain(acc_eq[k]), lanes - L::drain(acc_zero[k])};
+    }
   }
   for (; i < n; ++i) {
-    out.matches += (a[i] == b[i]) & (a[i] != 0);
-    out.mutual_known += (a[i] != 0) & (b[i] != 0);
+    for (std::size_t k = 0; k < K; ++k) {
+      out[k] += {a[i] != b[k][i], (a[i] | b[k][i]) != 0};
+    }
   }
   return out;
 }
 
-MatchCounts count_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
-                           std::size_t n) {
-  MatchCounts out;
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i allset = _mm256_set1_epi32(-1);
-  std::size_t i = 0;
-  while (i + 8 <= n) {
-    // Dword accumulators: drain per block long before u32 wrap.
-    const std::size_t iters = std::min<std::size_t>((n - i) / 8, 1u << 24);
-    __m256i accm = zero, acck = zero;
-    for (std::size_t t = 0; t < iters; ++t, i += 8) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-      const __m256i eq = _mm256_cmpeq_epi32(va, vb);
-      const __m256i az = _mm256_cmpeq_epi32(va, zero);
-      const __m256i bz = _mm256_cmpeq_epi32(vb, zero);
-      const __m256i match = _mm256_andnot_si256(az, eq);
-      const __m256i known =
-          _mm256_andnot_si256(az, _mm256_andnot_si256(bz, allset));
-      accm = _mm256_sub_epi32(accm, match);
-      acck = _mm256_sub_epi32(acck, known);
-    }
-    out.matches += hsum_epi32(accm);
-    out.mutual_known += hsum_epi32(acck);
-  }
-  for (; i < n; ++i) {
-    out.matches += (a[i] == b[i]) & (a[i] != 0);
-    out.mutual_known += (a[i] != 0) & (b[i] != 0);
-  }
-  return out;
-}
+template std::array<PairTally, 1> count_u4_avx2<1>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_u4_avx2<2>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_avx2<std::uint8_t, 1>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_avx2<std::uint8_t, 2>(
+    const std::uint8_t*, std::array<const std::uint8_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_avx2<std::uint16_t, 1>(
+    const std::uint16_t*, std::array<const std::uint16_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_avx2<std::uint16_t, 2>(
+    const std::uint16_t*, std::array<const std::uint16_t*, 2>, std::size_t);
+template std::array<PairTally, 1> count_avx2<std::uint32_t, 1>(
+    const std::uint32_t*, std::array<const std::uint32_t*, 1>, std::size_t);
+template std::array<PairTally, 2> count_avx2<std::uint32_t, 2>(
+    const std::uint32_t*, std::array<const std::uint32_t*, 2>, std::size_t);
 
 namespace {
 

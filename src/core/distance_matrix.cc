@@ -118,24 +118,14 @@ void SimilarityMatrix::pin_anchor(std::size_t row) const {
   if (row >= n_) throw std::out_of_range("SimilarityMatrix::pin_anchor");
 }
 
-std::uint64_t SimilarityMatrix::known(std::size_t row) const {
-  if (known_[row] == kKnownUnset) {
-    known_[row] = packed_.counts(row, row).mutual_known;
-  }
-  return known_[row];
-}
-
 bool SimilarityMatrix::plan_row(std::size_t base, std::size_t i,
-                                const MatchCounts& c,
+                                std::size_t churn,
                                 std::vector<DeltaEntry>& delta) {
   PhiMetrics& metrics = phi_metrics();
   const std::size_t nets = packed_.networks();
   bool patch = false;
   if (base != kNoAnchorRow) {
-    // Exact |Δ(base, i)| from counts the row needs for its base column
-    // anyway: no change set is built unless the row patches.
-    const auto churn = static_cast<std::size_t>(
-        known(base) + known(i) - c.mutual_known - c.matches);
+    // No change set is built unless the row patches.
     metrics.delta_density.set(
         nets == 0 ? 1.0
                   : static_cast<double>(churn) / static_cast<double>(nets));
@@ -192,7 +182,6 @@ void SimilarityMatrix::ingest(const RoutingVector& v) {
   n_ += 1;
   values_.push_row();
   valid_.push_back(v.valid ? 1 : 0);
-  known_.push_back(kKnownUnset);
   anchor_of_.resize(n_, kNoAnchorRow);
   metrics.appends.inc();
   RowPlan& plan = pending_.emplace_back();
@@ -204,11 +193,12 @@ void SimilarityMatrix::ingest(const RoutingVector& v) {
   }
   // The path an append() has always taken, against the same
   // predecessor, whether or not that row has settled: planning reads
-  // packed rows only.
-  const MatchCounts c =
-      prev_ == kNoAnchorRow ? MatchCounts{} : packed_.counts(prev_, i);
+  // packed rows only. One pass of the new row against {prev, itself}
+  // gives the churn |Δ(prev, i)| and caches the row's known count.
+  const std::size_t churn =
+      prev_ == kNoAnchorRow ? 0 : packed_.tally(i, prev_).differ;
   std::vector<DeltaEntry> delta;
-  if (plan_row(prev_, i, c, delta)) {
+  if (plan_row(prev_, i, churn, delta)) {
     plan.path = RowPlan::Path::kDelta;
     plan.base = prev_;
     plan.delta_size = delta.size();
@@ -324,7 +314,7 @@ void SimilarityMatrix::fill_pending() const {
       }
       MatchCounts c;
       if (s == r) {
-        const std::uint64_t known_i = known(i);  // the diagonal
+        const std::uint64_t known_i = packed_.known(i);  // the diagonal
         c = {known_i, known_i};
       } else {
         const std::size_t b = p.base;
@@ -361,8 +351,16 @@ void SimilarityMatrix::fill_kernel_tiles(
   const std::size_t chunks =
       std::max<std::size_t>(1, (nets + chunk - 1) / chunk);
   // Columns [0, cols) meet at least one kernel row (the diagonals come
-  // from known()). Rows ascend, so the rows after column j are a suffix.
+  // from the known counts). Rows ascend, so the rows after column j are
+  // a suffix.
   const std::size_t cols = n0 + rows.back();
+  // Every known count the workers read is counted now, on this thread:
+  // a lazy fill inside the parallel region would race. A column adopted
+  // from a store pays its one self-tally here, once per session.
+  for (std::size_t j = 0; j < cols; ++j) {
+    if (valid_[j]) packed_.known(j);
+  }
+  for (const std::size_t r : rows) packed_.known(n0 + r);
   // Worker w owns columns w, w+W, ...: each count has one writer, so the
   // chunks' partial sums need no reduction. The grain keeps a small
   // settle on the calling thread; it affects time only, never values.
@@ -374,25 +372,50 @@ void SimilarityMatrix::fill_kernel_tiles(
       std::max<std::size_t>(1, std::min<std::size_t>(wanted, cols / grain)));
 
   const auto run = [&](std::size_t w) {
+    // The worker's valid columns, ascending, and for each the first
+    // kernel row after it. The chunk tallies of kernel row x against
+    // the worker's column p sum at sums[p * k + x], which no other
+    // worker writes.
+    const std::size_t k = rows.size();
+    std::vector<std::size_t> mine, first;
+    std::size_t x0 = 0;
+    for (std::size_t j = w; j < cols; j += workers) {
+      while (n0 + rows[x0] <= j) ++x0;
+      if (!valid_[j]) continue;
+      mine.push_back(j);
+      first.push_back(x0);
+    }
+    std::vector<PairTally> sums(mine.size() * k);
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = c * chunk;
       const std::size_t len = std::min(chunk, nets - lo);
-      // Column-outer: each of the worker's columns streams its chunk past
-      // the kernel rows' chunks, which stay in L2 across the columns.
-      std::size_t first = 0;
-      for (std::size_t j = w; j < cols; j += workers) {
-        while (n0 + rows[first] <= j) ++first;
-        if (!valid_[j]) continue;
-        for (std::size_t x = first; x < rows.size(); ++x) {
-          const std::size_t i = n0 + rows[x];
-          const MatchCounts m = packed_.counts(i, j, lo, len);
-          MatchCounts& acc = row_counts[rows[x]][j];
-          acc.matches += m.matches;
-          acc.mutual_known += m.mutual_known;
-          if (c + 1 == chunks) {
-            values_.owned_row(i)[j] = phi_from_counts(acc, nets, policy_);
-          }
+      // Column-outer, two columns a pass: each kernel row's chunk, which
+      // stays in L2 across the columns, streams past both columns'
+      // chunks at once. The rows between the two columns meet only the
+      // first.
+      for (std::size_t p = 0; p < mine.size(); p += 2) {
+        PairTally* s0 = sums.data() + p * k;
+        const std::size_t mid = p + 1 < mine.size() ? first[p + 1] : k;
+        for (std::size_t x = first[p]; x < mid; ++x) {
+          s0[x] += packed_.tally(n0 + rows[x], mine[p], lo, len);
         }
+        for (std::size_t x = mid; x < k; ++x) {
+          const auto [t0, t1] =
+              packed_.tally2(n0 + rows[x], mine[p], mine[p + 1], lo, len);
+          s0[x] += t0;
+          s0[k + x] += t1;
+        }
+      }
+    }
+    // The whole-row tallies, with the known counts, give the counts.
+    for (std::size_t p = 0; p < mine.size(); ++p) {
+      const std::size_t j = mine[p];
+      for (std::size_t x = first[p]; x < k; ++x) {
+        const std::size_t i = n0 + rows[x];
+        const MatchCounts m = match_counts(sums[p * k + x], packed_.known(i),
+                                           packed_.known(j));
+        row_counts[rows[x]][j] = m;
+        values_.owned_row(i)[j] = phi_from_counts(m, nets, policy_);
       }
     }
   };
@@ -400,7 +423,7 @@ void SimilarityMatrix::fill_kernel_tiles(
 
   for (const std::size_t r : rows) {
     const std::size_t i = n0 + r;
-    const std::uint64_t known_i = known(i);  // the diagonal
+    const std::uint64_t known_i = packed_.known(i);  // the diagonal
     row_counts[r][i] = {known_i, known_i};
     values_.owned_row(i)[i] = phi_from_counts(row_counts[r][i], nets, policy_);
   }
@@ -418,7 +441,6 @@ void SimilarityMatrix::adopt_rows(std::size_t networks, std::size_t bits,
   packed_.adopt_rows(networks, bits, packed_rows, keepalive);
   valid_.reserve(rows.size());
   anchor_of_.reserve(rows.size());
-  known_.assign(rows.size(), kKnownUnset);
   for (const AdoptedRow& r : rows) {
     values_.adopt_row(r.phi);
     valid_.push_back(r.valid ? 1 : 0);
@@ -438,7 +460,6 @@ void SimilarityMatrix::append_precomputed(const AdoptedRow& row,
   const std::size_t i = n_;
   packed_.append_packed(row.packed, src_bits);
   valid_.push_back(row.valid ? 1 : 0);
-  known_.push_back(kKnownUnset);
   anchor_of_.push_back(row.anchor_of);
   values_.push_row();
   std::memcpy(values_.owned_row(i), row.phi, (i + 1) * sizeof(double));

@@ -13,28 +13,29 @@
 //     dense,
 //   * delta patching from the *predecessor* — the newest valid row, whose
 //     match counts against every column are cached — at O(|Δ|) per pair.
-// The choice needs no extra scan: the row needs counts(prev, i) for its
-// own prev column anyway, and two rows differ wherever either is known,
-// less where both are known and equal, so
-//   |Δ(prev, i)| = known(prev) + known(i) − mutual_known − matches
-// with known(r) the row's diagonal count. The row patches when that is
-// at most kDeltaDensityThreshold·N and pays the kernels otherwise;
-// either way its own counts become the cache for the next row. A matrix
-// adopted from storage starts with no cache, so its first valid row
-// after a load pays the kernels. Delta patching applies to unweighted Φ
-// only (weighted Φ would have to reorder double additions to go fast,
-// which breaks bit-identity).
+// The choice costs one pass: the new row tallied against {prev, itself}
+// (compare_kernels.h) gives
+//   |Δ(prev, i)| = differ(prev, i)
+// and the row's known count, which its diagonal and every later pair
+// read. The row patches when the churn is at most
+// kDeltaDensityThreshold·N and pays the kernels otherwise; either way
+// its own counts become the cache for the next row. A matrix adopted
+// from storage starts with no cache, so its first valid row after a
+// load pays the kernels. Delta patching applies to unweighted Φ only
+// (weighted Φ would have to reorder double additions to go fast, which
+// breaks bit-identity).
 //
 // The row's Φ columns stay *pending* until a settle fills every pending
 // row together: at the kSettleRows-th pending row, at the first Φ read
 // that reaches a pending row, or when a segment store flushes the rows
 // it spilled. A settle patches delta rows as above and keeps weighted
-// rows on their in-order per-pair kernel. Kernel rows count all their
+// rows on their in-order per-pair kernel. Kernel rows tally all their
 // pairs — old columns and the batch corner alike — a kTileBytes network
 // chunk at a time: each parallel_for worker owns every W-th column and
-// streams its columns' chunks past the kernel rows' chunks, which stay in
-// its L2, summing exact integer counts chunk by chunk. A row that fits
-// one chunk is the plain column-parallel fill.
+// streams the kernel rows' chunks, which stay in its L2, past two of its
+// columns' chunks per pass, summing exact integer tallies chunk by
+// chunk; the whole-row tallies and the rows' known counts then give the
+// counts. A row that fits one chunk is the plain column-parallel fill.
 // Planning is eager, so anchor_chain() and the path counters never wait
 // for a settle.
 //
@@ -219,7 +220,6 @@ class SimilarityMatrix {
     if (rows <= n_) return;
     values_.reserve_rows(rows);
     valid_.reserve(rows);
-    known_.reserve(rows);
   }
 
   /// A no-op that only checks @p row < size() (std::out_of_range
@@ -316,17 +316,13 @@ class SimilarityMatrix {
       const std::vector<std::size_t>& a,
       const std::vector<std::size_t>& b) const;
 
-  /// Networks with a known site in row @p row — the diagonal's
-  /// mutual_known (= matches), computed once per row and cached.
-  std::uint64_t known(std::size_t row) const;
-
   /// The path rule for valid row @p i of an unweighted matrix: with no
-  /// cached predecessor (@p base == kNoAnchorRow, @p c unread) the row
-  /// pays the kernels; otherwise @p c = counts(base, i) gives
-  /// |Δ(base, i)|, and at or below the density threshold the row patches
-  /// from @p base with @p delta, the change set, filled in. Returns
-  /// whether it patches and records the row's path metrics.
-  bool plan_row(std::size_t base, std::size_t i, const MatchCounts& c,
+  /// cached predecessor (@p base == kNoAnchorRow, @p churn unread) the
+  /// row pays the kernels; otherwise @p churn = |Δ(base, i)|, and at or
+  /// below the density threshold the row patches from @p base with
+  /// @p delta, the change set, filled in. Returns whether it patches and
+  /// records the row's path metrics.
+  bool plan_row(std::size_t base, std::size_t i, std::size_t churn,
                 std::vector<DeltaEntry>& delta);
 
   /// Packs @p v and plans it as a pending row (one fenrir_phi_append_seconds
@@ -347,7 +343,8 @@ class SimilarityMatrix {
   /// Every pair of the pending kernel rows @p rows (ascending indices
   /// into pending_), old columns and corner alike, through network-chunk
   /// tiles, one parallel_for job: counts land in @p row_counts, Φ in the
-  /// rows.
+  /// rows. Every known count the workers read is counted before it
+  /// starts.
   void fill_kernel_tiles(std::span<const std::size_t> rows,
                          std::vector<std::vector<MatchCounts>>& row_counts)
       const;
@@ -377,15 +374,11 @@ class SimilarityMatrix {
   };
 
   std::size_t n_ = 0;
-  // A settle fills values_, known_ and the cache behind a const read,
-  // under settle_'s lock; everything else changes only in non-const
-  // members.
+  // A settle fills values_, the packed rows' known counts and the cache
+  // behind a const read, under settle_'s lock; everything else changes
+  // only in non-const members.
   mutable TriangleStore values_;  // lower triangle incl. diagonal
   std::vector<char> valid_;
-  /// known(r) per row; kKnownUnset until first needed (adopted,
-  /// precomputed and invalid rows).
-  static constexpr std::uint64_t kKnownUnset = ~std::uint64_t{0};
-  mutable std::vector<std::uint64_t> known_;
 
   UnknownPolicy policy_ = UnknownPolicy::kPessimistic;
   std::vector<double> weights_;

@@ -54,8 +54,10 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
   }
 
   // Pack the observation once as a candidate row; every representative
-  // comparison is then one packed kernel pass. If the vector founds a
-  // new mode the row stays; otherwise it is popped again.
+  // comparison is then one packed kernel pass. The first pass tallies
+  // the candidate against representative 0 and itself, which caches its
+  // known count. If the vector founds a new mode the row stays;
+  // otherwise it is popped again.
   packed_.append(v);
   const std::size_t candidate = packed_.rows() - 1;
 
@@ -76,7 +78,7 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
     MatchCounts counts;
     double phi;
     if (weights_.empty()) {
-      counts = packed_.counts(m, candidate);
+      counts = packed_.counts(candidate, m);
       phi = phi_from_counts(counts, v.assignment.size(), config_.policy);
     } else {
       phi = phi_from_weighted(packed_.weighted_counts(
@@ -109,7 +111,7 @@ ModeBook::Match ModeBook::observe(const RoutingVector& v) {
   // The decision record tallies networks, weighted or not: a weighted
   // scan counts the winner once, and only when a record will be made.
   if (!weights_.empty() && best && obs::lineage().enabled()) {
-    best_counts = packed_.counts(*best, candidate);
+    best_counts = packed_.counts(candidate, *best);
   }
 
   if (best && best_phi >= config_.match_threshold) {
@@ -217,7 +219,8 @@ RoutingVector ModeBook::representative(std::size_t mode) const {
 }
 
 void ModeBook::restore(PackedSeries representatives,
-                       std::vector<std::size_t> history) {
+                       std::vector<std::size_t> history,
+                       std::span<const TimePoint> times) {
   for (const std::size_t mode : history) {
     if (mode >= representatives.rows()) {
       throw std::invalid_argument(
@@ -226,11 +229,21 @@ void ModeBook::restore(PackedSeries representatives,
           " representatives were given");
     }
   }
+  if (!times.empty() && times.size() != history.size()) {
+    throw std::invalid_argument(
+        "ModeBook::restore: " + std::to_string(times.size()) +
+        " observation times for a history of " +
+        std::to_string(history.size()));
+  }
   packed_ = std::move(representatives);
   history_ = std::move(history);
-  // The segment store keeps no per-mode sighting times: gaps restart
-  // unknown, and the first post-restore recurrence omits its gap.
+  // Each mode was last seen at its last history entry's time; without
+  // times the gaps restart unknown, and the first recurrence of each
+  // mode omits its gap.
   last_seen_.assign(mode_count(), std::nullopt);
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    last_seen_[history_[k]] = times[k];
+  }
 }
 
 }  // namespace fenrir::core

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,11 +79,16 @@ class ModeBook {
   /// Replaces the book's state with a previously captured one (one
   /// packed representative row per mode, row m for mode m, plus the
   /// per-observation mode history), so a watcher can resume where an
-  /// earlier process stopped (fenrirctl watch --store). Throws
+  /// earlier process stopped (fenrirctl watch --store). @p times, when
+  /// given, holds the dataset time of each history entry's observation,
+  /// in order: each mode's last sighting comes back with it, so the
+  /// first recurrence after the resume reports its gap. Throws
   /// std::invalid_argument when a history entry names a mode without a
-  /// representative.
+  /// representative, or when @p times is neither empty nor one time per
+  /// history entry.
   void restore(PackedSeries representatives,
-               std::vector<std::size_t> history);
+               std::vector<std::size_t> history,
+               std::span<const TimePoint> times = {});
 
   std::size_t mode_count() const noexcept { return packed_.rows(); }
   /// Mode @p mode's representative, unpacked from its row: the
@@ -109,9 +115,10 @@ class ModeBook {
   PackedSeries packed_;
   std::vector<std::size_t> history_;
   /// Dataset time each mode was last observed — the recurrence event's
-  /// gap. nullopt after restore() (the store does not persist it): the
-  /// first re-sighting then reports the recurrence without a gap rather
-  /// than inventing one.
+  /// and decision record's gap. restore() rebuilds it from the history's
+  /// observation times when it is given them; a mode it has no time for
+  /// stays nullopt, and its first re-sighting reports the recurrence
+  /// without a gap rather than inventing one.
   std::vector<std::optional<TimePoint>> last_seen_;
   std::optional<Match> last_;
 };

@@ -10,10 +10,14 @@ namespace fenrir::core::simd {
 namespace {
 
 constexpr KernelTable kScalarTable{
-    .count_u4 = count_u4_scalar,
-    .count_u8 = count_u8_scalar,
-    .count_u16 = count_u16_scalar,
-    .count_u32 = count_u32_scalar,
+    .count_u4 = count_u4_scalar<1>,
+    .count_u8 = count_scalar<std::uint8_t, 1>,
+    .count_u16 = count_scalar<std::uint16_t, 1>,
+    .count_u32 = count_scalar<std::uint32_t, 1>,
+    .count2_u4 = count_u4_scalar<2>,
+    .count2_u8 = count_scalar<std::uint8_t, 2>,
+    .count2_u16 = count_scalar<std::uint16_t, 2>,
+    .count2_u32 = count_scalar<std::uint32_t, 2>,
     .delta_u4 = delta_u4_scalar,
     .delta_u8 = delta_u8_scalar,
     .delta_u16 = delta_u16_scalar,
@@ -27,10 +31,14 @@ constexpr KernelTable kScalarTable{
 
 #if defined(FENRIR_BUILD_AVX2)
 constexpr KernelTable kAvx2Table{
-    .count_u4 = count_u4_avx2,
-    .count_u8 = count_u8_avx2,
-    .count_u16 = count_u16_avx2,
-    .count_u32 = count_u32_avx2,
+    .count_u4 = count_u4_avx2<1>,
+    .count_u8 = count_avx2<std::uint8_t, 1>,
+    .count_u16 = count_avx2<std::uint16_t, 1>,
+    .count_u32 = count_avx2<std::uint32_t, 1>,
+    .count2_u4 = count_u4_avx2<2>,
+    .count2_u8 = count_avx2<std::uint8_t, 2>,
+    .count2_u16 = count_avx2<std::uint16_t, 2>,
+    .count2_u32 = count_avx2<std::uint32_t, 2>,
     .delta_u4 = delta_u4_avx2,
     .delta_u8 = delta_u8_avx2,
     .delta_u16 = delta_u16_avx2,
@@ -47,10 +55,14 @@ constexpr KernelTable kAvx2Table{
 
 #if defined(FENRIR_BUILD_AVX512)
 constexpr KernelTable kAvx512Table{
-    .count_u4 = count_u4_avx512,
-    .count_u8 = count_u8_avx512,
-    .count_u16 = count_u16_avx512,
-    .count_u32 = count_u32_avx512,
+    .count_u4 = count_u4_avx512<1>,
+    .count_u8 = count_avx512<std::uint8_t, 1>,
+    .count_u16 = count_avx512<std::uint16_t, 1>,
+    .count_u32 = count_avx512<std::uint32_t, 1>,
+    .count2_u4 = count_u4_avx512<2>,
+    .count2_u8 = count_avx512<std::uint8_t, 2>,
+    .count2_u16 = count_avx512<std::uint16_t, 2>,
+    .count2_u32 = count_avx512<std::uint32_t, 2>,
     .delta_u4 = delta_u4_avx512,
     .delta_u8 = delta_u8_avx512,
     .delta_u16 = delta_u16_avx512,

@@ -143,18 +143,25 @@ TEST(PackedSeries, PopBackAndCopyRow) {
   RoutingVector a;
   a.assignment = {3, 4, 5};
   RoutingVector b;
-  b.assignment = {6, 7, 8};
+  b.assignment = {6, kUnknownSite, 8};
   PackedSeries s;
   s.append(a);
   s.append(b);
-  s.copy_row(0, 1);
+  EXPECT_EQ(s.known(0), 3u);
+  EXPECT_EQ(s.known(1), 2u);
+  s.copy_row(0, 1);  // the known count moves with the bytes
   EXPECT_EQ(s.value_at(0, 0), 6u);
+  EXPECT_EQ(s.known(0), 2u);
   s.pop_back();
   EXPECT_EQ(s.rows(), 1u);
+  s.append(a);  // the popped row's slot, counted afresh
+  EXPECT_EQ(s.known(1), 3u);
+  s.pop_back();
   s.pop_back();
   EXPECT_EQ(s.rows(), 0u);
   s.pop_back();  // no-op on empty
   EXPECT_EQ(s.rows(), 0u);
+  EXPECT_THROW(s.known(0), std::out_of_range);
 }
 
 // The determinism contract: Φ derived from packed kernel counts must be
@@ -174,13 +181,16 @@ MatchCounts oracle_counts(const RoutingVector& a, const RoutingVector& b) {
 }
 
 /// Every row of @p s against the vectors it was built from: each
-/// element through value_at, and counts() on the diagonal and against
-/// the first and last rows.
+/// element through value_at, its known count (cached by an earlier
+/// stage or counted now), and counts() on the diagonal and against the
+/// first and last rows.
 void expect_rows_match(const PackedSeries& s,
                        const std::vector<RoutingVector>& want,
                        const std::string& stage) {
   ASSERT_EQ(s.rows(), want.size()) << stage;
   for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(s.known(r), oracle_counts(want[r], want[r]).mutual_known)
+        << stage << " row " << r;
     for (std::size_t n = 0; n < s.networks(); ++n) {
       ASSERT_EQ(s.value_at(r, n), want[r].assignment[n])
           << stage << " row " << r << " network " << n;
@@ -406,6 +416,23 @@ constexpr std::size_t kSimdSizes[] = {0,  1,  3,    31,   32,   33,
                                       63, 64, 65,   129,  1000, 4097,
                                       8159, 8160, 8161, 10'007};
 
+/// The element-wise tally of rows @p a and @p b (n elements each).
+template <typename A, typename B>
+PairTally elementwise_tally(const A& a, const B& b, std::size_t n) {
+  PairTally t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.differ += a[i] != b[i];
+    t.either += a[i] != 0 || b[i] != 0;
+  }
+  return t;
+}
+
+void expect_tally(const PairTally& got, const PairTally& want,
+                  const std::string& label) {
+  EXPECT_EQ(got.differ, want.differ) << label;
+  EXPECT_EQ(got.either, want.either) << label;
+}
+
 TEST(SimdKernels, CountsBitIdenticalToScalarOracleAllTiers) {
   const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
   const double unknown_fracs[] = {0.0, 0.3, 0.9};
@@ -414,35 +441,37 @@ TEST(SimdKernels, CountsBitIdenticalToScalarOracleAllTiers) {
     const simd::KernelTable& t = *simd::table_for(tier);
     for (const std::size_t n : kSimdSizes) {
       for (const double uf : unknown_fracs) {
-        const auto check = [&](const MatchCounts& got, const MatchCounts& want) {
-          EXPECT_EQ(got.matches, want.matches)
-              << simd::tier_name(tier) << " n=" << n << " uf=" << uf;
-          EXPECT_EQ(got.mutual_known, want.mutual_known)
-              << simd::tier_name(tier) << " n=" << n << " uf=" << uf;
+        const std::string label = std::string(simd::tier_name(tier)) +
+                                  " n=" + std::to_string(n) +
+                                  " uf=" + std::to_string(uf);
+        // The tier's tally, and Φ derived from it with both rows' known
+        // counts, equal the oracle's.
+        const auto check = [&]<typename T>(simd::CountFn<T, 1> kernel,
+                                           simd::CountFn<T, 1> ref,
+                                           const std::vector<T>& a,
+                                           const std::vector<T>& b) {
+          const PairTally got = kernel(a.data(), {b.data()}, n)[0];
+          const PairTally want = ref(a.data(), {b.data()}, n)[0];
+          expect_tally(got, want, label + " width " +
+                                      std::to_string(8 * sizeof(T)));
+          const std::uint64_t ka = ref(a.data(), {a.data()}, n)[0].either;
+          const std::uint64_t kb = ref(b.data(), {b.data()}, n)[0].either;
           for (const auto policy :
                {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
-            EXPECT_EQ(phi_from_counts(got, n, policy),
-                      phi_from_counts(want, n, policy));
+            EXPECT_EQ(phi_from_counts(match_counts(got, ka, kb), n, policy),
+                      phi_from_counts(match_counts(want, ka, kb), n, policy))
+                << label;
           }
         };
-        {
-          const auto a = random_sites<std::uint8_t>(r, n, 200, uf);
-          const auto b = random_sites<std::uint8_t>(r, n, 200, uf);
-          check(t.count_u8(a.data(), b.data(), n),
-                oracle.count_u8(a.data(), b.data(), n));
-        }
-        {
-          const auto a = random_sites<std::uint16_t>(r, n, 60'000, uf);
-          const auto b = random_sites<std::uint16_t>(r, n, 60'000, uf);
-          check(t.count_u16(a.data(), b.data(), n),
-                oracle.count_u16(a.data(), b.data(), n));
-        }
-        {
-          const auto a = random_sites<std::uint32_t>(r, n, 1'000'000, uf);
-          const auto b = random_sites<std::uint32_t>(r, n, 1'000'000, uf);
-          check(t.count_u32(a.data(), b.data(), n),
-                oracle.count_u32(a.data(), b.data(), n));
-        }
+        check(t.count_u8, oracle.count_u8,
+              random_sites<std::uint8_t>(r, n, 200, uf),
+              random_sites<std::uint8_t>(r, n, 200, uf));
+        check(t.count_u16, oracle.count_u16,
+              random_sites<std::uint16_t>(r, n, 60'000, uf),
+              random_sites<std::uint16_t>(r, n, 60'000, uf));
+        check(t.count_u32, oracle.count_u32,
+              random_sites<std::uint32_t>(r, n, 1'000'000, uf),
+              random_sites<std::uint32_t>(r, n, 1'000'000, uf));
       }
     }
   }
@@ -668,35 +697,28 @@ TEST(SimdKernels, FourBitPackAndCountsBitIdenticalToScalarOracleAllTiers) {
             ASSERT_EQ(got[k], 0xAB) << name << " n=" << n << " wrote past";
           }
         }
-        if (n % 2 != 0) ASSERT_EQ(a.back() >> 4, 0) << "padding nibble";
-
-        MatchCounts want;
-        for (std::size_t i = 0; i < n; ++i) {
-          want.matches += ia[i] == ib[i] && ia[i] != kUnknownSite;
-          want.mutual_known += ia[i] != kUnknownSite && ib[i] != kUnknownSite;
+        if (n % 2 != 0) {
+          ASSERT_EQ(a.back() >> 4, 0) << "padding nibble";
         }
-        const MatchCounts got_ab = t.count_u4(a.data(), b.data(), n);
-        const MatchCounts oracle_ab = oracle.count_u4(a.data(), b.data(), n);
-        EXPECT_EQ(oracle_ab.matches, want.matches) << "oracle n=" << n;
-        EXPECT_EQ(oracle_ab.mutual_known, want.mutual_known)
-            << "oracle n=" << n;
-        EXPECT_EQ(got_ab.matches, want.matches)
-            << name << " n=" << n << " uf=" << uf;
-        EXPECT_EQ(got_ab.mutual_known, want.mutual_known)
-            << name << " n=" << n << " uf=" << uf;
-        const MatchCounts self = t.count_u4(a.data(), a.data(), n);
-        EXPECT_EQ(self.matches, self.mutual_known) << name << " n=" << n;
+
+        const std::string label = std::string(name) +
+                                  " n=" + std::to_string(n) +
+                                  " uf=" + std::to_string(uf);
+        const PairTally want = elementwise_tally(ia, ib, n);
+        expect_tally(oracle.count_u4(a.data(), {b.data()}, n)[0], want,
+                     "oracle " + label);
+        expect_tally(t.count_u4(a.data(), {b.data()}, n)[0], want, label);
+        expect_tally(t.count_u4(a.data(), {a.data()}, n)[0],
+                     elementwise_tally(ia, ia, n), label + " self");
 
         // A nonzero padding nibble is not an element: it never counts.
         if (n % 2 != 0) {
           auto pa = a;
           auto pb = b;
           pa.back() |= 0x50;
-          pb.back() |= 0x50;
-          const MatchCounts padded = t.count_u4(pa.data(), pb.data(), n);
-          EXPECT_EQ(padded.matches, want.matches) << name << " n=" << n;
-          EXPECT_EQ(padded.mutual_known, want.mutual_known)
-              << name << " n=" << n;
+          pb.back() |= 0x30;
+          expect_tally(t.count_u4(pa.data(), {pb.data()}, n)[0], want,
+                       label + " padded");
         }
       }
     }
@@ -805,15 +827,12 @@ TEST(SimdKernels, FourBitPatchKernelsBitIdenticalToScalarOracleAllTiers) {
   }
 }
 
-// The step size the similarity matrix derives from counts: two rows
-// differ wherever either is known, less where both are known and equal,
-// so known(a) + known(b) − mutual_known − matches must be exactly the
-// change set's size — for every tier, width and unknown fraction, on
-// independent and on near-identical row pairs.
+// The step size the similarity matrix plans with: a tally's differ
+// count must be exactly the change set's size — for every tier, width
+// and unknown fraction, on independent and on near-identical row pairs.
 template <typename T>
-void expect_step_identity(
-    MatchCounts (*count)(const T*, const T*, std::size_t), DeltaFn<T> delta,
-    rng::Rng& r, SiteId max_site, const char* tier) {
+void expect_step_identity(simd::CountFn<T, 1> count, DeltaFn<T> delta,
+                          rng::Rng& r, SiteId max_site, const char* tier) {
   for (const std::size_t n : kSimdSizes) {
     for (const double uf : {0.0, 0.5, 1.0}) {
       const auto a = random_sites<T>(r, n, max_site, uf);
@@ -824,13 +843,9 @@ void expect_step_identity(
                             : static_cast<T>(kFirstRealSite + r.uniform(max_site));
       }
       for (const auto& b : {random_sites<T>(r, n, max_site, uf), near}) {
-        const MatchCounts c = count(a.data(), b.data(), n);
-        const std::uint64_t known_a = count(a.data(), a.data(), n).mutual_known;
-        const std::uint64_t known_b = count(b.data(), b.data(), n).mutual_known;
         std::vector<DeltaEntry> changes;
         delta(a.data(), b.data(), n, changes);
-        EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
-                  changes.size())
+        EXPECT_EQ(count(a.data(), {b.data()}, n)[0].differ, changes.size())
             << tier << " width " << sizeof(T) << " n=" << n << " uf=" << uf;
       }
     }
@@ -857,17 +872,106 @@ TEST(SimdKernels, StepSizeIdentityAllTiers) {
         const auto a = pack_u4_oracle(ia);
         for (const auto& ib : {random_u4_ids(r, n, uf), near}) {
           const auto b = pack_u4_oracle(ib);
-          const MatchCounts c = t.count_u4(a.data(), b.data(), n);
-          const std::uint64_t known_a =
-              t.count_u4(a.data(), a.data(), n).mutual_known;
-          const std::uint64_t known_b =
-              t.count_u4(b.data(), b.data(), n).mutual_known;
           std::vector<DeltaEntry> changes;
           t.delta_u4(a.data(), b.data(), n, changes);
-          EXPECT_EQ(known_a + known_b - c.mutual_known - c.matches,
+          EXPECT_EQ(t.count_u4(a.data(), {b.data()}, n)[0].differ,
                     changes.size())
               << name << " 4 bits n=" << n << " uf=" << uf;
         }
+      }
+    }
+  }
+}
+
+// The tally contract on every tier and width: for tails of every length
+// mod 128 — short rows, rows across the AVX2 drains (8,128 4-bit and
+// 8,160 8-bit elements) and, at 4 bits, rows across the AVX-512 drain
+// (255 blocks of 128 elements) — at unknown fractions 0, 0.5 and 1, the
+// one-column tally equals the element-wise count; the MatchCounts
+// derived from it and the rows' self-tallies equal the element-wise
+// definitions of matches and mutual_known; and the two-column form
+// equals two one-column calls, a column being the row itself included.
+// Odd 4-bit rows carry a nonzero padding nibble in every row, which
+// must never count.
+template <typename T>
+struct TallyCase {
+  simd::CountFn<T, 1> one;
+  simd::CountFn<T, 2> two;
+  std::vector<T> a, b, c;  // packed rows
+};
+
+template <typename T>
+void expect_tally_contract(const TallyCase<T>& k,
+                           const std::vector<SiteId>& ia,
+                           const std::vector<SiteId>& ib, std::size_t n,
+                           const std::string& label) {
+  const PairTally ab = k.one(k.a.data(), {k.b.data()}, n)[0];
+  expect_tally(ab, elementwise_tally(ia, ib, n), label);
+  MatchCounts want;
+  for (std::size_t i = 0; i < n; ++i) {
+    want.matches += ia[i] == ib[i] && ia[i] != kUnknownSite;
+    want.mutual_known += ia[i] != kUnknownSite && ib[i] != kUnknownSite;
+  }
+  const MatchCounts got =
+      match_counts(ab, k.one(k.a.data(), {k.a.data()}, n)[0].either,
+                   k.one(k.b.data(), {k.b.data()}, n)[0].either);
+  EXPECT_EQ(got.matches, want.matches) << label;
+  EXPECT_EQ(got.mutual_known, want.mutual_known) << label;
+
+  const T* a = k.a.data();
+  for (const auto& [c0, c1] : {std::pair{k.b.data(), k.c.data()},
+                               std::pair{k.b.data(), a},
+                               std::pair{a, k.c.data()}}) {
+    const auto two = k.two(a, {c0, c1}, n);
+    expect_tally(two[0], k.one(a, {c0}, n)[0], label + " column 0");
+    expect_tally(two[1], k.one(a, {c1}, n)[0], label + " column 1");
+  }
+}
+
+TEST(SimdKernels, TallyContractAllTiersAndWidths) {
+  std::vector<std::size_t> sizes;
+  for (const std::size_t base : {0, 8'128, 32'704}) {
+    for (std::size_t r = 0; r < 128; ++r) sizes.push_back(base + r);
+  }
+  for (const simd::Tier tier : available_tiers()) {
+    rng::Rng r(2028);
+    const simd::KernelTable& t = *simd::table_for(tier);
+    for (const std::size_t n : sizes) {
+      for (const double uf : {0.0, 0.5, 1.0}) {
+        const std::string label = std::string(simd::tier_name(tier)) +
+                                  " n=" + std::to_string(n) +
+                                  " uf=" + std::to_string(uf);
+        {
+          const auto ia = random_u4_ids(r, n, uf);
+          const auto ib = random_u4_ids(r, n, uf);
+          TallyCase<std::uint8_t> k{t.count_u4, t.count2_u4,
+                                    pack_u4_oracle(ia), pack_u4_oracle(ib),
+                                    pack_u4_oracle(random_u4_ids(r, n, uf))};
+          if (n % 2 != 0) {
+            k.a.back() |= 0x50;
+            k.b.back() |= 0x30;
+            k.c.back() |= 0xF0;
+          }
+          expect_tally_contract(k, ia, ib, n, label + " 4 bits");
+        }
+        const auto wide = [&]<typename T>(simd::CountFn<T, 1> one,
+                                          simd::CountFn<T, 2> two,
+                                          SiteId max_site) {
+          const auto a = random_sites<T>(r, n, max_site, uf);
+          const auto b = random_sites<T>(r, n, max_site, uf);
+          const std::vector<SiteId> ia(a.begin(), a.end());
+          const std::vector<SiteId> ib(b.begin(), b.end());
+          const TallyCase<T> k{one, two, a, b,
+                               random_sites<T>(r, n, max_site, uf)};
+          expect_tally_contract(k, ia, ib, n,
+                                label + " " + std::to_string(8 * sizeof(T)) +
+                                    " bits");
+        };
+        // The wider kernels drain at 8,160 elements or past 256,000.
+        if (n > 32'000) continue;
+        wide(t.count_u8, t.count2_u8, 200);
+        wide(t.count_u16, t.count2_u16, 60'000);
+        wide(t.count_u32, t.count2_u32, 1'000'000);
       }
     }
   }

@@ -662,11 +662,12 @@ void expect_builds_match_reference(const Dataset& d, rng::Rng& r) {
   }
 }
 
-// What one tier must reproduce: ranged counts that add up at any byte
-// split, including splits inside a 64-byte vector, and the three builds
-// over rows of three tiles at every packed width, weighted rows beside
-// them. Every interior tile edge (16 KiB) also falls inside the AVX2
-// count kernels' 4,064-byte accumulation block.
+// What one tier must reproduce: ranged tallies that add up at any byte
+// split, including splits inside a 64-byte vector, one- and two-column
+// alike, and the three builds over rows of three tiles at every packed
+// width, weighted rows beside them. Every interior tile edge (16 KiB)
+// also falls inside the AVX2 count kernels' 4,064-byte accumulation
+// block.
 void check_tiled_fill_on_active_tier() {
   rng::Rng r(2027);
   const std::size_t widths[][2] = {{4, 6}, {8, 40}, {16, 400}, {32, 70'000}};
@@ -681,12 +682,17 @@ void check_tiled_fill_on_active_tier() {
     for (std::size_t trial = 0; trial < 16; ++trial) {
       const std::size_t i = r.uniform(d.series.size());
       const std::size_t j = r.uniform(d.series.size());
+      const std::size_t j1 = r.uniform(d.series.size());
       const std::size_t lo = 2 * r.uniform(nets / 2 + 1);
-      const MatchCounts whole = packed.counts(i, j);
-      const MatchCounts head = packed.counts(i, j, 0, lo);
-      const MatchCounts rest = packed.counts(i, j, lo, nets - lo);
-      ASSERT_EQ(head.matches + rest.matches, whole.matches) << lo;
-      ASSERT_EQ(head.mutual_known + rest.mutual_known, whole.mutual_known)
+      const PairTally whole = packed.tally(i, j);
+      const PairTally head = packed.tally(i, j, 0, lo);
+      const auto [rest, rest1] = packed.tally2(i, j, j1, lo, nets - lo);
+      ASSERT_EQ(head.differ + rest.differ, whole.differ) << lo;
+      ASSERT_EQ(head.either + rest.either, whole.either) << lo;
+      const PairTally head1 = packed.tally2(i, j1, i, 0, lo)[0];
+      ASSERT_EQ(head1.differ + rest1.differ, packed.tally(i, j1).differ)
+          << lo;
+      ASSERT_EQ(head1.either + rest1.either, packed.tally(i, j1).either)
           << lo;
     }
 
@@ -731,6 +737,51 @@ TEST(SimilarityMatrixTiles, DeferredFillBitIdenticalOnEveryTier) {
         ::testing::ExitedWithCode(0), "")
         << simd::tier_name(tier);
   }
+}
+
+// Kernel rows settled at 4 threads onto columns adopted from a store:
+// the sealed rows come back by page adoption, the tail by
+// append_precomputed, and neither brings its known count back, so the
+// first settle counts every column's before its workers start. Every
+// row after the load churns past the delta threshold (a kernel row),
+// and rows of 33,001 4-bit networks span two tiles.
+TEST(SimilarityMatrixTiles, KernelRowsMeetAdoptedColumnsAtFourThreads) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("fenrir_tiles_adopted_" + std::to_string(::getpid()));
+  const Dataset d = churn_dataset(60, 33'001, 0.3, 43, 0.1, 0.5);
+  const std::size_t load_at = 25;
+  io::SegmentStoreConfig cfg;
+  cfg.seal_rows = 8;
+  cfg.threads = 4;
+  cfg.background_compaction = false;
+  for (const UnknownPolicy policy :
+       {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
+    const std::string label =
+        "policy " + std::to_string(static_cast<int>(policy));
+    std::filesystem::remove_all(dir);
+    {
+      SimilarityMatrix m(policy, d.weights, 4);
+      m.append_batch(std::span(d.series).first(load_at));
+      io::SegmentStore store(dir, cfg);
+      store.attach(&d);
+      for (std::size_t t = 0; t < load_at; ++t) {
+        store.spill_row(d.series[t], m, t);
+      }
+      store.flush();
+    }
+    io::SegmentStore store(dir, cfg);
+    store.attach(&d);
+    SimilarityMatrix m = store.load(&d).matrix;
+    ASSERT_EQ(m.size(), load_at) << label;
+    m.append_batch(std::span(d.series).subspan(load_at));
+    expect_bit_identical(m, SimilarityMatrix::compute_reference(d, policy),
+                         label);
+    for (std::size_t row = load_at; row < m.size(); ++row) {
+      EXPECT_TRUE(m.anchor_chain(row).empty()) << label << " row " << row;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Const readers may race to a pending row: the first settles under the

@@ -555,9 +555,15 @@ int cmd_watch(const Args& args) {
     start = static_cast<std::size_t>(loaded.processed);
     matrix = std::move(loaded.matrix);
     if (loaded.has_modebook) {
+      // The book's history holds one entry per valid observation before
+      // start: their times give each mode's last sighting back.
+      std::vector<core::TimePoint> seen;
+      for (std::size_t i = 0; i < std::min(start, data.series.size()); ++i) {
+        if (data.series[i].valid) seen.push_back(data.series[i].time);
+      }
       try {
         book.restore(std::move(loaded.representatives),
-                     std::move(loaded.history));
+                     std::move(loaded.history), seen);
       } catch (const std::invalid_argument& e) {
         throw core::DatasetIoError(std::string("segment store: ") +
                                    e.what());
