@@ -344,7 +344,7 @@ BENCHMARK(BM_SimilarityMatrixPeriodic)->Args({512, 10'000});
 
 // The batched ingest shape: k observations folded onto a standing T-row
 // matrix in one append_batch() (what --matrix-cache warm appends, watch
-// resume rebuilds, and measure::fold_phi pay), against the same k rows
+// resume rebuilds, and campaign folds pay), against the same k rows
 // appended one at a time. Items are the scalar-equivalent comparisons
 // of the appended rows, Σ (T+i+1)·N — the ratio of the pair is the
 // batching win.

@@ -186,7 +186,8 @@ int main() {
   // The merged epochs fold straight into the all-pairs Φ matrix through
   // the batched append path — the shape a fenrird shard would use:
   // buffer an epoch slice, fold it in one append_batch().
-  const core::SimilarityMatrix phi = measure::fold_phi(result.series);
+  core::SimilarityMatrix phi(core::UnknownPolicy::kPessimistic, {}, 0);
+  phi.append_batch(result.series);
   std::cout << "\nphi over " << phi.size() << " merged epochs: "
             << "first vs last "
             << io::fixed(phi.phi(0, phi.size() - 1), 3) << "\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,20 +16,6 @@ double in_order_sum(std::span<const double> w) {
 }
 
 namespace {
-
-/// @p x as the little-endian bytes a packed row stores (a no-op on
-/// little-endian hosts).
-template <typename T>
-T to_le(T x) {
-  if constexpr (std::endian::native == std::endian::big && sizeof(T) == 2) {
-    return __builtin_bswap16(x);
-  } else if constexpr (std::endian::native == std::endian::big &&
-                       sizeof(T) == 4) {
-    return __builtin_bswap32(x);
-  } else {
-    return x;
-  }
-}
 
 // Weighted variant: same left-to-right accumulation as the scalar
 // reference (reordering doubles changes the bits), but branchless
@@ -68,9 +53,8 @@ void delta_scan(const T* a, const T* b, std::size_t n,
                 std::vector<DeltaEntry>& out) {
   for (std::size_t i = 0; i < n; ++i) {
     if (a[i] != b[i]) {
-      out.push_back({static_cast<std::uint32_t>(i),
-                     static_cast<SiteId>(to_le(a[i])),
-                     static_cast<SiteId>(to_le(b[i]))});
+      out.push_back({static_cast<std::uint32_t>(i), static_cast<SiteId>(a[i]),
+                     static_cast<SiteId>(b[i])});
     }
   }
 }
@@ -210,7 +194,7 @@ SiteId pack_u16_scalar(const SiteId* src, std::uint16_t* dst, std::size_t n) {
   SiteId top = 0;
   for (std::size_t i = 0; i < n; ++i) {
     top = std::max(top, src[i]);
-    dst[i] = to_le(static_cast<std::uint16_t>(src[i]));
+    dst[i] = static_cast<std::uint16_t>(src[i]);
   }
   return top;
 }
@@ -278,15 +262,10 @@ SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
       return k.pack_u8(src, reinterpret_cast<std::uint8_t*>(dst), n);
     case 16:
       return k.pack_u16(src, reinterpret_cast<std::uint16_t*>(dst), n);
-    default: {
-      SiteId top = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        top = std::max(top, src[i]);
-        const std::uint32_t x = to_le(src[i]);
-        std::memcpy(dst + 4 * i, &x, sizeof x);
-      }
-      return top;
-    }
+    default:
+      if (n == 0) return 0;
+      std::memcpy(dst, src, 4 * n);
+      return *std::max_element(src, src + n);
   }
 }
 

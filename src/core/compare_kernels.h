@@ -127,8 +127,13 @@ constexpr std::size_t packed_row_bytes(std::size_t networks,
   return networks / 8 * bits + (networks % 8 * bits + 7) / 8;
 }
 
-/// Element @p i of a packed row of @p Bits-bit elements. Packed rows are
-/// little-endian at every width, in memory as on disk: element 2t of a
+// Packed rows are little-endian at every width, in memory as on disk
+// (io/segment_store.h maps them straight from its files), and Fenrir
+// runs on little-endian hosts only: this is the one place that says so.
+static_assert(std::endian::native == std::endian::little,
+              "Fenrir supports little-endian hosts only");
+
+/// Element @p i of a packed row of @p Bits-bit elements: element 2t of a
 /// 4-bit row is the low nibble of byte t and element 2t+1 the high one,
 /// and an odd row's last high nibble is 0 (kUnknownSite).
 template <unsigned Bits>
@@ -142,13 +147,6 @@ inline SiteId packed_at(const std::byte* row, std::size_t i) noexcept {
     using T = std::conditional_t<Bits == 16, std::uint16_t, std::uint32_t>;
     T x;
     std::memcpy(&x, row + i * sizeof(T), sizeof x);
-    if constexpr (std::endian::native == std::endian::big) {
-      if constexpr (Bits == 16) {
-        x = __builtin_bswap16(x);
-      } else {
-        x = __builtin_bswap32(x);
-      }
-    }
     return x;
   }
 }

@@ -24,7 +24,15 @@
 #if defined(FENRIR_BUILD_AVX512) && defined(__AVX512F__) && \
     defined(__AVX512BW__)
 
+// GCC 12 warns that '__Y' may be used uninitialized inside
+// avx512fintrin.h (the undefined-vector idiom behind the reductions,
+// extracts and masked gathers); the warnings are located in the header,
+// so silencing them here leaves -Wall -Wextra on this file's own lines.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include <algorithm>
 #include <array>

@@ -1,7 +1,6 @@
 #include "core/dataset_io.h"
 
 #include <array>
-#include <bit>
 #include <charconv>
 #include <cstdint>
 #include <cstring>
@@ -64,8 +63,7 @@ class SiteCache {
     const auto bytes = reinterpret_cast<std::uintptr_t>(name.data());
     // 4-7 bytes: two 4-byte loads that overlap inside the name; shifted
     // into place, the shared bytes coincide, so the key holds the
-    // name's bytes in order (on a little-endian host).
-    static_assert(std::endian::native == std::endian::little);
+    // name's bytes in order (hosts are little-endian, compare_kernels.h).
     const auto* w =
         reinterpret_cast<const unsigned char*>(zeros ^ ((zeros ^ bytes) & wide));
     const std::size_t shift = (n - 4) & wide;

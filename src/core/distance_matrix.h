@@ -267,10 +267,10 @@ class SimilarityMatrix {
 
   /// Copy-path twin of adopt_rows for one row: appends a row whose
   /// packed bytes (@p src_bits per element) and Φ values were already
-  /// computed — a tail record, a big-endian host's or a mixed-width
-  /// segment — without re-running the kernels. The matrix must have its
-  /// network count set (adopt_rows with an empty span does that). Drops
-  /// the cached counts, so the next valid append pays the kernels.
+  /// computed — a tail record or a mixed-width segment — without
+  /// re-running the kernels. The matrix must have its network count set
+  /// (adopt_rows with an empty span does that). Drops the cached counts,
+  /// so the next valid append pays the kernels.
   void append_precomputed(const AdoptedRow& row, std::size_t src_bits);
 
   UnknownPolicy policy() const noexcept { return policy_; }

@@ -137,18 +137,9 @@ std::optional<std::uint64_t> derived_payload(std::uint64_t base_row,
 }
 
 std::uint64_t load_u64le(const std::byte* p) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-  } else {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(std::to_integer<unsigned>(p[i]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
 }
 
 /// Appends one packed row of @p networks @p src_bits-bit elements at
@@ -384,19 +375,12 @@ Mapping map_file(const std::filesystem::path& path) {
   return m;
 }
 
-/// What load() keeps alive behind the matrix: the sealed mappings and
-/// the host-order Φ copies a big-endian host makes.
-struct LoadKeepalive {
-  std::vector<Mapping> maps;
-  std::vector<std::vector<double>> phi_buffers;
-};
-
 struct RecordView {
   bool valid = false;
   std::int64_t time = 0;
   std::uint64_t anchor_of = kNoAnchor;
   const std::byte* packed = nullptr;
-  const std::byte* phi_bytes = nullptr;
+  const double* phi = nullptr;  // Φ columns for global rows tri_base..g
   std::size_t phi_count = 0;
 };
 
@@ -408,7 +392,8 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   v.time = static_cast<std::int64_t>(load_u64le(rec + 8));
   v.anchor_of = load_u64le(rec + 16);
   v.packed = rec + kRecordHeaderBytes;
-  v.phi_bytes = v.packed + pad8(core::packed_row_bytes(networks, bits));
+  v.phi = reinterpret_cast<const double*>(
+      v.packed + pad8(core::packed_row_bytes(networks, bits)));
   v.phi_count = static_cast<std::size_t>(g - tri_base + 1);
   return v;
 }
@@ -478,51 +463,61 @@ Mapping check_segment(const std::filesystem::path& path,
 /// check_segment()'s @p take for a reader that only checks.
 void skip_record(const std::byte*, std::uint64_t) {}
 
-/// Reads a representative's network count, refusing one whose packed
-/// row could not fit in what is left of @p r.
-std::size_t get_row_networks(Reader& r, std::uint64_t bits) {
-  const std::uint64_t v = r.get_u64();
-  if (v > (r.size - r.off) * 8 / bits) {
+/// A modebook section's representatives: the section's width and
+/// network count, and the mode count's packed rows, each padded to 8.
+struct BookRows {
+  std::size_t bits = 4;
+  std::size_t networks = 0;
+  std::size_t modes = 0;
+  std::size_t stride = 0;  // bytes per padded row
+  const unsigned char* rows = nullptr;
+};
+
+/// Reads the representatives that open a modebook section, refusing a
+/// width that is not 4, 8, 16 or 32 bits and counts the rest of @p r
+/// cannot hold. A row of no networks takes no bytes, so the mode count
+/// is capped as if each row took one.
+BookRows get_book_rows(Reader& r) {
+  BookRows b;
+  const std::uint64_t bits = r.get_u64();
+  if (!valid_bits(bits)) {
+    throw store_corrupt(
+        "segment manifest: inconsistent — the modebook has packed width " +
+        std::to_string(bits) + " bits, not 4, 8, 16, or 32");
+  }
+  b.bits = static_cast<std::size_t>(bits);
+  const std::uint64_t networks = r.get_u64();
+  if (networks > (r.size - r.off) * 8 / bits) {
     throw DatasetIoError(
         "segment manifest: malformed section — a count exceeds the recorded "
         "payload");
   }
-  return static_cast<std::size_t>(v);
+  b.networks = static_cast<std::size_t>(networks);
+  b.stride = pad8(core::packed_row_bytes(b.networks, b.bits));
+  b.modes = r.get_count(std::max<std::size_t>(b.stride, 1));
+  b.rows = r.take(b.modes * b.stride);
+  return b;
 }
 
-/// Steps @p r over a v5 modebook section, checking what restore() and
-/// the first observe() would otherwise trip over: every representative
-/// has a packed width of 4, 8, 16 or 32 bits and covers @p networks
-/// networks (or, in a store with no rows yet, as many as the first
-/// representative), and the history names only those modes.
+/// Steps @p r over a modebook section, checking what restore() and the
+/// first observe() would otherwise trip over: the representatives cover
+/// the store's @p networks networks, and the history names only their
+/// modes.
 void check_modebook(Reader& r, std::size_t networks) {
-  const std::size_t modes = r.get_count(16);
-  std::size_t expect = networks;
-  for (std::size_t m = 0; m < modes; ++m) {
-    const std::uint64_t bits = r.get_u64();
-    if (!valid_bits(bits)) {
-      throw store_corrupt("segment manifest: inconsistent — representative " +
-                          std::to_string(m) + " has packed width " +
-                          std::to_string(bits) +
-                          " bits, not 4, 8, 16, or 32");
-    }
-    const std::size_t size = get_row_networks(r, bits);
-    if (m == 0 && expect == 0) expect = size;
-    if (size != expect) {
-      throw store_corrupt("segment manifest: inconsistent — representative " +
-                          std::to_string(m) + " covers " +
-                          std::to_string(size) + " networks, the store " +
-                          std::to_string(expect));
-    }
-    r.take(pad8(core::packed_row_bytes(size, bits)));
+  const BookRows b = get_book_rows(r);
+  if (b.modes > 0 && b.networks != networks) {
+    throw store_corrupt("segment manifest: inconsistent — the modebook "
+                        "covers " +
+                        std::to_string(b.networks) + " networks, the store " +
+                        std::to_string(networks));
   }
   const std::size_t entries = r.get_count(8);
   for (std::size_t k = 0; k < entries; ++k) {
-    if (r.get_u64() >= modes) {
+    if (r.get_u64() >= b.modes) {
       throw store_corrupt(
           "segment manifest: inconsistent — history entry " +
           std::to_string(k) + " names a mode past the " +
-          std::to_string(modes) + " representatives");
+          std::to_string(b.modes) + " representatives");
     }
   }
 }
@@ -533,18 +528,15 @@ void read_modebook(const std::string& section, core::PackedSeries& reps,
                    std::vector<std::size_t>& history) {
   Reader r{reinterpret_cast<const unsigned char*>(section.data()),
            section.size(), 0, "segment manifest"};
-  const std::size_t modes = r.get_count(16);
-  for (std::size_t m = 0; m < modes; ++m) {
-    const auto bits = static_cast<std::size_t>(r.get_u64());
-    const std::size_t size = get_row_networks(r, bits);
-    const auto* row = reinterpret_cast<const std::byte*>(
-        r.take(pad8(core::packed_row_bytes(size, bits))));
-    if (m == 0) reps.adopt_rows(size, bits, {}, nullptr);
-    if (size == 0) {
+  const BookRows b = get_book_rows(r);
+  if (b.modes > 0) reps.adopt_rows(b.networks, b.bits, {}, nullptr);
+  for (std::size_t m = 0; m < b.modes; ++m) {
+    if (b.networks == 0) {
       reps.append(core::RoutingVector{});
-      continue;
+    } else {
+      reps.append_packed(
+          reinterpret_cast<const std::byte*>(b.rows + m * b.stride), b.bits);
     }
-    reps.append_packed(row, bits);
   }
   history.resize(r.get_count(8));
   for (std::size_t& h : history) h = static_cast<std::size_t>(r.get_u64());
@@ -614,17 +606,17 @@ class SegmentCodec {
                : core::SimilarityMatrix::kNoAnchorRow;
   }
   /// @p book's manifest section, encoded straight from its packed rows:
-  /// u64 mode count; per mode u64 width in bits, u64 networks and the
-  /// packed row padded to 8; u64 history count, u64 per entry.
+  /// u64 width in bits, u64 networks, u64 mode count, each packed row
+  /// padded to 8; u64 history count, u64 per entry.
   static std::string encode_modebook(const core::ModeBook& book) {
     const core::PackedSeries& rows = book.packed_;
     std::string out;
-    out.reserve(8 + rows.rows() * (16 + pad8(rows.row_bytes())) +
+    out.reserve(24 + rows.rows() * pad8(rows.row_bytes()) +
                 8 * (1 + book.history().size()));
+    put_u64(out, rows.bits_);
+    put_u64(out, rows.networks_);
     put_u64(out, rows.rows());
     for (std::size_t m = 0; m < rows.rows(); ++m) {
-      put_u64(out, rows.bits_);
-      put_u64(out, rows.networks_);
       put_packed_row(out, rows.row_ptr(m), rows.networks_, rows.bits_,
                      rows.bits_);
     }
@@ -653,18 +645,17 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
     // Roll an interrupted lifecycle step forward. The manifest is the
     // source of truth; files only ever run *ahead* of it.
     if (tail_.has_value()) {
-      const std::filesystem::path tp = tail_path(tail_->id);
-      const std::filesystem::path sp = segment_path(tail_->id);
+      const std::filesystem::path tp = tail_path(tail_->info.id);
+      const std::filesystem::path sp = segment_path(tail_->info.id);
       const auto salvage = [&] {
-        obs::event_bus().emit(
-            obs::Severity::kWarn, "segment_tail_salvaged",
-            "\"id\":" + std::to_string(tail_->id) + ",\"dropped_rows\":" +
-                std::to_string(tail_->durable_rows));
-        FENRIR_LOG(Warn)
-                .field("id", tail_->id)
-                .field("dropped_rows", tail_->durable_rows)
+        const SegmentInfo& t = tail_->info;
+        obs::event_bus().emit(obs::Severity::kWarn, "segment_tail_salvaged",
+                              "\"id\":" + std::to_string(t.id) +
+                                  ",\"dropped_rows\":" +
+                                  std::to_string(t.rows));
+        FENRIR_LOG(Warn).field("id", t.id).field("dropped_rows", t.rows)
             << "torn tail dropped; sealed history retained";
-        processed_ = tail_->base_row;
+        processed_ = t.base_row;
         std::error_code ec;
         std::filesystem::remove(tp, ec);
         tail_.reset();
@@ -675,7 +666,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
       // lists the tail. Adopt the file once it checks out as that tail,
       // sealed — its rows the manifest's durable rows.
       const auto adopt_sealed = [&](const std::filesystem::path& p) {
-        check_segment(p, tail_->durable(), true, networks_, skip_record);
+        check_segment(p, tail_->info, true, networks_, skip_record);
         if (p != sp) {
           if (::rename(p.c_str(), sp.c_str()) != 0) {
             throw DatasetIoError("cannot rename " + p.string() + ": " +
@@ -683,7 +674,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
           }
           fsync_dir(dir_);
         }
-        sealed_.push_back(tail_->durable());
+        sealed_.push_back(tail_->info);
         tail_.reset();
         dirty = true;
       };
@@ -692,7 +683,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
         struct stat st{};
         ::fstat(fd, &st);
         const std::size_t need =
-            kSegmentHeaderBytes + tail_->payload_bytes;
+            kSegmentHeaderBytes + tail_->info.payload_bytes;
         const bool torn = static_cast<std::size_t>(st.st_size) < need;
         std::byte head[16]{};  // magic, version, flags
         if (!torn) pread_all(fd, head, sizeof(head), 0, tp);
@@ -712,7 +703,6 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
                                    std::strerror(err));
             }
           }
-          tail_->rows = tail_->durable_rows;
           tail_->fd = fd;
         }
       } else if (std::filesystem::exists(sp)) {
@@ -729,7 +719,7 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
     const std::string name = entry.path().filename().string();
     if (name == "MANIFEST") continue;
     bool referenced = false;
-    if (tail_.has_value() && entry.path() == tail_path(tail_->id)) {
+    if (tail_.has_value() && entry.path() == tail_path(tail_->info.id)) {
       referenced = true;
     }
     for (const SegmentInfo& s : sealed_) {
@@ -790,7 +780,8 @@ std::string SegmentStore::encode_manifest_locked() const {
   put_u64(out, next_segment_id_);
   put_i64(out, max_time_seen_);
   put_u64(out, sealed_.size());
-  for (const SegmentInfo& s : sealed_) {
+  put_u8(out, tail_.has_value() ? 1 : 0);
+  const auto put_entry = [&](const SegmentInfo& s) {
     put_u64(out, s.id);
     put_u64(out, s.base_row);
     put_u64(out, s.rows);
@@ -799,18 +790,9 @@ std::string SegmentStore::encode_manifest_locked() const {
     put_u64(out, s.payload_bytes);
     put_i64(out, s.min_time);
     put_i64(out, s.max_time);
-  }
-  put_u8(out, tail_.has_value() ? 1 : 0);
-  if (tail_.has_value()) {
-    put_u64(out, tail_->id);
-    put_u64(out, tail_->base_row);
-    put_u64(out, tail_->tri_base);
-    put_u64(out, tail_->bits);
-    put_u64(out, tail_->durable_rows);
-    put_u64(out, tail_->payload_bytes);
-    put_i64(out, tail_->min_time);
-    put_i64(out, tail_->max_time);
-  }
+  };
+  for (const SegmentInfo& s : sealed_) put_entry(s);
+  if (tail_.has_value()) put_entry(tail_->info);
   if (has_modebook_) out.append(modebook_);
   patch_u64(out, length_at, out.size() + 4);  // the CRC trailer follows
   put_u32(out, payload_checksum(out.data(), out.size()));
@@ -849,9 +831,6 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   }
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  if constexpr (std::endian::native == std::endian::big) {
-    stored_crc = __builtin_bswap32(stored_crc);
-  }
   if (stored_crc != payload_checksum(bytes.data(), bytes.size() - 4)) {
     throw store_corrupt(
         "segment manifest: checksum mismatch — the file is corrupt (bit "
@@ -879,29 +858,16 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   processed_ = r.get_u64();
   next_segment_id_ = r.get_u64();
   max_time_seen_ = r.get_i64();
-  // Every segment's payload is derived from its rows before any record
-  // is read, so each record walk below (load, verify, compaction) stays
-  // inside bytes the manifest accounts for.
-  const auto check_payload = [&](const std::string& what,
-                                 std::uint64_t base_row, std::uint64_t rows,
-                                 std::uint64_t tri_base, std::uint64_t bits,
-                                 std::uint64_t payload) {
-    const std::optional<std::uint64_t> want =
-        derived_payload(base_row, rows, tri_base, networks_, bits);
-    if (want != payload) {
-      throw store_corrupt(
-          "segment manifest: inconsistent — " + what + "'s payload of " +
-          std::to_string(payload) + " bytes disagrees with its " +
-          std::to_string(rows) + " rows of " + std::to_string(networks_) +
-          " networks at " + std::to_string(bits) + " bits (" +
-          (want ? std::to_string(*want) + " bytes" : "an impossible size") +
-          ")");
-    }
-  };
+  // The entries — the sealed segments, then the tail — must tile the
+  // retained window, and every payload is derived from its rows before
+  // any record is read, so each record walk (load, verify, compaction)
+  // stays inside bytes the manifest accounts for.
   const std::size_t sealed_count = r.get_count(64);
+  const bool has_tail = r.get_u8() != 0;
   std::uint64_t expect_base = base_row_;
   sealed_.clear();
-  for (std::size_t k = 0; k < sealed_count; ++k) {
+  tail_.reset();
+  for (std::size_t k = 0; k < sealed_count + (has_tail ? 1 : 0); ++k) {
     SegmentInfo s;
     s.id = r.get_u64();
     s.base_row = r.get_u64();
@@ -911,39 +877,30 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
     s.payload_bytes = r.get_u64();
     s.min_time = r.get_i64();
     s.max_time = r.get_i64();
+    const std::string what =
+        k == sealed_count ? "the tail" : "segment " + std::to_string(s.id);
     if (s.base_row != expect_base || s.tri_base > base_row_ ||
         !valid_bits(s.bits)) {
-      throw store_corrupt(
-          "segment manifest: inconsistent — sealed segments do not tile "
-          "the retained window");
+      throw store_corrupt("segment manifest: inconsistent — " + what +
+                          " does not continue the retained window");
     }
-    check_payload("segment " + std::to_string(s.id), s.base_row, s.rows,
-                  s.tri_base, s.bits, s.payload_bytes);
+    const std::optional<std::uint64_t> want =
+        derived_payload(s.base_row, s.rows, s.tri_base, networks_, s.bits);
+    if (want != s.payload_bytes) {
+      throw store_corrupt(
+          "segment manifest: inconsistent — " + what + "'s payload of " +
+          std::to_string(s.payload_bytes) + " bytes disagrees with its " +
+          std::to_string(s.rows) + " rows of " + std::to_string(networks_) +
+          " networks at " + std::to_string(s.bits) + " bits (" +
+          (want ? std::to_string(*want) + " bytes" : "an impossible size") +
+          ")");
+    }
     expect_base = s.base_row + s.rows;
-    sealed_.push_back(s);
-  }
-  tail_.reset();
-  if (r.get_u8() != 0) {
-    TailState t;
-    t.id = r.get_u64();
-    t.base_row = r.get_u64();
-    t.tri_base = r.get_u64();
-    t.bits = r.get_u64();
-    t.durable_rows = r.get_u64();
-    t.rows = t.durable_rows;
-    t.payload_bytes = r.get_u64();
-    t.min_time = r.get_i64();
-    t.max_time = r.get_i64();
-    if (t.base_row != expect_base || t.tri_base > base_row_ ||
-        !valid_bits(t.bits)) {
-      throw store_corrupt(
-          "segment manifest: inconsistent — the tail does not continue "
-          "the sealed window");
+    if (k == sealed_count) {
+      tail_ = TailState{s, s.rows};
+    } else {
+      sealed_.push_back(s);
     }
-    check_payload("the tail", t.base_row, t.durable_rows, t.tri_base,
-                  t.bits, t.payload_bytes);
-    expect_base = t.base_row + t.durable_rows;
-    tail_ = t;
   }
   if (processed_ != expect_base) {
     throw store_corrupt(
@@ -995,14 +952,13 @@ void SegmentStore::refresh_names_hash_locked() {
 
 void SegmentStore::open_tail_locked(std::uint64_t bits) {
   TailState t;
-  t.id = next_segment_id_++;
-  t.base_row = processed_;
-  t.tri_base = base_row_;
-  t.bits = bits;
-  const std::filesystem::path tp = tail_path(t.id);
+  t.info.id = next_segment_id_++;
+  t.info.base_row = processed_;
+  t.info.tri_base = base_row_;
+  t.info.bits = bits;
+  const std::filesystem::path tp = tail_path(t.info.id);
   t.fd = open_or_throw(tp, O_RDWR | O_CREAT | O_TRUNC, 0644);
-  const std::string header = encode_segment_header(t.durable(), false,
-                                                   networks_);
+  const std::string header = encode_segment_header(t.info, false, networks_);
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
   fsync_or_throw(t.fd, tp);
   tail_ = t;
@@ -1014,7 +970,7 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
   if (networks != networks_) {
     throw std::invalid_argument("SegmentStore: network count mismatch");
   }
-  if (tail_.has_value() && tail_->bits != bits) {
+  if (tail_.has_value() && tail_->info.bits != bits) {
     if (tail_->rows > 0) {
       // The series widened mid-tail: records in one segment share one
       // width, so seal what we have and start a fresh tail.
@@ -1022,12 +978,12 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
     } else {
       ::close(tail_->fd);
       std::error_code ec;
-      std::filesystem::remove(tail_path(tail_->id), ec);
+      std::filesystem::remove(tail_path(tail_->info.id), ec);
       tail_.reset();
     }
   }
   if (tail_.has_value() && tail_->fd < 0) {
-    tail_->fd = open_or_throw(tail_path(tail_->id), O_RDWR, 0);
+    tail_->fd = open_or_throw(tail_path(tail_->info.id), O_RDWR, 0);
   }
   if (!tail_.has_value()) open_tail_locked(bits);
 }
@@ -1045,7 +1001,8 @@ void SegmentStore::append_record_locked(
   }
   ensure_tail_locked(networks, bits);
   const std::uint64_t g = processed_;
-  if (phi.size() != static_cast<std::size_t>(g - tail_->tri_base + 1)) {
+  SegmentInfo& t = tail_->info;
+  if (phi.size() != static_cast<std::size_t>(g - t.tri_base + 1)) {
     throw std::invalid_argument(
         "SegmentStore: phi span does not cover the retained window");
   }
@@ -1054,13 +1011,8 @@ void SegmentStore::append_record_locked(
              [&](std::string& out) {
                put_u64_array(out, phi.data(), phi.size());
              });
-  if (tail_->rows == 0) {
-    tail_->min_time = time;
-    tail_->max_time = time;
-  } else {
-    tail_->min_time = std::min(tail_->min_time, time);
-    tail_->max_time = std::max(tail_->max_time, time);
-  }
+  t.min_time = tail_->rows == 0 ? time : std::min(t.min_time, time);
+  t.max_time = tail_->rows == 0 ? time : std::max(t.max_time, time);
   tail_->rows += 1;
   max_time_seen_ = std::max(max_time_seen_, time);
   processed_ += 1;
@@ -1075,9 +1027,10 @@ void SegmentStore::append_record_locked(
 
 void SegmentStore::write_pending_locked() {
   pwrite_all(tail_->fd, pending_.data(), pending_.size(),
-             static_cast<off_t>(kSegmentHeaderBytes + tail_->payload_bytes +
+             static_cast<off_t>(kSegmentHeaderBytes +
+                                tail_->info.payload_bytes +
                                 tail_->written_ahead),
-             tail_path(tail_->id));
+             tail_path(tail_->info.id));
   tail_->written_ahead += pending_.size();
   pending_.clear();
 }
@@ -1136,10 +1089,10 @@ void SegmentStore::encode_locked(const QueuedRow& q) {
   // The tail stores Φ columns from its tri_base on; the matrix row holds
   // columns from the session base on. tri_base >= session_base always
   // (the base only advances), so the slice below is in range.
-  const double* phi = SegmentCodec::phi_row(matrix, q.row) +
-                      (tail_->tri_base - q.session_base);
-  const std::size_t phi_count =
-      static_cast<std::size_t>(processed_ - tail_->tri_base + 1);
+  const std::uint64_t tri_base = tail_->info.tri_base;
+  const double* phi =
+      SegmentCodec::phi_row(matrix, q.row) + (tri_base - q.session_base);
+  const auto phi_count = static_cast<std::size_t>(processed_ - tri_base + 1);
   append_record_locked(q.valid, q.time, q.anchor, networks, bits,
                        {SegmentCodec::packed_row(matrix, q.row),
                         core::packed_row_bytes(networks, bits)},
@@ -1193,20 +1146,20 @@ void SegmentStore::seal_active() {
 
 void SegmentStore::flush_locked(bool force_seal) {
   refresh_names_hash_locked();
-  if (tail_.has_value() && tail_->durable_rows < tail_->rows) {
+  if (tail_.has_value() && tail_->info.rows < tail_->rows) {
     write_pending_locked();
-    fsync_or_throw(tail_->fd, tail_path(tail_->id));
+    fsync_or_throw(tail_->fd, tail_path(tail_->info.id));
     SegMetrics& m = seg_metrics();
     m.tail_flush.inc();
     m.tail_bytes.inc(tail_->written_ahead);
-    tail_->payload_bytes += tail_->written_ahead;
+    tail_->info.payload_bytes += tail_->written_ahead;
     tail_->written_ahead = 0;
-    tail_->durable_rows = tail_->rows;
+    tail_->info.rows = tail_->rows;
     chaos::maybe_kill_at("segment_tail_flush");
   }
   write_manifest_locked();
-  if (tail_.has_value() && tail_->durable_rows > 0 &&
-      (force_seal || tail_->durable_rows >= cfg_.seal_rows)) {
+  if (tail_.has_value() && tail_->info.rows > 0 &&
+      (force_seal || tail_->info.rows >= cfg_.seal_rows)) {
     seal_tail_locked();
     std::vector<std::filesystem::path> retired;
     apply_retention_locked(retired);
@@ -1222,8 +1175,8 @@ void SegmentStore::flush_locked(bool force_seal) {
 
 void SegmentStore::seal_tail_locked() {
   TailState& t = *tail_;
-  const SegmentInfo info = t.durable();
-  const std::filesystem::path tp = tail_path(t.id);
+  const SegmentInfo info = t.info;
+  const std::filesystem::path tp = tail_path(info.id);
   // Every record already carries its checksum: the seal is one header
   // write, so it reads nothing back, and a kill before the rename leaves
   // a complete sealed file the next open rolls forward.
@@ -1231,7 +1184,7 @@ void SegmentStore::seal_tail_locked() {
   pwrite_all(t.fd, header.data(), header.size(), 0, tp);
   fsync_or_throw(t.fd, tp);
   ::close(t.fd);
-  const std::filesystem::path sp = segment_path(t.id);
+  const std::filesystem::path sp = segment_path(info.id);
   if (::rename(tp.c_str(), sp.c_str()) != 0) {
     throw DatasetIoError("cannot rename " + tp.string() + " over " +
                          sp.string() + ": " + std::strerror(errno));
@@ -1268,7 +1221,7 @@ void SegmentStore::apply_retention_locked(
   }
   base_row_ = !sealed_.empty()
                   ? sealed_.front().base_row
-                  : (tail_.has_value() ? tail_->base_row : processed_);
+                  : (tail_.has_value() ? tail_->info.base_row : processed_);
 }
 
 // --- accessors ----------------------------------------------------------
@@ -1369,32 +1322,29 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     }
   }
 
-  auto keep = std::make_shared<LoadKeepalive>();
-  const bool uniform_bits =
+  // What load() keeps alive behind the matrix: the sealed mappings.
+  auto keep = std::make_shared<std::vector<Mapping>>();
+  // Sealed pages are adopted in place when they share one width; tail
+  // records, and every record of a mixed-width run, are copied after
+  // them.
+  const bool zero_copy =
       std::all_of(sealed_.begin(), sealed_.end(), [&](const SegmentInfo& s) {
         return s.bits == sealed_.front().bits;
       });
-  // Packed rows are little-endian in memory as on disk; only the Φ
-  // doubles need a host-order copy on a big-endian host.
-  const bool zero_copy =
-      std::endian::native == std::endian::little && uniform_bits;
   core::SimilarityMatrix& matrix = out.matrix;
   const std::size_t adopt_bits = static_cast<std::size_t>(
       !sealed_.empty() ? sealed_.front().bits
-                       : (tail_.has_value() ? tail_->bits : 4));
-
+                       : (tail_.has_value() ? tail_->info.bits : 4));
   std::vector<core::SimilarityMatrix::AdoptedRow> adopted;
-  if (zero_copy) adopted.reserve(retained);
+  if (zero_copy) {
+    adopted.reserve(retained);
+  } else {
+    matrix.adopt_rows(networks_, adopt_bits, {}, keep);
+  }
   const auto rebase_anchor = [&](std::uint64_t a) {
     return (a == kNoAnchor || a < S)
                ? core::SimilarityMatrix::kNoAnchorRow
                : static_cast<std::size_t>(a - S);
-  };
-  bool copy_initialized = false;
-  const auto ensure_copy_matrix = [&] {
-    if (copy_initialized) return;
-    matrix.adopt_rows(networks_, adopt_bits, {}, keep);
-    copy_initialized = true;
   };
   // Identity, exactly: a retained record must hold the dataset row it
   // stands for — its validity, its time, and that row packed at the
@@ -1442,26 +1392,10 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     // row starts at the store's base. tri_base <= S always.
     const std::size_t skip = static_cast<std::size_t>(S - seg.tri_base);
     row.packed = v.packed;
-    if constexpr (std::endian::native == std::endian::little) {
-      row.phi = reinterpret_cast<const double*>(v.phi_bytes) + skip;
-    } else {
-      auto& phis = keep->phi_buffers.emplace_back();
-      phis.resize(v.phi_count - skip);
-      for (std::size_t k = 0; k < phis.size(); ++k) {
-        const std::uint64_t word = load_u64le(v.phi_bytes + 8 * (skip + k));
-        std::memcpy(&phis[k], &word, sizeof(double));
-      }
-      row.phi = phis.data();
-    }
+    row.phi = v.phi + skip;
     if (zero_copy && !in_tail) {
       adopted.push_back(row);
     } else {
-      if (!copy_initialized && adopted.size() > 0) {
-        // Seal the zero-copy prefix before switching to copies.
-        matrix.adopt_rows(networks_, adopt_bits, adopted, keep);
-        copy_initialized = true;
-      }
-      ensure_copy_matrix();
       matrix.append_precomputed(row, bits);
     }
   };
@@ -1473,15 +1407,14 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
           take_record(rec, g, s, false);
         });
     seg_metrics().mmap_bytes.inc(m.size);
-    keep->maps.push_back(std::move(m));
+    keep->push_back(std::move(m));
   }
-  if (zero_copy && !copy_initialized && !adopted.empty()) {
+  if (zero_copy && retained > 0) {
     matrix.adopt_rows(networks_, adopt_bits, adopted, keep);
-    copy_initialized = true;
   }
   if (tail_.has_value()) {
     // Tail records are copied, so the tail's mapping ends here.
-    const SegmentInfo t = tail_->durable();
+    const SegmentInfo& t = tail_->info;
     check_segment(tail_path(t.id), t, false, networks_,
                   [&](const std::byte* rec, std::uint64_t g) {
                     take_record(rec, g, t, true);
@@ -1510,7 +1443,7 @@ bool SegmentStore::verify(std::string* error) const {
       check_segment(segment_path(s.id), s, true, networks_, skip_record);
     }
     if (tail_.has_value()) {
-      check_segment(tail_path(tail_->id), tail_->durable(), false, networks_,
+      check_segment(tail_path(tail_->info.id), tail_->info, false, networks_,
                     skip_record);
     }
   } catch (const std::exception& e) {
@@ -1551,10 +1484,9 @@ bool SegmentStore::find_compaction_run_locked(std::size_t& begin,
 std::size_t SegmentStore::compact_run_locked(std::size_t begin,
                                              std::size_t count,
                                              std::uint64_t plan_base) {
-  // Plan snapshot: sources are immutable sealed files, so the merge
-  // itself needs no lock — compact_now() holds it anyway (simplicity
-  // over concurrency for the synchronous path), the background thread
-  // re-takes it only to commit.
+  // Both callers hold state_mutex_ for the whole merge — compact_now()
+  // and the background thread alike — so spill(), flush() and the
+  // accessors wait for it. The sources are immutable sealed files.
   const std::vector<SegmentInfo> run(sealed_.begin() +
                                          static_cast<std::ptrdiff_t>(begin),
                                      sealed_.begin() +
@@ -1594,9 +1526,8 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
                   parse_record(rec, g, s.tri_base, networks_, src_bits);
               put_record(parts[k], v.valid, v.time, v.anchor_of, v.packed,
                          networks_, src_bits, bits, [&](std::string& out) {
-                           out.append(reinterpret_cast<const char*>(
-                                          v.phi_bytes + 8 * skip),
-                                      8 * (v.phi_count - skip));
+                           put_u64_array(out, v.phi + skip,
+                                         v.phi_count - skip);
                          });
             });
       },

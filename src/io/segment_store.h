@@ -23,11 +23,12 @@
 //
 // Resume mmaps the sealed segments and *adopts* their pages directly
 // into PackedSeries / TriangleStore storage (SimilarityMatrix::
-// adopt_rows) — warm-start cost is flat in history length. Packed rows
-// are little-endian in memory as on disk (compare_kernels.h), so the
-// copy fallback (append_precomputed) is one memcpy per row for tail
-// records and a widening convert_packed_row for mixed-width segment
-// runs; a big-endian host copies only the Φ doubles.
+// adopt_rows) — warm-start cost is flat in history length. The store
+// runs on little-endian hosts only (the static_assert in
+// compare_kernels.h), where packed rows and Φ doubles are the same
+// bytes in memory as on disk, so the copy fallback (append_precomputed)
+// is one memcpy per row for tail records and a widening
+// convert_packed_row for mixed-width segment runs.
 //
 // Segment file layout (all integers little-endian, doubles as IEEE-754
 // bit patterns; everything 8-aligned so doubles map directly):
@@ -56,9 +57,9 @@
 //
 // Record offsets are pure arithmetic in (base_row, tri_base, networks,
 // width) — no per-record index is stored or needed. The manifest
-// decoder derives every sealed segment's and the tail's payload from
-// the same arithmetic (overflow-checked) and refuses an entry whose
-// payload_bytes disagree as "inconsistent", before any record is read.
+// decoder derives every entry's payload from the same arithmetic
+// (overflow-checked) and refuses an entry whose payload_bytes disagree
+// as "inconsistent", before any record is read.
 // One check (check_segment in segment_store.cc) then holds a segment
 // file to its manifest entry — magic, version, every header byte, the
 // size (exact for a sealed file) — and each record to its checksum as
@@ -109,16 +110,25 @@
 // damaged record is "checksum mismatch", a record that is intact but
 // holds another dataset's row is "row mismatch".
 //
-// The manifest also carries the watch's ModeBook: one record per mode
-// holding the representative's packed width in bits, its network count
-// and the packed row at that width (padded to 8), then the
-// per-observation mode history. flush(&book) encodes the rows straight
-// from the book's packed storage, so a paper-scale book of five modes
-// costs about 12.5 MB of manifest at half a byte per network, not
-// 100 MB of u32 site ids. The decoder rejects a representative whose
-// width is not 4, 8, 16 or 32 bits or whose length disagrees with the
-// store's network count, and a history entry past the last mode.
-// Segment files are version 5 and the manifest version 7; any other
+// The manifest (version 8) holds the store's flags, identity hashes,
+// network count, weights and row counters, then u64 sealed count, u8 1
+// when a tail follows, and one entry per sealed segment in row order
+// and one for the tail, each in SegmentInfo's field order (a tail's rows
+// and payload are its durable ones). One loop decodes every entry, and
+// the entries must tile the retained window. The optional modebook
+// section and a u32 wire::payload_checksum close the file.
+//
+// The modebook section carries the watch's ModeBook. Every
+// representative is a row of the book's one PackedSeries, so the
+// section holds u64 width in bits, u64 networks and u64 mode count
+// once, then each representative's packed row (padded to 8), then u64
+// history count and one u64 mode per observation. flush(&book) encodes
+// the rows straight from the book's packed storage, so a paper-scale
+// book of five modes costs about 12.5 MB of manifest at half a byte per
+// network, not 100 MB of u32 site ids. The decoder refuses a width that
+// is not 4, 8, 16 or 32 bits, representatives whose network count is
+// not the store's, and a history entry past the last mode.
+// Segment files are version 5 and the manifest version 8; any other
 // version of either is refused with "version skew" — there is no read
 // path for older stores.
 #pragma once
@@ -145,7 +155,7 @@ inline constexpr char kSegmentMagic[8] = {'F', 'E', 'N', 'R',
 inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
                                            'M', 'A', 'N', 'I'};
 inline constexpr std::uint32_t kSegmentVersion = 5;
-inline constexpr std::uint32_t kManifestVersion = 7;
+inline constexpr std::uint32_t kManifestVersion = 8;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
 
@@ -161,7 +171,9 @@ struct SegmentStoreConfig {
   /// Threads for the restored matrix and compaction verify sweeps
   /// (parallel_for semantics: 0 = hardware, 1 = serial).
   unsigned threads = 1;
-  /// Merge cold small segments in a background thread. compact_now()
+  /// Merge cold small segments in a background thread, started by a
+  /// flush. The thread holds the store's lock for the whole merge, so
+  /// spill(), flush() and the accessors wait for it. compact_now()
   /// works either way.
   bool background_compaction = true;
   /// Minimum run of consecutive undersized sealed segments worth one
@@ -169,8 +181,8 @@ struct SegmentStoreConfig {
   std::size_t compact_min_run = 4;
 };
 
-/// One sealed segment as the manifest records it (also the `segment ls`
-/// row).
+/// One segment as the manifest records it: a sealed one (also the
+/// `segment ls` row) or the tail's durable rows.
 struct SegmentInfo {
   std::uint64_t id = 0;
   std::uint64_t base_row = 0;
@@ -273,9 +285,9 @@ class SegmentStore {
   /// counts the records), verifies identity against @p dataset when
   /// given (null skips — `segment ls` and round-trip tests): the header
   /// and names hashes, then every retained record against its dataset
-  /// row, exactly. Builds the matrix by page adoption (little-endian,
-  /// uniform sealed width) or per-record copy. Throws DatasetIoError on
-  /// corruption or identity mismatch.
+  /// row, exactly. Builds the matrix by page adoption (uniform sealed
+  /// width) or per-record copy. Throws DatasetIoError on corruption or
+  /// identity mismatch.
   Loaded load(const core::Dataset* dataset) const;
 
   /// Runs load(nullptr)'s checks without building a matrix: every
@@ -300,24 +312,13 @@ class SegmentStore {
 
  private:
   struct TailState {
-    std::uint64_t id = 0;
-    std::uint64_t base_row = 0;
-    std::uint64_t tri_base = 0;
-    std::uint64_t bits = 4;
+    /// What the manifest records of the tail: its durable rows and
+    /// payload, and the times of every row appended.
+    SegmentInfo info;
     std::uint64_t rows = 0;           // durable + pending
-    std::uint64_t durable_rows = 0;   // covered by the manifest
-    std::uint64_t payload_bytes = 0;  // durable, covered by the manifest
-    std::uint64_t written_ahead = 0;  // pwritten past payload_bytes, not
-                                      // yet fsynced or in the manifest
-    std::int64_t min_time = 0;
-    std::int64_t max_time = 0;
+    std::uint64_t written_ahead = 0;  // pwritten past info.payload_bytes,
+                                      // not yet fsynced or in the manifest
     int fd = -1;
-
-    /// What the manifest records of the tail: its durable rows.
-    SegmentInfo durable() const {
-      return {id,           base_row,      durable_rows, tri_base,
-              bits,         payload_bytes, min_time,     max_time};
-    }
   };
 
   std::filesystem::path manifest_path() const;

@@ -2,8 +2,9 @@
 // store (io/segment_store.h).
 //
 // The store's byte dialect: integers little-endian, doubles as IEEE-754
-// bit patterns in a u64, bulk word arrays appended in one memcpy on
-// little-endian hosts, and a 4-lane multiply–rotate payload checksum
+// bit patterns in a u64, bulk word arrays appended in one memcpy (hosts
+// are little-endian, compare_kernels.h), and a 4-lane multiply–rotate
+// payload checksum
 // over segment records and the manifest. The store's identity hashes
 // (IdentityHash below) run on the same multiply–rotate lanes, fed
 // 64-bit words by value.
@@ -99,18 +100,12 @@ inline void put_i64(std::string& out, std::int64_t v) {
   put_u64(out, static_cast<std::uint64_t>(v));
 }
 
-// Bulk little-endian append of @p count 8-byte words. The big sections
-// (Φ columns) are megabytes per record at paper scale; a per-element
-// put_u64 would dominate the spill. On a little-endian host this is one
-// append; the byte loop is the big-endian fallback.
+// Bulk little-endian append of @p count 8-byte words, in one append.
+// The big sections (Φ columns) are megabytes per record at paper scale;
+// a per-element put_u64 would dominate the spill.
 inline void put_u64_array(std::string& out, const void* words,
                           std::size_t count) {
-  if constexpr (std::endian::native == std::endian::little) {
-    out.append(static_cast<const char*>(words), count * 8);
-  } else {
-    const auto* p = static_cast<const std::uint64_t*>(words);
-    for (std::size_t i = 0; i < count; ++i) put_u64(out, p[i]);
-  }
+  out.append(static_cast<const char*>(words), count * 8);
 }
 
 inline void patch_u64(std::string& out, std::size_t at, std::uint64_t v) {
@@ -192,14 +187,9 @@ struct Reader {
     off += k;
   }
   /// Bulk read of @p count little-endian 8-byte words — the decode-side
-  /// twin of put_u64_array, one memcpy on little-endian hosts.
+  /// twin of put_u64_array, one memcpy.
   void get_u64_array(void* dst, std::size_t count) {
-    if constexpr (std::endian::native == std::endian::little) {
-      get_bytes(dst, count * 8);
-    } else {
-      auto* out = static_cast<std::uint64_t*>(dst);
-      for (std::size_t i = 0; i < count; ++i) out[i] = get_u64();
-    }
+    get_bytes(dst, count * 8);
   }
 };
 

@@ -149,15 +149,6 @@ QuorumMerge merge_quorum(std::span<const core::RoutingVector> views) {
   return out;
 }
 
-core::SimilarityMatrix fold_phi(std::span<const core::RoutingVector> series,
-                                core::UnknownPolicy policy,
-                                std::vector<double> weights,
-                                unsigned threads) {
-  core::SimilarityMatrix m(policy, std::move(weights), threads);
-  m.append_batch(series);
-  return m;
-}
-
 Campaign::Campaign(std::vector<const TargetProber*> probers,
                    CampaignConfig config)
     : probers_(std::move(probers)),

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.h"
-#include "core/distance_matrix.h"
 #include "core/time.h"
 #include "core/vector.h"
 #include "measure/adaptive_floor.h"
@@ -228,18 +227,6 @@ struct QuorumMerge {
   double confidence = 1.0;
 };
 QuorumMerge merge_quorum(std::span<const core::RoutingVector> views);
-
-/// Folds an epoch/sweep series — a Campaign's series(), a Federation's
-/// merged series, or any buffered slice of either — into the all-pairs
-/// Φ matrix through SimilarityMatrix::append_batch(): one batched fold
-/// instead of per-epoch appends, so anchor selection and the packed-row
-/// column fills amortize across the whole slice. Bit-identical to an
-/// append() loop (and to compute() over a Dataset carrying the same
-/// series); @p weights / @p threads as in SimilarityMatrix::compute().
-core::SimilarityMatrix fold_phi(
-    std::span<const core::RoutingVector> series,
-    core::UnknownPolicy policy = core::UnknownPolicy::kPessimistic,
-    std::vector<double> weights = {}, unsigned threads = 0);
 
 class Campaign {
  public:

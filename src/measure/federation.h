@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "chaos/clock_model.h"
+#include "core/distance_matrix.h"
 #include "core/modebook.h"
 #include "measure/adaptive_floor.h"
 #include "measure/campaign.h"
@@ -134,13 +135,14 @@ struct ProvenanceSummary {
 ProvenanceSummary summarize_provenance(
     std::span<const TargetProvenance> epoch);
 
-/// fold_phi over a federated series that ALSO classifies every epoch
+/// Folds a federated series into the all-pairs Φ matrix through one
+/// SimilarityMatrix::append_batch() and ALSO classifies every epoch
 /// through @p book, recording full decision lineage: each observation's
 /// DecisionRecord carries the anchor chain the fold's matrix used for
 /// that row plus the epoch's provenance summary (when provided —
 /// provenance[r] explains series[r]; shorter spans leave later epochs
-/// without provenance rather than erroring). Returns the same matrix
-/// the campaign.h fold_phi would; verdicts are identical to calling
+/// without provenance rather than erroring). Returns the matrix an
+/// append() loop builds; verdicts are identical to calling
 /// book.observe() per epoch — lineage observes, never steers.
 core::SimilarityMatrix fold_phi(
     std::span<const core::RoutingVector> series, core::ModeBook& book,

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.h"
+#include "core/distance_matrix.h"
 #include "core/modebook.h"
 #include "core/pipeline.h"
 #include "obs/events.h"
@@ -331,8 +332,8 @@ TEST(Campaign, UnroutedTargetsAreNotRetried) {
 }
 
 TEST(Campaign, FoldPhiMatchesAppendLoopOverTheSweepSeries) {
-  // The epoch-fold helper routes a campaign's sweep series through
-  // SimilarityMatrix::append_batch(); it must reproduce the append-loop
+  // A campaign's sweep series folded through one
+  // SimilarityMatrix::append_batch() must reproduce the append-loop
   // matrix bit for bit. The prober mixes sites and no-replies per
   // (target, time) so the series has real churn structure.
   const FnProber prober(keys(60), [](std::size_t i, core::TimePoint t) {
@@ -350,7 +351,8 @@ TEST(Campaign, FoldPhiMatchesAppendLoopOverTheSweepSeries) {
 
   core::SimilarityMatrix loop(core::UnknownPolicy::kPessimistic, {}, 1);
   for (const auto& v : r.series) loop.append(v);
-  const core::SimilarityMatrix folded = fold_phi(r.series);
+  core::SimilarityMatrix folded(core::UnknownPolicy::kPessimistic, {}, 0);
+  folded.append_batch(r.series);
   ASSERT_EQ(folded.size(), loop.size());
   for (std::size_t i = 0; i < loop.size(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {

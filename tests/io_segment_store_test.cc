@@ -211,7 +211,7 @@ void resign_segment(std::string& seg) {
 TEST(Segment, RoundTripBitIdenticalAcrossRotations) {
   // 6, 200 and 300 sites pack to 4, 8 and 16 bits (ids start at
   // kFirstRealSite = 3).
-  for (const auto [site_count, bits] :
+  for (const auto& [site_count, bits] :
        {std::pair<std::size_t, std::uint64_t>{6, 4}, {200, 8}, {300, 16}}) {
     ScratchDir dir("roundtrip" + std::to_string(site_count));
     const Dataset d = periodic_dataset(40, 120, site_count, 0.03, 11);
@@ -924,13 +924,13 @@ TEST(SnapshotWatchState, ModeBookSurvivesEveryWidth) {
 
 // Every way a MANIFEST can be damaged gets its own diagnostic and a
 // segment_store_corrupt event: bad magic, truncation, trailing bytes,
-// bit rot, an older format version (v1 to v6 alike), and checksummed
+// bit rot, an older format version (v1 to v7 alike), and checksummed
 // manifests that no build writes — an identity mode that would
-// otherwise skip the identity checks in load(), ModeBook
-// representatives of an impossible width or of another length than the
-// store's rows, which restore() would otherwise accept and the first
-// observe() trip over, and segment payloads that disagree with their
-// row counts, which load() would otherwise walk past.
+// otherwise skip the identity checks in load(), a ModeBook section of
+// an impossible width or whose representatives cover another network
+// count than the store's rows, which restore() would otherwise accept
+// and the first observe() trip over, and segment payloads that disagree
+// with their row counts, which load() would otherwise walk past.
 TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   ScratchDir dir("manifest_corrupt");
   const Dataset d = periodic_dataset(12, 80, 6, 0.03, 67);
@@ -964,11 +964,11 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
     sealed_rows = store.segments()[0].rows;
   }
   ASSERT_GT(tail_rows, 0u);
-  // The modebook section closes the manifest: per mode u64 width, u64
-  // networks and 80 4-bit ids (40 bytes), then the history — so the
-  // first representative's record sits at a fixed distance from the end.
-  const std::size_t rep0 = good.size() - 4 - 8 * book.history().size() - 8 -
-                           book.mode_count() * (16 + 40);
+  // The modebook section closes the manifest: u64 width, u64 networks,
+  // u64 mode count, 80 4-bit ids (40 bytes) per mode, then the history —
+  // so the section starts at a fixed distance from the end.
+  const std::size_t book_at = good.size() - 4 - 8 * book.history().size() -
+                              8 - book.mode_count() * 40 - 24;
   const auto read_u64 = [&](std::size_t at) {
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
@@ -987,20 +987,19 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
         resign(b);
         return b;
       };
-  const auto with_rep0 = [&](std::size_t field, std::uint64_t v) {
-    return with_u64s({{rep0 + field, v}});
+  const auto with_book = [&](std::size_t field, std::uint64_t v) {
+    return with_u64s({{book_at + field, v}});
   };
   // The header's processed count follows magic, version, length, the
   // four flag bytes, three hashes, networks, the (empty) weights and
-  // base_row; the sealed list follows processed, the next segment id,
-  // the newest time and its count, 64 bytes per segment with the
-  // payload 40 bytes in. The tail's fields end where the modebook's
-  // mode count starts: u64 durable_rows, u64 payload_bytes, i64
-  // min_time, i64 max_time.
+  // base_row; the entries follow processed, the next segment id, the
+  // newest time, the sealed count and the tail flag byte, 64 bytes each
+  // in one layout — rows 16 and payload 40 bytes in — and the tail's
+  // entry is the last, right before the modebook section.
   ASSERT_TRUE(d.weights.empty());
   const std::size_t processed_at = 8 + 4 + 8 + 4 + 8 * 4 + 8 + 8;
-  const std::size_t seg0_payload_at = processed_at + 32 + 40;
-  const std::size_t tail_rows_at = rep0 - 8 - 32;
+  const std::size_t seg0_payload_at = processed_at + 8 + 8 + 8 + 9 + 40;
+  const std::size_t tail_rows_at = book_at - 64 + 16;
   ASSERT_EQ(read_u64(processed_at), d.series.size());
   ASSERT_EQ(read_u64(seg0_payload_at - 24), sealed_rows);
   ASSERT_EQ(read_u64(tail_rows_at), tail_rows);
@@ -1012,8 +1011,8 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
   // A sealed segment's payload eight bytes short of its rows' records.
   const std::string seg_short =
       with_u64s({{seg0_payload_at, read_u64(seg0_payload_at) - 8}});
-  ASSERT_EQ(with_rep0(0, 4), good) << "rep0 does not point at a width";
-  ASSERT_EQ(with_rep0(8, 80), good) << "rep0 + 8 does not hold the length";
+  ASSERT_EQ(with_book(0, 4), good) << "book_at does not point at a width";
+  ASSERT_EQ(with_book(8, 80), good) << "book_at + 8 does not hold networks";
 
   const auto with_version = [&](std::uint32_t v) {
     std::string b = good;
@@ -1048,9 +1047,10 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
       {with_version(4), "version skew", "file is v4"},
       {with_version(5), "version skew", "file is v5"},
       {with_version(6), "version skew", "file is v6"},
+      {with_version(7), "version skew", "file is v7"},
       {bad_mode, "inconsistent", "identity mode 2"},
-      {with_rep0(0, 3), "inconsistent", "packed width 3"},
-      {with_rep0(8, 79), "inconsistent", "covers 79 networks"},
+      {with_book(0, 3), "inconsistent", "packed width 3"},
+      {with_book(8, 79), "inconsistent", "covers 79 networks"},
       {tail_overrun, "inconsistent", "the tail's payload"},
       {seg_short, "inconsistent", "segment 0's payload"},
   };
@@ -1092,7 +1092,7 @@ TEST(Segment, ManifestCorruptionClassesAreDistinct) {
     if (name.rfind("tail-", 0) == 0) tail_name = name;
   }
   ASSERT_FALSE(tail_name.empty());
-  for (const std::string name : {std::string("seg-0.fenrseg"), tail_name}) {
+  for (const std::string& name : {std::string("seg-0.fenrseg"), tail_name}) {
     const fs::path file = dir.path / name;
     const std::string file_good = read_file(file);
     std::string v3 = file_good;
@@ -1252,6 +1252,43 @@ TEST(Segment, CompactionPreservesMatrix) {
  }
 }
 
+// The default store compacts in a background thread. Four manual seals
+// of three rows each make a run of compact_min_run undersized segments,
+// so the flush inside the fourth seal_active() starts the merge; spills
+// and flushes go on while it may be running (they wait on the store's
+// lock). The merge runs once, and the store loads bit-identically to
+// compute() over the same rows, before and after a reopen.
+TEST(Segment, BackgroundCompactionRunsBesideSpills) {
+  ScratchDir dir("compact_background");
+  const Dataset d = periodic_dataset(30, 80, 6, 0.03, 131);
+  SegmentStoreConfig cfg;
+  ASSERT_TRUE(cfg.background_compaction);
+  const std::uint64_t seq = obs::event_bus().last_seq();
+  {
+    SegmentStore store(dir.path, cfg);
+    store.attach(&d);
+    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+    for (std::size_t t = 0; t < d.series.size(); ++t) {
+      live.append(d.series[t]);
+      store.spill(d.series[t], live);
+      if (t + 1 <= 3 * cfg.compact_min_run && (t + 1) % 3 == 0) {
+        store.seal_active();
+      } else {
+        store.flush();
+      }
+    }
+    EXPECT_EQ(store.compact_now(), 0u) << "the background pass merged it";
+    ASSERT_EQ(store.segments().size(), 1u);
+    EXPECT_EQ(store.segments()[0].rows, 3 * cfg.compact_min_run);
+    expect_bit_identical(store.load(&d).matrix, SimilarityMatrix::compute(d),
+                         "background compaction");
+  }
+  EXPECT_EQ(obs::event_bus().since(seq, "compaction_done").size(), 1u);
+  const SegmentStore reopened(dir.path, cfg);
+  expect_bit_identical(reopened.load(&d).matrix, SimilarityMatrix::compute(d),
+                       "background compaction, reopened");
+}
+
 // Mid-stream width growth (site ids crossing 255, so 4 bits → 16) seals
 // the tail early and rotates; the mixed-width store still loads
 // bit-identically.
@@ -1295,36 +1332,46 @@ TEST(Segment, WidthChangeRotatesTail) {
 }
 
 // The modebook travels through the manifest: representatives and
-// history restored exactly.
+// history restored exactly — for a book of several modes and for a book
+// with none (a watch whose sweeps were all invalid so far), which
+// restores to a book that observes the series as a fresh one does.
 TEST(Segment, ModeBookStateRoundTrips) {
-  ScratchDir dir("modebook");
   const Dataset d = periodic_dataset(25, 80, 6, 0.03, 83);
-  core::ModeBook book;
-  for (const RoutingVector& v : d.series) book.observe(v);
-
-  SegmentStoreConfig cfg;
-  cfg.seal_rows = 8;
-  {
-    SegmentStore store(dir.path, cfg);
-    store.attach(&d);
-    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
-    for (std::size_t t = 0; t < d.series.size(); ++t) {
-      live.append(d.series[t]);
-      store.spill(d.series[t], live);
+  core::ModeBook full;
+  for (const RoutingVector& v : d.series) full.observe(v);
+  const core::ModeBook empty;
+  for (const core::ModeBook* book : {&std::as_const(full), &empty}) {
+    const std::string label =
+        std::to_string(book->mode_count()) + " modes";
+    ScratchDir dir("modebook");
+    SegmentStoreConfig cfg;
+    cfg.seal_rows = 8;
+    {
+      SegmentStore store(dir.path, cfg);
+      store.attach(&d);
+      SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
+      for (std::size_t t = 0; t < d.series.size(); ++t) {
+        live.append(d.series[t]);
+        store.spill(d.series[t], live);
+      }
+      store.flush(book);
     }
-    store.flush(&book);
-  }
-  SegmentStore store(dir.path, cfg);
-  SegmentStore::Loaded loaded = store.load(&d);
-  ASSERT_TRUE(loaded.has_modebook);
-  ASSERT_EQ(loaded.representatives.rows(), book.mode_count());
-  EXPECT_EQ(loaded.history, book.history());
-  core::ModeBook restored;
-  restored.restore(std::move(loaded.representatives), loaded.history);
-  for (std::size_t m2 = 0; m2 < book.mode_count(); ++m2) {
-    EXPECT_EQ(restored.representative(m2).assignment,
-              book.representative(m2).assignment)
-        << "mode " << m2;
+    SegmentStore store(dir.path, cfg);
+    SegmentStore::Loaded loaded = store.load(&d);
+    ASSERT_TRUE(loaded.has_modebook) << label;
+    ASSERT_EQ(loaded.representatives.rows(), book->mode_count()) << label;
+    EXPECT_EQ(loaded.history, book->history()) << label;
+    core::ModeBook restored;
+    restored.restore(std::move(loaded.representatives), loaded.history);
+    for (std::size_t m2 = 0; m2 < book->mode_count(); ++m2) {
+      EXPECT_EQ(restored.representative(m2).assignment,
+                book->representative(m2).assignment)
+          << label << " mode " << m2;
+    }
+    if (book->mode_count() == 0) {
+      for (const RoutingVector& v : d.series) restored.observe(v);
+      EXPECT_EQ(restored.history(), full.history()) << label;
+    }
   }
 }
 
@@ -1843,8 +1890,9 @@ std::string& file_of(std::vector<std::pair<std::string, std::string>>& files,
 
 /// Offsets of the u64 fields a decoder steers by, in a known-good
 /// @p bytes of file @p name: for the MANIFEST (empty weights) the
-/// header counts, every sealed entry, the tail and the modebook's widths,
-/// lengths and history; for a segment its header and first record.
+/// header counts, every entry (the sealed segments', then the tail's)
+/// and the modebook's width, network and mode counts and history; for a
+/// segment its header and first record.
 std::vector<std::size_t> u64_fields(const std::string& name,
                                     const std::string& bytes) {
   std::vector<std::size_t> at;
@@ -1857,27 +1905,15 @@ std::vector<std::size_t> u64_fields(const std::string& name,
     return at;
   }
   for (std::size_t f = 24; f <= 96; f += 8) at.push_back(f);
-  const std::uint64_t sealed = get_le64(bytes, 96);
-  for (std::uint64_t k = 0; k < sealed; ++k) {
-    const std::size_t e = 104 + 64 * k;
-    for (std::size_t f = 0; f < 64; f += 8) at.push_back(e + f);
+  const std::uint64_t entries = get_le64(bytes, 96) + (bytes[104] != 0);
+  std::size_t p = 105;
+  for (std::uint64_t k = 0; k < entries; ++k, p += 64) {
+    for (std::size_t f = 0; f < 64; f += 8) at.push_back(p + f);
   }
-  std::size_t p = 104 + 64 * sealed;
-  if (bytes[p] != 0) {
-    for (std::size_t j = 0; j < 8; ++j) at.push_back(p + 1 + 8 * j);
-    p += 64;
-  }
-  p += 1;
-  const std::uint64_t modes = get_le64(bytes, p);
-  at.push_back(p);
-  p += 8;
-  for (std::uint64_t m = 0; m < modes; ++m) {
-    at.push_back(p);
-    at.push_back(p + 8);
-    const std::size_t row = core::packed_row_bytes(
-        get_le64(bytes, p + 8), get_le64(bytes, p));
-    p += 16 + (row + 7) / 8 * 8;
-  }
+  for (std::size_t f = 0; f < 24; f += 8) at.push_back(p + f);
+  const std::size_t row = core::packed_row_bytes(get_le64(bytes, p + 8),
+                                                 get_le64(bytes, p));
+  p += 24 + get_le64(bytes, p + 16) * ((row + 7) / 8 * 8);
   at.push_back(p);  // the history count, then its entries
   for (std::uint64_t k = 0; k < get_le64(bytes, p); ++k) {
     at.push_back(p + 8 + 8 * k);
@@ -1905,16 +1941,12 @@ void expect_exact_rows(const fs::path& dir, const Dataset& d,
   };
   std::vector<Run> runs;
   const std::uint64_t sealed = get_le64(m, 96);
-  for (std::uint64_t k = 0; k < sealed; ++k) {
-    const std::size_t e = 104 + 64 * k;
-    runs.push_back({"seg-" + std::to_string(get_le64(m, e)) + ".fenrseg",
+  for (std::uint64_t k = 0; k < sealed + (m[104] != 0); ++k) {
+    const std::size_t e = 105 + 64 * k;
+    runs.push_back({(k < sealed ? "seg-" : "tail-") +
+                        std::to_string(get_le64(m, e)) + ".fenrseg",
                     get_le64(m, e + 8), get_le64(m, e + 16),
                     get_le64(m, e + 24), get_le64(m, e + 32)});
-  }
-  if (const std::size_t t = 104 + 64 * sealed; m[t] != 0) {
-    runs.push_back({"tail-" + std::to_string(get_le64(m, t + 1)) + ".fenrseg",
-                    get_le64(m, t + 9), get_le64(m, t + 33),
-                    get_le64(m, t + 17), get_le64(m, t + 25)});
   }
   for (const Run& run : runs) {
     const std::string bytes = read_file(dir / run.file);
