@@ -107,8 +107,8 @@ core::Dataset random_dataset(std::size_t obs, std::size_t nets) {
 }
 
 // The paper's recurring-routing structure: consecutive vectors differ in
-// a small fraction of networks. This is the workload the delta-encoded
-// Φ path is built for (1% flips/step ~ production churn between sweeps).
+// a small fraction of networks (1% flips/step ~ production churn between
+// sweeps). Every row still pays the packed kernels against every column.
 core::Dataset low_churn_dataset(std::size_t obs, std::size_t nets,
                                 double churn) {
   core::Dataset d;
@@ -209,24 +209,6 @@ BENCHMARK_CAPTURE(BM_GowerSimd, avx512_u4_2col, core::simd::Tier::kAvx512, 4,
                   2)
     ->Arg(100'000)->Arg(1'000'000);
 
-// The delta patch for one pair at 1% churn. Items are counted in
-// networks covered (the N the patch replaces), so items/s is directly
-// comparable with BM_GowerPessimistic / BM_GowerPacked.
-void BM_GowerDelta(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  core::Dataset d = low_churn_dataset(2, n, 0.01);
-  d.series.push_back(random_vector(n, 8, 9, 0.1));  // the partner row
-  const auto s = core::PackedSeries::pack(d);
-  const auto prep = core::prepare_delta(s.delta_between(0, 1));
-  const auto base = s.counts(0, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::apply_prepared(base, prep, s, 2).matches);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_GowerDelta)->Arg(100'000)->Arg(1'000'000);
-
 void BM_SimilarityMatrix(benchmark::State& state) {
   const auto d = random_dataset(static_cast<std::size_t>(state.range(0)),
                                 static_cast<std::size_t>(state.range(1)));
@@ -255,7 +237,7 @@ BENCHMARK(BM_SimilarityMatrixThreads)
     ->Args({1, 4'000})->Args({2, 4'000})->Args({4, 4'000})->Args({8, 4'000});
 
 // The acceptance pair: the full low-churn matrix on the scalar reference
-// versus the layered fast path (packed kernels + delta rows), both
+// versus the fast path (packed kernels through the settle tiles), both
 // single-threaded so the ratio is pure algorithm. Items are scalar-
 // equivalent comparisons T(T+1)/2 · N.
 void BM_SimilarityMatrixLowChurnScalar(benchmark::State& state) {
@@ -284,7 +266,8 @@ void BM_SimilarityMatrixLowChurn(benchmark::State& state) {
 BENCHMARK(BM_SimilarityMatrixLowChurn)->Args({128, 20'000});
 
 // What `fenrirctl watch` pays per tick: one append() onto a standing
-// T-row matrix (delta path at 1% churn). Items are the scalar-equivalent
+// T-row matrix at 1% churn, then the Φ read that settles it (one kernel
+// row against every column). Items are the scalar-equivalent
 // comparisons of the appended row, (T+1)·N.
 void BM_SimilarityMatrixAppend(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
@@ -305,8 +288,8 @@ BENCHMARK(BM_SimilarityMatrixAppend)->Args({64, 10'000})->Args({256, 10'000});
 
 // The paper's recurrence itself: two routing modes alternating in
 // blocks of 8 observations. Within a block consecutive sweeps differ by
-// 0.1% of networks and patch from their predecessor; the other mode is a
-// near-total rewrite, so every block boundary pays a packed-kernel row.
+// 0.1% of networks; the other mode is a near-total rewrite. Churn does
+// not change the cost: every row is a packed-kernel row.
 core::Dataset periodic_dataset(std::size_t obs, std::size_t nets,
                                std::size_t period = 8) {
   core::Dataset d;
@@ -661,7 +644,7 @@ double segment_save_bytes(const SegmentFixture& f) {
     obs::Counter& written = obs::registry().counter(
         "fenrir_segment_tail_bytes_total");
     const std::uint64_t before = written.value();
-    store.append_raw(true, 0, io::kNoAnchor, n, 4, packed, phi);
+    store.append_raw(true, 0, n, 4, packed, phi);
     store.flush();
     bytes = static_cast<double>(written.value() - before);
   }

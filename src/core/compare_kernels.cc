@@ -45,20 +45,6 @@ WeightedCounts weighted_impl(const std::byte* a, const std::byte* b,
   return out;
 }
 
-// Typed change-set scan. Mismatches are rare on the workloads that reach
-// this path (that is why the delta layer exists), so the hot loop is a
-// well-predicted equality test per element.
-template <typename T>
-void delta_scan(const T* a, const T* b, std::size_t n,
-                std::vector<DeltaEntry>& out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) {
-      out.push_back({static_cast<std::uint32_t>(i), static_cast<SiteId>(a[i]),
-                     static_cast<SiteId>(b[i])});
-    }
-  }
-}
-
 }  // namespace
 
 // Scalar tier of the dispatch table (simd_dispatch.h): thin typed
@@ -139,34 +125,6 @@ template std::array<PairTally, 1> count_scalar<std::uint32_t, 1>(
 template std::array<PairTally, 2> count_scalar<std::uint32_t, 2>(
     const std::uint32_t*, std::array<const std::uint32_t*, 2>, std::size_t);
 
-void delta_u4_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::vector<DeltaEntry>& out) {
-  // Bytes first (equal bytes are the common case), then the one or two
-  // elements of a byte that differs.
-  const auto* ra = reinterpret_cast<const std::byte*>(a);
-  const auto* rb = reinterpret_cast<const std::byte*>(b);
-  const std::size_t bytes = packed_row_bytes(n, 4);
-  for (std::size_t t = 0; t < bytes; ++t) {
-    if (a[t] == b[t]) continue;
-    for (std::size_t i = 2 * t; i < std::min(n, 2 * t + 2); ++i) {
-      const SiteId x = packed_at<4>(ra, i);
-      const SiteId y = packed_at<4>(rb, i);
-      if (x != y) out.push_back({static_cast<std::uint32_t>(i), x, y});
-    }
-  }
-}
-void delta_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::vector<DeltaEntry>& out) {
-  delta_scan(a, b, n, out);
-}
-void delta_u16_scalar(const std::uint16_t* a, const std::uint16_t* b,
-                      std::size_t n, std::vector<DeltaEntry>& out) {
-  delta_scan(a, b, n, out);
-}
-void delta_u32_scalar(const std::uint32_t* a, const std::uint32_t* b,
-                      std::size_t n, std::vector<DeltaEntry>& out) {
-  delta_scan(a, b, n, out);
-}
 SiteId pack_u4_scalar(const SiteId* src, std::uint8_t* dst, std::size_t n) {
   SiteId top = 0;
   const std::size_t full = n / 2;
@@ -199,58 +157,7 @@ SiteId pack_u16_scalar(const SiteId* src, std::uint16_t* dst, std::size_t n) {
   return top;
 }
 
-std::int64_t swap_patch_u4_scalar(const std::uint8_t* row,
-                                  const std::uint32_t* idx,
-                                  const SiteId* before, const SiteId* after,
-                                  std::size_t n, std::size_t /*row_len*/) {
-  const auto* r = reinterpret_cast<const std::byte*>(row);
-  std::int64_t d_matches = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const SiteId b = packed_at<4>(r, idx[t]);
-    d_matches += (after[t] == b);
-    d_matches -= (before[t] == b);
-  }
-  return d_matches;
-}
-
-KnownPatchSums known_patch_u4_scalar(const std::uint8_t* row,
-                                     const std::uint32_t* idx,
-                                     const SiteId* value, std::size_t n,
-                                     std::size_t /*row_len*/) {
-  const auto* r = reinterpret_cast<const std::byte*>(row);
-  KnownPatchSums out;
-  for (std::size_t t = 0; t < n; ++t) {
-    const SiteId b = packed_at<4>(r, idx[t]);
-    out.equal += (value[t] == b);
-    out.known += (b != kUnknownSite);
-  }
-  return out;
-}
-
-std::int64_t swap_patch_u8_scalar(const std::uint8_t* row,
-                                  const std::uint32_t* idx,
-                                  const SiteId* before, const SiteId* after,
-                                  std::size_t n, std::size_t /*row_len*/) {
-  std::int64_t d_matches = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const SiteId b = row[idx[t]];
-    d_matches += (after[t] == b);
-    d_matches -= (before[t] == b);
-  }
-  return d_matches;
-}
-
 }  // namespace simd
-
-SwapPatchFn active_swap_patch(std::size_t bits) noexcept {
-  if (bits == 4) return simd::active().swap_u4;
-  if (bits == 8) return simd::active().swap_u8;
-  return nullptr;
-}
-
-KnownPatchFn active_known_patch_u4() noexcept {
-  return simd::active().known_u4;
-}
 
 SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
                 std::byte* dst) {
@@ -488,60 +395,6 @@ SiteId PackedSeries::value_at(std::size_t row, std::size_t n) const {
   return with_bits(bits_, [&](auto b) {
     return packed_at<decltype(b)::value>(row_ptr(row), n);
   });
-}
-
-std::vector<DeltaEntry> PackedSeries::delta_between(std::size_t from,
-                                                    std::size_t to) const {
-  if (from >= rows() || to >= rows()) {
-    throw std::out_of_range("PackedSeries::delta_between");
-  }
-  std::vector<DeltaEntry> delta;
-  const std::byte* a = row_ptr(from);
-  const std::byte* b = row_ptr(to);
-  const simd::KernelTable& k = simd::active();
-  switch (bits_) {
-    case 4:
-      k.delta_u4(reinterpret_cast<const std::uint8_t*>(a),
-                 reinterpret_cast<const std::uint8_t*>(b), networks_, delta);
-      break;
-    case 8:
-      k.delta_u8(reinterpret_cast<const std::uint8_t*>(a),
-                 reinterpret_cast<const std::uint8_t*>(b), networks_, delta);
-      break;
-    case 16:
-      k.delta_u16(reinterpret_cast<const std::uint16_t*>(a),
-                  reinterpret_cast<const std::uint16_t*>(b), networks_, delta);
-      break;
-    default:
-      k.delta_u32(reinterpret_cast<const std::uint32_t*>(a),
-                  reinterpret_cast<const std::uint32_t*>(b), networks_, delta);
-  }
-  return delta;
-}
-
-PreparedDelta prepare_delta(std::span<const DeltaEntry> delta) {
-  PreparedDelta p;
-  for (const DeltaEntry& d : delta) {
-    const bool before_known = d.before != kUnknownSite;
-    const bool after_known = d.after != kUnknownSite;
-    if (before_known && after_known) {
-      p.idx_swap.push_back(d.index);
-      p.before_swap.push_back(d.before);
-      p.after_swap.push_back(d.after);
-    } else if (after_known) {
-      p.idx_gain.push_back(d.index);
-      p.after_gain.push_back(d.after);
-    } else if (before_known) {
-      p.idx_lose.push_back(d.index);
-      p.before_lose.push_back(d.before);
-    }
-  }
-  return p;
-}
-
-MatchCounts apply_prepared(MatchCounts base, const PreparedDelta& delta,
-                           const PackedSeries& series, std::size_t row_b) {
-  return ColumnPatcher(series, row_b).apply(base, delta);
 }
 
 }  // namespace fenrir::core

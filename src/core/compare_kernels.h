@@ -4,8 +4,8 @@
 // network, on 4-byte SiteIds. At production scale (millions of networks,
 // hundreds of observations) the all-pairs matrix does T²·N of those, and
 // the paper's own thesis — routing *recurs*, consecutive vectors differ
-// in a tiny fraction of networks — goes unexploited. This header supplies
-// the three fast layers the SimilarityMatrix builds on:
+// in a tiny fraction of networks — still costs every pair a pass. This
+// header supplies the two fast layers the SimilarityMatrix builds on:
 //
 //  * PackedSeries — rows narrowed to the smallest element width that
 //    holds every SiteId seen: 4 bits for ids ≤ 15 (two to a byte), 8
@@ -21,17 +21,12 @@
 //    of those two integers (phi_from_counts), so any kernel that
 //    reproduces the tally reproduces Φ *bit-identically* — the
 //    determinism contract the property tests enforce.
-//  * delta_between / prepare_delta + ColumnPatcher — a sorted change-set
-//    between a row and its predecessor, and an O(|Δ|) patch taking
-//    counts(prev, b) to counts(cur, b). When churn is sparse this
-//    replaces an O(N) scan per pair; counts stay exact integers, so Φ
-//    stays bit-identical.
 //
 // Weighted Φ accumulates doubles, where reordering changes the result
 // bits. The weighted kernel therefore keeps the reference's in-order
-// single accumulator and is branchless-select only (no SIMD reduction,
-// no delta path) — still bit-identical, still faster than the branchy
-// scalar loop on unpredictable data.
+// single accumulator and is branchless-select only (no SIMD reduction)
+// — still bit-identical, still faster than the branchy scalar loop on
+// unpredictable data.
 #pragma once
 
 #include <array>
@@ -112,13 +107,6 @@ inline double phi_from_weighted(const WeightedCounts& c) {
 /// matrix pays it once instead of once per pair.
 double in_order_sum(std::span<const double> w);
 
-/// One element of a change-set between a row and its predecessor.
-struct DeltaEntry {
-  std::uint32_t index = 0;  // network index
-  SiteId before = kUnknownSite;
-  SiteId after = kUnknownSite;
-};
-
 /// Bytes one packed row of @p networks elements at @p bits per element
 /// (4, 8, 16 or 32) occupies: a 4-bit row of odd length rounds up to a
 /// whole byte. Exact for any @p networks ≤ SIZE_MAX / 4.
@@ -189,8 +177,6 @@ SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
 /// through it.
 void convert_packed_row(const std::byte* src, std::size_t src_bits,
                         std::byte* dst, std::size_t dst_bits, std::size_t n);
-
-struct PreparedDelta;
 
 /// A time-series of routing vectors packed to the narrowest element width
 /// that holds every SiteId appended so far (4, 8, 16 or 32 bits).
@@ -303,30 +289,10 @@ class PackedSeries {
                                  UnknownPolicy policy,
                                  double pessimistic_total) const;
 
-  /// SiteId at (row, network) — random access for delta patching.
+  /// SiteId at (row, network).
   SiteId value_at(std::size_t row, std::size_t n) const;
 
-  /// Sorted change-set taking row @p from to row @p to (same series).
-  std::vector<DeltaEntry> delta_between(std::size_t from, std::size_t to) const;
-
-  /// Hint-prefetches every line of row @p row. The batch fill walks
-  /// columns sequentially but reads each column's row in random
-  /// (delta-index) order, which the hardware prefetcher cannot learn —
-  /// streaming the next column's row while the current one is patched
-  /// overlaps those misses instead.
-  void prefetch_row(std::size_t row) const {
-    if (row >= rows()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    const std::byte* b = row_ptr(row);
-    const std::size_t bytes = row_bytes();
-    for (std::size_t off = 0; off < bytes; off += 64) {
-      __builtin_prefetch(b + off, 0, 1);
-    }
-#endif
-  }
-
  private:
-  friend class ColumnPatcher;
   friend class fenrir::io::SegmentCodec;
   /// Bytes one owned slab aims for: narrow rows share a slab (no
   /// per-row allocation), a row wider than this gets a slab of its own.
@@ -365,175 +331,5 @@ class PackedSeries {
   std::size_t slab_rows_ = 0;  // rows per slab at the current stride
   std::shared_ptr<const void> keepalive_;
 };
-
-/// A change-set pre-classified by endpoint known-ness, the form in which
-/// the matrix patches counts(prev, b) into counts(cur, b) given the
-/// change-set delta_between(prev, cur): O(|Δ|) with one random access
-/// into row b per entry, exact integer arithmetic, bit-identical Φ.
-/// Whether `before` or `after` equals kUnknownSite does not depend on
-/// the column being patched, so each appended row is classified once
-/// and the prepared form replayed across every column:
-///  - both endpoints known: mutual_known provably cancels (-known +known)
-///    and only match membership can move — two compares per entry;
-///  - before unknown → after known: the pair can only gain, one compare
-///    plus the column's own known test;
-///  - before known → after unknown: the mirror image.
-/// (An entry with both endpoints unknown cannot appear in a change-set.)
-/// Struct-of-arrays so the replay loop streams each class densely.
-struct PreparedDelta {
-  std::vector<std::uint32_t> idx_swap;
-  std::vector<SiteId> before_swap;
-  std::vector<SiteId> after_swap;
-  std::vector<std::uint32_t> idx_gain;
-  std::vector<SiteId> after_gain;
-  std::vector<std::uint32_t> idx_lose;
-  std::vector<SiteId> before_lose;
-};
-
-/// Classifies @p delta into its PreparedDelta form — O(|Δ|), done once
-/// per planned batch row and amortized over every column it patches.
-PreparedDelta prepare_delta(std::span<const DeltaEntry> delta);
-
-/// Kernel signature for the swap-class patch against a 4- or 8-bit row:
-/// returns the net match delta Σ (after[t] == row[idx[t]]) −
-/// (before[t] == row[idx[t]]). @p row_len is the row's element count —
-/// idx entries are sorted ascending, so a vectorized tier can split off
-/// the suffix whose gathers would read past the row and handle it
-/// scalar.
-using SwapPatchFn = std::int64_t (*)(const std::uint8_t* row,
-                                     const std::uint32_t* idx,
-                                     const SiteId* before,
-                                     const SiteId* after, std::size_t n,
-                                     std::size_t row_len);
-
-/// The active dispatch tier's swap-patch kernel for @p bits-bit rows (4
-/// or 8; nullptr otherwise). compare_kernels.cc resolves it; the header
-/// cannot include simd_dispatch.h, which includes this header.
-SwapPatchFn active_swap_patch(std::size_t bits) noexcept;
-
-/// What the gain and lose classes need from the column row: how many of
-/// the gathered elements equal the entry's value, and how many are known.
-struct KnownPatchSums {
-  std::int64_t equal = 0;  // Σ (value[t] == row[idx[t]])
-  std::int64_t known = 0;  // Σ (row[idx[t]] != kUnknownSite)
-};
-
-/// Kernel signature for the gain/lose-class patch against a 4-bit row
-/// (same @p idx and @p row_len contract as SwapPatchFn). On B-Root-like
-/// series, where half the networks are unknown in any sweep, these two
-/// classes hold nearly every change-set entry.
-using KnownPatchFn = KnownPatchSums (*)(const std::uint8_t* row,
-                                        const std::uint32_t* idx,
-                                        const SiteId* value, std::size_t n,
-                                        std::size_t row_len);
-
-/// The active dispatch tier's gain/lose-class kernel for 4-bit rows.
-KnownPatchFn active_known_patch_u4() noexcept;
-
-/// Applies prepared change-sets against one fixed column row, with the
-/// row pointer, width, and patch-kernel dispatch resolved at
-/// construction and the remaining patch loops inlined. The batch fill
-/// patches every planned batch row against the same column before
-/// moving on, so the per-call dispatch and call overhead of
-/// apply_prepared would otherwise be paid k times per column; a
-/// single-row append builds one per column.
-class ColumnPatcher {
- public:
-  ColumnPatcher(const PackedSeries& series, std::size_t row_b)
-      : row_(series.row_ptr(row_b)),
-        bits_(series.bits()),
-        networks_(series.networks()),
-        swap_(active_swap_patch(bits_)),
-        known_u4_(active_known_patch_u4()) {}
-
-  MatchCounts apply(MatchCounts base, const PreparedDelta& p) const {
-    std::int64_t d_matches = 0;
-    std::int64_t d_known = 0;
-    with_bits(bits_, [&](auto b) {
-      constexpr unsigned kBits = decltype(b)::value;
-      if constexpr (kBits <= 8) {
-        // The narrow widths are the common ones: their swap class
-        // (both endpoints known) goes through the dispatched kernel,
-        // which gathers on AVX-512.
-        d_matches += swap_(reinterpret_cast<const std::uint8_t*>(row_),
-                           p.idx_swap.data(), p.before_swap.data(),
-                           p.after_swap.data(), p.idx_swap.size(), networks_);
-      } else {
-        patch_swap<kBits>(row_, p, d_matches);
-      }
-      if constexpr (kBits == 4) {
-        // A nibble costs a shift and a mask on top of the load, so the
-        // gain/lose classes go through the dispatched kernel too.
-        const auto* row = reinterpret_cast<const std::uint8_t*>(row_);
-        if (!p.idx_gain.empty()) {
-          const KnownPatchSums gain =
-              known_u4_(row, p.idx_gain.data(), p.after_gain.data(),
-                        p.idx_gain.size(), networks_);
-          d_matches += gain.equal;
-          d_known += gain.known;
-        }
-        if (!p.idx_lose.empty()) {
-          const KnownPatchSums lose =
-              known_u4_(row, p.idx_lose.data(), p.before_lose.data(),
-                        p.idx_lose.size(), networks_);
-          d_matches -= lose.equal;
-          d_known -= lose.known;
-        }
-      } else {
-        patch_rest<kBits>(row_, p, d_matches, d_known);
-      }
-    });
-    base.matches = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(base.matches) + d_matches);
-    base.mutual_known = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(base.mutual_known) + d_known);
-    return base;
-  }
-
- private:
-  // Exact integer arithmetic, with the column-invariant kUnknownSite
-  // tests hoisted into prepare_delta: a known endpoint that equals the
-  // column's value implies the column's value is known, so only the
-  // gain/lose classes test it.
-  template <unsigned Bits>
-  static void patch_swap(const std::byte* row_b, const PreparedDelta& p,
-                         std::int64_t& d_matches) {
-    const std::size_t n_swap = p.idx_swap.size();
-    for (std::size_t t = 0; t < n_swap; ++t) {
-      const SiteId b = packed_at<Bits>(row_b, p.idx_swap[t]);
-      d_matches += (p.after_swap[t] == b);
-      d_matches -= (p.before_swap[t] == b);
-    }
-  }
-
-  template <unsigned Bits>
-  static void patch_rest(const std::byte* row_b, const PreparedDelta& p,
-                         std::int64_t& d_matches, std::int64_t& d_known) {
-    const std::size_t n_gain = p.idx_gain.size();
-    for (std::size_t t = 0; t < n_gain; ++t) {
-      const SiteId b = packed_at<Bits>(row_b, p.idx_gain[t]);
-      d_matches += (p.after_gain[t] == b);
-      d_known += (b != kUnknownSite);
-    }
-    const std::size_t n_lose = p.idx_lose.size();
-    for (std::size_t t = 0; t < n_lose; ++t) {
-      const SiteId b = packed_at<Bits>(row_b, p.idx_lose[t]);
-      d_matches -= (p.before_lose[t] == b);
-      d_known -= (b != kUnknownSite);
-    }
-  }
-
-  const std::byte* row_;
-  std::size_t bits_;
-  std::size_t networks_;
-  SwapPatchFn swap_;
-  KnownPatchFn known_u4_;
-};
-
-/// Patches @p base, the counts of the change-set's source row against
-/// row @p row_b, into the counts of its target row against @p row_b: one
-/// ColumnPatcher::apply.
-MatchCounts apply_prepared(MatchCounts base, const PreparedDelta& delta,
-                           const PackedSeries& series, std::size_t row_b);
 
 }  // namespace fenrir::core

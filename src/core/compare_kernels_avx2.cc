@@ -201,119 +201,6 @@ template std::array<PairTally, 1> count_avx2<std::uint32_t, 1>(
 template std::array<PairTally, 2> count_avx2<std::uint32_t, 2>(
     const std::uint32_t*, std::array<const std::uint32_t*, 2>, std::size_t);
 
-namespace {
-
-template <typename T>
-inline void push_entry(std::vector<DeltaEntry>& out, std::size_t index,
-                       T before, T after) {
-  out.push_back({static_cast<std::uint32_t>(index),
-                 static_cast<SiteId>(before), static_cast<SiteId>(after)});
-}
-
-/// Pushes the differing elements of byte @p t of two 4-bit rows of @p n
-/// elements, low nibble first.
-inline void push_nibbles(std::vector<DeltaEntry>& out, const std::uint8_t* a,
-                         const std::uint8_t* b, std::size_t t, std::size_t n) {
-  const unsigned x = a[t];
-  const unsigned y = b[t];
-  if (((x ^ y) & 0xFu) != 0) push_entry(out, 2 * t, x & 0xFu, y & 0xFu);
-  if (((x ^ y) >> 4) != 0 && 2 * t + 1 < n) {
-    push_entry(out, 2 * t + 1, x >> 4, y >> 4);
-  }
-}
-
-}  // namespace
-
-void delta_u4_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
-                   std::vector<DeltaEntry>& out) {
-  const std::size_t bytes = packed_row_bytes(n, 4);
-  std::size_t t = 0;
-  for (; t + 32 <= bytes; t += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + t));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + t));
-    std::uint32_t neq = ~static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    while (neq != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
-      neq &= neq - 1;
-      push_nibbles(out, a, b, t + j, n);
-    }
-  }
-  for (; t < bytes; ++t) {
-    if (a[t] != b[t]) push_nibbles(out, a, b, t, n);
-  }
-}
-
-void delta_u8_avx2(const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
-                   std::vector<DeltaEntry>& out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    std::uint32_t neq = ~static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    while (neq != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
-      neq &= neq - 1;
-      push_entry(out, i + j, a[i + j], b[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
-  }
-}
-
-void delta_u16_avx2(const std::uint16_t* a, const std::uint16_t* b,
-                    std::size_t n, std::vector<DeltaEntry>& out) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // Each u16 lane owns two movemask bits; keep the even one so each
-    // mismatch contributes exactly one set bit at position 2*lane.
-    std::uint32_t neq = ~static_cast<std::uint32_t>(_mm256_movemask_epi8(
-                            _mm256_cmpeq_epi16(va, vb))) &
-                        0x55555555u;
-    while (neq != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(neq)) >> 1;
-      neq &= neq - 1;
-      push_entry(out, i + j, a[i + j], b[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
-  }
-}
-
-void delta_u32_avx2(const std::uint32_t* a, const std::uint32_t* b,
-                    std::size_t n, std::vector<DeltaEntry>& out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    std::uint32_t neq = ~static_cast<std::uint32_t>(_mm256_movemask_ps(
-                            _mm256_castsi256_ps(
-                                _mm256_cmpeq_epi32(va, vb)))) &
-                        0xFFu;
-    while (neq != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(neq));
-      neq &= neq - 1;
-      push_entry(out, i + j, a[i + j], b[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] != b[i]) push_entry(out, i, a[i], b[i]);
-  }
-}
-
 // The narrowing packs use saturating pack instructions, which are exact
 // whenever the row fits the width; a row that does not comes back with
 // its largest id, and PackedSeries::append packs it again wider. Every

@@ -7,43 +7,26 @@
 // blank and are excluded from clustering, matching the paper's blank
 // 2023-07..12 band in Figure 3.
 //
-// Construction is incremental. append() packs the new row and *plans*
-// it at once, choosing between
-//   * the packed kernels (compare_kernels.h) — O(N) per pair but SIMD-
-//     dense,
-//   * delta patching from the *predecessor* — the newest valid row, whose
-//     match counts against every column are cached — at O(|Δ|) per pair.
-// The choice costs one pass: the new row tallied against {prev, itself}
-// (compare_kernels.h) gives
-//   |Δ(prev, i)| = differ(prev, i)
-// and the row's known count, which its diagonal and every later pair
-// read. The row patches when the churn is at most
-// kDeltaDensityThreshold·N and pays the kernels otherwise; either way
-// its own counts become the cache for the next row. A matrix adopted
-// from storage starts with no cache, so its first valid row after a
-// load pays the kernels. Delta patching applies to unweighted Φ only
-// (weighted Φ would have to reorder double additions to go fast, which
-// breaks bit-identity).
+// Construction is incremental. append() packs the new row and leaves
+// its Φ columns *pending* until a settle fills every pending row
+// together: at the kSettleRows-th pending row, at the first Φ read that
+// reaches a pending row, or when a segment store flushes the rows it
+// spilled. Every valid unweighted row is a kernel row (compare_kernels.h):
+// its pairs — old columns and the batch corner alike — are tallied a
+// kTileBytes network chunk at a time. Each parallel_for worker owns
+// every W-th column and streams the kernel rows' chunks, which stay in
+// its L2, past two of its columns' chunks per pass, summing exact
+// integer tallies chunk by chunk; the whole-row tallies and the rows'
+// known counts then give Φ. A row that fits one chunk is the plain
+// column-parallel fill. Weighted rows keep the reference's in-order
+// per-pair kernel (reordering their double additions would break
+// bit-identity).
 //
-// The row's Φ columns stay *pending* until a settle fills every pending
-// row together: at the kSettleRows-th pending row, at the first Φ read
-// that reaches a pending row, or when a segment store flushes the rows
-// it spilled. A settle patches delta rows as above and keeps weighted
-// rows on their in-order per-pair kernel. Kernel rows tally all their
-// pairs — old columns and the batch corner alike — a kTileBytes network
-// chunk at a time: each parallel_for worker owns every W-th column and
-// streams the kernel rows' chunks, which stay in its L2, past two of its
-// columns' chunks per pass, summing exact integer tallies chunk by
-// chunk; the whole-row tallies and the rows' known counts then give the
-// counts. A row that fits one chunk is the plain column-parallel fill.
-// Planning is eager, so anchor_chain() and the path counters never wait
-// for a settle.
-//
-// compute() is one append_batch() — the same pack, plan and settle — so
-// batch analysis and `fenrirctl watch` take the same path per row; every
-// path is bit-identical to the scalar reference (compute_reference),
-// which the property tests enforce. Path choice is exported as
-// fenrir_phi_* metrics (observation only — never a result input).
+// compute() is one append_batch() — the same pack and settle — so batch
+// analysis and `fenrirctl watch` take the same path per row; every path
+// is bit-identical to the scalar reference (compute_reference), which
+// the property tests enforce. Row counts are exported as fenrir_phi_*
+// metrics (observation only — never a result input).
 #pragma once
 
 #include <atomic>
@@ -150,13 +133,6 @@ class TriangleStore {
 
 class SimilarityMatrix {
  public:
-  /// Churn fraction |Δ|/N at or below which append() patches the
-  /// predecessor's cached counts instead of re-scanning packed rows.
-  /// Delta patching touches ~|Δ| random elements per pair versus N
-  /// sequential SIMD lanes, so the break-even sits well below the SIMD
-  /// width.
-  static constexpr double kDeltaDensityThreshold = 0.05;
-
   /// Pending rows that trigger a settle: append() fills its rows in
   /// batches of this many, which bounds a settle's transient counts at
   /// kSettleRows · T MatchCounts.
@@ -178,8 +154,8 @@ class SimilarityMatrix {
       unsigned threads = 0);
 
   /// The scalar reference: serial gower_similarity() per pair, no
-  /// packing, no deltas. The oracle the fast paths are property-tested
-  /// against and the baseline BM_SimilarityMatrixLowChurnScalar times.
+  /// packing. The oracle the fast paths are property-tested against and
+  /// the baseline BM_SimilarityMatrixLowChurnScalar times.
   /// Reference matrices are read-only — append() on one throws.
   static SimilarityMatrix compute_reference(
       const Dataset& dataset,
@@ -191,19 +167,18 @@ class SimilarityMatrix {
                             std::vector<double> weights = {},
                             unsigned threads = 1);
 
-  /// Appends one observation: packs it and plans its path (kernel or
-  /// delta, anchor_of, the path counters) at O(N), and leaves its Φ
-  /// columns pending. The kSettleRows-th pending row settles them all;
-  /// so does the first Φ read that reaches a pending row, and a segment
-  /// store's flush. A matrix grown by append() is bit-identical to
+  /// Appends one observation: packs it at O(N) and leaves its Φ columns
+  /// pending. The kSettleRows-th pending row settles them all; so does
+  /// the first Φ read that reaches a pending row, and a segment store's
+  /// flush. A matrix grown by append() is bit-identical to
   /// compute() over the same series, whenever it settles.
   void append(const RoutingVector& v);
 
-  /// Appends @p batch observations at once: packs and plans each row as
-  /// append() does, settling every kSettleRows rows, then settles the
-  /// rest — so it leaves nothing pending and produces exactly the matrix
-  /// an append() loop does (bit-identical: every route to a row's counts
-  /// is exact integer arithmetic, so path choice affects time only).
+  /// Appends @p batch observations at once: packs each row as append()
+  /// does, settling every kSettleRows rows, then settles the rest — so it
+  /// leaves nothing pending and produces exactly the matrix an append()
+  /// loop does (bit-identical: a row's counts are exact integers, so how
+  /// the rows batch into settles affects time only).
   /// Ingest paths that buffer observations (`fenrirctl analyze
   /// --matrix-cache` warm appends, Campaign epoch folds) and compute()
   /// route through this.
@@ -223,26 +198,17 @@ class SimilarityMatrix {
   }
 
   /// A no-op that only checks @p row < size() (std::out_of_range
-  /// otherwise). Rows patch from their predecessor alone, so there is
-  /// nothing to pin; the call stays for callers that predate that rule.
+  /// otherwise). No row is derived from another, so there is nothing to
+  /// pin; the call stays for callers that predate that rule.
   void pin_anchor(std::size_t row) const;
 
-  std::size_t size() const noexcept { return n_; }
-
-  /// Row @p row's anchor-chain base is absent: the row paid the packed
-  /// kernels, was invalid or weighted, or its base fell outside a
-  /// segment store's retained window on load.
-  static constexpr std::size_t kNoAnchorRow =
-      static_cast<std::size_t>(-1);
-
-  /// The anchor chain append()/append_batch() walked ingesting @p row:
-  /// the predecessor it delta-patched from first, then that row's own
-  /// base, and so on, up to @p max_depth entries. Empty for kernel rows.
-  /// Chains are observation-only lineage — they feed DecisionRecords and
-  /// never steer a value; a segment store keeps each row's base, so they
-  /// survive a resume within the retained window.
+  /// Always empty: no row is derived from another, so no row has an
+  /// anchor chain. Kept only for the end-to-end benchmark harness, which
+  /// still calls it.
   std::vector<std::size_t> anchor_chain(std::size_t row,
                                         std::size_t max_depth = 8) const;
+
+  std::size_t size() const noexcept { return n_; }
 
   /// One observation reconstructed from persistent storage: a packed
   /// assignment row (PackedSeries layout) plus the precomputed Φ row (columns
@@ -253,14 +219,12 @@ class SimilarityMatrix {
     const std::byte* packed = nullptr;
     const double* phi = nullptr;
     bool valid = false;
-    std::size_t anchor_of = kNoAnchorRow;
   };
 
   /// Adopts @p rows as the matrix's entire contents without copying or
   /// recomputing Φ: packed bytes and Φ rows stay where they are (mapped
   /// segment pages), pinned by @p keepalive. Requires an empty matrix;
-  /// @p bits is the shared packed element width of every row. No counts
-  /// are cached, so the next valid append pays the kernels.
+  /// @p bits is the shared packed element width of every row.
   void adopt_rows(std::size_t networks, std::size_t bits,
                   std::span<const AdoptedRow> rows,
                   std::shared_ptr<const void> keepalive);
@@ -269,8 +233,7 @@ class SimilarityMatrix {
   /// packed bytes (@p src_bits per element) and Φ values were already
   /// computed — a tail record or a mixed-width segment — without
   /// re-running the kernels. The matrix must have its network count set
-  /// (adopt_rows with an empty span does that). Drops the cached counts,
-  /// so the next valid append pays the kernels.
+  /// (adopt_rows with an empty span does that).
   void append_precomputed(const AdoptedRow& row, std::size_t src_bits);
 
   UnknownPolicy policy() const noexcept { return policy_; }
@@ -316,18 +279,12 @@ class SimilarityMatrix {
       const std::vector<std::size_t>& a,
       const std::vector<std::size_t>& b) const;
 
-  /// The path rule for valid row @p i of an unweighted matrix: with no
-  /// cached predecessor (@p base == kNoAnchorRow, @p churn unread) the
-  /// row pays the kernels; otherwise @p churn = |Δ(base, i)|, and at or
-  /// below the density threshold the row patches from @p base with
-  /// @p delta, the change set, filled in. Returns whether it patches and
-  /// records the row's path metrics.
-  bool plan_row(std::size_t base, std::size_t i, std::size_t churn,
-                std::vector<DeltaEntry>& delta);
-
-  /// Packs @p v and plans it as a pending row (one fenrir_phi_append_seconds
-  /// sample).
+  /// Packs @p v as a pending row (one fenrir_phi_append_seconds sample).
   void ingest(const RoutingVector& v);
+
+  /// Rows appended since the last settle: rows [size() − pending(),
+  /// size()) hold no Φ yet.
+  std::size_t pending() const { return n_ - settle_.settled.load(); }
 
   /// Fills every pending row under one phi_matrix span; a no-op when none
   /// is pending. Safe from concurrent const readers: the first settles
@@ -335,29 +292,21 @@ class SimilarityMatrix {
   void settle() const;
 
   /// The settle itself (caller holds the lock or owns the matrix): the
-  /// kernel rows through the tiles, then the delta and weighted rows'
-  /// old columns column-outer and their corner row-major, then the
-  /// newest valid row's counts become the cache.
+  /// valid pending rows through the kernel tiles, or, in a weighted
+  /// matrix, through fill_weighted.
   void fill_pending() const;
 
   /// Every pair of the pending kernel rows @p rows (ascending indices
-  /// into pending_), old columns and corner alike, through network-chunk
-  /// tiles, one parallel_for job: counts land in @p row_counts, Φ in the
-  /// rows. Every known count the workers read is counted before it
-  /// starts.
-  void fill_kernel_tiles(std::span<const std::size_t> rows,
-                         std::vector<std::vector<MatchCounts>>& row_counts)
-      const;
+  /// into the pending rows), old columns and corner alike, through
+  /// network-chunk tiles, one parallel_for job. Every known count the
+  /// workers read is counted before it starts.
+  void fill_kernel_tiles(std::span<const std::size_t> rows) const;
 
-  /// How a pending row fills: its path, the predecessor a delta row
-  /// patches from, and the change set classified once for every column.
-  struct RowPlan {
-    enum class Path { kInvalid, kKernel, kDelta, kWeighted };
-    Path path = Path::kInvalid;
-    std::size_t base = 0;        // global row id of the predecessor
-    std::size_t delta_size = 0;  // |Δ(base, row)|
-    PreparedDelta prep;
-  };
+  /// Every pair of the pending weighted rows @p rows (indices into the
+  /// pending rows) on the reference's in-order per-pair kernel: the old
+  /// columns column-outer, so column j's packed bytes are loaded once for
+  /// every row, then the corner row-major.
+  void fill_weighted(std::span<const std::size_t> rows) const;
 
   /// Rows [0, settled) hold their Φ; rows [settled, size()) are pending.
   /// The lock lets a const reader settle while others read; moving a
@@ -374,9 +323,9 @@ class SimilarityMatrix {
   };
 
   std::size_t n_ = 0;
-  // A settle fills values_, the packed rows' known counts and the cache
-  // behind a const read, under settle_'s lock; everything else changes
-  // only in non-const members.
+  // A settle fills values_ and the packed rows' known counts behind a
+  // const read, under settle_'s lock; everything else changes only in
+  // non-const members.
   mutable TriangleStore values_;  // lower triangle incl. diagonal
   std::vector<char> valid_;
 
@@ -385,22 +334,7 @@ class SimilarityMatrix {
   double total_weight_ = 0.0;  // in-order sum of weights_ (pessimistic denom)
   unsigned threads_ = 1;
   PackedSeries packed_;  // one row per appended observation
-
-  /// The newest valid row of an unweighted matrix whose counts are
-  /// cached, or will be once the pending rows settle (kNoAnchorRow: none
-  /// — a fresh, adopted, loaded or weighted matrix). prev_counts_ holds
-  /// the cached row's counts against every settled column, with zero
-  /// placeholders at invalid columns that are never read.
-  std::size_t prev_ = kNoAnchorRow;
-  mutable std::vector<MatchCounts> prev_counts_;
-  /// The plans of rows [settled, size()), in order.
-  mutable std::vector<RowPlan> pending_;
   mutable SettleGuard settle_;
-  /// anchor_of_[i] = row that i delta-patched from (kNoAnchorRow for
-  /// kernel/invalid/weighted rows). May be shorter than n_ in a
-  /// compute_reference() matrix — anchor_chain() treats missing entries
-  /// as absent.
-  std::vector<std::size_t> anchor_of_;
 };
 
 }  // namespace fenrir::core

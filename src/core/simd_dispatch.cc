@@ -18,16 +18,9 @@ constexpr KernelTable kScalarTable{
     .count2_u8 = count_scalar<std::uint8_t, 2>,
     .count2_u16 = count_scalar<std::uint16_t, 2>,
     .count2_u32 = count_scalar<std::uint32_t, 2>,
-    .delta_u4 = delta_u4_scalar,
-    .delta_u8 = delta_u8_scalar,
-    .delta_u16 = delta_u16_scalar,
-    .delta_u32 = delta_u32_scalar,
     .pack_u4 = pack_u4_scalar,
     .pack_u8 = pack_u8_scalar,
-    .pack_u16 = pack_u16_scalar,
-    .swap_u4 = swap_patch_u4_scalar,
-    .swap_u8 = swap_patch_u8_scalar,
-    .known_u4 = known_patch_u4_scalar};
+    .pack_u16 = pack_u16_scalar};
 
 #if defined(FENRIR_BUILD_AVX2)
 constexpr KernelTable kAvx2Table{
@@ -39,18 +32,9 @@ constexpr KernelTable kAvx2Table{
     .count2_u8 = count_avx2<std::uint8_t, 2>,
     .count2_u16 = count_avx2<std::uint16_t, 2>,
     .count2_u32 = count_avx2<std::uint32_t, 2>,
-    .delta_u4 = delta_u4_avx2,
-    .delta_u8 = delta_u8_avx2,
-    .delta_u16 = delta_u16_avx2,
-    .delta_u32 = delta_u32_avx2,
     .pack_u4 = pack_u4_avx2,
     .pack_u8 = pack_u8_avx2,
-    .pack_u16 = pack_u16_avx2,
-    // AVX2 has no profitable 16-wide byte gather; the scalar patches
-    // are the fastest correct choice for this tier.
-    .swap_u4 = swap_patch_u4_scalar,
-    .swap_u8 = swap_patch_u8_scalar,
-    .known_u4 = known_patch_u4_scalar};
+    .pack_u16 = pack_u16_avx2};
 #endif
 
 #if defined(FENRIR_BUILD_AVX512)
@@ -63,16 +47,9 @@ constexpr KernelTable kAvx512Table{
     .count2_u8 = count_avx512<std::uint8_t, 2>,
     .count2_u16 = count_avx512<std::uint16_t, 2>,
     .count2_u32 = count_avx512<std::uint32_t, 2>,
-    .delta_u4 = delta_u4_avx512,
-    .delta_u8 = delta_u8_avx512,
-    .delta_u16 = delta_u16_avx512,
-    .delta_u32 = delta_u32_avx512,
     .pack_u4 = pack_u4_avx512,
     .pack_u8 = pack_u8_avx512,
-    .pack_u16 = pack_u16_avx512,
-    .swap_u4 = swap_patch_u4_avx512,
-    .swap_u8 = swap_patch_u8_avx512,
-    .known_u4 = known_patch_u4_avx512};
+    .pack_u16 = pack_u16_avx512};
 #endif
 
 Tier detect() noexcept {

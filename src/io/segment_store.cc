@@ -90,7 +90,7 @@ DatasetIoError store_corrupt(const std::string& what) {
 
 std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-/// Bytes of a record's fixed fields: meta, time, anchor_of.
+/// Bytes of a record's fixed fields: meta, time, the reserved word.
 constexpr std::size_t kRecordHeaderBytes = 24;
 
 /// Record byte size for global row @p g in a segment with @p tri_base.
@@ -191,19 +191,19 @@ std::uint32_t record_checksum(const std::byte* rec, std::size_t size) {
   return payload_checksum(rec, 4) ^ payload_checksum(rec + 8, size - 8);
 }
 
-/// Appends one record to @p out — meta, time, anchor_of, the packed row
-/// of @p networks @p src_bits-bit elements at @p dst_bits, then the Φ
-/// columns @p put_phi appends — and signs it. The spill and compaction
-/// both encode through here.
+/// Appends one record to @p out — meta, time, the reserved word
+/// (kNoAnchor), the packed row of @p networks @p src_bits-bit elements
+/// at @p dst_bits, then the Φ columns @p put_phi appends — and signs it.
+/// The spill and compaction both encode through here.
 template <class PutPhi>
 void put_record(std::string& out, bool valid, std::int64_t time,
-                std::uint64_t anchor_of, const std::byte* packed,
-                std::size_t networks, std::size_t src_bits,
-                std::size_t dst_bits, PutPhi&& put_phi) {
+                const std::byte* packed, std::size_t networks,
+                std::size_t src_bits, std::size_t dst_bits,
+                PutPhi&& put_phi) {
   const std::size_t at = out.size();
   put_u64(out, valid ? 1 : 0);
   put_i64(out, time);
-  put_u64(out, anchor_of);
+  put_u64(out, kNoAnchor);
   put_packed_row(out, packed, networks, src_bits, dst_bits);
   put_phi(out);
   const std::uint32_t crc = record_checksum(
@@ -378,7 +378,6 @@ Mapping map_file(const std::filesystem::path& path) {
 struct RecordView {
   bool valid = false;
   std::int64_t time = 0;
-  std::uint64_t anchor_of = kNoAnchor;
   const std::byte* packed = nullptr;
   const double* phi = nullptr;  // Φ columns for global rows tri_base..g
   std::size_t phi_count = 0;
@@ -390,7 +389,8 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   RecordView v;
   v.valid = (load_u64le(rec) & 1) != 0;
   v.time = static_cast<std::int64_t>(load_u64le(rec + 8));
-  v.anchor_of = load_u64le(rec + 16);
+  // rec + 16 is the reserved word: a row id in stores written while
+  // rows could patch from one another, never read.
   v.packed = rec + kRecordHeaderBytes;
   v.phi = reinterpret_cast<const double*>(
       v.packed + pad8(core::packed_row_bytes(networks, bits)));
@@ -598,12 +598,6 @@ class SegmentCodec {
   /// Whether row @p row still waits for its Φ columns.
   static bool pending(const core::SimilarityMatrix& m, std::size_t row) {
     return row >= m.settle_.settled.load();
-  }
-  static std::size_t anchor_of(const core::SimilarityMatrix& m,
-                               std::size_t row) {
-    return row < m.anchor_of_.size()
-               ? m.anchor_of_[row]
-               : core::SimilarityMatrix::kNoAnchorRow;
   }
   /// @p book's manifest section, encoded straight from its packed rows:
   /// u64 width in bits, u64 networks, u64 mode count, each packed row
@@ -988,10 +982,11 @@ void SegmentStore::ensure_tail_locked(std::size_t networks,
   if (!tail_.has_value()) open_tail_locked(bits);
 }
 
-void SegmentStore::append_record_locked(
-    bool valid, std::int64_t time, std::uint64_t anchor_of,
-    std::size_t networks, std::uint64_t bits,
-    std::span<const std::byte> packed, std::span<const double> phi) {
+void SegmentStore::append_record_locked(bool valid, std::int64_t time,
+                                        std::size_t networks,
+                                        std::uint64_t bits,
+                                        std::span<const std::byte> packed,
+                                        std::span<const double> phi) {
   if (!valid_bits(bits) ||
       packed.size() !=
           core::packed_row_bytes(networks, static_cast<std::size_t>(bits))) {
@@ -1006,7 +1001,7 @@ void SegmentStore::append_record_locked(
     throw std::invalid_argument(
         "SegmentStore: phi span does not cover the retained window");
   }
-  put_record(pending_, valid, time, anchor_of, packed.data(), networks,
+  put_record(pending_, valid, time, packed.data(), networks,
              static_cast<std::size_t>(bits), static_cast<std::size_t>(bits),
              [&](std::string& out) {
                put_u64_array(out, phi.data(), phi.size());
@@ -1060,13 +1055,7 @@ void SegmentStore::spill_row(const core::RoutingVector& v,
     throw std::logic_error(
         "SegmentStore::spill: matrix is longer than the store's history");
   }
-  const std::uint64_t session_base = g - row;
-  const std::size_t local_anchor = SegmentCodec::anchor_of(matrix, row);
-  const QueuedRow q{&matrix, row, session_base, v.valid, v.time,
-                    local_anchor == core::SimilarityMatrix::kNoAnchorRow
-                        ? kNoAnchor
-                        : static_cast<std::uint64_t>(local_anchor) +
-                              session_base};
+  const QueuedRow q{&matrix, row, g - row, v.valid, v.time};
   if (queued_.empty() && !SegmentCodec::pending(matrix, row)) {
     encode_locked(q);
   } else {
@@ -1093,7 +1082,7 @@ void SegmentStore::encode_locked(const QueuedRow& q) {
   const double* phi =
       SegmentCodec::phi_row(matrix, q.row) + (tri_base - q.session_base);
   const auto phi_count = static_cast<std::size_t>(processed_ - tri_base + 1);
-  append_record_locked(q.valid, q.time, q.anchor, networks, bits,
+  append_record_locked(q.valid, q.time, networks, bits,
                        {SegmentCodec::packed_row(matrix, q.row),
                         core::packed_row_bytes(networks, bits)},
                        {phi, phi_count});
@@ -1115,13 +1104,12 @@ void SegmentStore::drain_locked() {
 }
 
 void SegmentStore::append_raw(bool valid, std::int64_t time,
-                              std::uint64_t anchor_of, std::size_t networks,
-                              std::size_t bits,
+                              std::size_t networks, std::size_t bits,
                               std::span<const std::byte> packed,
                               std::span<const double> phi) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   drain_locked();
-  append_record_locked(valid, time, anchor_of, networks, bits, packed, phi);
+  append_record_locked(valid, time, networks, bits, packed, phi);
 }
 
 void SegmentStore::flush(const core::ModeBook* book) {
@@ -1341,11 +1329,6 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   } else {
     matrix.adopt_rows(networks_, adopt_bits, {}, keep);
   }
-  const auto rebase_anchor = [&](std::uint64_t a) {
-    return (a == kNoAnchor || a < S)
-               ? core::SimilarityMatrix::kNoAnchorRow
-               : static_cast<std::size_t>(a - S);
-  };
   // Identity, exactly: a retained record must hold the dataset row it
   // stands for — its validity, its time, and that row packed at the
   // record's width into one reused scratch row, byte for byte. A row
@@ -1387,7 +1370,6 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
     }
     core::SimilarityMatrix::AdoptedRow row;
     row.valid = v.valid;
-    row.anchor_of = rebase_anchor(v.anchor_of);
     // The record's Φ span starts at the segment's tri_base; the matrix
     // row starts at the store's base. tri_base <= S always.
     const std::size_t skip = static_cast<std::size_t>(S - seg.tri_base);
@@ -1524,8 +1506,8 @@ std::size_t SegmentStore::compact_run_locked(std::size_t begin,
             [&](const std::byte* rec, std::uint64_t g) {
               const RecordView v =
                   parse_record(rec, g, s.tri_base, networks_, src_bits);
-              put_record(parts[k], v.valid, v.time, v.anchor_of, v.packed,
-                         networks_, src_bits, bits, [&](std::string& out) {
+              put_record(parts[k], v.valid, v.time, v.packed, networks_,
+                         src_bits, bits, [&](std::string& out) {
                            put_u64_array(out, v.phi + skip,
                                          v.phi_count - skip);
                          });

@@ -11,15 +11,15 @@
 //   <dir>/tail-<id>.fenrseg   active tail, appended in place
 //
 // Each observation is spilled as one self-contained record — validity,
-// time, anchor lineage, the packed assignment row, and the row's Φ
-// values — so a save interval writes O(new rows) bytes and one
-// manifest, never the history. A spill copies the row the matrix has
-// already packed; it never reads the observation's site ids. A row
-// whose Φ columns are still pending (core::SimilarityMatrix settles
-// them in batches) is queued with a pointer to its matrix, and the next
-// flush settles the matrix and encodes the queue in order. When the
-// tail reaches `seal_rows` records it is sealed (its header rewritten
-// with the final counts, renamed seg-<id>) and a fresh tail starts.
+// time, the packed assignment row, and the row's Φ values — so a save
+// interval writes O(new rows) bytes and one manifest, never the history.
+// A spill copies the row the matrix has already packed; it never reads
+// the observation's site ids. A row whose Φ columns are still pending
+// (core::SimilarityMatrix settles them in batches) is queued with a
+// pointer to its matrix, and the next flush settles the matrix and
+// encodes the queue in order. When the tail reaches `seal_rows` records
+// it is sealed (its header rewritten with the final counts, renamed
+// seg-<id>) and a fresh tail starts.
 //
 // Resume mmaps the sealed segments and *adopts* their pages directly
 // into PackedSeries / TriangleStore storage (SimilarityMatrix::
@@ -41,7 +41,9 @@
 //     i64 min_time, i64 max_time, 40 bytes reserved
 //   per record, for global row g = base_row + r:
 //     u64 meta (bit0 valid, bits 32..63 the record's checksum), i64
-//     time, u64 anchor_of (global row or ~0), the packed row —
+//     time, u64 reserved (written ~0, never read; stores from builds
+//     that patched rows from a predecessor hold that row's id), the
+//     packed row —
 //     packed_row_bytes(networks, width) bytes, two 4-bit ids to a byte
 //     (low nibble first, an odd row's last high nibble 0) or 8/16/32-bit
 //     little-endian ids — padded to a multiple of 8, (g − tri_base + 1)
@@ -157,6 +159,7 @@ inline constexpr char kManifestMagic[8] = {'F', 'E', 'N', 'R',
 inline constexpr std::uint32_t kSegmentVersion = 5;
 inline constexpr std::uint32_t kManifestVersion = 8;
 inline constexpr std::size_t kSegmentHeaderBytes = 128;
+/// What every record's reserved word holds as written.
 inline constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
 
 struct SegmentStoreConfig {
@@ -244,8 +247,8 @@ class SegmentStore {
   /// PackedSeries layout, std::invalid_argument otherwise), @p phi the Φ
   /// columns for global rows base..processed() where base is the store's
   /// current base_row — exactly processed() − base_row() + 1 values.
-  void append_raw(bool valid, std::int64_t time, std::uint64_t anchor_of,
-                  std::size_t networks, std::size_t bits,
+  void append_raw(bool valid, std::int64_t time, std::size_t networks,
+                  std::size_t bits,
                   std::span<const std::byte> packed,
                   std::span<const double> phi);
 
@@ -340,7 +343,6 @@ class SegmentStore {
     std::uint64_t session_base = 0;   // global row of matrix row 0
     bool valid = false;
     std::int64_t time = 0;
-    std::uint64_t anchor = kNoAnchor;  // global row or kNoAnchor
   };
 
   /// Encodes @p q's record into the pending buffer at the matrix's
@@ -349,8 +351,7 @@ class SegmentStore {
   /// Encodes every queued row, in order, and empties the queue.
   void drain_locked();
   void append_record_locked(bool valid, std::int64_t time,
-                            std::uint64_t anchor_of, std::size_t networks,
-                            std::uint64_t bits,
+                            std::size_t networks, std::uint64_t bits,
                             std::span<const std::byte> packed,
                             std::span<const double> phi);
   void write_pending_locked();

@@ -664,16 +664,12 @@ core::SimilarityMatrix fold_phi(std::span<const core::RoutingVector> series,
   m.append_batch(series);
   obs::LineageStore& lin = obs::lineage();
   for (std::size_t r = 0; r < series.size(); ++r) {
-    if (lin.enabled()) {
-      const std::vector<std::size_t> chain = m.anchor_chain(r);
-      lin.set_anchor_context(chain);
-      if (r < provenance.size()) {
-        const ProvenanceSummary& p = provenance[r];
-        lin.set_provenance_context(p.member == kNoMember
-                                       ? obs::kLineageNoMember
-                                       : static_cast<std::uint64_t>(p.member),
-                                   p.max_staleness, p.disagreements);
-      }
+    if (lin.enabled() && r < provenance.size()) {
+      const ProvenanceSummary& p = provenance[r];
+      lin.set_provenance_context(p.member == kNoMember
+                                     ? obs::kLineageNoMember
+                                     : static_cast<std::uint64_t>(p.member),
+                                 p.max_staleness, p.disagreements);
     }
     book.observe(series[r]);
     // An invalid epoch never reaches record(); drop its context rather

@@ -138,9 +138,8 @@ ProvenanceSummary summarize_provenance(
 /// Folds a federated series into the all-pairs Φ matrix through one
 /// SimilarityMatrix::append_batch() and ALSO classifies every epoch
 /// through @p book, recording full decision lineage: each observation's
-/// DecisionRecord carries the anchor chain the fold's matrix used for
-/// that row plus the epoch's provenance summary (when provided —
-/// provenance[r] explains series[r]; shorter spans leave later epochs
+/// DecisionRecord carries the epoch's provenance summary (when provided
+/// — provenance[r] explains series[r]; shorter spans leave later epochs
 /// without provenance rather than erroring). Returns the matrix an
 /// append() loop builds; verdicts are identical to calling
 /// book.observe() per epoch — lineage observes, never steers.

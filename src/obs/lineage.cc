@@ -142,15 +142,6 @@ std::string record_json(const DecisionRecord& r) {
            ",\"phi\":" + render_double(r.top[i].phi) + "}";
   }
   out += "]";
-  if (r.has_anchor_info) {
-    out += ",\"anchors\":[";
-    for (std::uint32_t i = 0; i < r.anchor_count; ++i) {
-      if (i) out += ',';
-      out += std::to_string(r.anchor_chain[i]);
-    }
-    out += "]";
-    if (r.anchor_count == 0) out += ",\"kernel\":true";
-  }
   if (r.federated) {
     out += ",\"member\":";
     out += r.member == kLineageNoMember ? "-1" : std::to_string(r.member);
@@ -196,7 +187,7 @@ std::optional<DecisionRecord> parse_record_json(const std::string& line) {
   }
 
   // "top":[{"mode":..,"phi":..},...] — scan pairwise inside the array.
-  // A line cut inside either array (a kill mid-append) is torn.
+  // A line cut inside it (a kill mid-append) is torn.
   const std::size_t top_at = line.find("\"top\":[");
   if (top_at != std::string::npos) {
     const std::size_t top_end = line.find(']', top_at);
@@ -217,24 +208,6 @@ std::optional<DecisionRecord> parse_record_json(const std::string& line) {
     }
   }
 
-  const std::size_t anchors_at = line.find("\"anchors\":[");
-  if (anchors_at != std::string::npos) {
-    r.has_anchor_info = true;
-    std::size_t cursor = anchors_at + 11;
-    const std::size_t end = line.find(']', anchors_at);
-    if (end == std::string::npos) return std::nullopt;
-    while (r.anchor_count < kLineageChainDepth && cursor < end) {
-      std::size_t stop = cursor;
-      while (stop < end && line[stop] != ',') ++stop;
-      if (stop > cursor) {
-        const auto row = parse_u64(
-            std::string_view(line).substr(cursor, stop - cursor));
-        if (!row) break;
-        r.anchor_chain[r.anchor_count++] = *row;
-      }
-      cursor = stop + 1;
-    }
-  }
   if (const auto v = int_after(line, "member")) {
     r.federated = true;
     r.member = *v < 0 ? kLineageNoMember : static_cast<std::uint64_t>(*v);
@@ -264,16 +237,8 @@ void LineageStore::set_capacity(std::size_t capacity) {
   ring_.reserve(capacity);
 }
 
-void LineageStore::set_anchor_context(std::span<const std::size_t> chain) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (config_.capacity == 0) return;  // no record will consume it
-  pending_anchor_ = true;
-  pending_chain_count_ = 0;
-  for (const std::size_t row : chain) {
-    if (pending_chain_count_ >= kLineageChainDepth) break;
-    pending_chain_[pending_chain_count_++] = row;
-  }
-}
+void LineageStore::set_anchor_context(
+    std::span<const std::size_t> /*chain*/) {}
 
 void LineageStore::set_provenance_context(std::uint64_t member,
                                           std::uint64_t staleness,
@@ -288,7 +253,6 @@ void LineageStore::set_provenance_context(std::uint64_t member,
 
 void LineageStore::clear_context() {
   std::lock_guard<std::mutex> lock(mu_);
-  pending_anchor_ = false;
   pending_provenance_ = false;
 }
 
@@ -297,18 +261,11 @@ std::uint64_t LineageStore::record(DecisionRecord record) {
   if (config_.capacity == 0) {
     // Context set for a record that will never exist must not leak
     // into a later one after re-enabling.
-    pending_anchor_ = false;
     pending_provenance_ = false;
     return 0;
   }
   record.id = next_id_++;
   record.unix_time = wall_clock_seconds();
-  if (pending_anchor_) {
-    record.has_anchor_info = true;
-    record.anchor_chain = pending_chain_;
-    record.anchor_count = pending_chain_count_;
-    pending_anchor_ = false;
-  }
   if (pending_provenance_) {
     record.federated = true;
     record.member = pending_member_;
@@ -514,7 +471,6 @@ void LineageStore::reset() {
   sinks_.clear();
   next_id_ = 1;
   evicted_ = 0;
-  pending_anchor_ = false;
   pending_provenance_ = false;
 }
 

@@ -5,8 +5,7 @@
 // *verdict* (mode_created / recurrence events), not the *why*. The
 // lineage store keeps, for every ModeBook::observe(), one compact
 // DecisionRecord: the verdict, the exact Φ of the top-k candidate
-// modes, the winner's per-category match/mismatch/unknown counts, the
-// anchor chain the similarity matrix used to ingest the same row, and
+// modes, the winner's per-category match/mismatch/unknown counts, and
 // — when the observation came through a federated fold — which member
 // served it, how stale its answer was, and whether members disagreed.
 //
@@ -62,8 +61,6 @@ struct DecisionCandidate {
 
 /// Top-k candidates carried per record (best first).
 inline constexpr std::size_t kLineageTopK = 4;
-/// Anchor-chain rows carried per record (immediate anchor first).
-inline constexpr std::size_t kLineageChainDepth = 8;
 /// DecisionRecord::member when no federation member served the row.
 inline constexpr std::uint64_t kLineageNoMember =
     static_cast<std::uint64_t>(-1);
@@ -92,13 +89,6 @@ struct DecisionRecord {
   /// observation has no candidates).
   std::array<DecisionCandidate, kLineageTopK> top{};
   std::uint32_t top_count = 0;
-  /// Anchor chain the similarity matrix walked appending this row
-  /// (immediate anchor first; empty with has_anchor_info means the row
-  /// paid the packed kernels — a novel routing state). Absent entirely
-  /// when no matrix rode along (plain watch, unit drives).
-  std::array<std::uint64_t, kLineageChainDepth> anchor_chain{};
-  std::uint32_t anchor_count = 0;
-  bool has_anchor_info = false;
   /// Federation provenance (set when the series came through
   /// measure::fold_phi over a federated merge).
   bool federated = false;
@@ -114,7 +104,9 @@ struct DecisionRecord {
 std::string record_json(const DecisionRecord& record);
 
 /// Parses a record_json() line back (fenrirctl lineage replay /
-/// explain). Nullopt when the line is not a lineage record.
+/// explain). Nullopt when the line is not a lineage record. Keys it
+/// does not know are skipped, so logs from builds whose records carried
+/// "anchors" and "kernel" still read.
 std::optional<DecisionRecord> parse_record_json(const std::string& line);
 
 /// A consumer of recorded decisions (the flight recorder). consume()
@@ -171,10 +163,8 @@ class LineageStore {
   /// 0 disables recording.
   void set_capacity(std::size_t capacity);
 
-  /// Context for the NEXT record: the anchor chain the similarity
-  /// matrix used for the row about to be classified. Consumed (and
-  /// cleared) by record(). Chains longer than kLineageChainDepth are
-  /// truncated.
+  /// Does nothing: records carry no anchor chains. Kept only for the
+  /// end-to-end benchmark harness, which still calls it.
   void set_anchor_context(std::span<const std::size_t> chain);
   /// Context for the NEXT record: federation provenance summary.
   void set_provenance_context(std::uint64_t member, std::uint64_t staleness,
@@ -240,9 +230,6 @@ class LineageStore {
   Journal log_;
   std::vector<DecisionSink*> sinks_;
   // Pending context (consumed by the next record).
-  bool pending_anchor_ = false;
-  std::array<std::uint64_t, kLineageChainDepth> pending_chain_{};
-  std::uint32_t pending_chain_count_ = 0;
   bool pending_provenance_ = false;
   std::uint64_t pending_member_ = kLineageNoMember;
   std::uint64_t pending_staleness_ = 0;

@@ -331,62 +331,13 @@ TEST(PackedKernels, WeightedBitIdenticalToScalarReference) {
   }
 }
 
-TEST(DeltaKernels, ChangeSetIsSortedAndExact) {
-  RoutingVector a;
-  a.assignment = {3, 4, 5, kUnknownSite, 6};
-  RoutingVector b = a;
-  b.assignment[1] = 9;
-  b.assignment[3] = 7;
-  Dataset d;
-  d.series = {a, b};
-  const PackedSeries s = PackedSeries::pack(d);
-  const auto delta = s.delta_between(0, 1);
-  ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ(delta[0].index, 1u);
-  EXPECT_EQ(delta[0].before, 4u);
-  EXPECT_EQ(delta[0].after, 9u);
-  EXPECT_EQ(delta[1].index, 3u);
-  EXPECT_EQ(delta[1].before, kUnknownSite);
-  EXPECT_EQ(delta[1].after, 7u);
-}
-
-// The prepared patch must take counts(prev, partner) to exactly
-// counts(cur, partner) — the identity the delta Φ path relies on.
-TEST(DeltaKernels, PatchedCountsEqualDirectCounts) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    rng::Rng r(seed * 101);
-    const std::size_t n = 500 + r.uniform(2000);
-    const SiteId sites = seed % 2 == 0 ? 12 : 200;  // 4- and 8-bit rows
-    const auto prev = random_vector(r, n, sites, 0.3);
-    RoutingVector cur = prev;
-    const std::size_t flips = r.uniform(n / 10);
-    for (std::size_t k = 0; k < flips; ++k) {
-      // Includes flips to/from unknown, the trickiest accounting.
-      cur.assignment[r.uniform(n)] =
-          r.bernoulli(0.2)
-              ? kUnknownSite
-              : static_cast<SiteId>(kFirstRealSite + r.uniform(sites));
-    }
-    const auto partner = random_vector(r, n, sites, 0.3);
-    Dataset d;
-    d.series = {prev, cur, partner};
-    const PackedSeries s = PackedSeries::pack(d);
-    const auto delta = s.delta_between(0, 1);
-    const MatchCounts patched =
-        apply_prepared(s.counts(0, 2), prepare_delta(delta), s, 2);
-    const MatchCounts direct = s.counts(1, 2);
-    EXPECT_EQ(patched.matches, direct.matches) << "seed=" << seed;
-    EXPECT_EQ(patched.mutual_known, direct.mutual_known) << "seed=" << seed;
-  }
-}
-
 // ---------------------------------------------------------------------
 // SIMD dispatch property suite: every tier this build/host can run must
-// reproduce the scalar oracle's integer counts and change-sets exactly,
-// across widths × tail lengths (non-multiples of every lane count) ×
-// unknown fractions. Counts equality implies bit-identical
-// Φ for both UnknownPolicy variants (phi_from_counts is a pure function
-// of the two integers), asserted explicitly below anyway.
+// reproduce the scalar oracle's integer counts exactly, across widths ×
+// tail lengths (non-multiples of every lane count) × unknown fractions.
+// Counts equality implies bit-identical Φ for both UnknownPolicy
+// variants (phi_from_counts is a pure function of the two integers),
+// asserted explicitly below anyway.
 
 std::vector<simd::Tier> available_tiers() {
   std::vector<simd::Tier> tiers;
@@ -477,56 +428,6 @@ TEST(SimdKernels, CountsBitIdenticalToScalarOracleAllTiers) {
   }
 }
 
-template <typename T>
-using DeltaFn = void (*)(const T*, const T*, std::size_t,
-                         std::vector<DeltaEntry>&);
-
-template <typename T>
-void expect_delta_identical(DeltaFn<T> kernel, DeltaFn<T> ref,
-                            const std::vector<T>& a, const std::vector<T>& b,
-                            const char* tier) {
-  std::vector<DeltaEntry> got, want;
-  kernel(a.data(), b.data(), a.size(), got);
-  ref(a.data(), b.data(), a.size(), want);
-  ASSERT_EQ(got.size(), want.size()) << tier << " n=" << a.size();
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].index, want[i].index) << tier;
-    EXPECT_EQ(got[i].before, want[i].before) << tier;
-    EXPECT_EQ(got[i].after, want[i].after) << tier;
-  }
-}
-
-template <typename T>
-void run_delta_suite(DeltaFn<T> kernel, DeltaFn<T> ref, rng::Rng& r,
-                     SiteId max_site, const char* tier) {
-  for (const std::size_t n : kSimdSizes) {
-    auto a = random_sites<T>(r, n, max_site, 0.2);
-    auto b = a;
-    const std::size_t flips = n == 0 ? 0 : r.uniform(n / 8 + 1);
-    for (std::size_t k = 0; k < flips; ++k) {
-      b[r.uniform(n)] =
-          r.bernoulli(0.3)
-              ? T{0}
-              : static_cast<T>(kFirstRealSite + r.uniform(max_site));
-    }
-    expect_delta_identical(kernel, ref, a, b, tier);
-  }
-}
-
-TEST(SimdKernels, DeltaScansBitIdenticalToScalarOracleAllTiers) {
-  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
-  for (const simd::Tier tier : available_tiers()) {
-    rng::Rng r(1234);
-    const simd::KernelTable& t = *simd::table_for(tier);
-    const char* name = simd::tier_name(tier);
-    run_delta_suite<std::uint8_t>(t.delta_u8, oracle.delta_u8, r, 200, name);
-    run_delta_suite<std::uint16_t>(t.delta_u16, oracle.delta_u16, r, 60'000,
-                                   name);
-    run_delta_suite<std::uint32_t>(t.delta_u32, oracle.delta_u32, r,
-                                   1'000'000, name);
-  }
-}
-
 /// The inputs a one-pass pack kernel must report the maximum of: @p
 /// fits (every id fits the width), ids up to 1,000,000 anywhere, and
 /// @p fits with one id of @p wide placed first, in the middle and last.
@@ -558,10 +459,9 @@ std::vector<std::size_t> pack_sizes() {
   return sizes;
 }
 
-// The row-ingest kernels (pack_u8/u16) and the swap-class patch kernel
-// must match the scalar oracle exactly for every tier — they feed
-// PackedSeries::append and ColumnPatcher, so a divergence would silently
-// corrupt the packed store or the batched Φ fill. A pack returns the
+// The row-ingest kernels (pack_u8/u16) must match the scalar oracle
+// exactly for every tier — they feed PackedSeries::append, so a
+// divergence would silently corrupt the packed store. A pack returns the
 // largest id it read, wherever the widest id sits and whether or not it
 // fits; its bytes are compared only when that id fits the width, and it
 // never writes past the row.
@@ -601,31 +501,6 @@ TEST(SimdKernels, IngestAndSwapPatchBitIdenticalToScalarOracleAllTiers) {
         for (std::size_t k = n; k < got.size(); ++k) {
           ASSERT_EQ(got[k], 0xABCD) << name << " n=" << n << " wrote past";
         }
-      }
-      if (n > 0) {
-        // Swap patch: ascending indices with the row's last elements
-        // always included, so the gather tier's peeled scalar suffix is
-        // exercised at every size. Mix in before/after values that can
-        // never fit a u8 row — the lane compare must still agree with
-        // the scalar SiteId compare.
-        const auto row = random_sites<std::uint8_t>(r, n, 200, 0.2);
-        std::vector<std::uint32_t> idx;
-        std::vector<SiteId> before, after;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (!r.bernoulli(0.25) && i + 4 <= n) continue;
-          idx.push_back(i);
-          const SiteId b = row[i];
-          before.push_back(r.bernoulli(0.4)
-                               ? b
-                               : kFirstRealSite + r.uniform(300));
-          after.push_back(r.bernoulli(0.4) ? b
-                                           : kFirstRealSite + r.uniform(300));
-        }
-        EXPECT_EQ(t.swap_u8(row.data(), idx.data(), before.data(),
-                            after.data(), idx.size(), n),
-                  oracle.swap_u8(row.data(), idx.data(), before.data(),
-                                 after.data(), idx.size(), n))
-            << name << " n=" << n;
       }
     }
   }
@@ -719,164 +594,6 @@ TEST(SimdKernels, FourBitPackAndCountsBitIdenticalToScalarOracleAllTiers) {
           pb.back() |= 0x30;
           expect_tally(t.count_u4(pa.data(), {pb.data()}, n)[0], want,
                        label + " padded");
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, FourBitDeltaScansBitIdenticalToScalarOracleAllTiers) {
-  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
-  for (const simd::Tier tier : available_tiers()) {
-    rng::Rng r(505);
-    const simd::KernelTable& t = *simd::table_for(tier);
-    const char* name = simd::tier_name(tier);
-    for (const std::size_t n : u4_sizes()) {
-      for (const double uf : {0.0, 0.5, 1.0}) {
-        const auto ia = random_u4_ids(r, n, uf);
-        auto ib = ia;
-        const std::size_t flips = n == 0 ? 0 : r.uniform(n / 8 + 2);
-        for (std::size_t k = 0; k < flips; ++k) {
-          ib[r.uniform(n)] = static_cast<SiteId>(r.uniform(16));
-        }
-        if (n > 0) ib[n - 1] = ia[n - 1] == 15 ? 14 : 15;  // the last element
-        const auto a = pack_u4_oracle(ia);
-        const auto b = pack_u4_oracle(ib);
-        std::vector<DeltaEntry> want;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (ia[i] != ib[i]) {
-            want.push_back({static_cast<std::uint32_t>(i), ia[i], ib[i]});
-          }
-        }
-        std::vector<DeltaEntry> full;
-        oracle.delta_u4(a.data(), b.data(), n, full);
-        ASSERT_EQ(full.size(), want.size()) << "oracle n=" << n;
-        for (std::size_t k = 0; k < want.size(); ++k) {
-          EXPECT_EQ(full[k].index, want[k].index) << "oracle n=" << n;
-          EXPECT_EQ(full[k].before, want[k].before) << "oracle n=" << n;
-          EXPECT_EQ(full[k].after, want[k].after) << "oracle n=" << n;
-        }
-        std::vector<DeltaEntry> got;
-        t.delta_u4(a.data(), b.data(), n, got);
-        ASSERT_EQ(got.size(), want.size()) << name << " n=" << n;
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          EXPECT_EQ(got[k].index, want[k].index) << name << " n=" << n;
-          EXPECT_EQ(got[k].before, want[k].before) << name << " n=" << n;
-          EXPECT_EQ(got[k].after, want[k].after) << name << " n=" << n;
-        }
-        if (n % 2 != 0) {
-          // Differing padding nibbles are no change.
-          auto pb = b;
-          pb.back() ^= 0xA0;
-          std::vector<DeltaEntry> padded;
-          t.delta_u4(a.data(), pb.data(), n, padded);
-          EXPECT_EQ(padded.size(), want.size()) << name << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, FourBitPatchKernelsBitIdenticalToScalarOracleAllTiers) {
-  const simd::KernelTable& oracle = *simd::table_for(simd::Tier::kScalar);
-  for (const simd::Tier tier : available_tiers()) {
-    rng::Rng r(606);
-    const simd::KernelTable& t = *simd::table_for(tier);
-    const char* name = simd::tier_name(tier);
-    for (const std::size_t n : u4_sizes()) {
-      if (n == 0) continue;
-      for (const double uf : {0.0, 0.5, 1.0}) {
-        const auto ids = random_u4_ids(r, n, uf);
-        const auto row = pack_u4_oracle(ids);
-        // Ascending indices, the row's last eight elements always
-        // included, so every gather whose 4 bytes would cross the row
-        // end lands in the peeled suffix. Before/after values past 15
-        // can never match a nibble. swap_u4 and known_u4 (the gain/lose
-        // classes' sums) both run over the same entries.
-        std::vector<std::uint32_t> idx;
-        std::vector<SiteId> before, after;
-        std::int64_t want = 0;
-        KnownPatchSums want_known;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (!r.bernoulli(0.25) && i + 8 < n) continue;
-          idx.push_back(i);
-          before.push_back(r.bernoulli(0.4) ? ids[i] : r.uniform(21));
-          after.push_back(r.bernoulli(0.4) ? ids[i] : r.uniform(21));
-          want += (after.back() == ids[i]) - (before.back() == ids[i]);
-          want_known.equal += after.back() == ids[i];
-          want_known.known += ids[i] != kUnknownSite;
-        }
-        EXPECT_EQ(oracle.swap_u4(row.data(), idx.data(), before.data(),
-                                 after.data(), idx.size(), n),
-                  want)
-            << "oracle n=" << n;
-        EXPECT_EQ(t.swap_u4(row.data(), idx.data(), before.data(),
-                            after.data(), idx.size(), n),
-                  want)
-            << name << " n=" << n << " uf=" << uf;
-        for (const KnownPatchSums got :
-             {oracle.known_u4(row.data(), idx.data(), after.data(),
-                              idx.size(), n),
-              t.known_u4(row.data(), idx.data(), after.data(), idx.size(),
-                         n)}) {
-          EXPECT_EQ(got.equal, want_known.equal) << name << " n=" << n;
-          EXPECT_EQ(got.known, want_known.known) << name << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
-// The step size the similarity matrix plans with: a tally's differ
-// count must be exactly the change set's size — for every tier, width
-// and unknown fraction, on independent and on near-identical row pairs.
-template <typename T>
-void expect_step_identity(simd::CountFn<T, 1> count, DeltaFn<T> delta,
-                          rng::Rng& r, SiteId max_site, const char* tier) {
-  for (const std::size_t n : kSimdSizes) {
-    for (const double uf : {0.0, 0.5, 1.0}) {
-      const auto a = random_sites<T>(r, n, max_site, uf);
-      auto near = a;
-      for (std::size_t k = 0; n > 0 && k < n / 20 + 1; ++k) {
-        near[r.uniform(n)] =
-            r.bernoulli(uf) ? T{0}
-                            : static_cast<T>(kFirstRealSite + r.uniform(max_site));
-      }
-      for (const auto& b : {random_sites<T>(r, n, max_site, uf), near}) {
-        std::vector<DeltaEntry> changes;
-        delta(a.data(), b.data(), n, changes);
-        EXPECT_EQ(count(a.data(), {b.data()}, n)[0].differ, changes.size())
-            << tier << " width " << sizeof(T) << " n=" << n << " uf=" << uf;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, StepSizeIdentityAllTiers) {
-  for (const simd::Tier tier : available_tiers()) {
-    rng::Rng r(777);
-    const simd::KernelTable& t = *simd::table_for(tier);
-    const char* name = simd::tier_name(tier);
-    expect_step_identity<std::uint8_t>(t.count_u8, t.delta_u8, r, 200, name);
-    expect_step_identity<std::uint16_t>(t.count_u16, t.delta_u16, r, 60'000,
-                                        name);
-    expect_step_identity<std::uint32_t>(t.count_u32, t.delta_u32, r,
-                                        1'000'000, name);
-    for (const std::size_t n : u4_sizes()) {
-      for (const double uf : {0.0, 0.5, 1.0}) {
-        const auto ia = random_u4_ids(r, n, uf);
-        auto near = ia;
-        for (std::size_t k = 0; n > 0 && k < n / 20 + 1; ++k) {
-          near[r.uniform(n)] = static_cast<SiteId>(r.uniform(16));
-        }
-        const auto a = pack_u4_oracle(ia);
-        for (const auto& ib : {random_u4_ids(r, n, uf), near}) {
-          const auto b = pack_u4_oracle(ib);
-          std::vector<DeltaEntry> changes;
-          t.delta_u4(a.data(), b.data(), n, changes);
-          EXPECT_EQ(t.count_u4(a.data(), {b.data()}, n)[0].differ,
-                    changes.size())
-              << name << " 4 bits n=" << n << " uf=" << uf;
         }
       }
     }

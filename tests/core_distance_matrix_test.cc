@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -16,15 +15,14 @@
 
 #include "core/simd_dispatch.h"
 #include "io/segment_store.h"
-#include "obs/metrics.h"
 #include "rng/rng.h"
 
 namespace fenrir::core {
 namespace {
 
 // A series with controllable churn: each vector flips `churn` of the
-// networks of its predecessor — the paper's recurring-routing structure
-// that the delta path exploits. Includes invalid (outage) slots.
+// networks of its predecessor — the paper's recurring-routing structure.
+// Includes invalid (outage) slots.
 Dataset churn_dataset(std::size_t obs, std::size_t nets, double churn,
                       std::uint64_t seed, double invalid_frac = 0.0,
                       double unknown_frac = 0.1, bool weighted = false) {
@@ -63,7 +61,7 @@ Dataset churn_dataset(std::size_t obs, std::size_t nets, double churn,
 // recurring structure. Each mode keeps its own slowly-churning vector
 // (only the active mode churns), so a return to a mode lands within a
 // few change-sets of that mode's previous occurrence while staying far
-// from the immediate predecessor: every mode flip pays a kernel row.
+// from the immediate predecessor.
 Dataset periodic_dataset(std::size_t obs, std::size_t nets,
                          std::size_t period, double churn,
                          std::uint64_t seed, double invalid_frac = 0.0,
@@ -109,9 +107,9 @@ void expect_bit_identical(const SimilarityMatrix& got,
   }
 }
 
-// The acceptance property: compute() (packed kernels + delta path +
-// append construction) is bit-identical to the scalar reference across
-// churn levels, policies, weighting, invalid slots, and thread counts.
+// The acceptance property: compute() (packed kernels + append
+// construction) is bit-identical to the scalar reference across churn
+// levels, policies, weighting, invalid slots, and thread counts.
 TEST(SimilarityMatrixFast, ComputeBitIdenticalToReference) {
   struct Case {
     double churn;
@@ -119,10 +117,10 @@ TEST(SimilarityMatrixFast, ComputeBitIdenticalToReference) {
     bool weighted;
   };
   const Case cases[] = {
-      {0.01, 0.0, false},  // low churn: delta path
-      {0.01, 0.2, false},  // delta path interrupted by outages
-      {0.5, 0.1, false},   // high churn: kernel path
-      {0.01, 0.1, true},   // weighted: kernel path only
+      {0.01, 0.0, false},  // low churn
+      {0.01, 0.2, false},  // low churn interrupted by outages
+      {0.5, 0.1, false},   // high churn
+      {0.01, 0.1, true},   // weighted: the in-order per-pair kernel
   };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const Case& c : cases) {
@@ -176,30 +174,8 @@ TEST(SimilarityMatrixFast, AppendChecksWeightSize) {
   EXPECT_THROW(m.append(v), std::invalid_argument);
 }
 
-TEST(SimilarityMatrixFast, DeltaPathEngagesOnLowChurn) {
-  auto& delta_rows =
-      obs::registry().counter("fenrir_phi_rows_delta_total");
-  auto& kernel_rows =
-      obs::registry().counter("fenrir_phi_rows_kernel_total");
-  const auto delta_before = delta_rows.value();
-  const auto kernel_before = kernel_rows.value();
-
-  // 1% churn over 2000 networks: every row after the first patches.
-  const Dataset low = churn_dataset(12, 2000, 0.01, 21);
-  (void)SimilarityMatrix::compute(low, UnknownPolicy::kPessimistic, 1);
-  EXPECT_GE(delta_rows.value() - delta_before, 10u);
-
-  // 50% churn: the kernels take over.
-  const auto delta_mid = delta_rows.value();
-  const Dataset high = churn_dataset(12, 2000, 0.5, 22);
-  (void)SimilarityMatrix::compute(high, UnknownPolicy::kPessimistic, 1);
-  EXPECT_EQ(delta_rows.value(), delta_mid);
-  EXPECT_GE(kernel_rows.value() - kernel_before, 12u);
-}
-
-// Mode alternation mixes both paths — predecessor patches within a block,
-// kernel rows at each flip — and both must stay bit-identical to the
-// scalar reference.
+// Mode alternation — near-repeats within a block, a rewrite at each
+// flip — must stay bit-identical to the scalar reference.
 TEST(SimilarityMatrixAnchors, PeriodicBitIdenticalToReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const auto policy :
@@ -218,15 +194,12 @@ TEST(SimilarityMatrixAnchors, PeriodicBitIdenticalToReference) {
 }
 
 // pin_anchor is a range-checked no-op: pinning any row, valid or not,
-// changes neither a value nor a path.
+// changes no value, and no row has an anchor chain.
 TEST(SimilarityMatrixAnchors, PinAnchorValidatesAndStaysIdentical) {
   const Dataset d = churn_dataset(20, 300, 0.02, 5, 0.1);
   const auto ref = SimilarityMatrix::compute_reference(d);
   EXPECT_NO_THROW(ref.pin_anchor(0));
   EXPECT_THROW(ref.pin_anchor(d.series.size()), std::out_of_range);
-
-  SimilarityMatrix plain(UnknownPolicy::kPessimistic, d.weights, 1);
-  for (const RoutingVector& v : d.series) plain.append(v);
 
   SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
   EXPECT_THROW(m.pin_anchor(0), std::out_of_range);
@@ -238,10 +211,10 @@ TEST(SimilarityMatrixAnchors, PinAnchorValidatesAndStaysIdentical) {
   EXPECT_THROW(m.pin_anchor(99), std::out_of_range);
   expect_bit_identical(m, ref, "pinned");
   for (std::size_t row = 0; row < m.size(); ++row) {
-    EXPECT_EQ(m.anchor_chain(row), plain.anchor_chain(row)) << "row " << row;
+    EXPECT_TRUE(m.anchor_chain(row).empty()) << "row " << row;
   }
 
-  // Weighted matrices run kernels only; pinning is a documented no-op.
+  // Weighted matrices too; pinning is a documented no-op.
   SimilarityMatrix w(UnknownPolicy::kPessimistic, {1.0, 2.0, 3.0}, 1);
   RoutingVector v;
   v.assignment = {3, 4, 5};
@@ -252,8 +225,8 @@ TEST(SimilarityMatrixAnchors, PinAnchorValidatesAndStaysIdentical) {
 
 // append_batch must produce exactly the matrix an append() loop does —
 // across churn shapes, outage slots, policies, warm starts, and batch
-// sizes that cross the internal chunk boundary. The cache a batch leaves
-// must also be equivalent: appends *after* a batch stay identical too.
+// sizes that cross the internal chunk boundary. Appends *after* a batch
+// stay identical too.
 TEST(SimilarityMatrixBatch, BatchBitIdenticalToAppendLoop) {
   struct Case {
     Dataset d;
@@ -283,8 +256,7 @@ TEST(SimilarityMatrixBatch, WarmBatchAndPostBatchAppendsStayIdentical) {
   for (const RoutingVector& v : d.series) loop.append(v);
 
   // Warm start: 20 rows one at a time, a 16-row batch, then the tail
-  // appended row-at-a-time again — the post-batch appends only agree if
-  // the batch left the cached predecessor counts in the equivalent state.
+  // appended row-at-a-time again.
   SimilarityMatrix mixed(UnknownPolicy::kPessimistic, d.weights, 1);
   for (std::size_t t = 0; t < 20; ++t) mixed.append(d.series[t]);
   mixed.append_batch(
@@ -313,8 +285,7 @@ TEST(SimilarityMatrixBatch, WeightedBatchFallsBackBitIdentical) {
 // Verfploeter-style sweeps: one slowly drifting routing state, each
 // sweep hearing from every network independently with probability
 // 1 − unknown_frac — consecutive rows differ in about half of their
-// networks at 50% unknown, far past the delta threshold, like the
-// paper-scale B-Root workload.
+// networks at 50% unknown, like the paper-scale B-Root workload.
 Dataset verfploeter_dataset(std::size_t obs, std::size_t nets,
                             std::uint64_t seed, double unknown_frac = 0.5,
                             double invalid_frac = 0.1) {
@@ -344,142 +315,6 @@ Dataset verfploeter_dataset(std::size_t obs, std::size_t nets,
   return d;
 }
 
-// The predecessor rule restated element-wise from the raw vectors, with
-// no counts: a valid row patches exactly when the newest valid row
-// before it still has its counts cached — not across a load at row
-// @p load_at, and not for the first valid row — and the two vectors
-// differ in at most kDeltaDensityThreshold of the networks. Returns each
-// row's expected base, −1 for kernel and invalid rows.
-std::vector<long> oracle_bases(
-    const Dataset& d, std::size_t load_at = static_cast<std::size_t>(-1)) {
-  std::vector<long> bases(d.series.size(), -1);
-  long prev = -1;
-  for (std::size_t i = 0; i < d.series.size(); ++i) {
-    if (i == load_at) prev = -1;
-    const RoutingVector& v = d.series[i];
-    if (!v.valid) continue;
-    if (prev >= 0) {
-      const std::vector<SiteId>& before = d.series[prev].assignment;
-      std::size_t churn = 0;
-      for (std::size_t n = 0; n < before.size(); ++n) {
-        churn += before[n] != v.assignment[n];
-      }
-      if (static_cast<double>(churn) <=
-          SimilarityMatrix::kDeltaDensityThreshold *
-              static_cast<double>(before.size())) {
-        bases[i] = prev;
-      }
-    }
-    prev = static_cast<long>(i);
-  }
-  return bases;
-}
-
-// Each row's anchor-chain base, −1 for none.
-std::vector<long> bases_of(const SimilarityMatrix& m) {
-  std::vector<long> bases;
-  for (std::size_t row = 0; row < m.size(); ++row) {
-    const std::vector<std::size_t> chain = m.anchor_chain(row);
-    bases.push_back(chain.empty() ? -1 : static_cast<long>(chain[0]));
-  }
-  return bases;
-}
-
-// What append()/append_batch() chose, row by row: each row's base, and
-// how the path counters moved.
-struct PathTrace {
-  std::vector<long> base;
-  std::vector<double> counters;  // kPathCounters order
-};
-
-constexpr const char* kPathCounters[] = {
-    "fenrir_phi_rows_delta_total",
-    "fenrir_phi_rows_kernel_total",
-};
-
-PathTrace trace_paths(const Dataset& d, bool batch) {
-  std::vector<double> before;
-  for (const char* name : kPathCounters) {
-    before.push_back(obs::registry().counter(name).value());
-  }
-  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
-  if (batch) {
-    m.append_batch(d.series);
-  } else {
-    for (const RoutingVector& v : d.series) m.append(v);
-  }
-  expect_bit_identical(m, SimilarityMatrix::compute_reference(d), d.name);
-  PathTrace out;
-  out.base = bases_of(m);
-  for (std::size_t row = 0; row < m.size(); ++row) {
-    // The rest of the chain is the base's own chain, truncated.
-    const std::vector<std::size_t> chain = m.anchor_chain(row);
-    if (!chain.empty()) {
-      std::vector<std::size_t> rest = m.anchor_chain(chain[0], 7);
-      rest.insert(rest.begin(), chain[0]);
-      EXPECT_EQ(chain, rest) << d.name << " row " << row;
-    }
-  }
-  for (std::size_t k = 0; k < std::size(kPathCounters); ++k) {
-    out.counters.push_back(
-        obs::registry().counter(kPathCounters[k]).value() - before[k]);
-  }
-  return out;
-}
-
-// The per-row bases and path counters, pinned from oracle_bases() for a
-// >5%-churn Verfploeter series (kernel rows throughout, invalid slots)
-// and a two-mode periodic one (predecessor patches within each block,
-// bridging invalid slots, and a kernel row at each flip). A path change
-// shows here before it shows in a benchmark.
-TEST(SimilarityMatrixAnchors, PathChoicesArePinned) {
-  const Dataset verf = verfploeter_dataset(160, 2000, 29);
-  const std::vector<long> verf_base(160, -1);
-  // rows_delta, rows_kernel.
-  const std::vector<double> verf_counters{0, 145};
-
-  const Dataset periodic = periodic_dataset(64, 2000, 8, 0.005, 77, 0.1);
-  const std::vector<long> periodic_base{
-      -1, 0,  1,  2,  -1, 3,  5,  6,  -1, -1, 8,  -1, 10, 12, -1, -1,
-      -1, 16, 17, 18, 19, 20, 21, 22, -1, 24, 25, -1, 26, 28, 29, 30,
-      -1, 32, 33, 34, 35, 36, 37, 38, -1, 40, -1, 41, 43, 44, 45, 46,
-      -1, -1, 49, -1, 50, 52, 53, 54, -1, 56, 57, 58, -1, 59, 61, 62};
-  const std::vector<double> periodic_counters{46, 8};
-
-  EXPECT_EQ(oracle_bases(verf), verf_base);
-  EXPECT_EQ(oracle_bases(periodic), periodic_base);
-  for (const bool batch : {false, true}) {
-    const std::string how = batch ? " append_batch" : " append";
-    const PathTrace v = trace_paths(verf, batch);
-    EXPECT_EQ(v.base, verf_base) << "verfploeter" << how;
-    EXPECT_EQ(v.counters, verf_counters) << "verfploeter" << how;
-    const PathTrace p = trace_paths(periodic, batch);
-    EXPECT_EQ(p.base, periodic_base) << "periodic" << how;
-    EXPECT_EQ(p.counters, periodic_counters) << "periodic" << how;
-  }
-}
-
-// A precomputed row carries no counts, so it drops the cache: the next
-// valid row pays the kernels however little it churns, and the rows
-// after it patch again. The precomputed row keeps its recorded base.
-TEST(SimilarityMatrixAnchors, AppendPrecomputedDropsTheCache) {
-  const Dataset d = churn_dataset(8, 300, 0.01, 4);
-  const auto ref = SimilarityMatrix::compute_reference(d);
-  SimilarityMatrix m(UnknownPolicy::kPessimistic, d.weights, 1);
-  for (std::size_t t = 0; t < 4; ++t) m.append(d.series[t]);
-  const std::vector<SiteId>& sites = d.series[4].assignment;
-  const std::vector<std::uint8_t> packed(sites.begin(), sites.end());
-  std::vector<double> phi;
-  for (std::size_t j = 0; j <= 4; ++j) phi.push_back(ref.phi(4, j));
-  m.append_precomputed({reinterpret_cast<const std::byte*>(packed.data()),
-                        phi.data(), true, 3},
-                       8);
-  for (std::size_t t = 5; t < d.series.size(); ++t) m.append(d.series[t]);
-  expect_bit_identical(m, ref, "precomputed row 4");
-  EXPECT_EQ(bases_of(m), oracle_bases(d, 5));
-  EXPECT_EQ(bases_of(m), (std::vector<long>{-1, 0, 1, 2, 3, -1, 5, 6}));
-}
-
 // Grows @p m over series[from, to) in a random mix of single appends and
 // batches of 2..100 rows; returns how many batches crossed the 64-row
 // chunk.
@@ -500,14 +335,12 @@ std::size_t grow_mixed(SimilarityMatrix& m, const Dataset& d,
   return crossed;
 }
 
-// The predecessor rule against oracle_bases() and Φ against the scalar
-// reference, through every way a row enters a matrix: churn, periodic
-// and Verfploeter-style series with outage slots (the 2%-unknown one
-// straddles the threshold), both policies, serial and pooled fills,
-// mixed append/append_batch calls, and a segment-store flush and load
-// at a random row — sealed segments come back by page adoption, the
-// tail by append_precomputed, and neither brings counts back, so the
-// first valid row after the load pays the kernels.
+// Φ against the scalar reference through every way a row enters a
+// matrix: churn, periodic and Verfploeter-style series with outage
+// slots, both policies, serial and pooled fills, mixed
+// append/append_batch calls, and a segment-store flush and load at a
+// random row — sealed segments come back by page adoption, the tail by
+// append_precomputed, and the rows after the load meet both as columns.
 TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) /
@@ -519,7 +352,7 @@ TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
       verfploeter_dataset(150, 400, 7),
       verfploeter_dataset(150, 400, 8, 0.02),
   };
-  std::size_t crossed = 0, delta_rows = 0, kernel_rows = 0;
+  std::size_t crossed = 0;
   for (const Dataset& d : series) {
     for (const auto policy :
          {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
@@ -551,43 +384,18 @@ TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
         ASSERT_EQ(m.size(), load_at) << label;
         crossed += grow_mixed(m, d, load_at, d.series.size(), r);
         expect_bit_identical(m, ref, label);
-
-        const std::vector<long> want = oracle_bases(d, load_at);
-        const std::vector<long> got = bases_of(m);
-        EXPECT_EQ(got, want) << label;
-        long newest_valid = -1;
-        bool after_load = false;
-        for (std::size_t row = 0; row < d.series.size(); ++row) {
-          after_load = after_load || row == load_at;
-          if (!d.series[row].valid) continue;
-          if (got[row] >= 0) {
-            EXPECT_EQ(got[row], newest_valid) << label << " row " << row;
-            ++delta_rows;
-          } else {
-            ++kernel_rows;
-          }
-          if (after_load) {
-            EXPECT_EQ(got[row], -1) << label << " first valid row " << row
-                                    << " after the load";
-            after_load = false;
-          }
-          newest_valid = static_cast<long>(row);
-        }
       }
     }
   }
   std::filesystem::remove_all(dir);
   EXPECT_GT(crossed, 0u) << "no batch crossed the 64-row chunk";
-  EXPECT_GT(delta_rows, 0u);
-  EXPECT_GT(kernel_rows, 0u);
 }
 
 // --- the deferred, tiled fill -------------------------------------------
 
 // A series whose rows span three kernel tiles: two routing modes
-// alternating every six rows, each churning 1% of its networks per row
-// (delta rows inside a block, a kernel row at every flip), 10% outage
-// slots, ~15% unknown, and site ids drawn from @p sites so the rows pack
+// alternating every six rows, each churning 1% of its networks per row,
+// 10% outage slots, ~15% unknown, and site ids drawn from @p sites so the rows pack
 // at 4 (6 sites), 8 (40), 16 (400) or 32 bits (70,000). @p width_bits
 // sizes N: two whole tiles plus an odd remainder, so the last tile ends
 // mid-vector and, at 4 bits, on a lone low nibble.
@@ -696,20 +504,13 @@ void check_tiled_fill_on_active_tier() {
           << lo;
     }
 
-    // Kernel, delta and invalid rows all occur.
+    // Kernel (valid) and invalid rows both occur.
     const SimilarityMatrix m = SimilarityMatrix::compute(d);
-    std::size_t kernel = 0, delta = 0, invalid = 0;
+    std::size_t kernel = 0, invalid = 0;
     for (std::size_t row = 0; row < m.size(); ++row) {
-      if (!m.valid(row)) {
-        ++invalid;
-      } else if (m.anchor_chain(row).empty()) {
-        ++kernel;
-      } else {
-        ++delta;
-      }
+      ++(m.valid(row) ? kernel : invalid);
     }
     EXPECT_GT(kernel, 1u) << d.name;
-    EXPECT_GT(delta, 1u) << d.name;
     EXPECT_GT(invalid, 0u) << d.name;
 
     expect_builds_match_reference(d, r);
@@ -742,9 +543,8 @@ TEST(SimilarityMatrixTiles, DeferredFillBitIdenticalOnEveryTier) {
 // Kernel rows settled at 4 threads onto columns adopted from a store:
 // the sealed rows come back by page adoption, the tail by
 // append_precomputed, and neither brings its known count back, so the
-// first settle counts every column's before its workers start. Every
-// row after the load churns past the delta threshold (a kernel row),
-// and rows of 33,001 4-bit networks span two tiles.
+// first settle counts every column's before its workers start. Rows of
+// 33,001 4-bit networks span two tiles.
 TEST(SimilarityMatrixTiles, KernelRowsMeetAdoptedColumnsAtFourThreads) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) /
@@ -777,9 +577,6 @@ TEST(SimilarityMatrixTiles, KernelRowsMeetAdoptedColumnsAtFourThreads) {
     m.append_batch(std::span(d.series).subspan(load_at));
     expect_bit_identical(m, SimilarityMatrix::compute_reference(d, policy),
                          label);
-    for (std::size_t row = load_at; row < m.size(); ++row) {
-      EXPECT_TRUE(m.anchor_chain(row).empty()) << label << " row " << row;
-    }
   }
   std::filesystem::remove_all(dir);
 }

@@ -142,8 +142,8 @@ void grow(SegmentStore& store, SimilarityMatrix& matrix, const Dataset& d,
   store.flush();
 }
 
-/// Bytes of a record's fixed fields — meta, time, anchor_of — before its
-/// packed row.
+/// Bytes of a record's fixed fields — meta, time, the reserved word —
+/// before its packed row.
 constexpr std::size_t kRecordFieldBytes = 24;
 
 std::string read_file(const fs::path& path) {
@@ -204,10 +204,32 @@ void resign_segment(std::string& seg) {
   }
 }
 
+/// Writes into the reserved word of every record of the segment file
+/// @p seg past global row 0 the predecessor row g − 1, as stores from
+/// builds that patched each row from its predecessor held it, and
+/// returns how many it wrote. The records are left unsigned.
+std::size_t write_predecessor_words(std::string& seg) {
+  const std::uint64_t base_row = get_le64(seg, 24);
+  const std::uint64_t networks = get_le64(seg, 40);
+  const std::uint64_t bits = get_le64(seg, 48);
+  const std::uint64_t tri_base = get_le64(seg, 56);
+  const std::size_t row = (core::packed_row_bytes(networks, bits) + 7) / 8 * 8;
+  std::size_t written = 0;
+  for (std::size_t at = kSegmentHeaderBytes, g = base_row;; ++g) {
+    const std::size_t size = kRecordFieldBytes + row + 8 * (g - tri_base + 1);
+    if (size > seg.size() - at) return written;
+    if (g > 0) {
+      put_le(seg, at + 16, g - 1, 8);
+      ++written;
+    }
+    at += size;
+  }
+}
+
 // The central property: spill-as-you-go across several tail rotations,
 // close, reopen, mmap-load — the restored matrix is bit-identical to
 // one that never left memory, and further appends stay on the exact
-// same trajectory (anchors re-derive; values are path-independent).
+// same trajectory (values are path-independent).
 TEST(Segment, RoundTripBitIdenticalAcrossRotations) {
   // 6, 200 and 300 sites pack to 4, 8 and 16 bits (ids start at
   // kFirstRealSite = 3).
@@ -471,7 +493,7 @@ TEST(Segment, CorruptSealedSegmentRejected) {
 
 // A damaged record in the unsealed tail is refused by its own checksum:
 // one bit flipped in record 1's Φ(1,0) (mantissa bit 40, a change of
-// 2^-13 to a Φ in [0.5, 1)), or in its anchor_of, of a 12-row,
+// 2^-13 to a Φ in [0.5, 1)), or in its reserved word, of a 12-row,
 // 80-network store held in tail-0. load() with and without the dataset
 // and verify() refuse it as a checksum mismatch naming the segment and
 // the observation — before records carried checksums, both flips
@@ -483,7 +505,7 @@ TEST(Segment, TailRecordDamageRefused) {
       kSegmentHeaderBytes + kRecordFieldBytes + 40 + 8;
   const std::pair<const char*, std::size_t> flips[] = {
       {"phi(1,0)", record1 + kRecordFieldBytes + 40 + 5},
-      {"anchor_of", record1 + 16}};
+      {"reserved word", record1 + 16}};
   for (const auto& [what, at] : flips) {
     ScratchDir dir("tail_damage");
     {
@@ -661,6 +683,8 @@ TEST(SnapshotWatchState, DatasetMismatchesAreActionable) {
 // width, two swapped ids, validity, time, one element more and one less.
 // Every mutation of a sealed record and of a tail record makes load
 // throw an error naming that observation; the untouched dataset loads.
+// The reserved word is not a field: records whose word holds their
+// predecessor's row, as older builds wrote it, load bit-identically.
 TEST(Segment, ResumeSeesEveryRowField) {
   ScratchDir dir("every_field");
   Dataset d;
@@ -729,6 +753,30 @@ TEST(Segment, ResumeSeesEveryRowField) {
       changed.series[g] = mutant;
       expect_row_mismatch(store, changed, g,
                           "observation " + std::to_string(g) + ", " + what);
+    }
+  }
+
+  std::size_t written = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    if (entry.path().extension() != ".fenrseg") continue;
+    std::string bytes = read_file(entry.path());
+    written += write_predecessor_words(bytes);
+    resign_segment(bytes);
+    write_file(entry.path(), bytes);
+  }
+  ASSERT_EQ(written, 2u) << "observations 1 and 2";
+  const SegmentStore older(dir.path, cfg);
+  std::string error;
+  EXPECT_TRUE(older.verify(&error)) << error;
+  const SegmentStore::Loaded got = older.load(&d);
+  const SimilarityMatrix want = SimilarityMatrix::compute_reference(d);
+  ASSERT_EQ(got.matrix.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.matrix.valid(i), want.valid(i)) << "row " << i;
+    for (std::size_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.matrix.phi(i, j)),
+                std::bit_cast<std::uint64_t>(want.phi(i, j)))
+          << "phi(" << i << "," << j << ")";
     }
   }
 }
@@ -1132,7 +1180,7 @@ TEST(Segment, WriteThroughCountsOnlyDurableBytes) {
   const double before = tail_bytes.value();
   const fs::path tail = dir.path / "tail-0.fenrseg";
 
-  store.append_raw(true, 0, kNoAnchor, networks, 32, packed, phi);
+  store.append_raw(true, 0, networks, 32, packed, phi);
   const std::uintmax_t record = kRecordFieldBytes + networks * 4 + 8;
   EXPECT_EQ(fs::file_size(tail), kSegmentHeaderBytes + record)
       << "a record past the threshold is written through at spill";
@@ -1836,8 +1884,8 @@ TEST(Segment, FlushWritesOnlyNewRows) {
 // validity, time and site ids, and every adopted matrix row its
 // validity — re-signed damage the checksums cannot see must be
 // refused. A mutant nobody re-signed that loads at all must load the
-// unmutated store's history: every retained Φ cell, validity and
-// anchor chain bit-identical.
+// unmutated store's history: every retained Φ cell and validity
+// bit-identical.
 
 struct FuzzBase {
   Dataset d;
@@ -1978,7 +2026,7 @@ void expect_exact_rows(const fs::path& dir, const Dataset& d,
 
 /// The oracle for a mutant nobody re-signed: whatever loads is a prefix
 /// of @p want, the unmutated store's history (a torn tail is dropped
-/// whole), bit for bit — every Φ cell, validity and anchor chain.
+/// whole), bit for bit — every Φ cell and validity.
 void expect_unmutated(const SegmentStore::Loaded& got,
                       const SegmentStore::Loaded& want,
                       const std::string& label) {
@@ -1986,8 +2034,6 @@ void expect_unmutated(const SegmentStore::Loaded& got,
   ASSERT_LE(got.matrix.size(), want.matrix.size()) << label;
   for (std::size_t i = 0; i < got.matrix.size(); ++i) {
     ASSERT_EQ(got.matrix.valid(i), want.matrix.valid(i)) << label;
-    ASSERT_EQ(got.matrix.anchor_chain(i), want.matrix.anchor_chain(i))
-        << label << ": row " << i;
     for (std::size_t j = 0; j <= i; ++j) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got.matrix.phi(i, j)),
                 std::bit_cast<std::uint64_t>(want.matrix.phi(i, j)))

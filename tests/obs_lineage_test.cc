@@ -1,7 +1,7 @@
 // Tests for the decision lineage store (obs/lineage.h): verdict name
 // round trips, record JSON framing and parse-back, the bounded ring
 // with gap-free ids and an eviction horizon, since() filters, pending
-// anchor/provenance context consumption, per-mode aggregates behind
+// provenance context consumption, per-mode aggregates behind
 // /explain, the JSONL lineage log's journal framing with its
 // ts-stripped determinism property, the ModeBook emit site, and the
 // fenrir_decision_* metric families.
@@ -86,24 +86,14 @@ TEST(Lineage, RecordJsonFramesEveryField) {
             "\"gap_seconds\":7200,\"networks\":200,\"matches\":180,"
             "\"mismatches\":5,\"unknown\":15,\"scanned\":4,"
             "\"top\":[{\"mode\":3,\"phi\":0.9375},{\"mode\":1,\"phi\":0.5}]}");
-  // Optional sections: anchors (with the kernel marker when the chain
-  // is empty) and federation provenance.
-  r.has_anchor_info = true;
-  r.anchor_chain[0] = 6;
-  r.anchor_chain[1] = 2;
-  r.anchor_count = 2;
+  // The optional section: federation provenance.
   r.federated = true;
   r.member = 1;
   r.staleness = 2;
   r.disagreements = 9;
-  const std::string json = record_json(r);
-  EXPECT_NE(json.find(",\"anchors\":[6,2]"), std::string::npos);
-  EXPECT_NE(json.find(",\"member\":1,\"staleness\":2,\"disagreements\":9"),
-            std::string::npos);
-  EXPECT_EQ(json.find("\"kernel\""), std::string::npos);
-  r.anchor_count = 0;
-  EXPECT_NE(record_json(r).find(",\"anchors\":[],\"kernel\":true"),
-            std::string::npos);
+  EXPECT_NE(
+      record_json(r).find(",\"member\":1,\"staleness\":2,\"disagreements\":9}"),
+      std::string::npos);
   // A new mode has no gap; the field disappears rather than lying.
   r.gap_seconds = -1;
   EXPECT_EQ(record_json(r).find("gap_seconds"), std::string::npos);
@@ -113,9 +103,6 @@ TEST(Lineage, RecordJsonParsesBackLossless) {
   DecisionRecord r = sample_record();
   r.id = 42;
   r.unix_time = 123.25;
-  r.has_anchor_info = true;
-  r.anchor_chain[0] = 11;
-  r.anchor_count = 1;
   r.federated = true;
   r.member = kLineageNoMember;  // serialized as -1
   r.staleness = 3;
@@ -136,13 +123,22 @@ TEST(Lineage, RecordJsonParsesBackLossless) {
   ASSERT_EQ(parsed->top_count, 2u);
   EXPECT_EQ(parsed->top[1].mode, 1u);
   EXPECT_DOUBLE_EQ(parsed->top[1].phi, 0.5);
-  ASSERT_TRUE(parsed->has_anchor_info);
-  ASSERT_EQ(parsed->anchor_count, 1u);
-  EXPECT_EQ(parsed->anchor_chain[0], 11u);
   ASSERT_TRUE(parsed->federated);
   EXPECT_EQ(parsed->member, kLineageNoMember);
   EXPECT_EQ(parsed->staleness, 3u);
   EXPECT_EQ(parsed->disagreements, 1u);
+  // Lines from logs whose records carried anchor chains — "anchors",
+  // and "kernel" for an empty chain, after the top list — read back as
+  // the same record.
+  const std::string current = record_json(r);
+  for (const std::string anchors :
+       {",\"anchors\":[6,2]", ",\"anchors\":[],\"kernel\":true"}) {
+    std::string old = current;
+    old.insert(current.find(",\"member\""), anchors);
+    const auto back = parse_record_json(old);
+    ASSERT_TRUE(back.has_value()) << old;
+    EXPECT_EQ(record_json(*back), current) << old;
+  }
   // Non-lineage lines (a sweep journal line, garbage) are nullopt, not
   // a throw — replay files may interleave.
   EXPECT_FALSE(parse_record_json("{\"sweep\":1,\"targets\":9}").has_value());
@@ -217,51 +213,22 @@ TEST(Lineage, DisabledStoreRecordsNothing) {
 
 TEST(Lineage, PendingContextIsConsumedByExactlyOneRecord) {
   LineageStore store(LineageStore::Config{16});
-  const std::vector<std::size_t> chain = {5, 3, 1};
-  store.set_anchor_context(chain);
   store.set_provenance_context(2, 4, 1);
   store.record(sample_record());
   store.record(sample_record());  // context must not ride along
   const auto records = store.since(0);
   ASSERT_EQ(records.size(), 2u);
-  ASSERT_TRUE(records[0].has_anchor_info);
-  ASSERT_EQ(records[0].anchor_count, 3u);
-  EXPECT_EQ(records[0].anchor_chain[0], 5u);
-  EXPECT_EQ(records[0].anchor_chain[2], 1u);
   ASSERT_TRUE(records[0].federated);
   EXPECT_EQ(records[0].member, 2u);
   EXPECT_EQ(records[0].staleness, 4u);
   EXPECT_EQ(records[0].disagreements, 1u);
-  EXPECT_FALSE(records[1].has_anchor_info);
   EXPECT_FALSE(records[1].federated);
   // clear_context() drops context a skipped (invalid) row would
   // otherwise leak onto its successor.
-  store.set_anchor_context(chain);
+  store.set_provenance_context(2, 4, 1);
   store.clear_context();
   store.record(sample_record());
-  EXPECT_FALSE(store.since(2)[0].has_anchor_info);
-  // An empty chain is real information (the row paid the kernels), not
-  // absence of information.
-  store.set_anchor_context({});
-  store.record(sample_record());
-  const auto kernel = store.since(3);
-  ASSERT_EQ(kernel.size(), 1u);
-  EXPECT_TRUE(kernel[0].has_anchor_info);
-  EXPECT_EQ(kernel[0].anchor_count, 0u);
-}
-
-TEST(Lineage, ChainsLongerThanDepthAreTruncated) {
-  LineageStore store(LineageStore::Config{4});
-  std::vector<std::size_t> chain(kLineageChainDepth + 5);
-  for (std::size_t i = 0; i < chain.size(); ++i) chain[i] = 100 + i;
-  store.set_anchor_context(chain);
-  store.record(sample_record());
-  const auto records = store.since(0);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].anchor_count, kLineageChainDepth);
-  EXPECT_EQ(records[0].anchor_chain[0], 100u);
-  EXPECT_EQ(records[0].anchor_chain[kLineageChainDepth - 1],
-            100u + kLineageChainDepth - 1);
+  EXPECT_FALSE(store.since(2)[0].federated);
 }
 
 TEST(Lineage, ModeAggregatesTrackExplainFields) {
@@ -351,7 +318,6 @@ TEST(Lineage, TsStrippedLogLinesAreDeterministic) {
     LineageStore store(LineageStore::Config{8});
     ASSERT_TRUE(store.open_log(path, /*truncate=*/true));
     DecisionRecord r = sample_record();
-    store.set_anchor_context(std::vector<std::size_t>{2, 1});
     store.record(r);
     r.verdict = Verdict::kRepeat;
     store.record(r);
@@ -367,17 +333,13 @@ TEST(Lineage, TsStrippedLogLinesAreDeterministic) {
 }
 
 // A kill mid-append can cut the log's last line anywhere, even inside
-// an array. A resumed watch reopens the log: a line cut inside its
-// anchors or top array is torn and skipped, never read past, and the id
-// sequence continues after the last whole record. A top entry's mode is
+// an array. A resumed watch reopens the log: a line cut inside its top
+// array is torn and skipped, never read past, and the id sequence
+// continues after the last whole record. A top entry's mode is
 // an integer; one that is negative or written as a double ends the list.
 TEST(Lineage, OpenLogSkipsATornRecord) {
   FileCleaner f(temp_path("torn.jsonl"));
   DecisionRecord r = sample_record();
-  r.has_anchor_info = true;
-  r.anchor_chain[0] = 6;
-  r.anchor_chain[1] = 2;
-  r.anchor_count = 2;
   std::string log;
   for (std::uint64_t id = 1; id <= 2; ++id) {
     r.id = id;
@@ -385,8 +347,9 @@ TEST(Lineage, OpenLogSkipsATornRecord) {
   }
   r.id = 3;
   const std::string whole = record_json(r);
-  const std::string torn = whole.substr(0, whole.find("\"anchors\":[6") + 12);
-  ASSERT_EQ(torn.back(), '6');
+  const std::string torn =
+      whole.substr(0, whole.find("\"top\":[{\"mode\":3") + 16);
+  ASSERT_EQ(torn.back(), '3');
   EXPECT_FALSE(parse_record_json(torn).has_value());
   EXPECT_FALSE(
       parse_record_json(whole.substr(0, whole.find("\"top\":[") + 15))
@@ -571,7 +534,7 @@ TEST(Lineage, DecisionMetricFamiliesMatchExpositionGrammar) {
 // ---------------------------------------------------------------------
 // LineageFuzz: the lineage JSONL readers' "parse or skip" promise,
 // checked the way DatasetIoFuzz checks the dataset decoder. A log of
-// records with top lists, anchor chains and federation provenance is
+// records with top lists and federation provenance is
 // cut at every byte of its last line, then mutated by seeded edits
 // drawn from the bytes that steer the parsers. read_journal must return
 // lines or throw JournalError; parse_record_json must return a record
@@ -586,11 +549,6 @@ std::string fuzz_log() {
     r.id = id;
     r.unix_time = 1700000000.25 + static_cast<double>(id);
     r.verdict = static_cast<Verdict>(id % 3);
-    r.has_anchor_info = id % 2 == 0;
-    r.anchor_count = static_cast<std::uint32_t>(id % 3);
-    for (std::uint32_t k = 0; k < r.anchor_count; ++k) {
-      r.anchor_chain[k] = 10 * id + k;
-    }
     r.federated = id % 3 == 0;
     r.member = id == 3 ? kLineageNoMember : 1;
     r.staleness = id;
@@ -616,7 +574,6 @@ void expect_parses_or_skips(const std::string& path, const std::string& text,
     if (!r) continue;
     ASSERT_GT(r->id, 0u) << label;
     ASSERT_LE(r->top_count, kLineageTopK) << label;
-    ASSERT_LE(r->anchor_count, kLineageChainDepth) << label;
     max_id = std::max(max_id, r->id);
   }
   LineageStore store(LineageStore::Config{4});

@@ -17,7 +17,7 @@ ratio the same way and cancels; a single regressing kernel stands out
 against the fleet.
 
 Only the recurrence hot path is gated (BM_Gower*, BM_SimilarityMatrix*
-— the packed-kernel and predecessor-delta rows, batched and not —
+— the packed-kernel rows, batched and not —
 BM_ModeBook*, BM_FederatedSweep — the federated merge fold — and the
 segment-store BM_Segment*/BM_Compaction path):
 they are the paper-relevant fast path and run long enough to be stable

@@ -33,8 +33,8 @@
 //                                         observations recurrences of
 //                                         mode M: visits, gaps, top-k
 //                                         phi, per-category counts,
-//                                         anchor chains, federation
-//                                         provenance. Offline over a
+//                                         federation provenance.
+//                                         Offline over a
 //                                         --lineage FILE.jsonl log, or
 //                                         live against --port N
 //   fenrirctl lineage replay FILE.jsonl   summarize a decision lineage
@@ -168,12 +168,14 @@
 //                         crash with `fenrirctl blackbox dump FILE`
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -284,17 +286,74 @@ Args parse_args(int argc, char** argv, int first) {
   return out;
 }
 
+/// A flag value that does not parse or lies out of range: exit code 2,
+/// like an unknown command.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The decimal count @p flag holds, or @p fallback when it is absent. A
+/// value with anything but digits (a sign, a fraction, trailing text),
+/// or outside [@p lo, @p hi], is a UsageError naming the flag.
+std::size_t parse_count(
+    const Args& args, const std::string& flag, std::size_t fallback,
+    std::size_t lo = 0,
+    std::size_t hi = std::numeric_limits<std::size_t>::max()) {
+  const std::string text = args.get(flag, "");
+  if (text.empty()) return fallback;
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  if (const auto r = std::from_chars(text.data(), end, value);
+      r.ec != std::errc{} || r.ptr != end) {
+    throw UsageError("bad " + flag + " '" + text + "' (want a count)");
+  }
+  if (value < lo || value > hi) {
+    throw UsageError(flag + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+/// The real number @p flag holds, or @p fallback when it is absent. A
+/// value that does not parse in full, or lies outside [@p lo, @p hi]
+/// (NaN and the infinities always do), is a UsageError naming the flag.
+double parse_real(const Args& args, const std::string& flag, double fallback,
+                  double lo = 0.0,
+                  double hi = std::numeric_limits<double>::max()) {
+  const std::string text = args.get(flag, "");
+  if (text.empty()) return fallback;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  if (const auto r = std::from_chars(text.data(), end, value);
+      r.ec != std::errc{} || r.ptr != end) {
+    throw UsageError("bad " + flag + " '" + text + "' (want a number)");
+  }
+  if (!(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << flag << " must be in [" << lo << ", ";
+    if (hi < std::numeric_limits<double>::max()) {
+      range << hi << "]";
+    } else {
+      range << "inf)";
+    }
+    throw UsageError(range.str());
+  }
+  return value;
+}
+
 /// Store tuning shared by watch --store, analyze --matrix-cache, and
 /// the segment subcommands. --retain-days is observation time, so a
 /// fractional value is fine and retention stays deterministic.
 io::SegmentStoreConfig segment_config(const Args& args) {
   io::SegmentStoreConfig cfg;
-  cfg.seal_rows =
-      static_cast<std::size_t>(std::stoul(args.get("--seal-rows", "256")));
-  cfg.retain_obs = std::stoull(args.get("--retain-obs", "0"));
-  cfg.retain_seconds = static_cast<std::int64_t>(
-      std::stod(args.get("--retain-days", "0")) *
-      static_cast<double>(core::kDay));
+  cfg.seal_rows = parse_count(args, "--seal-rows", 256);
+  cfg.retain_obs = parse_count(args, "--retain-obs", 0);
+  // A window past the int64 range retains everything, like one at it.
+  const double retain = parse_real(args, "--retain-days", 0.0) *
+                        static_cast<double>(core::kDay);
+  cfg.retain_seconds = retain < 0x1p63
+                           ? static_cast<std::int64_t>(retain)
+                           : std::numeric_limits<std::int64_t>::max();
   cfg.threads = 0;
   return cfg;
 }
@@ -387,7 +446,7 @@ int cmd_analyze(const Args& args) {
   } else if (linkage != "single") {
     throw std::runtime_error("unknown linkage: " + linkage);
   }
-  cfg.detector.min_drop = std::stod(args.get("--min-drop", "0.02"));
+  cfg.detector.min_drop = parse_real(args, "--min-drop", 0.02);
 
   // --matrix-cache DIR: reuse a segment store's Φ rows when they are a
   // prefix of this dataset built under the same flags; append the
@@ -510,7 +569,7 @@ int cmd_watch(const Args& args) {
   if (args.positional.size() != 1) return usage();
   core::Dataset data = core::load_dataset_file(args.positional[0]);
   core::ModeBook::Config cfg;
-  cfg.match_threshold = std::stod(args.get("--threshold", "0.85"));
+  cfg.match_threshold = parse_real(args, "--threshold", 0.85, 0.0, 1.0);
   if (args.has("--pessimistic")) {
     cfg.policy = core::UnknownPolicy::kPessimistic;
   }
@@ -526,10 +585,6 @@ int cmd_watch(const Args& args) {
   // sealed history instead of paying the O(T²·N) rebuild. A plain watch
   // stays matrix-free; its output and cost are untouched by any of this.
   std::size_t start = 0;
-  // base maps between global observation indices (the loop's i) and
-  // local matrix rows: the store's retention may have retired the
-  // oldest rows, so the loaded matrix starts at global row `base`.
-  std::size_t base = 0;
   std::optional<io::SegmentStore> store;
   std::optional<core::SimilarityMatrix> matrix;
   if (const std::string store_dir = args.get("--store", "");
@@ -551,7 +606,6 @@ int cmd_watch(const Args& args) {
           "at a fresh directory");
     }
     io::SegmentStore::Loaded loaded = store->load(&data);
-    base = static_cast<std::size_t>(loaded.base_row);
     start = static_cast<std::size_t>(loaded.processed);
     matrix = std::move(loaded.matrix);
     if (loaded.has_modebook) {
@@ -610,16 +664,7 @@ int cmd_watch(const Args& args) {
   for (std::size_t i = start; i < data.series.size(); ++i) {
     const core::RoutingVector& v = data.series[i];
     if (matrix.has_value()) matrix->append(v);
-    // A stateful watch's lineage records carry the anchor chain the
-    // matrix just used for this row (how the Φ plane ingested the same
-    // observation the book is about to judge).
-    if (matrix.has_value() && obs::lineage().enabled()) {
-      std::vector<std::size_t> chain = matrix->anchor_chain(i - base);
-      for (std::size_t& c : chain) c += base;  // records stay global
-      obs::lineage().set_anchor_context(chain);
-    }
     const auto match = book.observe(v);
-    obs::lineage().clear_context();  // outage rows never consume it
     // Spill-as-you-go: the row is queued now and its record written by
     // the next periodic flush, at the end of every 64th sweep.
     if (store.has_value()) store->spill(v, *matrix);
@@ -812,7 +857,13 @@ int events_replay(const std::string& path) {
                           json_field(line, "severity")}];
     ++slot.first;
     if (const std::string s = json_field(line, "suppressed"); !s.empty()) {
-      const auto n = std::stoul(s);
+      std::size_t n = 0;
+      const char* end = s.data() + s.size();
+      if (const auto r = std::from_chars(s.data(), end, n);
+          r.ec != std::errc{} || r.ptr != end) {
+        throw core::DatasetIoError(path + ": bad suppressed count '" + s +
+                                   "'");
+      }
       slot.second += n;
       suppressed_total += n;
     }
@@ -845,10 +896,7 @@ int events_tail(const Args& args) {
     std::cerr << "fenrirctl: events tail needs --port N\n";
     return 2;
   }
-  std::uint64_t since = 0;
-  if (const auto s = args.get("--since", ""); !s.empty()) {
-    since = std::stoull(s);
-  }
+  std::uint64_t since = parse_count(args, "--since", 0);
   const std::string type = args.get("--type", "");
   const std::string severity = args.get("--severity", "");
   if (!severity.empty() && !obs::parse_severity(severity)) {
@@ -943,23 +991,6 @@ int cmd_events(const Args& args) {
   if (args.positional.size() == 1) return events_replay(args.positional[0]);
   if (args.positional.empty() && args.has("--port")) return events_tail(args);
   return usage();
-}
-
-std::size_t parse_count(const Args& args, const std::string& flag,
-                        std::size_t fallback, std::size_t lo, std::size_t hi) {
-  const std::string text = args.get(flag, "");
-  if (text.empty()) return fallback;
-  std::size_t value = 0;
-  try {
-    value = std::stoul(text);
-  } catch (const std::exception&) {
-    throw std::runtime_error("bad " + flag + " '" + text + "' (want a count)");
-  }
-  if (value < lo || value > hi) {
-    throw std::runtime_error(flag + " must be in [" + std::to_string(lo) +
-                             ", " + std::to_string(hi) + "]");
-  }
-  return value;
 }
 
 /// A synthetic federated campaign over the demo world: N member probers
@@ -1131,9 +1162,9 @@ int cmd_federate(const Args& args) {
   }
 
   // Classify the merged series through a ModeBook with full decision
-  // lineage: every epoch's record carries the fold's anchor chain plus
-  // this epoch's provenance rollup (who served it, how stale, whether
-  // members disagreed) — the federated path into the lineage plane.
+  // lineage: every epoch's record carries this epoch's provenance
+  // rollup (who served it, how stale, whether members disagreed) — the
+  // federated path into the lineage plane.
   // Pure fold over the accumulated result, so a resumed run prints
   // exactly what the uninterrupted one would.
   {
@@ -1186,12 +1217,13 @@ int cmd_clean(const Args& args) {
   if (args.positional.size() != 2) return usage();
   core::Dataset data = core::load_dataset_file(args.positional[0]);
   core::InterpolateConfig icfg;
-  icfg.max_distance = std::stoul(args.get("--limit", "3"));
+  icfg.max_distance = parse_count(args, "--limit", 3);
   icfg.fill_edges = args.has("--fill-edges");
   const auto istats = core::interpolate_missing(data, icfg);
   core::CleaningStats mstats;
-  if (const auto micro = args.get("--micro", ""); !micro.empty()) {
-    mstats = core::remove_micro_catchments(data, std::stod(micro));
+  if (!args.get("--micro", "").empty()) {
+    mstats = core::remove_micro_catchments(
+        data, parse_real(args, "--micro", 0.0, 0.0, 1.0));
   }
   core::save_dataset_file(data, args.positional[1]);
   std::cout << "filled " << istats.gaps_filled << " gaps, folded "
@@ -1239,8 +1271,8 @@ int cmd_transitions(const Args& args) {
 }
 
 /// One human-readable explanation block for a decision record: the
-/// verdict, the candidate Φ ranking, the per-category counts, the
-/// anchor chain, and (when federated) the provenance.
+/// verdict, the candidate Φ ranking, the per-category counts, and
+/// (when federated) the provenance.
 void print_decision(const obs::DecisionRecord& r) {
   std::cout << "  "
             << core::format_time(static_cast<core::TimePoint>(r.obs_time))
@@ -1260,17 +1292,6 @@ void print_decision(const obs::DecisionRecord& r) {
     if (r.top_count >= 2) {
       std::cout << " (margin " << io::fixed(r.top[0].phi - r.top[1].phi, 3)
                 << ")";
-    }
-    std::cout << "\n";
-  }
-  if (r.has_anchor_info) {
-    std::cout << "    anchors:";
-    if (r.anchor_count == 0) {
-      std::cout << " none (novel row; paid the packed kernels)";
-    } else {
-      for (std::uint32_t k = 0; k < r.anchor_count; ++k) {
-        std::cout << (k ? " <- row " : " row ") << r.anchor_chain[k];
-      }
     }
     std::cout << "\n";
   }
@@ -1596,8 +1617,7 @@ void register_metric_catalog() {
         "fenrir_health_degraded_reports_total",
         "fenrir_modebook_new_modes_total", "fenrir_modebook_recurrences_total",
         "fenrir_trace_events_dropped_total", "fenrir_phi_appends_total",
-        "fenrir_phi_rows_delta_total", "fenrir_phi_rows_kernel_total",
-        "fenrir_segment_sealed_total",
+        "fenrir_phi_rows_kernel_total", "fenrir_segment_sealed_total",
         "fenrir_segment_compacted_total", "fenrir_segment_retired_total",
         "fenrir_segment_mmap_bytes_total", "fenrir_segment_tail_flush_total",
         "fenrir_segment_tail_bytes_total",
@@ -1609,8 +1629,8 @@ void register_metric_catalog() {
         "fenrir_analyze_modes", "fenrir_parallel_imbalance_ratio",
         "fenrir_campaign_coverage", "fenrir_campaign_confidence",
         "fenrir_federation_coverage", "fenrir_federation_adaptive_floor",
-        "fenrir_federation_members_healthy", "fenrir_federation_members_dead",
-        "fenrir_phi_delta_density", "fenrir_phi_delta_speedup_ratio"}) {
+        "fenrir_federation_members_healthy",
+        "fenrir_federation_members_dead"}) {
     r.gauge(name);
   }
 }
@@ -1826,9 +1846,12 @@ int main(int argc, char** argv) {
     }
     if (args.has("--profile")) obs::write_profile(std::cerr);
     return rc;
-  } catch (const core::DatasetIoError& e) {
+  } catch (const UsageError& e) {
     // Exit code taxonomy (see README): 2 usage, 3 I/O (unreadable,
     // unwritable, or malformed dataset/state files), 1 everything else.
+    std::cerr << "fenrirctl: " << e.what() << "\n";
+    return 2;
+  } catch (const core::DatasetIoError& e) {
     std::cerr << "fenrirctl: " << e.what() << "\n";
     return 3;
   } catch (const std::exception& e) {
