@@ -530,7 +530,6 @@ struct SegmentFixture {
     std::filesystem::create_directories(dir);
     io::SegmentStoreConfig cfg;
     cfg.seal_rows = seal_rows;
-    cfg.background_compaction = false;
     io::SegmentStore store(dir, cfg);
     core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
     for (const core::RoutingVector& v : d.series) {
@@ -566,7 +565,6 @@ void BM_SegmentTailAppend(benchmark::State& state) {
   const std::string dir = bench_store_dir("tail");
   io::SegmentStoreConfig cfg;
   cfg.seal_rows = 1 << 20;  // never seals: this bench is the tail path
-  cfg.background_compaction = false;
   std::optional<io::SegmentStore> store;
   std::size_t next = t;
   for (auto _ : state) {
@@ -596,10 +594,8 @@ BENCHMARK(BM_SegmentTailAppend)->Arg(20'000);
 // per-row flatness ratio.
 void BM_SegmentResumeShort(benchmark::State& state) {
   SegmentFixture& f = segment_fixture_short();
-  io::SegmentStoreConfig cfg;
-  cfg.background_compaction = false;
   for (auto _ : state) {
-    io::SegmentStore store(f.dir, cfg);
+    io::SegmentStore store(f.dir, {});
     benchmark::DoNotOptimize(store.load(nullptr).matrix.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -609,10 +605,8 @@ BENCHMARK(BM_SegmentResumeShort);
 
 void BM_SegmentResumeLong(benchmark::State& state) {
   SegmentFixture& f = segment_fixture_long();
-  io::SegmentStoreConfig cfg;
-  cfg.background_compaction = false;
   for (auto _ : state) {
-    io::SegmentStore store(f.dir, cfg);
+    io::SegmentStore store(f.dir, {});
     benchmark::DoNotOptimize(store.load(nullptr).matrix.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -631,7 +625,6 @@ double segment_save_bytes(const SegmentFixture& f) {
   {
     io::SegmentStoreConfig cfg;
     cfg.seal_rows = 1 << 20;
-    cfg.background_compaction = false;
     io::SegmentStore store(dir, cfg);
     const std::size_t n = store.weights().empty()
                               ? f.d.networks.size()
@@ -665,11 +658,9 @@ double segment_save_bytes(const SegmentFixture& f) {
 void BM_SegmentResumeFlat(benchmark::State& state) {
   SegmentFixture& fs = segment_fixture_short();
   SegmentFixture& fl = segment_fixture_long();
-  io::SegmentStoreConfig cfg;
-  cfg.background_compaction = false;
-  const auto timed = [&cfg](const std::string& dir) {
+  const auto timed = [](const std::string& dir) {
     const auto start = std::chrono::steady_clock::now();
-    io::SegmentStore store(dir, cfg);
+    io::SegmentStore store(dir, {});
     benchmark::DoNotOptimize(store.load(nullptr).matrix.size());
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
@@ -700,42 +691,6 @@ void BM_SegmentResumeFlat(benchmark::State& state) {
                           static_cast<std::int64_t>(fs.rows + fl.rows));
 }
 BENCHMARK(BM_SegmentResumeFlat)->MinTime(1.0);
-
-// One synchronous compaction pass: 16 undersized sealed segments (the
-// shape a long watch's periodic seals leave behind) merged into one.
-// The store is rebuilt outside the timing.
-void BM_Compaction(benchmark::State& state) {
-  const std::size_t rows = 256;
-  const std::size_t n = 5'000;
-  const std::size_t per_seal = 16;
-  const auto d = low_churn_dataset(rows, n, 0.01);
-  core::SimilarityMatrix m(core::UnknownPolicy::kPessimistic, {}, 1);
-  for (const core::RoutingVector& v : d.series) m.append(v);
-  const std::string dir = bench_store_dir("compact");
-  io::SegmentStoreConfig cfg;
-  cfg.seal_rows = 1 << 20;  // only the explicit seals below rotate
-  cfg.background_compaction = false;
-  cfg.compact_min_run = 4;
-  std::optional<io::SegmentStore> store;
-  for (auto _ : state) {
-    state.PauseTiming();
-    store.reset();
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    store.emplace(dir, cfg);
-    for (std::size_t i = 0; i < rows; ++i) {
-      store->spill_row(d.series[i], m, i);
-      if ((i + 1) % per_seal == 0) store->seal_active();
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(store->compact_now());
-  }
-  store.reset();
-  std::filesystem::remove_all(dir);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows * n));
-}
-BENCHMARK(BM_Compaction);
 
 void BM_SlinkDendrogram(benchmark::State& state) {
   const auto d = random_dataset(static_cast<std::size_t>(state.range(0)),

@@ -51,9 +51,8 @@ void maybe_kill_during_save(std::size_t bytes_written);
 /// _exit(137)s iff FENRIR_CHAOS_KILL_POINT names exactly @p label, at
 /// its Nth call with that label under the "<label>@N" form. Lifecycle
 /// code drops one of these at every durability boundary (tail append,
-/// seal rename, manifest swap, compaction commit) so a death test can
-/// kill the process between any two of them. An unparsable count arms
-/// nothing.
+/// seal rename, manifest swap) so a death test can kill the process
+/// between any two of them. An unparsable count arms nothing.
 void maybe_kill_at(std::string_view label);
 
 }  // namespace fenrir::chaos

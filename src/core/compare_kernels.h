@@ -173,8 +173,7 @@ SiteId pack_row(const SiteId* src, std::size_t n, std::size_t bits,
 /// The one converter between packed row layouts: copies a row of @p n
 /// elements from @p src_bits to @p dst_bits ≥ @p src_bits, both
 /// little-endian; a plain copy when the widths agree. Widening appends,
-/// relayout, the segment store's compaction and its loads all go
-/// through it.
+/// relayout and the segment store's loads all go through it.
 void convert_packed_row(const std::byte* src, std::size_t src_bits,
                         std::byte* dst, std::size_t dst_bits, std::size_t n);
 

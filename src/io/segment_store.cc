@@ -17,7 +17,6 @@
 
 #include "chaos/killpoint.h"
 #include "core/dataset_io.h"
-#include "core/parallel.h"
 #include "io/wire.h"
 #include "obs/events.h"
 #include "obs/log.h"
@@ -49,7 +48,6 @@ constexpr std::size_t kWriteThroughBytes = std::size_t{1} << 20;
 
 struct SegMetrics {
   obs::Counter& sealed;
-  obs::Counter& compacted;
   obs::Counter& retired;
   obs::Counter& mmap_bytes;
   obs::Counter& tail_flush;
@@ -62,9 +60,6 @@ SegMetrics& seg_metrics() {
       obs::registry().counter("fenrir_segment_sealed_total",
                               "tail segments sealed and rotated"),
       obs::registry().counter(
-          "fenrir_segment_compacted_total",
-          "sealed segments merged away by compaction"),
-      obs::registry().counter(
           "fenrir_segment_retired_total",
           "sealed segments retired by the retention policy"),
       obs::registry().counter(
@@ -76,9 +71,9 @@ SegMetrics& seg_metrics() {
                               "record bytes made durable in tail segments"),
       obs::registry().counter(
           "fenrir_segment_checksum_verified_total",
-          "segment records whose checksum was verified (load, verify, "
-          "compaction and a crashed seal's roll-forward check each record "
-          "they read once; saves check none)")};
+          "segment records whose checksum was verified (load, verify and "
+          "a crashed seal's roll-forward check each record they read once; "
+          "saves check none)")};
   return m;
 }
 
@@ -142,23 +137,13 @@ std::uint64_t load_u64le(const std::byte* p) {
   return v;
 }
 
-/// Appends one packed row of @p networks @p src_bits-bit elements at
-/// @p dst_bits ≥ @p src_bits, padded to a multiple of 8. Packed rows are
-/// little-endian in memory as on disk, so equal widths are one copy;
-/// compaction widens a run to its widest member.
+/// Appends one packed row of @p networks @p bits-bit elements, padded to
+/// a multiple of 8. Packed rows are little-endian in memory as on disk,
+/// so the row is one copy.
 void put_packed_row(std::string& out, const std::byte* src,
-                    std::size_t networks, std::size_t src_bits,
-                    std::size_t dst_bits) {
-  const std::size_t bytes = core::packed_row_bytes(networks, dst_bits);
-  if (src_bits == dst_bits) {
-    out.append(reinterpret_cast<const char*>(src), bytes);
-  } else {
-    const std::size_t at = out.size();
-    out.resize(at + bytes);
-    core::convert_packed_row(src, src_bits,
-                             reinterpret_cast<std::byte*>(out.data() + at),
-                             dst_bits, networks);
-  }
+                    std::size_t networks, std::size_t bits) {
+  const std::size_t bytes = core::packed_row_bytes(networks, bits);
+  out.append(reinterpret_cast<const char*>(src), bytes);
   out.append(pad8(bytes) - bytes, '\0');
 }
 
@@ -192,20 +177,17 @@ std::uint32_t record_checksum(const std::byte* rec, std::size_t size) {
 }
 
 /// Appends one record to @p out — meta, time, the reserved word
-/// (kNoAnchor), the packed row of @p networks @p src_bits-bit elements
-/// at @p dst_bits, then the Φ columns @p put_phi appends — and signs it.
-/// The spill and compaction both encode through here.
-template <class PutPhi>
+/// (kNoAnchor), the packed row of @p networks @p bits-bit elements, then
+/// the Φ columns @p phi — and signs it.
 void put_record(std::string& out, bool valid, std::int64_t time,
                 const std::byte* packed, std::size_t networks,
-                std::size_t src_bits, std::size_t dst_bits,
-                PutPhi&& put_phi) {
+                std::size_t bits, std::span<const double> phi) {
   const std::size_t at = out.size();
   put_u64(out, valid ? 1 : 0);
   put_i64(out, time);
   put_u64(out, kNoAnchor);
-  put_packed_row(out, packed, networks, src_bits, dst_bits);
-  put_phi(out);
+  put_packed_row(out, packed, networks, bits);
+  put_u64_array(out, phi.data(), phi.size());
   const std::uint32_t crc = record_checksum(
       reinterpret_cast<const std::byte*>(out.data() + at), out.size() - at);
   patch_u64(out, at, (valid ? 1 : 0) | std::uint64_t{crc} << 32);
@@ -380,11 +362,9 @@ struct RecordView {
   std::int64_t time = 0;
   const std::byte* packed = nullptr;
   const double* phi = nullptr;  // Φ columns for global rows tri_base..g
-  std::size_t phi_count = 0;
 };
 
-RecordView parse_record(const std::byte* rec, std::uint64_t g,
-                        std::uint64_t tri_base, std::size_t networks,
+RecordView parse_record(const std::byte* rec, std::size_t networks,
                         std::size_t bits) {
   RecordView v;
   v.valid = (load_u64le(rec) & 1) != 0;
@@ -394,12 +374,11 @@ RecordView parse_record(const std::byte* rec, std::uint64_t g,
   v.packed = rec + kRecordHeaderBytes;
   v.phi = reinterpret_cast<const double*>(
       v.packed + pad8(core::packed_row_bytes(networks, bits)));
-  v.phi_count = static_cast<std::size_t>(g - tri_base + 1);
   return v;
 }
 
 /// The one check of a segment file, whoever reads it — load(), verify(),
-/// compaction, the roll-forward of a crashed seal. Maps @p path and
+/// the roll-forward of a crashed seal. Maps @p path and
 /// holds it to @p want, what the manifest records of it: magic and
 /// version, every header byte (a sealed file's or a tail's, see
 /// encode_segment_header), a size of exactly 128 + payload_bytes for a
@@ -611,8 +590,7 @@ class SegmentCodec {
     put_u64(out, rows.networks_);
     put_u64(out, rows.rows());
     for (std::size_t m = 0; m < rows.rows(); ++m) {
-      put_packed_row(out, rows.row_ptr(m), rows.networks_, rows.bits_,
-                     rows.bits_);
+      put_packed_row(out, rows.row_ptr(m), rows.networks_, rows.bits_);
     }
     put_u64(out, book.history().size());
     for (const std::size_t m : book.history()) put_u64(out, m);
@@ -708,7 +686,8 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
   }
 
   // Collect leftovers no committed state references: crashed atomic
-  // writes, compaction outputs that never committed, orphaned tails.
+  // writes, orphaned tails and segments, and the cmp-* merge output an
+  // older build's compaction left when killed.
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
     if (name == "MANIFEST") continue;
@@ -729,7 +708,6 @@ SegmentStore::SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg)
 }
 
 SegmentStore::~SegmentStore() {
-  if (compactor_.joinable()) compactor_.join();
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (tail_.has_value() && tail_->fd >= 0) ::close(tail_->fd);
 }
@@ -854,8 +832,8 @@ void SegmentStore::decode_manifest(const std::string& bytes) {
   max_time_seen_ = r.get_i64();
   // The entries — the sealed segments, then the tail — must tile the
   // retained window, and every payload is derived from its rows before
-  // any record is read, so each record walk (load, verify, compaction)
-  // stays inside bytes the manifest accounts for.
+  // any record is read, so each record walk (load, verify, the seal
+  // roll-forward) stays inside bytes the manifest accounts for.
   const std::size_t sealed_count = r.get_count(64);
   const bool has_tail = r.get_u8() != 0;
   std::uint64_t expect_base = base_row_;
@@ -1002,10 +980,7 @@ void SegmentStore::append_record_locked(bool valid, std::int64_t time,
         "SegmentStore: phi span does not cover the retained window");
   }
   put_record(pending_, valid, time, packed.data(), networks,
-             static_cast<std::size_t>(bits), static_cast<std::size_t>(bits),
-             [&](std::string& out) {
-               put_u64_array(out, phi.data(), phi.size());
-             });
+             static_cast<std::size_t>(bits), phi);
   t.min_time = tail_->rows == 0 ? time : std::min(t.min_time, time);
   t.max_time = tail_->rows == 0 ? time : std::max(t.max_time, time);
   tail_->rows += 1;
@@ -1157,7 +1132,6 @@ void SegmentStore::flush_locked(bool force_seal) {
       std::filesystem::remove(p, ec);
     }
   }
-  maybe_start_compaction_locked();
   publish_status_locked();
 }
 
@@ -1358,7 +1332,7 @@ SegmentStore::Loaded SegmentStore::load(const core::Dataset* dataset) const {
   const auto take_record = [&](const std::byte* rec, std::uint64_t g,
                                const SegmentInfo& seg, bool in_tail) {
     const auto bits = static_cast<std::size_t>(seg.bits);
-    const RecordView v = parse_record(rec, g, seg.tri_base, networks_, bits);
+    const RecordView v = parse_record(rec, networks_, bits);
     if (check_rows) {
       if (const char* field = row_differs(
               v, dataset->series[static_cast<std::size_t>(g)], bits)) {
@@ -1434,181 +1408,6 @@ bool SegmentStore::verify(std::string* error) const {
   }
   if (error != nullptr) error->clear();
   return true;
-}
-
-// --- compaction ---------------------------------------------------------
-
-bool SegmentStore::find_compaction_run_locked(std::size_t& begin,
-                                              std::size_t& count) const {
-  std::size_t run_start = 0;
-  std::size_t run_len = 0;
-  for (std::size_t i = 0; i < sealed_.size(); ++i) {
-    if (sealed_[i].rows < cfg_.seal_rows) {
-      if (run_len == 0) run_start = i;
-      run_len += 1;
-      if (run_len >= cfg_.compact_min_run) {
-        // Extend to the end of the undersized run.
-        std::size_t end = i + 1;
-        while (end < sealed_.size() && sealed_[end].rows < cfg_.seal_rows) {
-          end += 1;
-        }
-        begin = run_start;
-        count = end - run_start;
-        return true;
-      }
-    } else {
-      run_len = 0;
-    }
-  }
-  return false;
-}
-
-std::size_t SegmentStore::compact_run_locked(std::size_t begin,
-                                             std::size_t count,
-                                             std::uint64_t plan_base) {
-  // Both callers hold state_mutex_ for the whole merge — compact_now()
-  // and the background thread alike — so spill(), flush() and the
-  // accessors wait for it. The sources are immutable sealed files.
-  const std::vector<SegmentInfo> run(sealed_.begin() +
-                                         static_cast<std::ptrdiff_t>(begin),
-                                     sealed_.begin() +
-                                         static_cast<std::ptrdiff_t>(
-                                             begin + count));
-  SegmentInfo merged;
-  merged.id = next_segment_id_++;
-  merged.base_row = run.front().base_row;
-  merged.tri_base = plan_base;
-  merged.min_time = run.front().min_time;
-  merged.max_time = run.front().max_time;
-  for (const SegmentInfo& s : run) {
-    merged.bits = std::max(merged.bits, s.bits);
-    merged.rows += s.rows;
-    merged.min_time = std::min(merged.min_time, s.min_time);
-    merged.max_time = std::max(merged.max_time, s.max_time);
-  }
-  const auto bits = static_cast<std::size_t>(merged.bits);
-
-  // Check the sources in one parallel_for, one source per stride (the
-  // sweep only reads and each stride writes its own part; parallel_for
-  // rethrows the first corrupt source's error), re-encoding its
-  // records as they pass at the merged width with tri_base advanced to
-  // the store's current base — this is where retention's dead Φ prefix
-  // actually leaves the disk.
-  std::vector<std::string> parts(run.size());
-  core::parallel_for(
-      run.size(),
-      [&](std::size_t k) {
-        const SegmentInfo& s = run[k];
-        const auto src_bits = static_cast<std::size_t>(s.bits);
-        const auto skip = static_cast<std::size_t>(plan_base - s.tri_base);
-        check_segment(
-            segment_path(s.id), s, true, networks_,
-            [&](const std::byte* rec, std::uint64_t g) {
-              const RecordView v =
-                  parse_record(rec, g, s.tri_base, networks_, src_bits);
-              put_record(parts[k], v.valid, v.time, v.packed, networks_,
-                         src_bits, bits, [&](std::string& out) {
-                           put_u64_array(out, v.phi + skip,
-                                         v.phi_count - skip);
-                         });
-            });
-      },
-      cfg_.threads, 1);
-  for (const std::string& part : parts) merged.payload_bytes += part.size();
-
-  const std::filesystem::path cp =
-      dir_ / ("cmp-" + std::to_string(merged.id) + ".fenrseg");
-  const int fd = open_or_throw(cp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  try {
-    const std::string header = encode_segment_header(merged, true, networks_);
-    pwrite_all(fd, header.data(), header.size(), 0, cp);
-    std::size_t at = kSegmentHeaderBytes;
-    for (const std::string& part : parts) {
-      pwrite_all(fd, part.data(), part.size(), static_cast<off_t>(at), cp);
-      at += part.size();
-    }
-    fsync_or_throw(fd, cp);
-  } catch (...) {
-    ::close(fd);
-    ::unlink(cp.c_str());
-    throw;
-  }
-  ::close(fd);
-  const std::filesystem::path sp = segment_path(merged.id);
-  if (::rename(cp.c_str(), sp.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(cp.c_str());
-    throw DatasetIoError("cannot rename " + cp.string() + " over " +
-                         sp.string() + ": " + std::strerror(err));
-  }
-  fsync_dir(dir_);
-  chaos::maybe_kill_at("segment_compact_rename");
-
-  // Commit: swap the run for the merged segment, manifest first, then
-  // unlink the sources.
-  sealed_.erase(sealed_.begin() + static_cast<std::ptrdiff_t>(begin),
-                sealed_.begin() + static_cast<std::ptrdiff_t>(begin + count));
-  sealed_.insert(sealed_.begin() + static_cast<std::ptrdiff_t>(begin),
-                 merged);
-  write_manifest_locked();
-  for (const SegmentInfo& s : run) {
-    std::error_code ec;
-    std::filesystem::remove(segment_path(s.id), ec);
-  }
-  seg_metrics().compacted.inc(count);
-  obs::event_bus().emit(obs::Severity::kInfo, "compaction_done",
-                        "\"merged\":" + std::to_string(count) +
-                            ",\"id\":" + std::to_string(merged.id) +
-                            ",\"rows\":" + std::to_string(merged.rows));
-  publish_status_locked();
-  return count;
-}
-
-std::size_t SegmentStore::compact_now() {
-  if (compactor_.joinable()) compactor_.join();
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  if (!find_compaction_run_locked(begin, count)) return 0;
-  return compact_run_locked(begin, count, base_row_);
-}
-
-void SegmentStore::maybe_start_compaction_locked() {
-  if (!cfg_.background_compaction || compaction_running_) return;
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  if (!find_compaction_run_locked(begin, count)) return;
-  const std::vector<SegmentInfo> plan(
-      sealed_.begin() + static_cast<std::ptrdiff_t>(begin),
-      sealed_.begin() + static_cast<std::ptrdiff_t>(begin + count));
-  const std::uint64_t plan_base = base_row_;
-  compaction_running_ = true;
-  if (compactor_.joinable()) compactor_.join();
-  compactor_ = std::thread([this, plan, plan_base] {
-    try {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      // Revalidate under the lock: retention or another pass may have
-      // moved the ground while this thread was being scheduled.
-      std::size_t begin2 = sealed_.size();
-      for (std::size_t i = 0; i < sealed_.size(); ++i) {
-        if (sealed_[i].id == plan.front().id) {
-          begin2 = i;
-          break;
-        }
-      }
-      bool ok = plan_base == base_row_ &&
-                begin2 + plan.size() <= sealed_.size();
-      for (std::size_t k = 0; ok && k < plan.size(); ++k) {
-        ok = sealed_[begin2 + k].id == plan[k].id;
-      }
-      if (ok) compact_run_locked(begin2, plan.size(), plan_base);
-    } catch (const std::exception& e) {
-      FENRIR_LOG(Warn).field("error", e.what())
-          << "background compaction failed";
-    }
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    compaction_running_ = false;
-  });
 }
 
 }  // namespace fenrir::io

@@ -28,7 +28,8 @@
 // compare_kernels.h), where packed rows and Φ doubles are the same
 // bytes in memory as on disk, so the copy fallback (append_precomputed)
 // is one memcpy per row for tail records and a widening
-// convert_packed_row for mixed-width segment runs.
+// convert_packed_row for mixed-width segment runs. No record is rewritten
+// once encoded, so each keeps the width the matrix had then.
 //
 // Segment file layout (all integers little-endian, doubles as IEEE-754
 // bit patterns; everything 8-aligned so doubles map directly):
@@ -65,14 +66,13 @@
 // One check (check_segment in segment_store.cc) then holds a segment
 // file to its manifest entry — magic, version, every header byte, the
 // size (exact for a sealed file) — and each record to its checksum as
-// it walks them; load(), verify(), compaction and the roll-forward of a
-// crashed seal all go through it.
+// it walks them; load(), verify() and the roll-forward of a crashed
+// seal all go through it.
 //
 // tri_base is the retention lever: a tail created after retention
-// advanced the store's base omits the dead Φ prefix entirely, and
-// compaction rewrites the cold segments it merges the same way. Only
-// runs of undersized segments are merged, so a full-size segment keeps
-// the Φ prefix it was sealed with until retention retires it.
+// advanced the store's base omits the dead Φ prefix entirely. A sealed
+// segment keeps the Φ prefix it was sealed with until retention retires
+// it.
 //
 // Durability protocol (what the chaos killpoints exercise):
 //   spill():  queue the row (its Φ is pending), or, with nothing queued
@@ -90,15 +90,13 @@
 //             counts, fsync, rename tail→seg → [segment_seal_rename] →
 //             manifest; retention retires whole front segments,
 //             manifest first, unlink after
-//   compact:  merge a cold run into cmp-<id> → fsync →
-//             [segment_compact_rename] → rename → manifest → unlink
 // The manifest is the single source of truth: a tail longer than the
 // manifest says (written-ahead records of a session that died before
 // its next flush) is truncated back on open; a torn tail is dropped
 // whole (sealed history survives — `segment_tail_salvaged` event); a
 // seal interrupted after its header write or its rename is rolled
-// forward once the file checks out as that tail sealed; an interrupted
-// compaction's leftovers are collected.
+// forward once the file checks out as that tail sealed; every file the
+// manifest does not list is collected.
 //
 // Identity: a store created by a live session records a header hash
 // (network keys and weights) and a names hash (the site names its rows
@@ -143,7 +141,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/distance_matrix.h"
@@ -171,17 +168,12 @@ struct SegmentStoreConfig {
   /// newest observation time (0 = keep everything). Observation time,
   /// not wall clock — retention stays deterministic.
   std::int64_t retain_seconds = 0;
-  /// Threads for the restored matrix and compaction verify sweeps
-  /// (parallel_for semantics: 0 = hardware, 1 = serial).
+  /// Threads for the restored matrix (parallel_for semantics: 0 =
+  /// hardware, 1 = serial).
   unsigned threads = 1;
-  /// Merge cold small segments in a background thread, started by a
-  /// flush. The thread holds the store's lock for the whole merge, so
-  /// spill(), flush() and the accessors wait for it. compact_now()
-  /// works either way.
+  /// Ignored: the store merges no segments and starts no thread. Kept
+  /// only because e2ebench/e2e_bench.cpp assigns it.
   bool background_compaction = true;
-  /// Minimum run of consecutive undersized sealed segments worth one
-  /// merged segment.
-  std::size_t compact_min_run = 4;
 };
 
 /// One segment as the manifest records it: a sealed one (also the
@@ -202,7 +194,9 @@ class SegmentStore {
   /// Opens (or creates) the store at @p dir, replaying the manifest and
   /// rolling interrupted lifecycle steps forward: truncates an
   /// over-long tail, salvages a torn one, completes a crashed seal
-  /// rename, and collects unreferenced seg-*/tail-*/cmp-*/*.tmp.* files.
+  /// rename, and collects every file the manifest does not reference
+  /// (orphaned seg-*/tail-* files, a dead MANIFEST.tmp.*, the cmp-* output
+  /// of an older build's interrupted compaction).
   /// Throws DatasetIoError on a corrupt manifest, or when @p dir is not
   /// (and cannot become) a directory.
   SegmentStore(std::filesystem::path dir, SegmentStoreConfig cfg);
@@ -255,20 +249,15 @@ class SegmentStore {
   /// Makes everything spilled so far durable: settles and encodes the
   /// queued rows in order (rotating the tail where the packed width
   /// changed), tail pwrite + fsync, then the manifest (with @p book's
-  /// modebook state when given), then any due seal/rotate/retention,
-  /// then maybe a background compaction. @p book is stored only once
-  /// the queue is encoded: a manifest that a rotation writes on the way
-  /// makes only earlier rows durable, and keeps the previous flush's
-  /// book, never one ahead of its rows.
+  /// modebook state when given), then any due seal/rotate/retention.
+  /// @p book is stored only once the queue is encoded: a manifest that a
+  /// rotation writes on the way makes only earlier rows durable, and
+  /// keeps the previous flush's book, never one ahead of its rows.
   void flush(const core::ModeBook* book = nullptr);
 
   /// Seals the current tail regardless of size (benches, tests).
   /// Includes a flush.
   void seal_active();
-
-  /// Runs one compaction pass synchronously (waits for a background
-  /// pass first if one is in flight). Returns segments merged away.
-  std::size_t compact_now();
 
   /// Everything a resumed session needs; matrix rows are the retained
   /// window [base_row, processed).
@@ -360,11 +349,6 @@ class SegmentStore {
   void apply_retention_locked(std::vector<std::filesystem::path>& retired);
   void refresh_names_hash_locked();
   void publish_status_locked() const;
-  void maybe_start_compaction_locked();
-  std::size_t compact_run_locked(std::size_t begin, std::size_t count,
-                                 std::uint64_t plan_base);
-  bool find_compaction_run_locked(std::size_t& begin,
-                                  std::size_t& count) const;
 
   std::filesystem::path dir_;
   SegmentStoreConfig cfg_;
@@ -396,9 +380,6 @@ class SegmentStore {
   std::vector<QueuedRow> queued_;  // spilled, not yet encoded
   std::string pending_;  // encoded records not yet written to the tail;
                          // written through at kWriteThroughBytes
-
-  std::thread compactor_;
-  bool compaction_running_ = false;
 };
 
 }  // namespace fenrir::io

@@ -35,6 +35,26 @@ bool looks_complete(std::string_view line) {
   return line.size() >= 2 && line.front() == '{' && line.back() == '}';
 }
 
+/// The lines of @p in, in order, less a torn final line: one that no
+/// '\n' ends, or one that is not a complete JSON object (a kill
+/// mid-append) — the truth is "not written". Interior lines come back as
+/// they are.
+std::vector<std::string> kept_lines(std::istream& in) {
+  std::vector<std::string> lines;
+  std::string line;
+  bool last_terminated = true;
+  // A line std::getline ends at the end of the stream, not at a '\n',
+  // leaves eof set.
+  while (std::getline(in, line)) {
+    last_terminated = !in.eof();
+    lines.push_back(std::move(line));
+  }
+  if (!lines.empty() && (!last_terminated || !looks_complete(lines.back()))) {
+    lines.pop_back();
+  }
+  return lines;
+}
+
 /// A kill mid-append leaves an unterminated last line, and appending
 /// straight after it would glue the next line onto it — losing both.
 /// Cuts @p path back to just past its last '\n' (to empty when there is
@@ -133,25 +153,7 @@ void Journal::close() {
 std::vector<std::string> read_journal(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw JournalError("cannot open journal: " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  // std::getline strips '\n'; detect an unterminated final line (a torn
-  // append) from the raw last byte of the file.
-  bool last_terminated = true;
-  if (!lines.empty()) {
-    std::ifstream raw(path, std::ios::binary | std::ios::ate);
-    if (raw && raw.tellg() > std::streampos(0)) {
-      raw.seekg(-1, std::ios::end);
-      char last = '\0';
-      raw.get(last);
-      last_terminated = (last == '\n');
-    }
-  }
-  if (!lines.empty()) {
-    const bool last_ok = last_terminated && looks_complete(lines.back());
-    if (!last_ok) lines.pop_back();  // torn tail: the truth is "not written"
-  }
+  std::vector<std::string> lines = kept_lines(in);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (!looks_complete(lines[i])) {
       throw JournalError("journal " + path + " corrupt at line " +
@@ -159,6 +161,11 @@ std::vector<std::string> read_journal(const std::string& path) {
     }
   }
   return lines;
+}
+
+std::vector<std::string> journal_lines(const std::string& path) {
+  std::ifstream in(path);
+  return kept_lines(in);  // a file that does not open reads no lines
 }
 
 std::size_t cut_journal(const std::string& path, std::int64_t from,

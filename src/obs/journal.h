@@ -90,6 +90,12 @@ class Journal {
 /// and on an unreadable file.
 std::vector<std::string> read_journal(const std::string& path);
 
+/// The lines read_journal() keeps, without its interior check: every
+/// line of @p path but a torn final one, in file order. A file that
+/// cannot be opened has none. What a resumed writer counts its entries
+/// in.
+std::vector<std::string> journal_lines(const std::string& path);
+
 /// Cuts the JSONL file at @p path back to a resumed writer's durable
 /// prefix: it ends before the first line whose "time" field is at or
 /// after @p from, passing over the first @p keep such lines (durable

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iterator>
 
 #include "obs/metrics.h"
@@ -340,13 +339,13 @@ std::uint64_t LineageStore::record(DecisionRecord record) {
 
 namespace {
 
-/// The largest record id in the log at @p path (0 for none). Unparseable
-/// lines (a torn tail, interleaved non-lineage lines) are skipped.
+/// The largest record id in the log at @p path (0 for none), over the
+/// lines read_journal would keep: a torn last line holds no record,
+/// even when parse_record_json reads one from it. Unparseable lines
+/// (interleaved non-lineage lines) are skipped.
 std::uint64_t last_logged_id(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
   std::uint64_t max_id = 0;
-  while (std::getline(in, line)) {
+  for (const std::string& line : journal_lines(path)) {
     if (const auto r = parse_record_json(line)) {
       max_id = std::max(max_id, r->id);
     }

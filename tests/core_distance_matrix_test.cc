@@ -367,7 +367,6 @@ TEST(SimilarityMatrixAnchors, PredecessorRuleMatchesOracle) {
         io::SegmentStoreConfig cfg;
         cfg.seal_rows = 16;
         cfg.threads = threads;
-        cfg.background_compaction = false;
         {
           SimilarityMatrix m(policy, d.weights, threads);
           crossed += grow_mixed(m, d, 0, load_at, r);
@@ -554,7 +553,6 @@ TEST(SimilarityMatrixTiles, KernelRowsMeetAdoptedColumnsAtFourThreads) {
   io::SegmentStoreConfig cfg;
   cfg.seal_rows = 8;
   cfg.threads = 4;
-  cfg.background_compaction = false;
   for (const UnknownPolicy policy :
        {UnknownPolicy::kPessimistic, UnknownPolicy::kKnownOnly}) {
     const std::string label =

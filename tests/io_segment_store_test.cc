@@ -705,7 +705,6 @@ TEST(Segment, ResumeSeesEveryRowField) {
   }
   SegmentStoreConfig cfg;
   cfg.seal_rows = 2;  // observations 0 and 1 seal, 2 stays in the tail
-  cfg.background_compaction = false;
   {
     SegmentStore store(dir.path, cfg);
     store.attach(&d);
@@ -1216,7 +1215,6 @@ TEST(Segment, PendingRowsQueueAcrossAWidening) {
   }
   SegmentStoreConfig cfg;
   cfg.seal_rows = 8;
-  cfg.background_compaction = false;
   for (const bool eager : {true, false}) {
     SegmentStore store(eager ? eager_dir.path : queued_dir.path, cfg);
     store.attach(&d);
@@ -1243,98 +1241,6 @@ TEST(Segment, PendingRowsQueueAcrossAWidening) {
                          eager ? "eager across a widening"
                                : "queued across a widening");
   }
-}
-
-// Compaction merges runs of undersized sealed segments into one and the
-// loaded matrix does not move a bit.
-// The second pass pulls id 53 in from row 18 on, so a 4-bit run and an
-// 8-bit run merge into one segment at the wider width.
-TEST(Segment, CompactionPreservesMatrix) {
- for (const bool mixed : {false, true}) {
-  ScratchDir dir(mixed ? "compact_mixed" : "compact");
-  Dataset d = periodic_dataset(36, 80, 6, 0.03, 53);
-  if (mixed) {
-    for (std::size_t s = 6; s <= 50; ++s) {
-      d.sites.intern("site" + std::to_string(s));
-    }
-    for (std::size_t t = 18; t < d.series.size(); ++t) {
-      d.series[t].assignment[t] = kFirstRealSite + 50;
-    }
-  }
-  SegmentStoreConfig cfg;
-  cfg.seal_rows = 64;  // nothing seals by size...
-  cfg.compact_min_run = 3;
-  cfg.background_compaction = false;
-  SegmentStore store(dir.path, cfg);
-  store.attach(&d);
-  SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
-  // ...so seal manually every few rows to manufacture a cold run.
-  for (std::size_t t = 0; t < d.series.size(); ++t) {
-    live.append(d.series[t]);
-    store.spill(d.series[t], live);
-    if ((t + 1) % 6 == 0) store.seal_active();
-  }
-  store.flush();
-  const std::size_t before = store.segments().size();
-  ASSERT_GE(before, 3u);
-  SegmentStore::Loaded want = store.load(&d);
-
-  EXPECT_EQ(store.segments().front().bits, 4u);
-  EXPECT_EQ(store.segments().back().bits, mixed ? 8u : 4u);
-  const std::size_t merged = store.compact_now();
-  EXPECT_GE(merged, 3u);
-  EXPECT_LT(store.segments().size(), before);
-  EXPECT_EQ(store.segments().front().bits, mixed ? 8u : 4u);
-  std::string error;
-  EXPECT_TRUE(store.verify(&error)) << error;
-  SegmentStore::Loaded got = store.load(&d);
-  expect_bit_identical(got.matrix, want.matrix, "compacted");
-
-  // Reopen: the compacted layout is what the manifest committed.
-  SegmentStore reopened(dir.path, cfg);
-  SegmentStore::Loaded again = reopened.load(&d);
-  expect_bit_identical(again.matrix, want.matrix, "compacted+reopened");
-  SimilarityMatrix continuous(UnknownPolicy::kPessimistic, d.weights, 1);
-  for (const RoutingVector& v : d.series) continuous.append(v);
-  expect_bit_identical(again.matrix, continuous, "compacted vs continuous");
- }
-}
-
-// The default store compacts in a background thread. Four manual seals
-// of three rows each make a run of compact_min_run undersized segments,
-// so the flush inside the fourth seal_active() starts the merge; spills
-// and flushes go on while it may be running (they wait on the store's
-// lock). The merge runs once, and the store loads bit-identically to
-// compute() over the same rows, before and after a reopen.
-TEST(Segment, BackgroundCompactionRunsBesideSpills) {
-  ScratchDir dir("compact_background");
-  const Dataset d = periodic_dataset(30, 80, 6, 0.03, 131);
-  SegmentStoreConfig cfg;
-  ASSERT_TRUE(cfg.background_compaction);
-  const std::uint64_t seq = obs::event_bus().last_seq();
-  {
-    SegmentStore store(dir.path, cfg);
-    store.attach(&d);
-    SimilarityMatrix live(UnknownPolicy::kPessimistic, d.weights, 1);
-    for (std::size_t t = 0; t < d.series.size(); ++t) {
-      live.append(d.series[t]);
-      store.spill(d.series[t], live);
-      if (t + 1 <= 3 * cfg.compact_min_run && (t + 1) % 3 == 0) {
-        store.seal_active();
-      } else {
-        store.flush();
-      }
-    }
-    EXPECT_EQ(store.compact_now(), 0u) << "the background pass merged it";
-    ASSERT_EQ(store.segments().size(), 1u);
-    EXPECT_EQ(store.segments()[0].rows, 3 * cfg.compact_min_run);
-    expect_bit_identical(store.load(&d).matrix, SimilarityMatrix::compute(d),
-                         "background compaction");
-  }
-  EXPECT_EQ(obs::event_bus().since(seq, "compaction_done").size(), 1u);
-  const SegmentStore reopened(dir.path, cfg);
-  expect_bit_identical(reopened.load(&d).matrix, SimilarityMatrix::compute(d),
-                       "background compaction, reopened");
 }
 
 // Mid-stream width growth (site ids crossing 255, so 4 bits → 16) seals
@@ -1546,8 +1452,7 @@ TEST(SnapshotWatchState, WeightedVerdictsMatchThePersistedMatrix) {
 struct KillCase {
   const char* label;
   std::size_t seal_rows;
-  std::size_t seal_every = 0;  // manual seal_active() cadence (0 = never)
-  std::size_t arm_at = 0;      // the killpoint is armed from this spill on
+  std::size_t arm_at = 0;  // the killpoint is armed from this spill on
   std::size_t networks = 80;
   std::size_t sites = 6;
   // Arms FENRIR_CHAOS_KILL_SAVE=<kill_save> (a byte offset into the next
@@ -1602,8 +1507,6 @@ void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
 
   SegmentStoreConfig cfg;
   cfg.seal_rows = kc.seal_rows;
-  cfg.compact_min_run = 2;
-  cfg.background_compaction = false;
 
   EXPECT_EXIT(
       {
@@ -1618,14 +1521,9 @@ void run_kill_case(const KillCase& kc, KillOutcome* out = nullptr) {
           }
           live.append(d.series[t]);
           store.spill(d.series[t], live);
-          if (kc.seal_every != 0 && (t + 1) % kc.seal_every == 0) {
-            store.seal_active();
-          } else if ((t + 1) % 3 == 0) {
-            store.flush();
-          }
+          if ((t + 1) % 3 == 0) store.flush();
         }
         store.seal_active();
-        store.compact_now();
         ::_exit(0);  // the killpoint never fired — fail the EXPECT_EXIT
       },
       ::testing::ExitedWithCode(137), "");
@@ -1667,12 +1565,6 @@ TEST(SegmentChaosDeathTest, KillDuringSealRename) {
   EXPECT_EQ(out.durable, 6u) << "the renamed segment is rolled forward";
 }
 
-TEST(SegmentChaosDeathTest, KillDuringCompactionRename) {
-  KillOutcome out;
-  run_kill_case({"segment_compact_rename", 64, 5}, &out);
-  EXPECT_EQ(out.durable, 20u) << "every sealed row survives";
-}
-
 // A kill right after a write-through pwrite: rows 0..8 are flushed, and
 // rows 9..11 wait in the queue (their Φ is pending) until the flush
 // after row 11 encodes them in order. 270k networks over 70k sites pack
@@ -1684,7 +1576,7 @@ TEST(SegmentChaosDeathTest, KillDuringCompactionRename) {
 TEST(SegmentChaosDeathTest, KillDuringTailWriteThrough) {
   const std::size_t networks = 270'000;
   KillOutcome out;
-  run_kill_case({"segment_tail_write", 256, 0, 10, networks, 70'000}, &out);
+  run_kill_case({"segment_tail_write", 256, 10, networks, 70'000}, &out);
   EXPECT_EQ(out.durable, 9u);
   EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(10, networks, 32));
   EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, networks, 32));
@@ -1702,7 +1594,6 @@ TEST(SegmentChaosDeathTest, KillBetweenSpillAndFlush) {
   const std::size_t networks = 270'000;
   const Dataset d = periodic_dataset(10, networks, 70'000, 0.03, 113);
   SegmentStoreConfig cfg;
-  cfg.background_compaction = false;
   EXPECT_EXIT(
       {
         SegmentStore store(dir.path, cfg);
@@ -1739,7 +1630,7 @@ TEST(SegmentChaosDeathTest, KillBetweenSpillAndFlush) {
 // truncates the three unmanifested records and collects the temp file.
 TEST(SegmentChaosDeathTest, KillDuringManifestSave) {
   KillOutcome out;
-  run_kill_case({"manifest_save", 256, 0, 10, 80, 6, "64"}, &out);
+  run_kill_case({"manifest_save", 256, 10, 80, 6, "64"}, &out);
   EXPECT_EQ(out.durable, 9u) << "the last completed flush covered 9 rows";
   EXPECT_EQ(out.tail_bytes_dead, tail_bytes_for(12, 80, 4));
   EXPECT_EQ(out.tail_bytes_open, tail_bytes_for(9, 80, 4));
@@ -1748,7 +1639,8 @@ TEST(SegmentChaosDeathTest, KillDuringManifestSave) {
 }
 
 // A torn tail (bytes the manifest promised are gone) is salvaged by
-// dropping the whole tail; the sealed history survives and the store
+// dropping the whole tail, and the open collects every file the
+// manifest does not list; the sealed history survives and the store
 // keeps working.
 TEST(Segment, TornTailSalvageKeepsSealedHistory) {
   ScratchDir dir("torn");
@@ -1781,10 +1673,22 @@ TEST(Segment, TornTailSalvageKeepsSealedHistory) {
       dir.path / ("tail-" + std::to_string(tail_id) + ".fenrseg");
   ASSERT_TRUE(fs::exists(tail));
   fs::resize_file(tail, kSegmentHeaderBytes);
+  // Files the manifest does not list, at the next segment id: a sealed
+  // segment and the cmp-* merge output an older build's compaction left
+  // when killed. Both are copies of a real sealed segment.
+  const std::string next_id = std::to_string(tail_id + 1);
+  const fs::path orphans[] = {dir.path / ("seg-" + next_id + ".fenrseg"),
+                              dir.path / ("cmp-" + next_id + ".fenrseg")};
+  for (const fs::path& orphan : orphans) {
+    fs::copy_file(dir.path / "seg-0.fenrseg", orphan);
+  }
 
   SegmentStore store(dir.path, cfg);
   EXPECT_EQ(store.processed(), tail_base) << "tail dropped whole";
   EXPECT_EQ(store.tail_rows(), 0u);
+  for (const fs::path& orphan : orphans) {
+    EXPECT_FALSE(fs::exists(orphan)) << orphan << " survived the open";
+  }
   std::string error;
   EXPECT_TRUE(store.verify(&error)) << error;
   SegmentStore::Loaded loaded = store.load(&d);
@@ -1902,7 +1806,6 @@ FuzzBase make_fuzz_base(std::size_t site_count, std::uint64_t bits) {
   ScratchDir dir("fuzz_base");
   SegmentStoreConfig cfg;
   cfg.seal_rows = 5;
-  cfg.background_compaction = false;
   {
     SegmentStore store(dir.path, cfg);
     store.attach(&b.d);
@@ -2051,7 +1954,6 @@ void expect_consistent_or_refused(const fs::path& dir, const Dataset& d,
                                   const SegmentStore::Loaded* want,
                                   const std::string& label) {
   SegmentStoreConfig cfg;
-  cfg.background_compaction = false;
   try {
     SegmentStore store(dir, cfg);
     bool refused = false;  // load(nullptr) threw

@@ -362,6 +362,29 @@ TEST(Lineage, OpenLogSkipsATornRecord) {
       << "ids continue after the last whole record";
   store.close_log();
 
+  // A line cut after its top list closed still parses, but it is as torn
+  // as any other: an unfederated record cut before its closing '}', and a
+  // federated one cut inside its provenance. Neither holds an id.
+  r.id = 2;
+  const std::string plain = record_json(r);
+  DecisionRecord fed = r;
+  fed.federated = true;
+  fed.member = 1;
+  fed.staleness = 2;
+  const std::string federated = record_json(fed);
+  r.id = 1;
+  for (const std::string& cut :
+       {plain.substr(0, plain.size() - 1),
+        federated.substr(0, federated.find("\"staleness\"") + 5)}) {
+    EXPECT_TRUE(parse_record_json(cut).has_value()) << cut;
+    std::ofstream(f.path, std::ios::binary) << record_json(r) << "\n" << cut;
+    LineageStore resumed(LineageStore::Config{8});
+    ASSERT_TRUE(resumed.open_log(f.path, /*truncate=*/false));
+    EXPECT_EQ(resumed.record(sample_record()), 2u)
+        << "ids continue after the last whole record, not after " << cut;
+    resumed.close_log();
+  }
+
   for (const char* mode : {"-1", "1e30", "2.5"}) {
     std::string line = whole;
     line.replace(line.find("{\"mode\":3") + 8, 1, mode);
@@ -540,7 +563,8 @@ TEST(Lineage, DecisionMetricFamiliesMatchExpositionGrammar) {
 // lines or throw JournalError; parse_record_json must return a record
 // inside its bounds or nothing, and never read past the line (the
 // sanitizer builds catch that); open_log must continue the id sequence
-// after the largest id any line of the file parses to.
+// after the largest id any line of the file parses to, a torn last line
+// aside (one no '\n' ends, or one that is not a whole '{...}' object).
 
 std::string fuzz_log() {
   std::string log;
@@ -570,11 +594,16 @@ void expect_parses_or_skips(const std::string& path, const std::string& text,
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
+    const bool terminated = !lines.eof();
+    const bool torn =
+        lines.peek() == std::char_traits<char>::eof() &&
+        (!terminated || line.empty() || line.front() != '{' ||
+         line.back() != '}');
     const auto r = parse_record_json(line);
     if (!r) continue;
     ASSERT_GT(r->id, 0u) << label;
     ASSERT_LE(r->top_count, kLineageTopK) << label;
-    max_id = std::max(max_id, r->id);
+    if (!torn) max_id = std::max(max_id, r->id);
   }
   LineageStore store(LineageStore::Config{4});
   ASSERT_TRUE(store.open_log(path, /*truncate=*/false)) << label;

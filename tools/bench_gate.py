@@ -19,7 +19,7 @@ against the fleet.
 Only the recurrence hot path is gated (BM_Gower*, BM_SimilarityMatrix*
 — the packed-kernel rows, batched and not —
 BM_ModeBook*, BM_FederatedSweep — the federated merge fold — and the
-segment-store BM_Segment*/BM_Compaction path):
+segment-store BM_Segment* path):
 they are the paper-relevant fast path and run long enough to be stable
 at --benchmark_min_time=0.01s. The other benches are reported in the
 table but never fail the gate.
@@ -42,11 +42,11 @@ import json
 import sys
 
 # Gated benches: the Φ kernel hot path, the ModeBook classifier, the
-# federated merge fold, and the segment store's tail, resume and
-# compaction paths. Everything else is informational.
+# federated merge fold, and the segment store's tail and resume paths.
+# Everything else is informational.
 GATED_PREFIXES = ("bench_core_BM_Gower", "bench_core_BM_SimilarityMatrix",
                   "bench_core_BM_ModeBook", "bench_core_BM_FederatedSweep",
-                  "bench_core_BM_Segment", "bench_core_BM_Compaction")
+                  "bench_core_BM_Segment")
 SUFFIX = "_real_ns"
 
 # The decision-lineage overhead budget: recording every verdict into the

@@ -82,9 +82,8 @@
 //                         observation is appended as one record (O(new
 //                         rows) per save interval, never the history),
 //                         sealed segments are mmap-adopted on resume
-//                         (flat warm-start), cold runs compact in the
-//                         background. A DIR that is not a directory, or
-//                         a corrupt store, is exit code 3
+//                         (flat warm-start). A DIR that is not a
+//                         directory, or a corrupt store, is exit code 3
 //   --seal-rows N         records per tail segment before seal + rotate
 //                         (default 256)
 //   --retain-days X       retire sealed segments whose newest observation
@@ -292,26 +291,33 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The decimal count @p flag holds, or @p fallback when it is absent. A
-/// value with anything but digits (a sign, a fraction, trailing text),
-/// or outside [@p lo, @p hi], is a UsageError naming the flag.
+/// The decimal count @p text holds, where @p name is the flag or
+/// environment variable it came from. A value with anything but digits
+/// (none at all, a sign, a fraction, trailing text), or outside
+/// [@p lo, @p hi], is a UsageError naming @p name.
+std::size_t parse_count(
+    const std::string& name, const std::string& text, std::size_t lo = 0,
+    std::size_t hi = std::numeric_limits<std::size_t>::max()) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  if (const auto r = std::from_chars(text.data(), end, value);
+      r.ec != std::errc{} || r.ptr != end) {
+    throw UsageError("bad " + name + " '" + text + "' (want a count)");
+  }
+  if (value < lo || value > hi) {
+    throw UsageError(name + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+/// The count @p flag holds, or @p fallback when it is absent.
 std::size_t parse_count(
     const Args& args, const std::string& flag, std::size_t fallback,
     std::size_t lo = 0,
     std::size_t hi = std::numeric_limits<std::size_t>::max()) {
   const std::string text = args.get(flag, "");
-  if (text.empty()) return fallback;
-  std::size_t value = 0;
-  const char* end = text.data() + text.size();
-  if (const auto r = std::from_chars(text.data(), end, value);
-      r.ec != std::errc{} || r.ptr != end) {
-    throw UsageError("bad " + flag + " '" + text + "' (want a count)");
-  }
-  if (value < lo || value > hi) {
-    throw UsageError(flag + " must be in [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "]");
-  }
-  return value;
+  return text.empty() ? fallback : parse_count(flag, text, lo, hi);
 }
 
 /// The real number @p flag holds, or @p fallback when it is absent. A
@@ -887,15 +893,8 @@ int events_replay(const std::string& path) {
 /// Tail mode: GET /events from a live status server, optionally
 /// long-polling with --follow until SIGINT or the server goes away.
 int events_tail(const Args& args) {
-  long port = -1;
-  try {
-    port = std::stol(args.get("--port", ""));
-  } catch (const std::exception&) {
-  }
-  if (port < 0 || port > 65535) {
-    std::cerr << "fenrirctl: events tail needs --port N\n";
-    return 2;
-  }
+  const std::size_t port = parse_count("--port", args.get("--port", ""), 0,
+                                       65535);
   std::uint64_t since = parse_count(args, "--since", 0);
   const std::string type = args.get("--type", "");
   const std::string severity = args.get("--severity", "");
@@ -908,19 +907,7 @@ int events_tail(const Args& args) {
   // A status server restarting mid-tail (or not yet listening) should
   // cost a few backed-off retries, not an instant exit — but the retry
   // must be bounded and the final diagnostic must say what was tried.
-  long retries = 5;
-  if (const auto r = args.get("--retries", ""); !r.empty()) {
-    try {
-      retries = std::stol(r);
-    } catch (const std::exception&) {
-      retries = 0;
-    }
-    if (retries < 1) {
-      std::cerr << "fenrirctl: bad --retries '" << r
-                << "' (want a positive attempt count)\n";
-      return 2;
-    }
-  }
+  const std::size_t retries = parse_count(args, "--retries", 5, 1);
   const bool follow = args.has("--follow");
   if (follow) {
     std::signal(SIGINT, handle_shutdown_signal);
@@ -928,7 +915,7 @@ int events_tail(const Args& args) {
   }
 
   bool connected = false;
-  long failures = 0;
+  std::size_t failures = 0;
   while (!g_shutdown.load()) {
     std::string target = "/events?since=" + std::to_string(since);
     if (!type.empty()) target += "&type=" + type;
@@ -957,7 +944,7 @@ int events_tail(const Args& args) {
       // Exponential backoff between attempts: 250ms doubling, capped at
       // 4s — a restarting server gets a window, a dead one costs ~8s at
       // the default 5 attempts.
-      const long shift = failures - 1 < 10 ? failures - 1 : 10;
+      const std::size_t shift = std::min<std::size_t>(failures - 1, 10);
       const long delay_ms = std::min(4000L, 250L << shift);
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       continue;
@@ -1364,15 +1351,8 @@ int cmd_explain(const Args& args) {
   // Live path: ask a running server's /explain endpoint and print the
   // JSON verbatim (scripts parse it; the offline path is the prose one).
   if (args.has("--port")) {
-    long port = -1;
-    try {
-      port = std::stol(args.get("--port", ""));
-    } catch (const std::exception&) {
-    }
-    if (port < 0 || port > 65535) {
-      std::cerr << "fenrirctl: explain needs a valid --port N\n";
-      return 2;
-    }
+    const std::size_t port =
+        parse_count("--port", args.get("--port", ""), 0, 65535);
     const auto response =
         obs::http_get(static_cast<std::uint16_t>(port),
                       "/explain/" + std::to_string(*mode), 5000);
@@ -1618,7 +1598,7 @@ void register_metric_catalog() {
         "fenrir_modebook_new_modes_total", "fenrir_modebook_recurrences_total",
         "fenrir_trace_events_dropped_total", "fenrir_phi_appends_total",
         "fenrir_phi_rows_kernel_total", "fenrir_segment_sealed_total",
-        "fenrir_segment_compacted_total", "fenrir_segment_retired_total",
+        "fenrir_segment_retired_total",
         "fenrir_segment_mmap_bytes_total", "fenrir_segment_tail_flush_total",
         "fenrir_segment_tail_bytes_total",
         "fenrir_segment_checksum_verified_total"}) {
@@ -1786,24 +1766,17 @@ int main(int argc, char** argv) {
     // Live introspection plane: --status-port N (or FENRIR_STATUS_PORT)
     // serves /metrics /healthz /status /profile while the command runs.
     obs::HttpServer server;
-    std::string port_spec = args.get("--status-port", "");
+    std::string port_name = "--status-port";
+    std::string port_spec = args.get(port_name, "");
     if (port_spec.empty()) {
       if (const char* env = std::getenv("FENRIR_STATUS_PORT")) {
+        port_name = "FENRIR_STATUS_PORT";
         port_spec = env;
       }
     }
     const bool want_server = !port_spec.empty();
     if (want_server) {
-      long port = -1;
-      try {
-        port = std::stol(port_spec);
-      } catch (const std::exception&) {
-        port = -1;  // falls into the range check → usage error
-      }
-      if (port < 0 || port > 65535) {
-        std::cerr << "fenrirctl: bad status port '" << port_spec << "'\n";
-        return 2;
-      }
+      const std::size_t port = parse_count(port_name, port_spec, 0, 65535);
       if (server.start(static_cast<std::uint16_t>(port))) {
         if (const auto path = args.get("--status-port-file", "");
             !path.empty()) {
