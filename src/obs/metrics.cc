@@ -1,29 +1,55 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "obs/log.h"
 
 namespace fenrir::obs {
 
+namespace {
+
+/// @p x as printf would print it with @p fmt ('g' for general, 'f' for
+/// fixed) at @p precision, in the "C" locale.
+std::string print_double(double x, std::chars_format fmt, int precision) {
+  // Room for %.16f of DBL_MAX: sign, 309 digits, point, 16 decimals.
+  std::array<char, 352> buf;
+  const auto r = std::to_chars(buf.data(), buf.data() + buf.size(), x, fmt,
+                               precision);
+  return std::string(buf.data(), r.ptr);
+}
+
+bool round_trips(std::string_view text, double x) {
+  double back = 0.0;
+  const auto r = std::from_chars(text.data(), text.data() + text.size(), back);
+  return r.ec == std::errc{} && back == x;
+}
+
+}  // namespace
+
 std::string render_double(double x) {
-  std::ostringstream out;
-  out.precision(17);
-  out << x;
-  std::string s = out.str();
-  // Try shorter representations that still round-trip.
-  for (int p = 1; p < 17; ++p) {
-    std::ostringstream trial;
-    trial.precision(p);
-    trial << x;
-    double back = 0.0;
-    std::istringstream(trial.str()) >> back;
-    if (back == x) {
-      s = trial.str();
-      break;
+  std::string s = print_double(x, std::chars_format::general, 17);
+  // The lowest %g precision that round-trips. None below the digit count
+  // of the shortest round-trip form can, so the search starts there.
+  if (std::isfinite(x)) {
+    std::array<char, 32> buf;
+    const auto r = std::to_chars(buf.data(), buf.data() + buf.size(), x,
+                                 std::chars_format::scientific);
+    const std::string_view shortest(buf.data(), r.ptr);
+    const auto digits = static_cast<int>(std::count_if(
+        shortest.begin(), shortest.begin() + shortest.find('e'),
+        [](char c) { return c >= '0' && c <= '9'; }));
+    for (int p = digits; p < 17; ++p) {
+      std::string trial = print_double(x, std::chars_format::general, p);
+      if (round_trips(trial, x)) {
+        s = std::move(trial);
+        break;
+      }
     }
   }
   // Default-format can pick scientific for round values ("1e+01" for
@@ -32,14 +58,9 @@ std::string render_double(double x) {
   // greater length.
   if (s.find('e') != std::string::npos) {
     for (int p = 0; p < 17; ++p) {
-      std::ostringstream trial;
-      trial << std::fixed;
-      trial.precision(p);
-      trial << x;
-      double back = 0.0;
-      std::istringstream(trial.str()) >> back;
-      if (back == x) {
-        if (trial.str().size() <= s.size()) s = trial.str();
+      std::string trial = print_double(x, std::chars_format::fixed, p);
+      if (round_trips(trial, x)) {
+        if (trial.size() <= s.size()) s = std::move(trial);
         break;
       }
     }

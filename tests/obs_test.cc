@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -247,6 +252,85 @@ TEST(Metrics, ExpositionEscapingFunctions) {
   EXPECT_EQ(obs::escape_help("say \"hi\""), "say \"hi\"");
   EXPECT_EQ(obs::escape_label_value("plain"), "plain");
   EXPECT_EQ(obs::escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
+}
+
+/// The stream search render_double replaces: the lowest %g precision
+/// whose text reads back as @p x, then fixed notation when that is no
+/// longer and the %g text is scientific.
+std::string render_double_by_streams(double x) {
+  std::ostringstream out;
+  out.precision(17);
+  out << x;
+  std::string s = out.str();
+  for (int p = 1; p < 17; ++p) {
+    std::ostringstream trial;
+    trial.precision(p);
+    trial << x;
+    double back = 0.0;
+    std::istringstream(trial.str()) >> back;
+    if (back == x) {
+      s = trial.str();
+      break;
+    }
+  }
+  if (s.find('e') != std::string::npos) {
+    for (int p = 0; p < 17; ++p) {
+      std::ostringstream trial;
+      trial << std::fixed;
+      trial.precision(p);
+      trial << x;
+      double back = 0.0;
+      std::istringstream(trial.str()) >> back;
+      if (back == x) {
+        if (trial.str().size() <= s.size()) s = trial.str();
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(Metrics, RenderDoubleMatchesStreamSearch) {
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            1.0,
+                            10.0,
+                            1e5,
+                            1e16,
+                            1e17,
+                            123456789012345678.0,
+                            0.1,
+                            1e-4,
+                            1e-5,
+                            1.25e-7,
+                            2.2250738585072014e-308,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max() / 2,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN()};
+  // Φ-like ratios, decision timestamps, and every power of two (whose
+  // rounding interval is lopsided).
+  for (int n = 1; n <= 100; ++n) {
+    for (int k = 0; k <= n; ++k) xs.push_back(static_cast<double>(k) / n);
+  }
+  for (int i = 0; i < 500; ++i) xs.push_back(1.7e9 + i * 0.001234567);
+  for (int e = -1074; e <= 1023; ++e) xs.push_back(std::ldexp(1.0, e));
+  std::mt19937_64 bits(7);
+  for (int i = 0; i < 4000; ++i) {
+    const double x = std::bit_cast<double>(bits());
+    if (std::isfinite(x) && std::abs(x) != std::numeric_limits<double>::max()) {
+      xs.push_back(x);
+    }
+  }
+  for (const double x : xs) {
+    EXPECT_EQ(obs::render_double(x), render_double_by_streams(x)) << std::hexfloat << x;
+  }
+  // The one departure: the stream search read "2e+308" back through
+  // istream's overflow clamp to DBL_MAX. render_double round-trips.
+  const std::string max = obs::render_double(std::numeric_limits<double>::max());
+  EXPECT_EQ(std::strtod(max.c_str(), nullptr), std::numeric_limits<double>::max());
 }
 
 TEST(Metrics, LabeledSeriesShareOneFamilyHeader) {
